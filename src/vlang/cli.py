@@ -23,6 +23,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 from .analysis import AnalysisError, check_consistency, check_equivalence, check_refinement
@@ -231,22 +233,24 @@ def _semantics_config(args, paths: list[str], models):
         return None
     try:
         config = make_semantics_config(diagrams, configs, Bounds())
-        bounds = _bounds(args, models, config.mapping_config)
-        return make_semantics_config(diagrams, configs, bounds)
+        return replace(config, bounds=_bounds(args, models, config.mapping_config))
     except SemanticsError as exc:
         raise _FileFailure(str(exc)) from exc
 
 
 def _cmd_sem(args) -> int:
+    if args.witnesses < 0:
+        raise _FileFailure("--witnesses must be non-negative")
     grammar = _load_grammar(args.grammar)
     model = _minimal(grammar, _load_model(grammar, args.model))
     config = _semantics_config(args, args.files, [model])
     if config is None:
         return 1
-    sem = compute_sem(model, config)
-    members = list(sem)
-    print(f"SEM count={len(members)} bounds={config.bounds.describe()}")
-    for i, sm in enumerate(members[: args.witnesses], start=1):
+    members = iter(compute_sem(model, config))
+    witnesses = list(islice(members, args.witnesses))
+    count = len(witnesses) + sum(1 for _ in members)
+    print(f"SEM count={count} bounds={config.bounds.describe()}")
+    for i, sm in enumerate(witnesses, start=1):
         print(f"WITNESS {i}")
         sys.stdout.write(dump_system(sm))
     return 0

@@ -28,7 +28,8 @@ syntax.
 Restrictions (enforced here): alternation only among terminals, cardinality
 suffixes only on groups and single nonterminal references, production names
 unique, every referenced nonterminal defined, references to the built-in
-token IDENT must carry a label.
+token IDENT must carry a label, no production reaching itself before
+consuming a token (left recursion).
 """
 
 from __future__ import annotations
@@ -413,10 +414,61 @@ def _validate(g: GrammarDef) -> None:
                     f"sugar production {p.name} may not expand another sugar production"
                 )
 
+    _reject_left_recursion(g)
+
     # Field labels must be consistent and unique after schema derivation.
     from .schema import derive_schema  # deferred: schema imports this module
 
     derive_schema(g)
+
+
+def _reject_left_recursion(g: GrammarDef) -> None:
+    """Reject a production that can reach itself before consuming a token.
+
+    A reference to X parses X or one of its sugar productions.  An element
+    can match nothing when it is a stereotype slot, an optional or starred
+    group, or a group or reference whose contents can.
+    """
+    alternatives = {
+        p.name: [p.name, *(s.name for s in g.sugar_alternatives(p.name))] for p in g.productions
+    }
+    nullable: set[str] = set()
+
+    def scan(elements: tuple[Element, ...]) -> tuple[list[str], bool]:
+        """The productions reached before a token, and whether all of
+        `elements` can match nothing."""
+        reached: list[str] = []
+        for el in elements:
+            if isinstance(el, Group):
+                inner, empty = scan(el.elements)
+                reached += inner
+                empty = empty or el.cardinality != "once"
+            elif isinstance(el, NonterminalRef) and el.target != IDENT_TOKEN:
+                reached += alternatives[el.target]
+                empty = not nullable.isdisjoint(alternatives[el.target])
+            else:
+                empty = isinstance(el, StereotypeSlot)
+            if not empty:
+                return reached, False
+        return reached, True
+
+    while (grown := {p.name for p in g.productions if scan(p.elements)[1]}) != nullable:
+        nullable = grown
+    edges = {p.name: scan(p.elements)[0] for p in g.productions}
+    finished: set[str] = set()
+    for root in edges:
+        path, pending = [root], [iter(edges[root])]
+        while pending:
+            nxt = next(pending[-1], None)
+            if nxt is None:
+                finished.add(path.pop())
+                pending.pop()
+            elif nxt in path:
+                cycle = " -> ".join(path[path.index(nxt):] + [nxt])
+                raise GrammarError(f"left recursion: {cycle}")
+            elif nxt not in finished:
+                path.append(nxt)
+                pending.append(iter(edges[nxt]))
 
 
 def parse_grammar(source: str) -> GrammarDef:

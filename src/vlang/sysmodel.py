@@ -8,11 +8,12 @@ a reflexive and transitive subclassing relation on top of the structural
 invariants.  Domain variants are extra validity predicates keyed by feature
 name; the composed predicate is their conjunction with base validity.
 
-`enumerate_systems` yields every system within given bounds that satisfies a
-predicate, in a canonical deterministic order: componentwise by cardinality,
-then lexicographically, over the encoding (classes, sub, attrs, objects,
-class assignment).  Smaller systems come first, which makes reported
-witnesses minimal.
+`enumerate_systems` walks the systems within given bounds whose subclassing
+relation is a preorder (the only ones base validity admits) and yields those
+that satisfy a predicate, in a canonical deterministic order: componentwise
+by cardinality, then lexicographically, over the encoding (classes, sub,
+attrs, objects, class assignment).  Smaller systems come first, which makes
+reported witnesses minimal.
 """
 
 from __future__ import annotations
@@ -217,18 +218,51 @@ def _subsets_by_size(items: tuple) -> Iterator[tuple]:
         yield from combinations(items, r)
 
 
+def _preorders(classes: tuple[str, ...]) -> list[tuple[Pair, ...]]:
+    """Every reflexive and transitive relation over `classes`, each as a
+    sorted tuple of pairs, ordered by size and then lexicographically.
+
+    Classes are placed one at a time.  A preorder on the classes placed so
+    far grows by a new class x with an up-closed set U above x and a
+    down-closed set D below it, where every (d, u) in D x U is already
+    related; each preorder on the larger set arises exactly once this way
+    (OEIS A000798 counts them).
+    """
+    relations: list[tuple[Pair, ...]] = [()]
+    placed: list[str] = []
+    for x in classes:
+        subsets = [frozenset(chosen) for chosen in _subsets_by_size(tuple(placed))]
+        grown = []
+        for rel in relations:
+            related = set(rel)
+            ups = [s for s in subsets if all(b in s for a, b in rel if a in s)]
+            downs = [s for s in subsets if all(a in s for a, b in rel if b in s)]
+            for up in ups:
+                for down in downs:
+                    if all((d, u) in related for d in down for u in up):
+                        added = ((x, x), *((x, u) for u in up), *((d, x) for d in down))
+                        grown.append(tuple(sorted(rel + added)))
+        relations = grown
+        placed.append(x)
+    relations.sort(key=lambda sub: (len(sub), sub))
+    return relations
+
+
 def enumerate_systems(
     bounds: Bounds,
     required_classes: Iterable[str],
     valid: Callable[[SystemModelLite], bool],
 ) -> Iterator[SystemModelLite]:
-    """All systems within bounds satisfying `valid`, in canonical order,
-    without duplicates.
+    """All systems within bounds whose `sub` is a preorder and that satisfy
+    `valid`, in canonical order, without duplicates.
 
     The class universe ranges over required_classes plus any subset of the
-    extra names; attributes over subsets of the candidates that respect
-    per-class name uniqueness; objects o1..oN for N up to the bound, with
-    every total class assignment.
+    extra names; `sub` over the reflexive and transitive relations on it;
+    attributes over subsets of the candidates that respect per-class name
+    uniqueness; objects o1..oN for N up to the bound, with every total class
+    assignment.  Every candidate is still passed to `valid`, which filters
+    further (structural invariants, domain variants); a relation that is not
+    a preorder is never generated, whatever `valid` would say of it.
     """
     required = sorted(set(required_classes))
     extras = sorted(set(bounds.extra_class_names) - set(required))
@@ -240,7 +274,6 @@ def enumerate_systems(
 
     for classes in class_universes:
         class_set = set(classes)
-        all_pairs = tuple(sorted(product(classes, classes)))
         eligible_attrs = tuple(
             sorted(
                 a
@@ -248,7 +281,7 @@ def enumerate_systems(
                 if a[0] in class_set and a[2] in class_set
             )
         )
-        for sub in _subsets_by_size(all_pairs):
+        for sub in _preorders(classes):
             for attrs in _subsets_by_size(eligible_attrs):
                 if len({(o, n) for o, n, _ in attrs}) != len(attrs):
                     continue  # attribute names unique per class

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import golden
-from vlang import bundled
+from vlang import bundled, cli, features
 from vlang.cli import build_parser, main
 
 
@@ -51,6 +51,17 @@ def test_check_grammar_rejects_bad_grammar(workspace, capsys):
     code, _, err = _run(capsys, "check-grammar", str(bad))
     assert code == 1
     assert "no productions" in err
+
+
+def test_left_recursive_grammar_is_refused_not_run(workspace, capsys):
+    grammar = workspace / "loop.mclang"
+    grammar.write_text("grammar G { A = B; B = A; }", encoding="utf-8")
+    code, out, err = _run(capsys, "check-grammar", str(grammar))
+    assert (code, out) == (1, "")
+    assert err == f"vlang: {grammar}: left recursion: A -> B -> A\n"
+    code, out, err = _run(capsys, "parse", str(grammar), str(workspace / "d.cd"))
+    assert (code, out) == (2, "")
+    assert err == f"vlang: {grammar}: left recursion: A -> B -> A\n"
 
 
 def test_missing_file_is_a_file_error(workspace, capsys):
@@ -208,6 +219,72 @@ def test_sem_counts_and_witnesses(workspace, capsys):
     assert lines[1] == "WITNESS 1"
     assert lines[2] == "CLASSES A B"
     assert lines[3] == "SUB (A,A) (A,B) (B,B)"
+
+
+def _sem_args(workspace, *extra: str) -> list[str]:
+    return [
+        "sem",
+        str(workspace / "cdsimp.mclang"),
+        str(workspace / "d.cd"),
+        str(workspace / "example.fd"),
+        *extra,
+    ]
+
+
+def test_sem_prints_at_most_the_members_it_has(workspace, capsys):
+    conf = [str(workspace / "sm.conf"), str(workspace / "cd.conf")]
+    code, out, _ = _run(capsys, *_sem_args(workspace, *conf, "--max-objects", "0", "--witnesses", "5"))
+    assert code == 0
+    assert out.splitlines()[0] == "SEM count=2 bounds=extra={};maxObjects=0;attrs={}"
+    assert [line for line in out.splitlines() if line.startswith("WITNESS")] == ["WITNESS 1", "WITNESS 2"]
+
+
+def test_sem_rejects_negative_witnesses(workspace, capsys):
+    conf = [str(workspace / "sm.conf"), str(workspace / "cd.conf")]
+    code, out, err = _run(capsys, *_sem_args(workspace, *conf, "--witnesses", "-1"))
+    assert code == 2
+    assert out == ""
+    assert err == "vlang: --witnesses must be non-negative\n"
+
+
+def test_semantics_config_is_built_once(workspace, capsys, monkeypatch):
+    calls = {"config": 0, "validate": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "make_semantics_config", counting("config", cli.make_semantics_config))
+    validate = counting("validate", features.validate_configurations)
+    monkeypatch.setattr(cli, "validate_configurations", validate)
+    monkeypatch.setattr(features, "validate_configurations", validate)
+    conf = [str(workspace / "sm.conf"), str(workspace / "cd.conf")]
+    code, out, err = _run(capsys, *_sem_args(workspace, *conf, "--max-objects", "0"))
+    assert (code, out, err) == (0, "SEM count=2 bounds=extra={};maxObjects=0;attrs={}\n", "")
+    assert calls == {"config": 1, "validate": 2}
+
+
+def test_semantics_config_errors(workspace, capsys):
+    sm, cd, bad = (str(workspace / n) for n in ("sm.conf", "cd.conf", "bad.conf"))
+    code, out, err = _run(capsys, *_sem_args(workspace, sm, bad))
+    assert (code, err) == (1, "")
+    assert out == (
+        "VIOLATION CDSimpSemVar excludes MapSuperCDirect "
+        "with SystemModelVar.SingleInheritance\n"
+    )
+    code, out, err = _run(capsys, *_sem_args(workspace, sm, cd, "--max-objects", "-1"))
+    assert (code, out, err) == (2, "", "vlang: max_objects must be non-negative\n")
+    domain_only = workspace / "domain.fd"
+    domain_only.write_text(bundled.EXAMPLE_FD_TEXT.split("featurediagram CDSimpSemVar")[0])
+    code, out, err = _run(capsys, "sem", str(workspace / "cdsimp.mclang"),
+                          str(workspace / "d.cd"), str(domain_only), sm)
+    assert (code, out) == (2, "")
+    assert err == (
+        "vlang: expected one semantic-domain and one semantic-mapping diagram, "
+        "found 1 and 0\n"
+    )
 
 
 def test_analyze_refine_holds(workspace, capsys):

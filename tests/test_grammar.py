@@ -108,6 +108,27 @@ def test_sugar_may_not_chain():
         )
 
 
+@pytest.mark.parametrize("source, cycle", [
+    ('grammar G { A = A "x"; }', "A -> A"),
+    ("grammar G { A = B; B = A; }", "A -> B -> A"),
+    ('grammar G { S = "s" T; T = (U)* <<?>> V; U = "u"; V = (W)? T; W = "w"; }', "T -> V -> T"),
+    ('grammar G { A = B; B = "b"; sugar C for B = A "c"; }', "A -> C -> A"),
+    ('grammar G { S = "s" A; A = B A "x"; B = C; C = (y:IDENT)?; }', "A -> A"),
+])
+def test_left_recursion_is_rejected_naming_the_cycle(source, cycle):
+    with pytest.raises(GrammarError, match=f"^left recursion: {cycle}$"):
+        parse_grammar(source)
+
+
+@pytest.mark.parametrize("source", [
+    'grammar N { A = "a" (A)?; }',
+    "grammar L { S = x:IDENT (S)*; }",
+    'grammar G { A = (B)? "a" A; B = "b"; }',
+])
+def test_recursion_after_a_token_is_accepted(source):
+    parse_grammar(source)
+
+
 def test_conflicting_field_types_rejected():
     with pytest.raises(GrammarError, match="conflicting types"):
         parse_grammar('grammar X { A = "a"; B = x:IDENT x:A; }')

@@ -4,6 +4,8 @@ import random
 from itertools import chain, combinations, product
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from vlang.sysmodel import (
     Bounds,
@@ -257,6 +259,47 @@ def test_oracle_equivalence_three_classes():
     enumerated = set(enumerate_systems(Bounds(), {"A", "B", "C"}, eval_valid_base))
     expected = oracle_enumerate(Bounds(), {"A", "B", "C"}, lambda sm: oracle_base_valid(set(sm.classes), set(sm.sub)))
     assert enumerated == expected
+
+
+# A000798: labelled preorders on n elements.
+@pytest.mark.parametrize("n, count", [(0, 1), (1, 1), (2, 4), (3, 29), (4, 355), (5, 6942)])
+def test_object_free_base_valid_counts_are_labelled_preorders(n, count):
+    systems = list(enumerate_systems(Bounds(), "ABCDE"[:n], eval_valid_base))
+    assert len(systems) == count
+    # Only preorders are generated, so accepting everything changes nothing.
+    assert list(enumerate_systems(Bounds(), "ABCDE"[:n], lambda sm: True)) == systems
+
+
+@st.composite
+def _enumeration_cases(draw):
+    """Bounds over at most four classes, at most one object and at most two
+    attribute candidates (names shared, so uniqueness filters some sets).
+
+    The oracle walks all 2^16 `sub` candidates of a four-class universe,
+    times every attribute set and object assignment (over a million systems
+    with both), so four-class cases draw neither; attributes and objects,
+    which the enumerator walks as before, are drawn up to three classes.
+    """
+    names = sorted(draw(st.permutations("ABCD"))[: draw(st.integers(0, 4))])
+    roles = [draw(st.sampled_from(("required", "extra", "both"))) for _ in names]
+    required = {c for c, role in zip(names, roles) if role != "extra"}
+    extra = [c for c, role in zip(names, roles) if role != "required"]
+    small = len(names) < 4
+    triples = [(o, n, t) for o in names for n in "xy" for t in names]
+    attrs = draw(st.lists(st.sampled_from(triples), unique=True, max_size=2)) if small and names else []
+    bounds = Bounds(tuple(extra), draw(st.integers(0, 1 if small else 0)), frozenset(attrs))
+    features = {"SingleInheritance"} if draw(st.booleans()) else set()
+    return bounds, required, composed_valid(features)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_enumeration_cases())
+@example((Bounds(("D",)), {"A", "B", "C"}, composed_valid({"SingleInheritance"})))
+def test_enumeration_equals_sorted_oracle(case):
+    bounds, required, valid = case
+    expected = sorted(oracle_enumerate(bounds, required, valid), key=canonical_key)
+    assert list(enumerate_systems(bounds, required, valid)) == expected
 
 
 # ---------------------------------------------------------------------------
