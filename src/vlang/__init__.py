@@ -31,6 +31,9 @@ from .schema import AstNode, AstSchema, conforms, derive_schema, dump_ast, dump_
 from .semantics import (
     SemanticsConfig,
     SemanticsSet,
+    compile_assertions,
+    compile_class,
+    compile_diagram,
     compute_sem,
     make_semantics_config,
     map_assertions,

@@ -64,6 +64,24 @@ def _registries(domain_registry, mapping_registry):
     )
 
 
+def _two_models(m1, m2, config, domain_registry, mapping_registry):
+    """Required classes, validity and the two mapping predicates of a
+    refinement or equivalence query."""
+    if m1.datatype != m2.datatype:
+        raise AnalysisError(
+            f"refinement relates models of one language, got "
+            f"{m1.datatype} and {m2.datatype}"
+        )
+    dom, mapr = _registries(domain_registry, mapping_registry)
+    required = sorted(mentioned_class_names(m1) | mentioned_class_names(m2))
+    return (
+        required,
+        valid_predicate(config, dom),
+        mapping_predicate(m1, config, mapr),
+        mapping_predicate(m2, config, mapr),
+    )
+
+
 def check_refinement(
     refined: AstNode,
     abstract: AstNode,
@@ -74,17 +92,12 @@ def check_refinement(
 ) -> AnalysisVerdict:
     """Does every system denoted by `refined` lie in the semantics of
     `abstract`, within bounds?"""
-    if refined.datatype != abstract.datatype:
-        raise AnalysisError(
-            f"refinement relates models of one language, got "
-            f"{refined.datatype} and {abstract.datatype}"
-        )
-    dom, mapr = _registries(domain_registry, mapping_registry)
-    required = sorted(mentioned_class_names(refined) | mentioned_class_names(abstract))
-    valid = valid_predicate(config, dom)
-    accepts_refined = mapping_predicate(refined, config, mapr)
-    accepts_abstract = mapping_predicate(abstract, config, mapr)
-    for sm in enumerate_systems(config.bounds, required, valid):
+    required, valid, accepts_refined, accepts_abstract = _two_models(
+        refined, abstract, config, domain_registry, mapping_registry
+    )
+    for sm in enumerate_systems(
+        config.bounds, required, lambda f: accepts_refined(f) and valid(f)
+    ):
         if accepts_refined(sm) and not accepts_abstract(sm):
             return AnalysisVerdict("refine", False, config.bounds, counterexample=sm)
     return AnalysisVerdict("refine", True, config.bounds)
@@ -107,8 +120,14 @@ def check_consistency(
         required |= mentioned_class_names(m)
     valid = valid_predicate(config, dom)
     predicates = [mapping_predicate(m, config, mapr) for m in models]
-    for sm in enumerate_systems(config.bounds, sorted(required), valid):
-        if all(p(sm) for p in predicates):
+
+    def accepts(sm: SystemModelLite) -> bool:
+        return all(p(sm) for p in predicates)
+
+    for sm in enumerate_systems(
+        config.bounds, sorted(required), lambda f: accepts(f) and valid(f)
+    ):
+        if accepts(sm):
             return AnalysisVerdict("consistent", True, config.bounds, witness=sm)
     return AnalysisVerdict("consistent", False, config.bounds)
 
@@ -121,20 +140,19 @@ def check_equivalence(
     domain_registry: DomainVariantRegistry | None = None,
     mapping_registry: MappingVariantRegistry | None = None,
 ) -> AnalysisVerdict:
-    """Mutual refinement; the counterexample comes from whichever direction
-    fails first."""
-    forward = check_refinement(
-        m1, m2, config,
-        domain_registry=domain_registry, mapping_registry=mapping_registry,
+    """Mutual refinement, in one scan.  The counterexample is the first
+    system of `m1` outside `m2` when there is one, and otherwise the first
+    system of `m2` outside `m1`: what refinement each way would report."""
+    required, valid, accepts1, accepts2 = _two_models(
+        m1, m2, config, domain_registry, mapping_registry
     )
-    if not forward.holds:
-        return AnalysisVerdict(
-            "equiv", False, config.bounds, counterexample=forward.counterexample
-        )
-    backward = check_refinement(
-        m2, m1, config,
-        domain_registry=domain_registry, mapping_registry=mapping_registry,
-    )
-    return AnalysisVerdict(
-        "equiv", backward.holds, config.bounds, counterexample=backward.counterexample
-    )
+    backward = None
+    for sm in enumerate_systems(
+        config.bounds, required, lambda f: (accepts1(f) or accepts2(f)) and valid(f)
+    ):
+        in1, in2 = accepts1(sm), accepts2(sm)
+        if in1 and not in2:
+            return AnalysisVerdict("equiv", False, config.bounds, counterexample=sm)
+        if in2 and not in1 and backward is None:
+            backward = sm
+    return AnalysisVerdict("equiv", backward is None, config.bounds, counterexample=backward)

@@ -281,4 +281,11 @@ def parse_model(grammar: GrammarDef, source: str) -> AstNode:
     derive_schema(grammar)."""
     schema = derive_schema(grammar)
     tokens = tokenize_model(grammar, source)
-    return _ModelParser(grammar, schema, tokens).parse()
+    parser = _ModelParser(grammar, schema, tokens)
+    try:
+        return parser.parse()
+    except RecursionError:
+        # The parser descends once per nesting level; past the interpreter's
+        # recursion limit the model is refused, not the process.
+        tok = parser._peek()
+        raise ModelParseError("model nested too deeply to parse", tok.line, tok.col) from None

@@ -15,6 +15,12 @@ Two super-class mapping variants are bundled:
                      further super S is reached through a delegation
                      attribute dlg_S of target S on the class.
 
+A model's mapping predicate is compiled once per query.  Its only clause
+that reads objects is the <<singleton>> cap, which holds with no objects, so
+it accepts a system's frame (classes, subclassing, attributes) whenever it
+accepts any population of that frame; enumeration tests frames with it
+before validity, and populations with it alone.
+
 The semantics set of a model is enumerable within bounds and supports
 membership queries without materializing the set.
 """
@@ -24,7 +30,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .features import Configuration, FeatureDiagram
 from .schema import AstNode
@@ -63,21 +69,16 @@ class UnknownStereotypeWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 def map_super_direct(cls: str, supers: list[str], sm: SystemModelLite) -> bool:
-    classes = set(sm.classes)
-    pairs = set(sm.sub)
-    return all(s in classes and (cls, s) in pairs for s in supers)
+    return all(s in sm.classes and (cls, s) in sm.sub for s in supers)
 
 
 def map_super_delegate(cls: str, supers: list[str], sm: SystemModelLite) -> bool:
     if not supers:
         return True
-    classes = set(sm.classes)
-    pairs = set(sm.sub)
-    attrs = set(sm.attrs)
-    if (cls, supers[0]) not in pairs:
+    if (cls, supers[0]) not in sm.sub:
         return False
     return all(
-        s in classes and (cls, f"dlg_{s}", s) in attrs for s in supers[1:]
+        s in sm.classes and (cls, f"dlg_{s}", s) in sm.attrs for s in supers[1:]
     )
 
 
@@ -166,14 +167,20 @@ def class_stereotypes(class_node: AstNode) -> frozenset[str]:
 # Mapping predicates
 # ---------------------------------------------------------------------------
 
-def map_class(class_node: AstNode, sm: SystemModelLite, variant: SuperMapping) -> bool:
-    """The class exists, its supers map under the variant, and its stereotype
-    constraints hold.  Unknown stereotypes are ignored with a warning."""
+@dataclass(frozen=True)
+class MappedClass:
+    """A declared class as the mapping reads it: its name, its declared
+    supers in order, and whether it carries <<singleton>>."""
+
+    name: str
+    supers: list[str]
+    singleton: bool
+
+
+def compile_class(class_node: AstNode) -> MappedClass:
+    """Read a class declaration for mapping.  Unknown stereotypes are
+    ignored with a warning, once per compiled class."""
     name = class_node.fields["Name"]
-    if name not in set(sm.classes):
-        return False
-    if not variant(name, class_supers(class_node), sm):
-        return False
     stereotypes = class_stereotypes(class_node)
     for st in sorted(stereotypes - KNOWN_STEREOTYPES):
         warnings.warn(
@@ -181,52 +188,83 @@ def map_class(class_node: AstNode, sm: SystemModelLite, variant: SuperMapping) -
             UnknownStereotypeWarning,
             stacklevel=2,
         )
-    if SINGLETON in stereotypes:
-        population = sum(1 for _, c in sm.class_of if c == name)
-        if population > 1:
-            return False
-    return True
+    return MappedClass(name, class_supers(class_node), SINGLETON in stereotypes)
 
 
-def map_diagram(diagram: AstNode, sm: SystemModelLite, variant: SuperMapping) -> bool:
-    """Conjunction of map_class over all classes of a minimal class diagram."""
-    return all(map_class(c, sm, variant) for c in class_nodes(diagram))
+def compile_diagram(diagram: AstNode) -> tuple[MappedClass, ...]:
+    return tuple(compile_class(c) for c in class_nodes(diagram))
 
 
-def map_assertions(doc: AstNode, sm: SystemModelLite) -> bool:
-    """Conjunction over the subclass assertions of a minimal assertion
+def map_class(cls: MappedClass, sm: SystemModelLite, variant: SuperMapping) -> bool:
+    """The class exists, its supers map under the variant, and a
+    <<singleton>> class has at most one object.  The cap is the only clause
+    of any mapping that reads objects, and it holds with none."""
+    if cls.name not in sm.classes or not variant(cls.name, cls.supers, sm):
+        return False
+    return not cls.singleton or sum(1 for _, c in sm.class_of if c == cls.name) <= 1
+
+
+def map_diagram(
+    classes: Iterable[MappedClass], sm: SystemModelLite, variant: SuperMapping
+) -> bool:
+    """Conjunction of map_class over the compiled classes of a minimal class
+    diagram."""
+    return all(map_class(c, sm, variant) for c in classes)
+
+
+def compile_assertions(doc: AstNode) -> tuple[tuple[str, str, bool], ...]:
+    """(left, right, positive) for each statement of a minimal assertion
     document."""
-    classes = set(sm.classes)
-    pairs = set(sm.sub)
-    for stmt in _statement_list(doc):
-        left = stmt.fields["left"]
-        right = stmt.fields["right"]
-        if left not in classes or right not in classes:
-            return False
-        if stmt.fields.get("neg") is None:
-            if (left, right) not in pairs:
-                return False
-        elif (left, right) in pairs:
-            return False
-    return True
+    return tuple(
+        (stmt.fields["left"], stmt.fields["right"], stmt.fields.get("neg") is None)
+        for stmt in _statement_list(doc)
+    )
+
+
+def map_assertions(
+    statements: Iterable[tuple[str, str, bool]], sm: SystemModelLite
+) -> bool:
+    """Conjunction over compiled subclass assertions."""
+    return all(
+        left in sm.classes and right in sm.classes and ((left, right) in sm.sub) == positive
+        for left, right, positive in statements
+    )
 
 
 # ---------------------------------------------------------------------------
-# Mentioned names and delegate-attribute demands
+# Per-language semantics
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LanguageSemantics:
+    """The semantic hooks of one language: the class names a minimal model
+    mentions, the delegation attributes it demands under the delegate
+    variant, and its mapping predicate, compiled once per query."""
+
+    mentions: Callable[[AstNode], frozenset[str]]
+    delegate_attrs: Callable[[AstNode], frozenset[Attr]]
+    compile: Callable[
+        [AstNode, SemanticsConfig, MappingVariantRegistry],
+        Callable[[SystemModelLite], bool],
+    ]
+
+
+def _language(model: AstNode) -> LanguageSemantics:
+    try:
+        return _LANGUAGES[model.datatype]
+    except KeyError:
+        raise SemanticsError(f"no semantics registered for {model.datatype} models") from None
+
 
 def mentioned_class_names(model: AstNode) -> frozenset[str]:
     """All class names a minimal model mentions (declared or referenced)."""
-    if model.datatype in _ROOT_MENTIONS:
-        return _ROOT_MENTIONS[model.datatype](model)
-    raise SemanticsError(f"no semantics registered for {model.datatype} models")
+    return _language(model).mentions(model)
 
 
 def delegate_attr_candidates(model: AstNode) -> frozenset[Attr]:
     """Delegation attributes a model demands under the delegate variant."""
-    if model.datatype in _ROOT_DELEGATE_ATTRS:
-        return _ROOT_DELEGATE_ATTRS[model.datatype](model)
-    return frozenset()
+    language = _LANGUAGES.get(model.datatype)
+    return language.delegate_attrs(model) if language else frozenset()
 
 
 def _cd_mentions(model: AstNode) -> frozenset[str]:
@@ -245,6 +283,12 @@ def _cd_delegate_attrs(model: AstNode) -> frozenset[Attr]:
     return frozenset(demands)
 
 
+def _cd_compile(model, config, mapping_registry):
+    variant = super_mapping_for(config.mapping_config, mapping_registry)
+    classes = compile_diagram(model)
+    return lambda sm: map_diagram(classes, sm, variant)
+
+
 def _assertion_mentions(model: AstNode) -> frozenset[str]:
     names: set[str] = set()
     for stmt in _statement_list(model):
@@ -253,13 +297,17 @@ def _assertion_mentions(model: AstNode) -> frozenset[str]:
     return frozenset(names)
 
 
+def _assertion_compile(model, config, mapping_registry):
+    statements = compile_assertions(model)
+    return lambda sm: map_assertions(statements, sm)
+
+
 # Root datatype -> semantics hooks.  Adding a language means adding a row.
-_ROOT_MENTIONS: dict[str, Callable[[AstNode], frozenset[str]]] = {
-    "CDDefinition": _cd_mentions,
-    "AssertionDoc": _assertion_mentions,
-}
-_ROOT_DELEGATE_ATTRS: dict[str, Callable[[AstNode], frozenset[Attr]]] = {
-    "CDDefinition": _cd_delegate_attrs,
+_LANGUAGES: dict[str, LanguageSemantics] = {
+    "CDDefinition": LanguageSemantics(_cd_mentions, _cd_delegate_attrs, _cd_compile),
+    "AssertionDoc": LanguageSemantics(
+        _assertion_mentions, lambda model: frozenset(), _assertion_compile
+    ),
 }
 
 
@@ -341,13 +389,10 @@ def mapping_predicate(
     config: SemanticsConfig,
     mapping_registry: MappingVariantRegistry = DEFAULT_MAPPING_VARIANTS,
 ) -> Callable[[SystemModelLite], bool]:
-    """The membership predicate the model contributes, per its language."""
-    if model.datatype == "CDDefinition":
-        variant = super_mapping_for(config.mapping_config, mapping_registry)
-        return lambda sm: map_diagram(model, sm, variant)
-    if model.datatype == "AssertionDoc":
-        return lambda sm: map_assertions(model, sm)
-    raise SemanticsError(f"no semantics registered for {model.datatype} models")
+    """The membership predicate the model contributes, per its language,
+    compiled once for the query.  It accepts a system's frame (no objects)
+    whenever it accepts any population of that frame."""
+    return _language(model).compile(model, config, mapping_registry)
 
 
 @dataclass
@@ -361,8 +406,11 @@ class SemanticsSet:
     _accepts: Callable[[SystemModelLite], bool]
 
     def __iter__(self) -> Iterator[SystemModelLite]:
-        for sm in enumerate_systems(self.config.bounds, self.required_classes, self._valid):
-            if self._accepts(sm):
+        valid, accepts = self._valid, self._accepts
+        for sm in enumerate_systems(
+            self.config.bounds, self.required_classes, lambda f: accepts(f) and valid(f)
+        ):
+            if accepts(sm):
                 yield sm
 
     def count(self) -> int:

@@ -6,13 +6,15 @@ attributes (owner, name, target class), objects with canonical identifiers
 o1..oN, and a total class assignment for the objects.  Base validity demands
 a reflexive and transitive subclassing relation on top of the structural
 invariants.  Domain variants are extra validity predicates keyed by feature
-name; the composed predicate is their conjunction with base validity.
+name; the composed predicate is their conjunction with base validity.  Both
+constrain only a system's frame: its classes, subclassing and attributes.
 
 `enumerate_systems` walks the systems within given bounds whose subclassing
-relation is a preorder (the only ones base validity admits) and yields those
-that satisfy a predicate, in a canonical deterministic order: componentwise
-by cardinality, then lexicographically, over the encoding (classes, sub,
-attrs, objects, class assignment).  Smaller systems come first, which makes
+relation is a preorder (the only ones base validity admits).  It checks a
+predicate once per frame and yields every object population of each frame
+that passes, in a canonical deterministic order: componentwise by
+cardinality, then lexicographically, over the encoding (classes, sub, attrs,
+objects, class assignment).  Smaller systems come first, which makes
 reported witnesses minimal.
 """
 
@@ -143,7 +145,12 @@ def valid_single_inheritance(sm: SystemModelLite) -> bool:
 
 class DomainVariantRegistry:
     """Validity predicates keyed by feature name, following the valid-<Feature>
-    naming convention."""
+    naming convention.
+
+    A domain variant constrains a system's classes, `sub` and attrs, never
+    its objects: `enumerate_systems` evaluates validity once per frame and
+    lets every object population of an accepted frame through.
+    """
 
     def __init__(self) -> None:
         self._predicates: dict[str, Callable[[SystemModelLite], bool]] = {}
@@ -253,16 +260,21 @@ def enumerate_systems(
     required_classes: Iterable[str],
     valid: Callable[[SystemModelLite], bool],
 ) -> Iterator[SystemModelLite]:
-    """All systems within bounds whose `sub` is a preorder and that satisfy
-    `valid`, in canonical order, without duplicates.
+    """All systems within bounds whose `sub` is a preorder and whose frame
+    satisfies `valid`, in canonical order, without duplicates.
 
     The class universe ranges over required_classes plus any subset of the
     extra names; `sub` over the reflexive and transitive relations on it;
     attributes over subsets of the candidates that respect per-class name
     uniqueness; objects o1..oN for N up to the bound, with every total class
-    assignment.  Every candidate is still passed to `valid`, which filters
-    further (structural invariants, domain variants); a relation that is not
-    a preorder is never generated, whatever `valid` would say of it.
+    assignment.  A frame is a system's classes, `sub` and attrs with no
+    objects.  `valid` is called once per frame, and every object population
+    of a frame it accepts is yielded, the frame itself first.  So `valid`
+    must not read objects: base validity judges each generated population
+    as it judges its frame, and domain variants constrain classes, `sub` and
+    attrs only.
+    Callers filter on objects over the yielded systems.  A relation that is
+    not a preorder is never generated, whatever `valid` would say of it.
     """
     required = sorted(set(required_classes))
     extras = sorted(set(bounds.extra_class_names) - set(required))
@@ -281,22 +293,26 @@ def enumerate_systems(
                 if a[0] in class_set and a[2] in class_set
             )
         )
+        # Every non-empty (objects, class assignment), in canonical order.
+        populations = []
+        for count in range(1, bounds.max_objects + 1):
+            objects = tuple(f"o{i}" for i in range(1, count + 1))
+            populations += [
+                (objects, class_of)
+                for class_of in sorted(
+                    tuple(sorted(zip(objects, chosen)))
+                    for chosen in product(classes, repeat=count)
+                )
+            ]
         for sub in _preorders(classes):
             for attrs in _subsets_by_size(eligible_attrs):
                 if len({(o, n) for o, n, _ in attrs}) != len(attrs):
                     continue  # attribute names unique per class
-                for count in range(bounds.max_objects + 1):
-                    objects = tuple(f"o{i}" for i in range(1, count + 1))
-                    if count and not classes:
-                        continue
-                    assignments = sorted(
-                        tuple(sorted(zip(objects, chosen)))
-                        for chosen in product(classes, repeat=count)
-                    ) if count else [()]
-                    for class_of in assignments:
-                        sm = SystemModelLite(classes, sub, attrs, objects, class_of)
-                        if valid(sm):
-                            yield sm
+                frame = SystemModelLite(classes, sub, attrs, (), ())
+                if valid(frame):
+                    yield frame
+                    for objects, class_of in populations:
+                        yield SystemModelLite(classes, sub, attrs, objects, class_of)
 
 
 # ---------------------------------------------------------------------------

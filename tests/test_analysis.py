@@ -129,15 +129,23 @@ def test_equivalence_agrees_with_two_refinements(cdsimp, example_diagrams):
         "classdiagram D { class A; }",
         "classdiagram D { class A extends B; class B; }",
         "classdiagram D { class B; class A; }",
+        # Checked as m1 against `A extends B` as m2, this one has a backward
+        # counterexample before its forward one in canonical order; the
+        # forward one must still be reported.
+        "classdiagram D { class B extends A; class A; }",
+        # Checked as m1 against `A extends B`, forward holds and the backward
+        # counterexample is followed by a system both accept.
+        "classdiagram D { class A extends B; class B extends A; }",
     ]
     models = [_cd(cdsimp, t) for t in texts]
     for m1 in models:
         for m2 in models:
-            both = (
-                check_refinement(m1, m2, config).holds
-                and check_refinement(m2, m1, config).holds
-            )
-            assert check_equivalence(m1, m2, config).holds == both
+            forward = check_refinement(m1, m2, config)
+            backward = check_refinement(m2, m1, config)
+            verdict = check_equivalence(m1, m2, config)
+            assert verdict.holds == (forward.holds and backward.holds)
+            first_failure = forward if not forward.holds else backward
+            assert verdict.counterexample == first_failure.counterexample
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,17 @@ def test_parse_model_error_is_a_negative_verdict(workspace, capsys):
     assert "expected" in err
 
 
+def test_parse_of_too_deep_a_model_is_a_negative_verdict(workspace, capsys):
+    grammar = workspace / "nested.mclang"
+    grammar.write_text('grammar N { A = "a" (A)?; }', encoding="utf-8")
+    model = workspace / "nested.txt"
+    model.write_text(" ".join(["a"] * 3000) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, "parse", str(grammar), str(model))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"vlang: {model}: line 1, col ")
+    assert err.endswith(": model nested too deeply to parse\n")
+
+
 def test_wf_clean_model(workspace, capsys):
     code, out, _ = _run(
         capsys,

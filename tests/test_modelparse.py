@@ -77,6 +77,15 @@ def test_parse_error_reports_expected_set_and_position(cdsimp):
     assert exc.value.col == 34
 
 
+def test_nesting_past_the_recursion_limit_is_a_parse_error():
+    g = parse_grammar('grammar N { A = "a" (A)?; }')
+    with pytest.raises(ModelParseError, match="nested too deeply") as exc:
+        parse_model(g, " ".join(["a"] * 3000))
+    # The position is that of the `a` the parser had reached.
+    assert exc.value.line == 1
+    assert exc.value.col % 2 == 1 and exc.value.col < 2 * 3000
+
+
 def test_trailing_input_is_an_error(cdsimp):
     with pytest.raises(ModelParseError, match="expected|trailing"):
         parse_model(cdsimp, "classdiagram D { } class")

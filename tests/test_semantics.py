@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from conftest import raw_semantics_config
+from test_sysmodel import oracle_enumerate
+from vlang.analysis import check_consistency
 from vlang.desugar import desugar_to_minimal
 from vlang.modelparse import parse_model
 from vlang.semantics import (
@@ -10,6 +14,9 @@ from vlang.semantics import (
     UnboundMappingError,
     UnknownStereotypeWarning,
     auto_attr_candidates,
+    compile_assertions,
+    compile_class,
+    compile_diagram,
     compute_sem,
     delegate_attr_candidates,
     make_semantics_config,
@@ -18,11 +25,13 @@ from vlang.semantics import (
     map_diagram,
     map_super_delegate,
     map_super_direct,
+    mapping_predicate,
     mentioned_class_names,
     super_mapping_for,
+    valid_predicate,
 )
 from vlang.features import Configuration
-from vlang.sysmodel import Bounds, composed_valid, make_system
+from vlang.sysmodel import Bounds, canonical_key, composed_valid, make_system
 
 REFL2 = {("A", "A"), ("B", "B")}
 
@@ -84,12 +93,12 @@ def test_delegate_fails_without_attribute():
 def test_bare_class_needs_only_existence(cdsimp):
     m = _cd(cdsimp, "classdiagram D { class A; }")
     sm = make_system({"A"}, {("A", "A")})
-    assert map_class(m.fields["CDCClass"][0], sm, map_super_direct)
+    assert map_class(compile_class(m.fields["CDCClass"][0]), sm, map_super_direct)
 
 
 def test_singleton_limits_population(cd):
     m = _cd(cd, "classdiagram D { <<singleton>> class A; }")
-    cls = m.fields["classes"][0]
+    cls = compile_class(m.fields["classes"][0])
     crowded = make_system(
         {"A"}, {("A", "A")}, objects={"o1", "o2"},
         class_of={("o1", "A"), ("o2", "A")},
@@ -104,18 +113,18 @@ def test_singleton_limits_population(cd):
 def test_missing_class_fails(cdsimp):
     m = _cd(cdsimp, "classdiagram D { class A; }")
     sm = make_system({"B"}, {("B", "B")})
-    assert not map_class(m.fields["CDCClass"][0], sm, map_super_direct)
+    assert not map_class(compile_class(m.fields["CDCClass"][0]), sm, map_super_direct)
 
 
 def test_unknown_stereotype_warns_and_is_ignored(cd):
     m = _cd(cd, "classdiagram D { <<fancy>> class A; }")
     sm = make_system({"A"}, {("A", "A")})
     with pytest.warns(UnknownStereotypeWarning, match="fancy"):
-        assert map_class(m.fields["classes"][0], sm, map_super_direct)
+        assert map_class(compile_class(m.fields["classes"][0]), sm, map_super_direct)
 
 
 def test_diagram_is_conjunction_of_classes(cdsimp):
-    m = _cd(cdsimp, "classdiagram D { class A extends B; class B; }")
+    m = compile_diagram(_cd(cdsimp, "classdiagram D { class A extends B; class B; }"))
     good = make_system({"A", "B"}, REFL2 | {("A", "B")})
     assert map_diagram(m, good, map_super_direct)
     missing = make_system({"A", "B"}, REFL2)
@@ -123,7 +132,7 @@ def test_diagram_is_conjunction_of_classes(cdsimp):
 
 
 def test_empty_diagram_accepts_any_system(cdsimp):
-    m = _cd(cdsimp, "classdiagram D { }")
+    m = compile_diagram(_cd(cdsimp, "classdiagram D { }"))
     assert map_diagram(m, make_system(), map_super_direct)
     assert map_diagram(
         m, make_system({"X"}, {("X", "X")}), map_super_direct
@@ -131,7 +140,7 @@ def test_empty_diagram_accepts_any_system(cdsimp):
 
 
 def test_loose_semantics_ignores_extra_material(cdsimp):
-    m = _cd(cdsimp, "classdiagram D { class A; }")
+    m = compile_diagram(_cd(cdsimp, "classdiagram D { class A; }"))
     bigger = make_system(
         {"A", "Z"},
         {("A", "A"), ("Z", "Z"), ("Z", "A")},
@@ -146,18 +155,18 @@ def test_loose_semantics_ignores_extra_material(cdsimp):
 # ---------------------------------------------------------------------------
 
 def test_positive_assertion(cdassert):
-    doc = _cd(cdassert, "assertions S { sub A B; }")
+    doc = compile_assertions(_cd(cdassert, "assertions S { sub A B; }"))
     assert map_assertions(doc, make_system({"A", "B"}, REFL2 | {("A", "B")}))
     assert not map_assertions(doc, make_system({"A", "B"}, REFL2))
 
 
 def test_empty_assertion_document(cdassert):
-    doc = _cd(cdassert, "assertions S { }")
+    doc = compile_assertions(_cd(cdassert, "assertions S { }"))
     assert map_assertions(doc, make_system())
 
 
 def test_negative_assertion(cdassert):
-    doc = _cd(cdassert, "assertions S { no sub A B; }")
+    doc = compile_assertions(_cd(cdassert, "assertions S { no sub A B; }"))
     assert not map_assertions(doc, make_system({"A", "B"}, REFL2 | {("A", "B")}))
     assert map_assertions(doc, make_system({"A", "B"}, REFL2))
 
@@ -283,6 +292,62 @@ def test_membership_query_without_enumeration(cdsimp, example_diagrams):
     outside = make_system({"A", "B"}, REFL2)
     assert sem.contains(inside)
     assert not sem.contains(outside)
+
+
+# ---------------------------------------------------------------------------
+# Staged enumeration against the oracle
+# ---------------------------------------------------------------------------
+
+def _oracle_members(models, config):
+    """The valid systems every model accepts, found by the brute-force oracle
+    (every subset of classes², every population), in canonical order."""
+    valid = valid_predicate(config)
+    accepts = [mapping_predicate(m, config) for m in models]
+    required = frozenset().union(*(mentioned_class_names(m) for m in models))
+    members = oracle_enumerate(
+        config.bounds, required, lambda sm: valid(sm) and all(a(sm) for a in accepts)
+    )
+    return sorted(members, key=canonical_key)
+
+
+@pytest.mark.parametrize("grammar, text, domain, mapping, extra, max_objects, assertion", [
+    ("cd", "<<singleton>> class A; class B extends A; class C;",
+     set(), {"MapSuperCDirect"}, (), 2, "no sub C A;"),
+    ("cd", "<<fancy>> <<singleton>> class D extends B, C; class B; class C;",
+     {"SingleInheritance"}, {"MapSuperCDelegate"}, (), 1, "no sub B C; no sub C B;"),
+    ("cd", "class D extends B, C; <<singleton>> class B; class C;",
+     {"SingleInheritance"}, {"MapSuperCDirect"}, (), 1, "no sub B C; no sub C B;"),
+    ("cdsimp", "class A extends B; class B;",
+     set(), {"MapSuperCDelegate"}, ("X",), 1, "sub X A;"),
+])
+def test_staged_enumeration_equals_oracle(
+    request, cdassert, example_diagrams, grammar, text, domain, mapping, extra, max_objects,
+    assertion,
+):
+    model = _cd(request.getfixturevalue(grammar), f"classdiagram D {{ {text} }}")
+    doc = _cd(cdassert, f"assertions S {{ {assertion} }}")
+    config = _config(example_diagrams, domain, mapping)
+    attrs = auto_attr_candidates([model], config.mapping_config)
+    config = _config(example_diagrams, domain, mapping, Bounds(extra, max_objects, attrs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnknownStereotypeWarning)
+        assert list(compute_sem(model, config)) == _oracle_members([model], config)
+        expected = _oracle_members([model, doc], config)
+        verdict = check_consistency([model, doc], config)
+    assert verdict.holds == bool(expected)
+    assert verdict.witness == (expected[0] if expected else None)
+
+
+def test_unknown_stereotypes_warn_once_per_query(cd, example_diagrams):
+    m = _cd(cd, "classdiagram D { <<fancy>> class A; <<shiny>> <<fancy>> class B extends A; }")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert compute_sem(m, _config(example_diagrams, bounds=Bounds(max_objects=1))).count() > 1
+    assert sorted(str(w.message) for w in caught) == [
+        "ignoring unknown stereotype <<fancy>> on class A",
+        "ignoring unknown stereotype <<fancy>> on class B",
+        "ignoring unknown stereotype <<shiny>> on class B",
+    ]
 
 
 # ---------------------------------------------------------------------------
