@@ -29,12 +29,11 @@ from .grammar import GrammarDef, GrammarError, parse_grammar
 from .modelparse import ModelParseError, TokenizeError, parse_model
 from .schema import AstNode, AstSchema, conforms, derive_schema, dump_ast, dump_schema
 from .semantics import (
+    Demands,
     SemanticsConfig,
     SemanticsSet,
-    compile_assertions,
-    compile_class,
-    compile_diagram,
     compute_sem,
+    demands_of,
     make_semantics_config,
     map_assertions,
     map_class,

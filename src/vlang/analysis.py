@@ -10,6 +10,8 @@ stable across runs and minimal in that order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 from .schema import AstNode
@@ -17,8 +19,8 @@ from .semantics import (
     DEFAULT_MAPPING_VARIANTS,
     MappingVariantRegistry,
     SemanticsConfig,
-    mapping_predicate,
-    mentioned_class_names,
+    demands_of,
+    query_bounds,
     valid_predicate,
 )
 from .sysmodel import (
@@ -57,29 +59,23 @@ class AnalysisVerdict:
         return "\n".join(lines) + "\n"
 
 
-def _registries(domain_registry, mapping_registry):
-    return (
-        domain_registry or DEFAULT_DOMAIN_VARIANTS,
-        mapping_registry or DEFAULT_MAPPING_VARIANTS,
-    )
+def _query(models, config, domain_registry, mapping_registry):
+    """Each model's demands, their conjunction, and the bounds and validity
+    of a query over the models."""
+    mapping_registry = mapping_registry or DEFAULT_MAPPING_VARIANTS
+    demands = [demands_of(m, config, mapping_registry) for m in models]
+    joint = reduce(or_, demands)
+    valid = valid_predicate(config, domain_registry or DEFAULT_DOMAIN_VARIANTS)
+    return demands, joint, query_bounds(config, joint), valid
 
 
 def _two_models(m1, m2, config, domain_registry, mapping_registry):
-    """Required classes, validity and the two mapping predicates of a
-    refinement or equivalence query."""
     if m1.datatype != m2.datatype:
         raise AnalysisError(
             f"refinement relates models of one language, got "
             f"{m1.datatype} and {m2.datatype}"
         )
-    dom, mapr = _registries(domain_registry, mapping_registry)
-    required = sorted(mentioned_class_names(m1) | mentioned_class_names(m2))
-    return (
-        required,
-        valid_predicate(config, dom),
-        mapping_predicate(m1, config, mapr),
-        mapping_predicate(m2, config, mapr),
-    )
+    return _query([m1, m2], config, domain_registry, mapping_registry)
 
 
 def check_refinement(
@@ -92,15 +88,15 @@ def check_refinement(
 ) -> AnalysisVerdict:
     """Does every system denoted by `refined` lie in the semantics of
     `abstract`, within bounds?"""
-    required, valid, accepts_refined, accepts_abstract = _two_models(
+    (refined_demands, abstract_demands), joint, bounds, valid = _two_models(
         refined, abstract, config, domain_registry, mapping_registry
     )
     for sm in enumerate_systems(
-        config.bounds, required, lambda f: accepts_refined(f) and valid(f)
+        bounds, joint.classes, lambda f: refined_demands.frame_holds(f) and valid(f)
     ):
-        if accepts_refined(sm) and not accepts_abstract(sm):
-            return AnalysisVerdict("refine", False, config.bounds, counterexample=sm)
-    return AnalysisVerdict("refine", True, config.bounds)
+        if refined_demands.caps_hold(sm) and not abstract_demands(sm):
+            return AnalysisVerdict("refine", False, bounds, counterexample=sm)
+    return AnalysisVerdict("refine", True, bounds)
 
 
 def check_consistency(
@@ -114,22 +110,13 @@ def check_consistency(
     The models may come from different languages."""
     if not models:
         raise AnalysisError("consistency needs at least one model")
-    dom, mapr = _registries(domain_registry, mapping_registry)
-    required: set[str] = set()
-    for m in models:
-        required |= mentioned_class_names(m)
-    valid = valid_predicate(config, dom)
-    predicates = [mapping_predicate(m, config, mapr) for m in models]
-
-    def accepts(sm: SystemModelLite) -> bool:
-        return all(p(sm) for p in predicates)
-
+    _, joint, bounds, valid = _query(models, config, domain_registry, mapping_registry)
     for sm in enumerate_systems(
-        config.bounds, sorted(required), lambda f: accepts(f) and valid(f)
+        bounds, joint.classes, lambda f: joint.frame_holds(f) and valid(f)
     ):
-        if accepts(sm):
-            return AnalysisVerdict("consistent", True, config.bounds, witness=sm)
-    return AnalysisVerdict("consistent", False, config.bounds)
+        if joint.caps_hold(sm):
+            return AnalysisVerdict("consistent", True, bounds, witness=sm)
+    return AnalysisVerdict("consistent", False, bounds)
 
 
 def check_equivalence(
@@ -143,16 +130,16 @@ def check_equivalence(
     """Mutual refinement, in one scan.  The counterexample is the first
     system of `m1` outside `m2` when there is one, and otherwise the first
     system of `m2` outside `m1`: what refinement each way would report."""
-    required, valid, accepts1, accepts2 = _two_models(
+    (d1, d2), joint, bounds, valid = _two_models(
         m1, m2, config, domain_registry, mapping_registry
     )
     backward = None
     for sm in enumerate_systems(
-        config.bounds, required, lambda f: (accepts1(f) or accepts2(f)) and valid(f)
+        bounds, joint.classes, lambda f: (d1.frame_holds(f) or d2.frame_holds(f)) and valid(f)
     ):
-        in1, in2 = accepts1(sm), accepts2(sm)
+        in1, in2 = d1(sm), d2(sm)
         if in1 and not in2:
-            return AnalysisVerdict("equiv", False, config.bounds, counterexample=sm)
+            return AnalysisVerdict("equiv", False, bounds, counterexample=sm)
         if in2 and not in1 and backward is None:
             backward = sm
-    return AnalysisVerdict("equiv", backward is None, config.bounds, counterexample=backward)
+    return AnalysisVerdict("equiv", backward is None, bounds, counterexample=backward)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -40,7 +39,7 @@ from .features import (
 from .grammar import GrammarError, parse_grammar
 from .modelparse import ModelParseError, TokenizeError, parse_model
 from .schema import derive_schema, dump_ast, dump_schema
-from .semantics import SemanticsError, auto_attr_candidates, compute_sem, make_semantics_config
+from .semantics import SemanticsError, compute_sem, make_semantics_config
 from .sysmodel import Bounds, NameConventionError, dump_system
 from .theorygen import generate_domain_theory, generate_mapping_theory, write_theory
 
@@ -209,19 +208,15 @@ def _mapping_language(diagram) -> str:
     )
 
 
-def _bounds(args, models, mapping_config) -> Bounds:
+def _bounds(args) -> Bounds:
     extra = tuple(s for s in (args.extra_classes or "").split(",") if s)
     try:
-        return Bounds(
-            extra_class_names=extra,
-            max_objects=args.max_objects,
-            attr_candidates=auto_attr_candidates(models, mapping_config),
-        )
+        return Bounds(extra_class_names=extra, max_objects=args.max_objects)
     except ValueError as exc:
         raise _FileFailure(str(exc)) from exc
 
 
-def _semantics_config(args, paths: list[str], models):
+def _semantics_config(args, paths: list[str]):
     diagrams, configs = _load_workspace(paths)
     try:
         violations = validate_configurations(diagrams, merge_configurations(configs))
@@ -232,8 +227,7 @@ def _semantics_config(args, paths: list[str], models):
             print(v)
         return None
     try:
-        config = make_semantics_config(diagrams, configs, Bounds())
-        return replace(config, bounds=_bounds(args, models, config.mapping_config))
+        return make_semantics_config(diagrams, configs, _bounds(args))
     except SemanticsError as exc:
         raise _FileFailure(str(exc)) from exc
 
@@ -243,13 +237,14 @@ def _cmd_sem(args) -> int:
         raise _FileFailure("--witnesses must be non-negative")
     grammar = _load_grammar(args.grammar)
     model = _minimal(grammar, _load_model(grammar, args.model))
-    config = _semantics_config(args, args.files, [model])
+    config = _semantics_config(args, args.files)
     if config is None:
         return 1
-    members = iter(compute_sem(model, config))
+    sem = compute_sem(model, config)
+    members = iter(sem)
     witnesses = list(islice(members, args.witnesses))
     count = len(witnesses) + sum(1 for _ in members)
-    print(f"SEM count={count} bounds={config.bounds.describe()}")
+    print(f"SEM count={count} bounds={sem.bounds.describe()}")
     for i, sm in enumerate(witnesses, start=1):
         print(f"WITNESS {i}")
         sys.stdout.write(dump_system(sm))
@@ -275,7 +270,7 @@ def _cmd_analyze(args) -> int:
             )
         if not models:
             raise _FileFailure("analyze consistent needs grammar/model arguments")
-    config = _semantics_config(args, rest, models)
+    config = _semantics_config(args, rest)
     if config is None:
         return 1
     if args.mode == "refine":

@@ -29,7 +29,8 @@ Restrictions (enforced here): alternation only among terminals, cardinality
 suffixes only on groups and single nonterminal references, production names
 unique, every referenced nonterminal defined, references to the built-in
 token IDENT must carry a label, no production reaching itself before
-consuming a token (left recursion).
+consuming a token (left recursion), every production deriving some finite
+model.
 """
 
 from __future__ import annotations
@@ -414,7 +415,7 @@ def _validate(g: GrammarDef) -> None:
                     f"sugar production {p.name} may not expand another sugar production"
                 )
 
-    _reject_left_recursion(g)
+    _reject_bad_recursion(g)
 
     # Field labels must be consistent and unique after schema derivation.
     from .schema import derive_schema  # deferred: schema imports this module
@@ -422,12 +423,16 @@ def _validate(g: GrammarDef) -> None:
     derive_schema(g)
 
 
-def _reject_left_recursion(g: GrammarDef) -> None:
-    """Reject a production that can reach itself before consuming a token.
+def _reject_bad_recursion(g: GrammarDef) -> None:
+    """Reject a production that can reach itself before consuming a token,
+    and productions that derive no finite model.
 
     A reference to X parses X or one of its sugar productions.  An element
     can match nothing when it is a stereotype slot, an optional or starred
-    group, or a group or reference whose contents can.
+    group, or a group or reference whose contents can.  An element derives
+    a finite model unless it is a reference none of whose alternatives
+    does, or a group that must match and holds such an element; a sugar
+    alternative can thus be the base case of its production.
     """
     alternatives = {
         p.name: [p.name, *(s.name for s in g.sugar_alternatives(p.name))] for p in g.productions
@@ -469,6 +474,20 @@ def _reject_left_recursion(g: GrammarDef) -> None:
             elif nxt not in finished:
                 path.append(nxt)
                 pending.append(iter(edges[nxt]))
+
+    productive: set[str] = set()
+
+    def finite(el: Element) -> bool:
+        if isinstance(el, Group):
+            return el.cardinality != "once" or all(finite(e) for e in el.elements)
+        if isinstance(el, NonterminalRef) and el.target != IDENT_TOKEN:
+            return not productive.isdisjoint(alternatives[el.target])
+        return True
+
+    while (grown := {p.name for p in g.productions if all(map(finite, p.elements))}) != productive:
+        productive = grown
+    if barren := [p.name for p in g.productions if p.name not in productive]:
+        raise GrammarError(f"no finite model derives from {', '.join(barren)}")
 
 
 def parse_grammar(source: str) -> GrammarDef:

@@ -15,11 +15,14 @@ Two super-class mapping variants are bundled:
                      further super S is reached through a delegation
                      attribute dlg_S of target S on the class.
 
-A model's mapping predicate is compiled once per query.  Its only clause
-that reads objects is the <<singleton>> cap, which holds with no objects, so
-it accepts a system's frame (classes, subclassing, attributes) whenever it
-accepts any population of that frame; enumeration tests frames with it
-before validity, and populations with it alone.
+A model is compiled once per query into a `Demands` record: the classes
+that must exist, the `sub` pairs that must and must not be present, the
+attributes that must be present, and the classes with at most one object.
+The record is the model's mapping predicate, and everything a query needs
+is read off it: the required classes, the attributes that join the
+candidates, the frame filter (`frame_holds`, which never reads objects) and
+the per-population check (`caps_hold`, the <<singleton>> cap, which holds
+with no objects).
 
 The semantics set of a model is enumerable within bounds and supports
 membership queries without materializing the set.
@@ -28,9 +31,11 @@ membership queries without materializing the set.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from operator import or_
+from typing import Callable, Iterator
 
 from .features import Configuration, FeatureDiagram
 from .schema import AstNode
@@ -39,6 +44,7 @@ from .sysmodel import (
     Bounds,
     DEFAULT_DOMAIN_VARIANTS,
     DomainVariantRegistry,
+    Pair,
     SystemModelLite,
     composed_valid,
     enumerate_systems,
@@ -48,7 +54,7 @@ SUPER_MAPPING_SLOT = "mSuperClasses"
 SINGLETON = "singleton"
 KNOWN_STEREOTYPES = frozenset({SINGLETON})
 
-SuperMapping = Callable[[str, list[str], SystemModelLite], bool]
+SuperMapping = Callable[[str, list[str]], "Demands"]
 
 
 class SemanticsError(Exception):
@@ -65,20 +71,64 @@ class UnknownStereotypeWarning(UserWarning):
 
 
 # ---------------------------------------------------------------------------
+# Demands: what a model's mapping asks of a system
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Demands:
+    """A conjunction of atoms: each of `classes` exists, each pair of `sub`
+    is present and each of `no_sub` absent, each of `attrs` is present, and
+    each of `singletons` has at most one object.  Calling it judges a
+    system."""
+
+    classes: frozenset[str] = frozenset()
+    sub: frozenset[Pair] = frozenset()
+    no_sub: frozenset[Pair] = frozenset()
+    attrs: frozenset[Attr] = frozenset()
+    singletons: frozenset[str] = frozenset()
+
+    def __or__(self, other: Demands) -> Demands:
+        """Both sets of demands at once."""
+        return Demands(
+            self.classes | other.classes,
+            self.sub | other.sub,
+            self.no_sub | other.no_sub,
+            self.attrs | other.attrs,
+            self.singletons | other.singletons,
+        )
+
+    def frame_holds(self, sm: SystemModelLite) -> bool:
+        """The atoms on classes, `sub` and attrs hold; objects are not read."""
+        sub = set(sm.sub)
+        return (
+            self.classes.issubset(sm.classes)
+            and self.sub <= sub
+            and self.no_sub.isdisjoint(sub)
+            and self.attrs.issubset(sm.attrs)
+        )
+
+    def caps_hold(self, sm: SystemModelLite) -> bool:
+        """No two objects share a singleton class."""
+        capped = [c for _, c in sm.class_of if c in self.singletons]
+        return len(capped) == len(set(capped))
+
+    def __call__(self, sm: SystemModelLite) -> bool:
+        return self.frame_holds(sm) and self.caps_hold(sm)
+
+
+# ---------------------------------------------------------------------------
 # Super-class mapping variants
 # ---------------------------------------------------------------------------
 
-def map_super_direct(cls: str, supers: list[str], sm: SystemModelLite) -> bool:
-    return all(s in sm.classes and (cls, s) in sm.sub for s in supers)
+def map_super_direct(cls: str, supers: list[str]) -> Demands:
+    return Demands(frozenset(supers), frozenset((cls, s) for s in supers))
 
 
-def map_super_delegate(cls: str, supers: list[str], sm: SystemModelLite) -> bool:
-    if not supers:
-        return True
-    if (cls, supers[0]) not in sm.sub:
-        return False
-    return all(
-        s in sm.classes and (cls, f"dlg_{s}", s) in sm.attrs for s in supers[1:]
+def map_super_delegate(cls: str, supers: list[str]) -> Demands:
+    return Demands(
+        frozenset(supers),
+        frozenset((cls, s) for s in supers[:1]),
+        attrs=frozenset((cls, f"dlg_{s}", s) for s in supers[1:]),
     )
 
 
@@ -87,14 +137,9 @@ class MappingVariantRegistry:
 
     def __init__(self) -> None:
         self._functions: dict[str, SuperMapping] = {}
-        self._wants_delegate_attrs: set[str] = set()
 
-    def register(
-        self, feature: str, fn: SuperMapping, *, delegate_attrs: bool = False
-    ) -> None:
+    def register(self, feature: str, fn: SuperMapping) -> None:
         self._functions[feature] = fn
-        if delegate_attrs:
-            self._wants_delegate_attrs.add(feature)
 
     def has(self, feature: str) -> bool:
         return feature in self._functions
@@ -108,15 +153,10 @@ class MappingVariantRegistry:
                 f"{SUPER_MAPPING_SLOT}"
             ) from None
 
-    def wants_delegate_attrs(self, feature: str) -> bool:
-        return feature in self._wants_delegate_attrs
-
 
 DEFAULT_MAPPING_VARIANTS = MappingVariantRegistry()
 DEFAULT_MAPPING_VARIANTS.register("MapSuperCDirect", map_super_direct)
-DEFAULT_MAPPING_VARIANTS.register(
-    "MapSuperCDelegate", map_super_delegate, delegate_attrs=True
-)
+DEFAULT_MAPPING_VARIANTS.register("MapSuperCDelegate", map_super_delegate)
 
 
 def super_mapping_for(
@@ -164,22 +204,13 @@ def class_stereotypes(class_node: AstNode) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Mapping predicates
+# Mappings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MappedClass:
-    """A declared class as the mapping reads it: its name, its declared
-    supers in order, and whether it carries <<singleton>>."""
-
-    name: str
-    supers: list[str]
-    singleton: bool
-
-
-def compile_class(class_node: AstNode) -> MappedClass:
-    """Read a class declaration for mapping.  Unknown stereotypes are
-    ignored with a warning, once per compiled class."""
+def map_class(class_node: AstNode, variant: SuperMapping) -> Demands:
+    """The class exists, its supers map under the variant, and a
+    <<singleton>> class has at most one object.  Unknown stereotypes are
+    ignored with a warning, once per mapped class."""
     name = class_node.fields["Name"]
     stereotypes = class_stereotypes(class_node)
     for st in sorted(stereotypes - KNOWN_STEREOTYPES):
@@ -188,127 +219,30 @@ def compile_class(class_node: AstNode) -> MappedClass:
             UnknownStereotypeWarning,
             stacklevel=2,
         )
-    return MappedClass(name, class_supers(class_node), SINGLETON in stereotypes)
+    singletons = frozenset({name}) if SINGLETON in stereotypes else frozenset()
+    return Demands(frozenset({name}), singletons=singletons) | variant(
+        name, class_supers(class_node)
+    )
 
 
-def compile_diagram(diagram: AstNode) -> tuple[MappedClass, ...]:
-    return tuple(compile_class(c) for c in class_nodes(diagram))
-
-
-def map_class(cls: MappedClass, sm: SystemModelLite, variant: SuperMapping) -> bool:
-    """The class exists, its supers map under the variant, and a
-    <<singleton>> class has at most one object.  The cap is the only clause
-    of any mapping that reads objects, and it holds with none."""
-    if cls.name not in sm.classes or not variant(cls.name, cls.supers, sm):
-        return False
-    return not cls.singleton or sum(1 for _, c in sm.class_of if c == cls.name) <= 1
-
-
-def map_diagram(
-    classes: Iterable[MappedClass], sm: SystemModelLite, variant: SuperMapping
-) -> bool:
-    """Conjunction of map_class over the compiled classes of a minimal class
+def map_diagram(diagram: AstNode, variant: SuperMapping) -> Demands:
+    """Conjunction of map_class over the classes of a minimal class
     diagram."""
-    return all(map_class(c, sm, variant) for c in classes)
+    return reduce(or_, (map_class(c, variant) for c in class_nodes(diagram)), Demands())
 
 
-def compile_assertions(doc: AstNode) -> tuple[tuple[str, str, bool], ...]:
-    """(left, right, positive) for each statement of a minimal assertion
-    document."""
-    return tuple(
+def map_assertions(doc: AstNode) -> Demands:
+    """Conjunction over the (possibly negated) subclass statements of a
+    minimal assertion document."""
+    statements = [
         (stmt.fields["left"], stmt.fields["right"], stmt.fields.get("neg") is None)
         for stmt in _statement_list(doc)
-    )
-
-
-def map_assertions(
-    statements: Iterable[tuple[str, str, bool]], sm: SystemModelLite
-) -> bool:
-    """Conjunction over compiled subclass assertions."""
-    return all(
-        left in sm.classes and right in sm.classes and ((left, right) in sm.sub) == positive
-        for left, right, positive in statements
-    )
-
-
-# ---------------------------------------------------------------------------
-# Per-language semantics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LanguageSemantics:
-    """The semantic hooks of one language: the class names a minimal model
-    mentions, the delegation attributes it demands under the delegate
-    variant, and its mapping predicate, compiled once per query."""
-
-    mentions: Callable[[AstNode], frozenset[str]]
-    delegate_attrs: Callable[[AstNode], frozenset[Attr]]
-    compile: Callable[
-        [AstNode, SemanticsConfig, MappingVariantRegistry],
-        Callable[[SystemModelLite], bool],
     ]
-
-
-def _language(model: AstNode) -> LanguageSemantics:
-    try:
-        return _LANGUAGES[model.datatype]
-    except KeyError:
-        raise SemanticsError(f"no semantics registered for {model.datatype} models") from None
-
-
-def mentioned_class_names(model: AstNode) -> frozenset[str]:
-    """All class names a minimal model mentions (declared or referenced)."""
-    return _language(model).mentions(model)
-
-
-def delegate_attr_candidates(model: AstNode) -> frozenset[Attr]:
-    """Delegation attributes a model demands under the delegate variant."""
-    language = _LANGUAGES.get(model.datatype)
-    return language.delegate_attrs(model) if language else frozenset()
-
-
-def _cd_mentions(model: AstNode) -> frozenset[str]:
-    names: set[str] = set()
-    for c in class_nodes(model):
-        names.add(c.fields["Name"])
-        names.update(class_supers(c))
-    return frozenset(names)
-
-
-def _cd_delegate_attrs(model: AstNode) -> frozenset[Attr]:
-    demands: set[Attr] = set()
-    for c in class_nodes(model):
-        supers = class_supers(c)
-        demands.update((c.fields["Name"], f"dlg_{s}", s) for s in supers[1:])
-    return frozenset(demands)
-
-
-def _cd_compile(model, config, mapping_registry):
-    variant = super_mapping_for(config.mapping_config, mapping_registry)
-    classes = compile_diagram(model)
-    return lambda sm: map_diagram(classes, sm, variant)
-
-
-def _assertion_mentions(model: AstNode) -> frozenset[str]:
-    names: set[str] = set()
-    for stmt in _statement_list(model):
-        names.add(stmt.fields["left"])
-        names.add(stmt.fields["right"])
-    return frozenset(names)
-
-
-def _assertion_compile(model, config, mapping_registry):
-    statements = compile_assertions(model)
-    return lambda sm: map_assertions(statements, sm)
-
-
-# Root datatype -> semantics hooks.  Adding a language means adding a row.
-_LANGUAGES: dict[str, LanguageSemantics] = {
-    "CDDefinition": LanguageSemantics(_cd_mentions, _cd_delegate_attrs, _cd_compile),
-    "AssertionDoc": LanguageSemantics(
-        _assertion_mentions, lambda model: frozenset(), _assertion_compile
-    ),
-}
+    return Demands(
+        frozenset(name for left, right, _ in statements for name in (left, right)),
+        frozenset((left, right) for left, right, positive in statements if positive),
+        frozenset((left, right) for left, right, positive in statements if not positive),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +318,38 @@ def valid_predicate(
     return composed_valid(domain_features, domain_registry)
 
 
-def mapping_predicate(
+# Root datatype -> the compile of its language: (model, config, mapping
+# registry) -> Demands.  Adding a language means adding a row.
+_LANGUAGES: dict[
+    str, Callable[[AstNode, SemanticsConfig, MappingVariantRegistry], Demands]
+] = {
+    "CDDefinition": lambda model, config, registry: map_diagram(
+        model, super_mapping_for(config.mapping_config, registry)
+    ),
+    "AssertionDoc": lambda model, config, registry: map_assertions(model),
+}
+
+
+def demands_of(
     model: AstNode,
     config: SemanticsConfig,
     mapping_registry: MappingVariantRegistry = DEFAULT_MAPPING_VARIANTS,
-) -> Callable[[SystemModelLite], bool]:
-    """The membership predicate the model contributes, per its language,
-    compiled once for the query.  It accepts a system's frame (no objects)
-    whenever it accepts any population of that frame."""
-    return _language(model).compile(model, config, mapping_registry)
+) -> Demands:
+    """What the model demands of a system under the configured mapping,
+    compiled once for the query."""
+    try:
+        compile_model = _LANGUAGES[model.datatype]
+    except KeyError:
+        raise SemanticsError(f"no semantics registered for {model.datatype} models") from None
+    return compile_model(model, config, mapping_registry)
+
+
+def query_bounds(config: SemanticsConfig, demands: Demands) -> Bounds:
+    """The bounds a query runs with: the configured ones, with the
+    attributes the models demand joining the candidates."""
+    return replace(
+        config.bounds, attr_candidates=config.bounds.attr_candidates | demands.attrs
+    )
 
 
 @dataclass
@@ -400,17 +357,16 @@ class SemanticsSet:
     """The enumerable, bound-relative semantics of one minimal model."""
 
     model: AstNode
-    config: SemanticsConfig
-    required_classes: tuple[str, ...]
+    bounds: Bounds
+    demands: Demands
     _valid: Callable[[SystemModelLite], bool]
-    _accepts: Callable[[SystemModelLite], bool]
 
     def __iter__(self) -> Iterator[SystemModelLite]:
-        valid, accepts = self._valid, self._accepts
+        demands, valid = self.demands, self._valid
         for sm in enumerate_systems(
-            self.config.bounds, self.required_classes, lambda f: accepts(f) and valid(f)
+            self.bounds, demands.classes, lambda f: demands.frame_holds(f) and valid(f)
         ):
-            if accepts(sm):
+            if demands.caps_hold(sm):
                 yield sm
 
     def count(self) -> int:
@@ -419,12 +375,9 @@ class SemanticsSet:
     def first(self, k: int) -> list[SystemModelLite]:
         return list(islice(iter(self), k))
 
-    def is_empty(self) -> bool:
-        return not self.first(1)
-
     def contains(self, sm: SystemModelLite) -> bool:
         """Membership by predicate, independent of enumeration."""
-        return self._valid(sm) and self._accepts(sm)
+        return self._valid(sm) and self.demands(sm)
 
 
 def compute_sem(
@@ -435,27 +388,7 @@ def compute_sem(
     mapping_registry: MappingVariantRegistry = DEFAULT_MAPPING_VARIANTS,
 ) -> SemanticsSet:
     """The semantics set of a minimal model under a validated configuration."""
+    demands = demands_of(model, config, mapping_registry)
     return SemanticsSet(
-        model,
-        config,
-        tuple(sorted(mentioned_class_names(model))),
-        valid_predicate(config, domain_registry),
-        mapping_predicate(model, config, mapping_registry),
+        model, query_bounds(config, demands), demands, valid_predicate(config, domain_registry)
     )
-
-
-def auto_attr_candidates(
-    models: list[AstNode],
-    mapping_config: Configuration,
-    mapping_registry: MappingVariantRegistry = DEFAULT_MAPPING_VARIANTS,
-) -> frozenset[Attr]:
-    """Delegation attributes the models demand, when a variant that uses them
-    is selected; empty otherwise."""
-    if not any(
-        mapping_registry.wants_delegate_attrs(f) for f in mapping_config.selected
-    ):
-        return frozenset()
-    demands: set[Attr] = set()
-    for m in models:
-        demands |= delegate_attr_candidates(m)
-    return frozenset(demands)

@@ -35,12 +35,7 @@ from vlang.features import (
 )
 from vlang.modelparse import parse_model
 from vlang.schema import AstNode, derive_schema, dump_ast, dump_schema
-from vlang.semantics import (
-    compute_sem,
-    delegate_attr_candidates,
-    mapping_predicate,
-    valid_predicate,
-)
+from vlang.semantics import compute_sem, demands_of, valid_predicate
 from vlang.sysmodel import (
     Bounds,
     dump_system,
@@ -190,11 +185,7 @@ def test_criterion_5_variant_discrimination(cdsimp, cdassert, example_diagrams):
         )
         single_inheritance = {"SingleInheritance"}
 
-        delegate_config = _config(
-            example_diagrams,
-            domain=single_inheritance,
-            bounds=Bounds(attr_candidates=delegate_attr_candidates(diamond)),
-        )
+        delegate_config = _config(example_diagrams, domain=single_inheritance)
         delegate_sem = compute_sem(diamond, delegate_config)
         witnesses = delegate_sem.first(1)
         assert witnesses, "delegate semantics must be nonempty"
@@ -211,7 +202,7 @@ def test_criterion_5_variant_discrimination(cdsimp, cdassert, example_diagrams):
         )
         direct_sem = set(compute_sem(diamond, direct_config))
         direct_valid = valid_predicate(direct_config)
-        direct_accepts = mapping_predicate(diamond, direct_config)
+        direct_accepts = demands_of(diamond, direct_config)
         assert direct_sem == oracle_enumerate(
             direct_config.bounds,
             {"A", "B", "C", "D"},

@@ -53,6 +53,14 @@ def test_check_grammar_rejects_bad_grammar(workspace, capsys):
     assert "no productions" in err
 
 
+def test_grammar_without_a_finite_model_is_refused(workspace, capsys):
+    grammar = workspace / "endless.mclang"
+    grammar.write_text('grammar G { S = "s" (xs:X)*; X = "x" X; }', encoding="utf-8")
+    code, out, err = _run(capsys, "check-grammar", str(grammar))
+    assert (code, out) == (1, "")
+    assert err == f"vlang: {grammar}: no finite model derives from X\n"
+
+
 def test_left_recursive_grammar_is_refused_not_run(workspace, capsys):
     grammar = workspace / "loop.mclang"
     grammar.write_text("grammar G { A = B; B = A; }", encoding="utf-8")

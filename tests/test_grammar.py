@@ -123,10 +123,23 @@ def test_left_recursion_is_rejected_naming_the_cycle(source, cycle):
 @pytest.mark.parametrize("source", [
     'grammar N { A = "a" (A)?; }',
     "grammar L { S = x:IDENT (S)*; }",
-    'grammar G { A = (B)? "a" A; B = "b"; }',
+    'grammar G { A = (B)? "a" (A)?; B = "b"; }',
+    'grammar G { A = "a" A; sugar B for A = "b"; }',
 ])
 def test_recursion_after_a_token_is_accepted(source):
     parse_grammar(source)
+
+
+@pytest.mark.parametrize("source, barren", [
+    ('grammar G { A = "a" A; }', "A"),
+    ('grammar G { B = "b" C; C = "c" B; }', "B, C"),
+    ('grammar G { S = "s" (xs:X)*; X = "x" X; }', "X"),
+    ('grammar G { A = (B)? "a" A; B = "b"; }', "A"),
+    ('grammar G { S = "s" A; A = "a" A; sugar B for A = "b" A; }', "S, A, B"),
+])
+def test_productions_without_a_finite_model_are_rejected(source, barren):
+    with pytest.raises(GrammarError, match=f"^no finite model derives from {barren}$"):
+        parse_grammar(source)
 
 
 def test_conflicting_field_types_rejected():

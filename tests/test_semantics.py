@@ -13,20 +13,14 @@ from vlang.semantics import (
     SemanticsError,
     UnboundMappingError,
     UnknownStereotypeWarning,
-    auto_attr_candidates,
-    compile_assertions,
-    compile_class,
-    compile_diagram,
     compute_sem,
-    delegate_attr_candidates,
+    demands_of,
     make_semantics_config,
     map_assertions,
     map_class,
     map_diagram,
     map_super_delegate,
     map_super_direct,
-    mapping_predicate,
-    mentioned_class_names,
     super_mapping_for,
     valid_predicate,
 )
@@ -51,17 +45,17 @@ def _config(example_diagrams, domain=frozenset(), mapping=frozenset({"MapSuperCD
 
 def test_direct_holds_when_all_pairs_present():
     sm = make_system({"A", "B"}, REFL2 | {("A", "B")})
-    assert map_super_direct("A", ["B"], sm)
+    assert map_super_direct("A", ["B"])(sm)
 
 
 def test_direct_with_no_supers_is_trivially_true():
     sm = make_system({"A"}, {("A", "A")})
-    assert map_super_direct("A", [], sm)
+    assert map_super_direct("A", [])(sm)
 
 
 def test_direct_fails_on_missing_pair():
     sm = make_system({"A", "B", "C"}, REFL2 | {("C", "C"), ("A", "B")})
-    assert not map_super_direct("A", ["B", "C"], sm)
+    assert not map_super_direct("A", ["B", "C"])(sm)
 
 
 def test_delegate_uses_attribute_for_second_super():
@@ -70,12 +64,12 @@ def test_delegate_uses_attribute_for_second_super():
         REFL2 | {("C", "C"), ("A", "B")},
         {("A", "dlg_C", "C")},
     )
-    assert map_super_delegate("A", ["B", "C"], sm)
+    assert map_super_delegate("A", ["B", "C"])(sm)
 
 
 def test_delegate_single_super_needs_no_attribute():
     sm = make_system({"A", "B"}, REFL2 | {("A", "B")})
-    assert map_super_delegate("A", ["B"], sm)
+    assert map_super_delegate("A", ["B"])(sm)
 
 
 def test_delegate_fails_without_attribute():
@@ -83,7 +77,7 @@ def test_delegate_fails_without_attribute():
         {"A", "B", "C"},
         REFL2 | {("C", "C"), ("A", "B"), ("A", "C")},
     )
-    assert not map_super_delegate("A", ["B", "C"], sm)
+    assert not map_super_delegate("A", ["B", "C"])(sm)
 
 
 # ---------------------------------------------------------------------------
@@ -93,61 +87,61 @@ def test_delegate_fails_without_attribute():
 def test_bare_class_needs_only_existence(cdsimp):
     m = _cd(cdsimp, "classdiagram D { class A; }")
     sm = make_system({"A"}, {("A", "A")})
-    assert map_class(compile_class(m.fields["CDCClass"][0]), sm, map_super_direct)
+    assert map_class(m.fields["CDCClass"][0], map_super_direct)(sm)
 
 
 def test_singleton_limits_population(cd):
     m = _cd(cd, "classdiagram D { <<singleton>> class A; }")
-    cls = compile_class(m.fields["classes"][0])
+    cls = map_class(m.fields["classes"][0], map_super_direct)
     crowded = make_system(
         {"A"}, {("A", "A")}, objects={"o1", "o2"},
         class_of={("o1", "A"), ("o2", "A")},
     )
-    assert not map_class(cls, crowded, map_super_direct)
+    assert not cls(crowded)
     lone = make_system(
         {"A"}, {("A", "A")}, objects={"o1"}, class_of={("o1", "A")}
     )
-    assert map_class(cls, lone, map_super_direct)
+    assert cls(lone)
 
 
 def test_missing_class_fails(cdsimp):
     m = _cd(cdsimp, "classdiagram D { class A; }")
     sm = make_system({"B"}, {("B", "B")})
-    assert not map_class(compile_class(m.fields["CDCClass"][0]), sm, map_super_direct)
+    assert not map_class(m.fields["CDCClass"][0], map_super_direct)(sm)
 
 
 def test_unknown_stereotype_warns_and_is_ignored(cd):
     m = _cd(cd, "classdiagram D { <<fancy>> class A; }")
     sm = make_system({"A"}, {("A", "A")})
     with pytest.warns(UnknownStereotypeWarning, match="fancy"):
-        assert map_class(compile_class(m.fields["classes"][0]), sm, map_super_direct)
+        assert map_class(m.fields["classes"][0], map_super_direct)(sm)
 
 
 def test_diagram_is_conjunction_of_classes(cdsimp):
-    m = compile_diagram(_cd(cdsimp, "classdiagram D { class A extends B; class B; }"))
+    m = map_diagram(
+        _cd(cdsimp, "classdiagram D { class A extends B; class B; }"), map_super_direct
+    )
     good = make_system({"A", "B"}, REFL2 | {("A", "B")})
-    assert map_diagram(m, good, map_super_direct)
+    assert m(good)
     missing = make_system({"A", "B"}, REFL2)
-    assert not map_diagram(m, missing, map_super_direct)
+    assert not m(missing)
 
 
 def test_empty_diagram_accepts_any_system(cdsimp):
-    m = compile_diagram(_cd(cdsimp, "classdiagram D { }"))
-    assert map_diagram(m, make_system(), map_super_direct)
-    assert map_diagram(
-        m, make_system({"X"}, {("X", "X")}), map_super_direct
-    )
+    m = map_diagram(_cd(cdsimp, "classdiagram D { }"), map_super_direct)
+    assert m(make_system())
+    assert m(make_system({"X"}, {("X", "X")}))
 
 
 def test_loose_semantics_ignores_extra_material(cdsimp):
-    m = compile_diagram(_cd(cdsimp, "classdiagram D { class A; }"))
+    m = map_diagram(_cd(cdsimp, "classdiagram D { class A; }"), map_super_direct)
     bigger = make_system(
         {"A", "Z"},
         {("A", "A"), ("Z", "Z"), ("Z", "A")},
         objects={"o1"},
         class_of={("o1", "Z")},
     )
-    assert map_diagram(m, bigger, map_super_direct)
+    assert m(bigger)
 
 
 # ---------------------------------------------------------------------------
@@ -155,20 +149,20 @@ def test_loose_semantics_ignores_extra_material(cdsimp):
 # ---------------------------------------------------------------------------
 
 def test_positive_assertion(cdassert):
-    doc = compile_assertions(_cd(cdassert, "assertions S { sub A B; }"))
-    assert map_assertions(doc, make_system({"A", "B"}, REFL2 | {("A", "B")}))
-    assert not map_assertions(doc, make_system({"A", "B"}, REFL2))
+    doc = map_assertions(_cd(cdassert, "assertions S { sub A B; }"))
+    assert doc(make_system({"A", "B"}, REFL2 | {("A", "B")}))
+    assert not doc(make_system({"A", "B"}, REFL2))
 
 
 def test_empty_assertion_document(cdassert):
-    doc = compile_assertions(_cd(cdassert, "assertions S { }"))
-    assert map_assertions(doc, make_system())
+    doc = map_assertions(_cd(cdassert, "assertions S { }"))
+    assert doc(make_system())
 
 
 def test_negative_assertion(cdassert):
-    doc = compile_assertions(_cd(cdassert, "assertions S { no sub A B; }"))
-    assert not map_assertions(doc, make_system({"A", "B"}, REFL2 | {("A", "B")}))
-    assert map_assertions(doc, make_system({"A", "B"}, REFL2))
+    doc = map_assertions(_cd(cdassert, "assertions S { no sub A B; }"))
+    assert not doc(make_system({"A", "B"}, REFL2 | {("A", "B")}))
+    assert doc(make_system({"A", "B"}, REFL2))
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +171,25 @@ def test_negative_assertion(cdassert):
 
 def test_mentioned_names_include_supers(cdsimp):
     m = _cd(cdsimp, "classdiagram D { class A extends B; }")
-    assert mentioned_class_names(m) == frozenset({"A", "B"})
+    assert map_diagram(m, map_super_direct).classes == frozenset({"A", "B"})
 
 
 def test_mentioned_names_of_assertions(cdassert):
     doc = _cd(cdassert, "assertions S { sub A B; no sub C A; }")
-    assert mentioned_class_names(doc) == frozenset({"A", "B", "C"})
+    assert map_assertions(doc).classes == frozenset({"A", "B", "C"})
 
 
 def test_delegate_demands(cdsimp):
     m = _cd(cdsimp, "classdiagram D { class D extends B, C; class B; class C; }")
-    assert delegate_attr_candidates(m) == frozenset({("D", "dlg_C", "C")})
+    assert map_diagram(m, map_super_delegate).attrs == frozenset({("D", "dlg_C", "C")})
 
 
 def test_auto_candidates_depend_on_selected_variant(cdsimp, example_diagrams):
     m = _cd(cdsimp, "classdiagram D { class D extends B, C; class B; class C; }")
-    delegate = Configuration("c", "CDSimpSemVar", frozenset({"MapSuperCDelegate"}))
-    direct = Configuration("c", "CDSimpSemVar", frozenset({"MapSuperCDirect"}))
-    assert auto_attr_candidates([m], delegate) == frozenset({("D", "dlg_C", "C")})
-    assert auto_attr_candidates([m], direct) == frozenset()
+    delegate = _config(example_diagrams, mapping={"MapSuperCDelegate"})
+    direct = _config(example_diagrams, mapping={"MapSuperCDirect"})
+    assert compute_sem(m, delegate).bounds.attr_candidates == frozenset({("D", "dlg_C", "C")})
+    assert compute_sem(m, direct).bounds.attr_candidates == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +219,7 @@ def test_diamond_discriminates_variants(cdsimp, example_diagrams):
     si = {"SingleInheritance"}
     direct_sem = compute_sem(diamond, _config(example_diagrams, domain=si,
                                               mapping={"MapSuperCDirect"}))
-    delegate_sem = compute_sem(
-        diamond,
-        _config(
-            example_diagrams,
-            domain=si,
-            bounds=Bounds(attr_candidates=delegate_attr_candidates(diamond)),
-        ),
-    )
+    delegate_sem = compute_sem(diamond, _config(example_diagrams, domain=si))
     direct_members = set(direct_sem)
     witness = delegate_sem.first(1)[0]
     assert witness not in direct_members  # the sets differ on the diamond
@@ -302,8 +289,8 @@ def _oracle_members(models, config):
     """The valid systems every model accepts, found by the brute-force oracle
     (every subset of classes², every population), in canonical order."""
     valid = valid_predicate(config)
-    accepts = [mapping_predicate(m, config) for m in models]
-    required = frozenset().union(*(mentioned_class_names(m) for m in models))
+    accepts = [demands_of(m, config) for m in models]
+    required = frozenset().union(*(a.classes for a in accepts))
     members = oracle_enumerate(
         config.bounds, required, lambda sm: valid(sm) and all(a(sm) for a in accepts)
     )
@@ -326,11 +313,10 @@ def test_staged_enumeration_equals_oracle(
 ):
     model = _cd(request.getfixturevalue(grammar), f"classdiagram D {{ {text} }}")
     doc = _cd(cdassert, f"assertions S {{ {assertion} }}")
-    config = _config(example_diagrams, domain, mapping)
-    attrs = auto_attr_candidates([model], config.mapping_config)
-    config = _config(example_diagrams, domain, mapping, Bounds(extra, max_objects, attrs))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnknownStereotypeWarning)
+        attrs = demands_of(model, _config(example_diagrams, domain, mapping)).attrs
+        config = _config(example_diagrams, domain, mapping, Bounds(extra, max_objects, attrs))
         assert list(compute_sem(model, config)) == _oracle_members([model], config)
         expected = _oracle_members([model, doc], config)
         verdict = check_consistency([model, doc], config)
