@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -34,12 +35,13 @@ from .features import (
     merge_configurations,
     parse_configurations,
     parse_feature_diagrams,
+    render_violations,
     validate_configurations,
 )
 from .grammar import GrammarError, parse_grammar
 from .modelparse import ModelParseError, TokenizeError, parse_model
 from .schema import derive_schema, dump_ast, dump_schema
-from .semantics import SemanticsError, compute_sem, make_semantics_config
+from .semantics import InvalidConfigurationError, SemanticsError, compute_sem, make_semantics_config
 from .sysmodel import Bounds, NameConventionError, dump_system
 from .theorygen import generate_domain_theory, generate_mapping_theory, write_theory
 
@@ -152,9 +154,8 @@ def _cmd_fm_check(args) -> int:
         violations = validate_configurations(diagrams, merge_configurations(configs))
     except FeatureModelError as exc:
         raise _FileFailure(str(exc)) from exc
-    for v in sorted(x.render() for x in violations):
-        print(v)
     if violations:
+        print(render_violations(violations))
         return 1
     print(_paint("OK", "32") + f" {len(diagrams)} diagrams, {len(configs)} configurations")
     return 0
@@ -168,8 +169,7 @@ def _cmd_generate(args) -> int:
     except FeatureModelError as exc:
         raise _FileFailure(str(exc)) from exc
     if violations:
-        for v in sorted(x.render() for x in violations):
-            print(v)
+        print(render_violations(violations))
         return 1
     selected = {c.diagram: c for c in merged}
     out_dir = Path(args.out)
@@ -217,19 +217,15 @@ def _bounds(args) -> Bounds:
 
 
 def _semantics_config(args, paths: list[str]):
+    """The validated configuration with the query's bounds.  Bounds are
+    checked after the configuration, so its violations (exit 1) win over a
+    bad bound (exit 2)."""
     diagrams, configs = _load_workspace(paths)
     try:
-        violations = validate_configurations(diagrams, merge_configurations(configs))
+        config = make_semantics_config(diagrams, configs, Bounds())
     except FeatureModelError as exc:
         raise _FileFailure(str(exc)) from exc
-    if violations:
-        for v in sorted(x.render() for x in violations):
-            print(v)
-        return None
-    try:
-        return make_semantics_config(diagrams, configs, _bounds(args))
-    except SemanticsError as exc:
-        raise _FileFailure(str(exc)) from exc
+    return replace(config, bounds=_bounds(args))
 
 
 def _cmd_sem(args) -> int:
@@ -238,8 +234,6 @@ def _cmd_sem(args) -> int:
     grammar = _load_grammar(args.grammar)
     model = _minimal(grammar, _load_model(grammar, args.model))
     config = _semantics_config(args, args.files)
-    if config is None:
-        return 1
     sem = compute_sem(model, config)
     members = iter(sem)
     witnesses = list(islice(members, args.witnesses))
@@ -271,8 +265,6 @@ def _cmd_analyze(args) -> int:
         if not models:
             raise _FileFailure("analyze consistent needs grammar/model arguments")
     config = _semantics_config(args, rest)
-    if config is None:
-        return 1
     if args.mode == "refine":
         verdict = check_refinement(models[0], models[1], config)
     elif args.mode == "equiv":
@@ -384,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     except _FileFailure as exc:
         print(f"vlang: {exc}", file=sys.stderr)
         return exc.exit_code
+    except InvalidConfigurationError as exc:
+        print(render_violations(exc.violations))
+        return 1
     except (SemanticsError, AnalysisError, NameConventionError) as exc:
         print(f"vlang: {exc}", file=sys.stderr)
         return 2

@@ -25,12 +25,17 @@ mandatory features, xor-groups (exactly one member), and the cross
 constraints, evaluated over the union of all selections in scope.  Feature
 names are treated as globally unique across the diagrams of one workspace so
 unqualified constraint targets resolve; ``Diagram.Feature`` is also accepted.
+
+Both formats are read by the shared scanner of vlang.lexer, with ``{ } ; .``
+as punctuation and words that may contain ``-`` (``semantic-domain``); names
+are IDENTs.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+
+from .lexer import IDENT, Cursor, SourceError, scan
 
 FEATURE_KINDS = (
     "presentation",
@@ -41,19 +46,15 @@ FEATURE_KINDS = (
     "semantic-mapping",
 )
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
+_WORD = r"[A-Za-z][A-Za-z0-9_-]*"
 
 
 class FeatureModelError(Exception):
     pass
 
 
-class FeatureSyntaxError(FeatureModelError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.line = line
-        self.col = col
+class FeatureSyntaxError(FeatureModelError, SourceError):
+    """A lexical or syntax error in a .fd or .conf text."""
 
 
 class ResolutionError(FeatureModelError):
@@ -133,88 +134,21 @@ class Violation:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer shared by .fd and .conf files
+# Token access shared by .fd and .conf files
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "word" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+class _Parser(Cursor):
+    error = FeatureSyntaxError
 
-
-def _tokenize(source: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch in "{};.":
-            toks.append(_Tok("punct", ch, line, col))
-            i, col = i + 1, col + 1
-            continue
-        m = _WORD_RE.match(source, i)
-        if m:
-            toks.append(_Tok("word", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        raise FeatureSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
-    return toks
-
-
-class _Parser:
     def __init__(self, source: str):
-        self.toks = _tokenize(source)
-        self.pos = 0
-
-    def _peek(self) -> _Tok:
-        return self.toks[self.pos]
-
-    def _advance(self) -> _Tok:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def _err(self, message: str) -> FeatureSyntaxError:
-        tok = self._peek()
-        return FeatureSyntaxError(message, tok.line, tok.col)
-
-    def _keyword(self, word: str) -> None:
-        tok = self._peek()
-        if tok.kind != "word" or tok.text != word:
-            raise self._err(f"expected {word!r}, got {tok.text!r}")
-        self._advance()
-
-    def _punct(self, text: str) -> None:
-        tok = self._peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise self._err(f"expected {text!r}, got {tok.text!r}")
-        self._advance()
+        super().__init__(scan(source, "{};.", self.error, word=_WORD))
 
     def _name(self, what: str) -> str:
         tok = self._peek()
-        if tok.kind != "word" or not _NAME_RE.fullmatch(tok.text):
+        if tok.kind != "ident" or not IDENT.fullmatch(tok.text):
             raise self._err(f"expected {what} name, got {tok.text!r}")
         self._advance()
         return tok.text
-
-    def _at_word(self, word: str) -> bool:
-        tok = self._peek()
-        return tok.kind == "word" and tok.text == word
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +158,7 @@ class _Parser:
 class _DiagramParser(_Parser):
     def parse_all(self) -> list[FeatureDiagram]:
         diagrams = [self._diagram()]
-        while self._at_word("featurediagram"):
+        while self._at("ident", "featurediagram"):
             diagrams.append(self._diagram())
         tok = self._peek()
         if tok.kind != "eof":
@@ -232,34 +166,34 @@ class _DiagramParser(_Parser):
         return diagrams
 
     def _diagram(self) -> FeatureDiagram:
-        self._keyword("featurediagram")
+        self._take("ident", "featurediagram")
         name = self._name("diagram")
-        self._punct("{")
+        self._take("punct", "{")
         vps: list[VariationPoint] = []
         constraints: list[CrossConstraint] = []
-        while not (self._peek().kind == "punct" and self._peek().text == "}"):
-            if self._at_word("vp"):
+        while not self._at("punct", "}"):
+            if self._at("ident", "vp"):
                 vps.append(self._variation_point())
-            elif self._at_word("constraint"):
+            elif self._at("ident", "constraint"):
                 constraints.append(self._constraint())
             else:
                 raise self._err(f"expected 'vp' or 'constraint', got {self._peek().text!r}")
-        self._punct("}")
+        self._take("punct", "}")
         diagram = FeatureDiagram(name, tuple(vps), tuple(constraints))
         _check_diagram(diagram)
         return diagram
 
     def _variation_point(self) -> VariationPoint:
-        self._keyword("vp")
+        self._take("ident", "vp")
         name = self._name("variation point")
-        self._keyword("for")
-        self._keyword("theory")
+        self._take("ident", "for")
+        self._take("ident", "theory")
         theory = self._name("theory")
-        self._punct("{")
+        self._take("punct", "{")
         features: list[Feature] = []
         is_xor = False
-        while not (self._peek().kind == "punct" and self._peek().text == "}"):
-            if self._at_word("xor"):
+        while not self._at("punct", "}"):
+            if self._at("ident", "xor"):
                 if features or is_xor:
                     raise self._err(
                         "a variation point holds either optional/mandatory "
@@ -267,7 +201,7 @@ class _DiagramParser(_Parser):
                     )
                 is_xor = True
                 features.extend(self._xor_group())
-            elif self._at_word("optional") or self._at_word("mandatory"):
+            elif self._at("ident", "optional") or self._at("ident", "mandatory"):
                 if is_xor:
                     raise self._err("xor-group may not be mixed with other members")
                 modality = self._advance().text
@@ -276,50 +210,48 @@ class _DiagramParser(_Parser):
                 raise self._err(
                     f"expected 'optional', 'mandatory' or 'xor', got {self._peek().text!r}"
                 )
-        self._punct("}")
+        self._take("punct", "}")
         return VariationPoint(name, theory, tuple(features), is_xor)
 
     def _xor_group(self) -> list[Feature]:
         xor_tok = self._peek()
-        self._keyword("xor")
-        self._punct("{")
+        self._take("ident", "xor")
+        self._take("punct", "{")
         members: list[Feature] = []
-        while not (self._peek().kind == "punct" and self._peek().text == "}"):
+        while not self._at("punct", "}"):
             members.append(self._feature("xor-member"))
-        self._punct("}")
+        self._take("punct", "}")
         if len(members) < 2:
-            raise FeatureSyntaxError(
-                "xor-group needs at least 2 members", xor_tok.line, xor_tok.col
-            )
+            raise self._err("xor-group needs at least 2 members", xor_tok)
         return members
 
     def _feature(self, modality: str) -> Feature:
-        self._keyword("feature")
+        self._take("ident", "feature")
         name = self._name("feature")
-        self._keyword("kind")
+        self._take("ident", "kind")
         kind_tok = self._peek()
-        if kind_tok.kind != "word" or kind_tok.text not in FEATURE_KINDS:
+        if kind_tok.kind != "ident" or kind_tok.text not in FEATURE_KINDS:
             raise self._err(
                 f"expected one of {', '.join(FEATURE_KINDS)}, got {kind_tok.text!r}"
             )
         self._advance()
-        self._punct(";")
+        self._take("punct", ";")
         return Feature(name, modality, kind_tok.text)
 
     def _constraint(self) -> CrossConstraint:
-        self._keyword("constraint")
+        self._take("ident", "constraint")
         source = self._feature_ref()
         rel_tok = self._peek()
-        if rel_tok.kind != "word" or rel_tok.text not in ("requires", "excludes"):
+        if rel_tok.kind != "ident" or rel_tok.text not in ("requires", "excludes"):
             raise self._err(f"expected 'requires' or 'excludes', got {rel_tok.text!r}")
         self._advance()
         target = self._feature_ref()
-        self._punct(";")
+        self._take("punct", ";")
         return CrossConstraint(source, rel_tok.text, target)
 
     def _feature_ref(self) -> FeatureRef:
         first = self._name("feature")
-        if self._peek().kind == "punct" and self._peek().text == ".":
+        if self._at("punct", "."):
             self._advance()
             return FeatureRef(first, self._name("feature"))
         return FeatureRef(None, first)
@@ -362,7 +294,7 @@ def parse_feature_diagram(source: str) -> FeatureDiagram:
 class _ConfigParser(_Parser):
     def parse_all(self) -> list[Configuration]:
         configs = [self._configuration()]
-        while self._at_word("configuration"):
+        while self._at("ident", "configuration"):
             configs.append(self._configuration())
         tok = self._peek()
         if tok.kind != "eof":
@@ -370,17 +302,17 @@ class _ConfigParser(_Parser):
         return configs
 
     def _configuration(self) -> Configuration:
-        self._keyword("configuration")
+        self._take("ident", "configuration")
         name = self._name("configuration")
-        self._keyword("for")
+        self._take("ident", "for")
         diagram = self._name("diagram")
-        self._punct("{")
+        self._take("punct", "{")
         selected: set[str] = set()
-        while not (self._peek().kind == "punct" and self._peek().text == "}"):
-            self._keyword("select")
+        while not self._at("punct", "}"):
+            self._take("ident", "select")
             selected.add(self._name("feature"))
-            self._punct(";")
-        self._punct("}")
+            self._take("punct", ";")
+        self._take("punct", "}")
         return Configuration(name, diagram, frozenset(selected))
 
 

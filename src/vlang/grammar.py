@@ -30,30 +30,26 @@ suffixes only on groups and single nonterminal references, production names
 unique, every referenced nonterminal defined, references to the built-in
 token IDENT must carry a label, no production reaching itself before
 consuming a token (left recursion), every production deriving some finite
-model.
+model, every terminal and synonym spelling scanning as one model token.
+
+Grammar files and the models they define are read by the shared scanner of
+vlang.lexer; only grammar files have quoted strings.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Union
 
+from .lexer import Cursor, SourceError, Token, scan
+
 IDENT_TOKEN = "IDENT"
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_PUNCT = ("<<?>>", "{", "}", "(", ")", "*", "?", "|", ":", ";", "=")
 
 
-class GrammarError(Exception):
+class GrammarError(SourceError):
     """Raised for malformed grammar definitions."""
-
-    def __init__(self, message: str, line: int | None = None, col: int | None = None):
-        if line is not None:
-            super().__init__(f"line {line}, col {col}: {message}")
-        else:
-            super().__init__(message)
-        self.line = line
-        self.col = col
 
 
 # ---------------------------------------------------------------------------
@@ -155,121 +151,40 @@ class GrammarDef:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer for the .mclang format itself
-# ---------------------------------------------------------------------------
-
-_PUNCT = ("<<?>>", "{", "}", "(", ")", "*", "?", "|", ":", ";", "=")
-
-
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "ident" | "string" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(source: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            start_col = col
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] != '"':
-                raise GrammarError("unterminated terminal string", line, start_col)
-            toks.append(_Tok("string", source[i + 1 : j], line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                toks.append(_Tok("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            m = _IDENT_RE.match(source, i)
-            if m:
-                toks.append(_Tok("ident", m.group(), line, col))
-                col += len(m.group())
-                i = m.end()
-            else:
-                raise GrammarError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
-    return toks
-
-
-# ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
-class _GrammarParser:
-    def __init__(self, tokens: list[_Tok]):
-        self.toks = tokens
-        self.pos = 0
+class _GrammarParser(Cursor):
+    error = GrammarError
 
-    def _peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def _advance(self) -> _Tok:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def _expect(self, kind: str, text: str | None = None) -> _Tok:
+    def _expect(self, kind: str, text: str | None = None) -> Token:
         tok = self._peek()
         if tok.kind != kind or (text is not None and tok.text != text):
             want = text if text is not None else kind
-            raise GrammarError(
-                f"expected {want!r}, got {tok.text!r}" if tok.text else f"expected {want!r}, got end of input",
-                tok.line,
-                tok.col,
-            )
-        return self._advance()
-
-    def _expect_keyword(self, word: str) -> _Tok:
-        tok = self._peek()
-        if tok.kind != "ident" or tok.text != word:
-            raise GrammarError(f"expected {word!r}, got {tok.text!r}", tok.line, tok.col)
+            got = repr(tok.text) if tok.text else "end of input"
+            raise self._err(f"expected {want!r}, got {got}")
         return self._advance()
 
     def parse(self) -> GrammarDef:
-        self._expect_keyword("grammar")
+        self._take("ident", "grammar")
         name = self._expect("ident").text
         self._expect("punct", "{")
         productions: list[Production] = []
-        while not (self._peek().kind == "punct" and self._peek().text == "}"):
+        while not self._at("punct", "}"):
             productions.append(self._production())
         self._expect("punct", "}")
-        tok = self._peek()
-        if tok.kind != "eof":
-            raise GrammarError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        if self._peek().kind != "eof":
+            raise self._err(f"trailing input {self._peek().text!r}")
         if not productions:
             raise GrammarError(f"grammar {name} has no productions (start production undefined)")
         return GrammarDef(name, tuple(productions), productions[0].name)
 
     def _production(self) -> Production:
         sugar_for = None
-        if self._peek().kind == "ident" and self._peek().text == "sugar":
+        if self._at("ident", "sugar"):
             self._advance()
             name_tok = self._expect("ident")
-            self._expect_keyword("for")
+            self._take("ident", "for")
             sugar_for = self._expect("ident").text
         else:
             name_tok = self._expect("ident")
@@ -280,13 +195,11 @@ class _GrammarParser:
 
     def _elements(self, stop: str) -> list[Element]:
         out: list[Element] = []
-        while True:
-            tok = self._peek()
-            if tok.kind == "punct" and tok.text == stop:
-                return out
-            if tok.kind == "eof":
-                raise GrammarError(f"expected {stop!r}, got end of input", tok.line, tok.col)
+        while not self._at("punct", stop):
+            if self._peek().kind == "eof":
+                raise self._err(f"expected {stop!r}, got end of input")
             out.append(self._element())
+        return out
 
     def _element(self) -> Element:
         tok = self._peek()
@@ -294,11 +207,11 @@ class _GrammarParser:
             self._advance()
             self._reject_cardinality("a terminal")
             return Terminal(tok.text)
-        if tok.kind == "punct" and tok.text == "<<?>>":
+        if self._at("punct", "<<?>>"):
             self._advance()
             self._reject_cardinality("a stereotype slot")
             return StereotypeSlot()
-        if tok.kind == "punct" and tok.text == "(":
+        if self._at("punct", "("):
             return self._group_or_synonyms()
         if tok.kind == "ident":
             ref = self._reference()
@@ -306,25 +219,17 @@ class _GrammarParser:
             if card != "once":
                 return Group((ref,), card)
             return ref
-        if tok.kind == "punct" and tok.text == "|":
-            raise GrammarError(
-                "alternation is only permitted among terminals", tok.line, tok.col
-            )
-        raise GrammarError(f"unexpected {tok.text!r} in production body", tok.line, tok.col)
+        if self._at("punct", "|"):
+            raise self._err("alternation is only permitted among terminals")
+        raise self._err(f"unexpected {tok.text!r} in production body")
 
     def _reference(self) -> NonterminalRef:
         first = self._expect("ident")
-        if self._peek().kind == "punct" and self._peek().text == ":":
+        if self._at("punct", ":"):
             self._advance()
-            target_tok = self._peek()
-            if target_tok.kind != "ident":
-                raise GrammarError(
-                    f"expected nonterminal after ':', got {target_tok.text!r}",
-                    target_tok.line,
-                    target_tok.col,
-                )
-            self._advance()
-            return NonterminalRef(first.text, target_tok.text)
+            if self._peek().kind != "ident":
+                raise self._err(f"expected nonterminal after ':', got {self._peek().text!r}")
+            return NonterminalRef(first.text, self._advance().text)
         return NonterminalRef(None, first.text)
 
     def _group_or_synonyms(self) -> Element:
@@ -336,7 +241,7 @@ class _GrammarParser:
             and self._peek(1).text == "|"
         ):
             spellings = [self._expect("string").text]
-            while self._peek().kind == "punct" and self._peek().text == "|":
+            while self._at("punct", "|"):
                 self._advance()
                 spellings.append(self._expect("string").text)
             self._expect("punct", ")")
@@ -347,22 +252,21 @@ class _GrammarParser:
         elements = self._elements(stop=")")
         self._expect("punct", ")")
         if not elements:
-            raise GrammarError("empty group", open_tok.line, open_tok.col)
+            raise self._err("empty group", open_tok)
         return Group(tuple(elements), self._cardinality())
 
-    def _check_synonyms(self, syn: TerminalSynonyms, at: _Tok) -> None:
+    def _check_synonyms(self, syn: TerminalSynonyms, at: Token) -> None:
         spellings = syn.all_spellings()
         if any(not s for s in spellings):
-            raise GrammarError("synonym alternatives must be nonempty", at.line, at.col)
+            raise self._err("synonym alternatives must be nonempty", at)
         if len(set(spellings)) != len(spellings):
-            raise GrammarError("synonym alternatives must be pairwise distinct", at.line, at.col)
+            raise self._err("synonym alternatives must be pairwise distinct", at)
 
     def _cardinality(self) -> str:
-        tok = self._peek()
-        if tok.kind == "punct" and tok.text == "*":
+        if self._at("punct", "*"):
             self._advance()
             return "star"
-        if tok.kind == "punct" and tok.text == "?":
+        if self._at("punct", "?"):
             self._advance()
             return "optional"
         return "once"
@@ -370,9 +274,7 @@ class _GrammarParser:
     def _reject_cardinality(self, what: str) -> None:
         tok = self._peek()
         if tok.kind == "punct" and tok.text in ("*", "?"):
-            raise GrammarError(
-                f"cardinality {tok.text!r} not permitted on {what}", tok.line, tok.col
-            )
+            raise self._err(f"cardinality {tok.text!r} not permitted on {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -415,12 +317,33 @@ def _validate(g: GrammarDef) -> None:
                     f"sugar production {p.name} may not expand another sugar production"
                 )
 
+    _reject_unscannable_terminals(g)
     _reject_bad_recursion(g)
 
     # Field labels must be consistent and unique after schema derivation.
     from .schema import derive_schema  # deferred: schema imports this module
 
     derive_schema(g)
+
+
+def _reject_unscannable_terminals(g: GrammarDef) -> None:
+    """Reject a terminal or synonym spelling that no model can match: in the
+    model vocabulary of `g` it must scan as exactly one token of the same
+    text.  The spellings are scanned together, one per line."""
+    from .modelparse import TokenizeError, tokenize_model  # deferred: it imports this module
+
+    spellings = sorted(g.terminal_texts())
+    try:
+        tokens = tokenize_model(g, "\n".join(spellings))
+    except TokenizeError as exc:
+        bad = spellings[exc.line - 1]
+    else:
+        scanned: list[list[str]] = [[] for _ in spellings]
+        for tok in tokens[:-1]:
+            scanned[tok.line - 1].append(tok.text)
+        bad = next((s for s, texts in zip(spellings, scanned) if texts != [s]), None)
+    if bad is not None:
+        raise GrammarError(f"terminal {bad!r} does not scan as one model token")
 
 
 def _reject_bad_recursion(g: GrammarDef) -> None:
@@ -492,6 +415,6 @@ def _reject_bad_recursion(g: GrammarDef) -> None:
 
 def parse_grammar(source: str) -> GrammarDef:
     """Parse the text of a .mclang file into a validated GrammarDef."""
-    g = _GrammarParser(_tokenize(source)).parse()
+    g = _GrammarParser(scan(source, _PUNCT, GrammarError, strings=True)).parse()
     _validate(g)
     return g

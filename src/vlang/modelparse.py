@@ -7,16 +7,14 @@ sugar alternatives are tried after it, in declaration order.  Terminal
 synonyms all produce the canonical token, so the spelling chosen in the
 model never shows in the AST.
 
-Tokenization: IDENT is a letter followed by letters, digits, or underscores;
-every word-like terminal of the grammar is a reserved keyword (an IDENT may
-not equal one); all other terminals are punctuation, matched longest-first.
-Whitespace and ``//`` line comments are skipped.
+Tokenization: the shared scanner of vlang.lexer, with the vocabulary taken
+from the grammar.  Every word-like terminal is a reserved keyword (an IDENT
+may not equal one), every other terminal is punctuation, and stereotype
+slots add ``<<`` and ``>>``.  Grammar validation ensures that each terminal
+scans as one token of this vocabulary.
 """
 
 from __future__ import annotations
-
-import re
-from dataclasses import dataclass
 
 from .grammar import (
     IDENT_TOKEN,
@@ -29,6 +27,7 @@ from .grammar import (
     Terminal,
     TerminalSynonyms,
 )
+from .lexer import IDENT, SourceError, Token, scan
 from .schema import (
     AstNode,
     AstSchema,
@@ -39,72 +38,25 @@ from .schema import (
     derive_schema,
 )
 
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+class TokenizeError(SourceError):
+    """A character that starts no token of the model's vocabulary."""
 
 
-class TokenizeError(Exception):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.line = line
-        self.col = col
-
-
-class ModelParseError(Exception):
+class ModelParseError(SourceError):
     def __init__(self, message: str, line: int, col: int, expected: frozenset[str] = frozenset()):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.line = line
-        self.col = col
+        super().__init__(message, line, col)
         self.expected = expected
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "keyword" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
-
-
 def tokenize_model(grammar: GrammarDef, source: str) -> list[Token]:
-    keywords = {t for t in grammar.terminal_texts() if _WORD_RE.fullmatch(t)}
-    punct = {t for t in grammar.terminal_texts() if not _WORD_RE.fullmatch(t)}
-    if grammar.has_stereotype_slots():
-        punct |= {"<<", ">>"}
-    punct_by_length = sorted(punct, key=len, reverse=True)
-
-    toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        m = _WORD_RE.match(source, i)
-        if m:
-            word = m.group()
-            kind = "keyword" if word in keywords else "ident"
-            toks.append(Token(kind, word, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        for p in punct_by_length:
-            if source.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise TokenizeError(f"illegal character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
+    """Scan a model: word-like terminals of `grammar` are its keywords and
+    every other terminal is punctuation, with ``<<`` and ``>>`` added when
+    the grammar has stereotype slots."""
+    terminals = grammar.terminal_texts()
+    keywords = {t for t in terminals if IDENT.fullmatch(t)}
+    punct = terminals - keywords | ({"<<", ">>"} if grammar.has_stereotype_slots() else set())
+    return scan(source, punct, TokenizeError, keywords=keywords)
 
 
 class _Backtrack(Exception):

@@ -37,7 +37,7 @@ from itertools import islice
 from operator import or_
 from typing import Callable, Iterator
 
-from .features import Configuration, FeatureDiagram
+from .features import Configuration, FeatureDiagram, Violation, render_violations
 from .schema import AstNode
 from .sysmodel import (
     Attr,
@@ -249,6 +249,15 @@ def map_assertions(doc: AstNode) -> Demands:
 # Configured semantics
 # ---------------------------------------------------------------------------
 
+class InvalidConfigurationError(SemanticsError):
+    """The merged configurations break their feature diagrams; `violations`
+    lists each broken rule."""
+
+    def __init__(self, violations: list[Violation]):
+        super().__init__("configuration does not validate:\n" + render_violations(violations))
+        self.violations = violations
+
+
 @dataclass(frozen=True)
 class SemanticsConfig:
     """A jointly validated selection of domain and mapping variants plus the
@@ -267,15 +276,14 @@ def make_semantics_config(
     bounds: Bounds,
 ) -> SemanticsConfig:
     """Merge and validate configurations, then split them into the domain and
-    mapping parts.  Raises SemanticsError when validation fails."""
-    from .features import merge_configurations, render_violations, validate_configurations
+    mapping parts.  Raises InvalidConfigurationError when validation finds
+    violations."""
+    from .features import merge_configurations, validate_configurations
 
     merged = merge_configurations(configs)
     violations = validate_configurations(diagrams, merged)
     if violations:
-        raise SemanticsError(
-            "configuration does not validate:\n" + render_violations(violations)
-        )
+        raise InvalidConfigurationError(violations)
 
     def classify(d: FeatureDiagram) -> str | None:
         kinds = {f.kind for f in d.features().values()}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import time
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,17 @@ def test_left_recursive_grammar_is_refused_not_run(workspace, capsys):
     code, out, err = _run(capsys, "parse", str(grammar), str(workspace / "d.cd"))
     assert (code, out) == (2, "")
     assert err == f"vlang: {grammar}: left recursion: A -> B -> A\n"
+
+
+def test_grammar_with_an_empty_terminal_is_refused_at_once(workspace, capsys):
+    grammar, model = workspace / "empty.mclang", workspace / "dollar.txt"
+    grammar.write_text('grammar G { A = "" "a"; }', encoding="utf-8")
+    model.write_text("a $", encoding="utf-8")
+    message = f"vlang: {grammar}: terminal '' does not scan as one model token\n"
+    started = time.perf_counter()
+    assert _run(capsys, "check-grammar", str(grammar)) == (1, "", message)
+    assert _run(capsys, "parse", str(grammar), str(model)) == (2, "", message)
+    assert time.perf_counter() - started < 1
 
 
 def test_missing_file_is_a_file_error(workspace, capsys):
@@ -282,7 +294,7 @@ def test_semantics_config_is_built_once(workspace, capsys, monkeypatch):
     conf = [str(workspace / "sm.conf"), str(workspace / "cd.conf")]
     code, out, err = _run(capsys, *_sem_args(workspace, *conf, "--max-objects", "0"))
     assert (code, out, err) == (0, "SEM count=2 bounds=extra={};maxObjects=0;attrs={}\n", "")
-    assert calls == {"config": 1, "validate": 2}
+    assert calls == {"config": 1, "validate": 1}
 
 
 def test_semantics_config_errors(workspace, capsys):
@@ -295,6 +307,14 @@ def test_semantics_config_errors(workspace, capsys):
     )
     code, out, err = _run(capsys, *_sem_args(workspace, sm, cd, "--max-objects", "-1"))
     assert (code, out, err) == (2, "", "vlang: max_objects must be non-negative\n")
+    code, out, err = _run(capsys, *_sem_args(workspace, sm, bad, "--max-objects", "-1"))
+    assert (code, err) == (1, "")
+    assert out.startswith("VIOLATION CDSimpSemVar excludes MapSuperCDirect")
+    nowhere = workspace / "nowhere.conf"
+    nowhere.write_text("configuration X for Nowhere { }\n")
+    code, out, err = _run(capsys, *_sem_args(workspace, sm, str(nowhere)))
+    assert (code, out) == (2, "")
+    assert err == "vlang: configuration X references diagram Nowhere which is not in scope\n"
     domain_only = workspace / "domain.fd"
     domain_only.write_text(bundled.EXAMPLE_FD_TEXT.split("featurediagram CDSimpSemVar")[0])
     code, out, err = _run(capsys, "sem", str(workspace / "cdsimp.mclang"),

@@ -142,6 +142,18 @@ def test_productions_without_a_finite_model_are_rejected(source, barren):
         parse_grammar(source)
 
 
+@pytest.mark.parametrize("source, terminal", [
+    ('grammar G { A = "" "a"; }', "''"),
+    ('grammar G { A = "x-y"; }', "'x-y'"),
+    ('grammar G { A = "a b"; }', "'a b'"),
+    ('grammar G { A = "//" x:IDENT; }', "'//'"),
+    ('grammar G { A = ("to" | "x-y") x:IDENT; }', "'x-y'"),
+])
+def test_terminals_must_scan_as_one_model_token(source, terminal):
+    with pytest.raises(GrammarError, match=f"^terminal {terminal} does not scan as one model token$"):
+        parse_grammar(source)
+
+
 def test_conflicting_field_types_rejected():
     with pytest.raises(GrammarError, match="conflicting types"):
         parse_grammar('grammar X { A = "a"; B = x:IDENT x:A; }')

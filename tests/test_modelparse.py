@@ -96,6 +96,9 @@ def test_line_comments_are_skipped(cdsimp):
         cdsimp, "// header\nclassdiagram D { // inline\n class A; }"
     )
     assert _class_names(node) == ["A"]
+    # A comment takes no columns: the end of input sits where it starts.
+    assert tokenize_model(cdsimp, "class A // end")[-1] == ("eof", "", 1, 9)
+    assert tokenize_model(cdsimp, "class A\n// end")[-1] == ("eof", "", 2, 1)
 
 
 def test_positions_recorded_for_diagnostics(cdsimp):
@@ -138,3 +141,6 @@ def test_tokenizer_classifies_words_per_grammar(cd, cdsimp):
     # "classes" is a keyword of the full language only.
     assert [t.kind for t in tokenize_model(cd, "classes")][:-1] == ["keyword"]
     assert [t.kind for t in tokenize_model(cdsimp, "classes")][:-1] == ["ident"]
+    # Punctuation is matched longest-first.
+    arrows = parse_grammar('grammar G { S = x:IDENT ("->" y:IDENT)? ("-" z:IDENT)?; }')
+    assert [t.text for t in tokenize_model(arrows, "a->b-c")][:-1] == ["a", "->", "b", "-", "c"]

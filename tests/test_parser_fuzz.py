@@ -1,5 +1,6 @@
 """Token soups for the four text parsers: each input ends in a result or in
-the parser's documented error, never in another exception.
+the parser's documented error, never in another exception.  The four share
+one scanner, whose lexical errors are pinned here too.
 
 A soup is a prefix of a well-formed document, so parsing gets past the
 header, followed by tokens drawn from the format's vocabulary, stray
@@ -13,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vlang import bundled
-from vlang.features import FeatureModelError, parse_configurations, parse_feature_diagrams
+from vlang.features import (
+    FeatureModelError,
+    FeatureSyntaxError,
+    parse_configurations,
+    parse_feature_diagrams,
+)
 from vlang.grammar import GrammarError, parse_grammar
 from vlang.modelparse import ModelParseError, TokenizeError, parse_model
 
@@ -73,3 +79,20 @@ def test_parser_ends_in_a_result_or_its_documented_error(name):
             pass
 
     check()
+
+
+@pytest.mark.parametrize("name, error, bad, message", [
+    ("grammar", GrammarError, "$", "illegal character '$'"),
+    ("grammar", GrammarError, '"x;', "unterminated terminal string"),
+    ("model", TokenizeError, "%", "illegal character '%'"),
+    ("feature diagrams", FeatureSyntaxError, '"', "illegal character '\"'"),
+    ("configurations", FeatureSyntaxError, "#", "illegal character '#'"),
+])
+def test_lexical_error_names_its_line_and_column(name, error, bad, message):
+    # The tab and the carriage return take one column each.
+    parse = CASES[name][0]
+    with pytest.raises(error) as exc:
+        parse("A // note\nB\n\tC\r" + bad)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"line 3, col 4: {message}"
+    assert (exc.value.line, exc.value.col) == (3, 4)
