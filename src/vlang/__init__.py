@@ -48,7 +48,6 @@ from .sysmodel import (
     dump_system,
     enumerate_systems,
     eval_valid_base,
-    eval_variant_predicate,
     make_system,
 )
 from .theorygen import TheoryDoc, generate_domain_theory, generate_mapping_theory

@@ -15,22 +15,8 @@ from operator import or_
 from typing import Sequence
 
 from .schema import AstNode
-from .semantics import (
-    DEFAULT_MAPPING_VARIANTS,
-    MappingVariantRegistry,
-    SemanticsConfig,
-    demands_of,
-    query_bounds,
-    valid_predicate,
-)
-from .sysmodel import (
-    DEFAULT_DOMAIN_VARIANTS,
-    Bounds,
-    DomainVariantRegistry,
-    SystemModelLite,
-    dump_system,
-    enumerate_systems,
-)
+from .semantics import SemanticsConfig, demands_of, query_bounds, valid_predicate
+from .sysmodel import Bounds, SystemModelLite, dump_system, enumerate_systems
 
 
 class AnalysisError(Exception):
@@ -59,37 +45,30 @@ class AnalysisVerdict:
         return "\n".join(lines) + "\n"
 
 
-def _query(models, config, domain_registry, mapping_registry):
+def _query(models, config):
     """Each model's demands, their conjunction, and the bounds and validity
     of a query over the models."""
-    mapping_registry = mapping_registry or DEFAULT_MAPPING_VARIANTS
-    demands = [demands_of(m, config, mapping_registry) for m in models]
+    demands = [demands_of(m, config) for m in models]
     joint = reduce(or_, demands)
-    valid = valid_predicate(config, domain_registry or DEFAULT_DOMAIN_VARIANTS)
-    return demands, joint, query_bounds(config, joint), valid
+    return demands, joint, query_bounds(config, joint), valid_predicate(config)
 
 
-def _two_models(m1, m2, config, domain_registry, mapping_registry):
+def _two_models(m1, m2, config):
     if m1.datatype != m2.datatype:
         raise AnalysisError(
             f"refinement relates models of one language, got "
             f"{m1.datatype} and {m2.datatype}"
         )
-    return _query([m1, m2], config, domain_registry, mapping_registry)
+    return _query([m1, m2], config)
 
 
 def check_refinement(
-    refined: AstNode,
-    abstract: AstNode,
-    config: SemanticsConfig,
-    *,
-    domain_registry: DomainVariantRegistry | None = None,
-    mapping_registry: MappingVariantRegistry | None = None,
+    refined: AstNode, abstract: AstNode, config: SemanticsConfig
 ) -> AnalysisVerdict:
     """Does every system denoted by `refined` lie in the semantics of
     `abstract`, within bounds?"""
     (refined_demands, abstract_demands), joint, bounds, valid = _two_models(
-        refined, abstract, config, domain_registry, mapping_registry
+        refined, abstract, config
     )
     for sm in enumerate_systems(
         bounds, joint.classes, lambda f: refined_demands.frame_holds(f) and valid(f)
@@ -99,18 +78,12 @@ def check_refinement(
     return AnalysisVerdict("refine", True, bounds)
 
 
-def check_consistency(
-    models: Sequence[AstNode],
-    config: SemanticsConfig,
-    *,
-    domain_registry: DomainVariantRegistry | None = None,
-    mapping_registry: MappingVariantRegistry | None = None,
-) -> AnalysisVerdict:
+def check_consistency(models: Sequence[AstNode], config: SemanticsConfig) -> AnalysisVerdict:
     """Is the intersection of the models' semantics nonempty within bounds?
     The models may come from different languages."""
     if not models:
         raise AnalysisError("consistency needs at least one model")
-    _, joint, bounds, valid = _query(models, config, domain_registry, mapping_registry)
+    _, joint, bounds, valid = _query(models, config)
     for sm in enumerate_systems(
         bounds, joint.classes, lambda f: joint.frame_holds(f) and valid(f)
     ):
@@ -119,20 +92,11 @@ def check_consistency(
     return AnalysisVerdict("consistent", False, bounds)
 
 
-def check_equivalence(
-    m1: AstNode,
-    m2: AstNode,
-    config: SemanticsConfig,
-    *,
-    domain_registry: DomainVariantRegistry | None = None,
-    mapping_registry: MappingVariantRegistry | None = None,
-) -> AnalysisVerdict:
+def check_equivalence(m1: AstNode, m2: AstNode, config: SemanticsConfig) -> AnalysisVerdict:
     """Mutual refinement, in one scan.  The counterexample is the first
     system of `m1` outside `m2` when there is one, and otherwise the first
     system of `m2` outside `m1`: what refinement each way would report."""
-    (d1, d2), joint, bounds, valid = _two_models(
-        m1, m2, config, domain_registry, mapping_registry
-    )
+    (d1, d2), joint, bounds, valid = _two_models(m1, m2, config)
     backward = None
     for sm in enumerate_systems(
         bounds, joint.classes, lambda f: (d1.frame_holds(f) or d2.frame_holds(f)) and valid(f)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -41,7 +42,13 @@ from .features import (
 from .grammar import GrammarError, parse_grammar
 from .modelparse import ModelParseError, TokenizeError, parse_model
 from .schema import derive_schema, dump_ast, dump_schema
-from .semantics import InvalidConfigurationError, SemanticsError, compute_sem, make_semantics_config
+from .semantics import (
+    InvalidConfigurationError,
+    SemanticsError,
+    UnknownStereotypeWarning,
+    compute_sem,
+    make_semantics_config,
+)
 from .sysmodel import Bounds, NameConventionError, dump_system
 from .theorygen import generate_domain_theory, generate_mapping_theory, write_theory
 
@@ -172,8 +179,7 @@ def _cmd_generate(args) -> int:
         print(render_violations(violations))
         return 1
     selected = {c.diagram: c for c in merged}
-    out_dir = Path(args.out)
-    written = []
+    docs = []
     for diagram in diagrams:
         kinds = {f.kind for f in diagram.features().values()}
         config = selected.get(diagram.name)
@@ -191,9 +197,9 @@ def _cmd_generate(args) -> int:
         except (NameConventionError, SemanticsError) as exc:
             print(f"generation failed: {exc}", file=sys.stderr)
             return 1
-        written.append(write_theory(doc, out_dir))
-    for path in written:
-        print(path.as_posix())
+        docs.append(doc)
+    for doc in docs:
+        print(write_theory(doc, Path(args.out)).as_posix())
     return 0
 
 
@@ -369,10 +375,19 @@ def _bounds_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"vlang: warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # An ignored stereotype is a diagnostic of the run: one line per
+        # message, whatever the caller's warning filters say.
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", UnknownStereotypeWarning)
+            warnings.showwarning = _show_warning
+            return args.fn(args)
     except _FileFailure as exc:
         print(f"vlang: {exc}", file=sys.stderr)
         return exc.exit_code

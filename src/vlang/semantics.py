@@ -8,7 +8,8 @@ the configured mapping variant, and the constraints of its stereotypes.
 Assertion documents map each statement to a (possibly negated) subclass
 condition.
 
-Two super-class mapping variants are bundled:
+Mapping features are bound by name to the function that fills
+mSuperClasses in `MAPPING_VARIANTS`; two are bundled:
 
   MapSuperCDirect    every declared super is a direct subclass target.
   MapSuperCDelegate  subclassing only to the first declared super; each
@@ -42,8 +43,6 @@ from .schema import AstNode
 from .sysmodel import (
     Attr,
     Bounds,
-    DEFAULT_DOMAIN_VARIANTS,
-    DomainVariantRegistry,
     Pair,
     SystemModelLite,
     composed_valid,
@@ -132,50 +131,39 @@ def map_super_delegate(cls: str, supers: list[str]) -> Demands:
     )
 
 
-class MappingVariantRegistry:
-    """Super-class mapping functions keyed by feature name."""
-
-    def __init__(self) -> None:
-        self._functions: dict[str, SuperMapping] = {}
-
-    def register(self, feature: str, fn: SuperMapping) -> None:
-        self._functions[feature] = fn
-
-    def has(self, feature: str) -> bool:
-        return feature in self._functions
-
-    def resolve(self, feature: str) -> SuperMapping:
-        try:
-            return self._functions[feature]
-        except KeyError:
-            raise SemanticsError(
-                f"feature {feature} provides no mapping function to bind "
-                f"{SUPER_MAPPING_SLOT}"
-            ) from None
+# Mapping feature name -> the function it binds to mSuperClasses.
+MAPPING_VARIANTS: dict[str, SuperMapping] = {
+    "MapSuperCDirect": map_super_direct,
+    "MapSuperCDelegate": map_super_delegate,
+}
 
 
-DEFAULT_MAPPING_VARIANTS = MappingVariantRegistry()
-DEFAULT_MAPPING_VARIANTS.register("MapSuperCDirect", map_super_direct)
-DEFAULT_MAPPING_VARIANTS.register("MapSuperCDelegate", map_super_delegate)
+def mapping_variant(feature: str) -> SuperMapping:
+    """The super-class mapping bound to mapping feature `feature` by name."""
+    try:
+        return MAPPING_VARIANTS[feature]
+    except KeyError:
+        raise SemanticsError(
+            f"feature {feature} provides no mapping function to bind "
+            f"{SUPER_MAPPING_SLOT}"
+        ) from None
 
 
-def super_mapping_for(
-    config: Configuration,
-    registry: MappingVariantRegistry = DEFAULT_MAPPING_VARIANTS,
-) -> SuperMapping:
+def super_mapping_for(config: Configuration) -> SuperMapping:
     """The single super-class mapping bound by a validated mapping
-    configuration."""
-    bound = [f for f in sorted(config.selected) if registry.has(f)]
-    if not bound:
+    configuration; every selected feature must bind one."""
+    selected = sorted(config.selected)
+    functions = [mapping_variant(f) for f in selected]
+    if not functions:
         raise UnboundMappingError(
             f"no mapping variant selected; {SUPER_MAPPING_SLOT} remains unbound"
         )
-    if len(bound) > 1:
+    if len(functions) > 1:
         raise SemanticsError(
             f"{SUPER_MAPPING_SLOT} bound by more than one selected variant: "
-            + ", ".join(bound)
+            + ", ".join(selected)
         )
-    return registry.resolve(bound[0])
+    return functions[0]
 
 
 # ---------------------------------------------------------------------------
@@ -313,43 +301,34 @@ def make_semantics_config(
     )
 
 
-def valid_predicate(
-    config: SemanticsConfig,
-    domain_registry: DomainVariantRegistry = DEFAULT_DOMAIN_VARIANTS,
-) -> Callable[[SystemModelLite], bool]:
+def valid_predicate(config: SemanticsConfig) -> Callable[[SystemModelLite], bool]:
     """Composed validity for the configured semantic domain."""
     domain_features = [
         f
         for f in config.domain_config.selected
         if config.domain_diagram.features()[f].kind == "semantic-domain"
     ]
-    return composed_valid(domain_features, domain_registry)
+    return composed_valid(domain_features)
 
 
-# Root datatype -> the compile of its language: (model, config, mapping
-# registry) -> Demands.  Adding a language means adding a row.
-_LANGUAGES: dict[
-    str, Callable[[AstNode, SemanticsConfig, MappingVariantRegistry], Demands]
-] = {
-    "CDDefinition": lambda model, config, registry: map_diagram(
-        model, super_mapping_for(config.mapping_config, registry)
+# Root datatype -> the compile of its language: (model, config) -> Demands.
+# Adding a language means adding a row.
+_LANGUAGES: dict[str, Callable[[AstNode, SemanticsConfig], Demands]] = {
+    "CDDefinition": lambda model, config: map_diagram(
+        model, super_mapping_for(config.mapping_config)
     ),
-    "AssertionDoc": lambda model, config, registry: map_assertions(model),
+    "AssertionDoc": lambda model, config: map_assertions(model),
 }
 
 
-def demands_of(
-    model: AstNode,
-    config: SemanticsConfig,
-    mapping_registry: MappingVariantRegistry = DEFAULT_MAPPING_VARIANTS,
-) -> Demands:
+def demands_of(model: AstNode, config: SemanticsConfig) -> Demands:
     """What the model demands of a system under the configured mapping,
     compiled once for the query."""
     try:
         compile_model = _LANGUAGES[model.datatype]
     except KeyError:
         raise SemanticsError(f"no semantics registered for {model.datatype} models") from None
-    return compile_model(model, config, mapping_registry)
+    return compile_model(model, config)
 
 
 def query_bounds(config: SemanticsConfig, demands: Demands) -> Bounds:
@@ -364,7 +343,6 @@ def query_bounds(config: SemanticsConfig, demands: Demands) -> Bounds:
 class SemanticsSet:
     """The enumerable, bound-relative semantics of one minimal model."""
 
-    model: AstNode
     bounds: Bounds
     demands: Demands
     _valid: Callable[[SystemModelLite], bool]
@@ -388,15 +366,7 @@ class SemanticsSet:
         return self._valid(sm) and self.demands(sm)
 
 
-def compute_sem(
-    model: AstNode,
-    config: SemanticsConfig,
-    *,
-    domain_registry: DomainVariantRegistry = DEFAULT_DOMAIN_VARIANTS,
-    mapping_registry: MappingVariantRegistry = DEFAULT_MAPPING_VARIANTS,
-) -> SemanticsSet:
+def compute_sem(model: AstNode, config: SemanticsConfig) -> SemanticsSet:
     """The semantics set of a minimal model under a validated configuration."""
-    demands = demands_of(model, config, mapping_registry)
-    return SemanticsSet(
-        model, query_bounds(config, demands), demands, valid_predicate(config, domain_registry)
-    )
+    demands = demands_of(model, config)
+    return SemanticsSet(query_bounds(config, demands), demands, valid_predicate(config))

@@ -5,9 +5,10 @@ A system is a finite set of class names, a subclassing relation over them,
 attributes (owner, name, target class), objects with canonical identifiers
 o1..oN, and a total class assignment for the objects.  Base validity demands
 a reflexive and transitive subclassing relation on top of the structural
-invariants.  Domain variants are extra validity predicates keyed by feature
-name; the composed predicate is their conjunction with base validity.  Both
-constrain only a system's frame: its classes, subclassing and attributes.
+invariants.  Domain variants are extra validity predicates bound to feature
+names in `DOMAIN_VARIANTS` (feature F to its predicate valid-F); the composed
+predicate is their conjunction with base validity.  Both constrain only a
+system's frame: its classes, subclassing and attributes.
 
 `enumerate_systems` walks the systems within given bounds whose subclassing
 relation is a preorder (the only ones base validity admits).  It checks a
@@ -29,7 +30,8 @@ Attr = tuple[str, str, str]  # (owner class, attribute name, target class)
 
 
 class NameConventionError(Exception):
-    """A selected feature has no predicate registered under its name."""
+    """A selected domain feature F has no predicate valid-F in
+    `DOMAIN_VARIANTS`."""
 
 
 @dataclass(frozen=True)
@@ -140,55 +142,32 @@ def valid_single_inheritance(sm: SystemModelLite) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Domain variant registry
+# Domain variants
 # ---------------------------------------------------------------------------
 
-class DomainVariantRegistry:
-    """Validity predicates keyed by feature name, following the valid-<Feature>
-    naming convention.
-
-    A domain variant constrains a system's classes, `sub` and attrs, never
-    its objects: `enumerate_systems` evaluates validity once per frame and
-    lets every object population of an accepted frame through.
-    """
-
-    def __init__(self) -> None:
-        self._predicates: dict[str, Callable[[SystemModelLite], bool]] = {}
-
-    def register(self, feature: str, predicate: Callable[[SystemModelLite], bool]) -> None:
-        self._predicates[feature] = predicate
-
-    def has(self, feature: str) -> bool:
-        return feature in self._predicates
-
-    def resolve(self, feature: str) -> Callable[[SystemModelLite], bool]:
-        try:
-            return self._predicates[feature]
-        except KeyError:
-            raise NameConventionError(
-                f"feature {feature} provides no predicate valid-{feature}"
-            ) from None
+# Feature name F -> its predicate valid-F.  A domain variant constrains a
+# system's classes, `sub` and attrs, never its objects: `enumerate_systems`
+# evaluates validity once per frame and lets every object population of an
+# accepted frame through.
+DOMAIN_VARIANTS: dict[str, Callable[[SystemModelLite], bool]] = {
+    "SingleInheritance": valid_single_inheritance,
+}
 
 
-DEFAULT_DOMAIN_VARIANTS = DomainVariantRegistry()
-DEFAULT_DOMAIN_VARIANTS.register("SingleInheritance", valid_single_inheritance)
+def domain_variant(feature: str) -> Callable[[SystemModelLite], bool]:
+    """The predicate valid-F bound to domain feature F by name."""
+    try:
+        return DOMAIN_VARIANTS[feature]
+    except KeyError:
+        raise NameConventionError(
+            f"feature {feature} provides no predicate valid-{feature}"
+        ) from None
 
 
-def eval_variant_predicate(
-    feature: str,
-    sm: SystemModelLite,
-    registry: DomainVariantRegistry = DEFAULT_DOMAIN_VARIANTS,
-) -> bool:
-    return registry.resolve(feature)(sm)
-
-
-def composed_valid(
-    selected: Iterable[str],
-    registry: DomainVariantRegistry = DEFAULT_DOMAIN_VARIANTS,
-) -> Callable[[SystemModelLite], bool]:
+def composed_valid(selected: Iterable[str]) -> Callable[[SystemModelLite], bool]:
     """Conjunction of base validity and the predicates of the selected
     domain features, in sorted feature order."""
-    predicates = [registry.resolve(f) for f in sorted(set(selected))]
+    predicates = [domain_variant(f) for f in sorted(set(selected))]
 
     def valid(sm: SystemModelLite) -> bool:
         return eval_valid_base(sm) and all(p(sm) for p in predicates)

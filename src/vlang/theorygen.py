@@ -3,10 +3,13 @@
 A domain configuration yields a theory that imports the base theory plus one
 ``<vp>/<Feature>`` path per selected feature and defines the composed
 validity predicate as a conjunction, bound by name convention: a selected
-feature F must have a predicate registered as valid-F.  A mapping
-configuration yields a theory that merely combines the chosen variant
-theories through imports; selecting no variant of an xor variation point is
-an error because the declared mapping function would stay unbound.
+feature F must have a predicate valid-F in `sysmodel.DOMAIN_VARIANTS`
+(`domain_variant` raises otherwise).  A mapping configuration yields a theory
+that merely combines the chosen variant theories through imports; every
+selected feature must bind a function in `semantics.MAPPING_VARIANTS`
+(`mapping_variant` raises otherwise), and selecting no variant of an xor
+variation point is an error because the declared mapping function would
+stay unbound.
 
 Output is plain text (one definition per line, single spaces, LF), written
 as ``<TheoryName>.thy.txt`` and byte-stable for golden tests.
@@ -18,14 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .features import Configuration, FeatureDiagram
-from .semantics import (
-    DEFAULT_MAPPING_VARIANTS,
-    MappingVariantRegistry,
-    SUPER_MAPPING_SLOT,
-    SemanticsError,
-    UnboundMappingError,
-)
-from .sysmodel import DEFAULT_DOMAIN_VARIANTS, DomainVariantRegistry, NameConventionError
+from .semantics import SUPER_MAPPING_SLOT, UnboundMappingError, mapping_variant
+from .sysmodel import domain_variant
 
 DOMAIN_THEORY_NAME = "SystemModel"
 
@@ -58,17 +55,10 @@ def _variant_imports(diagram: FeatureDiagram, selected: frozenset[str]) -> tuple
     return tuple(f"{vp}/{feature}" for vp, feature in pairs)
 
 
-def generate_domain_theory(
-    diagram: FeatureDiagram,
-    config: Configuration,
-    registry: DomainVariantRegistry = DEFAULT_DOMAIN_VARIANTS,
-) -> TheoryDoc:
+def generate_domain_theory(diagram: FeatureDiagram, config: Configuration) -> TheoryDoc:
     """The composed system-model theory for a validated domain configuration."""
     for feature in sorted(config.selected):
-        if not registry.has(feature):
-            raise NameConventionError(
-                f"feature {feature} provides no predicate valid-{feature}"
-            )
+        domain_variant(feature)
     conjunction = " ".join(
         ["valid-base sm", *(f"^ valid-{f} sm" for f in sorted(config.selected))]
     )
@@ -81,10 +71,7 @@ def generate_domain_theory(
 
 
 def generate_mapping_theory(
-    diagram: FeatureDiagram,
-    config: Configuration,
-    language_name: str,
-    registry: MappingVariantRegistry = DEFAULT_MAPPING_VARIANTS,
+    diagram: FeatureDiagram, config: Configuration, language_name: str
 ) -> TheoryDoc:
     """The combined semantic-mapping theory for a validated mapping
     configuration of the named language."""
@@ -95,11 +82,7 @@ def generate_mapping_theory(
                 f"{SUPER_MAPPING_SLOT} remains unbound"
             )
     for feature in sorted(config.selected):
-        if not registry.has(feature):
-            raise SemanticsError(
-                f"feature {feature} provides no mapping function to bind "
-                f"{SUPER_MAPPING_SLOT}"
-            )
+        mapping_variant(feature)
     return TheoryDoc(
         f"{language_name}Sem",
         f"{language_name}Sem-base",

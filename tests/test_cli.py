@@ -230,6 +230,73 @@ def test_generate_refuses_invalid_selection(workspace, capsys):
     assert not (workspace / "gen").exists()
 
 
+def test_unbound_domain_feature_is_refused(workspace, capsys):
+    # A valid selection of a domain feature no predicate is bound to.
+    (workspace / "ghost.fd").write_text(bundled.EXAMPLE_FD_TEXT.replace(
+        "kind semantic-domain;",
+        "kind semantic-domain;\n        optional feature Ghost kind semantic-domain;",
+    ))
+    (workspace / "ghost.conf").write_text("configuration G for SystemModelVar { select Ghost; }\n")
+    files = [str(workspace / n) for n in ("ghost.fd", "ghost.conf", "cd.conf")]
+    code, out, err = _run(capsys, "sem", str(workspace / "cdsimp.mclang"), str(workspace / "d.cd"), *files)
+    assert (code, out, err) == (2, "", "vlang: feature Ghost provides no predicate valid-Ghost\n")
+    code, out, err = _run(capsys, "generate", *files, "--out", str(workspace / "gen"))
+    assert (code, out) == (1, "")
+    assert err == "generation failed: feature Ghost provides no predicate valid-Ghost\n"
+    assert not (workspace / "gen").exists()
+
+
+def test_unbound_mapping_feature_is_refused(workspace, capsys):
+    # A valid selection of a mapping feature no function is bound to.
+    (workspace / "ghost.fd").write_text(bundled.EXAMPLE_FD_TEXT.replace(
+        "    constraint",
+        "    vp vGhost for theory CDSimpSem {\n"
+        "        optional feature GhostMapping kind semantic-mapping;\n"
+        "    }\n"
+        "    constraint",
+    ))
+    (workspace / "ghost.conf").write_text(
+        "configuration G for CDSimpSemVar { select MapSuperCDelegate; select GhostMapping; }\n"
+    )
+    files = [str(workspace / n) for n in ("ghost.fd", "sm.conf", "ghost.conf")]
+    cd = [str(workspace / "cdsimp.mclang"), str(workspace / "d.cd")]
+    message = "feature GhostMapping provides no mapping function to bind mSuperClasses\n"
+    assert _run(capsys, "sem", *cd, *files) == (2, "", "vlang: " + message)
+    refine = ["analyze", "refine", *cd, str(workspace / "d.cd"), *files]
+    assert _run(capsys, *refine) == (2, "", "vlang: " + message)
+    # Only a class diagram binds the mapping; assertions need none.
+    code, out, _ = _run(capsys, "analyze", "consistent", str(workspace / "cda.mclang"),
+                        str(workspace / "pos.cda"), *files)
+    assert (code, out.startswith("RESULT holds=true kind=consistent")) == (0, True)
+    out_dir = workspace / "gen"
+    out_dir.mkdir()
+    code, out, err = _run(capsys, "generate", *files, "--out", str(out_dir))
+    assert (code, out, err) == (1, "", "generation failed: " + message)
+    assert list(out_dir.iterdir()) == []
+
+
+def test_unknown_stereotype_is_one_diagnostic_line(workspace, capsys):
+    (workspace / "st.cd").write_text(
+        "classdiagram D { <<entity>> class A; <<persistent>> <<entity>> class B; }\n"
+    )
+    conf = [str(workspace / n) for n in ("example.fd", "sm.conf", "cd.conf")]
+    stereotyped = ["sem", str(workspace / "cd.mclang"), str(workspace / "st.cd"), *conf]
+    code, plain, _ = _run(capsys, "sem", str(workspace / "cd.mclang"), str(workspace / "abs.cd"), *conf)
+    warned = (
+        "vlang: warning: ignoring unknown stereotype <<entity>> on class A\n"
+        "vlang: warning: ignoring unknown stereotype <<entity>> on class B\n"
+        "vlang: warning: ignoring unknown stereotype <<persistent>> on class B\n"
+    )
+    # Each run reports again, and a query reports a class once however many
+    # of its models declare it.
+    assert _run(capsys, *stereotyped) == (code, plain, warned)
+    assert _run(capsys, *stereotyped) == (code, plain, warned)
+    equiv = ["analyze", "equiv", str(workspace / "cd.mclang"), str(workspace / "st.cd"),
+             str(workspace / "st.cd"), *conf]
+    code, out, err = _run(capsys, *equiv)
+    assert (code, out.startswith("RESULT holds=true kind=equiv"), err) == (0, True, warned)
+
+
 def test_sem_counts_and_witnesses(workspace, capsys):
     code, out, _ = _run(
         capsys,

@@ -8,16 +8,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vlang.sysmodel import (
+    DOMAIN_VARIANTS,
     Bounds,
-    DomainVariantRegistry,
     NameConventionError,
     SystemModelLite,
     canonical_key,
     composed_valid,
+    domain_variant,
     dump_system,
     enumerate_systems,
     eval_valid_base,
-    eval_variant_predicate,
     make_system,
     structurally_valid,
     valid_single_inheritance,
@@ -117,7 +117,7 @@ def test_two_unrelated_supers_violate_single_inheritance():
         _refl({"C1", "C2", "C3"}) | {("C1", "C2"), ("C1", "C3")},
     )
     assert not valid_single_inheritance(sm)
-    assert not eval_variant_predicate("SingleInheritance", sm)
+    assert not domain_variant("SingleInheritance")(sm)
 
 
 def test_reflexive_only_satisfies_single_inheritance():
@@ -134,9 +134,8 @@ def test_chain_satisfies_single_inheritance():
 
 
 def test_unknown_variant_feature_raises():
-    sm = make_system({"A"}, {("A", "A")})
     with pytest.raises(NameConventionError, match="valid-Ghost"):
-        eval_variant_predicate("Ghost", sm)
+        domain_variant("Ghost")
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +170,9 @@ def test_composed_rejects_unregistered_feature():
         composed_valid({"Ghost"})
 
 
-def test_custom_registry():
-    registry = DomainVariantRegistry()
-    registry.register("NoSubclassing", lambda sm: all(a == b for a, b in sm.sub))
-    valid = composed_valid({"NoSubclassing"}, registry)
+def test_custom_registry(monkeypatch):
+    monkeypatch.setitem(DOMAIN_VARIANTS, "NoSubclassing", lambda sm: all(a == b for a, b in sm.sub))
+    valid = composed_valid({"NoSubclassing"})
     assert valid(make_system({"A"}, {("A", "A")}))
     assert not valid(make_system({"A", "B"}, _refl({"A", "B"}) | {("A", "B")}))
 
