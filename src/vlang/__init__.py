@@ -7,10 +7,9 @@ theory documents, and decide refinement, consistency, and equivalence by
 bounded enumeration over a set-valued semantics.
 """
 
-from . import bundled as _bundled  # registers bundled expanders and conditions
 from .analysis import AnalysisVerdict, check_consistency, check_equivalence, check_refinement
 from .conditions import CCViolation, ContextCondition, check_context_conditions
-from .desugar import desugar_to_minimal, register_sugar_expander
+from .desugar import desugar_to_minimal
 from .features import (
     Configuration,
     CrossConstraint,

@@ -1,6 +1,7 @@
-"""Bundled language definitions and the running-example fixtures.
+"""Bundled language definitions and the running-example fixtures, as text.
 
-Three grammars ship with the workbench:
+Three grammars ship with the workbench (parse them with
+`grammar.parse_grammar`):
 
   CDSimp    the minimal class-diagram language: named diagram, classes with
             optional super-class lists, ';' terminated.
@@ -10,12 +11,9 @@ Three grammars ship with the workbench:
   CDAssert  subclass assertion documents with statements "sub A B;" and
             "no sub A B;", used to exercise multi-language composition.
 
-Importing this module registers the CD abbreviation expander and the
-class-diagram context conditions:
-
-  CC-unique-class-names           (always active) class names unique
-  CC-supers-declared              (optional) every super is a declared class
-  CC-single-inheritance-syntactic (optional) at most one super per class
+The hooks these languages use are bound by grammar name where they are
+read: the CD abbreviation expander in `desugar.EXPANDERS`, the class-diagram
+context conditions in `conditions.CONDITIONS`.
 
 The fixture texts mirror the running example: a semantic-domain diagram with
 the optional SingleInheritance feature, a mapping diagram with the xor pair
@@ -23,16 +21,6 @@ MapSuperCDirect/MapSuperCDelegate where the direct variant excludes
 SingleInheritance, and configurations selecting SingleInheritance plus the
 delegate variant.
 """
-
-from __future__ import annotations
-
-from functools import lru_cache
-
-from .conditions import CCViolation, ContextCondition, register_condition
-from .desugar import register_sugar_expander
-from .grammar import GrammarDef, parse_grammar
-from .schema import AstNode
-from .semantics import class_nodes, class_supers
 
 CDSIMP_GRAMMAR_TEXT = """\
 grammar CDSimp {
@@ -99,125 +87,3 @@ configuration CDSemDirectConf for CDSimpSemVar {
     select MapSuperCDirect;
 }
 """
-
-
-@lru_cache(maxsize=None)
-def cdsimp_grammar() -> GrammarDef:
-    return parse_grammar(CDSIMP_GRAMMAR_TEXT)
-
-
-@lru_cache(maxsize=None)
-def cd_grammar() -> GrammarDef:
-    return parse_grammar(CD_GRAMMAR_TEXT)
-
-
-@lru_cache(maxsize=None)
-def assertion_grammar() -> GrammarDef:
-    return parse_grammar(ASSERTION_GRAMMAR_TEXT)
-
-
-# ---------------------------------------------------------------------------
-# Abbreviation: "classes A, B;" expands to one plain class per name
-# ---------------------------------------------------------------------------
-
-def _expand_class_list(node: AstNode) -> list[AstNode]:
-    return [
-        AstNode(
-            "CDCClass",
-            {"stereotypes": frozenset(), "Name": name, "scl": []},
-            pos=node.pos,
-        )
-        for name in node.fields["names"]
-    ]
-
-
-register_sugar_expander("CD", "CDCClasses", _expand_class_list)
-
-
-# ---------------------------------------------------------------------------
-# Class-diagram context conditions
-# ---------------------------------------------------------------------------
-
-def _pos(node: AstNode) -> tuple[int, int]:
-    return (node.pos.line, node.pos.col) if node.pos else (0, 0)
-
-
-def _cc_unique_class_names(diagram: AstNode) -> list[CCViolation]:
-    seen: set[str] = set()
-    violations = []
-    for c in class_nodes(diagram):
-        name = c.fields["Name"]
-        if name in seen:
-            line, col = _pos(c)
-            violations.append(
-                CCViolation(
-                    "CC-unique-class-names", line, col, f"duplicate class name {name}"
-                )
-            )
-        seen.add(name)
-    return violations
-
-
-def _cc_supers_declared(diagram: AstNode) -> list[CCViolation]:
-    declared = {c.fields["Name"] for c in class_nodes(diagram)}
-    violations = []
-    for c in class_nodes(diagram):
-        line, col = _pos(c)
-        for s in class_supers(c):
-            if s not in declared:
-                violations.append(
-                    CCViolation(
-                        "CC-supers-declared",
-                        line,
-                        col,
-                        f"class {c.fields['Name']} extends undeclared class {s}",
-                    )
-                )
-    return violations
-
-
-def _cc_single_inheritance(diagram: AstNode) -> list[CCViolation]:
-    violations = []
-    for c in class_nodes(diagram):
-        supers = class_supers(c)
-        if len(supers) > 1:
-            line, col = _pos(c)
-            violations.append(
-                CCViolation(
-                    "CC-single-inheritance-syntactic",
-                    line,
-                    col,
-                    f"class {c.fields['Name']} has {len(supers)} super-classes",
-                )
-            )
-    return violations
-
-
-for _language in ("CD", "CDSimp"):
-    register_condition(
-        _language,
-        ContextCondition(
-            "CC-unique-class-names",
-            "class names are unique within a diagram",
-            optional=False,
-            check=_cc_unique_class_names,
-        ),
-    )
-    register_condition(
-        _language,
-        ContextCondition(
-            "CC-supers-declared",
-            "every referenced super-class is declared",
-            optional=True,
-            check=_cc_supers_declared,
-        ),
-    )
-    register_condition(
-        _language,
-        ContextCondition(
-            "CC-single-inheritance-syntactic",
-            "every class has at most one super-class",
-            optional=True,
-            check=_cc_single_inheritance,
-        ),
-    )

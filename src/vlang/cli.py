@@ -199,7 +199,11 @@ def _cmd_generate(args) -> int:
             return 1
         docs.append(doc)
     for doc in docs:
-        print(write_theory(doc, Path(args.out)).as_posix())
+        try:
+            path = write_theory(doc, Path(args.out))
+        except OSError as exc:
+            raise _FileFailure(f"cannot write {args.out}: {exc.strerror}") from exc
+        print(path.as_posix())
     return 0
 
 

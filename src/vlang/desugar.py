@@ -1,10 +1,12 @@
 """Elimination of abbreviation (sugar) constructs from parsed ASTs.
 
-Each bundled language registers an expander per sugar datatype; desugaring
-walks an AST bottom-up, replaces every sugar node by its expansion, and
-splices expansions into the surrounding list.  The result contains no sugar
-datatype instances and desugaring a minimal AST is the identity, so the
-operation is idempotent.
+`EXPANDERS` binds each sugar datatype of a language, keyed by (grammar name,
+datatype), to the function that expands it; the bundled CD language has one,
+`classes A, B;` to one plain class per name.  Desugaring walks an AST
+bottom-up, replaces every sugar node by its expansion, and splices
+expansions into the surrounding list.  The result contains no sugar datatype
+instances and desugaring a minimal AST is the identity, so the operation is
+idempotent.
 """
 
 from __future__ import annotations
@@ -14,19 +16,25 @@ from typing import Callable
 from .grammar import GrammarDef
 from .schema import AstNode
 
-Expander = Callable[[AstNode], list[AstNode]]
-
-_EXPANDERS: dict[tuple[str, str], Expander] = {}
-
 
 class DesugarError(Exception):
     pass
 
 
-def register_sugar_expander(language: str, datatype: str, expander: Expander) -> None:
-    """Register the expansion rule for a sugar datatype of a language (keyed
-    by grammar name)."""
-    _EXPANDERS[(language, datatype)] = expander
+def _expand_class_list(node: AstNode) -> list[AstNode]:
+    return [
+        AstNode(
+            "CDCClass",
+            {"stereotypes": frozenset(), "Name": name, "scl": []},
+            pos=node.pos,
+        )
+        for name in node.fields["names"]
+    ]
+
+
+EXPANDERS: dict[tuple[str, str], Callable[[AstNode], list[AstNode]]] = {
+    ("CD", "CDCClasses"): _expand_class_list,
+}
 
 
 def desugar_to_minimal(node: AstNode, grammar: GrammarDef) -> AstNode:
@@ -39,7 +47,7 @@ def desugar_to_minimal(node: AstNode, grammar: GrammarDef) -> AstNode:
             fields[label] = rewrite_value(label, value, n)
         result = AstNode(n.datatype, fields, pos=n.pos)
         if n.datatype in sugar:
-            expander = _EXPANDERS.get((grammar.name, n.datatype))
+            expander = EXPANDERS.get((grammar.name, n.datatype))
             if expander is None:
                 raise DesugarError(
                     f"no expander registered for sugar production "

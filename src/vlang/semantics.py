@@ -301,14 +301,19 @@ def make_semantics_config(
     )
 
 
+def bound_domain_features(diagram: FeatureDiagram, config: Configuration) -> list[str]:
+    """The selected domain features that bind a predicate valid-F, sorted:
+    all but those the diagram declares with a kind other than
+    semantic-domain (a presentation feature binds nothing)."""
+    declared = diagram.features()
+    return sorted(
+        f for f in config.selected if f not in declared or declared[f].kind == "semantic-domain"
+    )
+
+
 def valid_predicate(config: SemanticsConfig) -> Callable[[SystemModelLite], bool]:
     """Composed validity for the configured semantic domain."""
-    domain_features = [
-        f
-        for f in config.domain_config.selected
-        if config.domain_diagram.features()[f].kind == "semantic-domain"
-    ]
-    return composed_valid(domain_features)
+    return composed_valid(bound_domain_features(config.domain_diagram, config.domain_config))
 
 
 # Root datatype -> the compile of its language: (model, config) -> Demands.

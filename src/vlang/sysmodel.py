@@ -80,31 +80,23 @@ def canonical_key(sm: SystemModelLite):
     )
 
 
-def structural_problems(sm: SystemModelLite) -> list[str]:
-    problems: list[str] = []
+def structurally_valid(sm: SystemModelLite) -> bool:
     classes = set(sm.classes)
     for a, b in sm.sub:
         if a not in classes or b not in classes:
-            problems.append(f"sub pair ({a},{b}) outside the class universe")
-    seen_attr: set[Pair] = set()
+            return False
+    owned_names: set[Pair] = set()
     for owner, name, target in sm.attrs:
-        if owner not in classes or target not in classes:
-            problems.append(f"attribute ({owner},{name},{target}) outside the class universe")
-        if (owner, name) in seen_attr:
-            problems.append(f"attribute name {name} duplicated on class {owner}")
-        seen_attr.add((owner, name))
+        if owner not in classes or target not in classes or (owner, name) in owned_names:
+            return False
+        owned_names.add((owner, name))
     objects = set(sm.objects)
-    assigned = {o for o, _ in sm.class_of}
-    if assigned != objects or len(sm.class_of) != len(objects):
-        problems.append("class assignment is not total on the objects")
-    for o, c in sm.class_of:
+    if {o for o, _ in sm.class_of} != objects or len(sm.class_of) != len(objects):
+        return False
+    for _, c in sm.class_of:
         if c not in classes:
-            problems.append(f"object {o} assigned to unknown class {c}")
-    return problems
-
-
-def structurally_valid(sm: SystemModelLite) -> bool:
-    return not structural_problems(sm)
+            return False
+    return True
 
 
 def _supers(sm: SystemModelLite) -> dict[str, set[str]]:

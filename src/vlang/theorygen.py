@@ -1,15 +1,16 @@
 """Composed theory documents for validated configurations.
 
 A domain configuration yields a theory that imports the base theory plus one
-``<vp>/<Feature>`` path per selected feature and defines the composed
-validity predicate as a conjunction, bound by name convention: a selected
-feature F must have a predicate valid-F in `sysmodel.DOMAIN_VARIANTS`
-(`domain_variant` raises otherwise).  A mapping configuration yields a theory
-that merely combines the chosen variant theories through imports; every
-selected feature must bind a function in `semantics.MAPPING_VARIANTS`
-(`mapping_variant` raises otherwise), and selecting no variant of an xor
-variation point is an error because the declared mapping function would
-stay unbound.
+``<vp>/<Feature>`` path per selected feature that binds a predicate
+(`semantics.bound_domain_features`: every one but those declared with a kind
+other than semantic-domain) and defines the composed validity predicate as a
+conjunction, bound by name convention: such a feature F must have a
+predicate valid-F in `sysmodel.DOMAIN_VARIANTS` (`domain_variant` raises
+otherwise).  A mapping configuration yields a theory that merely combines
+the chosen variant theories through imports; every selected feature must
+bind a function in `semantics.MAPPING_VARIANTS` (`mapping_variant` raises
+otherwise), and selecting no variant of an xor variation point is an error
+because the declared mapping function would stay unbound.
 
 Output is plain text (one definition per line, single spaces, LF), written
 as ``<TheoryName>.thy.txt`` and byte-stable for golden tests.
@@ -19,9 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .features import Configuration, FeatureDiagram
-from .semantics import SUPER_MAPPING_SLOT, UnboundMappingError, mapping_variant
+from .semantics import (
+    SUPER_MAPPING_SLOT,
+    UnboundMappingError,
+    bound_domain_features,
+    mapping_variant,
+)
 from .sysmodel import domain_variant
 
 DOMAIN_THEORY_NAME = "SystemModel"
@@ -50,22 +57,21 @@ class TheoryDoc:
         return f"{self.name}.thy.txt"
 
 
-def _variant_imports(diagram: FeatureDiagram, selected: frozenset[str]) -> tuple[str, ...]:
+def _variant_imports(diagram: FeatureDiagram, selected: Iterable[str]) -> tuple[str, ...]:
     pairs = sorted((diagram.vp_of(f).name, f) for f in selected)
     return tuple(f"{vp}/{feature}" for vp, feature in pairs)
 
 
 def generate_domain_theory(diagram: FeatureDiagram, config: Configuration) -> TheoryDoc:
     """The composed system-model theory for a validated domain configuration."""
-    for feature in sorted(config.selected):
+    features = bound_domain_features(diagram, config)
+    for feature in features:
         domain_variant(feature)
-    conjunction = " ".join(
-        ["valid-base sm", *(f"^ valid-{f} sm" for f in sorted(config.selected))]
-    )
+    conjunction = " ".join(["valid-base sm", *(f"^ valid-{f} sm" for f in features)])
     return TheoryDoc(
         DOMAIN_THEORY_NAME,
         f"{DOMAIN_THEORY_NAME}-base",
-        _variant_imports(diagram, config.selected),
+        _variant_imports(diagram, features),
         (f'constdefs "valid sm == {conjunction}"',),
     )
 

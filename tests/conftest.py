@@ -6,6 +6,7 @@ import pytest
 
 from vlang import bundled
 from vlang.features import Configuration, FeatureDiagram, parse_configurations, parse_feature_diagrams
+from vlang.grammar import parse_grammar
 from vlang.semantics import SemanticsConfig
 from vlang.sysmodel import Bounds
 
@@ -18,17 +19,17 @@ def golden(name: str) -> str:
 
 @pytest.fixture(scope="session")
 def cdsimp():
-    return bundled.cdsimp_grammar()
+    return parse_grammar(bundled.CDSIMP_GRAMMAR_TEXT)
 
 
 @pytest.fixture(scope="session")
 def cd():
-    return bundled.cd_grammar()
+    return parse_grammar(bundled.CD_GRAMMAR_TEXT)
 
 
 @pytest.fixture(scope="session")
 def cdassert():
-    return bundled.assertion_grammar()
+    return parse_grammar(bundled.ASSERTION_GRAMMAR_TEXT)
 
 
 @pytest.fixture(scope="session")

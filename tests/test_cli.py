@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -273,6 +276,59 @@ def test_unbound_mapping_feature_is_refused(workspace, capsys):
     code, out, err = _run(capsys, "generate", *files, "--out", str(out_dir))
     assert (code, out, err) == (1, "", "generation failed: " + message)
     assert list(out_dir.iterdir()) == []
+
+
+def test_selected_presentation_feature_binds_no_predicate(workspace, capsys):
+    # Only semantic-domain features bind valid-F; sem and generate agree.
+    (workspace / "pretty.fd").write_text(bundled.EXAMPLE_FD_TEXT.replace(
+        "kind semantic-domain;",
+        "kind semantic-domain;\n        optional feature Pretty kind presentation;",
+    ))
+    (workspace / "pretty.conf").write_text("configuration P for SystemModelVar { select Pretty; }\n")
+    files = [str(workspace / n) for n in ("pretty.fd", "sm.conf", "pretty.conf", "cd.conf")]
+    code, out, err = _run(capsys, "sem", str(workspace / "cdsimp.mclang"), str(workspace / "d.cd"), *files)
+    assert (code, out.split(" ")[:2], err) == (0, ["SEM", "count=6"], "")
+    out_dir = workspace / "gen"
+    code, out, err = _run(capsys, "generate", *files, "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    names = ["SystemModel.thy.txt", "CDSimpSem.thy.txt"]
+    assert out.splitlines() == [(out_dir / n).as_posix() for n in names]
+    assert all((out_dir / n).read_text() == golden(n) for n in names)
+
+
+def test_generate_into_an_existing_file_is_a_file_error(workspace, capsys):
+    target = workspace / "afile"
+    target.write_text("kept\n")
+    files = [str(workspace / n) for n in ("example.fd", "sm.conf", "cd.conf")]
+    code, out, err = _run(capsys, "generate", *files, "--out", str(target))
+    assert (code, out, err) == (2, "", f"vlang: cannot write {target}: File exists\n")
+    assert target.read_text() == "kept\n"
+
+
+def test_cli_import_leaves_the_fixture_texts_unloaded(workspace, capsys):
+    # Sugar expanders and context conditions are bound in the modules that
+    # read them, so a fresh interpreter running the CLI never loads bundled.
+    (workspace / "twice.cd").write_text("classdiagram D { classes A, A; }\n")
+    runs = [
+        ["parse", str(workspace / "cd.mclang"), str(workspace / "sugar.cd"), "--minimal"],
+        ["wf", str(workspace / "cd.mclang"), str(workspace / "sugar.cd")],
+        ["wf", str(workspace / "cd.mclang"), str(workspace / "twice.cd")],
+    ]
+    script = (
+        "import sys\n"
+        "from vlang.cli import main\n"
+        "loaded = 'vlang.bundled' in sys.modules\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "print('EXIT', codes, 'bundled loaded:', loaded or 'vlang.bundled' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    outputs = [_run(capsys, *argv)[1] for argv in runs]
+    assert "CDCClasses" not in outputs[0] and outputs[0].count("(CDCClass ") == 2
+    assert outputs[1] == "OK 1 conditions, no violations\n"
+    assert outputs[2].startswith("CC CC-unique-class-names ")
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert fresh.stdout == "".join(outputs) + "EXIT [0, 0, 1] bundled loaded: False\n"
 
 
 def test_unknown_stereotype_is_one_diagnostic_line(workspace, capsys):

@@ -48,7 +48,7 @@ CASES = {
         ["configuration", "select", "SingleInheritance", *_PUNCT, *_NAMES],
     ),
     "model": (
-        lambda text: parse_model(bundled.cd_grammar(), text),
+        lambda text: parse_model(parse_grammar(bundled.CD_GRAMMAR_TEXT), text),
         (TokenizeError, ModelParseError),
         "classdiagram D { <<singleton>> class A extends B, C; classes B, C; class D ext A; }",
         ["classdiagram", "class", "classes", "extends", "ext", "<<singleton>>", "singleton",
