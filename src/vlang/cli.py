@@ -11,9 +11,14 @@ Subcommands:
                                         semantics count and witnesses
   analyze refine|consistent|equiv ...   bounded analysis verdicts
 
+The last four reach a configuration by one path (`_load_workspace`, then
+`features.validated_merge`) and take each diagram's role from
+`semantics.semantic_diagrams`.
+
 Exit codes: 0 for a positive verdict, 1 for a negative one (violations,
 holds=false, a grammar or model the command was asked to judge failing to
-parse), 2 for usage errors and unreadable or unparseable auxiliary input
+parse, a theory that cannot be generated), 2 for usage errors, refused
+diagram roles, and unreadable (or not UTF-8) or unparseable auxiliary input
 files.  Results go to stdout, diagnostics to stderr.  Setting VLANG_COLOR=0
 disables ANSI coloring (used only on terminals).
 """
@@ -24,7 +29,6 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -33,21 +37,21 @@ from .conditions import UnknownConditionError, check_context_conditions, conditi
 from .desugar import DesugarError, desugar_to_minimal
 from .features import (
     FeatureModelError,
-    merge_configurations,
+    InvalidConfigurationError,
     parse_configurations,
     parse_feature_diagrams,
     render_violations,
-    validate_configurations,
+    validated_merge,
 )
 from .grammar import GrammarError, parse_grammar
 from .modelparse import ModelParseError, TokenizeError, parse_model
 from .schema import derive_schema, dump_ast, dump_schema
 from .semantics import (
-    InvalidConfigurationError,
     SemanticsError,
     UnknownStereotypeWarning,
     compute_sem,
     make_semantics_config,
+    semantic_diagrams,
 )
 from .sysmodel import Bounds, NameConventionError, dump_system
 from .theorygen import generate_domain_theory, generate_mapping_theory, write_theory
@@ -70,8 +74,8 @@ def _paint(text: str, code: str) -> str:
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _FileFailure(f"cannot read {path}: {exc.strerror}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _FileFailure(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
 
 
 def _load_grammar(path: str, *, judged: bool = False):
@@ -98,7 +102,8 @@ def _minimal(grammar, node):
 
 
 def _load_workspace(paths: list[str]):
-    """Read .fd and .conf files into (diagrams, configurations)."""
+    """Read .fd and .conf files into (diagrams, configurations, their
+    validated merge)."""
     diagrams, configs = [], []
     for path in paths:
         text = _read(path)
@@ -111,7 +116,10 @@ def _load_workspace(paths: list[str]):
                 raise _FileFailure(f"{path}: expected a .fd or .conf file")
         except FeatureModelError as exc:
             raise _FileFailure(f"{path}: {exc}") from exc
-    return diagrams, configs
+    try:
+        return diagrams, configs, validated_merge(diagrams, configs)
+    except FeatureModelError as exc:
+        raise _FileFailure(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -156,48 +164,25 @@ def _cmd_wf(args) -> int:
 
 
 def _cmd_fm_check(args) -> int:
-    diagrams, configs = _load_workspace(args.files)
-    try:
-        violations = validate_configurations(diagrams, merge_configurations(configs))
-    except FeatureModelError as exc:
-        raise _FileFailure(str(exc)) from exc
-    if violations:
-        print(render_violations(violations))
-        return 1
+    diagrams, configs, _ = _load_workspace(args.files)
     print(_paint("OK", "32") + f" {len(diagrams)} diagrams, {len(configs)} configurations")
     return 0
 
 
 def _cmd_generate(args) -> int:
-    diagrams, configs = _load_workspace(args.files)
-    merged = merge_configurations(configs)
-    try:
-        violations = validate_configurations(diagrams, merged)
-    except FeatureModelError as exc:
-        raise _FileFailure(str(exc)) from exc
-    if violations:
-        print(render_violations(violations))
-        return 1
+    diagrams, _, merged = _load_workspace(args.files)
+    domain, mapping = semantic_diagrams(diagrams)
+    generators = {domain: generate_domain_theory, mapping: generate_mapping_theory}
     selected = {c.diagram: c for c in merged}
-    docs = []
-    for diagram in diagrams:
-        kinds = {f.kind for f in diagram.features().values()}
-        config = selected.get(diagram.name)
-        if config is None:
-            continue
-        try:
-            if "semantic-domain" in kinds:
-                doc = generate_domain_theory(diagram, config)
-            elif "semantic-mapping" in kinds:
-                doc = generate_mapping_theory(
-                    diagram, config, _mapping_language(diagram)
-                )
-            else:
-                continue
-        except (NameConventionError, SemanticsError) as exc:
-            print(f"generation failed: {exc}", file=sys.stderr)
-            return 1
-        docs.append(doc)
+    try:
+        docs = [
+            generators[d](d, selected[d.name])
+            for d in diagrams
+            if d in generators and d.name in selected
+        ]
+    except (NameConventionError, SemanticsError) as exc:
+        print(f"generation failed: {exc}", file=sys.stderr)
+        return 1
     for doc in docs:
         try:
             path = write_theory(doc, Path(args.out))
@@ -207,18 +192,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _mapping_language(diagram) -> str:
-    theories = sorted({vp.attached_theory for vp in diagram.variation_points})
-    for theory in theories:
-        if theory.endswith("Sem"):
-            return theory[: -len("Sem")]
-    raise _FileFailure(
-        f"cannot derive the language name from diagram {diagram.name}; "
-        "expected a variation point attached to a <Language>Sem theory"
-    )
-
-
 def _bounds(args) -> Bounds:
+    """Read after the configuration, so violations (exit 1) win over a bad
+    bound (exit 2)."""
     extra = tuple(s for s in (args.extra_classes or "").split(",") if s)
     try:
         return Bounds(extra_class_names=extra, max_objects=args.max_objects)
@@ -226,25 +202,13 @@ def _bounds(args) -> Bounds:
         raise _FileFailure(str(exc)) from exc
 
 
-def _semantics_config(args, paths: list[str]):
-    """The validated configuration with the query's bounds.  Bounds are
-    checked after the configuration, so its violations (exit 1) win over a
-    bad bound (exit 2)."""
-    diagrams, configs = _load_workspace(paths)
-    try:
-        config = make_semantics_config(diagrams, configs, Bounds())
-    except FeatureModelError as exc:
-        raise _FileFailure(str(exc)) from exc
-    return replace(config, bounds=_bounds(args))
-
-
 def _cmd_sem(args) -> int:
     if args.witnesses < 0:
         raise _FileFailure("--witnesses must be non-negative")
     grammar = _load_grammar(args.grammar)
     model = _minimal(grammar, _load_model(grammar, args.model))
-    config = _semantics_config(args, args.files)
-    sem = compute_sem(model, config)
+    diagrams, _, merged = _load_workspace(args.files)
+    sem = compute_sem(model, make_semantics_config(diagrams, merged, _bounds(args)))
     members = iter(sem)
     witnesses = list(islice(members, args.witnesses))
     count = len(witnesses) + sum(1 for _ in members)
@@ -274,7 +238,8 @@ def _cmd_analyze(args) -> int:
             )
         if not models:
             raise _FileFailure("analyze consistent needs grammar/model arguments")
-    config = _semantics_config(args, rest)
+    diagrams, _, merged = _load_workspace(rest)
+    config = make_semantics_config(diagrams, merged, _bounds(args))
     if args.mode == "refine":
         verdict = check_refinement(models[0], models[1], config)
     elif args.mode == "equiv":

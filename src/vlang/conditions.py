@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .schema import AstNode
-from .semantics import class_nodes, class_supers
+from .semantics import class_name, class_nodes, class_supers
 
 
 class UnknownConditionError(Exception):
@@ -54,7 +54,7 @@ def _cc_unique_class_names(diagram: AstNode) -> list[CCViolation]:
     seen: set[str] = set()
     violations = []
     for c in class_nodes(diagram):
-        name = c.fields["Name"]
+        name = class_name(c)
         if name in seen:
             violations.append(
                 _violation("CC-unique-class-names", c, f"duplicate class name {name}")
@@ -64,10 +64,10 @@ def _cc_unique_class_names(diagram: AstNode) -> list[CCViolation]:
 
 
 def _cc_supers_declared(diagram: AstNode) -> list[CCViolation]:
-    declared = {c.fields["Name"] for c in class_nodes(diagram)}
+    declared = {class_name(c) for c in class_nodes(diagram)}
     return [
         _violation(
-            "CC-supers-declared", c, f"class {c.fields['Name']} extends undeclared class {s}"
+            "CC-supers-declared", c, f"class {class_name(c)} extends undeclared class {s}"
         )
         for c in class_nodes(diagram)
         for s in class_supers(c)
@@ -80,7 +80,7 @@ def _cc_single_inheritance(diagram: AstNode) -> list[CCViolation]:
         _violation(
             "CC-single-inheritance-syntactic",
             c,
-            f"class {c.fields['Name']} has {len(class_supers(c))} super-classes",
+            f"class {class_name(c)} has {len(class_supers(c))} super-classes",
         )
         for c in class_nodes(diagram)
         if len(class_supers(c)) > 1

@@ -20,11 +20,12 @@ Configuration files (.conf) select features of one diagram:
     }
 
 Configurations referring to the same diagram are merged by selection union
-before validation.  Validation checks existence of selected features,
-mandatory features, xor-groups (exactly one member), and the cross
-constraints, evaluated over the union of all selections in scope.  Feature
-names are treated as globally unique across the diagrams of one workspace so
-unqualified constraint targets resolve; ``Diagram.Feature`` is also accepted.
+before validation (`validated_merge` does both).  Validation checks the
+existence of selected features, mandatory features, xor-groups (exactly one
+member), and the cross constraints, evaluated over the union of all
+selections in scope.  Feature names are treated as globally unique across
+the diagrams of one workspace so unqualified constraint targets resolve;
+``Diagram.Feature`` is also accepted.
 
 Both formats are read by the shared scanner of vlang.lexer, with ``{ } ; .``
 as punctuation and words that may contain ``-`` (``semantic-domain``); names
@@ -59,6 +60,15 @@ class FeatureSyntaxError(FeatureModelError, SourceError):
 
 class ResolutionError(FeatureModelError):
     """A diagram or feature reference cannot be resolved in this workspace."""
+
+
+class InvalidConfigurationError(Exception):
+    """The merged configurations break their feature diagrams; `violations`
+    lists each broken rule."""
+
+    def __init__(self, violations: list[Violation]):
+        super().__init__("configuration does not validate:\n" + render_violations(violations))
+        self.violations = violations
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +472,18 @@ def validate_configurations(
                 )
 
     return sorted(violations, key=Violation.render)
+
+
+def validated_merge(
+    diagrams: list[FeatureDiagram], configs: list[Configuration]
+) -> list[Configuration]:
+    """The merged configurations, or InvalidConfigurationError when they
+    break the diagrams."""
+    merged = merge_configurations(configs)
+    violations = validate_configurations(diagrams, merged)
+    if violations:
+        raise InvalidConfigurationError(violations)
+    return merged
 
 
 def render_violations(violations: list[Violation]) -> str:

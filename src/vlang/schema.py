@@ -257,6 +257,15 @@ class AstNode:
     pos: SourcePos | None = field(default=None, compare=False)
 
 
+def required_field(node: AstNode, label: str, error: type[Exception]) -> object:
+    """Field `label` of `node`, or `error` naming both when a grammar that
+    reuses a hook's name gave the node no such field."""
+    try:
+        return node.fields[label]
+    except KeyError:
+        raise error(f"{node.datatype} has no field {label}") from None
+
+
 def _dump_value(v: object) -> str:
     if v is None:
         return "-"

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 from itertools import islice
 from operator import or_
 from typing import Callable, Iterator
 
-from .features import Configuration, FeatureDiagram, Violation, render_violations
-from .schema import AstNode
+from .features import Configuration, FeatureDiagram
+from .schema import AstNode, required_field
 from .sysmodel import (
     Attr,
     Bounds,
@@ -183,6 +183,13 @@ def class_nodes(diagram: AstNode) -> list[AstNode]:
     return _statement_list(diagram)
 
 
+_field = partial(required_field, error=SemanticsError)
+
+
+def class_name(class_node: AstNode) -> str:
+    return _field(class_node, "Name")
+
+
 def class_supers(class_node: AstNode) -> list[str]:
     return list(class_node.fields.get("scl") or [])
 
@@ -199,7 +206,7 @@ def map_class(class_node: AstNode, variant: SuperMapping) -> Demands:
     """The class exists, its supers map under the variant, and a
     <<singleton>> class has at most one object.  Unknown stereotypes are
     ignored with a warning, once per mapped class."""
-    name = class_node.fields["Name"]
+    name = class_name(class_node)
     stereotypes = class_stereotypes(class_node)
     for st in sorted(stereotypes - KNOWN_STEREOTYPES):
         warnings.warn(
@@ -223,7 +230,7 @@ def map_assertions(doc: AstNode) -> Demands:
     """Conjunction over the (possibly negated) subclass statements of a
     minimal assertion document."""
     statements = [
-        (stmt.fields["left"], stmt.fields["right"], stmt.fields.get("neg") is None)
+        (_field(stmt, "left"), _field(stmt, "right"), stmt.fields.get("neg") is None)
         for stmt in _statement_list(doc)
     ]
     return Demands(
@@ -237,15 +244,6 @@ def map_assertions(doc: AstNode) -> Demands:
 # Configured semantics
 # ---------------------------------------------------------------------------
 
-class InvalidConfigurationError(SemanticsError):
-    """The merged configurations break their feature diagrams; `violations`
-    lists each broken rule."""
-
-    def __init__(self, violations: list[Violation]):
-        super().__init__("configuration does not validate:\n" + render_violations(violations))
-        self.violations = violations
-
-
 @dataclass(frozen=True)
 class SemanticsConfig:
     """A jointly validated selection of domain and mapping variants plus the
@@ -253,52 +251,44 @@ class SemanticsConfig:
 
     domain_diagram: FeatureDiagram
     domain_config: Configuration
-    mapping_diagram: FeatureDiagram
     mapping_config: Configuration
     bounds: Bounds
 
 
-def make_semantics_config(
-    diagrams: list[FeatureDiagram],
-    configs: list[Configuration],
-    bounds: Bounds,
-) -> SemanticsConfig:
-    """Merge and validate configurations, then split them into the domain and
-    mapping parts.  Raises InvalidConfigurationError when validation finds
-    violations."""
-    from .features import merge_configurations, validate_configurations
-
-    merged = merge_configurations(configs)
-    violations = validate_configurations(diagrams, merged)
-    if violations:
-        raise InvalidConfigurationError(violations)
-
-    def classify(d: FeatureDiagram) -> str | None:
+def semantic_diagrams(
+    diagrams: list[FeatureDiagram], *, require_both: bool = False
+) -> tuple[FeatureDiagram | None, FeatureDiagram | None]:
+    """The semantic-domain and the semantic-mapping diagram, None for a role
+    no diagram plays.  A diagram's role is the kind of its semantic features;
+    a diagram with both kinds, a second diagram of either role, or (with
+    `require_both`) a missing role raises SemanticsError."""
+    domain, mapping = [], []
+    for d in diagrams:
         kinds = {f.kind for f in d.features().values()}
         if "semantic-domain" in kinds and "semantic-mapping" in kinds:
             raise SemanticsError(f"diagram {d.name} mixes domain and mapping features")
         if "semantic-domain" in kinds:
-            return "domain"
-        if "semantic-mapping" in kinds:
-            return "mapping"
-        return None
-
-    domain = [d for d in diagrams if classify(d) == "domain"]
-    mapping = [d for d in diagrams if classify(d) == "mapping"]
-    if len(domain) != 1 or len(mapping) != 1:
+            domain.append(d)
+        elif "semantic-mapping" in kinds:
+            mapping.append(d)
+    if len(domain) > 1 or len(mapping) > 1 or require_both and not (domain and mapping):
         raise SemanticsError(
             f"expected one semantic-domain and one semantic-mapping diagram, "
             f"found {len(domain)} and {len(mapping)}"
         )
+    return next(iter(domain), None), next(iter(mapping), None)
 
-    by_diagram = {c.diagram: c for c in merged}
 
-    def config_of(d: FeatureDiagram) -> Configuration:
-        return by_diagram.get(d.name, Configuration(f"empty-{d.name}", d.name, frozenset()))
-
-    return SemanticsConfig(
-        domain[0], config_of(domain[0]), mapping[0], config_of(mapping[0]), bounds
-    )
+def make_semantics_config(
+    diagrams: list[FeatureDiagram], merged: list[Configuration], bounds: Bounds
+) -> SemanticsConfig:
+    """Split merged, validated configurations (`features.validated_merge`)
+    into the domain and mapping parts; a diagram without one selects
+    nothing."""
+    domain, mapping = semantic_diagrams(diagrams, require_both=True)
+    configs = {d.name: Configuration(f"empty-{d.name}", d.name, frozenset()) for d in diagrams}
+    configs.update((c.diagram, c) for c in merged)
+    return SemanticsConfig(domain, configs[domain.name], configs[mapping.name], bounds)
 
 
 def bound_domain_features(diagram: FeatureDiagram, config: Configuration) -> list[str]:

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator
 
+from .lexer import IDENT
+
 Pair = tuple[str, str]
 Attr = tuple[str, str, str]  # (owner class, attribute name, target class)
 
@@ -173,9 +175,9 @@ def composed_valid(selected: Iterable[str]) -> Callable[[SystemModelLite], bool]
 
 @dataclass(frozen=True)
 class Bounds:
-    """Search-space bounds for enumeration: class names addable beyond the
-    required ones, the maximum object count, and the attribute triples
-    eligible to appear."""
+    """Search-space bounds for enumeration: class names (IDENTs) addable
+    beyond the required ones, the maximum object count, and the attribute
+    triples eligible to appear."""
 
     extra_class_names: tuple[str, ...] = ()
     max_objects: int = 0
@@ -184,6 +186,9 @@ class Bounds:
     def __post_init__(self) -> None:
         if self.max_objects < 0:
             raise ValueError("max_objects must be non-negative")
+        for name in self.extra_class_names:
+            if not IDENT.fullmatch(name):
+                raise ValueError(f"extra class name {name!r} is not an IDENT")
 
     def describe(self) -> str:
         extra = ",".join(sorted(set(self.extra_class_names)))

@@ -6,11 +6,13 @@ A domain configuration yields a theory that imports the base theory plus one
 other than semantic-domain) and defines the composed validity predicate as a
 conjunction, bound by name convention: such a feature F must have a
 predicate valid-F in `sysmodel.DOMAIN_VARIANTS` (`domain_variant` raises
-otherwise).  A mapping configuration yields a theory that merely combines
-the chosen variant theories through imports; every selected feature must
-bind a function in `semantics.MAPPING_VARIANTS` (`mapping_variant` raises
-otherwise), and selecting no variant of an xor variation point is an error
-because the declared mapping function would stay unbound.
+otherwise).  A mapping configuration yields a theory ``<Language>Sem``,
+named after the ``...Sem`` theory a variation point of its diagram is
+attached to, that merely combines the chosen variant theories through
+imports; every selected feature must bind a function in
+`semantics.MAPPING_VARIANTS` (`mapping_variant` raises otherwise), and
+selecting no variant of an xor variation point is an error because the
+declared mapping function would stay unbound.
 
 Output is plain text (one definition per line, single spaces, LF), written
 as ``<TheoryName>.thy.txt`` and byte-stable for golden tests.
@@ -25,6 +27,7 @@ from typing import Iterable
 from .features import Configuration, FeatureDiagram
 from .semantics import (
     SUPER_MAPPING_SLOT,
+    SemanticsError,
     UnboundMappingError,
     bound_domain_features,
     mapping_variant,
@@ -76,11 +79,17 @@ def generate_domain_theory(diagram: FeatureDiagram, config: Configuration) -> Th
     )
 
 
-def generate_mapping_theory(
-    diagram: FeatureDiagram, config: Configuration, language_name: str
-) -> TheoryDoc:
+def generate_mapping_theory(diagram: FeatureDiagram, config: Configuration) -> TheoryDoc:
     """The combined semantic-mapping theory for a validated mapping
-    configuration of the named language."""
+    configuration, named after the least ``<Language>Sem`` theory a
+    variation point of the diagram is attached to."""
+    theories = [vp.attached_theory for vp in diagram.variation_points]
+    name = min((t for t in theories if t.endswith("Sem")), default=None)
+    if name is None:
+        raise SemanticsError(
+            f"cannot derive the language name from diagram {diagram.name}; "
+            "expected a variation point attached to a <Language>Sem theory"
+        )
     for vp in diagram.variation_points:
         if vp.is_xor and not ({f.name for f in vp.features} & config.selected):
             raise UnboundMappingError(
@@ -89,12 +98,7 @@ def generate_mapping_theory(
             )
     for feature in sorted(config.selected):
         mapping_variant(feature)
-    return TheoryDoc(
-        f"{language_name}Sem",
-        f"{language_name}Sem-base",
-        _variant_imports(diagram, config.selected),
-        (),
-    )
+    return TheoryDoc(name, f"{name}-base", _variant_imports(diagram, config.selected), ())
 
 
 def write_theory(doc: TheoryDoc, out_dir: Path) -> Path:

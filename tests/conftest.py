@@ -56,7 +56,6 @@ def raw_semantics_config(
     return SemanticsConfig(
         domain,
         Configuration("raw-domain", domain.name, frozenset(domain_selected)),
-        mapping,
         Configuration("raw-mapping", mapping.name, frozenset(mapping_selected)),
         bounds,
     )

@@ -94,7 +94,7 @@ def test_criterion_2_theory_generation(tmp_path, example_diagrams):
             "CDSemConf", "CDSimpSemVar", frozenset({"MapSuperCDelegate"})
         )
         domain_doc = generate_domain_theory(example_diagrams[0], domain_conf)
-        mapping_doc = generate_mapping_theory(example_diagrams[1], mapping_conf, "CDSimp")
+        mapping_doc = generate_mapping_theory(example_diagrams[1], mapping_conf)
         assert domain_doc.variant_imports == ("vObject/SingleInheritance",)
         assert mapping_doc.variant_imports == ("vMapSuperClasses/MapSuperCDelegate",)
         assert domain_doc.body == (

@@ -412,7 +412,6 @@ def test_semantics_config_is_built_once(workspace, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "make_semantics_config", counting("config", cli.make_semantics_config))
     validate = counting("validate", features.validate_configurations)
-    monkeypatch.setattr(cli, "validate_configurations", validate)
     monkeypatch.setattr(features, "validate_configurations", validate)
     conf = [str(workspace / "sm.conf"), str(workspace / "cd.conf")]
     code, out, err = _run(capsys, *_sem_args(workspace, *conf, "--max-objects", "0"))
@@ -579,3 +578,118 @@ def test_exit_codes_reflect_verdicts_only(workspace, capsys):
     first, _, _ = _run(capsys, *args)
     second, _, _ = _run(capsys, *args)
     assert first == second == 1
+
+
+MIXED_FD = """\
+featurediagram Mixed {
+    vp vObject for theory Object {
+        optional feature SingleInheritance kind semantic-domain;
+    }
+    vp vMapSuperClasses for theory CDSimpSem {
+        xor {
+            feature MapSuperCDirect kind semantic-mapping;
+            feature MapSuperCDelegate kind semantic-mapping;
+        }
+    }
+}
+"""
+
+TWO_DOMAINS_FD = """\
+featurediagram DomA {
+    vp vObject for theory Object {
+        optional feature SingleInheritance kind semantic-domain;
+    }
+}
+featurediagram DomB {
+    vp vType for theory Type {
+        optional feature Other kind semantic-domain;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "fd, conf, message",
+    [
+        (
+            MIXED_FD,
+            "configuration M for Mixed { select SingleInheritance; select MapSuperCDelegate; }\n",
+            "diagram Mixed mixes domain and mapping features",
+        ),
+        (
+            TWO_DOMAINS_FD,
+            "configuration A for DomA { select SingleInheritance; }\n"
+            "configuration B for DomB { }\n",
+            "expected one semantic-domain and one semantic-mapping diagram, found 2 and 0",
+        ),
+    ],
+    ids=["mixed-diagram", "two-domain-diagrams"],
+)
+def test_generate_refuses_the_diagrams_sem_refuses(workspace, capsys, fd, conf, message):
+    # generate decides each diagram's role by sem's rule, so a selection is
+    # never dropped without a word.
+    (workspace / "roles.fd").write_text(fd)
+    (workspace / "roles.conf").write_text(conf)
+    files = [str(workspace / "roles.fd"), str(workspace / "roles.conf")]
+    out_dir = workspace / "gen"
+    out_dir.mkdir()
+    code, out, err = _run(capsys, "generate", *files, "--out", str(out_dir))
+    assert (code, out, err) == (2, "", f"vlang: {message}\n")
+    assert list(out_dir.iterdir()) == []
+    assert _run(capsys, "sem", str(workspace / "cdsimp.mclang"), str(workspace / "d.cd"),
+                *files) == (2, "", f"vlang: {message}\n")
+
+
+ITEMS = 'D = "d" Name:IDENT "{" (items:Item)* "}"; Item = "item" Label:IDENT ";";'
+
+
+@pytest.mark.parametrize(
+    "grammar, model, argv, message",
+    [
+        (f"grammar CDSimp {{ {ITEMS} }}", "d X { item a; }", ["wf"],
+         "Item has no field Name"),
+        (f"grammar Mine {{ {ITEMS.replace('D =', 'CDDefinition =')} }}", "d X { item a; }",
+         ["sem"], "Item has no field Name"),
+        (f"grammar Mine {{ {ITEMS.replace('D =', 'AssertionDoc =')} }}", "d X { item a; }",
+         ["sem"], "Item has no field left"),
+        (f'grammar CD {{ {ITEMS} sugar CDCClasses for Item = "many" Label:IDENT ";"; }}',
+         "d X { many a; }", ["parse", "--minimal"], "CDCClasses has no field names"),
+    ],
+    ids=["wf-conditions", "sem-class-diagram", "sem-assertions", "desugar-expander"],
+)
+def test_hooks_bound_to_a_reused_name_refuse_a_missing_field(
+    workspace, capsys, grammar, model, argv, message
+):
+    # Hooks are bound by grammar or datatype name; a user grammar reusing the
+    # name with other fields is refused, not crashed on.
+    (workspace / "h.mclang").write_text(grammar)
+    (workspace / "h.txt").write_text(model)
+    args = [*argv, str(workspace / "h.mclang"), str(workspace / "h.txt")]
+    if argv == ["sem"]:
+        args += [str(workspace / n) for n in ("example.fd", "sm.conf", "cd.conf")]
+    assert _run(capsys, *args) == (2, "", f"vlang: {message}\n")
+
+
+def test_file_that_is_not_utf8_is_a_file_error(workspace, capsys):
+    model, diagram = workspace / "latin1.cd", workspace / "latin1.fd"
+    model.write_bytes(b"classdiagram D { class \xff; }")
+    diagram.write_bytes(b"featurediagram \xff { }")
+    reason = "'utf-8' codec can't decode byte 0xff in position"
+    code, out, err = _run(capsys, "parse", str(workspace / "cdsimp.mclang"), str(model))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"vlang: cannot read {model}: {reason} 23")
+    code, out, err = _run(capsys, "fm-check", str(diagram), str(workspace / "sm.conf"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"vlang: cannot read {diagram}: {reason} 15")
+
+
+def test_extra_classes_must_be_idents(workspace, capsys):
+    conf = [str(workspace / n) for n in ("example.fd", "sm.conf", "cd.conf")]
+    cd = [str(workspace / "cdsimp.mclang"), str(workspace / "d.cd")]
+    for extra, bad in (("x y,1z", "x y"), ("C,1z", "1z")):
+        message = f"vlang: extra class name '{bad}' is not an IDENT\n"
+        assert _run(capsys, "sem", *cd, *conf, "--extra-classes", extra) == (2, "", message)
+        refine = ["analyze", "refine", *cd, str(workspace / "d.cd"), *conf]
+        assert _run(capsys, *refine, "--extra-classes", extra) == (2, "", message)
+    code, out, _ = _run(capsys, "sem", *cd, *conf, "--extra-classes", "C_1,Z")
+    assert (code, out.split(" ")[2]) == (0, "bounds=extra={C_1,Z};maxObjects=1;attrs={}\n")

@@ -24,7 +24,7 @@ from vlang.semantics import (
     super_mapping_for,
     valid_predicate,
 )
-from vlang.features import Configuration
+from vlang.features import Configuration, InvalidConfigurationError, validated_merge
 from vlang.sysmodel import Bounds, canonical_key, composed_valid, make_system
 
 REFL2 = {("A", "A"), ("B", "B")}
@@ -341,7 +341,8 @@ def test_unknown_stereotypes_warn_once_per_query(cd, example_diagrams):
 # ---------------------------------------------------------------------------
 
 def test_make_semantics_config_validates(example_diagrams, example_configs):
-    config = make_semantics_config(example_diagrams, example_configs, Bounds())
+    merged = validated_merge(example_diagrams, example_configs)
+    config = make_semantics_config(example_diagrams, merged, Bounds())
     assert config.domain_config.selected == frozenset({"SingleInheritance"})
     assert config.mapping_config.selected == frozenset({"MapSuperCDelegate"})
 
@@ -351,8 +352,8 @@ def test_make_semantics_config_rejects_excluded_pair(example_diagrams):
         Configuration("a", "SystemModelVar", frozenset({"SingleInheritance"})),
         Configuration("b", "CDSimpSemVar", frozenset({"MapSuperCDirect"})),
     ]
-    with pytest.raises(SemanticsError, match="excludes"):
-        make_semantics_config(example_diagrams, configs, Bounds())
+    with pytest.raises(InvalidConfigurationError, match="excludes"):
+        make_semantics_config(example_diagrams, validated_merge(example_diagrams, configs), Bounds())
 
 
 def test_unbound_mapping_slot(example_diagrams, cdsimp):

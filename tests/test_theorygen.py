@@ -23,9 +23,7 @@ def test_domain_theory_matches_golden(example_diagrams):
 
 
 def test_mapping_theory_matches_golden(example_diagrams):
-    doc = generate_mapping_theory(
-        example_diagrams[1], _mapping_conf({"MapSuperCDelegate"}), "CDSimp"
-    )
+    doc = generate_mapping_theory(example_diagrams[1], _mapping_conf({"MapSuperCDelegate"}))
     assert doc.render() == golden("CDSimpSem.thy.txt")
 
 
@@ -41,9 +39,7 @@ def test_empty_domain_selection(example_diagrams):
 
 
 def test_direct_variant_import_path(example_diagrams):
-    doc = generate_mapping_theory(
-        example_diagrams[1], _mapping_conf({"MapSuperCDirect"}), "CDSimp"
-    )
+    doc = generate_mapping_theory(example_diagrams[1], _mapping_conf({"MapSuperCDirect"}))
     assert doc.variant_imports == ("vMapSuperClasses/MapSuperCDirect",)
     assert "begin end" in doc.render()
 
@@ -57,7 +53,7 @@ def test_unregistered_domain_feature_is_a_name_convention_error(example_diagrams
 
 def test_unselected_xor_leaves_mapping_unbound(example_diagrams):
     with pytest.raises(UnboundMappingError, match="mSuperClasses"):
-        generate_mapping_theory(example_diagrams[1], _mapping_conf(set()), "CDSimp")
+        generate_mapping_theory(example_diagrams[1], _mapping_conf(set()))
 
 
 def test_unregistered_mapping_feature(example_diagrams):
@@ -69,7 +65,7 @@ def test_unregistered_mapping_feature(example_diagrams):
     )
     with pytest.raises(SemanticsError, match="GhostMapping"):
         generate_mapping_theory(
-            diagram, Configuration("c", "CDSimpSemVar", frozenset({"GhostMapping"})), "CDSimp"
+            diagram, Configuration("c", "CDSimpSemVar", frozenset({"GhostMapping"}))
         )
 
 
