@@ -1,0 +1,77 @@
+"""Count the enumeration work of one benchmark pass.
+
+    python3 scripts/enum_counts.py --workload sem-enum --seed 1
+
+Run it from the root of a vlang source tree.  It builds the workload's
+operations with `perfbench/workloads.py`, runs one pass of them through
+`vlang.cli.main` in this process, and prints one JSON object with three
+counts: the preorders `_preorders` returns (`preorders`), the frames
+`enumerate_systems` offers its frame filter (`offered`), and the frames the
+filter accepts (`accepted`).  The counts depend only on the source tree, the
+workload and the seed, not on the machine.  The wrappers take the filter as
+the third positional argument of `enumerate_systems` and pass every other
+argument through, so the script also counts trees whose enumerator takes no
+pair bounds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args()
+
+    root = Path.cwd()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads
+    from vlang import analysis, cli, semantics, sysmodel
+
+    counts = {"preorders": 0, "offered": 0, "accepted": 0}
+    preorders = sysmodel._preorders
+
+    def counted_preorders(*a, **kw):
+        relations = preorders(*a, **kw)
+        counts["preorders"] += len(relations)
+        return relations
+
+    def counted_enumerator(enumerate_systems):
+        def enumerate_counted(bounds, required, valid, *rest, **kw):
+            def counted(frame):
+                counts["offered"] += 1
+                ok = valid(frame)
+                counts["accepted"] += bool(ok)
+                return ok
+
+            return enumerate_systems(bounds, required, counted, *rest, **kw)
+
+        return enumerate_counted
+
+    sysmodel._preorders = counted_preorders
+    for module in (semantics, analysis):
+        module.enumerate_systems = counted_enumerator(module.enumerate_systems)
+
+    with tempfile.TemporaryDirectory() as work:
+        workload = workloads.build(args.workload, args.seed, work)
+        workload.write(root)
+        for op in workload.ops:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                try:
+                    cli.main(list(op.argv))
+                except SystemExit:
+                    pass
+    print(json.dumps({"workload": args.workload, "seed": args.seed, **counts}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,7 @@ from operator import or_
 from typing import Sequence
 
 from .schema import AstNode
-from .semantics import SemanticsConfig, demands_of, query_bounds, valid_predicate
+from .semantics import SemanticsConfig, demands_of, query_bounds, variants_predicate
 from .sysmodel import Bounds, SystemModelLite, dump_system, enumerate_systems
 
 
@@ -46,11 +46,11 @@ class AnalysisVerdict:
 
 
 def _query(models, config):
-    """Each model's demands, their conjunction, and the bounds and validity
-    of a query over the models."""
+    """Each model's demands, their conjunction, and the bounds and domain
+    variants of a query over the models."""
     demands = [demands_of(m, config) for m in models]
     joint = reduce(or_, demands)
-    return demands, joint, query_bounds(config, joint), valid_predicate(config)
+    return demands, joint, query_bounds(config, joint), variants_predicate(config)
 
 
 def _two_models(m1, m2, config):
@@ -67,11 +67,12 @@ def check_refinement(
 ) -> AnalysisVerdict:
     """Does every system denoted by `refined` lie in the semantics of
     `abstract`, within bounds?"""
-    (refined_demands, abstract_demands), joint, bounds, valid = _two_models(
+    (refined_demands, abstract_demands), joint, bounds, variants = _two_models(
         refined, abstract, config
     )
     for sm in enumerate_systems(
-        bounds, joint.classes, lambda f: refined_demands.frame_holds(f) and valid(f)
+        bounds, joint.classes, lambda f: refined_demands.frame_holds(f) and variants(f),
+        refined_demands.sub, refined_demands.no_sub, refined_demands.attrs,
     ):
         if refined_demands.caps_hold(sm) and not abstract_demands(sm):
             return AnalysisVerdict("refine", False, bounds, counterexample=sm)
@@ -83,9 +84,10 @@ def check_consistency(models: Sequence[AstNode], config: SemanticsConfig) -> Ana
     The models may come from different languages."""
     if not models:
         raise AnalysisError("consistency needs at least one model")
-    _, joint, bounds, valid = _query(models, config)
+    _, joint, bounds, variants = _query(models, config)
     for sm in enumerate_systems(
-        bounds, joint.classes, lambda f: joint.frame_holds(f) and valid(f)
+        bounds, joint.classes, lambda f: joint.frame_holds(f) and variants(f),
+        joint.sub, joint.no_sub, joint.attrs,
     ):
         if joint.caps_hold(sm):
             return AnalysisVerdict("consistent", True, bounds, witness=sm)
@@ -95,11 +97,14 @@ def check_consistency(models: Sequence[AstNode], config: SemanticsConfig) -> Ana
 def check_equivalence(m1: AstNode, m2: AstNode, config: SemanticsConfig) -> AnalysisVerdict:
     """Mutual refinement, in one scan.  The counterexample is the first
     system of `m1` outside `m2` when there is one, and otherwise the first
-    system of `m2` outside `m1`: what refinement each way would report."""
-    (d1, d2), joint, bounds, valid = _two_models(m1, m2, config)
+    system of `m2` outside `m1`: what refinement each way would report.
+    Only the atoms both models share bound the scan, as a frame either
+    model accepts must be seen."""
+    (d1, d2), joint, bounds, variants = _two_models(m1, m2, config)
     backward = None
     for sm in enumerate_systems(
-        bounds, joint.classes, lambda f: (d1.frame_holds(f) or d2.frame_holds(f)) and valid(f)
+        bounds, joint.classes, lambda f: (d1.frame_holds(f) or d2.frame_holds(f)) and variants(f),
+        d1.sub & d2.sub, d1.no_sub & d2.no_sub, d1.attrs & d2.attrs,
     ):
         in1, in2 = d1(sm), d2(sm)
         if in1 and not in2:

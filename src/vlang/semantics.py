@@ -21,9 +21,9 @@ that must exist, the `sub` pairs that must and must not be present, the
 attributes that must be present, and the classes with at most one object.
 The record is the model's mapping predicate, and everything a query needs
 is read off it: the required classes, the attributes that join the
-candidates, the frame filter (`frame_holds`, which never reads objects) and
-the per-population check (`caps_hold`, the <<singleton>> cap, which holds
-with no objects).
+candidates, the `sub` pairs that bound the enumeration, the frame filter
+(`frame_holds`, which never reads objects) and the per-population check
+(`caps_hold`, the <<singleton>> cap, which holds with no objects).
 
 The semantics set of a model is enumerable within bounds and supports
 membership queries without materializing the set.
@@ -47,6 +47,8 @@ from .sysmodel import (
     SystemModelLite,
     composed_valid,
     enumerate_systems,
+    eval_valid_base,
+    variants_valid,
 )
 
 SUPER_MAPPING_SLOT = "mSuperClasses"
@@ -191,7 +193,10 @@ def class_name(class_node: AstNode) -> str:
 
 
 def class_supers(class_node: AstNode) -> list[str]:
-    return list(class_node.fields.get("scl") or [])
+    """The declared supers; an option field (`("extends" scl:IDENT)?`)
+    holds one name, not a list."""
+    supers = class_node.fields.get("scl") or []
+    return [supers] if isinstance(supers, str) else list(supers)
 
 
 def class_stereotypes(class_node: AstNode) -> frozenset[str]:
@@ -306,6 +311,12 @@ def valid_predicate(config: SemanticsConfig) -> Callable[[SystemModelLite], bool
     return composed_valid(bound_domain_features(config.domain_diagram, config.domain_config))
 
 
+def variants_predicate(config: SemanticsConfig) -> Callable[[SystemModelLite], bool]:
+    """The configured domain variants alone: what validity still asks of a
+    frame `enumerate_systems` built, which is base-valid already."""
+    return variants_valid(bound_domain_features(config.domain_diagram, config.domain_config))
+
+
 # Root datatype -> the compile of its language: (model, config) -> Demands.
 # Adding a language means adding a row.
 _LANGUAGES: dict[str, Callable[[AstNode, SemanticsConfig], Demands]] = {
@@ -340,12 +351,13 @@ class SemanticsSet:
 
     bounds: Bounds
     demands: Demands
-    _valid: Callable[[SystemModelLite], bool]
+    _variants: Callable[[SystemModelLite], bool]
 
     def __iter__(self) -> Iterator[SystemModelLite]:
-        demands, valid = self.demands, self._valid
+        demands, variants = self.demands, self._variants
         for sm in enumerate_systems(
-            self.bounds, demands.classes, lambda f: demands.frame_holds(f) and valid(f)
+            self.bounds, demands.classes, lambda f: demands.frame_holds(f) and variants(f),
+            demands.sub, demands.no_sub, demands.attrs,
         ):
             if demands.caps_hold(sm):
                 yield sm
@@ -358,10 +370,10 @@ class SemanticsSet:
 
     def contains(self, sm: SystemModelLite) -> bool:
         """Membership by predicate, independent of enumeration."""
-        return self._valid(sm) and self.demands(sm)
+        return eval_valid_base(sm) and self._variants(sm) and self.demands(sm)
 
 
 def compute_sem(model: AstNode, config: SemanticsConfig) -> SemanticsSet:
     """The semantics set of a minimal model under a validated configuration."""
     demands = demands_of(model, config)
-    return SemanticsSet(query_bounds(config, demands), demands, valid_predicate(config))
+    return SemanticsSet(query_bounds(config, demands), demands, variants_predicate(config))

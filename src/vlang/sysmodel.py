@@ -11,12 +11,16 @@ predicate is their conjunction with base validity.  Both constrain only a
 system's frame: its classes, subclassing and attributes.
 
 `enumerate_systems` walks the systems within given bounds whose subclassing
-relation is a preorder (the only ones base validity admits).  It checks a
-predicate once per frame and yields every object population of each frame
-that passes, in a canonical deterministic order: componentwise by
-cardinality, then lexicographically, over the encoding (classes, sub, attrs,
-objects, class assignment).  Smaller systems come first, which makes
-reported witnesses minimal.
+relation is a preorder (the only ones base validity admits), so every frame
+it builds is base-valid and the predicate it is given need only carry the
+domain variants.  A query's known `sub` pairs bound the walk: a relation
+that lacks a `must` pair or holds a `must_not` pair is cut while it is
+built, and attribute sets lacking a `must_attrs` triple are never formed.
+It checks the predicate once per frame and yields every object population
+of each frame that passes, in a canonical deterministic order:
+componentwise by cardinality, then lexicographically, over the encoding
+(classes, sub, attrs, objects, class assignment).  Smaller systems come
+first, which makes reported witnesses minimal.
 """
 
 from __future__ import annotations
@@ -158,15 +162,19 @@ def domain_variant(feature: str) -> Callable[[SystemModelLite], bool]:
         ) from None
 
 
+def variants_valid(selected: Iterable[str]) -> Callable[[SystemModelLite], bool]:
+    """Conjunction of the predicates of the selected domain features, in
+    sorted feature order: the validity a frame built by `enumerate_systems`
+    still needs."""
+    predicates = [domain_variant(f) for f in sorted(set(selected))]
+    return lambda sm: all(p(sm) for p in predicates)
+
+
 def composed_valid(selected: Iterable[str]) -> Callable[[SystemModelLite], bool]:
     """Conjunction of base validity and the predicates of the selected
-    domain features, in sorted feature order."""
-    predicates = [domain_variant(f) for f in sorted(set(selected))]
-
-    def valid(sm: SystemModelLite) -> bool:
-        return eval_valid_base(sm) and all(p(sm) for p in predicates)
-
-    return valid
+    domain features, in sorted feature order: validity of any system."""
+    variants = variants_valid(selected)
+    return lambda sm: eval_valid_base(sm) and variants(sm)
 
 
 # ---------------------------------------------------------------------------
@@ -201,25 +209,42 @@ def _subsets_by_size(items: tuple) -> Iterator[tuple]:
         yield from combinations(items, r)
 
 
-def _preorders(classes: tuple[str, ...]) -> list[tuple[Pair, ...]]:
-    """Every reflexive and transitive relation over `classes`, each as a
-    sorted tuple of pairs, ordered by size and then lexicographically.
+def _preorders(
+    classes: tuple[str, ...], must: Iterable[Pair] = (), must_not: Iterable[Pair] = ()
+) -> list[tuple[Pair, ...]]:
+    """Every reflexive and transitive relation over `classes` that holds
+    each pair of `must` and none of `must_not`, each as a sorted tuple of
+    pairs, ordered by size and then lexicographically.
 
     Classes are placed one at a time.  A preorder on the classes placed so
     far grows by a new class x with an up-closed set U above x and a
     down-closed set D below it, where every (d, u) in D x U is already
     related; each preorder on the larger set arises exactly once this way
-    (OEIS A000798 counts them).
+    (OEIS A000798 counts them).  The pairs among placed classes never change
+    afterwards, so a bounded pair is decided when its later endpoint is
+    placed, and U and D are drawn only from the sets that decide it right.
     """
+    must, must_not = set(must), set(must_not)
+    if any(a not in classes or b not in classes for a, b in must) or any(
+        (c, c) in must_not for c in classes
+    ):
+        return []
     relations: list[tuple[Pair, ...]] = [()]
     placed: list[str] = []
     for x in classes:
         subsets = [frozenset(chosen) for chosen in _subsets_by_size(tuple(placed))]
+
+        def fitting(need: set[str], ban: set[str]) -> list[frozenset[str]]:
+            need &= set(placed)
+            return [s for s in subsets if need <= s and ban.isdisjoint(s)]
+
+        above = fitting({b for a, b in must if a == x}, {b for a, b in must_not if a == x})
+        below = fitting({a for a, b in must if b == x}, {a for a, b in must_not if b == x})
         grown = []
         for rel in relations:
             related = set(rel)
-            ups = [s for s in subsets if all(b in s for a, b in rel if a in s)]
-            downs = [s for s in subsets if all(a in s for a, b in rel if b in s)]
+            ups = [s for s in above if all(b in s for a, b in rel if a in s)]
+            downs = [s for s in below if all(a in s for a, b in rel if b in s)]
             for up in ups:
                 for down in downs:
                     if all((d, u) in related for d in down for u in up):
@@ -235,25 +260,32 @@ def enumerate_systems(
     bounds: Bounds,
     required_classes: Iterable[str],
     valid: Callable[[SystemModelLite], bool],
+    must: Iterable[Pair] = (),
+    must_not: Iterable[Pair] = (),
+    must_attrs: Iterable[Attr] = (),
 ) -> Iterator[SystemModelLite]:
-    """All systems within bounds whose `sub` is a preorder and whose frame
-    satisfies `valid`, in canonical order, without duplicates.
+    """All systems within bounds whose `sub` is a preorder holding every pair
+    of `must` and none of `must_not`, whose attrs include `must_attrs`, and
+    whose frame satisfies `valid`, in canonical order, without duplicates.
 
     The class universe ranges over required_classes plus any subset of the
-    extra names; `sub` over the reflexive and transitive relations on it;
-    attributes over subsets of the candidates that respect per-class name
-    uniqueness; objects o1..oN for N up to the bound, with every total class
-    assignment.  A frame is a system's classes, `sub` and attrs with no
-    objects.  `valid` is called once per frame, and every object population
-    of a frame it accepts is yielded, the frame itself first.  So `valid`
-    must not read objects: base validity judges each generated population
-    as it judges its frame, and domain variants constrain classes, `sub` and
-    attrs only.
-    Callers filter on objects over the yielded systems.  A relation that is
-    not a preorder is never generated, whatever `valid` would say of it.
+    extra names; `sub` over the reflexive and transitive relations on it
+    that respect the pair bounds; attributes over subsets of the candidates
+    that hold `must_attrs` and respect per-class name uniqueness; objects
+    o1..oN for N up to the bound, with every total class assignment.  A
+    frame is a system's classes, `sub` and attrs with no objects.  Every
+    frame is base-valid by construction, so `valid` need only carry domain
+    variants.  `valid` is called once per frame, and every object
+    population of a frame it accepts is yielded, the frame itself first.
+    So `valid` must not read objects: base validity judges each generated
+    population as it judges its frame, and domain variants constrain
+    classes, `sub` and attrs only.  Callers filter on objects over the
+    yielded systems.  The bounds only drop frames from the canonical
+    sequence; they never reorder it.
     """
     required = sorted(set(required_classes))
     extras = sorted(set(bounds.extra_class_names) - set(required))
+    must_attrs = frozenset(must_attrs)
 
     class_universes = sorted(
         {tuple(sorted(set(required) | set(chosen))) for chosen in _subsets_by_size(tuple(extras))},
@@ -269,6 +301,13 @@ def enumerate_systems(
                 if a[0] in class_set and a[2] in class_set
             )
         )
+        attr_sets = [
+            attrs
+            for attrs in _subsets_by_size(eligible_attrs)
+            if must_attrs.issubset(attrs)
+            # attribute names unique per class
+            and len({(o, n) for o, n, _ in attrs}) == len(attrs)
+        ]
         # Every non-empty (objects, class assignment), in canonical order.
         populations = []
         for count in range(1, bounds.max_objects + 1):
@@ -280,10 +319,8 @@ def enumerate_systems(
                     for chosen in product(classes, repeat=count)
                 )
             ]
-        for sub in _preorders(classes):
-            for attrs in _subsets_by_size(eligible_attrs):
-                if len({(o, n) for o, n, _ in attrs}) != len(attrs):
-                    continue  # attribute names unique per class
+        for sub in _preorders(classes, must, must_not):
+            for attrs in attr_sets:
                 frame = SystemModelLite(classes, sub, attrs, (), ())
                 if valid(frame):
                     yield frame

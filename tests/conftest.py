@@ -3,6 +3,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from vlang import bundled
 from vlang.features import Configuration, FeatureDiagram, parse_configurations, parse_feature_diagrams
@@ -11,6 +12,12 @@ from vlang.semantics import SemanticsConfig
 from vlang.sysmodel import Bounds
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# Example budgets of the tests that leave `max_examples` to the profile (the
+# enumeration oracles in test_sysmodel.py and test_differential.py).  Pick
+# one with `pytest --hypothesis-profile=deep`.
+settings.register_profile("default", max_examples=60)
+settings.register_profile("deep", max_examples=600)
 
 
 def golden(name: str) -> str:

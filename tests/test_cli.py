@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import golden
-from vlang import bundled, cli, features
+from vlang import bundled, cli, features, semantics
 from vlang.cli import build_parser, main
 
 
@@ -419,6 +419,57 @@ def test_semantics_config_is_built_once(workspace, capsys, monkeypatch):
     assert calls == {"config": 1, "validate": 1}
 
 
+def _count_frames(monkeypatch, offered: list, prune: bool = True) -> None:
+    """Count the frames `sem` offers its frame filter; without `prune` the
+    enumerator runs without the query's `sub` pair and attr bounds."""
+    enumerate_systems = semantics.enumerate_systems
+
+    def counting(bounds, required, valid, *lower_bounds):
+        def counted(frame):
+            offered.append(frame)
+            return valid(frame)
+
+        return enumerate_systems(bounds, required, counted, *(lower_bounds if prune else ()))
+
+    monkeypatch.setattr(semantics, "enumerate_systems", counting)
+
+
+@pytest.mark.parametrize("model, count", [
+    ("class A extends B; class B;", 2),
+    ("class A extends B, C; class B; class C extends B;", 4),
+])
+def test_direct_mapping_offers_only_frames_it_accepts(
+    workspace, capsys, monkeypatch, model, count
+):
+    # Direct mapping without a domain variant demands only classes and `sub`
+    # pairs, which bound the enumeration: no offered frame is rejected.
+    (workspace / "m.cd").write_text(f"classdiagram D {{ {model} }}\n")
+    offered: list = []
+    _count_frames(monkeypatch, offered)
+    files = ("cdsimp.mclang", "m.cd", "example.fd", "bad.conf")
+    code, out, _ = _run(capsys, "sem", *(str(workspace / n) for n in files), "--max-objects", "0")
+    assert (code, out) == (0, f"SEM count={count} bounds=extra={{}};maxObjects=0;attrs={{}}\n")
+    assert len(offered) == count
+
+
+def test_pair_bounds_cut_the_four_class_chain_from_355_frames_to_8(workspace, capsys, monkeypatch):
+    (workspace / "chain.cd").write_text(
+        "classdiagram D { class A extends B; class B extends C; class C extends D; class D; }\n"
+    )
+    files = ("cdsimp.mclang", "chain.cd", "example.fd", "bad.conf")
+    argv = ["sem", *(str(workspace / n) for n in files), "--max-objects", "0", "--witnesses", "8"]
+    outs = []
+    for prune, frames in ((False, 355), (True, 8)):  # all preorders (A000798), then the pruned
+        offered: list = []
+        with monkeypatch.context() as patch:
+            _count_frames(patch, offered, prune)
+            code, out, _ = _run(capsys, *argv)
+        assert (code, out.splitlines()[0]) == (0, "SEM count=8 bounds=extra={};maxObjects=0;attrs={}")
+        assert len(offered) == frames
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_semantics_config_errors(workspace, capsys):
     sm, cd, bad = (str(workspace / n) for n in ("sm.conf", "cd.conf", "bad.conf"))
     code, out, err = _run(capsys, *_sem_args(workspace, sm, bad))
@@ -668,6 +719,25 @@ def test_hooks_bound_to_a_reused_name_refuse_a_missing_field(
     if argv == ["sem"]:
         args += [str(workspace / n) for n in ("example.fd", "sm.conf", "cd.conf")]
     assert _run(capsys, *args) == (2, "", f"vlang: {message}\n")
+
+
+def test_an_optional_super_field_holds_one_super(workspace, capsys):
+    # `scl` as an option field holds a single name, not a list of letters.
+    (workspace / "opt.mclang").write_text(
+        bundled.CDSIMP_GRAMMAR_TEXT.replace('scl:IDENT ("," scl:IDENT)*', "scl:IDENT")
+    )
+    (workspace / "opt.cd").write_text("classdiagram D { class A extends Base; class Base; }\n")
+    model = [str(workspace / "opt.mclang"), str(workspace / "opt.cd")]
+    code, out, _ = _run(capsys, "wf", *model, "--cc", "CC-supers-declared")
+    assert (code, out) == (0, "OK 2 conditions, no violations\n")
+    conf = [str(workspace / n) for n in ("example.fd", "sm.conf", "cd.conf")]
+    code, out, _ = _run(capsys, "sem", *model, *conf, "--witnesses", "1")
+    assert code == 0
+    assert out.splitlines()[:3] == [
+        "SEM count=6 bounds=extra={};maxObjects=1;attrs={}",
+        "WITNESS 1",
+        "CLASSES A Base",
+    ]
 
 
 def test_file_that_is_not_utf8_is_a_file_error(workspace, capsys):

@@ -4,8 +4,9 @@
 definition of the bounded domain, without importing vlang.  Hypothesis draws
 small CDSimp/CD models (at most three classes, declared supers,
 <<singleton>> and an unknown stereotype on CD) and assertion documents, a
-mapping variant with or without SingleInheritance, and at most two objects
-(two, so that the <<singleton>> cap can bite);
+mapping variant with or without SingleInheritance, at most two objects
+(two, so that the <<singleton>> cap can bite) and, sometimes, the extra
+class name D (then at most one object, to keep four-class universes small);
 the command line's stdout and exit code must equal the reference's.
 Direct mapping with SingleInheritance is not drawn: the configuration
 excludes it, so the command reports a violation instead of a semantics.
@@ -108,12 +109,13 @@ SINGLETON_A = reference.ClassDiagram("D", (
 PLAIN_A = reference.ClassDiagram("D", (reference.ClassDecl("A"),))
 
 
-def _run(workspace: Path, sem, max_objects: int, *argv: str) -> tuple[int, str]:
+def _run(workspace: Path, sem, bounds, *argv: str) -> tuple[int, str]:
     configs = [str(workspace / name) for name in
                ("sm.fd", "si.conf" if sem.single_inheritance else "nosi.conf", f"{sem.mapping}.conf")]
+    extras = ["--extra-classes", ",".join(bounds.extras)] if bounds.extras else []
     out = io.StringIO()
     with redirect_stdout(out), redirect_stderr(io.StringIO()):
-        code = main([*argv, *configs, "--max-objects", str(max_objects)])
+        code = main([*argv, *configs, "--max-objects", str(bounds.max_objects), *extras])
     return code, out.getvalue()
 
 
@@ -124,25 +126,33 @@ def _write(workspace: Path, name: str, text: str) -> str:
 
 
 @st.composite
+def _bounds(draw):
+    extras = draw(st.sampled_from(((), ("D",))))
+    return reference.Bounds(draw(st.integers(0, 1 if extras else 2)), extras)
+
+
+@st.composite
 def _sem_cases(draw):
     language = draw(st.sampled_from(("CDSimp", "CD")))
-    return language, draw(_diagrams(language)), draw(_semantics), draw(st.integers(0, 2)), \
+    return language, draw(_diagrams(language)), draw(_semantics), draw(_bounds()), \
         draw(st.integers(0, 3))
 
 
-_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+# The example budget comes from the hypothesis profile (tests/conftest.py).
+_SETTINGS = settings(deadline=None, derandomize=True,
                      suppress_health_check=[HealthCheck.too_slow,
                                             HealthCheck.function_scoped_fixture])
 
 
 @_SETTINGS
 @given(_sem_cases())
-@example(("CD", SINGLETON_A, DELEGATE_SI, 2, 3))
+@example(("CD", SINGLETON_A, DELEGATE_SI, reference.Bounds(2), 3))
+@example(("CD", SINGLETON_A, DELEGATE_SI, reference.Bounds(1, ("D",)), 2))
 def test_sem_equals_reference(workspace, case):
-    language, model, sem, max_objects, witnesses = case
+    language, model, sem, bounds, witnesses = case
     path = _write(workspace, "model.cd", _diagram_text(model))
-    expected = reference.expect_sem(model, sem, reference.Bounds(max_objects), witnesses)
-    assert _run(workspace, sem, max_objects, "sem", str(workspace / f"{language.lower()}.mclang"),
+    expected = reference.expect_sem(model, sem, bounds, witnesses)
+    assert _run(workspace, sem, bounds, "sem", str(workspace / f"{language.lower()}.mclang"),
                 path, "--witnesses", str(witnesses)) == (expected.exit_code, expected.stdout)
 
 
@@ -152,14 +162,15 @@ def _analysis_cases(draw):
     language = draw(st.sampled_from(("CDSimp", "CD")))
     first = draw(_diagrams(language))
     second = draw(_assertion_docs) if kind == "consistent" else draw(_diagrams(language))
-    return kind, language, first, second, draw(_semantics), draw(st.integers(0, 2))
+    return kind, language, first, second, draw(_semantics), draw(_bounds())
 
 
 @_SETTINGS
 @given(_analysis_cases())
-@example(("refine", "CD", PLAIN_A, SINGLETON_A, DIRECT, 2))
+@example(("refine", "CD", PLAIN_A, SINGLETON_A, DIRECT, reference.Bounds(2)))
+@example(("equiv", "CD", PLAIN_A, SINGLETON_A, DIRECT, reference.Bounds(1, ("D",))))
 def test_analyze_equals_reference(workspace, case):
-    kind, language, first, second, sem, max_objects = case
+    kind, language, first, second, sem, bounds = case
     grammar = str(workspace / f"{language.lower()}.mclang")
     argv = ["analyze", kind, grammar, _write(workspace, "first.cd", _diagram_text(first))]
     if kind == "consistent":
@@ -167,5 +178,5 @@ def test_analyze_equals_reference(workspace, case):
                  _write(workspace, "second.cda", _assertion_text(second))]
     else:
         argv.append(_write(workspace, "second.cd", _diagram_text(second)))
-    expected = reference.expect_analysis(kind, [first, second], sem, reference.Bounds(max_objects))
-    assert _run(workspace, sem, max_objects, *argv) == (expected.exit_code, expected.stdout)
+    expected = reference.expect_analysis(kind, [first, second], sem, bounds)
+    assert _run(workspace, sem, bounds, *argv) == (expected.exit_code, expected.stdout)

@@ -21,6 +21,7 @@ from vlang.sysmodel import (
     make_system,
     structurally_valid,
     valid_single_inheritance,
+    variants_valid,
 )
 
 # ---------------------------------------------------------------------------
@@ -269,7 +270,7 @@ def test_object_free_base_valid_counts_are_labelled_preorders(n, count):
 
 
 @st.composite
-def _enumeration_cases(draw):
+def _enumeration_cases(draw, max_names=4):
     """Bounds over at most four classes, at most one object and at most two
     attribute candidates (names shared, so uniqueness filters some sets).
 
@@ -278,7 +279,7 @@ def _enumeration_cases(draw):
     with both), so four-class cases draw neither; attributes and objects,
     which the enumerator walks as before, are drawn up to three classes.
     """
-    names = sorted(draw(st.permutations("ABCD"))[: draw(st.integers(0, 4))])
+    names = sorted(draw(st.permutations("ABCD"))[: draw(st.integers(0, max_names))])
     roles = [draw(st.sampled_from(("required", "extra", "both"))) for _ in names]
     required = {c for c, role in zip(names, roles) if role != "extra"}
     extra = [c for c, role in zip(names, roles) if role != "required"]
@@ -287,17 +288,59 @@ def _enumeration_cases(draw):
     attrs = draw(st.lists(st.sampled_from(triples), unique=True, max_size=2)) if small and names else []
     bounds = Bounds(tuple(extra), draw(st.integers(0, 1 if small else 0)), frozenset(attrs))
     features = {"SingleInheritance"} if draw(st.booleans()) else set()
-    return bounds, required, composed_valid(features)
+    return bounds, required, features
 
 
-@settings(max_examples=40, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
+# The example budget comes from the hypothesis profile (tests/conftest.py).
+_ORACLE_SETTINGS = settings(deadline=None, derandomize=True,
+                            suppress_health_check=[HealthCheck.too_slow])
+
+
+@_ORACLE_SETTINGS
 @given(_enumeration_cases())
-@example((Bounds(("D",)), {"A", "B", "C"}, composed_valid({"SingleInheritance"})))
+@example((Bounds(("D",)), {"A", "B", "C"}, {"SingleInheritance"}))
 def test_enumeration_equals_sorted_oracle(case):
-    bounds, required, valid = case
+    bounds, required, features = case
+    valid = composed_valid(features)
     expected = sorted(oracle_enumerate(bounds, required, valid), key=canonical_key)
     assert list(enumerate_systems(bounds, required, valid)) == expected
+
+
+@st.composite
+def _pair_bounded_cases(draw):
+    """An enumeration case over at most three classes (the oracle's four-class
+    walk is left to the examples) plus required and forbidden `sub` pairs
+    over its class names, extras included, and required attrs among its
+    candidates."""
+    bounds, required, features = draw(_enumeration_cases(max_names=3))
+    names = sorted(required | set(bounds.extra_class_names))
+    pairs = st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                     max_size=3, unique=True) if names else st.just([])
+    attrs = st.lists(st.sampled_from(sorted(bounds.attr_candidates)),
+                     max_size=1) if bounds.attr_candidates else st.just([])
+    return bounds, required, features, *(frozenset(draw(s)) for s in (pairs, pairs, attrs))
+
+
+@_ORACLE_SETTINGS
+@given(_pair_bounded_cases())
+@example((Bounds(("D",)), {"A", "B", "C"}, {"SingleInheritance"}, {("A", "D"), ("D", "B")},
+          {("C", "A")}, frozenset()))
+@example((Bounds(("C",), 1, frozenset({("A", "x", "C")})), {"A", "B"}, {"SingleInheritance"},
+          {("A", "B")}, {("C", "A")}, {("A", "x", "C")}))
+@example((Bounds(), {"A"}, set(), {("A", "Z")}, frozenset(), frozenset()))
+def test_pair_bounded_enumeration_equals_filtered_oracle(case):
+    # Frames arrive base-valid, so the enumerator is given the domain
+    # variants alone; the oracle checks full validity and the bounds.
+    bounds, required, features, must, must_not, must_attrs = case
+    valid = composed_valid(features)
+
+    def admitted(sm):
+        return (valid(sm) and must <= set(sm.sub) and must_not.isdisjoint(sm.sub)
+                and must_attrs <= set(sm.attrs))
+
+    expected = sorted(oracle_enumerate(bounds, required, admitted), key=canonical_key)
+    variants = variants_valid(features)
+    assert list(enumerate_systems(bounds, required, variants, must, must_not, must_attrs)) == expected
 
 
 # ---------------------------------------------------------------------------
