@@ -10,8 +10,10 @@ counts: the preorders `_preorders` returns (`preorders`), the frames
 filter accepts (`accepted`).  The counts depend only on the source tree, the
 workload and the seed, not on the machine.  The wrappers take the filter as
 the third positional argument of `enumerate_systems` and pass every other
-argument through, so the script also counts trees whose enumerator takes no
-pair bounds.
+argument through, so the script counts trees whose enumerator takes the
+query's `Demands` (`enumerate_systems(bounds, demands, valid)`) as well as
+older trees whose enumerator takes the required classes, with or without
+loose pair bounds after the filter.
 """
 
 from __future__ import annotations
@@ -45,14 +47,14 @@ def main() -> int:
         return relations
 
     def counted_enumerator(enumerate_systems):
-        def enumerate_counted(bounds, required, valid, *rest, **kw):
+        def enumerate_counted(bounds, query, valid, *rest, **kw):
             def counted(frame):
                 counts["offered"] += 1
                 ok = valid(frame)
                 counts["accepted"] += bool(ok)
                 return ok
 
-            return enumerate_systems(bounds, required, counted, *rest, **kw)
+            return enumerate_systems(bounds, query, counted, *rest, **kw)
 
         return enumerate_counted
 

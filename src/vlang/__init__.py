@@ -28,7 +28,6 @@ from .grammar import GrammarDef, GrammarError, parse_grammar
 from .modelparse import ModelParseError, TokenizeError, parse_model
 from .schema import AstNode, AstSchema, conforms, derive_schema, dump_ast, dump_schema
 from .semantics import (
-    Demands,
     SemanticsConfig,
     SemanticsSet,
     compute_sem,
@@ -42,6 +41,7 @@ from .semantics import (
 )
 from .sysmodel import (
     Bounds,
+    Demands,
     SystemModelLite,
     composed_valid,
     dump_system,

@@ -3,8 +3,11 @@
 All verdicts are relative to the enumeration bounds they ran with, which the
 verdict records.  Universal checks (refinement, equivalence) stop at the
 first counterexample; existential checks (consistency) stop at the first
-witness.  Because enumeration order is canonical, reported systems are
-stable across runs and minimal in that order.
+witness.  Each check is one `enumerate_systems` scan whose `Demands` bound,
+filter and cap it: refinement is bounded by the refined model's demands,
+consistency by the joint ones, and equivalence by the atoms both models
+share.  Because enumeration order is canonical, reported systems are stable
+across runs and minimal in that order.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Sequence
 
 from .schema import AstNode
 from .semantics import SemanticsConfig, demands_of, query_bounds, variants_predicate
-from .sysmodel import Bounds, SystemModelLite, dump_system, enumerate_systems
+from .sysmodel import Bounds, Demands, SystemModelLite, dump_system, enumerate_systems
 
 
 class AnalysisError(Exception):
@@ -66,17 +69,12 @@ def check_refinement(
     refined: AstNode, abstract: AstNode, config: SemanticsConfig
 ) -> AnalysisVerdict:
     """Does every system denoted by `refined` lie in the semantics of
-    `abstract`, within bounds?"""
-    (refined_demands, abstract_demands), joint, bounds, variants = _two_models(
-        refined, abstract, config
-    )
-    for sm in enumerate_systems(
-        bounds, joint.classes, lambda f: refined_demands.frame_holds(f) and variants(f),
-        refined_demands.sub, refined_demands.no_sub, refined_demands.attrs,
-    ):
-        if refined_demands.caps_hold(sm) and not abstract_demands(sm):
-            return AnalysisVerdict("refine", False, bounds, counterexample=sm)
-    return AnalysisVerdict("refine", True, bounds)
+    `abstract`, within bounds?  The scan walks the refined model's systems
+    over a universe holding both models' classes."""
+    (r, a), joint, bounds, variants = _two_models(refined, abstract, config)
+    systems = enumerate_systems(bounds, r | Demands(joint.classes), variants)
+    counterexample = next((sm for sm in systems if not a(sm)), None)
+    return AnalysisVerdict("refine", counterexample is None, bounds, counterexample=counterexample)
 
 
 def check_consistency(models: Sequence[AstNode], config: SemanticsConfig) -> AnalysisVerdict:
@@ -85,26 +83,24 @@ def check_consistency(models: Sequence[AstNode], config: SemanticsConfig) -> Ana
     if not models:
         raise AnalysisError("consistency needs at least one model")
     _, joint, bounds, variants = _query(models, config)
-    for sm in enumerate_systems(
-        bounds, joint.classes, lambda f: joint.frame_holds(f) and variants(f),
-        joint.sub, joint.no_sub, joint.attrs,
-    ):
-        if joint.caps_hold(sm):
-            return AnalysisVerdict("consistent", True, bounds, witness=sm)
-    return AnalysisVerdict("consistent", False, bounds)
+    witness = next(enumerate_systems(bounds, joint, variants), None)
+    return AnalysisVerdict("consistent", witness is not None, bounds, witness=witness)
 
 
 def check_equivalence(m1: AstNode, m2: AstNode, config: SemanticsConfig) -> AnalysisVerdict:
     """Mutual refinement, in one scan.  The counterexample is the first
     system of `m1` outside `m2` when there is one, and otherwise the first
     system of `m2` outside `m1`: what refinement each way would report.
-    Only the atoms both models share bound the scan, as a frame either
-    model accepts must be seen."""
+    Only the atoms both models share bound the scan, and a frame either
+    model accepts passes its filter, as every such frame must be seen."""
     (d1, d2), joint, bounds, variants = _two_models(m1, m2, config)
+    shared = Demands(
+        joint.classes, d1.sub & d2.sub, d1.no_sub & d2.no_sub, d1.attrs & d2.attrs,
+        d1.singletons & d2.singletons,
+    )
     backward = None
     for sm in enumerate_systems(
-        bounds, joint.classes, lambda f: (d1.frame_holds(f) or d2.frame_holds(f)) and variants(f),
-        d1.sub & d2.sub, d1.no_sub & d2.no_sub, d1.attrs & d2.attrs,
+        bounds, shared, lambda f: (d1.frame_holds(f) or d2.frame_holds(f)) and variants(f)
     ):
         in1, in2 = d1(sm), d2(sm)
         if in1 and not in2:

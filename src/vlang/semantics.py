@@ -16,14 +16,13 @@ mSuperClasses in `MAPPING_VARIANTS`; two are bundled:
                      further super S is reached through a delegation
                      attribute dlg_S of target S on the class.
 
-A model is compiled once per query into a `Demands` record: the classes
-that must exist, the `sub` pairs that must and must not be present, the
-attributes that must be present, and the classes with at most one object.
-The record is the model's mapping predicate, and everything a query needs
-is read off it: the required classes, the attributes that join the
-candidates, the `sub` pairs that bound the enumeration, the frame filter
-(`frame_holds`, which never reads objects) and the per-population check
-(`caps_hold`, the <<singleton>> cap, which holds with no objects).
+A model is compiled once per query into a `sysmodel.Demands` record: the
+classes that must exist, the `sub` pairs that must and must not be present,
+the attributes that must be present, and the classes with at most one
+object.  The record is the model's mapping predicate.  The attributes it
+demands join the candidates, and the record itself bounds, filters and caps
+the enumeration, so a semantics set is one `enumerate_systems` call with the
+domain variants as its frame filter.
 
 The semantics set of a model is enumerable within bounds and supports
 membership queries without materializing the set.
@@ -41,9 +40,8 @@ from typing import Callable, Iterator
 from .features import Configuration, FeatureDiagram
 from .schema import AstNode, required_field
 from .sysmodel import (
-    Attr,
     Bounds,
-    Pair,
+    Demands,
     SystemModelLite,
     composed_valid,
     enumerate_systems,
@@ -69,52 +67,6 @@ class UnboundMappingError(SemanticsError):
 
 class UnknownStereotypeWarning(UserWarning):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Demands: what a model's mapping asks of a system
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Demands:
-    """A conjunction of atoms: each of `classes` exists, each pair of `sub`
-    is present and each of `no_sub` absent, each of `attrs` is present, and
-    each of `singletons` has at most one object.  Calling it judges a
-    system."""
-
-    classes: frozenset[str] = frozenset()
-    sub: frozenset[Pair] = frozenset()
-    no_sub: frozenset[Pair] = frozenset()
-    attrs: frozenset[Attr] = frozenset()
-    singletons: frozenset[str] = frozenset()
-
-    def __or__(self, other: Demands) -> Demands:
-        """Both sets of demands at once."""
-        return Demands(
-            self.classes | other.classes,
-            self.sub | other.sub,
-            self.no_sub | other.no_sub,
-            self.attrs | other.attrs,
-            self.singletons | other.singletons,
-        )
-
-    def frame_holds(self, sm: SystemModelLite) -> bool:
-        """The atoms on classes, `sub` and attrs hold; objects are not read."""
-        sub = set(sm.sub)
-        return (
-            self.classes.issubset(sm.classes)
-            and self.sub <= sub
-            and self.no_sub.isdisjoint(sub)
-            and self.attrs.issubset(sm.attrs)
-        )
-
-    def caps_hold(self, sm: SystemModelLite) -> bool:
-        """No two objects share a singleton class."""
-        capped = [c for _, c in sm.class_of if c in self.singletons]
-        return len(capped) == len(set(capped))
-
-    def __call__(self, sm: SystemModelLite) -> bool:
-        return self.frame_holds(sm) and self.caps_hold(sm)
 
 
 # ---------------------------------------------------------------------------
@@ -354,13 +306,7 @@ class SemanticsSet:
     _variants: Callable[[SystemModelLite], bool]
 
     def __iter__(self) -> Iterator[SystemModelLite]:
-        demands, variants = self.demands, self._variants
-        for sm in enumerate_systems(
-            self.bounds, demands.classes, lambda f: demands.frame_holds(f) and variants(f),
-            demands.sub, demands.no_sub, demands.attrs,
-        ):
-            if demands.caps_hold(sm):
-                yield sm
+        return enumerate_systems(self.bounds, self.demands, self._variants)
 
     def count(self) -> int:
         return sum(1 for _ in self)

@@ -10,14 +10,14 @@ names in `DOMAIN_VARIANTS` (feature F to its predicate valid-F); the composed
 predicate is their conjunction with base validity.  Both constrain only a
 system's frame: its classes, subclassing and attributes.
 
-`enumerate_systems` walks the systems within given bounds whose subclassing
-relation is a preorder (the only ones base validity admits), so every frame
-it builds is base-valid and the predicate it is given need only carry the
-domain variants.  A query's known `sub` pairs bound the walk: a relation
-that lacks a `must` pair or holds a `must_not` pair is cut while it is
-built, and attribute sets lacking a `must_attrs` triple are never formed.
-It checks the predicate once per frame and yields every object population
-of each frame that passes, in a canonical deterministic order:
+`enumerate_systems(bounds, demands, valid)` walks the systems within bounds
+that hold a query's `Demands`: it builds only preorders (the only relations
+base validity admits), cuts a relation that lacks a demanded `sub` pair or
+holds a forbidden one while it is built, forms only attribute sets holding
+the demanded attrs, and caps populations once per class universe.  Every
+frame is thus base-valid and holds the demands, so `valid` need only carry
+the domain variants.  It is checked once per frame, and every population of
+each frame that passes is yielded, in a canonical deterministic order:
 componentwise by cardinality, then lexicographically, over the encoding
 (classes, sub, attrs, objects, class assignment).  Smaller systems come
 first, which makes reported witnesses minimal.
@@ -182,6 +182,48 @@ def composed_valid(selected: Iterable[str]) -> Callable[[SystemModelLite], bool]
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Demands:
+    """A conjunction of atoms: each of `classes` exists, each pair of `sub`
+    is present and each of `no_sub` absent, each of `attrs` is present, and
+    each of `singletons` has at most one object.  Calling it judges a
+    system."""
+
+    classes: frozenset[str] = frozenset()
+    sub: frozenset[Pair] = frozenset()
+    no_sub: frozenset[Pair] = frozenset()
+    attrs: frozenset[Attr] = frozenset()
+    singletons: frozenset[str] = frozenset()
+
+    def __or__(self, other: Demands) -> Demands:
+        """Both sets of demands at once."""
+        return Demands(
+            self.classes | other.classes,
+            self.sub | other.sub,
+            self.no_sub | other.no_sub,
+            self.attrs | other.attrs,
+            self.singletons | other.singletons,
+        )
+
+    def frame_holds(self, sm: SystemModelLite) -> bool:
+        """The atoms on classes, `sub` and attrs hold; objects are not read."""
+        sub = set(sm.sub)
+        return (
+            self.classes.issubset(sm.classes)
+            and self.sub <= sub
+            and self.no_sub.isdisjoint(sub)
+            and self.attrs.issubset(sm.attrs)
+        )
+
+    def caps_hold(self, class_of: Iterable[Pair]) -> bool:
+        """No two objects of a class assignment share a singleton class."""
+        capped = [c for _, c in class_of if c in self.singletons]
+        return len(capped) == len(set(capped))
+
+    def __call__(self, sm: SystemModelLite) -> bool:
+        return self.frame_holds(sm) and self.caps_hold(sm.class_of)
+
+
+@dataclass(frozen=True)
 class Bounds:
     """Search-space bounds for enumeration: class names (IDENTs) addable
     beyond the required ones, the maximum object count, and the attribute
@@ -210,7 +252,7 @@ def _subsets_by_size(items: tuple) -> Iterator[tuple]:
 
 
 def _preorders(
-    classes: tuple[str, ...], must: Iterable[Pair] = (), must_not: Iterable[Pair] = ()
+    classes: tuple[str, ...], must: Iterable[Pair], must_not: Iterable[Pair]
 ) -> list[tuple[Pair, ...]]:
     """Every reflexive and transitive relation over `classes` that holds
     each pair of `must` and none of `must_not`, each as a sorted tuple of
@@ -257,38 +299,30 @@ def _preorders(
 
 
 def enumerate_systems(
-    bounds: Bounds,
-    required_classes: Iterable[str],
-    valid: Callable[[SystemModelLite], bool],
-    must: Iterable[Pair] = (),
-    must_not: Iterable[Pair] = (),
-    must_attrs: Iterable[Attr] = (),
+    bounds: Bounds, demands: Demands, valid: Callable[[SystemModelLite], bool]
 ) -> Iterator[SystemModelLite]:
-    """All systems within bounds whose `sub` is a preorder holding every pair
-    of `must` and none of `must_not`, whose attrs include `must_attrs`, and
-    whose frame satisfies `valid`, in canonical order, without duplicates.
+    """All systems within bounds that hold `demands` and whose frame
+    satisfies `valid`, in canonical order, without duplicates.
 
-    The class universe ranges over required_classes plus any subset of the
-    extra names; `sub` over the reflexive and transitive relations on it
-    that respect the pair bounds; attributes over subsets of the candidates
-    that hold `must_attrs` and respect per-class name uniqueness; objects
-    o1..oN for N up to the bound, with every total class assignment.  A
-    frame is a system's classes, `sub` and attrs with no objects.  Every
-    frame is base-valid by construction, so `valid` need only carry domain
-    variants.  `valid` is called once per frame, and every object
-    population of a frame it accepts is yielded, the frame itself first.
-    So `valid` must not read objects: base validity judges each generated
-    population as it judges its frame, and domain variants constrain
-    classes, `sub` and attrs only.  Callers filter on objects over the
-    yielded systems.  The bounds only drop frames from the canonical
-    sequence; they never reorder it.
+    The class universe ranges over the demanded classes plus any subset of
+    the extra names; `sub` over the reflexive and transitive relations on it
+    that hold every demanded pair and no forbidden one; attributes over
+    subsets of the candidates that hold the demanded attrs and respect
+    per-class name uniqueness; objects o1..oN for N up to the bound, with
+    every total class assignment that puts at most one object in each
+    singleton class.  A frame is a system's classes, `sub` and attrs with no
+    objects.  Every frame is base-valid and holds the demands on classes,
+    `sub` and attrs by construction, so `valid` need only carry domain
+    variants or a further frame filter.  `valid` is called once per frame,
+    and every population of a frame it accepts is yielded, the frame itself
+    first.  So `valid` must not read objects: base validity judges each
+    generated population as it judges its frame, and domain variants
+    constrain classes, `sub` and attrs only.  The demands only drop systems
+    from the canonical sequence; they never reorder it.
     """
-    required = sorted(set(required_classes))
-    extras = sorted(set(bounds.extra_class_names) - set(required))
-    must_attrs = frozenset(must_attrs)
-
+    extras = sorted(set(bounds.extra_class_names) - demands.classes)
     class_universes = sorted(
-        {tuple(sorted(set(required) | set(chosen))) for chosen in _subsets_by_size(tuple(extras))},
+        {tuple(sorted(demands.classes | set(chosen))) for chosen in _subsets_by_size(tuple(extras))},
         key=lambda t: (len(t), t),
     )
 
@@ -304,11 +338,11 @@ def enumerate_systems(
         attr_sets = [
             attrs
             for attrs in _subsets_by_size(eligible_attrs)
-            if must_attrs.issubset(attrs)
+            if demands.attrs.issubset(attrs)
             # attribute names unique per class
             and len({(o, n) for o, n, _ in attrs}) == len(attrs)
         ]
-        # Every non-empty (objects, class assignment), in canonical order.
+        # Every non-empty (objects, class assignment) within the caps, canonically.
         populations = []
         for count in range(1, bounds.max_objects + 1):
             objects = tuple(f"o{i}" for i in range(1, count + 1))
@@ -318,8 +352,9 @@ def enumerate_systems(
                     tuple(sorted(zip(objects, chosen)))
                     for chosen in product(classes, repeat=count)
                 )
+                if demands.caps_hold(class_of)
             ]
-        for sub in _preorders(classes, must, must_not):
+        for sub in _preorders(classes, demands.sub, demands.no_sub):
             for attrs in attr_sets:
                 frame = SystemModelLite(classes, sub, attrs, (), ())
                 if valid(frame):

@@ -38,6 +38,7 @@ from vlang.schema import AstNode, derive_schema, dump_ast, dump_schema
 from vlang.semantics import compute_sem, demands_of, valid_predicate
 from vlang.sysmodel import (
     Bounds,
+    Demands,
     dump_system,
     enumerate_systems,
     eval_valid_base,
@@ -161,12 +162,12 @@ def _two_class_naive():
 
 def test_criterion_4_enumeration_oracle():
     with criterion(4, "enumeration equals the naive oracle", 5.0):
-        two = list(enumerate_systems(Bounds(), {"A", "B"}, eval_valid_base))
+        two = list(enumerate_systems(Bounds(), Demands(frozenset("AB")), eval_valid_base))
         naive = _two_class_naive()
         assert len(two) == 4
         assert set(two) == naive
 
-        three = list(enumerate_systems(Bounds(), {"A", "B", "C"}, eval_valid_base))
+        three = list(enumerate_systems(Bounds(), Demands(frozenset("ABC")), eval_valid_base))
         expected = oracle_enumerate(Bounds(), {"A", "B", "C"}, eval_valid_base)
         assert set(three) == expected
         assert len(three) == len(expected)  # count pinned by the oracle

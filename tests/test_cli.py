@@ -12,6 +12,7 @@ import pytest
 from conftest import golden
 from vlang import bundled, cli, features, semantics
 from vlang.cli import build_parser, main
+from vlang.sysmodel import Demands
 
 
 @pytest.fixture()
@@ -421,15 +422,17 @@ def test_semantics_config_is_built_once(workspace, capsys, monkeypatch):
 
 def _count_frames(monkeypatch, offered: list, prune: bool = True) -> None:
     """Count the frames `sem` offers its frame filter; without `prune` the
-    enumerator runs without the query's `sub` pair and attr bounds."""
+    enumerator is given only the demanded classes and caps, and the filter
+    checks the query's `sub` pairs and attrs on each frame."""
     enumerate_systems = semantics.enumerate_systems
 
-    def counting(bounds, required, valid, *lower_bounds):
+    def counting(bounds, demands, valid):
         def counted(frame):
             offered.append(frame)
-            return valid(frame)
+            return valid(frame) and (prune or demands.frame_holds(frame))
 
-        return enumerate_systems(bounds, required, counted, *(lower_bounds if prune else ()))
+        loose = demands if prune else Demands(demands.classes, singletons=demands.singletons)
+        return enumerate_systems(bounds, loose, counted)
 
     monkeypatch.setattr(semantics, "enumerate_systems", counting)
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import chain, combinations, product
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from vlang.sysmodel import (
     DOMAIN_VARIANTS,
     Bounds,
+    Demands,
     NameConventionError,
     SystemModelLite,
     canonical_key,
@@ -183,7 +185,7 @@ def test_custom_registry(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_two_required_classes_give_four_base_systems():
-    systems = list(enumerate_systems(Bounds(), {"A", "B"}, eval_valid_base))
+    systems = list(enumerate_systems(Bounds(), Demands(frozenset("AB")), eval_valid_base))
     assert len(systems) == 4
     subs = [set(sm.sub) for sm in systems]
     refl = _refl({"A", "B"})
@@ -194,20 +196,20 @@ def test_two_required_classes_give_four_base_systems():
 
 
 def test_no_required_classes_gives_exactly_the_empty_system():
-    systems = list(enumerate_systems(Bounds(), set(), eval_valid_base))
+    systems = list(enumerate_systems(Bounds(), Demands(), eval_valid_base))
     assert systems == [make_system()]
 
 
 def test_single_inheritance_cannot_fail_with_two_classes():
     valid = composed_valid({"SingleInheritance"})
-    systems = list(enumerate_systems(Bounds(), {"A", "B"}, valid))
+    systems = list(enumerate_systems(Bounds(), Demands(frozenset("AB")), valid))
     assert len(systems) == 4
 
 
 def test_enumeration_is_sorted_by_canonical_key_and_duplicate_free():
     bounds = Bounds(extra_class_names=("C",), max_objects=1,
                     attr_candidates=frozenset({("A", "x", "A")}))
-    systems = list(enumerate_systems(bounds, {"A"}, eval_valid_base))
+    systems = list(enumerate_systems(bounds, Demands(frozenset("A")), eval_valid_base))
     keys = [canonical_key(sm) for sm in systems]
     assert keys == sorted(keys)
     assert len(set(systems)) == len(systems)
@@ -215,8 +217,8 @@ def test_enumeration_is_sorted_by_canonical_key_and_duplicate_free():
 
 def test_enumeration_deterministic_across_runs():
     bounds = Bounds(extra_class_names=("B",), max_objects=1)
-    first = list(enumerate_systems(bounds, {"A"}, eval_valid_base))
-    second = list(enumerate_systems(bounds, {"A"}, eval_valid_base))
+    first = list(enumerate_systems(bounds, Demands(frozenset("A")), eval_valid_base))
+    second = list(enumerate_systems(bounds, Demands(frozenset("A")), eval_valid_base))
     assert first == second
 
 
@@ -225,7 +227,7 @@ def test_enumerated_systems_satisfy_invariants_and_predicate():
     bounds = Bounds(extra_class_names=("B",), max_objects=1,
                     attr_candidates=frozenset({("A", "x", "B"), ("B", "y", "A")}))
     count = 0
-    for sm in enumerate_systems(bounds, {"A"}, valid):
+    for sm in enumerate_systems(bounds, Demands(frozenset("A")), valid):
         count += 1
         assert structurally_valid(sm)
         assert valid(sm)
@@ -249,13 +251,13 @@ def test_oracle_equivalence_small_bounds():
         ),
     ]
     for bounds, required in cases:
-        enumerated = list(enumerate_systems(bounds, required, valid))
+        enumerated = list(enumerate_systems(bounds, Demands(frozenset(required)), valid))
         assert set(enumerated) == oracle_enumerate(bounds, required, valid)
         assert len(enumerated) == len(set(enumerated))
 
 
 def test_oracle_equivalence_three_classes():
-    enumerated = set(enumerate_systems(Bounds(), {"A", "B", "C"}, eval_valid_base))
+    enumerated = set(enumerate_systems(Bounds(), Demands(frozenset("ABC")), eval_valid_base))
     expected = oracle_enumerate(Bounds(), {"A", "B", "C"}, lambda sm: oracle_base_valid(set(sm.classes), set(sm.sub)))
     assert enumerated == expected
 
@@ -263,10 +265,10 @@ def test_oracle_equivalence_three_classes():
 # A000798: labelled preorders on n elements.
 @pytest.mark.parametrize("n, count", [(0, 1), (1, 1), (2, 4), (3, 29), (4, 355), (5, 6942)])
 def test_object_free_base_valid_counts_are_labelled_preorders(n, count):
-    systems = list(enumerate_systems(Bounds(), "ABCDE"[:n], eval_valid_base))
+    systems = list(enumerate_systems(Bounds(), Demands(frozenset("ABCDE"[:n])), eval_valid_base))
     assert len(systems) == count
     # Only preorders are generated, so accepting everything changes nothing.
-    assert list(enumerate_systems(Bounds(), "ABCDE"[:n], lambda sm: True)) == systems
+    assert list(enumerate_systems(Bounds(), Demands(frozenset("ABCDE"[:n])), lambda sm: True)) == systems
 
 
 @st.composite
@@ -303,44 +305,52 @@ def test_enumeration_equals_sorted_oracle(case):
     bounds, required, features = case
     valid = composed_valid(features)
     expected = sorted(oracle_enumerate(bounds, required, valid), key=canonical_key)
-    assert list(enumerate_systems(bounds, required, valid)) == expected
+    assert list(enumerate_systems(bounds, Demands(frozenset(required)), valid)) == expected
 
 
 @st.composite
 def _pair_bounded_cases(draw):
     """An enumeration case over at most three classes (the oracle's four-class
-    walk is left to the examples) plus required and forbidden `sub` pairs
-    over its class names, extras included, and required attrs among its
-    candidates."""
+    walk is left to the examples) and up to two objects, with the query's
+    demands: required and forbidden `sub` pairs over its class names, extras
+    included, required attrs among its candidates, and capped classes among
+    its names."""
     bounds, required, features = draw(_enumeration_cases(max_names=3))
+    bounds = replace(bounds, max_objects=draw(st.integers(0, 2)))
     names = sorted(required | set(bounds.extra_class_names))
     pairs = st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
                      max_size=3, unique=True) if names else st.just([])
     attrs = st.lists(st.sampled_from(sorted(bounds.attr_candidates)),
                      max_size=1) if bounds.attr_candidates else st.just([])
-    return bounds, required, features, *(frozenset(draw(s)) for s in (pairs, pairs, attrs))
+    caps = st.lists(st.sampled_from(names), max_size=2, unique=True) if names else st.just([])
+    demands = Demands(frozenset(required), *(frozenset(draw(s)) for s in (pairs, pairs, attrs, caps)))
+    return bounds, features, demands
 
 
 @_ORACLE_SETTINGS
 @given(_pair_bounded_cases())
-@example((Bounds(("D",)), {"A", "B", "C"}, {"SingleInheritance"}, {("A", "D"), ("D", "B")},
-          {("C", "A")}, frozenset()))
-@example((Bounds(("C",), 1, frozenset({("A", "x", "C")})), {"A", "B"}, {"SingleInheritance"},
-          {("A", "B")}, {("C", "A")}, {("A", "x", "C")}))
-@example((Bounds(), {"A"}, set(), {("A", "Z")}, frozenset(), frozenset()))
+@example((Bounds(("D",)), {"SingleInheritance"},
+          Demands(frozenset("ABC"), frozenset({("A", "D"), ("D", "B")}), frozenset({("C", "A")}))))
+@example((Bounds(("C",), 1, frozenset({("A", "x", "C")})), {"SingleInheritance"},
+          Demands(frozenset("AB"), frozenset({("A", "B")}), frozenset({("C", "A")}),
+                  frozenset({("A", "x", "C")}))))
+@example((Bounds(), set(), Demands(frozenset("A"), frozenset({("A", "Z")}))))
+@example((Bounds(("C",), 2), set(),
+          Demands(frozenset("AB"), frozenset({("A", "B")}), singletons=frozenset("A"))))
 def test_pair_bounded_enumeration_equals_filtered_oracle(case):
     # Frames arrive base-valid, so the enumerator is given the domain
-    # variants alone; the oracle checks full validity and the bounds.
-    bounds, required, features, must, must_not, must_attrs = case
+    # variants alone; the oracle checks full validity and every demand,
+    # the caps on object populations included.
+    bounds, features, demands = case
     valid = composed_valid(features)
 
     def admitted(sm):
-        return (valid(sm) and must <= set(sm.sub) and must_not.isdisjoint(sm.sub)
-                and must_attrs <= set(sm.attrs))
+        capped = [c for _, c in sm.class_of if c in demands.singletons]
+        return (valid(sm) and demands.sub <= set(sm.sub) and demands.no_sub.isdisjoint(sm.sub)
+                and demands.attrs <= set(sm.attrs) and len(capped) == len(set(capped)))
 
-    expected = sorted(oracle_enumerate(bounds, required, admitted), key=canonical_key)
-    variants = variants_valid(features)
-    assert list(enumerate_systems(bounds, required, variants, must, must_not, must_attrs)) == expected
+    expected = sorted(oracle_enumerate(bounds, demands.classes, admitted), key=canonical_key)
+    assert list(enumerate_systems(bounds, demands, variants_valid(features))) == expected
 
 
 # ---------------------------------------------------------------------------
