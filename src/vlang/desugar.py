@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .grammar import GrammarDef
-from .schema import AstNode, required_field
+from .schema import AstNode, hook_field
 
 
 class DesugarError(Exception):
@@ -28,7 +28,7 @@ def _expand_class_list(node: AstNode) -> list[AstNode]:
             {"stereotypes": frozenset(), "Name": name, "scl": []},
             pos=node.pos,
         )
-        for name in required_field(node, "names", DesugarError)
+        for name in hook_field(node, "names", list, error=DesugarError)
     ]
 
 

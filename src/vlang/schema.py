@@ -257,13 +257,27 @@ class AstNode:
     pos: SourcePos | None = field(default=None, compare=False)
 
 
-def required_field(node: AstNode, label: str, error: type[Exception]) -> object:
-    """Field `label` of `node`, or `error` naming both when a grammar that
-    reuses a hook's name gave the node no such field."""
-    try:
-        return node.fields[label]
-    except KeyError:
-        raise error(f"{node.datatype} has no field {label}") from None
+_SHAPES = {str: "an IDENT", list: "a list of IDENTs", frozenset: "a stereotype set"}
+
+
+def hook_field(
+    node: AstNode, label: str, *shapes: type, error: type[Exception], optional: bool = False
+) -> object:
+    """Field `label` of `node` as one of `shapes`: `str` (one IDENT, the
+    default), `list` (of IDENTs) or `frozenset` (a stereotype set); with
+    `optional`, None when the field is absent or empty.  A grammar that
+    reuses a hook's name may give the node no such field, or one of another
+    shape; `error` then names the datatype and the field."""
+    value = node.fields.get(label)
+    if optional and value is None:
+        return None
+    if label not in node.fields:
+        raise error(f"{node.datatype} has no field {label}")
+    shapes = shapes or (str,)
+    idents = not isinstance(value, list) or all(isinstance(v, str) for v in value)
+    if not (isinstance(value, shapes) and idents):
+        raise error(f"{node.datatype} field {label} is not {' or '.join(_SHAPES[s] for s in shapes)}")
+    return value
 
 
 def _dump_value(v: object) -> str:

@@ -38,7 +38,7 @@ from operator import or_
 from typing import Callable, Iterator
 
 from .features import Configuration, FeatureDiagram
-from .schema import AstNode, required_field
+from .schema import AstNode, hook_field
 from .sysmodel import (
     Bounds,
     Demands,
@@ -137,7 +137,7 @@ def class_nodes(diagram: AstNode) -> list[AstNode]:
     return _statement_list(diagram)
 
 
-_field = partial(required_field, error=SemanticsError)
+_field = partial(hook_field, error=SemanticsError)
 
 
 def class_name(class_node: AstNode) -> str:
@@ -147,12 +147,12 @@ def class_name(class_node: AstNode) -> str:
 def class_supers(class_node: AstNode) -> list[str]:
     """The declared supers; an option field (`("extends" scl:IDENT)?`)
     holds one name, not a list."""
-    supers = class_node.fields.get("scl") or []
+    supers = _field(class_node, "scl", str, list, optional=True) or []
     return [supers] if isinstance(supers, str) else list(supers)
 
 
 def class_stereotypes(class_node: AstNode) -> frozenset[str]:
-    return frozenset(class_node.fields.get("stereotypes") or ())
+    return _field(class_node, "stereotypes", frozenset, optional=True) or frozenset()
 
 
 # ---------------------------------------------------------------------------

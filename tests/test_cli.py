@@ -695,6 +695,7 @@ def test_generate_refuses_the_diagrams_sem_refuses(workspace, capsys, fd, conf, 
 
 
 ITEMS = 'D = "d" Name:IDENT "{" (items:Item)* "}"; Item = "item" Label:IDENT ";";'
+_CLASS = 'CDCClass = "class" Name:IDENT'
 
 
 @pytest.mark.parametrize(
@@ -708,14 +709,36 @@ ITEMS = 'D = "d" Name:IDENT "{" (items:Item)* "}"; Item = "item" Label:IDENT ";"
          ["sem"], "Item has no field left"),
         (f'grammar CD {{ {ITEMS} sugar CDCClasses for Item = "many" Label:IDENT ";"; }}',
          "d X { many a; }", ["parse", "--minimal"], "CDCClasses has no field names"),
+        (bundled.CDSIMP_GRAMMAR_TEXT.replace(_CLASS, 'CDCClass = "class" (Name:IDENT)*'),
+         "classdiagram D { class A; }", ["wf"], "CDCClass field Name is not an IDENT"),
+        (bundled.CDSIMP_GRAMMAR_TEXT.replace(_CLASS, 'CDCClass = "class" Name:N')
+         .replace("}\n", 'N = "n" X:IDENT; }\n'),
+         "classdiagram D { class n A; }", ["sem"], "CDCClass field Name is not an IDENT"),
+        (bundled.CDSIMP_GRAMMAR_TEXT.replace('scl:IDENT ("," scl:IDENT)*', "scl:Sup")
+         .replace("}\n", 'Sup = "s" X:IDENT; }\n'),
+         "classdiagram D { class A extends s B; }", ["wf", "--cc", "CC-supers-declared"],
+         "CDCClass field scl is not an IDENT or a list of IDENTs"),
+        (bundled.CDSIMP_GRAMMAR_TEXT.replace(_CLASS, 'CDCClass = "class" (Name:IDENT)?'),
+         "classdiagram D { class; class A; }", ["sem"], "CDCClass field Name is not an IDENT"),
+        (bundled.ASSERTION_GRAMMAR_TEXT.replace("left:IDENT", '(left:IDENT)* "<"'),
+         "assertions S { sub A < B; }", ["sem"], "SubAssertion field left is not an IDENT"),
+        (bundled.CD_GRAMMAR_TEXT.replace('names:IDENT ("," names:IDENT)*', "(names:IDENT)?"),
+         "classdiagram D { classes AB; }", ["sem"], "CDCClasses field names is not a list of IDENTs"),
+        (bundled.CDSIMP_GRAMMAR_TEXT.replace(_CLASS, _CLASS + ' ("is" stereotypes:IDENT)?'),
+         "classdiagram D { class A is singleton; }", ["sem"],
+         "CDCClass field stereotypes is not a stereotype set"),
     ],
-    ids=["wf-conditions", "sem-class-diagram", "sem-assertions", "desugar-expander"],
+    ids=["wf-conditions", "sem-class-diagram", "sem-assertions", "desugar-expander",
+         "name-list", "name-node", "supers-node", "name-option", "left-list", "names-option",
+         "stereotypes-ident"],
 )
 def test_hooks_bound_to_a_reused_name_refuse_a_missing_field(
     workspace, capsys, grammar, model, argv, message
 ):
     # Hooks are bound by grammar or datatype name; a user grammar reusing the
-    # name with other fields is refused, not crashed on.
+    # name with other fields, or with a field of another shape than the hook
+    # reads, is refused, not crashed on or misread (`classes AB;` as classes
+    # A and B, `is singleton` as the stereotypes s, i, n, ...).
     (workspace / "h.mclang").write_text(grammar)
     (workspace / "h.txt").write_text(model)
     args = [*argv, str(workspace / "h.mclang"), str(workspace / "h.txt")]
