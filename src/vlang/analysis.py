@@ -12,10 +12,9 @@ across runs and minimal in that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .schema import AstNode
 from .semantics import SemanticsConfig, demands_of, query_bounds, variants_predicate
@@ -26,8 +25,7 @@ class AnalysisError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class AnalysisVerdict:
+class AnalysisVerdict(NamedTuple):
     kind: str  # "refine" | "consistent" | "equiv"
     holds: bool
     bounds_used: Bounds
@@ -92,7 +90,9 @@ def check_equivalence(m1: AstNode, m2: AstNode, config: SemanticsConfig) -> Anal
     system of `m1` outside `m2` when there is one, and otherwise the first
     system of `m2` outside `m1`: what refinement each way would report.
     Only the atoms both models share bound the scan, and a frame either
-    model accepts passes its filter, as every such frame must be seen."""
+    model accepts passes its filter, as every such frame must be seen.
+    Each model's frame atoms are judged once per frame, which comes right
+    before its populations; a population adds only the caps."""
     (d1, d2), joint, bounds, variants = _two_models(m1, m2, config)
     shared = Demands(
         joint.classes, d1.sub & d2.sub, d1.no_sub & d2.no_sub, d1.attrs & d2.attrs,
@@ -102,7 +102,10 @@ def check_equivalence(m1: AstNode, m2: AstNode, config: SemanticsConfig) -> Anal
     for sm in enumerate_systems(
         bounds, shared, lambda f: (d1.frame_holds(f) or d2.frame_holds(f)) and variants(f)
     ):
-        in1, in2 = d1(sm), d2(sm)
+        if not sm.objects:
+            frame1, frame2 = d1.frame_holds(sm), d2.frame_holds(sm)
+        in1 = frame1 and d1.caps_hold(sm.class_of)
+        in2 = frame2 and d2.caps_hold(sm.class_of)
         if in1 and not in2:
             return AnalysisVerdict("equiv", False, bounds, counterexample=sm)
         if in2 and not in1 and backward is None:

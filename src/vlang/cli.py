@@ -15,6 +15,11 @@ The last four reach a configuration by one path (`_load_workspace`, then
 `features.validated_merge`) and take each diagram's role from
 `semantics.semantic_diagrams`.
 
+Each subcommand is one row of `SUBCOMMANDS`: its help, the function adding
+its arguments, and its handler.  `main` builds the parser of the subcommand
+it is given alone; `build_parser` builds them all, for the top-level help
+and for the errors reported with the top-level usage.
+
 Exit codes: 0 for a positive verdict, 1 for a negative one (violations,
 holds=false, a grammar or model the command was asked to judge failing to
 parse, a theory that cannot be generated), 2 for usage errors, refused
@@ -272,65 +277,36 @@ def _model_arguments(args: list[str]):
 # Parser wiring
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vlang",
-        description="Modeling-language workbench: grammars, feature-configured "
-        "semantics, theory generation, bounded analyses.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-grammar", help="parse a grammar and print its schema dump")
+def _grammar(p: argparse.ArgumentParser) -> None:
     p.add_argument("grammar", help=".mclang grammar file")
-    p.set_defaults(fn=_cmd_check_grammar)
 
-    p = sub.add_parser("parse", help="parse a model and print its AST")
-    p.add_argument("grammar", help=".mclang grammar file")
+
+def _grammar_and_model(p: argparse.ArgumentParser) -> None:
+    _grammar(p)
     p.add_argument("model", help="model file")
+
+
+def _parse_arguments(p: argparse.ArgumentParser) -> None:
+    _grammar_and_model(p)
     p.add_argument("--minimal", action="store_true", help="desugar before printing")
-    p.set_defaults(fn=_cmd_parse)
 
-    p = sub.add_parser("wf", help="check context conditions on a model")
-    p.add_argument("grammar", help=".mclang grammar file")
-    p.add_argument("model", help="model file")
+
+def _wf_arguments(p: argparse.ArgumentParser) -> None:
+    _grammar_and_model(p)
     p.add_argument(
         "--cc",
         metavar="ID[,ID...]",
         help="optional context-condition ids to activate (non-optional ones always run)",
     )
-    p.set_defaults(fn=_cmd_wf)
 
-    p = sub.add_parser("fm-check", help="merge and validate configurations")
-    p.add_argument("files", nargs="+", help=".fd and .conf files")
-    p.set_defaults(fn=_cmd_fm_check)
 
-    p = sub.add_parser("generate", help="emit composed theory documents")
+def _feature_files(p: argparse.ArgumentParser) -> None:
     p.add_argument("files", nargs="+", help=".fd and .conf files")
+
+
+def _generate_arguments(p: argparse.ArgumentParser) -> None:
+    _feature_files(p)
     p.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    p.set_defaults(fn=_cmd_generate)
-
-    p = sub.add_parser("sem", help="semantics count and witnesses of a model")
-    p.add_argument("grammar", help=".mclang grammar file")
-    p.add_argument("model", help="model file")
-    p.add_argument("files", nargs="+", help=".fd and .conf files")
-    _bounds_flags(p)
-    p.add_argument(
-        "--witnesses", type=int, default=0, metavar="K", help="print up to K witnesses"
-    )
-    p.set_defaults(fn=_cmd_sem)
-
-    p = sub.add_parser("analyze", help="refinement, consistency, or equivalence")
-    p.add_argument("mode", choices=("refine", "consistent", "equiv"))
-    p.add_argument(
-        "args",
-        nargs="+",
-        help="grammar/model files (each grammar followed by its models), "
-        "then .fd and .conf files",
-    )
-    _bounds_flags(p)
-    p.set_defaults(fn=_cmd_analyze)
-
-    return parser
 
 
 def _bounds_flags(p: argparse.ArgumentParser) -> None:
@@ -344,12 +320,75 @@ def _bounds_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _sem_arguments(p: argparse.ArgumentParser) -> None:
+    _grammar_and_model(p)
+    _feature_files(p)
+    _bounds_flags(p)
+    p.add_argument(
+        "--witnesses", type=int, default=0, metavar="K", help="print up to K witnesses"
+    )
+
+
+def _analyze_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("mode", choices=("refine", "consistent", "equiv"))
+    p.add_argument(
+        "args",
+        nargs="+",
+        help="grammar/model files (each grammar followed by its models), "
+        "then .fd and .conf files",
+    )
+    _bounds_flags(p)
+
+
+# Subcommand -> (help, the function adding its arguments, handler).
+SUBCOMMANDS = {
+    "check-grammar": ("parse a grammar and print its schema dump", _grammar, _cmd_check_grammar),
+    "parse": ("parse a model and print its AST", _parse_arguments, _cmd_parse),
+    "wf": ("check context conditions on a model", _wf_arguments, _cmd_wf),
+    "fm-check": ("merge and validate configurations", _feature_files, _cmd_fm_check),
+    "generate": ("emit composed theory documents", _generate_arguments, _cmd_generate),
+    "sem": ("semantics count and witnesses of a model", _sem_arguments, _cmd_sem),
+    "analyze": ("refinement, consistency, or equivalence", _analyze_arguments, _cmd_analyze),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with every subcommand: for the top-level help and
+    the errors that name the top-level usage."""
+    parser = argparse.ArgumentParser(
+        prog="vlang",
+        description="Modeling-language workbench: grammars, feature-configured "
+        "semantics, theory generation, bounded analyses.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, handler) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(fn=handler)
+    return parser
+
+
+def _namespace(argv: list[str]) -> argparse.Namespace:
+    """Parse with the named subcommand's parser alone, as the full parser
+    would.  Arguments it leaves over go to the full parser, which reports
+    them with the top-level usage; so does an argv naming no subcommand."""
+    if argv and argv[0] in SUBCOMMANDS:
+        _, add_arguments, handler = SUBCOMMANDS[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"vlang {argv[0]}")
+        add_arguments(parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command, args.fn = argv[0], handler
+            return args
+    return build_parser().parse_args(argv)
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"vlang: warning: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _namespace(sys.argv[1:] if argv is None else list(argv))
     try:
         # An ignored stereotype is a diagnostic of the run: one line per
         # message, whatever the caller's warning filters say.

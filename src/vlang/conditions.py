@@ -15,8 +15,7 @@ source position).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .schema import AstNode
 from .semantics import class_name, class_nodes, class_supers
@@ -26,8 +25,7 @@ class UnknownConditionError(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class CCViolation:
+class CCViolation(NamedTuple):
     condition_id: str
     line: int
     col: int
@@ -37,8 +35,7 @@ class CCViolation:
         return f"CC {self.condition_id} {self.line}:{self.col} {self.message}"
 
 
-@dataclass(frozen=True)
-class ContextCondition:
+class ContextCondition(NamedTuple):
     id: str
     description: str
     optional: bool

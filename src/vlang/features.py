@@ -34,7 +34,7 @@ are IDENTs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lexer import IDENT, Cursor, SourceError, scan
 
@@ -75,27 +75,32 @@ class InvalidConfigurationError(Exception):
 # Model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Feature:
+class _FeatureFields(NamedTuple):
     name: str
     modality: str  # "optional" | "mandatory" | "xor-member"
     kind: str
 
-    def __post_init__(self) -> None:
+
+class Feature(_FeatureFields):
+    """A feature; a kind outside FEATURE_KINDS raises FeatureModelError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in FEATURE_KINDS:
             raise FeatureModelError(f"unknown feature kind {self.kind}")
+        return self
 
 
-@dataclass(frozen=True)
-class VariationPoint:
+class VariationPoint(NamedTuple):
     name: str
     attached_theory: str
     features: tuple[Feature, ...]
     is_xor: bool = False
 
 
-@dataclass(frozen=True)
-class FeatureRef:
+class FeatureRef(NamedTuple):
     diagram: str | None
     feature: str
 
@@ -103,15 +108,13 @@ class FeatureRef:
         return f"{self.diagram}.{self.feature}" if self.diagram else self.feature
 
 
-@dataclass(frozen=True)
-class CrossConstraint:
+class CrossConstraint(NamedTuple):
     source: FeatureRef
     relation: str  # "requires" | "excludes"
     target: FeatureRef
 
 
-@dataclass(frozen=True)
-class FeatureDiagram:
+class FeatureDiagram(NamedTuple):
     name: str
     variation_points: tuple[VariationPoint, ...]
     constraints: tuple[CrossConstraint, ...]
@@ -126,15 +129,13 @@ class FeatureDiagram:
         raise KeyError(feature_name)
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     name: str
     diagram: str
     selected: frozenset[str]
 
 
-@dataclass(frozen=True, order=True)
-class Violation:
+class Violation(NamedTuple):
     diagram: str
     rule: str
     details: str

@@ -38,8 +38,7 @@ vlang.lexer; only grammar files have quoted strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .lexer import Cursor, SourceError, Token, scan
 
@@ -56,13 +55,28 @@ class GrammarError(SourceError):
 # Grammar model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Terminal:
+class Marker:
+    """A record without fields: equal to, and hashing like, the instances
+    of its own class only (a field-less `NamedTuple` would equal `()` and
+    every other one)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self)
+
+    def __hash__(self) -> int:
+        return hash(type(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
+
+
+class Terminal(NamedTuple):
     text: str
 
 
-@dataclass(frozen=True)
-class TerminalSynonyms:
+class TerminalSynonyms(NamedTuple):
     """A terminal with presentation-only alternative spellings."""
 
     canonical: str
@@ -72,8 +86,7 @@ class TerminalSynonyms:
         return (self.canonical, *self.alternatives)
 
 
-@dataclass(frozen=True)
-class NonterminalRef:
+class NonterminalRef(NamedTuple):
     label: str | None
     target: str
 
@@ -82,29 +95,25 @@ class NonterminalRef:
         return self.label if self.label is not None else self.target
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     elements: tuple["Element", ...]
     cardinality: str  # "once" | "optional" | "star"
 
 
-@dataclass(frozen=True)
-class StereotypeSlot:
-    pass
+class StereotypeSlot(Marker):
+    __slots__ = ()
 
 
 Element = Union[Terminal, TerminalSynonyms, NonterminalRef, Group, StereotypeSlot]
 
 
-@dataclass(frozen=True)
-class Production:
+class Production(NamedTuple):
     name: str
     elements: tuple[Element, ...]
     sugar_for: str | None = None
 
 
-@dataclass(frozen=True)
-class GrammarDef:
+class GrammarDef(NamedTuple):
     name: str
     productions: tuple[Production, ...]
     start_production: str

@@ -15,8 +15,7 @@ tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .grammar import (
     IDENT_TOKEN,
@@ -24,6 +23,7 @@ from .grammar import (
     GrammarDef,
     GrammarError,
     Group,
+    Marker,
     NonterminalRef,
     Production,
     StereotypeSlot,
@@ -38,50 +38,61 @@ STEREOTYPE_FIELD = "stereotypes"
 # Field types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Ident:
-    pass
+class Ident(Marker):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NodeRef:
+class NodeRef(NamedTuple):
     target: str
 
 
-@dataclass(frozen=True)
-class ListOf:
-    item: "FieldType"
+class _Of:
+    """A field type over an item type, equal only to one of its own class:
+    a list and an option of the same item differ."""
+
+    __slots__ = ("item",)
+
+    def __init__(self, item: FieldType):
+        self.item = item
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.item == self.item
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.item))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.item!r})"
 
 
-@dataclass(frozen=True)
-class OptionOf:
-    item: "FieldType"
+class ListOf(_Of):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class StereotypeSet:
-    pass
+class OptionOf(_Of):
+    __slots__ = ()
+
+
+class StereotypeSet(Marker):
+    __slots__ = ()
 
 
 FieldType = Union[Ident, NodeRef, ListOf, OptionOf, StereotypeSet]
 
 
-@dataclass(frozen=True)
-class SchemaField:
+class SchemaField(NamedTuple):
     label: str
     type: FieldType
 
 
-@dataclass(frozen=True)
-class SchemaDatatype:
+class SchemaDatatype(NamedTuple):
     name: str
     constructor: str
     fields: tuple[SchemaField, ...]
     sugar_for: str | None = None
 
 
-@dataclass(frozen=True)
-class AstSchema:
+class AstSchema(NamedTuple):
     language: str
     datatypes: tuple[SchemaDatatype, ...]
 
@@ -237,13 +248,11 @@ def dump_schema(schema: AstSchema) -> str:
 # AST nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SourcePos:
+class SourcePos(NamedTuple):
     line: int
     col: int
 
 
-@dataclass(frozen=True)
 class AstNode:
     """A schema-conformant abstract-syntax tree node.
 
@@ -252,9 +261,22 @@ class AstNode:
     positions are diagnostic only and excluded from equality.
     """
 
-    datatype: str
-    fields: dict[str, object]
-    pos: SourcePos | None = field(default=None, compare=False)
+    __slots__ = ("datatype", "fields", "pos")
+
+    def __init__(self, datatype: str, fields: dict[str, object], pos: SourcePos | None = None):
+        self.datatype = datatype
+        self.fields = fields
+        self.pos = pos
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and other.datatype == self.datatype
+            and other.fields == self.fields
+        )
+
+    def __repr__(self) -> str:
+        return f"AstNode({self.datatype!r}, {self.fields!r}, pos={self.pos!r})"
 
 
 _SHAPES = {str: "an IDENT", list: "a list of IDENTs", frozenset: "a stereotype set"}

@@ -31,11 +31,10 @@ membership queries without materializing the set.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import islice
 from operator import or_
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .features import Configuration, FeatureDiagram
 from .schema import AstNode, hook_field
@@ -201,8 +200,7 @@ def map_assertions(doc: AstNode) -> Demands:
 # Configured semantics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SemanticsConfig:
+class SemanticsConfig(NamedTuple):
     """A jointly validated selection of domain and mapping variants plus the
     enumeration bounds.  Build through `make_semantics_config`."""
 
@@ -292,18 +290,20 @@ def demands_of(model: AstNode, config: SemanticsConfig) -> Demands:
 def query_bounds(config: SemanticsConfig, demands: Demands) -> Bounds:
     """The bounds a query runs with: the configured ones, with the
     attributes the models demand joining the candidates."""
-    return replace(
-        config.bounds, attr_candidates=config.bounds.attr_candidates | demands.attrs
-    )
+    return config.bounds._replace(attr_candidates=config.bounds.attr_candidates | demands.attrs)
 
 
-@dataclass
 class SemanticsSet:
     """The enumerable, bound-relative semantics of one minimal model."""
 
-    bounds: Bounds
-    demands: Demands
-    _variants: Callable[[SystemModelLite], bool]
+    __slots__ = ("bounds", "demands", "_variants")
+
+    def __init__(
+        self, bounds: Bounds, demands: Demands, variants: Callable[[SystemModelLite], bool]
+    ):
+        self.bounds = bounds
+        self.demands = demands
+        self._variants = variants
 
     def __iter__(self) -> Iterator[SystemModelLite]:
         return enumerate_systems(self.bounds, self.demands, self._variants)

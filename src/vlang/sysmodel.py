@@ -25,9 +25,8 @@ first, which makes reported witnesses minimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .lexer import IDENT
 
@@ -40,8 +39,7 @@ class NameConventionError(Exception):
     `DOMAIN_VARIANTS`."""
 
 
-@dataclass(frozen=True)
-class SystemModelLite:
+class SystemModelLite(NamedTuple):
     """One bounded semantic-domain structure.
 
     All components are canonically sorted tuples; build instances through
@@ -181,8 +179,7 @@ def composed_valid(selected: Iterable[str]) -> Callable[[SystemModelLite], bool]
 # Bounded enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Demands:
+class Demands(NamedTuple):
     """A conjunction of atoms: each of `classes` exists, each pair of `sub`
     is present and each of `no_sub` absent, each of `attrs` is present, and
     each of `singletons` has at most one object.  Calling it judges a
@@ -223,22 +220,28 @@ class Demands:
         return self.frame_holds(sm) and self.caps_hold(sm.class_of)
 
 
-@dataclass(frozen=True)
-class Bounds:
-    """Search-space bounds for enumeration: class names (IDENTs) addable
-    beyond the required ones, the maximum object count, and the attribute
-    triples eligible to appear."""
-
+class _BoundsFields(NamedTuple):
     extra_class_names: tuple[str, ...] = ()
     max_objects: int = 0
     attr_candidates: frozenset[Attr] = frozenset()
 
-    def __post_init__(self) -> None:
+
+class Bounds(_BoundsFields):
+    """Search-space bounds for enumeration: class names (IDENTs) addable
+    beyond the required ones, the maximum object count, and the attribute
+    triples eligible to appear.  A negative count or a name that is not an
+    IDENT raises ValueError."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_objects < 0:
             raise ValueError("max_objects must be non-negative")
         for name in self.extra_class_names:
             if not IDENT.fullmatch(name):
                 raise ValueError(f"extra class name {name!r} is not an IDENT")
+        return self
 
     def describe(self) -> str:
         extra = ",".join(sorted(set(self.extra_class_names)))

@@ -20,9 +20,8 @@ as ``<TheoryName>.thy.txt`` and byte-stable for golden tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .features import Configuration, FeatureDiagram
 from .semantics import (
@@ -37,8 +36,7 @@ from .sysmodel import domain_variant
 DOMAIN_THEORY_NAME = "SystemModel"
 
 
-@dataclass(frozen=True)
-class TheoryDoc:
+class TheoryDoc(NamedTuple):
     name: str
     base_import: str
     variant_imports: tuple[str, ...]  # "<vp>/<Feature>", sorted

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from conftest import raw_semantics_config
+from vlang import analysis
 from vlang.analysis import AnalysisError, check_consistency, check_equivalence, check_refinement
 from vlang.desugar import desugar_to_minimal
 from vlang.modelparse import parse_model
 from vlang.semantics import compute_sem
-from vlang.sysmodel import Bounds, dump_system, make_system
+from vlang.sysmodel import Bounds, Demands, dump_system, make_system
 
 
 def _cd(grammar, text):
@@ -120,6 +121,24 @@ def test_extra_constraint_breaks_equivalence(cdsimp, example_diagrams):
     verdict = check_equivalence(m1, m2, _config(example_diagrams))
     assert not verdict.holds
     assert verdict.counterexample == make_system({"A", "B"}, REFL2)
+
+
+def test_equivalence_judges_frame_atoms_once_per_frame(cd, example_diagrams, monkeypatch):
+    # The frame atoms read no objects: the filter judges them at most once
+    # per model, and so does the scan when the frame is yielded, never again
+    # for the frame's populations.
+    m1 = _cd(cd, "classdiagram D { class A extends B, C; class B; class C; class D; }")
+    m2 = _cd(cd, "classdiagram D { class D; class C; class B; class A extends B, C; }")
+    config = _config(example_diagrams, {"SingleInheritance"}, {"MapSuperCDelegate"},
+                     Bounds(max_objects=2))
+    judged, offered = [], []
+    frame_holds, enumerate_systems = Demands.frame_holds, analysis.enumerate_systems
+    monkeypatch.setattr(Demands, "frame_holds", lambda d, sm: judged.append(sm) or frame_holds(d, sm))
+    monkeypatch.setattr(analysis, "enumerate_systems", lambda bounds, demands, valid: enumerate_systems(
+        bounds, demands, lambda frame: offered.append(frame) or valid(frame)))
+    assert check_equivalence(m1, m2, config).holds
+    assert len(offered) == 129
+    assert len(judged) <= 4 * len(offered)
 
 
 def test_equivalence_agrees_with_two_refinements(cdsimp, example_diagrams):

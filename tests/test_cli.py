@@ -621,6 +621,49 @@ def test_every_subcommand_help_lists_all_flags():
                 assert option in help_text, (name, option)
 
 
+def _parsed(capsys, parse, argv):
+    try:
+        outcome = parse(argv)
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, *capsys.readouterr()
+
+
+_REFUSED_ARGV = [[], ["-h"], ["nope"], ["analyze", "sideways", "g.mclang"]] + [
+    [name, *args]
+    for name in cli.SUBCOMMANDS
+    for args in (
+        ["--help"],
+        [],
+        ["g.mclang", "m.cd", "x.fd", "--max-objects", "many"],
+        ["refine", "g.mclang", "x.fd", "--bogus"],
+    )
+]
+
+
+@pytest.mark.parametrize("argv", _REFUSED_ARGV, ids=" ".join)
+def test_one_subparser_refuses_as_the_full_parser(capsys, monkeypatch, argv):
+    # `main` parses with the named subcommand's parser alone; the help,
+    # usage errors and exit codes must be those of the full parser.
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = _parsed(capsys, build_parser().parse_args, argv)
+    assert expected[0] in (0, 2)
+    assert _parsed(capsys, main, argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-grammar", "g.mclang"],
+    ["parse", "g.mclang", "m.cd", "--minimal"],
+    ["wf", "g.mclang", "m.cd", "--cc", "CC-a"],
+    ["fm-check", "x.fd", "y.conf"],
+    ["generate", "x.fd", "--out", "gen"],
+    ["sem", "--witnesses", "2", "g.mclang", "m.cd", "x.fd", "--max-objects", "0"],
+    ["analyze", "equiv", "g.mclang", "a.cd", "b.cd", "x.fd", "--extra-classes", "X"],
+], ids=lambda argv: argv[0])
+def test_one_subparser_parses_as_the_full_parser(argv):
+    assert vars(cli._namespace(argv)) == vars(build_parser().parse_args(argv))
+
+
 def test_exit_codes_reflect_verdicts_only(workspace, capsys):
     # the same invocation yields the same exit code on repeat
     args = (

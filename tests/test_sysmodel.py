@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from itertools import chain, combinations, product
 
 import pytest
@@ -316,7 +315,7 @@ def _pair_bounded_cases(draw):
     included, required attrs among its candidates, and capped classes among
     its names."""
     bounds, required, features = draw(_enumeration_cases(max_names=3))
-    bounds = replace(bounds, max_objects=draw(st.integers(0, 2)))
+    bounds = bounds._replace(max_objects=draw(st.integers(0, 2)))
     names = sorted(required | set(bounds.extra_class_names))
     pairs = st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
                      max_size=3, unique=True) if names else st.just([])
