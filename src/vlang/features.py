@@ -145,14 +145,27 @@ class Violation(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Token access shared by .fd and .conf files
+# Token access and the file loop shared by .fd and .conf files
 # ---------------------------------------------------------------------------
 
 class _Parser(Cursor):
+    """A file of one or more items, each opened by the word `keyword` and
+    read by `_item`."""
+
     error = FeatureSyntaxError
+    keyword: str
 
     def __init__(self, source: str):
         super().__init__(scan(source, "{};.", self.error, word=_WORD))
+
+    def parse_all(self) -> list:
+        items = [self._item()]
+        while self._at("ident", self.keyword):
+            items.append(self._item())
+        tok = self._peek()
+        if tok.kind != "eof":
+            raise self._err(f"trailing input {tok.text!r}")
+        return items
 
     def _name(self, what: str) -> str:
         tok = self._peek()
@@ -167,16 +180,9 @@ class _Parser(Cursor):
 # ---------------------------------------------------------------------------
 
 class _DiagramParser(_Parser):
-    def parse_all(self) -> list[FeatureDiagram]:
-        diagrams = [self._diagram()]
-        while self._at("ident", "featurediagram"):
-            diagrams.append(self._diagram())
-        tok = self._peek()
-        if tok.kind != "eof":
-            raise self._err(f"trailing input {tok.text!r}")
-        return diagrams
+    keyword = "featurediagram"
 
-    def _diagram(self) -> FeatureDiagram:
+    def _item(self) -> FeatureDiagram:
         self._take("ident", "featurediagram")
         name = self._name("diagram")
         self._take("punct", "{")
@@ -303,16 +309,9 @@ def parse_feature_diagram(source: str) -> FeatureDiagram:
 # ---------------------------------------------------------------------------
 
 class _ConfigParser(_Parser):
-    def parse_all(self) -> list[Configuration]:
-        configs = [self._configuration()]
-        while self._at("ident", "configuration"):
-            configs.append(self._configuration())
-        tok = self._peek()
-        if tok.kind != "eof":
-            raise self._err(f"trailing input {tok.text!r}")
-        return configs
+    keyword = "configuration"
 
-    def _configuration(self) -> Configuration:
+    def _item(self) -> Configuration:
         self._take("ident", "configuration")
         name = self._name("configuration")
         self._take("ident", "for")

@@ -32,13 +32,17 @@ token IDENT must carry a label, no production reaching itself before
 consuming a token (left recursion), every production deriving some finite
 model, every terminal and synonym spelling scanning as one model token.
 
+`walk` visits the elements of a production depth first, each group before
+its contents; the terminal vocabulary, the stereotype-slot test and the
+reference check of validation all read the grammar through it.
+
 Grammar files and the models they define are read by the shared scanner of
 vlang.lexer; only grammar files have quoted strings.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from .lexer import Cursor, SourceError, Token, scan
 
@@ -132,31 +136,29 @@ class GrammarDef(NamedTuple):
     def sugar_bases(self) -> dict[str, str]:
         return {p.name: p.sugar_for for p in self.productions if p.sugar_for}
 
+    def elements(self) -> Iterator[Element]:
+        """Every element of every production, in `walk` order."""
+        return (el for p in self.productions for el in walk(p.elements))
+
     def terminal_texts(self) -> frozenset[str]:
         out: set[str] = set()
-
-        def walk(elements: tuple[Element, ...]) -> None:
-            for el in elements:
-                if isinstance(el, Terminal):
-                    out.add(el.text)
-                elif isinstance(el, TerminalSynonyms):
-                    out.update(el.all_spellings())
-                elif isinstance(el, Group):
-                    walk(el.elements)
-
-        for p in self.productions:
-            walk(p.elements)
+        for el in self.elements():
+            if isinstance(el, Terminal):
+                out.add(el.text)
+            elif isinstance(el, TerminalSynonyms):
+                out.update(el.all_spellings())
         return frozenset(out)
 
     def has_stereotype_slots(self) -> bool:
-        def walk(elements: tuple[Element, ...]) -> bool:
-            return any(
-                isinstance(el, StereotypeSlot)
-                or (isinstance(el, Group) and walk(el.elements))
-                for el in elements
-            )
+        return any(isinstance(el, StereotypeSlot) for el in self.elements())
 
-        return any(walk(p.elements) for p in self.productions)
+
+def walk(elements: tuple[Element, ...]) -> Iterator[Element]:
+    """Each of `elements` in order, a group followed by its contents."""
+    for el in elements:
+        yield el
+        if isinstance(el, Group):
+            yield from walk(el.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -291,31 +293,21 @@ class _GrammarParser(Cursor):
 # ---------------------------------------------------------------------------
 
 def _validate(g: GrammarDef) -> None:
-    seen: set[str] = set()
+    defined: set[str] = set()
     for p in g.productions:
-        if p.name in seen:
+        if p.name in defined:
             raise GrammarError(f"duplicate production name {p.name}")
         if p.name == IDENT_TOKEN:
             raise GrammarError(f"production may not be named {IDENT_TOKEN}")
-        seen.add(p.name)
-
-    defined = {p.name for p in g.productions}
-
-    def check_refs(elements: tuple[Element, ...]) -> None:
-        for el in elements:
-            if isinstance(el, NonterminalRef):
-                if el.target == IDENT_TOKEN:
-                    if el.label is None:
-                        raise GrammarError(
-                            f"reference to {IDENT_TOKEN} must carry a label"
-                        )
-                elif el.target not in defined:
-                    raise GrammarError(f"unresolved nonterminal {el.target}")
-            elif isinstance(el, Group):
-                check_refs(el.elements)
+        defined.add(p.name)
 
     for p in g.productions:
-        check_refs(p.elements)
+        for el in walk(p.elements):
+            if isinstance(el, NonterminalRef) and el.target == IDENT_TOKEN:
+                if el.label is None:
+                    raise GrammarError(f"reference to {IDENT_TOKEN} must carry a label")
+            elif isinstance(el, NonterminalRef) and el.target not in defined:
+                raise GrammarError(f"unresolved nonterminal {el.target}")
         if p.sugar_for is not None:
             if p.sugar_for not in defined:
                 raise GrammarError(

@@ -1,9 +1,14 @@
 """Parsing concrete model texts against a grammar into generic AST nodes.
 
-The parser interprets the grammar directly: ordered choice, greedy matching,
-with backtracking restricted to optional and star groups (a star iteration
-commits only if it matches fully).  Wherever a production is referenced, its
-sugar alternatives are tried after it, in declaration order.  Terminal
+The parser interprets the grammar directly: ordered choice and greedy
+matching, with backtracking in two places.  An optional or starred group is
+tried one iteration at a time, and an iteration commits only if it matches
+fully.  A reference tries its production and then the production's sugar
+alternatives, in declaration order, and takes the first that matches.  Each
+node and each iteration collects its fields into a dict of its own, which
+joins the enclosing one only when it matches, so a failed iteration or
+alternative leaves no fields behind.  An error reports the farthest token
+any alternative reached and every terminal expected there.  Terminal
 synonyms all produce the canonical token, so the spelling chosen in the
 model never shows in the AST.
 
@@ -29,8 +34,8 @@ from .grammar import (
 )
 from .lexer import IDENT, SourceError, Token, scan
 from .schema import (
+    STEREOTYPE_FIELD,
     AstNode,
-    AstSchema,
     ListOf,
     OptionOf,
     SourcePos,
@@ -63,43 +68,42 @@ class _Backtrack(Exception):
     """Internal: current alternative failed; recovery decided by the caller."""
 
 
+_Fields = dict[str, list[object]]
+
+
 class _ModelParser:
-    def __init__(self, grammar: GrammarDef, schema: AstSchema, tokens: list[Token]):
-        self.grammar = grammar
-        self.schema = schema
-        self.toks = tokens
+    def __init__(self, grammar: GrammarDef, source: str):
+        # By production name: the alternatives a reference tries (the
+        # production, then its sugar productions) and the node's fields.
+        self.alternatives = {
+            p.name: (p, *grammar.sugar_alternatives(p.name)) for p in grammar.productions
+        }
+        self.fields = {dt.name: dt.fields for dt in derive_schema(grammar).datatypes}
+        self.start = self.alternatives[grammar.start_production][0]
+        self.toks = tokenize_model(grammar, source)
         self.pos = 0
         self.farthest = 0
         self.expected_at_farthest: set[str] = set()
 
-    # -- failure bookkeeping -------------------------------------------------
+    # -- token access and failure bookkeeping --------------------------------
 
-    def _fail(self, expected: str) -> None:
+    def _fail(self, *expected: str) -> None:
         if self.pos > self.farthest:
             self.farthest = self.pos
-            self.expected_at_farthest = {expected}
+            self.expected_at_farthest = set(expected)
         elif self.pos == self.farthest:
-            self.expected_at_farthest.add(expected)
+            self.expected_at_farthest.update(expected)
         raise _Backtrack()
-
-    def _error(self) -> ModelParseError:
-        tok = self.toks[self.farthest]
-        expected = frozenset(self.expected_at_farthest)
-        got = repr(tok.text) if tok.kind != "eof" else "end of input"
-        wanted = ", ".join(sorted(expected))
-        return ModelParseError(f"expected {wanted}, got {got}", tok.line, tok.col, expected)
-
-    # -- token access ----------------------------------------------------------
 
     def _peek(self) -> Token:
         return self.toks[self.pos]
 
-    def _take_terminal(self, text: str) -> None:
+    def _take_terminal(self, *spellings: str) -> None:
         tok = self._peek()
-        if tok.kind in ("keyword", "punct") and tok.text == text:
+        if tok.kind in ("keyword", "punct") and tok.text in spellings:
             self.pos += 1
         else:
-            self._fail(repr(text))
+            self._fail(*map(repr, spellings))
 
     def _take_ident(self) -> str:
         tok = self._peek()
@@ -112,118 +116,84 @@ class _ModelParser:
 
     def parse(self) -> AstNode:
         try:
-            node = self._production(self.grammar.production(self.grammar.start_production))
+            node = self._node(self.start)
         except _Backtrack:
-            raise self._error() from None
-        tok = self._peek()
-        if tok.kind != "eof":
-            if self.farthest > self.pos:
-                raise self._error()
-            raise ModelParseError(
-                f"trailing input starting at {tok.text!r}", tok.line, tok.col
-            )
-        return node
+            node = None
+        # A failure farther than the parse reached is the error, not the rest.
+        if node is not None and self.farthest <= self.pos:
+            tok = self._peek()
+            if tok.kind == "eof":
+                return node
+            raise ModelParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
+        tok = self.toks[self.farthest]
+        expected = frozenset(self.expected_at_farthest)
+        got = repr(tok.text) if tok.kind != "eof" else "end of input"
+        wanted = ", ".join(sorted(expected))
+        raise ModelParseError(f"expected {wanted}, got {got}", tok.line, tok.col, expected)
 
-    def _production(self, prod: Production) -> AstNode:
+    def _node(self, prod: Production) -> AstNode:
         start = self._peek()
-        acc: dict[str, list[object]] = {}
-        stereotypes: list[str] = []
-        self._sequence(prod.elements, acc, stereotypes)
-        return self._build(prod, acc, stereotypes, start)
-
-    def _build(
-        self,
-        prod: Production,
-        acc: dict[str, list[object]],
-        stereotypes: list[str],
-        start: Token,
-    ) -> AstNode:
+        acc: _Fields = {}
+        self._sequence(prod.elements, acc)
         fields: dict[str, object] = {}
-        for f in self.schema.datatype(prod.name).fields:
+        for f in self.fields[prod.name]:
             values = acc.get(f.label, [])
             if isinstance(f.type, StereotypeSet):
-                fields[f.label] = frozenset(stereotypes)
+                fields[f.label] = frozenset(values)
             elif isinstance(f.type, ListOf):
-                fields[f.label] = list(values)
+                fields[f.label] = values
             elif isinstance(f.type, OptionOf):
                 fields[f.label] = values[0] if values else None
             else:
                 fields[f.label] = values[0]
         return AstNode(prod.name, fields, pos=SourcePos(start.line, start.col))
 
-    def _sequence(
-        self,
-        elements: tuple[Element, ...],
-        acc: dict[str, list[object]],
-        stereotypes: list[str],
-    ) -> None:
+    def _sequence(self, elements: tuple[Element, ...], acc: _Fields) -> None:
         for el in elements:
             if isinstance(el, Terminal):
                 self._take_terminal(el.text)
             elif isinstance(el, TerminalSynonyms):
-                self._synonyms(el)
+                self._take_terminal(*el.all_spellings())
             elif isinstance(el, NonterminalRef):
                 acc.setdefault(el.field_label, []).append(self._reference(el))
             elif isinstance(el, StereotypeSlot):
-                self._stereotypes(stereotypes)
+                self._stereotypes(acc)
             elif isinstance(el, Group):
-                self._group(el, acc, stereotypes)
-
-    def _synonyms(self, syn: TerminalSynonyms) -> None:
-        tok = self._peek()
-        if tok.kind in ("keyword", "punct") and tok.text in syn.all_spellings():
-            self.pos += 1
-            return
-        if self.pos > self.farthest:
-            self.farthest = self.pos
-            self.expected_at_farthest = set()
-        if self.pos == self.farthest:
-            self.expected_at_farthest.update(repr(s) for s in syn.all_spellings())
-        raise _Backtrack()
+                self._group(el, acc)
 
     def _reference(self, ref: NonterminalRef) -> object:
         if ref.target == IDENT_TOKEN:
             return self._take_ident()
-        candidates = (
-            self.grammar.production(ref.target),
-            *self.grammar.sugar_alternatives(ref.target),
-        )
-        for prod in candidates[:-1]:
+        alternatives = self.alternatives[ref.target]
+        for prod in alternatives[:-1]:
             mark = self.pos
             try:
-                return self._production(prod)
+                return self._node(prod)
             except _Backtrack:
                 self.pos = mark
-        return self._production(candidates[-1])
+        return self._node(alternatives[-1])
 
-    def _stereotypes(self, stereotypes: list[str]) -> None:
+    def _stereotypes(self, acc: _Fields) -> None:
+        names = acc.setdefault(STEREOTYPE_FIELD, [])
         while self._peek().kind == "punct" and self._peek().text == "<<":
             self.pos += 1
-            stereotypes.append(self._take_ident())
+            names.append(self._take_ident())
             self._take_terminal(">>")
 
-    def _group(
-        self,
-        group: Group,
-        acc: dict[str, list[object]],
-        stereotypes: list[str],
-    ) -> None:
+    def _group(self, group: Group, acc: _Fields) -> None:
         if group.cardinality == "once":
-            self._sequence(group.elements, acc, stereotypes)
+            self._sequence(group.elements, acc)
             return
         while True:
             mark = self.pos
-            lengths = {label: len(values) for label, values in acc.items()}
+            matched: _Fields = {}
             try:
-                self._sequence(group.elements, acc, stereotypes)
+                self._sequence(group.elements, matched)
             except _Backtrack:
                 self.pos = mark
-                for label, length in lengths.items():
-                    del acc[label][length:]
-                for label in list(acc):
-                    if label not in lengths:
-                        del acc[label]
                 return
+            for label, values in matched.items():
+                acc.setdefault(label, []).extend(values)
             if group.cardinality == "optional" or self.pos == mark:
                 return
 
@@ -231,9 +201,7 @@ class _ModelParser:
 def parse_model(grammar: GrammarDef, source: str) -> AstNode:
     """Parse a model text against a grammar; the result conforms to
     derive_schema(grammar)."""
-    schema = derive_schema(grammar)
-    tokens = tokenize_model(grammar, source)
-    parser = _ModelParser(grammar, schema, tokens)
+    parser = _ModelParser(grammar, source)
     try:
         return parser.parse()
     except RecursionError:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from vlang import bundled
 from vlang.grammar import parse_grammar
 from vlang.modelparse import ModelParseError, TokenizeError, parse_model, tokenize_model
 from vlang.schema import conforms, derive_schema, dump_ast
@@ -79,6 +80,8 @@ def test_parse_error_reports_expected_set_and_position(cdsimp):
 
 def test_nesting_past_the_recursion_limit_is_a_parse_error():
     g = parse_grammar('grammar N { A = "a" (A)?; }')
+    # Well inside the limit a nested model parses (README: about 200 levels).
+    assert parse_model(g, " ".join(["a"] * 150)).datatype == "A"
     with pytest.raises(ModelParseError, match="nested too deeply") as exc:
         parse_model(g, " ".join(["a"] * 3000))
     # The position is that of the `a` the parser had reached.
@@ -144,3 +147,33 @@ def test_tokenizer_classifies_words_per_grammar(cd, cdsimp):
     # Punctuation is matched longest-first.
     arrows = parse_grammar('grammar G { S = x:IDENT ("->" y:IDENT)? ("-" z:IDENT)?; }')
     assert [t.text for t in tokenize_model(arrows, "a->b-c")][:-1] == ["a", "->", "b", "-", "c"]
+
+
+_SUGAR_FARTHER = """grammar H { S = (T)* "end"; T = "t" x:IDENT ";";
+    sugar U for T = "t" ys:IDENT "," ys:IDENT ";"; }"""
+_NESTED_STAR = 'grammar G { S = (("a" x:IDENT) "b")* "a" y:IDENT; }'
+
+
+@pytest.mark.parametrize("grammar, text, want", [
+    (bundled.CD_GRAMMAR_TEXT, "classdiagram D { class A B; }",
+     (26, "expected ';', 'ext', 'extends', got 'B'", {"';'", "'ext'", "'extends'"})),
+    (bundled.CD_GRAMMAR_TEXT, "classdiagram D { <<s class A; }",
+     (22, "expected '>>', got 'class'", {"'>>'"})),
+    # The sugar alternative U fails farther than its base T.
+    (_SUGAR_FARTHER, "t a , ; end", (7, "expected IDENT, got ';'", {"IDENT"})),
+    (_SUGAR_FARTHER, "t a ; t b , c ; end", "(S T=[(T x=a),(U ys=[b,c])])"),
+    (bundled.CD_GRAMMAR_TEXT, "classdiagram D { } x",
+     (20, "trailing input starting at 'x'", set())),
+    # The failed second iteration keeps nothing its inner group matched.
+    (_NESTED_STAR, "a p b a q", "(S x=[p] y=q)"),
+])
+def test_exact_ast_or_diagnostic(grammar, text, want):
+    g = parse_grammar(grammar)
+    if isinstance(want, str):
+        assert dump_ast(parse_model(g, text)) == want
+        return
+    col, message, expected = want
+    with pytest.raises(ModelParseError) as exc:
+        parse_model(g, text)
+    assert str(exc.value) == f"line 1, col {col}: {message}"
+    assert (exc.value.line, exc.value.col, exc.value.expected) == (1, col, expected)

@@ -1,6 +1,7 @@
 """Token soups for the four text parsers: each input ends in a result or in
-the parser's documented error, never in another exception.  The four share
-one scanner, whose lexical errors are pinned here too.
+the parser's documented error, never in another exception, and every model
+parsed conforms to its grammar's derived schema.  The four share one
+scanner, whose lexical errors are pinned here too.
 
 A soup is a prefix of a well-formed document, so parsing gets past the
 header, followed by tokens drawn from the format's vocabulary, stray
@@ -22,9 +23,19 @@ from vlang.features import (
 )
 from vlang.grammar import GrammarError, parse_grammar
 from vlang.modelparse import ModelParseError, TokenizeError, parse_model
+from vlang.schema import conforms, derive_schema
 
 _PUNCT = ["{", "}", "(", ")", ";", ":", "=", "|", "*", "?", ",", ".", "$", "<<", ">>", "<<?>>"]
 _NAMES = ["A", "B", "x", "IDENT", "for", "kind", "//c\n", "\n", '"', '""', '"a"', '"b', "1"]
+
+_CD = parse_grammar(bundled.CD_GRAMMAR_TEXT)
+
+
+def _conforming_parse(text):
+    node = parse_model(_CD, text)
+    assert conforms(node, derive_schema(_CD)), text
+    return node
+
 
 CASES = {
     "grammar": (
@@ -48,7 +59,7 @@ CASES = {
         ["configuration", "select", "SingleInheritance", *_PUNCT, *_NAMES],
     ),
     "model": (
-        lambda text: parse_model(parse_grammar(bundled.CD_GRAMMAR_TEXT), text),
+        _conforming_parse,
         (TokenizeError, ModelParseError),
         "classdiagram D { <<singleton>> class A extends B, C; classes B, C; class D ext A; }",
         ["classdiagram", "class", "classes", "extends", "ext", "<<singleton>>", "singleton",
@@ -70,7 +81,8 @@ def _soups(draw, document: str, vocabulary: list[str]):
 def test_parser_ends_in_a_result_or_its_documented_error(name):
     parse, error, document, vocabulary = CASES[name]
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    # Five times the profile's budget: 300 examples by default, 3,000 deep.
+    @settings(max_examples=5 * settings.default.max_examples, deadline=None, derandomize=True)
     @given(_soups(document, vocabulary))
     def check(text):
         try:
