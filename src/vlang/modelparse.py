@@ -33,15 +33,7 @@ from .grammar import (
     TerminalSynonyms,
 )
 from .lexer import IDENT, SourceError, Token, scan
-from .schema import (
-    STEREOTYPE_FIELD,
-    AstNode,
-    ListOf,
-    OptionOf,
-    SourcePos,
-    StereotypeSet,
-    derive_schema,
-)
+from .schema import STEREOTYPE_FIELD, AstNode, SourcePos, derive_schema
 
 
 class TokenizeError(SourceError):
@@ -138,11 +130,11 @@ class _ModelParser:
         fields: dict[str, object] = {}
         for f in self.fields[prod.name]:
             values = acc.get(f.label, [])
-            if isinstance(f.type, StereotypeSet):
+            if f.card == "set":
                 fields[f.label] = frozenset(values)
-            elif isinstance(f.type, ListOf):
+            elif f.card == "list":
                 fields[f.label] = values
-            elif isinstance(f.type, OptionOf):
+            elif f.card == "option":
                 fields[f.label] = values[0] if values else None
             else:
                 fields[f.label] = values[0]

@@ -1,10 +1,12 @@
 """Abstract-syntax schemas derived from grammars, and generic AST nodes.
 
 Each production of a grammar yields exactly one datatype.  Terminals and
-synonym groups are dropped; labeled references become fields; references
-under a star (or occurring more than once) become list fields; references
-under an option become option fields; a stereotype slot becomes a
-`stereotypes` set field.
+synonym groups are dropped; labeled references become fields.  A field is a
+target and a card, in the words of the dump: the target is ``IDENT`` or a
+production name, and the card is empty (exactly one), ``list`` (a reference
+under a star, or occurring more than once), ``option`` (a reference under an
+option) or ``set`` (the ``stereotypes`` field of a stereotype slot, a set of
+IDENTs).
 
 The schema dump renders the derived datatypes as a plain-text theory
 document, one ``datatype <Name> = <Name> <argument types>`` line per
@@ -15,7 +17,7 @@ tests.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .grammar import (
     IDENT_TOKEN,
@@ -23,7 +25,6 @@ from .grammar import (
     GrammarDef,
     GrammarError,
     Group,
-    Marker,
     NonterminalRef,
     Production,
     StereotypeSlot,
@@ -35,59 +36,17 @@ STEREOTYPE_FIELD = "stereotypes"
 
 
 # ---------------------------------------------------------------------------
-# Field types
+# Schema records
 # ---------------------------------------------------------------------------
-
-class Ident(Marker):
-    __slots__ = ()
-
-
-class NodeRef(NamedTuple):
-    target: str
-
-
-class _Of:
-    """A field type over an item type, equal only to one of its own class:
-    a list and an option of the same item differ."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, item: FieldType):
-        self.item = item
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and other.item == self.item
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.item))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.item!r})"
-
-
-class ListOf(_Of):
-    __slots__ = ()
-
-
-class OptionOf(_Of):
-    __slots__ = ()
-
-
-class StereotypeSet(Marker):
-    __slots__ = ()
-
-
-FieldType = Union[Ident, NodeRef, ListOf, OptionOf, StereotypeSet]
-
 
 class SchemaField(NamedTuple):
     label: str
-    type: FieldType
+    target: str  # IDENT or a production name
+    card: str = ""  # "" (exactly one), "list", "option" or "set"
 
 
 class SchemaDatatype(NamedTuple):
     name: str
-    constructor: str
     fields: tuple[SchemaField, ...]
     sugar_for: str | None = None
 
@@ -110,17 +69,18 @@ class AstSchema(NamedTuple):
 # Derivation
 # ---------------------------------------------------------------------------
 
-def _base_type(ref: NonterminalRef) -> FieldType:
-    return Ident() if ref.target == IDENT_TOKEN else NodeRef(ref.target)
+# The base of a stereotype slot while fields are collected: no reference
+# target equals it, so a reference labeled `stereotypes` conflicts with it.
+_SLOT = "<<?>>"
 
 
 def _derive_fields(prod: Production) -> tuple[SchemaField, ...]:
     order: list[str] = []
-    bases: dict[str, FieldType] = {}
+    bases: dict[str, str] = {}
     lo: dict[str, float] = {}
     hi: dict[str, float] = {}
 
-    def add(label: str, base: FieldType, mult_lo: float, mult_hi: float) -> None:
+    def add(label: str, base: str, mult_lo: float, mult_hi: float) -> None:
         if label in bases:
             if bases[label] != base:
                 raise GrammarError(
@@ -144,9 +104,9 @@ def _derive_fields(prod: Production) -> tuple[SchemaField, ...]:
                         f"production {prod.name}: a stereotype slot must appear "
                         "exactly once, outside groups"
                     )
-                add(STEREOTYPE_FIELD, StereotypeSet(), 1, 1)
+                add(STEREOTYPE_FIELD, _SLOT, 1, 1)
             elif isinstance(el, NonterminalRef):
-                add(el.field_label, _base_type(el), mult_lo, mult_hi)
+                add(el.field_label, el.target, mult_lo, mult_hi)
             elif isinstance(el, Group):
                 if el.cardinality == "optional":
                     walk(el.elements, 0, mult_hi)
@@ -160,12 +120,12 @@ def _derive_fields(prod: Production) -> tuple[SchemaField, ...]:
     fields: list[SchemaField] = []
     for label in order:
         base = bases[label]
-        if isinstance(base, StereotypeSet):
-            fields.append(SchemaField(label, base))
+        if base == _SLOT:
+            fields.append(SchemaField(label, IDENT_TOKEN, "set"))
         elif hi[label] > 1:
-            fields.append(SchemaField(label, ListOf(base)))
+            fields.append(SchemaField(label, base, "list"))
         elif lo[label] == 0:
-            fields.append(SchemaField(label, OptionOf(base)))
+            fields.append(SchemaField(label, base, "option"))
         else:
             fields.append(SchemaField(label, base))
     return tuple(fields)
@@ -175,7 +135,7 @@ def derive_schema(g: GrammarDef) -> AstSchema:
     """Derive the abstract-syntax schema of a grammar: one datatype per
     production, in declaration order."""
     datatypes = tuple(
-        SchemaDatatype(p.name, p.name, _derive_fields(p), p.sugar_for)
+        SchemaDatatype(p.name, _derive_fields(p), p.sugar_for)
         for p in g.productions
     )
     return AstSchema(g.name, datatypes)
@@ -185,31 +145,8 @@ def derive_schema(g: GrammarDef) -> AstSchema:
 # Schema dump
 # ---------------------------------------------------------------------------
 
-def _render_type(t: FieldType) -> str:
-    if isinstance(t, Ident):
-        return IDENT_TOKEN
-    if isinstance(t, NodeRef):
-        return t.target
-    if isinstance(t, ListOf):
-        return f"{_render_type(t.item)} list"
-    if isinstance(t, OptionOf):
-        return f"{_render_type(t.item)} option"
-    if isinstance(t, StereotypeSet):
-        return f"{IDENT_TOKEN} set"
-    raise TypeError(t)
-
-
-def _render_argument(t: FieldType) -> str:
-    rendered = _render_type(t)
-    return f'"{rendered}"' if " " in rendered else rendered
-
-
-def _node_targets(t: FieldType) -> set[str]:
-    if isinstance(t, NodeRef):
-        return {t.target}
-    if isinstance(t, (ListOf, OptionOf)):
-        return _node_targets(t.item)
-    return set()
+def _render_argument(f: SchemaField) -> str:
+    return f'"{f.target} {f.card}"' if f.card else f.target
 
 
 def _dependency_order(schema: AstSchema) -> list[SchemaDatatype]:
@@ -220,10 +157,8 @@ def _dependency_order(schema: AstSchema) -> list[SchemaDatatype]:
     out: list[SchemaDatatype] = []
     while remaining:
         for dt in remaining:
-            deps = set()
-            for f in dt.fields:
-                deps |= _node_targets(f.type)
-            if deps - {dt.name} <= emitted:
+            deps = {f.target for f in dt.fields} - {IDENT_TOKEN, dt.name}
+            if deps <= emitted:
                 chosen = dt
                 break
         else:
@@ -237,8 +172,8 @@ def _dependency_order(schema: AstSchema) -> list[SchemaDatatype]:
 def dump_schema(schema: AstSchema) -> str:
     lines = [f"theory {schema.language}AS imports GeneralAS", "begin"]
     for dt in _dependency_order(schema):
-        args = " ".join(_render_argument(f.type) for f in dt.fields)
-        decl = f"datatype {dt.name} = {dt.constructor}"
+        args = " ".join(_render_argument(f) for f in dt.fields)
+        decl = f"datatype {dt.name} = {dt.name}"
         lines.append(f"{decl} {args}" if args else decl)
     lines.append("end")
     return "\n".join(lines) + "\n"
@@ -332,37 +267,37 @@ def dump_ast(node: AstNode) -> str:
 def conformance_violations(node: AstNode, schema: AstSchema) -> list[str]:
     """All ways `node` fails to conform to `schema`; empty when conformant.
 
-    A field typed Node(T) also accepts instances of sugar datatypes declared
-    for T (they are eliminated by desugaring).
+    A field whose target is a production T also accepts instances of sugar
+    datatypes declared for T (they are eliminated by desugaring).
     """
     sugar_bases = schema.sugar_bases()
     problems: list[str] = []
 
-    def check_value(path: str, v: object, t: FieldType) -> None:
-        if isinstance(t, Ident):
+    def check_item(path: str, v: object, target: str) -> None:
+        if target == IDENT_TOKEN:
             if not isinstance(v, str):
                 problems.append(f"{path}: expected identifier, got {type(v).__name__}")
-        elif isinstance(t, NodeRef):
-            if not isinstance(v, AstNode):
-                problems.append(f"{path}: expected {t.target} node, got {type(v).__name__}")
-            elif v.datatype != t.target and sugar_bases.get(v.datatype) != t.target:
-                problems.append(f"{path}: expected {t.target} node, got {v.datatype}")
-            else:
-                check_node(path, v)
-        elif isinstance(t, ListOf):
-            if not isinstance(v, list):
-                problems.append(f"{path}: expected list, got {type(v).__name__}")
-            else:
-                for i, item in enumerate(v):
-                    check_value(f"{path}[{i}]", item, t.item)
-        elif isinstance(t, OptionOf):
-            if v is not None:
-                check_value(path, v, t.item)
-        elif isinstance(t, StereotypeSet):
+        elif not isinstance(v, AstNode):
+            problems.append(f"{path}: expected {target} node, got {type(v).__name__}")
+        elif v.datatype != target and sugar_bases.get(v.datatype) != target:
+            problems.append(f"{path}: expected {target} node, got {v.datatype}")
+        else:
+            check_node(path, v)
+
+    def check_field(path: str, v: object, f: SchemaField) -> None:
+        if f.card == "set":
             if not isinstance(v, (set, frozenset)) or not all(
                 isinstance(s, str) for s in v
             ):
                 problems.append(f"{path}: expected a set of stereotype names")
+        elif f.card == "list":
+            if not isinstance(v, list):
+                problems.append(f"{path}: expected list, got {type(v).__name__}")
+            else:
+                for i, item in enumerate(v):
+                    check_item(f"{path}[{i}]", item, f.target)
+        elif f.card != "option" or v is not None:
+            check_item(path, v, f.target)
 
     def check_node(path: str, n: AstNode) -> None:
         try:
@@ -377,7 +312,7 @@ def conformance_violations(node: AstNode, schema: AstSchema) -> list[str]:
             if f.label not in n.fields:
                 problems.append(f"{path}: missing field {f.label}")
             else:
-                check_value(f"{path}.{f.label}", n.fields[f.label], f.type)
+                check_field(f"{path}.{f.label}", n.fields[f.label], f)
 
     check_node(node.datatype, node)
     return problems

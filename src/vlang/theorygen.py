@@ -9,10 +9,10 @@ predicate valid-F in `sysmodel.DOMAIN_VARIANTS` (`domain_variant` raises
 otherwise).  A mapping configuration yields a theory ``<Language>Sem``,
 named after the ``...Sem`` theory a variation point of its diagram is
 attached to, that merely combines the chosen variant theories through
-imports; every selected feature must bind a function in
-`semantics.MAPPING_VARIANTS` (`mapping_variant` raises otherwise), and
-selecting no variant of an xor variation point is an error because the
-declared mapping function would stay unbound.
+imports.  The selection binds the mapping by the rule `sem` uses
+(`semantics.super_mapping_for`): every selected feature must bind a function
+in `semantics.MAPPING_VARIANTS`, and a selection that binds the declared
+mapping function ``mSuperClasses`` zero or two times is an error.
 
 Output is plain text (one definition per line, single spaces, LF), written
 as ``<TheoryName>.thy.txt`` and byte-stable for golden tests.
@@ -24,13 +24,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .features import Configuration, FeatureDiagram
-from .semantics import (
-    SUPER_MAPPING_SLOT,
-    SemanticsError,
-    UnboundMappingError,
-    bound_domain_features,
-    mapping_variant,
-)
+from .semantics import SemanticsError, bound_domain_features, super_mapping_for
 from .sysmodel import domain_variant
 
 DOMAIN_THEORY_NAME = "SystemModel"
@@ -88,14 +82,7 @@ def generate_mapping_theory(diagram: FeatureDiagram, config: Configuration) -> T
             f"cannot derive the language name from diagram {diagram.name}; "
             "expected a variation point attached to a <Language>Sem theory"
         )
-    for vp in diagram.variation_points:
-        if vp.is_xor and not ({f.name for f in vp.features} & config.selected):
-            raise UnboundMappingError(
-                f"variation point {vp.name} has no selected variant; "
-                f"{SUPER_MAPPING_SLOT} remains unbound"
-            )
-    for feature in sorted(config.selected):
-        mapping_variant(feature)
+    super_mapping_for(config)
     return TheoryDoc(name, f"{name}-base", _variant_imports(diagram, config.selected), ())
 
 

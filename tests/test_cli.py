@@ -279,6 +279,37 @@ def test_unbound_mapping_feature_is_refused(workspace, capsys):
     assert list(out_dir.iterdir()) == []
 
 
+TWO_OPTIONAL_MAPPINGS_FD = bundled.DOMAIN_FD_TEXT + """\
+featurediagram CDSimpSemVar {
+    vp vDirect for theory CDSimpSem {
+        optional feature MapSuperCDirect kind semantic-mapping;
+    }
+    vp vDelegate for theory CDSimpSem {
+        optional feature MapSuperCDelegate kind semantic-mapping;
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("selects, message", [
+    ("select MapSuperCDirect; select MapSuperCDelegate;",
+     "mSuperClasses bound by more than one selected variant: MapSuperCDelegate, MapSuperCDirect"),
+    ("", "no mapping variant selected; mSuperClasses remains unbound"),
+], ids=["both", "neither"])
+def test_generate_binds_the_mapping_by_the_rule_of_sem(workspace, capsys, selects, message):
+    # Optional variation points bind no xor, so only the selection tells
+    # whether mSuperClasses is bound exactly once.
+    (workspace / "opt.fd").write_text(TWO_OPTIONAL_MAPPINGS_FD)
+    (workspace / "opt.conf").write_text(f"configuration O for CDSimpSemVar {{ {selects} }}\n")
+    files = [str(workspace / n) for n in ("opt.fd", "sm.conf", "opt.conf")]
+    code, _, err = _run(capsys, "sem", str(workspace / "cdsimp.mclang"), str(workspace / "d.cd"), *files)
+    assert (code, err) == (2, f"vlang: {message}\n")
+    out_dir = workspace / "gen"
+    code, out, err = _run(capsys, "generate", *files, "--out", str(out_dir))
+    assert (code, out, err) == (1, "", f"generation failed: {message}\n")
+    assert not out_dir.exists()
+
+
 def test_selected_presentation_feature_binds_no_predicate(workspace, capsys):
     # Only semantic-domain features bind valid-F; sem and generate agree.
     (workspace / "pretty.fd").write_text(bundled.EXAMPLE_FD_TEXT.replace(

@@ -1,15 +1,12 @@
 from __future__ import annotations
 
+import pytest
+
 from conftest import golden
-from vlang.grammar import parse_grammar
+from vlang.grammar import GrammarError, parse_grammar
 from vlang.modelparse import parse_model
 from vlang.schema import (
     AstNode,
-    Ident,
-    ListOf,
-    NodeRef,
-    OptionOf,
-    StereotypeSet,
     conformance_violations,
     conforms,
     derive_schema,
@@ -19,37 +16,37 @@ from vlang.schema import (
 
 
 def _fields(schema, name):
-    return {f.label: f.type for f in schema.datatype(name).fields}
+    return {f.label: (f.target, f.card) for f in schema.datatype(name).fields}
 
 
 def test_two_datatype_schema(cdsimp):
     schema = derive_schema(cdsimp)
     assert [dt.name for dt in schema.datatypes] == ["CDDefinition", "CDCClass"]
     assert _fields(schema, "CDDefinition") == {
-        "Name": Ident(),
-        "CDCClass": ListOf(NodeRef("CDCClass")),
+        "Name": ("IDENT", ""),
+        "CDCClass": ("CDCClass", "list"),
     }
-    assert _fields(schema, "CDCClass") == {"Name": Ident(), "scl": ListOf(Ident())}
+    assert _fields(schema, "CDCClass") == {"Name": ("IDENT", ""), "scl": ("IDENT", "list")}
 
 
 def test_full_class_diagram_schema(cd):
     schema = derive_schema(cd)
     assert _fields(schema, "CDDefinition") == {
-        "Name": Ident(),
-        "classes": ListOf(NodeRef("CDCClass")),
+        "Name": ("IDENT", ""),
+        "classes": ("CDCClass", "list"),
     }
     assert _fields(schema, "CDCClass") == {
-        "stereotypes": StereotypeSet(),
-        "Name": Ident(),
-        "scl": ListOf(Ident()),
+        "stereotypes": ("IDENT", "set"),
+        "Name": ("IDENT", ""),
+        "scl": ("IDENT", "list"),
     }
-    assert _fields(schema, "CDCClasses") == {"names": ListOf(Ident())}
+    assert _fields(schema, "CDCClasses") == {"names": ("IDENT", "list")}
     assert schema.datatype("CDCClasses").sugar_for == "CDCClass"
 
 
 def test_optional_single_reference_becomes_option():
     g = parse_grammar('grammar G { A = x:IDENT ("opt" y:IDENT)?; }')
-    assert _fields(derive_schema(g), "A") == {"x": Ident(), "y": OptionOf(Ident())}
+    assert _fields(derive_schema(g), "A") == {"x": ("IDENT", ""), "y": ("IDENT", "option")}
 
 
 def test_terminal_only_production_has_no_fields():
@@ -57,13 +54,33 @@ def test_terminal_only_production_has_no_fields():
     assert derive_schema(g).datatype("A").fields == ()
 
 
-def test_constructor_equals_datatype_name(cd):
-    for dt in derive_schema(cd).datatypes:
-        assert dt.constructor == dt.name
+@pytest.mark.parametrize("grammar, name", [
+    ("cdsimp", "cdsimp_schema.txt"),
+    ("cd", "cd_schema.txt"),
+    ("cdassert", "cdassert_schema.txt"),
+], ids=["CDSimp", "CD", "CDAssert"])
+def test_schema_dump_matches_golden(request, grammar, name):
+    assert dump_schema(derive_schema(request.getfixturevalue(grammar))) == golden(name)
 
 
-def test_schema_dump_matches_golden(cdsimp):
-    assert dump_schema(derive_schema(cdsimp)) == golden("cdsimp_schema.txt")
+def test_schema_dump_of_every_field_kind():
+    g = parse_grammar('grammar G { A = x:B (y:IDENT)? (zs:B)* ("o" o:B)?; B = "b"; }')
+    assert dump_schema(derive_schema(g)) == (
+        "theory GAS imports GeneralAS\nbegin\ndatatype B = B\n"
+        'datatype A = A B "IDENT option" "B list" "B option"\nend\n'
+    )
+
+
+@pytest.mark.parametrize("grammar_text, message", [
+    ('grammar S { A = <<?>> "a" stereotypes:IDENT; }',
+     "field stereotypes of A is used with conflicting types"),
+    ('grammar S { A = stereotypes:IDENT <<?>> "a"; }',
+     "production A: a stereotype slot must appear exactly once, outside groups"),
+], ids=["label-after-slot", "label-before-slot"])
+def test_a_stereotype_slot_owns_its_field(grammar_text, message):
+    with pytest.raises(GrammarError) as exc:
+        derive_schema(parse_grammar(grammar_text))
+    assert str(exc.value) == message
 
 
 def test_schema_dump_is_deterministic(cd):
@@ -131,3 +148,35 @@ def test_absent_option_renders_as_dash(cdassert):
         "(AssertionDoc Name=S assertions=[(SubAssertion left=A neg=- right=B),"
         "(SubAssertion left=B neg=(Negation) right=A)])"
     )
+
+
+@pytest.mark.parametrize("node, problems", [
+    (AstNode("CDCClass", {"stereotypes": ["x"], "Name": 1, "scl": "B"}), [
+        "CDCClass.stereotypes: expected a set of stereotype names",
+        "CDCClass.Name: expected identifier, got int",
+        "CDCClass.scl: expected list, got str",
+    ]),
+    (AstNode("CDCClass", {"stereotypes": frozenset(), "Name": "A", "scl": [1], "extra": "e"}), [
+        "CDCClass: unexpected field extra",
+        "CDCClass.scl[0]: expected identifier, got int",
+    ]),
+    (AstNode("CDDefinition", {"Name": "D", "classes": [
+        AstNode("CDCClasses", {"names": ["A"]}),
+        "B",
+        AstNode("CDDefinition", {"Name": "E", "classes": []}),
+    ]}), [
+        "CDDefinition.classes[1]: expected CDCClass node, got str",
+        "CDDefinition.classes[2]: expected CDCClass node, got CDDefinition",
+    ]),
+], ids=["wrong-kinds", "extra-field-and-list-item", "list-of-nodes"])
+def test_exact_conformance_violations(cd, node, problems):
+    assert conformance_violations(node, derive_schema(cd)) == problems
+
+
+@pytest.mark.parametrize("neg, problems", [
+    ("no", ["SubAssertion.neg: expected Negation node, got str"]),
+    (None, []),
+], ids=["str", "absent"])
+def test_exact_conformance_violations_of_an_option(cdassert, neg, problems):
+    node = AstNode("SubAssertion", {"neg": neg, "left": "A", "right": "B"})
+    assert conformance_violations(node, derive_schema(cdassert)) == problems
