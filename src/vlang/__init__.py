@@ -26,7 +26,7 @@ from .features import (
 )
 from .grammar import GrammarDef, GrammarError, parse_grammar
 from .modelparse import ModelParseError, TokenizeError, parse_model
-from .schema import AstNode, AstSchema, conforms, derive_schema, dump_ast, dump_schema
+from .schema import AstNode, AstSchema, derive_schema, dump_ast, dump_schema
 from .semantics import (
     SemanticsConfig,
     SemanticsSet,
@@ -43,11 +43,8 @@ from .sysmodel import (
     Bounds,
     Demands,
     SystemModelLite,
-    composed_valid,
     dump_system,
     enumerate_systems,
-    eval_valid_base,
-    make_system,
 )
 from .theorygen import TheoryDoc, generate_domain_theory, generate_mapping_theory
 

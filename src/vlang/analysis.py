@@ -1,13 +1,12 @@
 """Bounded decision procedures: refinement, consistency, equivalence.
 
 All verdicts are relative to the enumeration bounds they ran with, which the
-verdict records.  Universal checks (refinement, equivalence) stop at the
-first counterexample; existential checks (consistency) stop at the first
-witness.  Each check is one `enumerate_systems` scan whose `Demands` bound,
-filter and cap it: refinement is bounded by the refined model's demands,
-consistency by the joint ones, and equivalence by the atoms both models
-share.  Because enumeration order is canonical, reported systems are stable
-across runs and minimal in that order.
+verdict records.  Consistency is one `enumerate_systems` scan bounded by the
+models' joint `Demands`, stopping at its first witness.  Refinement asks for
+a system of the refined model that breaks one abstract atom the refined model
+lacks, one scan per negated atom, each stopping at its first system.
+Equivalence is refinement each way.  Enumeration order is canonical, so
+reported systems are stable across runs and minimal in that order.
 """
 
 from __future__ import annotations
@@ -18,7 +17,9 @@ from typing import NamedTuple, Sequence
 
 from .schema import AstNode
 from .semantics import SemanticsConfig, demands_of, query_bounds, variants_predicate
-from .sysmodel import Bounds, Demands, SystemModelLite, dump_system, enumerate_systems
+from .sysmodel import (
+    Bounds, Demands, SystemModelLite, canonical_key, dump_system, enumerate_systems
+)
 
 
 class AnalysisError(Exception):
@@ -46,6 +47,10 @@ class AnalysisVerdict(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
+def _first(bounds, demands, valid):
+    return next(enumerate_systems(bounds, demands, valid), None)
+
+
 def _query(models, config):
     """Each model's demands, their conjunction, and the bounds and domain
     variants of a query over the models."""
@@ -67,11 +72,25 @@ def check_refinement(
     refined: AstNode, abstract: AstNode, config: SemanticsConfig
 ) -> AnalysisVerdict:
     """Does every system denoted by `refined` lie in the semantics of
-    `abstract`, within bounds?  The scan walks the refined model's systems
-    over a universe holding both models' classes."""
+    `abstract`, within bounds?  Over both models' classes, a system of
+    `refined` is outside `abstract` iff it breaks an abstract atom `refined`
+    lacks: the counterexample is the least first system of such a negation."""
     (r, a), joint, bounds, variants = _two_models(refined, abstract, config)
-    systems = enumerate_systems(bounds, r | Demands(joint.classes), variants)
-    counterexample = next((sm for sm in systems if not a(sm)), None)
+    r |= Demands(joint.classes)
+    negated = [Demands(no_sub=frozenset({p})) for p in a.sub - r.sub]
+    negated += [Demands(sub=frozenset({p})) for p in a.no_sub - r.no_sub]
+    attrs = a.attrs - r.attrs
+    caps = sorted(a.singletons - r.singletons) if bounds.max_objects >= 2 else []
+    first = _first(bounds, r, variants) if negated or attrs or caps else None
+    if first is None or not a.frame_holds(first):
+        return AnalysisVerdict("refine", first is None, bounds, counterexample=first)
+    if caps:  # the populations of a frame come right after it
+        pair = first._replace(objects=("o1", "o2"), class_of=(("o1", caps[0]), ("o2", caps[0])))
+        return AnalysisVerdict("refine", False, bounds, counterexample=pair)
+    firsts = [_first(bounds, r | n, variants) for n in negated] + [
+        _first(bounds, r, lambda f, t=t: t not in f.attrs and variants(f)) for t in attrs
+    ]
+    counterexample = min(filter(None, firsts), key=canonical_key, default=None)
     return AnalysisVerdict("refine", counterexample is None, bounds, counterexample=counterexample)
 
 
@@ -81,33 +100,14 @@ def check_consistency(models: Sequence[AstNode], config: SemanticsConfig) -> Ana
     if not models:
         raise AnalysisError("consistency needs at least one model")
     _, joint, bounds, variants = _query(models, config)
-    witness = next(enumerate_systems(bounds, joint, variants), None)
+    witness = _first(bounds, joint, variants)
     return AnalysisVerdict("consistent", witness is not None, bounds, witness=witness)
 
 
 def check_equivalence(m1: AstNode, m2: AstNode, config: SemanticsConfig) -> AnalysisVerdict:
-    """Mutual refinement, in one scan.  The counterexample is the first
-    system of `m1` outside `m2` when there is one, and otherwise the first
-    system of `m2` outside `m1`: what refinement each way would report.
-    Only the atoms both models share bound the scan, and a frame either
-    model accepts passes its filter, as every such frame must be seen.
-    Each model's frame atoms are judged once per frame, which comes right
-    before its populations; a population adds only the caps."""
-    (d1, d2), joint, bounds, variants = _two_models(m1, m2, config)
-    shared = Demands(
-        joint.classes, d1.sub & d2.sub, d1.no_sub & d2.no_sub, d1.attrs & d2.attrs,
-        d1.singletons & d2.singletons,
-    )
-    backward = None
-    for sm in enumerate_systems(
-        bounds, shared, lambda f: (d1.frame_holds(f) or d2.frame_holds(f)) and variants(f)
-    ):
-        if not sm.objects:
-            frame1, frame2 = d1.frame_holds(sm), d2.frame_holds(sm)
-        in1 = frame1 and d1.caps_hold(sm.class_of)
-        in2 = frame2 and d2.caps_hold(sm.class_of)
-        if in1 and not in2:
-            return AnalysisVerdict("equiv", False, bounds, counterexample=sm)
-        if in2 and not in1 and backward is None:
-            backward = sm
-    return AnalysisVerdict("equiv", backward is None, bounds, counterexample=backward)
+    """Refinement each way, under the same joint bounds.  The counterexample
+    is the first system of `m1` outside `m2` when there is one, and
+    otherwise the first system of `m2` outside `m1`."""
+    forward = check_refinement(m1, m2, config)
+    verdict = check_refinement(m2, m1, config) if forward.holds else forward
+    return verdict._replace(kind="equiv")

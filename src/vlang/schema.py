@@ -61,9 +61,6 @@ class AstSchema(NamedTuple):
                 return dt
         raise KeyError(name)
 
-    def sugar_bases(self) -> dict[str, str]:
-        return {dt.name: dt.sugar_for for dt in self.datatypes if dt.sugar_for}
-
 
 # ---------------------------------------------------------------------------
 # Derivation
@@ -258,65 +255,3 @@ def dump_ast(node: AstNode) -> str:
     for label in sorted(node.fields):
         parts.append(f"{label}={_dump_value(node.fields[label])}")
     return "(" + " ".join(parts) + ")"
-
-
-# ---------------------------------------------------------------------------
-# Conformance
-# ---------------------------------------------------------------------------
-
-def conformance_violations(node: AstNode, schema: AstSchema) -> list[str]:
-    """All ways `node` fails to conform to `schema`; empty when conformant.
-
-    A field whose target is a production T also accepts instances of sugar
-    datatypes declared for T (they are eliminated by desugaring).
-    """
-    sugar_bases = schema.sugar_bases()
-    problems: list[str] = []
-
-    def check_item(path: str, v: object, target: str) -> None:
-        if target == IDENT_TOKEN:
-            if not isinstance(v, str):
-                problems.append(f"{path}: expected identifier, got {type(v).__name__}")
-        elif not isinstance(v, AstNode):
-            problems.append(f"{path}: expected {target} node, got {type(v).__name__}")
-        elif v.datatype != target and sugar_bases.get(v.datatype) != target:
-            problems.append(f"{path}: expected {target} node, got {v.datatype}")
-        else:
-            check_node(path, v)
-
-    def check_field(path: str, v: object, f: SchemaField) -> None:
-        if f.card == "set":
-            if not isinstance(v, (set, frozenset)) or not all(
-                isinstance(s, str) for s in v
-            ):
-                problems.append(f"{path}: expected a set of stereotype names")
-        elif f.card == "list":
-            if not isinstance(v, list):
-                problems.append(f"{path}: expected list, got {type(v).__name__}")
-            else:
-                for i, item in enumerate(v):
-                    check_item(f"{path}[{i}]", item, f.target)
-        elif f.card != "option" or v is not None:
-            check_item(path, v, f.target)
-
-    def check_node(path: str, n: AstNode) -> None:
-        try:
-            dt = schema.datatype(n.datatype)
-        except KeyError:
-            problems.append(f"{path}: unknown datatype {n.datatype}")
-            return
-        declared = {f.label for f in dt.fields}
-        for extra in sorted(set(n.fields) - declared):
-            problems.append(f"{path}: unexpected field {extra}")
-        for f in dt.fields:
-            if f.label not in n.fields:
-                problems.append(f"{path}: missing field {f.label}")
-            else:
-                check_field(f"{path}.{f.label}", n.fields[f.label], f)
-
-    check_node(node.datatype, node)
-    return problems
-
-
-def conforms(node: AstNode, schema: AstSchema) -> bool:
-    return not conformance_violations(node, schema)

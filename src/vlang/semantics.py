@@ -24,8 +24,7 @@ demands join the candidates, and the record itself bounds, filters and caps
 the enumeration, so a semantics set is one `enumerate_systems` call with the
 domain variants as its frame filter.
 
-The semantics set of a model is enumerable within bounds and supports
-membership queries without materializing the set.
+The semantics set of a model is enumerable within bounds.
 """
 
 from __future__ import annotations
@@ -38,15 +37,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .features import Configuration, FeatureDiagram
 from .schema import AstNode, hook_field
-from .sysmodel import (
-    Bounds,
-    Demands,
-    SystemModelLite,
-    composed_valid,
-    enumerate_systems,
-    eval_valid_base,
-    variants_valid,
-)
+from .sysmodel import Bounds, Demands, SystemModelLite, enumerate_systems, variants_valid
 
 SUPER_MAPPING_SLOT = "mSuperClasses"
 SINGLETON = "singleton"
@@ -210,12 +201,27 @@ class SemanticsConfig(NamedTuple):
     bounds: Bounds
 
 
+def language_theory(diagram: FeatureDiagram) -> str | None:
+    """The one ``<Language>Sem`` theory the variation points of a mapping
+    diagram are attached to, None if there is none; points attached to two
+    such theories raise SemanticsError."""
+    attached = {vp.attached_theory for vp in diagram.variation_points}
+    theories = sorted(t for t in attached if t.endswith("Sem"))
+    if len(theories) > 1:
+        raise SemanticsError(
+            f"mapping diagram {diagram.name} attaches variation points to "
+            f"more than one language theory: {', '.join(theories)}"
+        )
+    return next(iter(theories), None)
+
+
 def semantic_diagrams(
     diagrams: list[FeatureDiagram], *, require_both: bool = False
 ) -> tuple[FeatureDiagram | None, FeatureDiagram | None]:
     """The semantic-domain and the semantic-mapping diagram, None for a role
     no diagram plays.  A diagram's role is the kind of its semantic features;
-    a diagram with both kinds, a second diagram of either role, or (with
+    a diagram with both kinds, a mapping diagram attached to two language
+    theories (`language_theory`), a second diagram of either role, or (with
     `require_both`) a missing role raises SemanticsError."""
     domain, mapping = [], []
     for d in diagrams:
@@ -225,6 +231,7 @@ def semantic_diagrams(
         if "semantic-domain" in kinds:
             domain.append(d)
         elif "semantic-mapping" in kinds:
+            language_theory(d)
             mapping.append(d)
     if len(domain) > 1 or len(mapping) > 1 or require_both and not (domain and mapping):
         raise SemanticsError(
@@ -254,11 +261,6 @@ def bound_domain_features(diagram: FeatureDiagram, config: Configuration) -> lis
     return sorted(
         f for f in config.selected if f not in declared or declared[f].kind == "semantic-domain"
     )
-
-
-def valid_predicate(config: SemanticsConfig) -> Callable[[SystemModelLite], bool]:
-    """Composed validity for the configured semantic domain."""
-    return composed_valid(bound_domain_features(config.domain_diagram, config.domain_config))
 
 
 def variants_predicate(config: SemanticsConfig) -> Callable[[SystemModelLite], bool]:
@@ -296,27 +298,23 @@ def query_bounds(config: SemanticsConfig, demands: Demands) -> Bounds:
 class SemanticsSet:
     """The enumerable, bound-relative semantics of one minimal model."""
 
-    __slots__ = ("bounds", "demands", "_variants")
+    __slots__ = ("bounds", "demands", "variants")
 
     def __init__(
         self, bounds: Bounds, demands: Demands, variants: Callable[[SystemModelLite], bool]
     ):
         self.bounds = bounds
         self.demands = demands
-        self._variants = variants
+        self.variants = variants
 
     def __iter__(self) -> Iterator[SystemModelLite]:
-        return enumerate_systems(self.bounds, self.demands, self._variants)
+        return enumerate_systems(self.bounds, self.demands, self.variants)
 
     def count(self) -> int:
         return sum(1 for _ in self)
 
     def first(self, k: int) -> list[SystemModelLite]:
         return list(islice(iter(self), k))
-
-    def contains(self, sm: SystemModelLite) -> bool:
-        """Membership by predicate, independent of enumeration."""
-        return eval_valid_base(sm) and self._variants(sm) and self.demands(sm)
 
 
 def compute_sem(model: AstNode, config: SemanticsConfig) -> SemanticsSet:

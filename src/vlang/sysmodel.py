@@ -6,8 +6,8 @@ attributes (owner, name, target class), objects with canonical identifiers
 o1..oN, and a total class assignment for the objects.  Base validity demands
 a reflexive and transitive subclassing relation on top of the structural
 invariants.  Domain variants are extra validity predicates bound to feature
-names in `DOMAIN_VARIANTS` (feature F to its predicate valid-F); the composed
-predicate is their conjunction with base validity.  Both constrain only a
+names in `DOMAIN_VARIANTS` (feature F to its predicate valid-F); a valid
+system is base-valid and meets the selected variants.  Both constrain only a
 system's frame: its classes, subclassing and attributes.
 
 `enumerate_systems(bounds, demands, valid)` walks the systems within bounds
@@ -42,8 +42,7 @@ class NameConventionError(Exception):
 class SystemModelLite(NamedTuple):
     """One bounded semantic-domain structure.
 
-    All components are canonically sorted tuples; build instances through
-    `make_system` unless the inputs are already canonical.
+    All components are canonically sorted tuples.
     """
 
     classes: tuple[str, ...]
@@ -51,22 +50,6 @@ class SystemModelLite(NamedTuple):
     attrs: tuple[Attr, ...]
     objects: tuple[str, ...]
     class_of: tuple[Pair, ...]
-
-
-def make_system(
-    classes: Iterable[str] = (),
-    sub: Iterable[Pair] = (),
-    attrs: Iterable[Attr] = (),
-    objects: Iterable[str] = (),
-    class_of: Iterable[Pair] = (),
-) -> SystemModelLite:
-    return SystemModelLite(
-        tuple(sorted(set(classes))),
-        tuple(sorted(set(sub))),
-        tuple(sorted(set(attrs))),
-        tuple(sorted(set(objects))),
-        tuple(sorted(set(class_of))),
-    )
 
 
 def canonical_key(sm: SystemModelLite):
@@ -84,47 +67,11 @@ def canonical_key(sm: SystemModelLite):
     )
 
 
-def structurally_valid(sm: SystemModelLite) -> bool:
-    classes = set(sm.classes)
-    for a, b in sm.sub:
-        if a not in classes or b not in classes:
-            return False
-    owned_names: set[Pair] = set()
-    for owner, name, target in sm.attrs:
-        if owner not in classes or target not in classes or (owner, name) in owned_names:
-            return False
-        owned_names.add((owner, name))
-    objects = set(sm.objects)
-    if {o for o, _ in sm.class_of} != objects or len(sm.class_of) != len(objects):
-        return False
-    for _, c in sm.class_of:
-        if c not in classes:
-            return False
-    return True
-
-
 def _supers(sm: SystemModelLite) -> dict[str, set[str]]:
     out: dict[str, set[str]] = {}
     for a, b in sm.sub:
         out.setdefault(a, set()).add(b)
     return out
-
-
-def eval_valid_base(sm: SystemModelLite) -> bool:
-    """Base validity: structural invariants plus a reflexive and transitive
-    subclassing relation."""
-    if not structurally_valid(sm):
-        return False
-    pairs = set(sm.sub)
-    if any((c, c) not in pairs for c in sm.classes):
-        return False
-    supers = _supers(sm)
-    for a, bs in supers.items():
-        for b in bs:
-            for c in supers.get(b, ()):
-                if (a, c) not in pairs:
-                    return False
-    return True
 
 
 def valid_single_inheritance(sm: SystemModelLite) -> bool:
@@ -168,13 +115,6 @@ def variants_valid(selected: Iterable[str]) -> Callable[[SystemModelLite], bool]
     return lambda sm: all(p(sm) for p in predicates)
 
 
-def composed_valid(selected: Iterable[str]) -> Callable[[SystemModelLite], bool]:
-    """Conjunction of base validity and the predicates of the selected
-    domain features, in sorted feature order: validity of any system."""
-    variants = variants_valid(selected)
-    return lambda sm: eval_valid_base(sm) and variants(sm)
-
-
 # ---------------------------------------------------------------------------
 # Bounded enumeration
 # ---------------------------------------------------------------------------
@@ -182,8 +122,8 @@ def composed_valid(selected: Iterable[str]) -> Callable[[SystemModelLite], bool]
 class Demands(NamedTuple):
     """A conjunction of atoms: each of `classes` exists, each pair of `sub`
     is present and each of `no_sub` absent, each of `attrs` is present, and
-    each of `singletons` has at most one object.  Calling it judges a
-    system."""
+    each of `singletons` has at most one object.  `frame_holds` and
+    `caps_hold` judge a system."""
 
     classes: frozenset[str] = frozenset()
     sub: frozenset[Pair] = frozenset()
@@ -215,9 +155,6 @@ class Demands(NamedTuple):
         """No two objects of a class assignment share a singleton class."""
         capped = [c for _, c in class_of if c in self.singletons]
         return len(capped) == len(set(capped))
-
-    def __call__(self, sm: SystemModelLite) -> bool:
-        return self.frame_holds(sm) and self.caps_hold(sm.class_of)
 
 
 class _BoundsFields(NamedTuple):

@@ -7,9 +7,9 @@ other than semantic-domain) and defines the composed validity predicate as a
 conjunction, bound by name convention: such a feature F must have a
 predicate valid-F in `sysmodel.DOMAIN_VARIANTS` (`domain_variant` raises
 otherwise).  A mapping configuration yields a theory ``<Language>Sem``,
-named after the ``...Sem`` theory a variation point of its diagram is
-attached to, that merely combines the chosen variant theories through
-imports.  The selection binds the mapping by the rule `sem` uses
+named after the one ``...Sem`` theory the variation points of its diagram
+are attached to (`semantics.language_theory`), that merely combines the
+chosen variant theories through imports.  The selection binds the mapping by the rule `sem` uses
 (`semantics.super_mapping_for`): every selected feature must bind a function
 in `semantics.MAPPING_VARIANTS`, and a selection that binds the declared
 mapping function ``mSuperClasses`` zero or two times is an error.
@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .features import Configuration, FeatureDiagram
-from .semantics import SemanticsError, bound_domain_features, super_mapping_for
+from .semantics import SemanticsError, bound_domain_features, language_theory, super_mapping_for
 from .sysmodel import domain_variant
 
 DOMAIN_THEORY_NAME = "SystemModel"
@@ -73,10 +73,9 @@ def generate_domain_theory(diagram: FeatureDiagram, config: Configuration) -> Th
 
 def generate_mapping_theory(diagram: FeatureDiagram, config: Configuration) -> TheoryDoc:
     """The combined semantic-mapping theory for a validated mapping
-    configuration, named after the least ``<Language>Sem`` theory a
-    variation point of the diagram is attached to."""
-    theories = [vp.attached_theory for vp in diagram.variation_points]
-    name = min((t for t in theories if t.endswith("Sem")), default=None)
+    configuration, named after the one ``<Language>Sem`` theory the
+    variation points of the diagram are attached to."""
+    name = language_theory(diagram)
     if name is None:
         raise SemanticsError(
             f"cannot derive the language name from diagram {diagram.name}; "

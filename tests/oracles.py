@@ -1,0 +1,234 @@
+"""Judges of arbitrary systems and ASTs, and the brute-force oracles the
+package is checked against.
+
+The package builds only systems that are base-valid and hold a query's
+`Demands`, and its parser builds only conforming ASTs, so it needs none of
+these judges.  Tests use them to check what the package builds.
+"""
+
+from __future__ import annotations
+
+from itertools import chain, combinations, product
+from typing import Callable, Iterable
+
+from vlang.grammar import IDENT_TOKEN
+from vlang.schema import AstNode, AstSchema, SchemaField
+from vlang.semantics import (
+    SemanticsConfig,
+    SemanticsSet,
+    bound_domain_features,
+    demands_of,
+    query_bounds,
+    variants_predicate,
+)
+from vlang.sysmodel import (
+    Attr,
+    Bounds,
+    Demands,
+    Pair,
+    SystemModelLite,
+    _supers,
+    enumerate_systems,
+    variants_valid,
+)
+
+# ---------------------------------------------------------------------------
+# Systems
+# ---------------------------------------------------------------------------
+
+def make_system(
+    classes: Iterable[str] = (),
+    sub: Iterable[Pair] = (),
+    attrs: Iterable[Attr] = (),
+    objects: Iterable[str] = (),
+    class_of: Iterable[Pair] = (),
+) -> SystemModelLite:
+    """A system from components in any order, each sorted canonically."""
+    return SystemModelLite(
+        tuple(sorted(set(classes))),
+        tuple(sorted(set(sub))),
+        tuple(sorted(set(attrs))),
+        tuple(sorted(set(objects))),
+        tuple(sorted(set(class_of))),
+    )
+
+
+def structurally_valid(sm: SystemModelLite) -> bool:
+    classes = set(sm.classes)
+    for a, b in sm.sub:
+        if a not in classes or b not in classes:
+            return False
+    owned_names: set[Pair] = set()
+    for owner, name, target in sm.attrs:
+        if owner not in classes or target not in classes or (owner, name) in owned_names:
+            return False
+        owned_names.add((owner, name))
+    objects = set(sm.objects)
+    if {o for o, _ in sm.class_of} != objects or len(sm.class_of) != len(objects):
+        return False
+    for _, c in sm.class_of:
+        if c not in classes:
+            return False
+    return True
+
+
+def eval_valid_base(sm: SystemModelLite) -> bool:
+    """Base validity: structural invariants plus a reflexive and transitive
+    subclassing relation."""
+    if not structurally_valid(sm):
+        return False
+    pairs = set(sm.sub)
+    if any((c, c) not in pairs for c in sm.classes):
+        return False
+    supers = _supers(sm)
+    for a, bs in supers.items():
+        for b in bs:
+            for c in supers.get(b, ()):
+                if (a, c) not in pairs:
+                    return False
+    return True
+
+
+def composed_valid(selected: Iterable[str]) -> Callable[[SystemModelLite], bool]:
+    """Conjunction of base validity and the predicates of the selected
+    domain features, in sorted feature order: validity of any system."""
+    variants = variants_valid(selected)
+    return lambda sm: eval_valid_base(sm) and variants(sm)
+
+
+def holds(demands: Demands, sm: SystemModelLite) -> bool:
+    """Does `sm` hold every atom of `demands`, the caps included?"""
+    return demands.frame_holds(sm) and demands.caps_hold(sm.class_of)
+
+
+# ---------------------------------------------------------------------------
+# Semantics
+# ---------------------------------------------------------------------------
+
+def valid_predicate(config: SemanticsConfig) -> Callable[[SystemModelLite], bool]:
+    """Composed validity for the configured semantic domain."""
+    return composed_valid(bound_domain_features(config.domain_diagram, config.domain_config))
+
+
+def contains(sem: SemanticsSet, sm: SystemModelLite) -> bool:
+    """Membership by predicate, independent of enumeration."""
+    return eval_valid_base(sm) and sem.variants(sm) and holds(sem.demands, sm)
+
+
+def full_scan_refinement(
+    refined: AstNode, abstract: AstNode, config: SemanticsConfig
+) -> SystemModelLite | None:
+    """The first system of `refined` outside `abstract` over both models'
+    classes, found by judging every system of `refined` in turn."""
+    r, a = demands_of(refined, config), demands_of(abstract, config)
+    joint = r | a
+    systems = enumerate_systems(
+        query_bounds(config, joint), r | Demands(joint.classes), variants_predicate(config)
+    )
+    return next((sm for sm in systems if not holds(a, sm)), None)
+
+
+# ---------------------------------------------------------------------------
+# Enumeration: powerset loops over every component, reflexivity and
+# transitivity re-written from scratch.
+# ---------------------------------------------------------------------------
+
+def _powerset(items):
+    items = list(items)
+    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
+
+
+def oracle_base_valid(classes, sub) -> bool:
+    ok = all((c, c) in sub for c in classes)
+    for (a, b) in sub:
+        for (c, d) in sub:
+            if b == c and (a, d) not in sub:
+                ok = False
+    return ok
+
+
+def oracle_enumerate(bounds: Bounds, required, predicate):
+    """All systems within bounds satisfying `predicate`, as a set."""
+    out = set()
+    extras = set(bounds.extra_class_names) - set(required)
+    for extra_choice in _powerset(sorted(extras)):
+        classes = tuple(sorted(set(required) | set(extra_choice)))
+        for sub in _powerset(sorted(product(classes, classes))):
+            candidates = sorted(
+                a for a in bounds.attr_candidates
+                if a[0] in classes and a[2] in classes
+            )
+            for attrs in _powerset(candidates):
+                if len({(o, n) for o, n, _ in attrs}) != len(attrs):
+                    continue
+                for count in range(bounds.max_objects + 1):
+                    objects = tuple(f"o{i}" for i in range(1, count + 1))
+                    for assignment in product(classes, repeat=count):
+                        sm = make_system(
+                            classes, sub, attrs, objects, zip(objects, assignment)
+                        )
+                        if predicate(sm) and sm not in out:
+                            out.add(sm)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Conformance
+# ---------------------------------------------------------------------------
+
+def conformance_violations(node: AstNode, schema: AstSchema) -> list[str]:
+    """All ways `node` fails to conform to `schema`; empty when conformant.
+
+    A field whose target is a production T also accepts instances of sugar
+    datatypes declared for T (they are eliminated by desugaring).
+    """
+    sugar_bases = {dt.name: dt.sugar_for for dt in schema.datatypes if dt.sugar_for}
+    problems: list[str] = []
+
+    def check_item(path: str, v: object, target: str) -> None:
+        if target == IDENT_TOKEN:
+            if not isinstance(v, str):
+                problems.append(f"{path}: expected identifier, got {type(v).__name__}")
+        elif not isinstance(v, AstNode):
+            problems.append(f"{path}: expected {target} node, got {type(v).__name__}")
+        elif v.datatype != target and sugar_bases.get(v.datatype) != target:
+            problems.append(f"{path}: expected {target} node, got {v.datatype}")
+        else:
+            check_node(path, v)
+
+    def check_field(path: str, v: object, f: SchemaField) -> None:
+        if f.card == "set":
+            if not isinstance(v, (set, frozenset)) or not all(
+                isinstance(s, str) for s in v
+            ):
+                problems.append(f"{path}: expected a set of stereotype names")
+        elif f.card == "list":
+            if not isinstance(v, list):
+                problems.append(f"{path}: expected list, got {type(v).__name__}")
+            else:
+                for i, item in enumerate(v):
+                    check_item(f"{path}[{i}]", item, f.target)
+        elif f.card != "option" or v is not None:
+            check_item(path, v, f.target)
+
+    def check_node(path: str, n: AstNode) -> None:
+        try:
+            dt = schema.datatype(n.datatype)
+        except KeyError:
+            problems.append(f"{path}: unknown datatype {n.datatype}")
+            return
+        declared = {f.label for f in dt.fields}
+        for extra in sorted(set(n.fields) - declared):
+            problems.append(f"{path}: unexpected field {extra}")
+        for f in dt.fields:
+            if f.label not in n.fields:
+                problems.append(f"{path}: missing field {f.label}")
+            else:
+                check_field(f"{path}.{f.label}", n.fields[f.label], f)
+
+    check_node(node.datatype, node)
+    return problems
+
+
+def conforms(node: AstNode, schema: AstSchema) -> bool:
+    return not conformance_violations(node, schema)

@@ -21,8 +21,8 @@ from contextlib import contextmanager
 from itertools import combinations, product
 
 from conftest import golden, raw_semantics_config
+from oracles import contains, eval_valid_base, holds, make_system, oracle_enumerate, valid_predicate
 from test_features import all_selections, oracle_valid, validator_accepts
-from test_sysmodel import oracle_enumerate
 
 from vlang import bundled
 from vlang.analysis import check_consistency, check_equivalence, check_refinement
@@ -35,14 +35,12 @@ from vlang.features import (
 )
 from vlang.modelparse import parse_model
 from vlang.schema import AstNode, derive_schema, dump_ast, dump_schema
-from vlang.semantics import compute_sem, demands_of, valid_predicate
+from vlang.semantics import compute_sem, demands_of
 from vlang.sysmodel import (
     Bounds,
     Demands,
     dump_system,
     enumerate_systems,
-    eval_valid_base,
-    make_system,
 )
 from vlang.theorygen import generate_domain_theory, generate_mapping_theory, write_theory
 
@@ -192,7 +190,7 @@ def test_criterion_5_variant_discrimination(cdsimp, cdassert, example_diagrams):
         assert witnesses, "delegate semantics must be nonempty"
         witness = witnesses[0]
         assert valid_predicate(delegate_config)(witness)
-        assert delegate_sem.contains(witness)
+        assert contains(delegate_sem, witness)
 
         # Loose semantics keeps the direct + SingleInheritance set nonempty
         # (see the module docstring); the pair instead forbids unrelated B, C.
@@ -207,7 +205,7 @@ def test_criterion_5_variant_discrimination(cdsimp, cdassert, example_diagrams):
         assert direct_sem == oracle_enumerate(
             direct_config.bounds,
             {"A", "B", "C", "D"},
-            lambda sm: direct_valid(sm) and direct_accepts(sm),
+            lambda sm: direct_valid(sm) and holds(direct_accepts, sm),
         )
         assert len(direct_sem) == 12
         assert all(

@@ -3,14 +3,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import raw_semantics_config
-from vlang import analysis
+from oracles import full_scan_refinement, make_system
 from vlang.analysis import AnalysisError, check_consistency, check_equivalence, check_refinement
 from vlang.desugar import desugar_to_minimal
 from vlang.modelparse import parse_model
 from vlang.semantics import compute_sem
-from vlang.sysmodel import Bounds, Demands, dump_system, make_system
+from vlang.sysmodel import DOMAIN_VARIANTS, Bounds, dump_system
 
 
 def _cd(grammar, text):
@@ -56,6 +58,53 @@ def test_refinement_requires_one_language(cdsimp, cdassert, example_diagrams):
     doc = _cd(cdassert, "assertions S { }")
     with pytest.raises(AnalysisError):
         check_refinement(diagram, doc, _config(example_diagrams))
+
+
+def test_an_abstract_cap_breaks_at_two_objects_of_the_first_frame(cd, example_diagrams):
+    # The refined model holds every frame atom of the abstract one but caps
+    # neither B nor C: with two objects the first counterexample is the first
+    # frame with both objects in B, the least of the capped classes.
+    refined = _cd(cd, "classdiagram D { class A extends C; class B; class C; }")
+    abstract = _cd(cd, "classdiagram D { class A; <<singleton>> class C; <<singleton>> class B; }")
+    one, two = (_config(example_diagrams, bounds=Bounds(max_objects=k)) for k in (1, 2))
+    assert check_refinement(refined, abstract, one).holds
+    verdict = check_refinement(refined, abstract, two)
+    assert verdict.report() == (
+        "RESULT holds=false kind=refine bounds=extra={};maxObjects=2;attrs={}\n"
+        "COUNTEREXAMPLE\n"
+        "CLASSES A B C\n"
+        "SUB (A,A) (A,C) (B,B) (C,C)\n"
+        "ATTRS\n"
+        "OBJECTS o1 o2\n"
+        "CLASSOF (o1,B) (o2,B)\n"
+    )
+
+
+def test_a_required_attr_is_negated_by_a_frame_filter(cdsimp, example_diagrams, monkeypatch):
+    # A domain variant may read attrs.  This one makes a class with exactly
+    # one proper super own an attribute, so the first system of the refined
+    # model holds the abstract model's dlg_C; the first without it relates A
+    # to both B and C.
+    def one_super_delegates(sm):
+        owners = {o for o, _, _ in sm.attrs}
+        supers = [a for a, b in sm.sub if a != b]
+        return all(supers.count(c) != 1 or c in owners for c in sm.classes)
+
+    monkeypatch.setitem(DOMAIN_VARIANTS, "OneSuperDelegates", one_super_delegates)
+    refined = _cd(cdsimp, "classdiagram D { class A extends B; class C; }")
+    abstract = _cd(cdsimp, "classdiagram D { class A extends B, C; class B; class C; }")
+    config = _config(example_diagrams, {"OneSuperDelegates"}, {"MapSuperCDelegate"})
+    verdict = check_refinement(refined, abstract, config)
+    assert verdict.report() == (
+        "RESULT holds=false kind=refine bounds=extra={};maxObjects=0;attrs={(A,dlg_C,C)}\n"
+        "COUNTEREXAMPLE\n"
+        "CLASSES A B C\n"
+        "SUB (A,A) (A,B) (A,C) (B,B) (C,C)\n"
+        "ATTRS\n"
+        "OBJECTS\n"
+        "CLASSOF\n"
+    )
+    assert verdict.counterexample == full_scan_refinement(refined, abstract, config)
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +172,6 @@ def test_extra_constraint_breaks_equivalence(cdsimp, example_diagrams):
     assert verdict.counterexample == make_system({"A", "B"}, REFL2)
 
 
-def test_equivalence_judges_frame_atoms_once_per_frame(cd, example_diagrams, monkeypatch):
-    # The frame atoms read no objects: the filter judges them at most once
-    # per model, and so does the scan when the frame is yielded, never again
-    # for the frame's populations.
-    m1 = _cd(cd, "classdiagram D { class A extends B, C; class B; class C; class D; }")
-    m2 = _cd(cd, "classdiagram D { class D; class C; class B; class A extends B, C; }")
-    config = _config(example_diagrams, {"SingleInheritance"}, {"MapSuperCDelegate"},
-                     Bounds(max_objects=2))
-    judged, offered = [], []
-    frame_holds, enumerate_systems = Demands.frame_holds, analysis.enumerate_systems
-    monkeypatch.setattr(Demands, "frame_holds", lambda d, sm: judged.append(sm) or frame_holds(d, sm))
-    monkeypatch.setattr(analysis, "enumerate_systems", lambda bounds, demands, valid: enumerate_systems(
-        bounds, demands, lambda frame: offered.append(frame) or valid(frame)))
-    assert check_equivalence(m1, m2, config).holds
-    assert len(offered) == 129
-    assert len(judged) <= 4 * len(offered)
-
-
 def test_equivalence_agrees_with_two_refinements(cdsimp, example_diagrams):
     config = _config(example_diagrams)
     texts = [
@@ -165,6 +196,80 @@ def test_equivalence_agrees_with_two_refinements(cdsimp, example_diagrams):
             assert verdict.holds == (forward.holds and backward.holds)
             first_failure = forward if not forward.holds else backward
             assert verdict.counterexample == first_failure.counterexample
+
+
+# ---------------------------------------------------------------------------
+# Against the full scan
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _class_statement(draw, names):
+    """A class declaration over `names`, with two supers at most (so the
+    delegate mapping demands at most one attribute of it)."""
+    supers = draw(st.lists(st.sampled_from(names), unique=True, max_size=2))
+    singleton = "<<singleton>> " if draw(st.booleans()) else ""
+    extends = f" extends {', '.join(supers)}" if supers else ""
+    return f"{singleton}class {draw(st.sampled_from(names))}{extends};"
+
+
+def _assertion_statement(names):
+    return st.builds(lambda neg, left, right: f"{'no ' if neg else ''}sub {left} {right};",
+                     st.booleans(), st.sampled_from(names), st.sampled_from(names))
+
+
+@st.composite
+def _refinement_cases(draw):
+    """Two class diagrams or two assertion documents over at most four class
+    names, with the mapping, the domain variants and the bounds: at most two
+    objects and at most four classes, an extra one included.  Each model
+    takes some statements of one shared list, and often the second differs
+    from the first in one statement, so the two share atoms and a refinement
+    can fail past its first system.  Every atom kind (a required or
+    forbidden pair, an attr, a cap) occurs."""
+    names = "ABCD"[: draw(st.integers(1, 4))]
+    language, head, statement = draw(st.sampled_from([
+        ("cd", "classdiagram D", _class_statement(names)),
+        ("cdassert", "assertions S", _assertion_statement(names)),
+    ]))
+    pool = draw(st.lists(statement, min_size=1, max_size=5))
+    masks = st.lists(st.booleans(), min_size=len(pool), max_size=len(pool))
+    first = draw(masks)
+    flip = draw(st.none() | st.integers(0, len(pool) - 1))
+    second = draw(masks) if flip is None else [k != (i == flip) for i, k in enumerate(first)]
+    texts = [f"{head} {{ {' '.join(s for s, kept in zip(pool, mask) if kept)} }}"
+             for mask in (first, second)]
+    extra = ("X",) if len(names) < 4 and draw(st.booleans()) else ()
+    return (language, *texts, draw(st.sampled_from(["MapSuperCDirect", "MapSuperCDelegate"])),
+            draw(st.sampled_from([(), ("SingleInheritance",)])), extra, draw(st.integers(0, 2)))
+
+
+# The example budget comes from the hypothesis profile (tests/conftest.py).
+@settings(deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(_refinement_cases())
+@example(("cd", "classdiagram D { class A extends C; class B; class C; }",
+          "classdiagram D { class A; <<singleton>> class C; <<singleton>> class B; }",
+          "MapSuperCDirect", (), (), 2))
+@example(("cd", "classdiagram D { class A extends B, C; class B; class C; }",
+          "classdiagram D { class A extends C, B; class B; class C; }",
+          "MapSuperCDelegate", ("SingleInheritance",), ("X",), 1))
+@example(("cdassert", "assertions S { sub A B; no sub B A; }",
+          "assertions S { sub B C; no sub A C; }", "MapSuperCDirect", (), (), 0))
+@example(("cdassert", "assertions S { sub A A; sub B B; sub C C; }",
+          "assertions S { no sub C B; no sub B C; no sub C A; "
+          "no sub A C; no sub B A; no sub A B; }",
+          "MapSuperCDirect", (), (), 0))
+def test_refinement_and_equivalence_equal_the_full_scan(request, example_diagrams, case):
+    language, text1, text2, mapping, domain, extra, max_objects = case
+    grammar = request.getfixturevalue(language)
+    m1, m2 = _cd(grammar, text1), _cd(grammar, text2)
+    config = _config(example_diagrams, domain, {mapping}, Bounds(extra, max_objects))
+    forward = full_scan_refinement(m1, m2, config)
+    verdict = check_refinement(m1, m2, config)
+    assert (verdict.holds, verdict.counterexample) == (forward is None, forward)
+    expected = forward if forward is not None else full_scan_refinement(m2, m1, config)
+    verdict = check_equivalence(m1, m2, config)
+    assert (verdict.kind, verdict.holds) == ("equiv", expected is None)
+    assert verdict.counterexample == expected
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,36 @@ def test_generate_binds_the_mapping_by_the_rule_of_sem(workspace, capsys, select
     assert not out_dir.exists()
 
 
+TWO_LANGUAGE_MAPPING_FD = bundled.DOMAIN_FD_TEXT + """\
+featurediagram CDSimpSemVar {
+    vp vA for theory FooSem {
+        xor {
+            feature MapSuperCDirect kind semantic-mapping;
+            feature MapSuperCDelegate kind semantic-mapping;
+        }
+    }
+    vp vEmpty for theory CDSimpSem {
+    }
+}
+"""
+
+
+def test_a_mapping_diagram_names_one_language_theory(workspace, capsys):
+    # A mapping bound on FooSem's point must not be applied to CDSimp models
+    # or written out as CDSimpSem's theory.
+    (workspace / "two.fd").write_text(TWO_LANGUAGE_MAPPING_FD)
+    files = [str(workspace / n) for n in ("two.fd", "sm.conf", "cd.conf")]
+    message = ("vlang: mapping diagram CDSimpSemVar attaches variation points to more than "
+               "one language theory: CDSimpSem, FooSem\n")
+    out_dir = workspace / "gen"
+    models = [str(workspace / n) for n in ("cdsimp.mclang", "d.cd", "abs.cd")]
+    for argv in (["generate", *files, "--out", str(out_dir)],
+                 ["sem", *models[:2], *files],
+                 ["analyze", "refine", *models, *files]):
+        assert _run(capsys, *argv) == (2, "", message)
+    assert not out_dir.exists()
+
+
 def test_selected_presentation_feature_binds_no_predicate(workspace, capsys):
     # Only semantic-domain features bind valid-F; sem and generate agree.
     (workspace / "pretty.fd").write_text(bundled.EXAMPLE_FD_TEXT.replace(

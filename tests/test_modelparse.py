@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import conforms
 from vlang import bundled
 from vlang.grammar import parse_grammar
 from vlang.modelparse import ModelParseError, TokenizeError, parse_model, tokenize_model
-from vlang.schema import conforms, derive_schema, dump_ast
+from vlang.schema import derive_schema, dump_ast
 
 
 def _class_names(node, field="CDCClass"):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import conforms
 from vlang import bundled
 from vlang.features import (
     FeatureModelError,
@@ -23,7 +24,7 @@ from vlang.features import (
 )
 from vlang.grammar import GrammarError, parse_grammar
 from vlang.modelparse import ModelParseError, TokenizeError, parse_model
-from vlang.schema import conforms, derive_schema
+from vlang.schema import derive_schema
 
 _PUNCT = ["{", "}", "(", ")", ";", ":", "=", "|", "*", "?", ",", ".", "$", "<<", ">>", "<<?>>"]
 _NAMES = ["A", "B", "x", "IDENT", "for", "kind", "//c\n", "\n", '"', '""', '"a"', '"b', "1"]

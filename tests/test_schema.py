@@ -3,16 +3,10 @@ from __future__ import annotations
 import pytest
 
 from conftest import golden
+from oracles import conformance_violations, conforms
 from vlang.grammar import GrammarError, parse_grammar
 from vlang.modelparse import parse_model
-from vlang.schema import (
-    AstNode,
-    conformance_violations,
-    conforms,
-    derive_schema,
-    dump_ast,
-    dump_schema,
-)
+from vlang.schema import AstNode, derive_schema, dump_ast, dump_schema
 
 
 def _fields(schema, name):

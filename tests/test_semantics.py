@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from conftest import raw_semantics_config
-from test_sysmodel import oracle_enumerate
+from oracles import composed_valid, contains, holds, make_system, oracle_enumerate, valid_predicate
 from vlang.analysis import check_consistency
 from vlang.desugar import desugar_to_minimal
 from vlang.modelparse import parse_model
@@ -22,10 +22,9 @@ from vlang.semantics import (
     map_super_delegate,
     map_super_direct,
     super_mapping_for,
-    valid_predicate,
 )
 from vlang.features import Configuration, InvalidConfigurationError, validated_merge
-from vlang.sysmodel import Bounds, canonical_key, composed_valid, make_system
+from vlang.sysmodel import Bounds, canonical_key
 
 REFL2 = {("A", "A"), ("B", "B")}
 
@@ -45,17 +44,17 @@ def _config(example_diagrams, domain=frozenset(), mapping=frozenset({"MapSuperCD
 
 def test_direct_holds_when_all_pairs_present():
     sm = make_system({"A", "B"}, REFL2 | {("A", "B")})
-    assert map_super_direct("A", ["B"])(sm)
+    assert holds(map_super_direct("A", ["B"]), sm)
 
 
 def test_direct_with_no_supers_is_trivially_true():
     sm = make_system({"A"}, {("A", "A")})
-    assert map_super_direct("A", [])(sm)
+    assert holds(map_super_direct("A", []), sm)
 
 
 def test_direct_fails_on_missing_pair():
     sm = make_system({"A", "B", "C"}, REFL2 | {("C", "C"), ("A", "B")})
-    assert not map_super_direct("A", ["B", "C"])(sm)
+    assert not holds(map_super_direct("A", ["B", "C"]), sm)
 
 
 def test_delegate_uses_attribute_for_second_super():
@@ -64,12 +63,12 @@ def test_delegate_uses_attribute_for_second_super():
         REFL2 | {("C", "C"), ("A", "B")},
         {("A", "dlg_C", "C")},
     )
-    assert map_super_delegate("A", ["B", "C"])(sm)
+    assert holds(map_super_delegate("A", ["B", "C"]), sm)
 
 
 def test_delegate_single_super_needs_no_attribute():
     sm = make_system({"A", "B"}, REFL2 | {("A", "B")})
-    assert map_super_delegate("A", ["B"])(sm)
+    assert holds(map_super_delegate("A", ["B"]), sm)
 
 
 def test_delegate_fails_without_attribute():
@@ -77,7 +76,7 @@ def test_delegate_fails_without_attribute():
         {"A", "B", "C"},
         REFL2 | {("C", "C"), ("A", "B"), ("A", "C")},
     )
-    assert not map_super_delegate("A", ["B", "C"])(sm)
+    assert not holds(map_super_delegate("A", ["B", "C"]), sm)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +86,7 @@ def test_delegate_fails_without_attribute():
 def test_bare_class_needs_only_existence(cdsimp):
     m = _cd(cdsimp, "classdiagram D { class A; }")
     sm = make_system({"A"}, {("A", "A")})
-    assert map_class(m.fields["CDCClass"][0], map_super_direct)(sm)
+    assert holds(map_class(m.fields["CDCClass"][0], map_super_direct), sm)
 
 
 def test_singleton_limits_population(cd):
@@ -97,24 +96,24 @@ def test_singleton_limits_population(cd):
         {"A"}, {("A", "A")}, objects={"o1", "o2"},
         class_of={("o1", "A"), ("o2", "A")},
     )
-    assert not cls(crowded)
+    assert not holds(cls, crowded)
     lone = make_system(
         {"A"}, {("A", "A")}, objects={"o1"}, class_of={("o1", "A")}
     )
-    assert cls(lone)
+    assert holds(cls, lone)
 
 
 def test_missing_class_fails(cdsimp):
     m = _cd(cdsimp, "classdiagram D { class A; }")
     sm = make_system({"B"}, {("B", "B")})
-    assert not map_class(m.fields["CDCClass"][0], map_super_direct)(sm)
+    assert not holds(map_class(m.fields["CDCClass"][0], map_super_direct), sm)
 
 
 def test_unknown_stereotype_warns_and_is_ignored(cd):
     m = _cd(cd, "classdiagram D { <<fancy>> class A; }")
     sm = make_system({"A"}, {("A", "A")})
     with pytest.warns(UnknownStereotypeWarning, match="fancy"):
-        assert map_class(m.fields["classes"][0], map_super_direct)(sm)
+        assert holds(map_class(m.fields["classes"][0], map_super_direct), sm)
 
 
 def test_diagram_is_conjunction_of_classes(cdsimp):
@@ -122,15 +121,15 @@ def test_diagram_is_conjunction_of_classes(cdsimp):
         _cd(cdsimp, "classdiagram D { class A extends B; class B; }"), map_super_direct
     )
     good = make_system({"A", "B"}, REFL2 | {("A", "B")})
-    assert m(good)
+    assert holds(m, good)
     missing = make_system({"A", "B"}, REFL2)
-    assert not m(missing)
+    assert not holds(m, missing)
 
 
 def test_empty_diagram_accepts_any_system(cdsimp):
     m = map_diagram(_cd(cdsimp, "classdiagram D { }"), map_super_direct)
-    assert m(make_system())
-    assert m(make_system({"X"}, {("X", "X")}))
+    assert holds(m, make_system())
+    assert holds(m, make_system({"X"}, {("X", "X")}))
 
 
 def test_loose_semantics_ignores_extra_material(cdsimp):
@@ -141,7 +140,7 @@ def test_loose_semantics_ignores_extra_material(cdsimp):
         objects={"o1"},
         class_of={("o1", "Z")},
     )
-    assert m(bigger)
+    assert holds(m, bigger)
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +149,19 @@ def test_loose_semantics_ignores_extra_material(cdsimp):
 
 def test_positive_assertion(cdassert):
     doc = map_assertions(_cd(cdassert, "assertions S { sub A B; }"))
-    assert doc(make_system({"A", "B"}, REFL2 | {("A", "B")}))
-    assert not doc(make_system({"A", "B"}, REFL2))
+    assert holds(doc, make_system({"A", "B"}, REFL2 | {("A", "B")}))
+    assert not holds(doc, make_system({"A", "B"}, REFL2))
 
 
 def test_empty_assertion_document(cdassert):
     doc = map_assertions(_cd(cdassert, "assertions S { }"))
-    assert doc(make_system())
+    assert holds(doc, make_system())
 
 
 def test_negative_assertion(cdassert):
     doc = map_assertions(_cd(cdassert, "assertions S { no sub A B; }"))
-    assert not doc(make_system({"A", "B"}, REFL2 | {("A", "B")}))
-    assert doc(make_system({"A", "B"}, REFL2))
+    assert not holds(doc, make_system({"A", "B"}, REFL2 | {("A", "B")}))
+    assert holds(doc, make_system({"A", "B"}, REFL2))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +222,7 @@ def test_diamond_discriminates_variants(cdsimp, example_diagrams):
     direct_members = set(direct_sem)
     witness = delegate_sem.first(1)[0]
     assert witness not in direct_members  # the sets differ on the diamond
-    assert delegate_sem.contains(witness)
+    assert contains(delegate_sem, witness)
     # every direct member relates B and C, the delegate witness does not
     assert all(
         ("B", "C") in set(sm.sub) or ("C", "B") in set(sm.sub)
@@ -241,7 +240,7 @@ def test_members_satisfy_validity_and_mapping(cdsimp, example_diagrams):
     assert members
     for sm in members:
         assert valid(sm)
-        assert sem.contains(sm)
+        assert contains(sem, sm)
 
 
 def test_anti_monotonicity(cdsimp, example_diagrams):
@@ -277,8 +276,8 @@ def test_membership_query_without_enumeration(cdsimp, example_diagrams):
     sem = compute_sem(m, _config(example_diagrams, mapping={"MapSuperCDirect"}))
     inside = make_system({"A", "B"}, REFL2 | {("A", "B")})
     outside = make_system({"A", "B"}, REFL2)
-    assert sem.contains(inside)
-    assert not sem.contains(outside)
+    assert contains(sem, inside)
+    assert not contains(sem, outside)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +291,7 @@ def _oracle_members(models, config):
     accepts = [demands_of(m, config) for m in models]
     required = frozenset().union(*(a.classes for a in accepts))
     members = oracle_enumerate(
-        config.bounds, required, lambda sm: valid(sm) and all(a(sm) for a in accepts)
+        config.bounds, required, lambda sm: valid(sm) and all(holds(a, sm) for a in accepts)
     )
     return sorted(members, key=canonical_key)
 

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
 import random
-from itertools import chain, combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    composed_valid,
+    eval_valid_base,
+    make_system,
+    oracle_base_valid,
+    oracle_enumerate,
+    structurally_valid,
+)
 from vlang.sysmodel import (
     DOMAIN_VARIANTS,
     Bounds,
@@ -14,60 +22,12 @@ from vlang.sysmodel import (
     NameConventionError,
     SystemModelLite,
     canonical_key,
-    composed_valid,
     domain_variant,
     dump_system,
     enumerate_systems,
-    eval_valid_base,
-    make_system,
-    structurally_valid,
     valid_single_inheritance,
     variants_valid,
 )
-
-# ---------------------------------------------------------------------------
-# Independent naive oracle: powerset loops over every component, reflexivity
-# and transitivity re-written from scratch.
-# ---------------------------------------------------------------------------
-
-def _powerset(items):
-    items = list(items)
-    return chain.from_iterable(combinations(items, r) for r in range(len(items) + 1))
-
-
-def oracle_base_valid(classes, sub) -> bool:
-    ok = all((c, c) in sub for c in classes)
-    for (a, b) in sub:
-        for (c, d) in sub:
-            if b == c and (a, d) not in sub:
-                ok = False
-    return ok
-
-
-def oracle_enumerate(bounds: Bounds, required, predicate):
-    """All systems within bounds satisfying `predicate`, as a set."""
-    out = set()
-    extras = set(bounds.extra_class_names) - set(required)
-    for extra_choice in _powerset(sorted(extras)):
-        classes = tuple(sorted(set(required) | set(extra_choice)))
-        for sub in _powerset(sorted(product(classes, classes))):
-            candidates = sorted(
-                a for a in bounds.attr_candidates
-                if a[0] in classes and a[2] in classes
-            )
-            for attrs in _powerset(candidates):
-                if len({(o, n) for o, n, _ in attrs}) != len(attrs):
-                    continue
-                for count in range(bounds.max_objects + 1):
-                    objects = tuple(f"o{i}" for i in range(1, count + 1))
-                    for assignment in product(classes, repeat=count):
-                        sm = make_system(
-                            classes, sub, attrs, objects, zip(objects, assignment)
-                        )
-                        if predicate(sm) and sm not in out:
-                            out.add(sm)
-    return out
-
 
 # ---------------------------------------------------------------------------
 # Base validity

@@ -3,9 +3,10 @@ from __future__ import annotations
 import pytest
 
 from conftest import golden
+from oracles import composed_valid
 from vlang.features import Configuration
 from vlang.semantics import SemanticsError, UnboundMappingError
-from vlang.sysmodel import NameConventionError, composed_valid
+from vlang.sysmodel import NameConventionError
 from vlang.theorygen import generate_domain_theory, generate_mapping_theory, write_theory
 
 
