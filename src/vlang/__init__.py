@@ -18,9 +18,7 @@ from .features import (
     VariationPoint,
     Violation,
     merge_configurations,
-    parse_configuration,
     parse_configurations,
-    parse_feature_diagram,
     parse_feature_diagrams,
     validate_configurations,
 )

@@ -226,23 +226,14 @@ def _cmd_sem(args) -> int:
 
 def _cmd_analyze(args) -> int:
     pairs, rest = _model_arguments(args.args)
-    if args.mode in ("refine", "equiv"):
-        if len(pairs) != 1 or len(pairs[0][1]) != 2:
-            raise _FileFailure(
-                f"analyze {args.mode} needs one grammar followed by two model files"
-            )
-        grammar_path, model_paths = pairs[0]
+    if args.mode in ("refine", "equiv") and (len(pairs) != 1 or len(pairs[0][1]) != 2):
+        raise _FileFailure(f"analyze {args.mode} needs one grammar followed by two model files")
+    models = []
+    for grammar_path, model_paths in pairs:
         grammar = _load_grammar(grammar_path)
-        models = [_minimal(grammar, _load_model(grammar, p)) for p in model_paths]
-    else:
-        models = []
-        for grammar_path, model_paths in pairs:
-            grammar = _load_grammar(grammar_path)
-            models.extend(
-                _minimal(grammar, _load_model(grammar, p)) for p in model_paths
-            )
-        if not models:
-            raise _FileFailure("analyze consistent needs grammar/model arguments")
+        models.extend(_minimal(grammar, _load_model(grammar, p)) for p in model_paths)
+    if not models:
+        raise _FileFailure("analyze consistent needs grammar/model arguments")
     diagrams, _, merged = _load_workspace(rest)
     config = make_semantics_config(diagrams, merged, _bounds(args))
     if args.mode == "refine":

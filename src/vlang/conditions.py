@@ -37,7 +37,6 @@ class CCViolation(NamedTuple):
 
 class ContextCondition(NamedTuple):
     id: str
-    description: str
     optional: bool
     check: Callable[[AstNode], list[CCViolation]]
 
@@ -89,19 +88,16 @@ _CLASS_DIAGRAM = {
     for cc in (
         ContextCondition(
             "CC-unique-class-names",
-            "class names are unique within a diagram",
             optional=False,
             check=_cc_unique_class_names,
         ),
         ContextCondition(
             "CC-supers-declared",
-            "every referenced super-class is declared",
             optional=True,
             check=_cc_supers_declared,
         ),
         ContextCondition(
             "CC-single-inheritance-syntactic",
-            "every class has at most one super-class",
             optional=True,
             check=_cc_single_inheritance,
         ),

@@ -19,13 +19,18 @@ Configuration files (.conf) select features of one diagram:
         select SingleInheritance;
     }
 
-Configurations referring to the same diagram are merged by selection union
-before validation (`validated_merge` does both).  Validation checks the
-existence of selected features, mandatory features, xor-groups (exactly one
-member), and the cross constraints, evaluated over the union of all
-selections in scope.  Feature names are treated as globally unique across
-the diagrams of one workspace so unqualified constraint targets resolve;
-``Diagram.Feature`` is also accepted.
+A file may declare several diagrams or configurations
+(`parse_feature_diagrams`, `parse_configurations`).  Configurations referring
+to the same diagram are merged by selection union before validation
+(`validated_merge` does both).  Validation checks the existence of selected
+features, mandatory features, xor-groups (exactly one member), and the cross
+constraints, evaluated over the selections of all diagrams in scope.
+
+Feature names are unique across the diagrams of one workspace, so each
+feature has one home diagram.  A constraint reference ``Feature`` names the
+feature in its home; ``Diagram.Feature`` must name an in-scope diagram that
+is that home.  A constraint is broken when its source is selected and its
+target is absent (requires) or present (excludes).
 
 Both formats are read by the shared scanner of vlang.lexer, with ``{ } ; .``
 as punctuation and words that may contain ``-`` (``semantic-domain``); names
@@ -122,12 +127,6 @@ class FeatureDiagram(NamedTuple):
     def features(self) -> dict[str, Feature]:
         return {f.name: f for vp in self.variation_points for f in vp.features}
 
-    def vp_of(self, feature_name: str) -> VariationPoint:
-        for vp in self.variation_points:
-            if any(f.name == feature_name for f in vp.features):
-                return vp
-        raise KeyError(feature_name)
-
 
 class Configuration(NamedTuple):
     name: str
@@ -170,7 +169,7 @@ class _Parser(Cursor):
     def _name(self, what: str) -> str:
         tok = self._peek()
         if tok.kind != "ident" or not IDENT.fullmatch(tok.text):
-            raise self._err(f"expected {what} name, got {tok.text!r}")
+            raise self._err(f"expected {what} name, got {self._got()}")
         self._advance()
         return tok.text
 
@@ -194,7 +193,7 @@ class _DiagramParser(_Parser):
             elif self._at("ident", "constraint"):
                 constraints.append(self._constraint())
             else:
-                raise self._err(f"expected 'vp' or 'constraint', got {self._peek().text!r}")
+                raise self._err(f"expected 'vp' or 'constraint', got {self._got()}")
         self._take("punct", "}")
         diagram = FeatureDiagram(name, tuple(vps), tuple(constraints))
         _check_diagram(diagram)
@@ -225,7 +224,7 @@ class _DiagramParser(_Parser):
                 features.append(self._feature(modality))
             else:
                 raise self._err(
-                    f"expected 'optional', 'mandatory' or 'xor', got {self._peek().text!r}"
+                    f"expected 'optional', 'mandatory' or 'xor', got {self._got()}"
                 )
         self._take("punct", "}")
         return VariationPoint(name, theory, tuple(features), is_xor)
@@ -249,7 +248,7 @@ class _DiagramParser(_Parser):
         kind_tok = self._peek()
         if kind_tok.kind != "ident" or kind_tok.text not in FEATURE_KINDS:
             raise self._err(
-                f"expected one of {', '.join(FEATURE_KINDS)}, got {kind_tok.text!r}"
+                f"expected one of {', '.join(FEATURE_KINDS)}, got {self._got()}"
             )
         self._advance()
         self._take("punct", ";")
@@ -260,7 +259,7 @@ class _DiagramParser(_Parser):
         source = self._feature_ref()
         rel_tok = self._peek()
         if rel_tok.kind != "ident" or rel_tok.text not in ("requires", "excludes"):
-            raise self._err(f"expected 'requires' or 'excludes', got {rel_tok.text!r}")
+            raise self._err(f"expected 'requires' or 'excludes', got {self._got()}")
         self._advance()
         target = self._feature_ref()
         self._take("punct", ";")
@@ -296,14 +295,6 @@ def parse_feature_diagrams(source: str) -> list[FeatureDiagram]:
     return _DiagramParser(source).parse_all()
 
 
-def parse_feature_diagram(source: str) -> FeatureDiagram:
-    """Parse a .fd source declaring exactly one diagram."""
-    diagrams = parse_feature_diagrams(source)
-    if len(diagrams) != 1:
-        raise FeatureModelError(f"expected exactly one diagram, found {len(diagrams)}")
-    return diagrams[0]
-
-
 # ---------------------------------------------------------------------------
 # Configuration parsing
 # ---------------------------------------------------------------------------
@@ -331,15 +322,6 @@ def parse_configurations(source: str) -> list[Configuration]:
     return _ConfigParser(source).parse_all()
 
 
-def parse_configuration(source: str) -> Configuration:
-    configs = parse_configurations(source)
-    if len(configs) != 1:
-        raise FeatureModelError(
-            f"expected exactly one configuration, found {len(configs)}"
-        )
-    return configs[0]
-
-
 # ---------------------------------------------------------------------------
 # Merging and validation
 # ---------------------------------------------------------------------------
@@ -359,34 +341,6 @@ def merge_configurations(configs: list[Configuration]) -> list[Configuration]:
         Configuration("+".join(sorted(names)), diagram, frozenset(selected))
         for diagram, (names, selected) in sorted(by_diagram.items())
     ]
-
-
-def _resolve(
-    ref: FeatureRef,
-    declared_in: str,
-    diagrams_by_name: dict[str, FeatureDiagram],
-    feature_home: dict[str, str],
-) -> tuple[str, str]:
-    """Resolve a constraint reference to (diagram name, feature name)."""
-    if ref.diagram is not None:
-        diagram = diagrams_by_name.get(ref.diagram)
-        if diagram is None:
-            raise ResolutionError(
-                f"constraint in {declared_in} references diagram {ref.diagram} "
-                "which is not in scope"
-            )
-        if ref.feature not in diagram.features():
-            raise ResolutionError(
-                f"constraint in {declared_in} references unknown feature "
-                f"{ref.diagram}.{ref.feature}"
-            )
-        return ref.diagram, ref.feature
-    home = feature_home.get(ref.feature)
-    if home is None:
-        raise ResolutionError(
-            f"constraint in {declared_in} references unknown feature {ref.feature}"
-        )
-    return home, ref.feature
 
 
 def validate_configurations(
@@ -425,13 +379,10 @@ def validate_configurations(
 
     for d in diagrams:
         selected = selections[d.name]
-        declared = d.features()
-        for name in sorted(selected - set(declared)):
+        for name in sorted(n for n in selected if feature_home.get(n) != d.name):
             violations.append(Violation(d.name, "unknown-feature", name))
-        present = selected & set(declared)
         for vp in d.variation_points:
-            member_names = {f.name for f in vp.features}
-            chosen = sorted(member_names & present)
+            chosen = sorted(f.name for f in vp.features if f.name in selected)
             if vp.is_xor and len(chosen) != 1:
                 violations.append(
                     Violation(
@@ -441,35 +392,31 @@ def validate_configurations(
                     )
                 )
             for f in vp.features:
-                if f.modality == "mandatory" and f.name not in present:
+                if f.modality == "mandatory" and f.name not in selected:
                     violations.append(Violation(d.name, "mandatory-missing", f.name))
 
-    union = {
-        (diagram, feature)
-        for diagram, selected in selections.items()
-        for feature in selected
-    }
+    def is_selected(ref: FeatureRef, declared_in: str) -> bool:
+        """Whether the feature `ref` names in its home diagram is selected."""
+        if ref.diagram is not None and ref.diagram not in diagrams_by_name:
+            raise ResolutionError(
+                f"constraint in {declared_in} references diagram {ref.diagram} "
+                "which is not in scope"
+            )
+        home = feature_home.get(ref.feature)
+        if home is None or ref.diagram not in (None, home):
+            raise ResolutionError(
+                f"constraint in {declared_in} references unknown feature {ref.render()}"
+            )
+        return ref.feature in selections[home]
 
     for d in diagrams:
         for c in d.constraints:
-            src = _resolve(c.source, d.name, diagrams_by_name, feature_home)
-            tgt = _resolve(c.target, d.name, diagrams_by_name, feature_home)
-            if c.relation == "requires" and src in union and tgt not in union:
-                violations.append(
-                    Violation(
-                        d.name,
-                        "requires",
-                        f"{c.source.render()} without {c.target.render()}",
-                    )
-                )
-            if c.relation == "excludes" and src in union and tgt in union:
-                violations.append(
-                    Violation(
-                        d.name,
-                        "excludes",
-                        f"{c.source.render()} with {c.target.render()}",
-                    )
-                )
+            source, target = is_selected(c.source, d.name), is_selected(c.target, d.name)
+            # requires is broken by an absent target, excludes by a present one.
+            if source and target == (c.relation == "excludes"):
+                word = "with" if target else "without"
+                details = f"{c.source.render()} {word} {c.target.render()}"
+                violations.append(Violation(d.name, c.relation, details))
 
     return sorted(violations, key=Violation.render)
 

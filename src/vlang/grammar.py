@@ -168,22 +168,14 @@ def walk(elements: tuple[Element, ...]) -> Iterator[Element]:
 class _GrammarParser(Cursor):
     error = GrammarError
 
-    def _expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self._peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            got = repr(tok.text) if tok.text else "end of input"
-            raise self._err(f"expected {want!r}, got {got}")
-        return self._advance()
-
     def parse(self) -> GrammarDef:
         self._take("ident", "grammar")
-        name = self._expect("ident").text
-        self._expect("punct", "{")
+        name = self._take("ident").text
+        self._take("punct", "{")
         productions: list[Production] = []
         while not self._at("punct", "}"):
             productions.append(self._production())
-        self._expect("punct", "}")
+        self._take("punct", "}")
         if self._peek().kind != "eof":
             raise self._err(f"trailing input {self._peek().text!r}")
         if not productions:
@@ -194,14 +186,14 @@ class _GrammarParser(Cursor):
         sugar_for = None
         if self._at("ident", "sugar"):
             self._advance()
-            name_tok = self._expect("ident")
+            name_tok = self._take("ident")
             self._take("ident", "for")
-            sugar_for = self._expect("ident").text
+            sugar_for = self._take("ident").text
         else:
-            name_tok = self._expect("ident")
-        self._expect("punct", "=")
+            name_tok = self._take("ident")
+        self._take("punct", "=")
         elements = self._elements(stop=";")
-        self._expect("punct", ";")
+        self._take("punct", ";")
         return Production(name_tok.text, tuple(elements), sugar_for)
 
     def _elements(self, stop: str) -> list[Element]:
@@ -235,33 +227,33 @@ class _GrammarParser(Cursor):
         raise self._err(f"unexpected {tok.text!r} in production body")
 
     def _reference(self) -> NonterminalRef:
-        first = self._expect("ident")
+        first = self._take("ident")
         if self._at("punct", ":"):
             self._advance()
             if self._peek().kind != "ident":
-                raise self._err(f"expected nonterminal after ':', got {self._peek().text!r}")
+                raise self._err(f"expected nonterminal after ':', got {self._got()}")
             return NonterminalRef(first.text, self._advance().text)
         return NonterminalRef(None, first.text)
 
     def _group_or_synonyms(self) -> Element:
-        open_tok = self._expect("punct", "(")
+        open_tok = self._take("punct", "(")
         # Synonym groups look like ("a" | "b" | ...): detect via string + '|'.
         if (
             self._peek().kind == "string"
             and self._peek(1).kind == "punct"
             and self._peek(1).text == "|"
         ):
-            spellings = [self._expect("string").text]
+            spellings = [self._take("string").text]
             while self._at("punct", "|"):
                 self._advance()
-                spellings.append(self._expect("string").text)
-            self._expect("punct", ")")
+                spellings.append(self._take("string").text)
+            self._take("punct", ")")
             self._reject_cardinality("a synonym group")
             syn = TerminalSynonyms(spellings[0], tuple(spellings[1:]))
             self._check_synonyms(syn, open_tok)
             return syn
         elements = self._elements(stop=")")
-        self._expect("punct", ")")
+        self._take("punct", ")")
         if not elements:
             raise self._err("empty group", open_tok)
         return Group(tuple(elements), self._cardinality())

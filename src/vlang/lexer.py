@@ -106,8 +106,16 @@ class Cursor:
         tok = self._peek() if tok is None else tok
         return self.error(message, tok.line, tok.col)
 
-    def _take(self, kind: str, text: str) -> Token:
-        """Consume the current token, which must be `text` of `kind`."""
-        if not self._at(kind, text):
-            raise self._err(f"expected {text!r}, got {self._peek().text!r}")
+    def _got(self) -> str:
+        """The current token as an error names it: ``end of input`` or its
+        quoted text."""
+        tok = self._peek()
+        return "end of input" if tok.kind == "eof" else repr(tok.text)
+
+    def _take(self, kind: str, text: str | None = None) -> Token:
+        """Consume the current token, which must be of `kind` and, when
+        given, `text`."""
+        tok = self._peek()
+        if tok.kind != kind or text not in (None, tok.text):
+            raise self._err(f"expected {kind if text is None else text!r}, got {self._got()}")
         return self._advance()

@@ -55,12 +55,6 @@ class AstSchema(NamedTuple):
     language: str
     datatypes: tuple[SchemaDatatype, ...]
 
-    def datatype(self, name: str) -> SchemaDatatype:
-        for dt in self.datatypes:
-            if dt.name == name:
-                return dt
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
 # Derivation

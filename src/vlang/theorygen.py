@@ -1,7 +1,8 @@
 """Composed theory documents for validated configurations.
 
 A domain configuration yields a theory that imports the base theory plus one
-``<vp>/<Feature>`` path per selected feature that binds a predicate
+``<vp>/<Feature>`` path, named after the variation point declaring the
+feature, per selected feature that binds a predicate
 (`semantics.bound_domain_features`: every one but those declared with a kind
 other than semantic-domain) and defines the composed validity predicate as a
 conjunction, bound by name convention: such a feature F must have a
@@ -53,7 +54,8 @@ class TheoryDoc(NamedTuple):
 
 
 def _variant_imports(diagram: FeatureDiagram, selected: Iterable[str]) -> tuple[str, ...]:
-    pairs = sorted((diagram.vp_of(f).name, f) for f in selected)
+    vp_of = {f.name: vp.name for vp in diagram.variation_points for f in vp.features}
+    pairs = sorted((vp_of[f], f) for f in selected)
     return tuple(f"{vp}/{feature}" for vp, feature in pairs)
 
 

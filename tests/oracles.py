@@ -1,5 +1,6 @@
-"""Judges of arbitrary systems and ASTs, and the brute-force oracles the
-package is checked against.
+"""Judges of arbitrary systems and ASTs, and the oracles the package is
+checked against: brute-force enumeration and refinement, and the
+configuration validator as it was first written.
 
 The package builds only systems that are base-valid and hold a query's
 `Demands`, and its parser builds only conforming ASTs, so it needs none of
@@ -11,6 +12,14 @@ from __future__ import annotations
 from itertools import chain, combinations, product
 from typing import Callable, Iterable
 
+from vlang.features import (
+    Configuration,
+    FeatureDiagram,
+    FeatureModelError,
+    FeatureRef,
+    ResolutionError,
+    Violation,
+)
 from vlang.grammar import IDENT_TOKEN
 from vlang.schema import AstNode, AstSchema, SchemaField
 from vlang.semantics import (
@@ -129,6 +138,121 @@ def full_scan_refinement(
 
 
 # ---------------------------------------------------------------------------
+# Configuration validation: the validator with its reference and constraint
+# rules written out per case.
+# ---------------------------------------------------------------------------
+
+def _oracle_resolve(
+    ref: FeatureRef,
+    declared_in: str,
+    diagrams_by_name: dict[str, FeatureDiagram],
+    feature_home: dict[str, str],
+) -> tuple[str, str]:
+    if ref.diagram is not None:
+        diagram = diagrams_by_name.get(ref.diagram)
+        if diagram is None:
+            raise ResolutionError(
+                f"constraint in {declared_in} references diagram {ref.diagram} "
+                "which is not in scope"
+            )
+        if ref.feature not in diagram.features():
+            raise ResolutionError(
+                f"constraint in {declared_in} references unknown feature "
+                f"{ref.diagram}.{ref.feature}"
+            )
+        return ref.diagram, ref.feature
+    home = feature_home.get(ref.feature)
+    if home is None:
+        raise ResolutionError(
+            f"constraint in {declared_in} references unknown feature {ref.feature}"
+        )
+    return home, ref.feature
+
+
+def oracle_validate(
+    diagrams: list[FeatureDiagram], merged: list[Configuration]
+) -> list[Violation]:
+    """`features.validate_configurations`, with each diagram's declared and
+    present features, each variation point's members, and a union of
+    (diagram, feature) selections built apart, and each reference resolved
+    against its diagram's feature table."""
+    diagrams_by_name = {d.name: d for d in diagrams}
+    if len(diagrams_by_name) != len(diagrams):
+        raise FeatureModelError("duplicate diagram names in scope")
+
+    feature_home: dict[str, str] = {}
+    for d in diagrams:
+        for name in d.features():
+            if name in feature_home:
+                raise FeatureModelError(
+                    f"feature {name} is declared in both {feature_home[name]} "
+                    f"and {d.name}; feature names must be workspace-unique"
+                )
+            feature_home[name] = d.name
+
+    selections: dict[str, frozenset[str]] = {d.name: frozenset() for d in diagrams}
+    for c in merged:
+        if c.diagram not in diagrams_by_name:
+            raise ResolutionError(
+                f"configuration {c.name} references diagram {c.diagram} "
+                "which is not in scope"
+            )
+        selections[c.diagram] = c.selected
+
+    violations: list[Violation] = []
+
+    for d in diagrams:
+        selected = selections[d.name]
+        declared = d.features()
+        for name in sorted(selected - set(declared)):
+            violations.append(Violation(d.name, "unknown-feature", name))
+        present = selected & set(declared)
+        for vp in d.variation_points:
+            member_names = {f.name for f in vp.features}
+            chosen = sorted(member_names & present)
+            if vp.is_xor and len(chosen) != 1:
+                violations.append(
+                    Violation(
+                        d.name,
+                        "xor-exactly-one",
+                        f"{vp.name} selected={{{','.join(chosen)}}}",
+                    )
+                )
+            for f in vp.features:
+                if f.modality == "mandatory" and f.name not in present:
+                    violations.append(Violation(d.name, "mandatory-missing", f.name))
+
+    union = {
+        (diagram, feature)
+        for diagram, selected in selections.items()
+        for feature in selected
+    }
+
+    for d in diagrams:
+        for c in d.constraints:
+            src = _oracle_resolve(c.source, d.name, diagrams_by_name, feature_home)
+            tgt = _oracle_resolve(c.target, d.name, diagrams_by_name, feature_home)
+            if c.relation == "requires" and src in union and tgt not in union:
+                violations.append(
+                    Violation(
+                        d.name,
+                        "requires",
+                        f"{c.source.render()} without {c.target.render()}",
+                    )
+                )
+            if c.relation == "excludes" and src in union and tgt in union:
+                violations.append(
+                    Violation(
+                        d.name,
+                        "excludes",
+                        f"{c.source.render()} with {c.target.render()}",
+                    )
+                )
+
+    return sorted(violations, key=Violation.render)
+
+
+# ---------------------------------------------------------------------------
 # Enumeration: powerset loops over every component, reflexivity and
 # transitivity re-written from scratch.
 # ---------------------------------------------------------------------------
@@ -182,6 +306,7 @@ def conformance_violations(node: AstNode, schema: AstSchema) -> list[str]:
     A field whose target is a production T also accepts instances of sugar
     datatypes declared for T (they are eliminated by desugaring).
     """
+    datatypes = {dt.name: dt for dt in schema.datatypes}
     sugar_bases = {dt.name: dt.sugar_for for dt in schema.datatypes if dt.sugar_for}
     problems: list[str] = []
 
@@ -212,9 +337,8 @@ def conformance_violations(node: AstNode, schema: AstSchema) -> list[str]:
             check_item(path, v, f.target)
 
     def check_node(path: str, n: AstNode) -> None:
-        try:
-            dt = schema.datatype(n.datatype)
-        except KeyError:
+        dt = datatypes.get(n.datatype)
+        if dt is None:
             problems.append(f"{path}: unknown datatype {n.datatype}")
             return
         declared = {f.label for f in dt.fields}

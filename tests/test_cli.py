@@ -88,6 +88,29 @@ def test_grammar_with_an_empty_terminal_is_refused_at_once(workspace, capsys):
     assert time.perf_counter() - started < 1
 
 
+# A parser names the token it stopped at by its kind: the end of the input
+# is "end of input", and a token, even an empty string, is its text.
+@pytest.mark.parametrize(
+    "name, text, command, code, message",
+    [
+        ("c.conf", "configuration C for D { select", "fm-check", 2,
+         "line 1, col 31: expected feature name, got end of input"),
+        ("d.fd", "featurediagram X {\n  vp", "fm-check", 2,
+         "line 2, col 5: expected variation point name, got end of input"),
+        ("e.mclang", "", "check-grammar", 1,
+         "line 1, col 1: expected 'grammar', got end of input"),
+        ("x.mclang", "grammar G { A = x:", "check-grammar", 1,
+         "line 1, col 19: expected nonterminal after ':', got end of input"),
+        ("s.mclang", 'grammar G "" { A = "a"; }', "check-grammar", 1,
+         "line 1, col 11: expected '{', got ''"),
+    ],
+)
+def test_parse_errors_name_the_end_of_input(workspace, capsys, name, text, command, code, message):
+    path = workspace / name
+    path.write_text(text, encoding="utf-8")
+    assert _run(capsys, command, str(path)) == (code, "", f"vlang: {path}: {message}\n")
+
+
 def test_missing_file_is_a_file_error(workspace, capsys):
     code, _, err = _run(capsys, "check-grammar", str(workspace / "nope.mclang"))
     assert code == 2

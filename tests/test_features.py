@@ -4,21 +4,27 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_validate
 from vlang import bundled
 from vlang.features import (
     Configuration,
+    CrossConstraint,
+    Feature,
     FeatureDiagram,
     FeatureModelError,
+    FeatureRef,
     FeatureSyntaxError,
     ResolutionError,
+    VariationPoint,
     merge_configurations,
-    parse_configuration,
     parse_configurations,
-    parse_feature_diagram,
     parse_feature_diagrams,
     render_violations,
     validate_configurations,
+    validated_merge,
 )
 
 # ---------------------------------------------------------------------------
@@ -106,7 +112,7 @@ def test_mapping_diagram_text(example_diagrams):
 
 def test_single_member_xor_rejected():
     with pytest.raises(FeatureSyntaxError, match="at least 2"):
-        parse_feature_diagram(
+        parse_feature_diagrams(
             "featurediagram X { vp v for theory T { xor { "
             "feature F kind semantic-domain; } } }"
         )
@@ -114,7 +120,7 @@ def test_single_member_xor_rejected():
 
 def test_duplicate_feature_names_rejected():
     with pytest.raises(FeatureModelError, match="duplicate feature"):
-        parse_feature_diagram(
+        parse_feature_diagrams(
             "featurediagram X { vp v for theory T { "
             "optional feature F kind presentation; "
             "optional feature F kind presentation; } }"
@@ -123,33 +129,31 @@ def test_duplicate_feature_names_rejected():
 
 def test_unknown_kind_rejected():
     with pytest.raises(FeatureSyntaxError, match="expected one of"):
-        parse_feature_diagram(
+        parse_feature_diagrams(
             "featurediagram X { vp v for theory T { "
             "optional feature F kind magic; } }"
         )
 
 
 def test_configuration_parse():
-    conf = parse_configuration(bundled.DOMAIN_CONF_TEXT)
+    (conf,) = parse_configurations(bundled.DOMAIN_CONF_TEXT)
     assert conf.name == "SMConf"
     assert conf.diagram == "SystemModelVar"
     assert conf.selected == frozenset({"SingleInheritance"})
 
 
 def test_empty_selection_parses():
-    conf = parse_configuration("configuration C for D { }")
+    (conf,) = parse_configurations("configuration C for D { }")
     assert conf.selected == frozenset()
 
 
 def test_duplicate_selects_collapse():
-    conf = parse_configuration("configuration C for D { select F; select F; }")
+    (conf,) = parse_configurations("configuration C for D { select F; select F; }")
     assert conf.selected == frozenset({"F"})
 
 
 def test_multi_diagram_file(example_diagrams):
     assert len(parse_feature_diagrams(bundled.EXAMPLE_FD_TEXT)) == 2
-    with pytest.raises(FeatureModelError, match="exactly one"):
-        parse_feature_diagram(bundled.EXAMPLE_FD_TEXT)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +247,7 @@ def test_unknown_feature_flagged(example_diagrams):
 
 
 def test_mandatory_feature_enforced():
-    d = parse_feature_diagram(
+    (d,) = parse_feature_diagrams(
         "featurediagram D { vp v for theory T { "
         "mandatory feature Core kind semantic-domain; "
         "optional feature Extra kind semantic-domain; } }"
@@ -256,7 +260,7 @@ def test_mandatory_feature_enforced():
 
 
 def test_requires_constraint():
-    d = parse_feature_diagram(
+    (d,) = parse_feature_diagrams(
         "featurediagram D { vp v for theory T { "
         "optional feature A kind semantic-domain; "
         "optional feature B kind semantic-domain; } "
@@ -270,7 +274,7 @@ def test_requires_constraint():
 
 
 def test_unresolved_constraint_reference_raises():
-    d = parse_feature_diagram(
+    (d,) = parse_feature_diagrams(
         "featurediagram D { vp v for theory T { "
         "optional feature A kind semantic-domain; } "
         "constraint A requires Ghost; }"
@@ -286,11 +290,11 @@ def test_config_for_unknown_diagram_raises(example_diagrams):
 
 
 def test_workspace_unique_feature_names_enforced():
-    d1 = parse_feature_diagram(
+    (d1,) = parse_feature_diagrams(
         "featurediagram D1 { vp v for theory T { "
         "optional feature F kind presentation; } }"
     )
-    d2 = parse_feature_diagram(
+    (d2,) = parse_feature_diagrams(
         "featurediagram D2 { vp w for theory U { "
         "optional feature F kind presentation; } }"
     )
@@ -307,6 +311,66 @@ def test_violation_lines_sorted_lexicographically(example_diagrams):
     lines = render_violations(violations).splitlines()
     assert lines == sorted(lines)
     assert len(lines) == 2  # excludes + unknown-feature
+
+
+# Two diagrams for the exact messages: P owns A and B, Q owns C.
+_PINNED_FD = (
+    "featurediagram P { vp v for theory T { "
+    "optional feature A kind semantic-domain; optional feature B kind semantic-domain; } "
+    "%s } "
+    "featurediagram Q { vp w for theory U { optional feature C kind semantic-domain; } }"
+)
+
+
+@pytest.mark.parametrize(
+    "constraint, message",
+    [
+        ("constraint A requires Nowhere.C;",
+         "constraint in P references diagram Nowhere which is not in scope"),
+        ("constraint A requires P.C;", "constraint in P references unknown feature P.C"),
+        ("constraint Q.A excludes C;", "constraint in P references unknown feature Q.A"),
+        ("constraint A requires Ghost;", "constraint in P references unknown feature Ghost"),
+        # The target is resolved even when the source is not selected.
+        ("constraint B excludes Ghost;", "constraint in P references unknown feature Ghost"),
+    ],
+)
+def test_unresolvable_reference_messages(constraint, message):
+    diagrams = parse_feature_diagrams(_PINNED_FD % constraint)
+    with pytest.raises(ResolutionError) as info:
+        validated_merge(diagrams, [Configuration("c", "P", frozenset({"A"}))])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "constraint, selected, line",
+    [
+        ("constraint A requires C;", {"A"}, "VIOLATION P requires A without C"),
+        ("constraint P.A requires Q.C;", {"A"}, "VIOLATION P requires P.A without Q.C"),
+        ("constraint A requires B;", {"A"}, "VIOLATION P requires A without B"),
+        ("constraint A requires Q.C;", {"A", "C"}, ""),
+        ("constraint B requires C;", {"A"}, ""),
+        ("constraint A excludes C;", {"A", "C"}, "VIOLATION P excludes A with C"),
+        ("constraint A excludes Q.C;", {"A", "C"}, "VIOLATION P excludes A with Q.C"),
+        ("constraint P.A excludes P.B;", {"A", "B"}, "VIOLATION P excludes P.A with P.B"),
+        ("constraint P.A excludes Q.C;", {"A"}, ""),
+        ("constraint Q.C excludes A;", {"A"}, ""),
+    ],
+)
+def test_constraint_violation_lines(constraint, selected, line):
+    diagrams = parse_feature_diagrams(_PINNED_FD % constraint)
+    configs = [
+        Configuration("p", "P", frozenset(selected & {"A", "B"})),
+        Configuration("q", "Q", frozenset(selected & {"C"})),
+    ]
+    assert render_violations(validate_configurations(diagrams, configs)) == line
+
+
+def test_a_feature_selected_outside_its_home_holds_no_constraint():
+    diagrams = parse_feature_diagrams(_PINNED_FD % "constraint A requires C;")
+    configs = [Configuration("p", "P", frozenset({"A", "C"}))]
+    assert render_violations(validate_configurations(diagrams, configs)) == (
+        "VIOLATION P requires A without C\nVIOLATION P unknown-feature C"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +427,13 @@ def test_validator_matches_oracle_on_random_diagrams():
                     )
                     + " }"
                 )
-        diagram = parse_feature_diagram("featurediagram R { " + " ".join(vps) + " }")
+        (diagram,) = parse_feature_diagrams("featurediagram R { " + " ".join(vps) + " }")
         feature_names = sorted(diagram.features())
         constraints = []
         if len(feature_names) >= 2:
             a, b = rng.sample(feature_names, 2)
             constraints.append(f"constraint {a} {rng.choice(('requires', 'excludes'))} {b};")
-            diagram = parse_feature_diagram(
+            (diagram,) = parse_feature_diagrams(
                 "featurediagram R { " + " ".join(vps) + " " + " ".join(constraints) + " }"
             )
         assert len(feature_names) <= 12
@@ -377,3 +441,95 @@ def test_validator_matches_oracle_on_random_diagrams():
             assert validator_accepts([diagram], selection) == oracle_valid(
                 [diagram], selection
             )
+
+
+@st.composite
+def _workspaces(draw):
+    """Diagrams D0..D2 of xor, optional and mandatory points, rarely sharing
+    a feature name; constraints whose references are unqualified or qualified
+    by their home, another or an out-of-scope diagram, and may name an
+    unknown feature; configurations that select mostly their own diagram's
+    features, and may select foreign or unknown ones or name an unknown
+    diagram."""
+    names = iter(f"F{i}" for i in range(100))
+    home: dict[str, str] = {}
+    diagrams = []
+    for d in range(draw(st.integers(1, 3))):
+        vps = []
+        for v in range(draw(st.integers(0, 2))):
+            is_xor = draw(st.booleans())
+            modalities = (
+                ["xor-member"] * draw(st.integers(2, 3))
+                if is_xor
+                else draw(st.lists(st.sampled_from(["optional", "mandatory"]), max_size=3))
+            )
+            features = []
+            for modality in modalities:
+                shared = home and draw(st.integers(0, 39)) == 0
+                features.append(Feature(
+                    draw(st.sampled_from(sorted(home))) if shared else next(names),
+                    modality,
+                    "semantic-domain",
+                ))
+            vps.append(VariationPoint(f"v{v}", "T", tuple(features), is_xor))
+        for vp in vps:
+            for f in vp.features:
+                home.setdefault(f.name, f"D{d}")
+        diagrams.append((f"D{d}", tuple(vps)))
+    scopes = [name for name, _ in diagrams]
+    known = sorted(home)
+
+    # One workspace in three may hold unresolvable references.
+    loose = draw(st.integers(0, 2)) == 0
+
+    def feature() -> str:
+        unknown = not known or (loose and draw(st.integers(0, 4)) == 0)
+        return "Ghost" if unknown else draw(st.sampled_from(known))
+
+    def ref() -> FeatureRef:
+        name, k = feature(), draw(st.integers(0, 9 if loose else 7))
+        if k < 5:
+            return FeatureRef(None, name)
+        if k < 8:
+            return FeatureRef(home.get(name, "D0"), name)
+        return FeatureRef("Nowhere" if k == 9 else draw(st.sampled_from(scopes)), name)
+
+    built = [
+        FeatureDiagram(
+            name,
+            vps,
+            tuple(
+                CrossConstraint(ref(), draw(st.sampled_from(["requires", "excludes"])), ref())
+                for _ in range(draw(st.integers(0, 3 if known or loose else 0)))
+            ),
+        )
+        for name, vps in diagrams
+    ]
+    configs = []
+    for i in range(draw(st.integers(0, 4))):
+        diagram = draw(st.sampled_from(scopes))
+        own = [f for f in known if home[f] == diagram]
+        chosen = draw(st.sets(st.sampled_from(own), max_size=3)) if own else set()
+        if draw(st.integers(0, 4)) == 0:
+            chosen.add(feature())
+        configs.append(Configuration(f"c{i % 2}", diagram, frozenset(chosen)))
+    if draw(st.integers(0, 15)) == 0:
+        configs.append(Configuration("c", "Nowhere", frozenset()))
+    return built, configs
+
+
+def _outcome(validate, diagrams, configs):
+    try:
+        return validate(diagrams, merge_configurations(configs))
+    except FeatureModelError as exc:
+        return type(exc), str(exc)
+
+
+# The example budget comes from the hypothesis profile (tests/conftest.py).
+@settings(deadline=None, derandomize=True)
+@given(_workspaces())
+def test_validator_equals_its_former_body(workspace):
+    diagrams, configs = workspace
+    assert _outcome(validate_configurations, diagrams, configs) == _outcome(
+        oracle_validate, diagrams, configs
+    )

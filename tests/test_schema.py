@@ -9,8 +9,12 @@ from vlang.modelparse import parse_model
 from vlang.schema import AstNode, derive_schema, dump_ast, dump_schema
 
 
+def _datatypes(schema):
+    return {dt.name: dt for dt in schema.datatypes}
+
+
 def _fields(schema, name):
-    return {f.label: (f.target, f.card) for f in schema.datatype(name).fields}
+    return {f.label: (f.target, f.card) for f in _datatypes(schema)[name].fields}
 
 
 def test_two_datatype_schema(cdsimp):
@@ -35,7 +39,7 @@ def test_full_class_diagram_schema(cd):
         "scl": ("IDENT", "list"),
     }
     assert _fields(schema, "CDCClasses") == {"names": ("IDENT", "list")}
-    assert schema.datatype("CDCClasses").sugar_for == "CDCClass"
+    assert _datatypes(schema)["CDCClasses"].sugar_for == "CDCClass"
 
 
 def test_optional_single_reference_becomes_option():
@@ -45,7 +49,7 @@ def test_optional_single_reference_becomes_option():
 
 def test_terminal_only_production_has_no_fields():
     g = parse_grammar('grammar G { A = "only" "terminals"; }')
-    assert derive_schema(g).datatype("A").fields == ()
+    assert _datatypes(derive_schema(g))["A"].fields == ()
 
 
 @pytest.mark.parametrize("grammar, name", [

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import golden
 from oracles import composed_valid
-from vlang.features import Configuration
+from vlang.features import Configuration, parse_feature_diagrams
 from vlang.semantics import SemanticsError, UnboundMappingError
 from vlang.sysmodel import NameConventionError
 from vlang.theorygen import generate_domain_theory, generate_mapping_theory, write_theory
@@ -58,9 +58,7 @@ def test_unselected_xor_leaves_mapping_unbound(example_diagrams):
 
 
 def test_unregistered_mapping_feature(example_diagrams):
-    from vlang.features import parse_feature_diagram
-
-    diagram = parse_feature_diagram(
+    (diagram,) = parse_feature_diagrams(
         "featurediagram CDSimpSemVar { vp vMap for theory CDSimpSem { "
         "optional feature GhostMapping kind semantic-mapping; } }"
     )
