@@ -59,15 +59,6 @@ def _query(models, config):
     return demands, joint, query_bounds(config, joint), variants_predicate(config)
 
 
-def _two_models(m1, m2, config):
-    if m1.datatype != m2.datatype:
-        raise AnalysisError(
-            f"refinement relates models of one language, got "
-            f"{m1.datatype} and {m2.datatype}"
-        )
-    return _query([m1, m2], config)
-
-
 def check_refinement(
     refined: AstNode, abstract: AstNode, config: SemanticsConfig
 ) -> AnalysisVerdict:
@@ -75,7 +66,12 @@ def check_refinement(
     `abstract`, within bounds?  Over both models' classes, a system of
     `refined` is outside `abstract` iff it breaks an abstract atom `refined`
     lacks: the counterexample is the least first system of such a negation."""
-    (r, a), joint, bounds, variants = _two_models(refined, abstract, config)
+    if refined.datatype != abstract.datatype:
+        raise AnalysisError(
+            f"refinement relates models of one language, got "
+            f"{refined.datatype} and {abstract.datatype}"
+        )
+    (r, a), joint, bounds, variants = _query([refined, abstract], config)
     r |= Demands(joint.classes)
     negated = [Demands(no_sub=frozenset({p})) for p in a.sub - r.sub]
     negated += [Demands(sub=frozenset({p})) for p in a.no_sub - r.no_sub]

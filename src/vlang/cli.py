@@ -24,7 +24,11 @@ Exit codes: 0 for a positive verdict, 1 for a negative one (violations,
 holds=false, a grammar or model the command was asked to judge failing to
 parse, a theory that cannot be generated), 2 for usage errors, refused
 diagram roles, and unreadable (or not UTF-8) or unparseable auxiliary input
-files.  Results go to stdout, diagnostics to stderr.  Setting VLANG_COLOR=0
+files.  `main` is the one place a library error (an undesugarable model, an
+unknown condition, a feature-model, semantics, analysis or naming error)
+becomes one `vlang: <message>` line with exit 2; a handler wraps an error only
+when the message needs the file's path or the exit code of a judged input.
+Results go to stdout, diagnostics to stderr.  Setting VLANG_COLOR=0
 disables ANSI coloring (used only on terminals).
 """
 
@@ -38,7 +42,7 @@ from itertools import islice
 from pathlib import Path
 
 from .analysis import AnalysisError, check_consistency, check_equivalence, check_refinement
-from .conditions import UnknownConditionError, check_context_conditions, conditions_for
+from .conditions import CONDITIONS, UnknownConditionError, check_context_conditions
 from .desugar import DesugarError, desugar_to_minimal
 from .features import (
     FeatureModelError,
@@ -99,13 +103,6 @@ def _load_model(grammar, path: str, *, judged: bool = False):
         raise _FileFailure(f"{path}: {exc}", exit_code=1 if judged else 2) from exc
 
 
-def _minimal(grammar, node):
-    try:
-        return desugar_to_minimal(node, grammar)
-    except DesugarError as exc:
-        raise _FileFailure(str(exc)) from exc
-
-
 def _load_workspace(paths: list[str]):
     """Read .fd and .conf files into (diagrams, configurations, their
     validated merge)."""
@@ -121,10 +118,7 @@ def _load_workspace(paths: list[str]):
                 raise _FileFailure(f"{path}: expected a .fd or .conf file")
         except FeatureModelError as exc:
             raise _FileFailure(f"{path}: {exc}") from exc
-    try:
-        return diagrams, configs, validated_merge(diagrams, configs)
-    except FeatureModelError as exc:
-        raise _FileFailure(str(exc)) from exc
+    return diagrams, configs, validated_merge(diagrams, configs)
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +135,18 @@ def _cmd_parse(args) -> int:
     grammar = _load_grammar(args.grammar)
     node = _load_model(grammar, args.model, judged=True)
     if args.minimal:
-        node = _minimal(grammar, node)
+        node = desugar_to_minimal(node, grammar)
     print(dump_ast(node))
     return 0
 
 
 def _cmd_wf(args) -> int:
     grammar = _load_grammar(args.grammar)
-    node = _minimal(grammar, _load_model(grammar, args.model))
-    active = {
-        cc_id
-        for cc_id, cc in conditions_for(grammar.name).items()
-        if not cc.optional
-    }
+    node = desugar_to_minimal(_load_model(grammar, args.model), grammar)
+    active = {cc_id for cc_id, cc in CONDITIONS.get(grammar.name, {}).items() if not cc.optional}
     if args.cc:
         active.update(s for s in args.cc.split(",") if s)
-    try:
-        violations = check_context_conditions(node, active, grammar.name)
-    except UnknownConditionError as exc:
-        raise _FileFailure(str(exc)) from exc
+    violations = check_context_conditions(node, active, grammar.name)
     for v in violations:
         print(v.render())
     if violations:
@@ -211,7 +198,7 @@ def _cmd_sem(args) -> int:
     if args.witnesses < 0:
         raise _FileFailure("--witnesses must be non-negative")
     grammar = _load_grammar(args.grammar)
-    model = _minimal(grammar, _load_model(grammar, args.model))
+    model = desugar_to_minimal(_load_model(grammar, args.model), grammar)
     diagrams, _, merged = _load_workspace(args.files)
     sem = compute_sem(model, make_semantics_config(diagrams, merged, _bounds(args)))
     members = iter(sem)
@@ -231,7 +218,7 @@ def _cmd_analyze(args) -> int:
     models = []
     for grammar_path, model_paths in pairs:
         grammar = _load_grammar(grammar_path)
-        models.extend(_minimal(grammar, _load_model(grammar, p)) for p in model_paths)
+        models.extend(desugar_to_minimal(_load_model(grammar, p), grammar) for p in model_paths)
     if not models:
         raise _FileFailure("analyze consistent needs grammar/model arguments")
     diagrams, _, merged = _load_workspace(rest)
@@ -393,7 +380,8 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidConfigurationError as exc:
         print(render_violations(exc.violations))
         return 1
-    except (SemanticsError, AnalysisError, NameConventionError) as exc:
+    except (DesugarError, UnknownConditionError, FeatureModelError,
+            SemanticsError, AnalysisError, NameConventionError) as exc:
         print(f"vlang: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple
 
 from .schema import AstNode
-from .semantics import class_name, class_nodes, class_supers
+from .semantics import class_name, class_supers, statement_nodes
 
 
 class UnknownConditionError(Exception):
@@ -49,7 +49,7 @@ def _violation(cc_id: str, node: AstNode, message: str) -> CCViolation:
 def _cc_unique_class_names(diagram: AstNode) -> list[CCViolation]:
     seen: set[str] = set()
     violations = []
-    for c in class_nodes(diagram):
+    for c in statement_nodes(diagram):
         name = class_name(c)
         if name in seen:
             violations.append(
@@ -60,12 +60,12 @@ def _cc_unique_class_names(diagram: AstNode) -> list[CCViolation]:
 
 
 def _cc_supers_declared(diagram: AstNode) -> list[CCViolation]:
-    declared = {class_name(c) for c in class_nodes(diagram)}
+    declared = {class_name(c) for c in statement_nodes(diagram)}
     return [
         _violation(
             "CC-supers-declared", c, f"class {class_name(c)} extends undeclared class {s}"
         )
-        for c in class_nodes(diagram)
+        for c in statement_nodes(diagram)
         for s in class_supers(c)
         if s not in declared
     ]
@@ -78,7 +78,7 @@ def _cc_single_inheritance(diagram: AstNode) -> list[CCViolation]:
             c,
             f"class {class_name(c)} has {len(class_supers(c))} super-classes",
         )
-        for c in class_nodes(diagram)
+        for c in statement_nodes(diagram)
         if len(class_supers(c)) > 1
     ]
 
@@ -108,10 +108,6 @@ CONDITIONS: dict[str, dict[str, ContextCondition]] = {
     "CD": _CLASS_DIAGRAM,
     "CDSimp": _CLASS_DIAGRAM,
 }
-
-
-def conditions_for(language: str) -> dict[str, ContextCondition]:
-    return dict(CONDITIONS.get(language, {}))
 
 
 def check_context_conditions(

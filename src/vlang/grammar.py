@@ -200,7 +200,7 @@ class _GrammarParser(Cursor):
         out: list[Element] = []
         while not self._at("punct", stop):
             if self._peek().kind == "eof":
-                raise self._err(f"expected {stop!r}, got end of input")
+                raise self._err(f"expected {stop!r}, got {self._got()}")
             out.append(self._element())
         return out
 

@@ -78,6 +78,11 @@ def scan(
     return tokens
 
 
+def token_name(tok: Token) -> str:
+    """A token as an error names it: ``end of input`` or its quoted text."""
+    return "end of input" if tok.kind == "eof" else repr(tok.text)
+
+
 class Cursor:
     """Token access shared by the grammar and feature parsers; the position
     never moves past the "eof" token.  Errors are raised as `error`."""
@@ -107,10 +112,7 @@ class Cursor:
         return self.error(message, tok.line, tok.col)
 
     def _got(self) -> str:
-        """The current token as an error names it: ``end of input`` or its
-        quoted text."""
-        tok = self._peek()
-        return "end of input" if tok.kind == "eof" else repr(tok.text)
+        return token_name(self._peek())
 
     def _take(self, kind: str, text: str | None = None) -> Token:
         """Consume the current token, which must be of `kind` and, when

@@ -32,7 +32,7 @@ from .grammar import (
     Terminal,
     TerminalSynonyms,
 )
-from .lexer import IDENT, SourceError, Token, scan
+from .lexer import IDENT, SourceError, Token, scan, token_name
 from .schema import STEREOTYPE_FIELD, AstNode, SourcePos, derive_schema
 
 
@@ -119,9 +119,8 @@ class _ModelParser:
             raise ModelParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
         tok = self.toks[self.farthest]
         expected = frozenset(self.expected_at_farthest)
-        got = repr(tok.text) if tok.kind != "eof" else "end of input"
-        wanted = ", ".join(sorted(expected))
-        raise ModelParseError(f"expected {wanted}, got {got}", tok.line, tok.col, expected)
+        message = f"expected {', '.join(sorted(expected))}, got {token_name(tok)}"
+        raise ModelParseError(message, tok.line, tok.col, expected)
 
     def _node(self, prod: Production) -> AstNode:
         start = self._peek()

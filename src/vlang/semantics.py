@@ -114,17 +114,14 @@ def super_mapping_for(config: Configuration) -> SuperMapping:
 # AST access helpers (shape shared by all class-diagram grammars)
 # ---------------------------------------------------------------------------
 
-def _statement_list(root: AstNode) -> list[AstNode]:
+def statement_nodes(root: AstNode) -> list[AstNode]:
+    """The one list field of a class diagram or an assertion document."""
     lists = [v for v in root.fields.values() if isinstance(v, list)]
     if len(lists) != 1:
         raise SemanticsError(
             f"{root.datatype} has {len(lists)} list fields, expected exactly one"
         )
     return lists[0]
-
-
-def class_nodes(diagram: AstNode) -> list[AstNode]:
-    return _statement_list(diagram)
 
 
 _field = partial(hook_field, error=SemanticsError)
@@ -170,7 +167,7 @@ def map_class(class_node: AstNode, variant: SuperMapping) -> Demands:
 def map_diagram(diagram: AstNode, variant: SuperMapping) -> Demands:
     """Conjunction of map_class over the classes of a minimal class
     diagram."""
-    return reduce(or_, (map_class(c, variant) for c in class_nodes(diagram)), Demands())
+    return reduce(or_, (map_class(c, variant) for c in statement_nodes(diagram)), Demands())
 
 
 def map_assertions(doc: AstNode) -> Demands:
@@ -178,7 +175,7 @@ def map_assertions(doc: AstNode) -> Demands:
     minimal assertion document."""
     statements = [
         (_field(stmt, "left"), _field(stmt, "right"), stmt.fields.get("neg") is None)
-        for stmt in _statement_list(doc)
+        for stmt in statement_nodes(doc)
     ]
     return Demands(
         frozenset(name for left, right, _ in statements for name in (left, right)),

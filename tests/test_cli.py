@@ -195,8 +195,45 @@ def test_wf_unknown_condition_is_usage_error(workspace, capsys):
         "--cc",
         "CC-nope",
     )
-    assert code == 2
-    assert "CC-nope" in err
+    assert (code, err) == (2, "vlang: unknown context condition CC-nope for language CDSimp\n")
+
+
+UNEXPANDED = {
+    "f.mclang": 'grammar Fresh { A = "a" (items:B)*; B = "b" x:IDENT ";"; '
+    'sugar C for B = "c" y:IDENT ";"; }',
+    "f.txt": "a c one ;",
+}
+
+
+def _diagram(name: str, body: str = "") -> str:
+    return (
+        f"featurediagram {name} {{ vp v{name} for theory T {{ "
+        f"optional feature F kind semantic-domain; }} {body} }}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["parse", "--minimal"], UNEXPANDED,
+         "no expander registered for sugar production C of language Fresh"),
+        (["wf"], UNEXPANDED,
+         "no expander registered for sugar production C of language Fresh"),
+        (["fm-check"], {"a.fd": "featurediagram D { }\n", "b.fd": "featurediagram D { }\n"},
+         "duplicate diagram names in scope"),
+        (["fm-check"], {"a.fd": _diagram("A"), "b.fd": _diagram("B")},
+         "feature F is declared in both A and B; feature names must be workspace-unique"),
+        (["fm-check"], {"d.fd": _diagram("D", "constraint F requires Ghost;")},
+         "constraint in D references unknown feature Ghost"),
+    ],
+    ids=["parse-desugar", "wf-desugar", "duplicate-diagram", "shared-feature", "unknown-feature"],
+)
+def test_library_errors_reach_main_as_one_usage_line(workspace, capsys, argv, files, message):
+    # No handler wraps these: main turns each into one `vlang:` line, exit 2.
+    for name, text in files.items():
+        (workspace / name).write_text(text, encoding="utf-8")
+    args = [str(workspace / name) for name in files]
+    assert _run(capsys, *argv, *args) == (2, "", f"vlang: {message}\n")
 
 
 def test_fm_check_accepts_example_selection(workspace, capsys):

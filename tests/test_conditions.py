@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from vlang.conditions import UnknownConditionError, check_context_conditions, conditions_for
+from vlang.conditions import CONDITIONS, UnknownConditionError, check_context_conditions
 from vlang.desugar import desugar_to_minimal
 from vlang.modelparse import parse_model
 
@@ -19,7 +19,7 @@ def _minimal(grammar, text):
 
 def test_bundled_conditions_registered_for_both_grammars():
     for language in ("CD", "CDSimp"):
-        registry = conditions_for(language)
+        registry = CONDITIONS[language]
         assert set(registry) == set(ALL_CC)
         assert not registry["CC-unique-class-names"].optional
         assert registry["CC-supers-declared"].optional

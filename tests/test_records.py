@@ -1,6 +1,7 @@
 """The value semantics of vlang's records, which are named tuples or
 `__slots__` classes, and the start-up cost they keep down: importing the
-CLI loads no `dataclasses` (nor the `inspect` it pulls in)."""
+CLI loads no `dataclasses` (nor the `inspect` it pulls in).  Each module also
+imports alone, in a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -18,6 +19,9 @@ from vlang.grammar import StereotypeSlot
 from vlang.schema import AstNode, SourcePos
 from vlang.sysmodel import Bounds
 
+SRC = Path(cli.__file__).parents[1]
+ENV = {**os.environ, "PYTHONPATH": str(SRC)}
+
 
 def test_cli_import_loads_no_dataclasses():
     script = (
@@ -26,9 +30,20 @@ def test_cli_import_loads_no_dataclasses():
         "import vlang.cli\n"
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.stem for p in (SRC / "vlang").glob("*.py") if p.stem != "__init__")
+)
+def test_each_module_imports_alone(module):
+    # `import vlang` loads no submodule, so a module that imports only when
+    # another one was loaded first fails here.
+    fresh = subprocess.run(
+        [sys.executable, "-c", f"import vlang.{module}"], capture_output=True, text=True, env=ENV
+    )
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, "", "")
 
 
 def test_markers_equal_only_their_own_kind():
