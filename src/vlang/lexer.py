@@ -5,6 +5,11 @@ in as data.  Spaces, tabs, carriage returns and newlines separate tokens; a
 the format's word pattern, punctuation is matched longest-first, and only
 grammars have quoted strings.  Any other character is an error of the
 format's own class, at a 1-based line and column.
+
+The scanner splits the source into lines and matches each line with one
+pattern that takes the run of blanks in front of every token along with it,
+so blanks and line ends cost no step of their own: the line loop counts the
+lines, and the columns are the lengths of what was matched so far.
 """
 
 from __future__ import annotations
@@ -43,38 +48,40 @@ def scan(
 ) -> list[Token]:
     """Tokenize `source`; the list ends with one "eof" token."""
     # Ties in a fixed order: one vocabulary always gives the same pattern
-    # text, which re's cache then compiles only once.
+    # text, which re's cache then compiles only once.  `(?!)` matches
+    # nothing, for a vocabulary without punctuation.
     ordered = sorted(filter(None, punct), key=lambda p: (-len(p), p))
-    longest_first = "|".join(map(re.escape, ordered))
-    pattern = re.compile(
-        r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>//[^\n]*)"
-        + (r'|(?P<string>"[^"\n]*")' if strings else "")
-        + f"|(?P<ident>{word})"
-        + (f"|(?P<punct>{longest_first})" if longest_first else "")
-        + r"|(?P<illegal>.)",
-        re.DOTALL,
-    )
+    marks = "|".join(map(re.escape, ordered)) or "(?!)"
+    # One match per token, blanks in front: a comment, a quoted string, a
+    # word, punctuation, or any other character.  `word` has no group.
+    pattern = re.compile(rf'([ \t\r]*)(?:(//.*)|("[^"]*")|({word})|({marks})|([^ \t\r]))')
     tokens: list[Token] = []
-    line, line_start, end = 1, 0, len(source)
-    for m in pattern.finditer(source):
-        kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "comment":
-            if m.end() == len(source):
-                end = m.start()
-        elif kind != "space":
-            text, col = m.group(), m.start() - line_start + 1
-            if kind == "illegal":
-                if strings and text == '"':
+    append, new = tokens.append, tuple.__new__
+    for line, text in enumerate(source.split("\n"), 1):
+        col = 1
+        # Where this line's eof token would sit: its end, or its comment.
+        end = len(text) + 1
+        for blanks, comment, string, name, mark, other in pattern.findall(text):
+            col += len(blanks)
+            if name:
+                kind = "keyword" if name in keywords else "ident"
+                append(new(Token, (kind, name, line, col)))
+                col += len(name)
+            elif mark:
+                append(new(Token, ("punct", mark, line, col)))
+                col += len(mark)
+            elif comment:
+                end = col
+            elif string and strings:
+                append(new(Token, ("string", string[1:-1], line, col)))
+                col += len(string)
+            else:
+                # A quote is illegal where strings are not tokens.
+                char = other or string[0]
+                if strings and char == '"':
                     raise error("unterminated terminal string", line, col)
-                raise error(f"illegal character {text!r}", line, col)
-            if kind == "string":
-                text = text[1:-1]
-            elif kind == "ident" and text in keywords:
-                kind = "keyword"
-            tokens.append(Token(kind, text, line, col))
-    tokens.append(Token("eof", "", line, end - line_start + 1))
+                raise error(f"illegal character {char!r}", line, col)
+    append(new(Token, ("eof", "", line, end)))
     return tokens
 
 
@@ -94,7 +101,9 @@ class Cursor:
         self.pos = 0
 
     def _peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        if ahead:
+            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos]
 
     def _advance(self) -> Token:
         tok = self.toks[self.pos]
@@ -103,7 +112,7 @@ class Cursor:
         return tok
 
     def _at(self, kind: str, text: str) -> bool:
-        tok = self._peek()
+        tok = self.toks[self.pos]
         return tok.kind == kind and tok.text == text
 
     def _err(self, message: str, tok: Token | None = None) -> SourceError:

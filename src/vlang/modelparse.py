@@ -1,16 +1,17 @@
 """Parsing concrete model texts against a grammar into generic AST nodes.
 
-The parser interprets the grammar directly: ordered choice and greedy
-matching, with backtracking in two places.  An optional or starred group is
-tried one iteration at a time, and an iteration commits only if it matches
-fully.  A reference tries its production and then the production's sugar
-alternatives, in declaration order, and takes the first that matches.  Each
-node and each iteration collects its fields into a dict of its own, which
-joins the enclosing one only when it matches, so a failed iteration or
-alternative leaves no fields behind.  An error reports the farthest token
-any alternative reached and every terminal expected there.  Terminal
-synonyms all produce the canonical token, so the spelling chosen in the
-model never shows in the AST.
+Each parse first compiles the grammar into matchers, one closure per element
+and one node function per production, and then runs them: ordered choice
+and greedy matching, with backtracking in two places.  An optional or
+starred group is tried one iteration at a time, and an iteration commits
+only if it matches fully.  A reference tries its production and then the
+production's sugar alternatives, in declaration order, and takes the first
+that matches.  Each node and each iteration collects its fields into a dict
+of its own, which joins the enclosing one only when it matches, so a failed
+iteration or alternative leaves no fields behind.  An error reports the
+farthest token any alternative reached and every terminal expected there.
+Terminal synonyms all produce the canonical token, so the spelling chosen in
+the model never shows in the AST.
 
 Tokenization: the shared scanner of vlang.lexer, with the vocabulary taken
 from the grammar.  Every word-like terminal is a reserved keyword (an IDENT
@@ -21,6 +22,8 @@ scans as one token of this vocabulary.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .grammar import (
     IDENT_TOKEN,
     Element,
@@ -28,7 +31,6 @@ from .grammar import (
     Group,
     NonterminalRef,
     Production,
-    StereotypeSlot,
     Terminal,
     TerminalSynonyms,
 )
@@ -50,153 +52,236 @@ def tokenize_model(grammar: GrammarDef, source: str) -> list[Token]:
     """Scan a model: word-like terminals of `grammar` are its keywords and
     every other terminal is punctuation, with ``<<`` and ``>>`` added when
     the grammar has stereotype slots."""
-    terminals = grammar.terminal_texts()
+    terminals = set(grammar.terminal_texts())
+    if grammar.has_stereotype_slots():
+        terminals |= {"<<", ">>"}
+    return _scan(terminals, source)
+
+
+def _scan(terminals: set[str], source: str) -> list[Token]:
     keywords = {t for t in terminals if IDENT.fullmatch(t)}
-    punct = terminals - keywords | ({"<<", ">>"} if grammar.has_stereotype_slots() else set())
-    return scan(source, punct, TokenizeError, keywords=keywords)
+    return scan(source, terminals - keywords, TokenizeError, keywords=keywords)
 
 
 class _Backtrack(Exception):
     """Internal: current alternative failed; recovery decided by the caller."""
 
 
+class _TooDeep(Exception):
+    """Internal: the descent passed the recursion limit in the node that
+    starts at token index ``args[0]``."""
+
+
 _Fields = dict[str, list[object]]
+# A matcher takes the index of the next token and the fields of the node or
+# iteration it matches in; it returns the index after its match, or raises
+# _Backtrack.
+_Matcher = Callable[[int, _Fields], int]
+_Node = Callable[[int], tuple[AstNode, int]]
 
 
-class _ModelParser:
-    def __init__(self, grammar: GrammarDef, source: str):
-        # By production name: the alternatives a reference tries (the
-        # production, then its sugar productions) and the node's fields.
-        self.alternatives = {
-            p.name: (p, *grammar.sugar_alternatives(p.name)) for p in grammar.productions
-        }
-        self.fields = {dt.name: dt.fields for dt in derive_schema(grammar).datatypes}
-        self.start = self.alternatives[grammar.start_production][0]
-        self.toks = tokenize_model(grammar, source)
-        self.pos = 0
+class _Parse:
+    """One parse: the grammar, the node function compiled for each of its
+    productions, the terminals met while compiling (with ``<<`` and ``>>``
+    for a stereotype slot, the model's vocabulary, gathered here so that a
+    parse need not walk the grammar twice more for it), the tokens, and the
+    farthest failure with the terminals expected there."""
+
+    __slots__ = ("grammar", "nodes", "terminals", "toks", "farthest", "expected")
+
+    def __init__(self, grammar: GrammarDef):
+        self.grammar = grammar
+        self.nodes: dict[str, _Node] = {}
+        self.terminals: set[str] = set()
+        # The matchers hold this list; the scan fills it once they are compiled.
+        self.toks: list[Token] = []
         self.farthest = 0
-        self.expected_at_farthest: set[str] = set()
+        self.expected: set[str] = set()
 
-    # -- token access and failure bookkeeping --------------------------------
+    def fail(self, pos: int, expected: tuple[str, ...]) -> _Backtrack:
+        """Record a failure at token `pos`; the caller raises the result."""
+        if pos > self.farthest:
+            self.farthest = pos
+            self.expected = set(expected)
+        elif pos == self.farthest:
+            self.expected.update(expected)
+        return _Backtrack()
 
-    def _fail(self, *expected: str) -> None:
-        if self.pos > self.farthest:
-            self.farthest = self.pos
-            self.expected_at_farthest = set(expected)
-        elif self.pos == self.farthest:
-            self.expected_at_farthest.update(expected)
-        raise _Backtrack()
 
-    def _peek(self) -> Token:
-        return self.toks[self.pos]
+# -- compiling --------------------------------------------------------------
+#
+# Module-level functions, so that no closure refers to another through the
+# scope it was made in: the one cycle runs through `_Parse.nodes`, which
+# `parse_model` empties when it is done.
 
-    def _take_terminal(self, *spellings: str) -> None:
-        tok = self._peek()
-        if tok.kind in ("keyword", "punct") and tok.text in spellings:
-            self.pos += 1
-        else:
-            self._fail(*map(repr, spellings))
+def _node(p: _Parse, prod: Production, fields: tuple[tuple[str, str], ...]) -> _Node:
+    body = _sequence(p, prod.elements)
+    toks, name, new = p.toks, prod.name, tuple.__new__
 
-    def _take_ident(self) -> str:
-        tok = self._peek()
-        if tok.kind != "ident":
-            self._fail(IDENT_TOKEN)
-        self.pos += 1
-        return tok.text
-
-    # -- parsing -----------------------------------------------------------
-
-    def parse(self) -> AstNode:
-        try:
-            node = self._node(self.start)
-        except _Backtrack:
-            node = None
-        # A failure farther than the parse reached is the error, not the rest.
-        if node is not None and self.farthest <= self.pos:
-            tok = self._peek()
-            if tok.kind == "eof":
-                return node
-            raise ModelParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
-        tok = self.toks[self.farthest]
-        expected = frozenset(self.expected_at_farthest)
-        message = f"expected {', '.join(sorted(expected))}, got {token_name(tok)}"
-        raise ModelParseError(message, tok.line, tok.col, expected)
-
-    def _node(self, prod: Production) -> AstNode:
-        start = self._peek()
+    def node(pos):
         acc: _Fields = {}
-        self._sequence(prod.elements, acc)
-        fields: dict[str, object] = {}
-        for f in self.fields[prod.name]:
-            values = acc.get(f.label, [])
-            if f.card == "set":
-                fields[f.label] = frozenset(values)
-            elif f.card == "list":
-                fields[f.label] = values
-            elif f.card == "option":
-                fields[f.label] = values[0] if values else None
+        try:
+            end = body(pos, acc)
+        except RecursionError:
+            raise _TooDeep(pos) from None
+        values: dict[str, object] = {}
+        for label, card in fields:
+            found = acc.get(label, [])
+            if card == "":
+                values[label] = found[0]
+            elif card == "list":
+                values[label] = found
+            elif card == "option":
+                values[label] = found[0] if found else None
             else:
-                fields[f.label] = values[0]
-        return AstNode(prod.name, fields, pos=SourcePos(start.line, start.col))
+                values[label] = frozenset(found)
+        tok = toks[pos]
+        return AstNode(name, values, new(SourcePos, (tok.line, tok.col))), end
 
-    def _sequence(self, elements: tuple[Element, ...], acc: _Fields) -> None:
-        for el in elements:
-            if isinstance(el, Terminal):
-                self._take_terminal(el.text)
-            elif isinstance(el, TerminalSynonyms):
-                self._take_terminal(*el.all_spellings())
-            elif isinstance(el, NonterminalRef):
-                acc.setdefault(el.field_label, []).append(self._reference(el))
-            elif isinstance(el, StereotypeSlot):
-                self._stereotypes(acc)
-            elif isinstance(el, Group):
-                self._group(el, acc)
+    return node
 
-    def _reference(self, ref: NonterminalRef) -> object:
-        if ref.target == IDENT_TOKEN:
-            return self._take_ident()
-        alternatives = self.alternatives[ref.target]
-        for prod in alternatives[:-1]:
-            mark = self.pos
+
+def _sequence(p: _Parse, elements: tuple[Element, ...]) -> _Matcher:
+    matchers = [_element(p, el) for el in elements]
+    if len(matchers) == 1:
+        return matchers[0]
+
+    def sequence(pos, acc):
+        for match in matchers:
+            pos = match(pos, acc)
+        return pos
+
+    return sequence
+
+
+def _element(p: _Parse, el: Element) -> _Matcher:
+    if isinstance(el, Terminal):
+        return _terminal(p, (el.text,))
+    if isinstance(el, TerminalSynonyms):
+        return _terminal(p, el.all_spellings())
+    if isinstance(el, NonterminalRef):
+        if el.target == IDENT_TOKEN:
+            return _ident(p, el.field_label)
+        sugar = p.grammar.sugar_alternatives(el.target)
+        return _reference(p, el.field_label, (el.target, *(s.name for s in sugar)))
+    if isinstance(el, Group):
+        return _group(p, el)
+    return _stereotypes(p)
+
+
+def _terminal(p: _Parse, spellings: tuple[str, ...]) -> _Matcher:
+    p.terminals.update(spellings)
+    toks, expected = p.toks, tuple(map(repr, spellings))
+
+    # No IDENT spells a terminal: the scanner makes word-like terminals
+    # keywords, and the other terminals are not words.
+    def terminal(pos, acc):
+        if toks[pos].text in spellings:
+            return pos + 1
+        raise p.fail(pos, expected)
+
+    return terminal
+
+
+def _ident(p: _Parse, label: str) -> _Matcher:
+    toks = p.toks
+
+    def ident(pos, acc):
+        tok = toks[pos]
+        if tok.kind != "ident":
+            raise p.fail(pos, (IDENT_TOKEN,))
+        acc.setdefault(label, []).append(tok.text)
+        return pos + 1
+
+    return ident
+
+
+def _reference(p: _Parse, label: str, alternatives: tuple[str, ...]) -> _Matcher:
+    nodes, first, last = p.nodes, alternatives[:-1], alternatives[-1]
+
+    def reference(pos, acc):
+        for name in first:
             try:
-                return self._node(prod)
+                node, end = nodes[name](pos)
+                break
             except _Backtrack:
-                self.pos = mark
-        return self._node(alternatives[-1])
+                pass
+        else:
+            node, end = nodes[last](pos)
+        acc.setdefault(label, []).append(node)
+        return end
 
-    def _stereotypes(self, acc: _Fields) -> None:
-        names = acc.setdefault(STEREOTYPE_FIELD, [])
-        while self._peek().kind == "punct" and self._peek().text == "<<":
-            self.pos += 1
-            names.append(self._take_ident())
-            self._take_terminal(">>")
+    return reference
 
-    def _group(self, group: Group, acc: _Fields) -> None:
-        if group.cardinality == "once":
-            self._sequence(group.elements, acc)
-            return
+
+def _stereotypes(p: _Parse) -> _Matcher:
+    p.terminals.add("<<")
+    toks, name, close = p.toks, _ident(p, STEREOTYPE_FIELD), _terminal(p, (">>",))
+
+    def stereotypes(pos, acc):
+        while toks[pos].text == "<<":
+            pos = close(name(pos + 1, acc), acc)
+        return pos
+
+    return stereotypes
+
+
+def _group(p: _Parse, group: Group) -> _Matcher:
+    body = _sequence(p, group.elements)
+    if group.cardinality == "once":
+        return body
+    once = group.cardinality == "optional"
+
+    def repeat(pos, acc):
         while True:
-            mark = self.pos
             matched: _Fields = {}
             try:
-                self._sequence(group.elements, matched)
+                end = body(pos, matched)
             except _Backtrack:
-                self.pos = mark
-                return
+                return pos
             for label, values in matched.items():
                 acc.setdefault(label, []).extend(values)
-            if group.cardinality == "optional" or self.pos == mark:
-                return
+            if once or end == pos:
+                return end
+            pos = end
 
+    return repeat
+
+
+# -- parsing ----------------------------------------------------------------
 
 def parse_model(grammar: GrammarDef, source: str) -> AstNode:
     """Parse a model text against a grammar; the result conforms to
     derive_schema(grammar)."""
-    parser = _ModelParser(grammar, source)
+    p = _Parse(grammar)
+    toks = p.toks
+    fields = {
+        dt.name: tuple((f.label, f.card) for f in dt.fields)
+        for dt in derive_schema(grammar).datatypes
+    }
     try:
-        return parser.parse()
-    except RecursionError:
-        # The parser descends once per nesting level; past the interpreter's
-        # recursion limit the model is refused, not the process.
-        tok = parser._peek()
-        raise ModelParseError("model nested too deeply to parse", tok.line, tok.col) from None
+        for prod in grammar.productions:
+            p.nodes[prod.name] = _node(p, prod, fields[prod.name])
+        toks.extend(_scan(p.terminals, source))
+        try:
+            node, pos = p.nodes[grammar.start_production](0)
+        except _Backtrack:
+            node, pos = None, 0
+        except _TooDeep as exc:
+            # The descent recurses once per nesting level; past the
+            # interpreter's recursion limit the model is refused, not the
+            # process.
+            tok = toks[exc.args[0]]
+            raise ModelParseError("model nested too deeply to parse", tok.line, tok.col) from None
+    finally:
+        p.nodes.clear()
+    # A failure farther than the parse reached is the error, not the rest.
+    if node is not None and p.farthest <= pos:
+        tok = toks[pos]
+        if tok.kind == "eof":
+            return node
+        raise ModelParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
+    tok = toks[p.farthest]
+    expected = frozenset(p.expected)
+    message = f"expected {', '.join(sorted(expected))}, got {token_name(tok)}"
+    raise ModelParseError(message, tok.line, tok.col, expected)

@@ -16,8 +16,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # Example budgets of the tests that leave `max_examples` to the profile (the
 # enumeration oracles in test_sysmodel.py and test_differential.py, the
 # full-scan comparison in test_analysis.py, the validator comparison in
-# test_features.py; the parser soups of test_parser_fuzz.py draw five times
-# as many).  Pick one with
+# test_features.py; the parser soups and parser comparisons of
+# test_parser_fuzz.py and the scanner comparison of test_lexer.py draw five
+# times as many).  Pick one with
 # `pytest --hypothesis-profile=deep`.
 settings.register_profile("default", max_examples=60)
 settings.register_profile("deep", max_examples=600)

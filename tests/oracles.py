@@ -1,6 +1,8 @@
 """Judges of arbitrary systems and ASTs, and the oracles the package is
-checked against: brute-force enumeration and refinement, and the
-configuration validator as it was first written.
+checked against: brute-force enumeration and refinement, the configuration
+validator as it was first written, and the scanner and model parser as they
+were before they were made faster (one pattern over the whole source, and a
+parser that interprets the grammar element by element).
 
 The package builds only systems that are base-valid and hold a query's
 `Demands`, and its parser builds only conforming ASTs, so it needs none of
@@ -9,8 +11,9 @@ these judges.  Tests use them to check what the package builds.
 
 from __future__ import annotations
 
+import re
 from itertools import chain, combinations, product
-from typing import Callable, Iterable
+from typing import Callable, Container, Iterable
 
 from vlang.features import (
     Configuration,
@@ -20,8 +23,20 @@ from vlang.features import (
     ResolutionError,
     Violation,
 )
-from vlang.grammar import IDENT_TOKEN
-from vlang.schema import AstNode, AstSchema, SchemaField
+from vlang.grammar import (
+    IDENT_TOKEN,
+    Element,
+    GrammarDef,
+    Group,
+    NonterminalRef,
+    Production,
+    StereotypeSlot,
+    Terminal,
+    TerminalSynonyms,
+)
+from vlang.lexer import IDENT, SourceError, Token, token_name
+from vlang.modelparse import ModelParseError, tokenize_model
+from vlang.schema import STEREOTYPE_FIELD, AstNode, AstSchema, SchemaField, SourcePos, derive_schema
 from vlang.semantics import (
     SemanticsConfig,
     SemanticsSet,
@@ -356,3 +371,192 @@ def conformance_violations(node: AstNode, schema: AstSchema) -> list[str]:
 
 def conforms(node: AstNode, schema: AstSchema) -> bool:
     return not conformance_violations(node, schema)
+
+
+# ---------------------------------------------------------------------------
+# Scanning: one pattern over the whole source, a step for every token, blank
+# run and newline.
+# ---------------------------------------------------------------------------
+
+def oracle_scan(
+    source: str,
+    punct: Iterable[str],
+    error: type[SourceError],
+    *,
+    word: str = IDENT.pattern,
+    keywords: Container[str] = frozenset(),
+    strings: bool = False,
+) -> list[Token]:
+    """`vlang.lexer.scan`, as it was first written."""
+    ordered = sorted(filter(None, punct), key=lambda p: (-len(p), p))
+    longest_first = "|".join(map(re.escape, ordered))
+    pattern = re.compile(
+        r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>//[^\n]*)"
+        + (r'|(?P<string>"[^"\n]*")' if strings else "")
+        + f"|(?P<ident>{word})"
+        + (f"|(?P<punct>{longest_first})" if longest_first else "")
+        + r"|(?P<illegal>.)",
+        re.DOTALL,
+    )
+    tokens: list[Token] = []
+    line, line_start, end = 1, 0, len(source)
+    for m in pattern.finditer(source):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "comment":
+            if m.end() == len(source):
+                end = m.start()
+        elif kind != "space":
+            text, col = m.group(), m.start() - line_start + 1
+            if kind == "illegal":
+                if strings and text == '"':
+                    raise error("unterminated terminal string", line, col)
+                raise error(f"illegal character {text!r}", line, col)
+            if kind == "string":
+                text = text[1:-1]
+            elif kind == "ident" and text in keywords:
+                kind = "keyword"
+            tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", line, end - line_start + 1))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
+# Model parsing: the grammar interpreted element by element.
+# ---------------------------------------------------------------------------
+
+class _Backtrack(Exception):
+    pass
+
+
+_Fields = dict[str, list[object]]
+
+
+class _ModelParser:
+    def __init__(self, grammar: GrammarDef, source: str):
+        self.alternatives = {
+            p.name: (p, *grammar.sugar_alternatives(p.name)) for p in grammar.productions
+        }
+        self.fields = {dt.name: dt.fields for dt in derive_schema(grammar).datatypes}
+        self.start = self.alternatives[grammar.start_production][0]
+        self.toks = tokenize_model(grammar, source)
+        self.pos = 0
+        self.farthest = 0
+        self.expected_at_farthest: set[str] = set()
+
+    def _fail(self, *expected: str) -> None:
+        if self.pos > self.farthest:
+            self.farthest = self.pos
+            self.expected_at_farthest = set(expected)
+        elif self.pos == self.farthest:
+            self.expected_at_farthest.update(expected)
+        raise _Backtrack()
+
+    def _peek(self) -> Token:
+        return self.toks[self.pos]
+
+    def _take_terminal(self, *spellings: str) -> None:
+        tok = self._peek()
+        if tok.kind in ("keyword", "punct") and tok.text in spellings:
+            self.pos += 1
+        else:
+            self._fail(*map(repr, spellings))
+
+    def _take_ident(self) -> str:
+        tok = self._peek()
+        if tok.kind != "ident":
+            self._fail(IDENT_TOKEN)
+        self.pos += 1
+        return tok.text
+
+    def parse(self) -> AstNode:
+        try:
+            node = self._node(self.start)
+        except _Backtrack:
+            node = None
+        if node is not None and self.farthest <= self.pos:
+            tok = self._peek()
+            if tok.kind == "eof":
+                return node
+            raise ModelParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
+        tok = self.toks[self.farthest]
+        expected = frozenset(self.expected_at_farthest)
+        message = f"expected {', '.join(sorted(expected))}, got {token_name(tok)}"
+        raise ModelParseError(message, tok.line, tok.col, expected)
+
+    def _node(self, prod: Production) -> AstNode:
+        start = self._peek()
+        acc: _Fields = {}
+        self._sequence(prod.elements, acc)
+        fields: dict[str, object] = {}
+        for f in self.fields[prod.name]:
+            values = acc.get(f.label, [])
+            if f.card == "set":
+                fields[f.label] = frozenset(values)
+            elif f.card == "list":
+                fields[f.label] = values
+            elif f.card == "option":
+                fields[f.label] = values[0] if values else None
+            else:
+                fields[f.label] = values[0]
+        return AstNode(prod.name, fields, pos=SourcePos(start.line, start.col))
+
+    def _sequence(self, elements: tuple[Element, ...], acc: _Fields) -> None:
+        for el in elements:
+            if isinstance(el, Terminal):
+                self._take_terminal(el.text)
+            elif isinstance(el, TerminalSynonyms):
+                self._take_terminal(*el.all_spellings())
+            elif isinstance(el, NonterminalRef):
+                acc.setdefault(el.field_label, []).append(self._reference(el))
+            elif isinstance(el, StereotypeSlot):
+                self._stereotypes(acc)
+            elif isinstance(el, Group):
+                self._group(el, acc)
+
+    def _reference(self, ref: NonterminalRef) -> object:
+        if ref.target == IDENT_TOKEN:
+            return self._take_ident()
+        alternatives = self.alternatives[ref.target]
+        for prod in alternatives[:-1]:
+            mark = self.pos
+            try:
+                return self._node(prod)
+            except _Backtrack:
+                self.pos = mark
+        return self._node(alternatives[-1])
+
+    def _stereotypes(self, acc: _Fields) -> None:
+        names = acc.setdefault(STEREOTYPE_FIELD, [])
+        while self._peek().kind == "punct" and self._peek().text == "<<":
+            self.pos += 1
+            names.append(self._take_ident())
+            self._take_terminal(">>")
+
+    def _group(self, group: Group, acc: _Fields) -> None:
+        if group.cardinality == "once":
+            self._sequence(group.elements, acc)
+            return
+        while True:
+            mark = self.pos
+            matched: _Fields = {}
+            try:
+                self._sequence(group.elements, matched)
+            except _Backtrack:
+                self.pos = mark
+                return
+            for label, values in matched.items():
+                acc.setdefault(label, []).extend(values)
+            if group.cardinality == "optional" or self.pos == mark:
+                return
+
+
+def oracle_parse_model(grammar: GrammarDef, source: str) -> AstNode:
+    """`vlang.modelparse.parse_model`, interpreting the grammar directly."""
+    parser = _ModelParser(grammar, source)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser._peek()
+        raise ModelParseError("model nested too deeply to parse", tok.line, tok.col) from None

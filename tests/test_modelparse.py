@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from oracles import conforms
 from vlang import bundled
 from vlang.grammar import parse_grammar
+from vlang.lexer import Token
 from vlang.modelparse import ModelParseError, TokenizeError, parse_model, tokenize_model
 from vlang.schema import derive_schema, dump_ast
 
@@ -81,13 +84,36 @@ def test_parse_error_reports_expected_set_and_position(cdsimp):
 
 def test_nesting_past_the_recursion_limit_is_a_parse_error():
     g = parse_grammar('grammar N { A = "a" (A)?; }')
-    # Well inside the limit a nested model parses (README: about 200 levels).
+    # Well inside the limit a nested model parses (README: about 250 levels).
     assert parse_model(g, " ".join(["a"] * 150)).datatype == "A"
     with pytest.raises(ModelParseError, match="nested too deeply") as exc:
         parse_model(g, " ".join(["a"] * 3000))
     # The position is that of the `a` the parser had reached.
     assert exc.value.line == 1
     assert exc.value.col % 2 == 1 and exc.value.col < 2 * 3000
+
+
+def test_a_parse_leaves_no_cycle_that_holds_its_tokens(cd):
+    # The compiled matchers reach each other only through the parse's table
+    # of productions, which parse_model empties; a cycle through them would
+    # keep every token alive until the collector next runs.
+    text = "classdiagram D {\n" + "".join(
+        f"<<s>> class C{i} ext A{i}, B{i};\nclasses A{i}, B{i}, E{i};\n" for i in range(500)
+    ) + "}"
+    gc.collect()
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert len(parse_model(cd, text).fields["classes"]) == 1000
+        gc.collect()
+        leaked = sum(isinstance(o, Token) for o in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert leaked == 0
 
 
 def test_trailing_input_is_an_error(cdsimp):

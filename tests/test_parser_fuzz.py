@@ -6,6 +6,11 @@ scanner, whose lexical errors are pinned here too.
 A soup is a prefix of a well-formed document, so parsing gets past the
 header, followed by tokens drawn from the format's vocabulary, stray
 characters and unterminated strings included.
+
+The model parser, which compiles its grammar, must also give what the
+grammar interpreter it replaced gives (`oracles.oracle_parse_model`): on the
+model soups, and on random grammars with models derived from them, some
+with one token dropped, repeated or replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conforms
+from oracles import conforms, oracle_parse_model
 from vlang import bundled
 from vlang.features import (
     FeatureModelError,
@@ -22,9 +27,17 @@ from vlang.features import (
     parse_configurations,
     parse_feature_diagrams,
 )
-from vlang.grammar import GrammarError, parse_grammar
+from vlang.grammar import (
+    IDENT_TOKEN,
+    GrammarError,
+    NonterminalRef,
+    StereotypeSlot,
+    Terminal,
+    TerminalSynonyms,
+    parse_grammar,
+)
 from vlang.modelparse import ModelParseError, TokenizeError, parse_model
-from vlang.schema import derive_schema
+from vlang.schema import AstNode, derive_schema, dump_ast
 
 _PUNCT = ["{", "}", "(", ")", ";", ":", "=", "|", "*", "?", ",", ".", "$", "<<", ">>", "<<?>>"]
 _NAMES = ["A", "B", "x", "IDENT", "for", "kind", "//c\n", "\n", '"', '""', '"a"', '"b', "1"]
@@ -109,3 +122,137 @@ def test_lexical_error_names_its_line_and_column(name, error, bad, message):
     assert type(exc.value) is error
     assert str(exc.value) == f"line 3, col 4: {message}"
     assert (exc.value.line, exc.value.col) == (3, 4)
+
+
+def _outcome(parse, grammar, text):
+    """The AST's dump and every node's position, or the error in full."""
+    try:
+        node = parse(grammar, text)
+    except (TokenizeError, ModelParseError) as exc:
+        return type(exc), str(exc), exc.line, exc.col, getattr(exc, "expected", None)
+    return dump_ast(node), _positions(node)
+
+
+def _positions(value):
+    if isinstance(value, AstNode):
+        return [(value.datatype, value.pos), *(p for v in value.fields.values() for p in _positions(v))]
+    if isinstance(value, list):
+        return [p for v in value for p in _positions(v)]
+    return []
+
+
+def _same_as_the_interpreter(grammar, text):
+    assert _outcome(parse_model, grammar, text) == _outcome(oracle_parse_model, grammar, text), text
+
+
+@settings(max_examples=5 * settings.default.max_examples, deadline=None, derandomize=True)
+@given(_soups(CASES["model"][2], CASES["model"][3]))
+def test_model_soups_parse_as_the_interpreter_parses_them(text):
+    _same_as_the_interpreter(_CD, text)
+
+
+_TERMINALS = ["a", "b", "key", "{", "}", ";", ",", "->", "-"]
+_CARDS = ["", "", "?", "*"]
+
+
+@st.composite
+def _grammar_texts(draw):
+    """A grammar of up to three productions and two sugar productions, whose
+    elements are every form the grammar format has; some fail validation.
+    Most productions start with a terminal, so that few recurse on the left,
+    and a quarter have a stereotype slot (at most one, outside groups)."""
+    names = [f"P{i}" for i in range(draw(st.integers(1, 3)))]
+
+    def terminal():
+        return f'"{draw(st.sampled_from(_TERMINALS))}"'
+
+    def element(depth):
+        kind = draw(st.sampled_from(["terminal", "synonyms", "ident", "reference", "group"][: 5 if depth < 2 else 4]))
+        if kind == "terminal":
+            return terminal()
+        if kind == "synonyms":
+            spellings = draw(st.lists(st.sampled_from(_TERMINALS), min_size=2, max_size=3, unique=True))
+            return "(" + " | ".join(f'"{t}"' for t in spellings) + ")"
+        if kind == "ident":
+            return f"{draw(st.sampled_from('xyz'))}:IDENT{draw(st.sampled_from(_CARDS))}"
+        if kind == "reference":
+            target = draw(st.sampled_from(names))
+            return f"{draw(st.sampled_from(['', f'r{target}:']))}{target}{draw(st.sampled_from(_CARDS))}"
+        return f"({' '.join(body(depth + 1))}){draw(st.sampled_from(_CARDS))}"
+
+    def body(depth):
+        return [element(depth) for _ in range(draw(st.integers(1, 3)))]
+
+    def production():
+        elements = body(0)
+        if draw(st.integers(0, 3)) == 0:
+            elements.insert(draw(st.integers(0, len(elements))), "<<?>>")
+        if draw(st.integers(0, 3)) > 0:
+            elements.insert(0, terminal())
+        return " ".join(elements)
+
+    lines = [f"{name} = {production()};" for name in names]
+    lines += [f"sugar S{i} for {draw(st.sampled_from(names))} = {production()};"
+              for i in range(draw(st.integers(0, 2)))]
+    return "grammar G {\n" + "\n".join(lines) + "\n}"
+
+
+class _TooLong(Exception):
+    """A derivation that does not end soon."""
+
+
+def _derive(draw, grammar, name, out, depth=0):
+    """Append the tokens of a random model of production `name` (or one of
+    its sugar alternatives) to `out`."""
+    if depth > 8 or len(out) > 60:
+        raise _TooLong
+    prod = draw(st.sampled_from((grammar.production(name), *grammar.sugar_alternatives(name))))
+    for el in prod.elements:
+        _emit(draw, grammar, el, out, depth)
+
+
+def _emit(draw, grammar, el, out, depth):
+    if isinstance(el, Terminal):
+        out.append(el.text)
+    elif isinstance(el, TerminalSynonyms):
+        out.append(draw(st.sampled_from(el.all_spellings())))
+    elif isinstance(el, NonterminalRef):
+        if el.target == IDENT_TOKEN:
+            out.append(draw(st.sampled_from(["p", "q"])))
+        else:
+            _derive(draw, grammar, el.target, out, depth + 1)
+    elif isinstance(el, StereotypeSlot):
+        for _ in range(draw(st.integers(0, 2))):
+            out += ["<<", draw(st.sampled_from(["s", "t"])), ">>"]
+    else:
+        most = {"once": 1, "optional": 1, "star": 2}[el.cardinality]
+        for _ in range(draw(st.integers(most if el.cardinality == "once" else 0, most))):
+            for inner in el.elements:
+                _emit(draw, grammar, inner, out, depth)
+
+
+@st.composite
+def _grammars_and_models(draw):
+    try:
+        grammar = parse_grammar(draw(_grammar_texts()))
+    except GrammarError:
+        return None
+    tokens: list[str] = []
+    try:
+        _derive(draw, grammar, grammar.start_production, tokens)
+    except _TooLong:
+        pass
+    edit = draw(st.sampled_from(["none", "none", "drop", "repeat", "replace"]))
+    if edit != "none" and tokens:
+        i = draw(st.integers(0, len(tokens) - 1))
+        other = draw(st.sampled_from([*_TERMINALS, "p", "<<", ">>", "%"]))
+        tokens[i : i + 1] = {"drop": [], "repeat": [tokens[i]] * 2, "replace": [other]}[edit]
+    separators = st.sampled_from([" ", "\n", "\t", " // c\n"])
+    return grammar, "".join(t + draw(separators) for t in tokens)
+
+
+@settings(max_examples=5 * settings.default.max_examples, deadline=None, derandomize=True)
+@given(_grammars_and_models())
+def test_random_grammars_parse_as_the_interpreter_parses(case):
+    if case is not None:
+        _same_as_the_interpreter(*case)
