@@ -54,7 +54,7 @@ from .features import (
 )
 from .grammar import GrammarError, parse_grammar
 from .modelparse import ModelParseError, TokenizeError, parse_model
-from .schema import derive_schema, dump_ast, dump_schema
+from .schema import dump_ast, dump_schema
 from .semantics import (
     SemanticsError,
     UnknownStereotypeWarning,
@@ -127,7 +127,7 @@ def _load_workspace(paths: list[str]):
 
 def _cmd_check_grammar(args) -> int:
     grammar = _load_grammar(args.grammar, judged=True)
-    sys.stdout.write(dump_schema(derive_schema(grammar)))
+    sys.stdout.write(dump_schema(grammar.schema))
     return 0
 
 

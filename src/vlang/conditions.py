@@ -60,12 +60,13 @@ def _cc_unique_class_names(diagram: AstNode) -> list[CCViolation]:
 
 
 def _cc_supers_declared(diagram: AstNode) -> list[CCViolation]:
-    declared = {class_name(c) for c in statement_nodes(diagram)}
+    # Every name before any super: a Name defect is reported first.
+    classes = statement_nodes(diagram)
+    names = [class_name(c) for c in classes]
+    declared = set(names)
     return [
-        _violation(
-            "CC-supers-declared", c, f"class {class_name(c)} extends undeclared class {s}"
-        )
-        for c in statement_nodes(diagram)
+        _violation("CC-supers-declared", c, f"class {name} extends undeclared class {s}")
+        for c, name in zip(classes, names)
         for s in class_supers(c)
         if s not in declared
     ]
@@ -76,10 +77,10 @@ def _cc_single_inheritance(diagram: AstNode) -> list[CCViolation]:
         _violation(
             "CC-single-inheritance-syntactic",
             c,
-            f"class {class_name(c)} has {len(class_supers(c))} super-classes",
+            f"class {class_name(c)} has {count} super-classes",
         )
         for c in statement_nodes(diagram)
-        if len(class_supers(c)) > 1
+        if (count := len(class_supers(c))) > 1
     ]
 
 

@@ -4,9 +4,10 @@
 datatype), to the function that expands it; the bundled CD language has one,
 `classes A, B;` to one plain class per name.  Desugaring walks an AST
 bottom-up, replaces every sugar node by its expansion, and splices
-expansions into the surrounding list.  The result contains no sugar datatype
-instances and desugaring a minimal AST is the identity, so the operation is
-idempotent.
+expansions into the surrounding list.  It rebuilds only the nodes on a path
+to a sugar node and shares every other subtree with its input, which no
+caller mutates.  The result contains no sugar datatype instances and
+desugaring a minimal AST returns it, so the operation is idempotent.
 """
 
 from __future__ import annotations
@@ -38,14 +39,33 @@ EXPANDERS: dict[tuple[str, str], Callable[[AstNode], list[AstNode]]] = {
 
 
 def desugar_to_minimal(node: AstNode, grammar: GrammarDef) -> AstNode:
-    """Replace all abbreviation constructs by primitive ones; idempotent."""
+    """Replace all abbreviation constructs by primitive ones; idempotent.
+    `node` is a parse by `grammar`.  Only the nodes on a path to a sugar node
+    are rebuilt, and only those of a datatype that may hold one are visited:
+    every other subtree of the result is the input's own, and a tree without
+    sugar is returned as it is."""
     sugar = grammar.sugar_bases()
+    # The datatypes whose nodes may hold a sugar node: the sugar datatypes,
+    # and by the schema each datatype with a field that may hold one.
+    holders, bases = set(sugar), set(sugar.values())
+    while grown := {
+        dt.name
+        for dt in grammar.schema.datatypes
+        if dt.name not in holders and any(f.target in holders or f.target in bases for f in dt.fields)
+    }:
+        holders |= grown
 
     def rewrite(n: AstNode) -> list[AstNode]:
-        fields: dict[str, object] = {}
+        if n.datatype not in holders:
+            return [n]
+        fields = n.fields
         for label, value in n.fields.items():
-            fields[label] = rewrite_value(label, value, n)
-        result = AstNode(n.datatype, fields, pos=n.pos)
+            new = rewrite_value(label, value, n)
+            if new is not value:
+                if fields is n.fields:
+                    fields = dict(fields)
+                fields[label] = new
+        result = n if fields is n.fields else AstNode(n.datatype, fields, pos=n.pos)
         if n.datatype in sugar:
             expander = EXPANDERS.get((grammar.name, n.datatype))
             if expander is None:
@@ -53,9 +73,8 @@ def desugar_to_minimal(node: AstNode, grammar: GrammarDef) -> AstNode:
                     f"no expander registered for sugar production "
                     f"{n.datatype} of language {grammar.name}"
                 )
-            expanded = expander(result)
             out: list[AstNode] = []
-            for item in expanded:
+            for item in expander(result):
                 out.extend(rewrite(item))
             return out
         return [result]
@@ -70,13 +89,18 @@ def desugar_to_minimal(node: AstNode, grammar: GrammarDef) -> AstNode:
                 )
             return nodes[0]
         if isinstance(value, list):
-            out: list[object] = []
-            for item in value:
+            # Copied from the first item that changes on.
+            out: list[object] | None = None
+            for i, item in enumerate(value):
                 if isinstance(item, AstNode):
-                    out.extend(rewrite(item))
-                else:
+                    nodes = rewrite(item)
+                    if out is None and (len(nodes) != 1 or nodes[0] is not item):
+                        out = value[:i]
+                    if out is not None:
+                        out.extend(nodes)
+                elif out is not None:
                     out.append(item)
-            return out
+            return value if out is None else out
         return value
 
     nodes = rewrite(node)

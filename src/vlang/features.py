@@ -39,9 +39,11 @@ are IDENTs.
 
 from __future__ import annotations
 
+import re
+from functools import cache
 from typing import NamedTuple
 
-from .lexer import IDENT, Cursor, SourceError, scan
+from .lexer import IDENT, Cursor, SourceError, scan, token_pattern
 
 FEATURE_KINDS = (
     "presentation",
@@ -53,6 +55,12 @@ FEATURE_KINDS = (
 )
 
 _WORD = r"[A-Za-z][A-Za-z0-9_-]*"
+
+
+@cache
+def _pattern() -> re.Pattern[str]:
+    """The scanner pattern of .fd and .conf files, built at the first parse."""
+    return token_pattern("{};.", _WORD)
 
 
 class FeatureModelError(Exception):
@@ -155,7 +163,7 @@ class _Parser(Cursor):
     keyword: str
 
     def __init__(self, source: str):
-        super().__init__(scan(source, "{};.", self.error, word=_WORD))
+        super().__init__(scan(source, _pattern(), self.error))
 
     def parse_all(self) -> list:
         items = [self._item()]

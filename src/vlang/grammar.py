@@ -42,13 +42,24 @@ vlang.lexer; only grammar files have quoted strings.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Union
+import re
+from functools import cache
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Union
 
-from .lexer import Cursor, SourceError, Token, scan
+from .lexer import Cursor, SourceError, Token, scan, token_pattern
+
+if TYPE_CHECKING:
+    from .schema import AstSchema
 
 IDENT_TOKEN = "IDENT"
 
 _PUNCT = ("<<?>>", "{", "}", "(", ")", "*", "?", "|", ":", ";", "=")
+
+
+@cache
+def _pattern() -> re.Pattern[str]:
+    """The scanner pattern of grammar files, built at the first parse."""
+    return token_pattern(_PUNCT)
 
 
 class GrammarError(SourceError):
@@ -78,6 +89,9 @@ class Marker:
 
 class Terminal(NamedTuple):
     text: str
+
+    def all_spellings(self) -> tuple[str, ...]:
+        return (self.text,)
 
 
 class TerminalSynonyms(NamedTuple):
@@ -121,6 +135,8 @@ class GrammarDef(NamedTuple):
     name: str
     productions: tuple[Production, ...]
     start_production: str
+    # Derived once, by the validation of `parse_grammar`; None before.
+    schema: AstSchema | None = None
 
     def production(self, name: str) -> Production:
         for p in self.productions:
@@ -284,7 +300,8 @@ class _GrammarParser(Cursor):
 # Validation
 # ---------------------------------------------------------------------------
 
-def _validate(g: GrammarDef) -> None:
+def _validate(g: GrammarDef) -> AstSchema:
+    """The schema of `g`, once `g` passes every check."""
     defined: set[str] = set()
     for p in g.productions:
         if p.name in defined:
@@ -316,7 +333,7 @@ def _validate(g: GrammarDef) -> None:
     # Field labels must be consistent and unique after schema derivation.
     from .schema import derive_schema  # deferred: schema imports this module
 
-    derive_schema(g)
+    return derive_schema(g)
 
 
 def _reject_unscannable_terminals(g: GrammarDef) -> None:
@@ -407,7 +424,7 @@ def _reject_bad_recursion(g: GrammarDef) -> None:
 
 
 def parse_grammar(source: str) -> GrammarDef:
-    """Parse the text of a .mclang file into a validated GrammarDef."""
-    g = _GrammarParser(scan(source, _PUNCT, GrammarError, strings=True)).parse()
-    _validate(g)
-    return g
+    """Parse the text of a .mclang file into a validated GrammarDef, which
+    carries its derived schema."""
+    g = _GrammarParser(scan(source, _pattern(), GrammarError, strings=True)).parse()
+    return g._replace(schema=_validate(g))

@@ -1,10 +1,11 @@
 """The one character scanner behind grammars (.mclang), models, feature
-diagrams (.fd) and configurations (.conf); each format passes its vocabulary
-in as data.  Spaces, tabs, carriage returns and newlines separate tokens; a
-``//`` comment runs to the end of its line and takes no columns.  Words match
-the format's word pattern, punctuation is matched longest-first, and only
-grammars have quoted strings.  Any other character is an error of the
-format's own class, at a 1-based line and column.
+diagrams (.fd) and configurations (.conf); each format builds the pattern of
+its vocabulary once (`token_pattern`) and passes it in.  Spaces, tabs,
+carriage returns and newlines separate tokens; a ``//`` comment runs to the
+end of its line and takes no columns.  Words match the format's word
+pattern, punctuation is matched longest-first, and only grammars have quoted
+strings.  Any other character is an error of the format's own class, at a
+1-based line and column.
 
 The scanner splits the source into lines and matches each line with one
 pattern that takes the run of blanks in front of every token along with it,
@@ -37,24 +38,29 @@ class Token(NamedTuple):
     col: int
 
 
-def scan(
-    source: str,
-    punct: Iterable[str],
-    error: type[SourceError],
-    *,
-    word: str = IDENT.pattern,
-    keywords: Container[str] = frozenset(),
-    strings: bool = False,
-) -> list[Token]:
-    """Tokenize `source`; the list ends with one "eof" token."""
-    # Ties in a fixed order: one vocabulary always gives the same pattern
-    # text, which re's cache then compiles only once.  `(?!)` matches
+def token_pattern(punct: Iterable[str], word: str = IDENT.pattern) -> re.Pattern[str]:
+    """The pattern `scan` matches each line with, for a format's punctuation
+    and word pattern (which has no group).  A format builds it once and
+    passes it to each of its scans."""
+    # Punctuation longest first, ties in a fixed order; `(?!)` matches
     # nothing, for a vocabulary without punctuation.
     ordered = sorted(filter(None, punct), key=lambda p: (-len(p), p))
     marks = "|".join(map(re.escape, ordered)) or "(?!)"
     # One match per token, blanks in front: a comment, a quoted string, a
-    # word, punctuation, or any other character.  `word` has no group.
-    pattern = re.compile(rf'([ \t\r]*)(?:(//.*)|("[^"]*")|({word})|({marks})|([^ \t\r]))')
+    # word, punctuation, or any other character.
+    return re.compile(rf'([ \t\r]*)(?:(//.*)|("[^"]*")|({word})|({marks})|([^ \t\r]))')
+
+
+def scan(
+    source: str,
+    pattern: re.Pattern[str],
+    error: type[SourceError],
+    *,
+    keywords: Container[str] = frozenset(),
+    strings: bool = False,
+) -> list[Token]:
+    """Tokenize `source` with a `token_pattern`; the list ends with one "eof"
+    token."""
     tokens: list[Token] = []
     append, new = tokens.append, tuple.__new__
     for line, text in enumerate(source.split("\n"), 1):

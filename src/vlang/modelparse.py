@@ -8,10 +8,13 @@ only if it matches fully.  A reference tries its production and then the
 production's sugar alternatives, in declaration order, and takes the first
 that matches.  Each node and each iteration collects its fields into a dict
 of its own, which joins the enclosing one only when it matches, so a failed
-iteration or alternative leaves no fields behind.  An error reports the
-farthest token any alternative reached and every terminal expected there.
-Terminal synonyms all produce the canonical token, so the spelling chosen in
-the model never shows in the AST.
+iteration or alternative leaves no fields behind; an iteration of a lone
+reference or IDENT, which writes only when it matches, needs none.  A
+repetition whose body opens with a terminal tests the current token before
+it tries the body.  An error reports the farthest token any alternative
+reached and every terminal expected there.  Terminal synonyms all produce
+the canonical token, so the spelling chosen in the model never shows in the
+AST.
 
 Tokenization: the shared scanner of vlang.lexer, with the vocabulary taken
 from the grammar.  Every word-like terminal is a reserved keyword (an IDENT
@@ -34,8 +37,8 @@ from .grammar import (
     Terminal,
     TerminalSynonyms,
 )
-from .lexer import IDENT, SourceError, Token, scan, token_name
-from .schema import STEREOTYPE_FIELD, AstNode, SourcePos, derive_schema
+from .lexer import IDENT, SourceError, Token, scan, token_name, token_pattern
+from .schema import STEREOTYPE_FIELD, AstNode, SourcePos
 
 
 class TokenizeError(SourceError):
@@ -60,7 +63,7 @@ def tokenize_model(grammar: GrammarDef, source: str) -> list[Token]:
 
 def _scan(terminals: set[str], source: str) -> list[Token]:
     keywords = {t for t in terminals if IDENT.fullmatch(t)}
-    return scan(source, terminals - keywords, TokenizeError, keywords=keywords)
+    return scan(source, token_pattern(terminals - keywords), TokenizeError, keywords=keywords)
 
 
 class _Backtrack(Exception):
@@ -98,14 +101,13 @@ class _Parse:
         self.farthest = 0
         self.expected: set[str] = set()
 
-    def fail(self, pos: int, expected: tuple[str, ...]) -> _Backtrack:
-        """Record a failure at token `pos`; the caller raises the result."""
+    def fail(self, pos: int, expected: tuple[str, ...]) -> None:
+        """Record a failure at token `pos`."""
         if pos > self.farthest:
             self.farthest = pos
             self.expected = set(expected)
         elif pos == self.farthest:
             self.expected.update(expected)
-        return _Backtrack()
 
 
 # -- compiling --------------------------------------------------------------
@@ -155,9 +157,7 @@ def _sequence(p: _Parse, elements: tuple[Element, ...]) -> _Matcher:
 
 
 def _element(p: _Parse, el: Element) -> _Matcher:
-    if isinstance(el, Terminal):
-        return _terminal(p, (el.text,))
-    if isinstance(el, TerminalSynonyms):
+    if isinstance(el, (Terminal, TerminalSynonyms)):
         return _terminal(p, el.all_spellings())
     if isinstance(el, NonterminalRef):
         if el.target == IDENT_TOKEN:
@@ -178,7 +178,8 @@ def _terminal(p: _Parse, spellings: tuple[str, ...]) -> _Matcher:
     def terminal(pos, acc):
         if toks[pos].text in spellings:
             return pos + 1
-        raise p.fail(pos, expected)
+        p.fail(pos, expected)
+        raise _Backtrack
 
     return terminal
 
@@ -189,7 +190,8 @@ def _ident(p: _Parse, label: str) -> _Matcher:
     def ident(pos, acc):
         tok = toks[pos]
         if tok.kind != "ident":
-            raise p.fail(pos, (IDENT_TOKEN,))
+            p.fail(pos, (IDENT_TOKEN,))
+            raise _Backtrack
         acc.setdefault(label, []).append(tok.text)
         return pos + 1
 
@@ -231,16 +233,28 @@ def _group(p: _Parse, group: Group) -> _Matcher:
     if group.cardinality == "once":
         return body
     once = group.cardinality == "optional"
+    head = group.elements[0]
+    # A body opened by a terminal cannot start at another token: the
+    # failure its try would record is recorded without the try.
+    spellings = head.all_spellings() if isinstance(head, (Terminal, TerminalSynonyms)) else ()
+    toks, expected = p.toks, tuple(map(repr, spellings))
+    # A lone reference or IDENT writes its field only when it matches, so
+    # an iteration of it needs no fields of its own.
+    direct = len(group.elements) == 1 and isinstance(head, NonterminalRef)
 
     def repeat(pos, acc):
         while True:
-            matched: _Fields = {}
+            if spellings and toks[pos].text not in spellings:
+                p.fail(pos, expected)
+                return pos
+            matched: _Fields = acc if direct else {}
             try:
                 end = body(pos, matched)
             except _Backtrack:
                 return pos
-            for label, values in matched.items():
-                acc.setdefault(label, []).extend(values)
+            if not direct:
+                for label, values in matched.items():
+                    acc.setdefault(label, []).extend(values)
             if once or end == pos:
                 return end
             pos = end
@@ -251,13 +265,12 @@ def _group(p: _Parse, group: Group) -> _Matcher:
 # -- parsing ----------------------------------------------------------------
 
 def parse_model(grammar: GrammarDef, source: str) -> AstNode:
-    """Parse a model text against a grammar; the result conforms to
-    derive_schema(grammar)."""
+    """Parse a model text against a grammar from `parse_grammar`; the result
+    conforms to the grammar's schema."""
     p = _Parse(grammar)
     toks = p.toks
     fields = {
-        dt.name: tuple((f.label, f.card) for f in dt.fields)
-        for dt in derive_schema(grammar).datatypes
+        dt.name: tuple((f.label, f.card) for f in dt.fields) for dt in grammar.schema.datatypes
     }
     try:
         for prod in grammar.productions:

@@ -217,6 +217,11 @@ def hook_field(
     reuses a hook's name may give the node no such field, or one of another
     shape; `error` then names the datatype and the field."""
     value = node.fields.get(label)
+    # The shape a parsed model gives: one exact type test, and for a list
+    # one pass over its items.
+    shape = type(value)
+    if shape in (shapes or (str,)) and (shape is not list or all(type(v) is str for v in value)):
+        return value
     if optional and value is None:
         return None
     if label not in node.fields:

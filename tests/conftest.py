@@ -17,8 +17,8 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # enumeration oracles in test_sysmodel.py and test_differential.py, the
 # full-scan comparison in test_analysis.py, the validator comparison in
 # test_features.py; the parser soups and parser comparisons of
-# test_parser_fuzz.py and the scanner comparison of test_lexer.py draw five
-# times as many).  Pick one with
+# test_parser_fuzz.py, the scanner comparison of test_lexer.py and the
+# desugarer comparison of test_desugar.py draw five times as many).  Pick one with
 # `pytest --hypothesis-profile=deep`.
 settings.register_profile("default", max_examples=60)
 settings.register_profile("deep", max_examples=600)

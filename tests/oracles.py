@@ -1,8 +1,9 @@
 """Judges of arbitrary systems and ASTs, and the oracles the package is
 checked against: brute-force enumeration and refinement, the configuration
-validator as it was first written, and the scanner and model parser as they
-were before they were made faster (one pattern over the whole source, and a
-parser that interprets the grammar element by element).
+validator as it was first written, and the hook-field reader, scanner, model
+parser and desugarer as they were before they were made faster (one pattern over the
+whole source, a parser that interprets the grammar element by element, and a
+desugarer that copies every node).
 
 The package builds only systems that are base-valid and hold a query's
 `Demands`, and its parser builds only conforming ASTs, so it needs none of
@@ -15,6 +16,7 @@ import re
 from itertools import chain, combinations, product
 from typing import Callable, Container, Iterable
 
+from vlang.desugar import EXPANDERS, DesugarError
 from vlang.features import (
     Configuration,
     FeatureDiagram,
@@ -36,7 +38,15 @@ from vlang.grammar import (
 )
 from vlang.lexer import IDENT, SourceError, Token, token_name
 from vlang.modelparse import ModelParseError, tokenize_model
-from vlang.schema import STEREOTYPE_FIELD, AstNode, AstSchema, SchemaField, SourcePos, derive_schema
+from vlang.schema import (
+    _SHAPES,
+    STEREOTYPE_FIELD,
+    AstNode,
+    AstSchema,
+    SchemaField,
+    SourcePos,
+    derive_schema,
+)
 from vlang.semantics import (
     SemanticsConfig,
     SemanticsSet,
@@ -373,6 +383,22 @@ def conforms(node: AstNode, schema: AstSchema) -> bool:
     return not conformance_violations(node, schema)
 
 
+def oracle_hook_field(
+    node: AstNode, label: str, *shapes: type, error: type[Exception], optional: bool = False
+) -> object:
+    """`vlang.schema.hook_field`, testing the shape before anything else."""
+    value = node.fields.get(label)
+    if optional and value is None:
+        return None
+    if label not in node.fields:
+        raise error(f"{node.datatype} has no field {label}")
+    shapes = shapes or (str,)
+    idents = not isinstance(value, list) or all(isinstance(v, str) for v in value)
+    if not (isinstance(value, shapes) and idents):
+        raise error(f"{node.datatype} field {label} is not {' or '.join(_SHAPES[s] for s in shapes)}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Scanning: one pattern over the whole source, a step for every token, blank
 # run and newline.
@@ -560,3 +586,55 @@ def oracle_parse_model(grammar: GrammarDef, source: str) -> AstNode:
     except RecursionError:
         tok = parser._peek()
         raise ModelParseError("model nested too deeply to parse", tok.line, tok.col) from None
+
+
+# ---------------------------------------------------------------------------
+# Desugaring: every node copied.
+# ---------------------------------------------------------------------------
+
+def oracle_desugar(node: AstNode, grammar: GrammarDef) -> AstNode:
+    """`vlang.desugar.desugar_to_minimal`, rebuilding every node."""
+    sugar = grammar.sugar_bases()
+
+    def rewrite(n: AstNode) -> list[AstNode]:
+        fields: dict[str, object] = {}
+        for label, value in n.fields.items():
+            fields[label] = rewrite_value(label, value, n)
+        result = AstNode(n.datatype, fields, pos=n.pos)
+        if n.datatype in sugar:
+            expander = EXPANDERS.get((grammar.name, n.datatype))
+            if expander is None:
+                raise DesugarError(
+                    f"no expander registered for sugar production "
+                    f"{n.datatype} of language {grammar.name}"
+                )
+            expanded = expander(result)
+            out: list[AstNode] = []
+            for item in expanded:
+                out.extend(rewrite(item))
+            return out
+        return [result]
+
+    def rewrite_value(label: str, value: object, parent: AstNode) -> object:
+        if isinstance(value, AstNode):
+            nodes = rewrite(value)
+            if len(nodes) != 1:
+                raise DesugarError(
+                    f"sugar node in field {label} of {parent.datatype} expands "
+                    f"to {len(nodes)} nodes but the field holds exactly one"
+                )
+            return nodes[0]
+        if isinstance(value, list):
+            out: list[object] = []
+            for item in value:
+                if isinstance(item, AstNode):
+                    out.extend(rewrite(item))
+                else:
+                    out.append(item)
+            return out
+        return value
+
+    nodes = rewrite(node)
+    if len(nodes) != 1:
+        raise DesugarError("the root node may not be an abbreviation")
+    return nodes[0]

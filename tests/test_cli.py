@@ -860,6 +860,9 @@ def test_generate_refuses_the_diagrams_sem_refuses(workspace, capsys, fd, conf, 
 
 ITEMS = 'D = "d" Name:IDENT "{" (items:Item)* "}"; Item = "item" Label:IDENT ";";'
 _CLASS = 'CDCClass = "class" Name:IDENT'
+# `scl` holds a node, which no class-diagram hook reads.
+_SUP = (bundled.CDSIMP_GRAMMAR_TEXT.replace('scl:IDENT ("," scl:IDENT)*', "scl:Sup")
+        .replace("}\n", 'Sup = "s" X:IDENT; }\n'))
 
 
 @pytest.mark.parametrize(
@@ -878,9 +881,7 @@ _CLASS = 'CDCClass = "class" Name:IDENT'
         (bundled.CDSIMP_GRAMMAR_TEXT.replace(_CLASS, 'CDCClass = "class" Name:N')
          .replace("}\n", 'N = "n" X:IDENT; }\n'),
          "classdiagram D { class n A; }", ["sem"], "CDCClass field Name is not an IDENT"),
-        (bundled.CDSIMP_GRAMMAR_TEXT.replace('scl:IDENT ("," scl:IDENT)*', "scl:Sup")
-         .replace("}\n", 'Sup = "s" X:IDENT; }\n'),
-         "classdiagram D { class A extends s B; }", ["wf", "--cc", "CC-supers-declared"],
+        (_SUP, "classdiagram D { class A extends s B; }", ["wf", "--cc", "CC-supers-declared"],
          "CDCClass field scl is not an IDENT or a list of IDENTs"),
         (bundled.CDSIMP_GRAMMAR_TEXT.replace(_CLASS, 'CDCClass = "class" (Name:IDENT)?'),
          "classdiagram D { class; class A; }", ["sem"], "CDCClass field Name is not an IDENT"),
@@ -909,6 +910,23 @@ def test_hooks_bound_to_a_reused_name_refuse_a_missing_field(
     if argv == ["sem"]:
         args += [str(workspace / n) for n in ("example.fd", "sm.conf", "cd.conf")]
     assert _run(capsys, *args) == (2, "", f"vlang: {message}\n")
+
+
+@pytest.mark.parametrize("grammar, model, cc, want", [
+    (_SUP, "classdiagram D { class A extends s B; }", [], (0, "OK 1 conditions, no violations\n", "")),
+    (_SUP, "classdiagram D { class A extends s B; }",
+     ["--cc", "CC-supers-declared,CC-single-inheritance-syntactic"],
+     (2, "", "vlang: CDCClass field scl is not an IDENT or a list of IDENTs\n")),
+    # The first class's `scl` is of another shape, the second class has no
+    # Name: CC-supers-declared reads every Name before any `scl`.
+    (_SUP.replace(_CLASS, 'CDCClass = "class" (Name:IDENT)?'),
+     "classdiagram D { class A extends s B; class; }", ["--cc", "CC-supers-declared"],
+     (2, "", "vlang: CDCClass field Name is not an IDENT\n")),
+], ids=["scl-unread", "scl-read", "name-before-scl"])
+def test_conditions_read_the_fields_they_check_in_a_fixed_order(workspace, capsys, grammar, model, cc, want):
+    (workspace / "h.mclang").write_text(grammar)
+    (workspace / "h.txt").write_text(model)
+    assert _run(capsys, "wf", str(workspace / "h.mclang"), str(workspace / "h.txt"), *cc) == want
 
 
 def test_an_optional_super_field_holds_one_super(workspace, capsys):

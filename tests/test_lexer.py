@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import oracle_scan
 from vlang.features import _WORD, FeatureSyntaxError
 from vlang.grammar import _PUNCT, GrammarError
-from vlang.lexer import scan
+from vlang.lexer import IDENT, scan, token_pattern
 from vlang.modelparse import TokenizeError
 
 _CD_KEYWORDS = {"classdiagram", "class", "classes", "extends", "ext"}
@@ -37,9 +37,13 @@ def _outcome(scanner, text, punct, error, options):
         return type(exc), str(exc), exc.line, exc.col
 
 
+def _scan(text, punct, error, *, word=IDENT.pattern, **options):
+    return scan(text, token_pattern(punct, word), error, **options)
+
+
 def _check(text):
     for punct, error, options in VOCABULARIES.values():
-        got = _outcome(scan, text, punct, error, options)
+        got = _outcome(_scan, text, punct, error, options)
         assert got == _outcome(oracle_scan, text, punct, error, options), (text, options)
 
 

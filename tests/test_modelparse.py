@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from oracles import conforms
+from oracles import conforms, oracle_parse_model
 from vlang import bundled
 from vlang.grammar import parse_grammar
 from vlang.lexer import Token
@@ -142,6 +142,9 @@ def test_star_iteration_commits_only_full_matches():
     g = parse_grammar('grammar G { S = ("a" x:IDENT)* "a" "end"; }')
     node = parse_model(g, "a one a two a end")
     assert node.fields["x"] == ["one", "two"]
+    # An iteration opened by a field keeps it only when the rest matches.
+    g = parse_grammar('grammar G { S = (x:IDENT ";")* y:IDENT "end"; }')
+    assert parse_model(g, "p ; q end").fields == {"x": ["p"], "y": "q"}
 
 
 def test_optional_group_backtracks_cleanly():
@@ -204,3 +207,26 @@ def test_exact_ast_or_diagnostic(grammar, text, want):
         parse_model(g, text)
     assert str(exc.value) == f"line 1, col {col}: {message}"
     assert (exc.value.line, exc.value.col, exc.value.expected) == (1, col, expected)
+
+
+_SYNONYM_STAR = 'grammar G { D = "d" (("+" | "plus") x:IDENT)* ";"; }'
+
+
+@pytest.mark.parametrize("grammar, text, want", [
+    (_SYNONYM_STAR, "d + a plus b c ;", (14, "expected '+', ';', 'plus', got 'c'", {"'+'", "';'", "'plus'"})),
+    (bundled.CD_GRAMMAR_TEXT, "classdiagram D { class A extends ; }",
+     (34, "expected IDENT, got ';'", {"IDENT"})),
+    (bundled.CD_GRAMMAR_TEXT, "classdiagram D { class A ext B C; }",
+     (32, "expected ',', ';', got 'C'", {"','", "';'"})),
+], ids=["after a starred group opened by synonyms", "inside an optional group",
+        "after a starred group opened by a terminal"])
+def test_a_repetition_that_cannot_start_fails_as_the_interpreter_does(grammar, text, want):
+    # A repetition that tests its opening terminal before trying its body
+    # records the failure the try would have recorded.
+    g = parse_grammar(grammar)
+    col, message, expected = want
+    for parse in (parse_model, oracle_parse_model):
+        with pytest.raises(ModelParseError) as exc:
+            parse(g, text)
+        assert str(exc.value) == f"line 1, col {col}: {message}"
+        assert (exc.value.line, exc.value.col, exc.value.expected) == (1, col, expected)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from conftest import golden
-from oracles import conformance_violations, conforms
+from oracles import conformance_violations, conforms, oracle_hook_field
 from vlang.grammar import GrammarError, parse_grammar
 from vlang.modelparse import parse_model
-from vlang.schema import AstNode, derive_schema, dump_ast, dump_schema
+from vlang.schema import AstNode, derive_schema, dump_ast, dump_schema, hook_field
 
 
 def _datatypes(schema):
@@ -178,3 +180,24 @@ def test_exact_conformance_violations(cd, node, problems):
 def test_exact_conformance_violations_of_an_option(cdassert, neg, problems):
     node = AstNode("SubAssertion", {"neg": neg, "left": "A", "right": "B"})
     assert conformance_violations(node, derive_schema(cdassert)) == problems
+
+
+_ABSENT = object()
+_FIELD_VALUES = [
+    _ABSENT, None, "A", [], ["A", "B"], ["A", AstNode("X", {})], frozenset({"s"}), AstNode("X", {}),
+]
+
+
+@pytest.mark.parametrize("shapes", [(), (list,), (str, list), (frozenset,)])
+def test_hook_field_reads_as_its_former_body(shapes):
+    # The same value, or the same refusal, for every shape a field can have.
+    def outcome(read, node, optional):
+        try:
+            return "value", id(read(node, "f", *shapes, error=ValueError, optional=optional))
+        except ValueError as exc:
+            return "refused", str(exc)
+
+    for value, optional in product(_FIELD_VALUES, (False, True)):
+        node = AstNode("T", {} if value is _ABSENT else {"f": value})
+        assert outcome(hook_field, node, optional) == outcome(oracle_hook_field, node, optional), (
+            value, optional)
