@@ -11,12 +11,10 @@ reported systems are stable across runs and minimal in that order.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import or_
 from typing import NamedTuple, Sequence
 
 from .schema import AstNode
-from .semantics import SemanticsConfig, demands_of, query_bounds, variants_predicate
+from .semantics import SemanticsConfig, query
 from .sysmodel import (
     Bounds, Demands, SystemModelLite, canonical_key, dump_system, enumerate_systems
 )
@@ -51,14 +49,6 @@ def _first(bounds, demands, valid):
     return next(enumerate_systems(bounds, demands, valid), None)
 
 
-def _query(models, config):
-    """Each model's demands, their conjunction, and the bounds and domain
-    variants of a query over the models."""
-    demands = [demands_of(m, config) for m in models]
-    joint = reduce(or_, demands)
-    return demands, joint, query_bounds(config, joint), variants_predicate(config)
-
-
 def check_refinement(
     refined: AstNode, abstract: AstNode, config: SemanticsConfig
 ) -> AnalysisVerdict:
@@ -71,7 +61,7 @@ def check_refinement(
             f"refinement relates models of one language, got "
             f"{refined.datatype} and {abstract.datatype}"
         )
-    (r, a), joint, bounds, variants = _query([refined, abstract], config)
+    (r, a), joint, bounds, variants = query([refined, abstract], config)
     r |= Demands(joint.classes)
     negated = [Demands(no_sub=frozenset({p})) for p in a.sub - r.sub]
     negated += [Demands(sub=frozenset({p})) for p in a.no_sub - r.no_sub]
@@ -95,7 +85,7 @@ def check_consistency(models: Sequence[AstNode], config: SemanticsConfig) -> Ana
     The models may come from different languages."""
     if not models:
         raise AnalysisError("consistency needs at least one model")
-    _, joint, bounds, variants = _query(models, config)
+    _, joint, bounds, variants = query(models, config)
     witness = _first(bounds, joint, variants)
     return AnalysisVerdict("consistent", witness is not None, bounds, witness=witness)
 

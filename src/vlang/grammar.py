@@ -33,11 +33,14 @@ consuming a token (left recursion), every production deriving some finite
 model, every terminal and synonym spelling scanning as one model token.
 
 `walk` visits the elements of a production depth first, each group before
-its contents; the terminal vocabulary, the stereotype-slot test and the
-reference check of validation all read the grammar through it.
+its contents; validation reads the grammar through it once, for the
+reference check and for the model vocabulary.
 
 Grammar files and the models they define are read by the shared scanner of
-vlang.lexer; only grammar files have quoted strings.
+vlang.lexer; only grammar files have quoted strings.  The vocabulary of the
+models, derived once by validation, is carried by the GrammarDef: word-like
+terminals are keywords, every other terminal is punctuation, and stereotype
+slots add ``<<`` and ``>>`` (an IDENT may not equal a keyword).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import re
 from functools import cache
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Union
 
-from .lexer import Cursor, SourceError, Token, scan, token_pattern
+from .lexer import IDENT, Cursor, SourceError, Token, scan, token_pattern
 
 if TYPE_CHECKING:
     from .schema import AstSchema
@@ -135,8 +138,11 @@ class GrammarDef(NamedTuple):
     name: str
     productions: tuple[Production, ...]
     start_production: str
-    # Derived once, by the validation of `parse_grammar`; None before.
+    # Derived once, by the validation of `parse_grammar`, with the model
+    # vocabulary: the pattern models are scanned with, and their keywords.
     schema: AstSchema | None = None
+    model_pattern: re.Pattern[str] | None = None
+    keywords: frozenset[str] = frozenset()
 
     def production(self, name: str) -> Production:
         for p in self.productions:
@@ -151,22 +157,6 @@ class GrammarDef(NamedTuple):
 
     def sugar_bases(self) -> dict[str, str]:
         return {p.name: p.sugar_for for p in self.productions if p.sugar_for}
-
-    def elements(self) -> Iterator[Element]:
-        """Every element of every production, in `walk` order."""
-        return (el for p in self.productions for el in walk(p.elements))
-
-    def terminal_texts(self) -> frozenset[str]:
-        out: set[str] = set()
-        for el in self.elements():
-            if isinstance(el, Terminal):
-                out.add(el.text)
-            elif isinstance(el, TerminalSynonyms):
-                out.update(el.all_spellings())
-        return frozenset(out)
-
-    def has_stereotype_slots(self) -> bool:
-        return any(isinstance(el, StereotypeSlot) for el in self.elements())
 
 
 def walk(elements: tuple[Element, ...]) -> Iterator[Element]:
@@ -300,8 +290,9 @@ class _GrammarParser(Cursor):
 # Validation
 # ---------------------------------------------------------------------------
 
-def _validate(g: GrammarDef) -> AstSchema:
-    """The schema of `g`, once `g` passes every check."""
+def _validate(g: GrammarDef) -> GrammarDef:
+    """`g` with its model vocabulary and its schema, once `g` passes every
+    check."""
     defined: set[str] = set()
     for p in g.productions:
         if p.name in defined:
@@ -310,6 +301,8 @@ def _validate(g: GrammarDef) -> AstSchema:
             raise GrammarError(f"production may not be named {IDENT_TOKEN}")
         defined.add(p.name)
 
+    spellings: set[str] = set()
+    marks: set[str] = set()
     for p in g.productions:
         for el in walk(p.elements):
             if isinstance(el, NonterminalRef) and el.target == IDENT_TOKEN:
@@ -317,6 +310,10 @@ def _validate(g: GrammarDef) -> AstSchema:
                     raise GrammarError(f"reference to {IDENT_TOKEN} must carry a label")
             elif isinstance(el, NonterminalRef) and el.target not in defined:
                 raise GrammarError(f"unresolved nonterminal {el.target}")
+            elif isinstance(el, (Terminal, TerminalSynonyms)):
+                spellings.update(el.all_spellings())
+            elif isinstance(el, StereotypeSlot):
+                marks = {"<<", ">>"}
         if p.sugar_for is not None:
             if p.sugar_for not in defined:
                 raise GrammarError(
@@ -327,31 +324,31 @@ def _validate(g: GrammarDef) -> AstSchema:
                     f"sugar production {p.name} may not expand another sugar production"
                 )
 
-    _reject_unscannable_terminals(g)
+    keywords = frozenset(filter(IDENT.fullmatch, spellings))
+    pattern = token_pattern(spellings - keywords | marks)
+    _reject_unscannable_terminals(spellings, pattern)
     _reject_bad_recursion(g)
 
     # Field labels must be consistent and unique after schema derivation.
     from .schema import derive_schema  # deferred: schema imports this module
 
-    return derive_schema(g)
+    return g._replace(schema=derive_schema(g), model_pattern=pattern, keywords=keywords)
 
 
-def _reject_unscannable_terminals(g: GrammarDef) -> None:
-    """Reject a terminal or synonym spelling that no model can match: in the
-    model vocabulary of `g` it must scan as exactly one token of the same
-    text.  The spellings are scanned together, one per line."""
-    from .modelparse import TokenizeError, tokenize_model  # deferred: it imports this module
-
-    spellings = sorted(g.terminal_texts())
+def _reject_unscannable_terminals(spellings: set[str], pattern: re.Pattern[str]) -> None:
+    """Reject a terminal or synonym spelling that no model can match: with
+    the model `pattern` it must scan as exactly one token of the same text.
+    The spellings are scanned together, one per line."""
+    ordered = sorted(spellings)
     try:
-        tokens = tokenize_model(g, "\n".join(spellings))
-    except TokenizeError as exc:
-        bad = spellings[exc.line - 1]
+        tokens = scan("\n".join(ordered), pattern, GrammarError)
+    except GrammarError as exc:
+        bad = ordered[exc.line - 1]
     else:
-        scanned: list[list[str]] = [[] for _ in spellings]
+        scanned: list[list[str]] = [[] for _ in ordered]
         for tok in tokens[:-1]:
             scanned[tok.line - 1].append(tok.text)
-        bad = next((s for s, texts in zip(spellings, scanned) if texts != [s]), None)
+        bad = next((s for s, texts in zip(ordered, scanned) if texts != [s]), None)
     if bad is not None:
         raise GrammarError(f"terminal {bad!r} does not scan as one model token")
 
@@ -425,6 +422,5 @@ def _reject_bad_recursion(g: GrammarDef) -> None:
 
 def parse_grammar(source: str) -> GrammarDef:
     """Parse the text of a .mclang file into a validated GrammarDef, which
-    carries its derived schema."""
-    g = _GrammarParser(scan(source, _pattern(), GrammarError, strings=True)).parse()
-    return g._replace(schema=_validate(g))
+    carries its derived schema and model vocabulary."""
+    return _validate(_GrammarParser(scan(source, _pattern(), GrammarError, strings=True)).parse())

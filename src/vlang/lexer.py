@@ -1,6 +1,8 @@
 """The one character scanner behind grammars (.mclang), models, feature
-diagrams (.fd) and configurations (.conf); each format builds the pattern of
-its vocabulary once (`token_pattern`) and passes it in.  Spaces, tabs,
+diagrams (.fd) and configurations (.conf).  Each vocabulary's pattern is
+built once (`token_pattern`) and passed in: that of grammar, .fd and .conf
+files at the first parse, and that of a grammar's models when
+`parse_grammar` validates the grammar, which carries it.  Spaces, tabs,
 carriage returns and newlines separate tokens; a ``//`` comment runs to the
 end of its line and takes no columns.  Words match the format's word
 pattern, punctuation is matched longest-first, and only grammars have quoted
@@ -39,9 +41,8 @@ class Token(NamedTuple):
 
 
 def token_pattern(punct: Iterable[str], word: str = IDENT.pattern) -> re.Pattern[str]:
-    """The pattern `scan` matches each line with, for a format's punctuation
-    and word pattern (which has no group).  A format builds it once and
-    passes it to each of its scans."""
+    """The pattern `scan` matches each line with, for a vocabulary's
+    punctuation and word pattern (which has no group)."""
     # Punctuation longest first, ties in a fixed order; `(?!)` matches
     # nothing, for a vocabulary without punctuation.
     ordered = sorted(filter(None, punct), key=lambda p: (-len(p), p))

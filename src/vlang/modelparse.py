@@ -16,11 +16,9 @@ reached and every terminal expected there.  Terminal synonyms all produce
 the canonical token, so the spelling chosen in the model never shows in the
 AST.
 
-Tokenization: the shared scanner of vlang.lexer, with the vocabulary taken
-from the grammar.  Every word-like terminal is a reserved keyword (an IDENT
-may not equal one), every other terminal is punctuation, and stereotype
-slots add ``<<`` and ``>>``.  Grammar validation ensures that each terminal
-scans as one token of this vocabulary.
+Tokenization: the shared scanner of vlang.lexer, with the pattern and
+keywords of the model vocabulary the grammar carries (see vlang.grammar).
+Grammar validation ensures that each terminal scans as one token of it.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .grammar import (
     Terminal,
     TerminalSynonyms,
 )
-from .lexer import IDENT, SourceError, Token, scan, token_name, token_pattern
+from .lexer import SourceError, Token, scan, token_name
 from .schema import STEREOTYPE_FIELD, AstNode, SourcePos
 
 
@@ -52,18 +50,8 @@ class ModelParseError(SourceError):
 
 
 def tokenize_model(grammar: GrammarDef, source: str) -> list[Token]:
-    """Scan a model: word-like terminals of `grammar` are its keywords and
-    every other terminal is punctuation, with ``<<`` and ``>>`` added when
-    the grammar has stereotype slots."""
-    terminals = set(grammar.terminal_texts())
-    if grammar.has_stereotype_slots():
-        terminals |= {"<<", ">>"}
-    return _scan(terminals, source)
-
-
-def _scan(terminals: set[str], source: str) -> list[Token]:
-    keywords = {t for t in terminals if IDENT.fullmatch(t)}
-    return scan(source, token_pattern(terminals - keywords), TokenizeError, keywords=keywords)
+    """Scan a model in the vocabulary of `grammar` from `parse_grammar`."""
+    return scan(source, grammar.model_pattern, TokenizeError, keywords=grammar.keywords)
 
 
 class _Backtrack(Exception):
@@ -85,19 +73,15 @@ _Node = Callable[[int], tuple[AstNode, int]]
 
 class _Parse:
     """One parse: the grammar, the node function compiled for each of its
-    productions, the terminals met while compiling (with ``<<`` and ``>>``
-    for a stereotype slot, the model's vocabulary, gathered here so that a
-    parse need not walk the grammar twice more for it), the tokens, and the
-    farthest failure with the terminals expected there."""
+    productions, the tokens, and the farthest failure with the terminals
+    expected there."""
 
-    __slots__ = ("grammar", "nodes", "terminals", "toks", "farthest", "expected")
+    __slots__ = ("grammar", "nodes", "toks", "farthest", "expected")
 
-    def __init__(self, grammar: GrammarDef):
+    def __init__(self, grammar: GrammarDef, toks: list[Token]):
         self.grammar = grammar
         self.nodes: dict[str, _Node] = {}
-        self.terminals: set[str] = set()
-        # The matchers hold this list; the scan fills it once they are compiled.
-        self.toks: list[Token] = []
+        self.toks = toks
         self.farthest = 0
         self.expected: set[str] = set()
 
@@ -170,7 +154,6 @@ def _element(p: _Parse, el: Element) -> _Matcher:
 
 
 def _terminal(p: _Parse, spellings: tuple[str, ...]) -> _Matcher:
-    p.terminals.update(spellings)
     toks, expected = p.toks, tuple(map(repr, spellings))
 
     # No IDENT spells a terminal: the scanner makes word-like terminals
@@ -217,7 +200,6 @@ def _reference(p: _Parse, label: str, alternatives: tuple[str, ...]) -> _Matcher
 
 
 def _stereotypes(p: _Parse) -> _Matcher:
-    p.terminals.add("<<")
     toks, name, close = p.toks, _ident(p, STEREOTYPE_FIELD), _terminal(p, (">>",))
 
     def stereotypes(pos, acc):
@@ -267,7 +249,7 @@ def _group(p: _Parse, group: Group) -> _Matcher:
 def parse_model(grammar: GrammarDef, source: str) -> AstNode:
     """Parse a model text against a grammar from `parse_grammar`; the result
     conforms to the grammar's schema."""
-    p = _Parse(grammar)
+    p = _Parse(grammar, tokenize_model(grammar, source))
     toks = p.toks
     fields = {
         dt.name: tuple((f.label, f.card) for f in dt.fields) for dt in grammar.schema.datatypes
@@ -275,7 +257,6 @@ def parse_model(grammar: GrammarDef, source: str) -> AstNode:
     try:
         for prod in grammar.productions:
             p.nodes[prod.name] = _node(p, prod, fields[prod.name])
-        toks.extend(_scan(p.terminals, source))
         try:
             node, pos = p.nodes[grammar.start_production](0)
         except _Backtrack:

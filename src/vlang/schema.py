@@ -217,20 +217,17 @@ def hook_field(
     reuses a hook's name may give the node no such field, or one of another
     shape; `error` then names the datatype and the field."""
     value = node.fields.get(label)
-    # The shape a parsed model gives: one exact type test, and for a list
-    # one pass over its items.
+    shapes = shapes or (str,)
+    # One exact type test, and for a list one pass over its items, decide;
+    # what follows only picks the message.
     shape = type(value)
-    if shape in (shapes or (str,)) and (shape is not list or all(type(v) is str for v in value)):
+    if shape in shapes and (shape is not list or all(type(v) is str for v in value)):
         return value
     if optional and value is None:
         return None
     if label not in node.fields:
         raise error(f"{node.datatype} has no field {label}")
-    shapes = shapes or (str,)
-    idents = not isinstance(value, list) or all(isinstance(v, str) for v in value)
-    if not (isinstance(value, shapes) and idents):
-        raise error(f"{node.datatype} field {label} is not {' or '.join(_SHAPES[s] for s in shapes)}")
-    return value
+    raise error(f"{node.datatype} field {label} is not {' or '.join(_SHAPES[s] for s in shapes)}")
 
 
 def _dump_value(v: object) -> str:

@@ -16,7 +16,7 @@ mSuperClasses in `MAPPING_VARIANTS`; two are bundled:
                      further super S is reached through a delegation
                      attribute dlg_S of target S on the class.
 
-A model is compiled once per query into a `sysmodel.Demands` record: the
+A model is compiled once per `query` into a `sysmodel.Demands` record: the
 classes that must exist, the `sub` pairs that must and must not be present,
 the attributes that must be present, and the classes with at most one
 object.  The record is the model's mapping predicate.  The attributes it
@@ -30,10 +30,9 @@ The semantics set of a model is enumerable within bounds.
 from __future__ import annotations
 
 import warnings
-from functools import partial, reduce
-from itertools import islice
+from functools import reduce
 from operator import or_
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .features import Configuration, FeatureDiagram
 from .schema import AstNode, hook_field
@@ -124,22 +123,22 @@ def statement_nodes(root: AstNode) -> list[AstNode]:
     return lists[0]
 
 
-_field = partial(hook_field, error=SemanticsError)
-
-
 def class_name(class_node: AstNode) -> str:
-    return _field(class_node, "Name")
+    return hook_field(class_node, "Name", error=SemanticsError)
 
 
 def class_supers(class_node: AstNode) -> list[str]:
     """The declared supers; an option field (`("extends" scl:IDENT)?`)
     holds one name, not a list."""
-    supers = _field(class_node, "scl", str, list, optional=True) or []
+    supers = hook_field(class_node, "scl", str, list, error=SemanticsError, optional=True) or []
     return [supers] if isinstance(supers, str) else list(supers)
 
 
 def class_stereotypes(class_node: AstNode) -> frozenset[str]:
-    return _field(class_node, "stereotypes", frozenset, optional=True) or frozenset()
+    stereotypes = hook_field(
+        class_node, "stereotypes", frozenset, error=SemanticsError, optional=True
+    )
+    return stereotypes or frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +173,11 @@ def map_assertions(doc: AstNode) -> Demands:
     """Conjunction over the (possibly negated) subclass statements of a
     minimal assertion document."""
     statements = [
-        (_field(stmt, "left"), _field(stmt, "right"), stmt.fields.get("neg") is None)
+        (
+            hook_field(stmt, "left", error=SemanticsError),
+            hook_field(stmt, "right", error=SemanticsError),
+            stmt.fields.get("neg") is None,
+        )
         for stmt in statement_nodes(doc)
     ]
     return Demands(
@@ -286,10 +289,16 @@ def demands_of(model: AstNode, config: SemanticsConfig) -> Demands:
     return compile_model(model, config)
 
 
-def query_bounds(config: SemanticsConfig, demands: Demands) -> Bounds:
-    """The bounds a query runs with: the configured ones, with the
-    attributes the models demand joining the candidates."""
-    return config.bounds._replace(attr_candidates=config.bounds.attr_candidates | demands.attrs)
+def query(
+    models: Sequence[AstNode], config: SemanticsConfig
+) -> tuple[list[Demands], Demands, Bounds, Callable[[SystemModelLite], bool]]:
+    """A query over `models`: each model's demands, their conjunction, the
+    bounds (the configured ones, with the demanded attributes joining the
+    candidates) and the domain variants."""
+    demands = [demands_of(m, config) for m in models]
+    joint = reduce(or_, demands)
+    bounds = config.bounds._replace(attr_candidates=config.bounds.attr_candidates | joint.attrs)
+    return demands, joint, bounds, variants_predicate(config)
 
 
 class SemanticsSet:
@@ -307,14 +316,8 @@ class SemanticsSet:
     def __iter__(self) -> Iterator[SystemModelLite]:
         return enumerate_systems(self.bounds, self.demands, self.variants)
 
-    def count(self) -> int:
-        return sum(1 for _ in self)
-
-    def first(self, k: int) -> list[SystemModelLite]:
-        return list(islice(iter(self), k))
-
 
 def compute_sem(model: AstNode, config: SemanticsConfig) -> SemanticsSet:
     """The semantics set of a minimal model under a validated configuration."""
-    demands = demands_of(model, config)
-    return SemanticsSet(query_bounds(config, demands), demands, variants_predicate(config))
+    (demands,), _, bounds, variants = query([model], config)
+    return SemanticsSet(bounds, demands, variants)

@@ -1,19 +1,21 @@
 """Judges of arbitrary systems and ASTs, and the oracles the package is
 checked against: brute-force enumeration and refinement, the configuration
-validator as it was first written, and the hook-field reader, scanner, model
-parser and desugarer as they were before they were made faster (one pattern over the
-whole source, a parser that interprets the grammar element by element, and a
-desugarer that copies every node).
+validator as it was first written, the model vocabulary as the model scanner
+derived it before grammars carried it, and the hook-field reader, scanner,
+model parser and desugarer as they were before they were made faster (one
+pattern over the whole source, a parser that interprets the grammar element
+by element, and a desugarer that copies every node).
 
 The package builds only systems that are base-valid and hold a query's
 `Demands`, and its parser builds only conforming ASTs, so it needs none of
-these judges.  Tests use them to check what the package builds.
+these judges.  Tests use them to check what the package builds, and read a
+semantics set through `count` and `first`.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from typing import Callable, Container, Iterable
 
 from vlang.desugar import EXPANDERS, DesugarError
@@ -35,9 +37,10 @@ from vlang.grammar import (
     StereotypeSlot,
     Terminal,
     TerminalSynonyms,
+    walk,
 )
-from vlang.lexer import IDENT, SourceError, Token, token_name
-from vlang.modelparse import ModelParseError, tokenize_model
+from vlang.lexer import IDENT, SourceError, Token, scan, token_name, token_pattern
+from vlang.modelparse import ModelParseError, TokenizeError, tokenize_model
 from vlang.schema import (
     _SHAPES,
     STEREOTYPE_FIELD,
@@ -47,14 +50,7 @@ from vlang.schema import (
     SourcePos,
     derive_schema,
 )
-from vlang.semantics import (
-    SemanticsConfig,
-    SemanticsSet,
-    bound_domain_features,
-    demands_of,
-    query_bounds,
-    variants_predicate,
-)
+from vlang.semantics import SemanticsConfig, SemanticsSet, bound_domain_features, query
 from vlang.sysmodel import (
     Attr,
     Bounds,
@@ -154,12 +150,19 @@ def full_scan_refinement(
 ) -> SystemModelLite | None:
     """The first system of `refined` outside `abstract` over both models'
     classes, found by judging every system of `refined` in turn."""
-    r, a = demands_of(refined, config), demands_of(abstract, config)
-    joint = r | a
-    systems = enumerate_systems(
-        query_bounds(config, joint), r | Demands(joint.classes), variants_predicate(config)
-    )
+    (r, a), joint, bounds, variants = query([refined, abstract], config)
+    systems = enumerate_systems(bounds, r | Demands(joint.classes), variants)
     return next((sm for sm in systems if not holds(a, sm)), None)
+
+
+def count(sem: SemanticsSet) -> int:
+    """The number of systems in `sem`."""
+    return sum(1 for _ in sem)
+
+
+def first(sem: SemanticsSet, k: int) -> list[SystemModelLite]:
+    """The first `k` systems of `sem`, in enumeration order."""
+    return list(islice(sem, k))
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +449,30 @@ def oracle_scan(
             tokens.append(Token(kind, text, line, col))
     tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# Model vocabulary: collected by a walk of its own, and its pattern built at
+# each scan.
+# ---------------------------------------------------------------------------
+
+def oracle_model_vocabulary(grammar: GrammarDef) -> tuple[frozenset[str], re.Pattern[str]]:
+    """The keywords and scanner pattern of `grammar`'s models, as
+    `tokenize_model` derived them before `parse_grammar` did: the terminal
+    spellings, with ``<<`` and ``>>`` for a stereotype slot."""
+    elements = [el for p in grammar.productions for el in walk(p.elements)]
+    terminals = {s for el in elements if isinstance(el, (Terminal, TerminalSynonyms))
+                 for s in el.all_spellings()}
+    if any(isinstance(el, StereotypeSlot) for el in elements):
+        terminals |= {"<<", ">>"}
+    keywords = frozenset(t for t in terminals if IDENT.fullmatch(t))
+    return keywords, token_pattern(terminals - keywords)
+
+
+def oracle_tokenize_model(grammar: GrammarDef, source: str) -> list[Token]:
+    """`vlang.modelparse.tokenize_model`, with `oracle_model_vocabulary`."""
+    keywords, pattern = oracle_model_vocabulary(grammar)
+    return scan(source, pattern, TokenizeError, keywords=keywords)
 
 
 # ---------------------------------------------------------------------------

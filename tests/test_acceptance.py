@@ -21,7 +21,9 @@ from contextlib import contextmanager
 from itertools import combinations, product
 
 from conftest import golden, raw_semantics_config
-from oracles import contains, eval_valid_base, holds, make_system, oracle_enumerate, valid_predicate
+from oracles import (
+    contains, count, eval_valid_base, first, holds, make_system, oracle_enumerate, valid_predicate
+)
 from test_features import all_selections, oracle_valid, validator_accepts
 
 from vlang import bundled
@@ -186,7 +188,7 @@ def test_criterion_5_variant_discrimination(cdsimp, cdassert, example_diagrams):
 
         delegate_config = _config(example_diagrams, domain=single_inheritance)
         delegate_sem = compute_sem(diamond, delegate_config)
-        witnesses = delegate_sem.first(1)
+        witnesses = first(delegate_sem, 1)
         assert witnesses, "delegate semantics must be nonempty"
         witness = witnesses[0]
         assert valid_predicate(delegate_config)(witness)
@@ -341,6 +343,6 @@ def test_criterion_8_presentation_invariance(cd, example_diagrams):
             if marked is None:
                 continue
             assert (
-                compute_sem(marked, config).count()
-                <= compute_sem(model, config).count()
+                count(compute_sem(marked, config))
+                <= count(compute_sem(model, config))
             )

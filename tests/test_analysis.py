@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import raw_semantics_config
-from oracles import full_scan_refinement, make_system
+from oracles import first, full_scan_refinement, make_system
 from vlang.analysis import AnalysisError, check_consistency, check_equivalence, check_refinement
 from vlang.desugar import desugar_to_minimal
 from vlang.modelparse import parse_model
@@ -143,7 +143,7 @@ def test_single_model_consistency_iff_nonempty_semantics(cdsimp, example_diagram
     ):
         m = _cd(cdsimp, text)
         assert check_consistency([m], config).holds == (
-            bool(compute_sem(m, config).first(1))
+            bool(first(compute_sem(m, config), 1))
         )
 
 

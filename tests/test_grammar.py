@@ -11,6 +11,7 @@ from vlang.grammar import (
     TerminalSynonyms,
     parse_grammar,
 )
+from vlang.lexer import SourceError, scan
 
 # A terser spelling of the minimal class-diagram grammar: multi-line
 # production, unlabeled star reference, no ';' terminator on class entries,
@@ -162,7 +163,7 @@ def test_conflicting_field_types_rejected():
 def test_stereotype_slot_parses():
     g = parse_grammar('grammar X { A = <<?>> "a" x:IDENT; }')
     assert isinstance(g.production("A").elements[0], StereotypeSlot)
-    assert g.has_stereotype_slots()
+    assert [t.text for t in scan("<<s>>", g.model_pattern, SourceError)] == ["<<", "s", ">>", ""]
 
 
 def test_stereotype_slot_not_allowed_inside_groups():
@@ -178,7 +179,7 @@ def test_syntax_error_carries_position():
 
 def test_terminal_texts_and_slots():
     g = parse_grammar(VARIANT_TEXT)
-    assert g.terminal_texts() == frozenset(
-        {"classdiagram", "{", "}", "class", "extends", ","}
-    )
-    assert not g.has_stereotype_slots()
+    assert g.keywords == frozenset({"classdiagram", "class", "extends"})
+    assert [t.text for t in scan("{},", g.model_pattern, SourceError)] == ["{", "}", ",", ""]
+    with pytest.raises(SourceError, match="illegal character '<'"):
+        scan("<<s>>", g.model_pattern, SourceError)

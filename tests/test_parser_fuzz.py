@@ -10,7 +10,9 @@ characters and unterminated strings included.
 The model parser, which compiles its grammar, must also give what the
 grammar interpreter it replaced gives (`oracles.oracle_parse_model`): on the
 model soups, and on random grammars with models derived from them, some
-with one token dropped, repeated or replaced.
+with one token dropped, repeated or replaced.  The model vocabulary a random
+grammar carries must give the keywords and tokens of the one the model
+scanner derived before (`oracles.oracle_model_vocabulary`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conforms, oracle_parse_model
+from oracles import conforms, oracle_model_vocabulary, oracle_parse_model, oracle_tokenize_model
 from vlang import bundled
 from vlang.features import (
     FeatureModelError,
@@ -36,7 +38,7 @@ from vlang.grammar import (
     TerminalSynonyms,
     parse_grammar,
 )
-from vlang.modelparse import ModelParseError, TokenizeError, parse_model
+from vlang.modelparse import ModelParseError, TokenizeError, parse_model, tokenize_model
 from vlang.schema import AstNode, derive_schema, dump_ast
 
 _PUNCT = ["{", "}", "(", ")", ";", ":", "=", "|", "*", "?", ",", ".", "$", "<<", ">>", "<<?>>"]
@@ -256,3 +258,30 @@ def _grammars_and_models(draw):
 def test_random_grammars_parse_as_the_interpreter_parses(case):
     if case is not None:
         _same_as_the_interpreter(*case)
+
+
+@st.composite
+def _grammars_and_texts(draw):
+    try:
+        grammar = parse_grammar(draw(_grammar_texts()))
+    except GrammarError:
+        return None
+    words = draw(st.lists(st.sampled_from([*_TERMINALS, "p", "<<", ">>", "<", "%", "//c", "ke"])))
+    separators = st.sampled_from([" ", "", "\n", "\t"])
+    return grammar, "".join(w + draw(separators) for w in words)
+
+
+def _tokens(tokenize, grammar, text):
+    try:
+        return tokenize(grammar, text)
+    except TokenizeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=5 * settings.default.max_examples, deadline=None, derandomize=True)
+@given(_grammars_and_texts())
+def test_random_grammars_carry_the_former_model_vocabulary(case):
+    if case is not None:
+        grammar, text = case
+        assert grammar.keywords == oracle_model_vocabulary(grammar)[0]
+        assert _tokens(tokenize_model, grammar, text) == _tokens(oracle_tokenize_model, grammar, text)

@@ -1,7 +1,8 @@
 """The value semantics of vlang's records, which are named tuples or
 `__slots__` classes, and the start-up cost they keep down: importing the
-CLI loads no `dataclasses` (nor the `inspect` it pulls in).  Each module also
-imports alone, in a fresh interpreter."""
+CLI loads no `dataclasses` (nor the `inspect` it pulls in), and parsing a
+grammar, which derives its models' vocabulary itself, loads no model parser.
+Each module also imports alone, in a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -32,6 +33,18 @@ def test_cli_import_loads_no_dataclasses():
     )
     fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, "[]\n", "")
+
+
+def test_grammar_parse_loads_no_model_parser():
+    script = (
+        "import sys\n"
+        "from vlang.bundled import CD_GRAMMAR_TEXT\n"
+        "from vlang.grammar import parse_grammar\n"
+        "parse_grammar(CD_GRAMMAR_TEXT)\n"
+        "print('vlang.modelparse' in sys.modules)\n"
+    )
+    fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, "False\n", "")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ import warnings
 import pytest
 
 from conftest import raw_semantics_config
-from oracles import composed_valid, contains, holds, make_system, oracle_enumerate, valid_predicate
+from oracles import (
+    composed_valid, contains, count, first, holds, make_system, oracle_enumerate, valid_predicate
+)
 from vlang.analysis import check_consistency
 from vlang.desugar import desugar_to_minimal
 from vlang.modelparse import parse_model
@@ -198,7 +200,7 @@ def test_auto_candidates_depend_on_selected_variant(cdsimp, example_diagrams):
 def test_two_bare_classes_have_four_member_semantics(cdsimp, example_diagrams):
     m = _cd(cdsimp, "classdiagram D { class A; class B; }")
     sem = compute_sem(m, _config(example_diagrams))
-    assert sem.count() == 4
+    assert count(sem) == 4
 
 
 def test_extends_halves_the_semantics(cdsimp, example_diagrams):
@@ -220,7 +222,7 @@ def test_diamond_discriminates_variants(cdsimp, example_diagrams):
                                               mapping={"MapSuperCDirect"}))
     delegate_sem = compute_sem(diamond, _config(example_diagrams, domain=si))
     direct_members = set(direct_sem)
-    witness = delegate_sem.first(1)[0]
+    witness = first(delegate_sem, 1)[0]
     assert witness not in direct_members  # the sets differ on the diamond
     assert contains(delegate_sem, witness)
     # every direct member relates B and C, the delegate witness does not
@@ -327,7 +329,8 @@ def test_unknown_stereotypes_warn_once_per_query(cd, example_diagrams):
     m = _cd(cd, "classdiagram D { <<fancy>> class A; <<shiny>> <<fancy>> class B extends A; }")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert compute_sem(m, _config(example_diagrams, bounds=Bounds(max_objects=1))).count() > 1
+        config = _config(example_diagrams, bounds=Bounds(max_objects=1))
+        assert count(compute_sem(m, config)) > 1
     assert sorted(str(w.message) for w in caught) == [
         "ignoring unknown stereotype <<fancy>> on class A",
         "ignoring unknown stereotype <<fancy>> on class B",
@@ -359,7 +362,7 @@ def test_unbound_mapping_slot(example_diagrams, cdsimp):
     config = _config(example_diagrams, mapping=frozenset())
     m = _cd(cdsimp, "classdiagram D { class A; }")
     with pytest.raises(UnboundMappingError, match="mSuperClasses"):
-        compute_sem(m, config).count()
+        count(compute_sem(m, config))
 
 
 def test_super_mapping_resolution(example_diagrams):
