@@ -4,16 +4,20 @@
 
 Run it from the root of a vlang source tree.  It builds the workload's
 operations with `perfbench/workloads.py`, runs one pass of them through
-`vlang.cli.main` in this process, and prints one JSON object with three
+`vlang.cli.main` in this process, and prints one JSON object with four
 counts: the preorders `_preorders` returns (`preorders`), the frames
-`enumerate_systems` offers its frame filter (`offered`), and the frames the
-filter accepts (`accepted`).  The counts depend only on the source tree, the
-workload and the seed, not on the machine.  The wrappers take the filter as
-the third positional argument of `enumerate_systems` and pass every other
-argument through, so the script counts trees whose enumerator takes the
-query's `Demands` (`enumerate_systems(bounds, demands, valid)`) as well as
-older trees whose enumerator takes the required classes, with or without
-loose pair bounds after the filter.
+`enumerate_systems` offers its frame filter (`offered`), the frames the
+filter accepts (`accepted`), and the queries `first_system` answers without
+calling `enumerate_systems` (`least`; 0 on a tree without `first_system`).
+The counts depend only on the source tree, the workload and the seed, not on
+the machine.  `enumerate_systems` is wrapped in each of `sysmodel`,
+`semantics` and `analysis` that has it, and `first_system` in each that has
+it.  The wrappers take the filter as the third positional argument of
+`enumerate_systems` and pass every other argument through, so the script
+counts trees whose enumerator takes the query's `Demands`
+(`enumerate_systems(bounds, demands, valid)`) as well as older trees whose
+enumerator takes the required classes, with or without loose pair bounds
+after the filter.
 """
 
 from __future__ import annotations
@@ -38,8 +42,9 @@ def main() -> int:
     import workloads
     from vlang import analysis, cli, semantics, sysmodel
 
-    counts = {"preorders": 0, "offered": 0, "accepted": 0}
+    counts = {"preorders": 0, "offered": 0, "accepted": 0, "least": 0}
     preorders = sysmodel._preorders
+    scans = [0]
 
     def counted_preorders(*a, **kw):
         relations = preorders(*a, **kw)
@@ -54,13 +59,26 @@ def main() -> int:
                 counts["accepted"] += bool(ok)
                 return ok
 
+            scans[0] += 1
             return enumerate_systems(bounds, query, counted, *rest, **kw)
 
         return enumerate_counted
 
+    def counted_first(first_system):
+        def first_counted(*a, **kw):
+            before = scans[0]
+            first = first_system(*a, **kw)
+            counts["least"] += scans[0] == before
+            return first
+
+        return first_counted
+
     sysmodel._preorders = counted_preorders
-    for module in (semantics, analysis):
-        module.enumerate_systems = counted_enumerator(module.enumerate_systems)
+    for module in (sysmodel, semantics, analysis):
+        if hasattr(module, "enumerate_systems"):
+            module.enumerate_systems = counted_enumerator(module.enumerate_systems)
+        if hasattr(module, "first_system"):
+            module.first_system = counted_first(module.first_system)
 
     with tempfile.TemporaryDirectory() as work:
         workload = workloads.build(args.workload, args.seed, work)

@@ -1,12 +1,15 @@
 """Bounded decision procedures: refinement, consistency, equivalence.
 
 All verdicts are relative to the enumeration bounds they ran with, which the
-verdict records.  Consistency is one `enumerate_systems` scan bounded by the
-models' joint `Demands`, stopping at its first witness.  Refinement asks for
-a system of the refined model that breaks one abstract atom the refined model
-lacks, one scan per negated atom, each stopping at its first system.
-Equivalence is refinement each way.  Enumeration order is canonical, so
-reported systems are stable across runs and minimal in that order.
+verdict records.  Each analysis asks `first_system` for the first system of
+a query in canonical order: the demanded classes with the closure of the
+required pairs and the demanded attrs, unless the query is empty or the
+domain variants refuse that frame, and only then an enumeration of the
+demanded classes.  Consistency asks once, with the models' joint `Demands`.
+Refinement asks for a system of the refined model that breaks one abstract
+atom the refined model lacks, once per negated atom.  Equivalence is
+refinement each way.  Reported systems are thus stable across runs and
+minimal in canonical order.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ from typing import NamedTuple, Sequence
 
 from .schema import AstNode
 from .semantics import SemanticsConfig, query
-from .sysmodel import (
-    Bounds, Demands, SystemModelLite, canonical_key, dump_system, enumerate_systems
-)
+from .sysmodel import Bounds, Demands, SystemModelLite, canonical_key, dump_system, first_system
 
 
 class AnalysisError(Exception):
@@ -45,10 +46,6 @@ class AnalysisVerdict(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _first(bounds, demands, valid):
-    return next(enumerate_systems(bounds, demands, valid), None)
-
-
 def check_refinement(
     refined: AstNode, abstract: AstNode, config: SemanticsConfig
 ) -> AnalysisVerdict:
@@ -67,14 +64,14 @@ def check_refinement(
     negated += [Demands(sub=frozenset({p})) for p in a.no_sub - r.no_sub]
     attrs = a.attrs - r.attrs
     caps = sorted(a.singletons - r.singletons) if bounds.max_objects >= 2 else []
-    first = _first(bounds, r, variants) if negated or attrs or caps else None
+    first = first_system(bounds, r, variants) if negated or attrs or caps else None
     if first is None or not a.frame_holds(first):
         return AnalysisVerdict("refine", first is None, bounds, counterexample=first)
     if caps:  # the populations of a frame come right after it
         pair = first._replace(objects=("o1", "o2"), class_of=(("o1", caps[0]), ("o2", caps[0])))
         return AnalysisVerdict("refine", False, bounds, counterexample=pair)
-    firsts = [_first(bounds, r | n, variants) for n in negated] + [
-        _first(bounds, r, lambda f, t=t: t not in f.attrs and variants(f)) for t in attrs
+    firsts = [first_system(bounds, r | n, variants) for n in negated] + [
+        first_system(bounds, r, lambda f, t=t: t not in f.attrs and variants(f)) for t in attrs
     ]
     counterexample = min(filter(None, firsts), key=canonical_key, default=None)
     return AnalysisVerdict("refine", counterexample is None, bounds, counterexample=counterexample)
@@ -86,7 +83,7 @@ def check_consistency(models: Sequence[AstNode], config: SemanticsConfig) -> Ana
     if not models:
         raise AnalysisError("consistency needs at least one model")
     _, joint, bounds, variants = query(models, config)
-    witness = _first(bounds, joint, variants)
+    witness = first_system(bounds, joint, variants)
     return AnalysisVerdict("consistent", witness is not None, bounds, witness=witness)
 
 

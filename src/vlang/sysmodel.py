@@ -8,19 +8,29 @@ a reflexive and transitive subclassing relation on top of the structural
 invariants.  Domain variants are extra validity predicates bound to feature
 names in `DOMAIN_VARIANTS` (feature F to its predicate valid-F); a valid
 system is base-valid and meets the selected variants.  Both constrain only a
-system's frame: its classes, subclassing and attributes.
+system's frame: its classes, subclassing and attributes.  A domain variant
+must also survive restriction: restricting a frame it accepts to any subset
+of its classes, with the `sub` pairs and attrs among them, gives a frame it
+accepts.  Base validity and `SingleInheritance` do.
 
 `enumerate_systems(bounds, demands, valid)` walks the systems within bounds
 that hold a query's `Demands`: it builds only preorders (the only relations
 base validity admits), cuts a relation that lacks a demanded `sub` pair or
 holds a forbidden one while it is built, forms only attribute sets holding
-the demanded attrs, and caps populations once per class universe.  Every
-frame is thus base-valid and holds the demands, so `valid` need only carry
-the domain variants.  It is checked once per frame, and every population of
-each frame that passes is yielded, in a canonical deterministic order:
-componentwise by cardinality, then lexicographically, over the encoding
-(classes, sub, attrs, objects, class assignment).  Smaller systems come
-first, which makes reported witnesses minimal.
+the demanded attrs, and forms a class universe's capped populations once,
+after its first accepted frame.  Every frame is thus base-valid and holds the
+demands, so `valid` need only carry the domain variants.  It is checked once
+per frame, and every population of each frame that passes is yielded, in a
+canonical deterministic order: componentwise by cardinality, then
+lexicographically, over the encoding (classes, sub, attrs, objects, class
+assignment).  Smaller systems come first, which makes reported witnesses
+minimal.
+
+`first_system(bounds, demands, valid)` is the first system of that order,
+found mostly without enumerating: the closure of the required pairs is in
+every answer, so it decides an empty query and, with the demanded classes
+and attrs, is the least frame.  Only when `valid` refuses that frame does it
+enumerate, and then within the demanded classes, which restriction allows.
 """
 
 from __future__ import annotations
@@ -91,7 +101,8 @@ def valid_single_inheritance(sm: SystemModelLite) -> bool:
 # Feature name F -> its predicate valid-F.  A domain variant constrains a
 # system's classes, `sub` and attrs, never its objects: `enumerate_systems`
 # evaluates validity once per frame and lets every object population of an
-# accepted frame through.
+# accepted frame through.  It must survive restriction to fewer classes:
+# `first_system` searches only the demanded ones.
 DOMAIN_VARIANTS: dict[str, Callable[[SystemModelLite], bool]] = {
     "SingleInheritance": valid_single_inheritance,
 }
@@ -282,25 +293,71 @@ def enumerate_systems(
             # attribute names unique per class
             and len({(o, n) for o, n, _ in attrs}) == len(attrs)
         ]
-        # Every non-empty (objects, class assignment) within the caps, canonically.
-        populations = []
-        for count in range(1, bounds.max_objects + 1):
-            objects = tuple(f"o{i}" for i in range(1, count + 1))
-            populations += [
-                (objects, class_of)
-                for class_of in sorted(
-                    tuple(sorted(zip(objects, chosen)))
-                    for chosen in product(classes, repeat=count)
-                )
-                if demands.caps_hold(class_of)
-            ]
+        populations = None  # formed after the universe's first accepted frame
         for sub in _preorders(classes, demands.sub, demands.no_sub):
             for attrs in attr_sets:
                 frame = SystemModelLite(classes, sub, attrs, (), ())
                 if valid(frame):
                     yield frame
+                    if populations is None:
+                        populations = _populations(classes, bounds.max_objects, demands)
                     for objects, class_of in populations:
                         yield SystemModelLite(classes, sub, attrs, objects, class_of)
+
+
+def _populations(
+    classes: tuple[str, ...], max_objects: int, demands: Demands
+) -> list[tuple[tuple[str, ...], tuple[Pair, ...]]]:
+    """Every non-empty (objects, class assignment) over `classes` within the
+    object bound and the demanded caps, canonically."""
+    populations = []
+    for count in range(1, max_objects + 1):
+        objects = tuple(f"o{i}" for i in range(1, count + 1))
+        populations += [
+            (objects, class_of)
+            for class_of in sorted(
+                tuple(sorted(zip(objects, chosen))) for chosen in product(classes, repeat=count)
+            )
+            if demands.caps_hold(class_of)
+        ]
+    return populations
+
+
+def first_system(
+    bounds: Bounds, demands: Demands, valid: Callable[[SystemModelLite], bool]
+) -> SystemModelLite | None:
+    """`next(enumerate_systems(bounds, demands, valid), None)`, mostly
+    without enumerating.
+
+    Every preorder holding the required pairs contains their reflexive and
+    transitive closure, so the query is empty when the closure holds a
+    forbidden pair, and also when the demanded attrs repeat a name in a class
+    or are not all candidates.  When the required pairs and attrs name only
+    demanded classes, the first frame offered is the demanded classes with
+    the closure and the demanded attrs, and it is the answer if `valid`
+    accepts it.  If `valid` refuses it, the enumeration is bounded to the
+    demanded classes: a frame of a larger universe restricts to one of them
+    that still holds the demands and, as domain variants must, `valid`.  A
+    query whose pairs or attrs name other classes is enumerated in full.
+    """
+    named = demands.classes.union(*demands.sub)
+    closure = set(demands.sub) | {(c, c) for c in named}
+    for k in named:  # Warshall
+        closure.update(product([a for a, b in closure if b == k], [d for c, d in closure if c == k]))
+    if (
+        not closure.isdisjoint(demands.no_sub)
+        or len({(o, n) for o, n, _ in demands.attrs}) < len(demands.attrs)
+        or not demands.attrs <= bounds.attr_candidates
+    ):
+        return None
+    if named.union(*((o, t) for o, _, t in demands.attrs)) <= demands.classes:
+        frame = SystemModelLite(
+            tuple(sorted(demands.classes)), tuple(sorted(closure)), tuple(sorted(demands.attrs)), (), ()
+        )
+        if valid(frame):
+            return frame
+        bounds = bounds._replace(extra_class_names=())
+    return next(enumerate_systems(bounds, demands, valid), None)
 
 
 # ---------------------------------------------------------------------------

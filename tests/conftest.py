@@ -15,11 +15,11 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # Example budgets of the tests that leave `max_examples` to the profile (the
 # enumeration oracles in test_sysmodel.py and test_differential.py, the
-# full-scan comparison in test_analysis.py, the validator comparison in
-# test_features.py; the parser soups, the parser comparisons and the
-# model-vocabulary comparison of test_parser_fuzz.py, the scanner comparison
-# of test_lexer.py and the desugarer comparison of test_desugar.py draw five
-# times as many).  Pick one with `pytest --hypothesis-profile=deep`.
+# full-scan and first-system comparisons in test_analysis.py, the validator
+# comparison in test_features.py; the parser soups, the parser comparisons
+# and the model-vocabulary comparison of test_parser_fuzz.py, the scanner
+# comparison of test_lexer.py and the desugarer comparison of test_desugar.py
+# draw five times as many).  Pick one with `pytest --hypothesis-profile=deep`.
 settings.register_profile("default", max_examples=60)
 settings.register_profile("deep", max_examples=600)
 

@@ -7,12 +7,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import raw_semantics_config
-from oracles import first, full_scan_refinement, make_system
+from oracles import composed_valid, first, full_scan_refinement, holds, make_system, oracle_enumerate
 from vlang.analysis import AnalysisError, check_consistency, check_equivalence, check_refinement
 from vlang.desugar import desugar_to_minimal
 from vlang.modelparse import parse_model
 from vlang.semantics import compute_sem
-from vlang.sysmodel import DOMAIN_VARIANTS, Bounds, dump_system
+from vlang import sysmodel
+from vlang.sysmodel import (
+    DOMAIN_VARIANTS, Bounds, Demands, canonical_key, dump_system, enumerate_systems, first_system,
+    variants_valid,
+)
 
 
 def _cd(grammar, text):
@@ -340,3 +344,107 @@ def test_report_format_and_bounds_recording(cdsimp, example_diagrams):
         "bounds=extra={C};maxObjects=1;attrs={}\nWITNESS\n"
     )
     assert report.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# The first system of a query
+# ---------------------------------------------------------------------------
+
+def _no_enumeration(*args):
+    raise AssertionError("enumerate_systems called")
+
+
+@pytest.mark.parametrize("demands, bounds", [
+    # the closure of the required pairs holds a forbidden one
+    (Demands(frozenset("AB"), frozenset({("A", "B"), ("B", "C")}), frozenset({("A", "C")})),
+     Bounds(("C",))),
+    # two demanded attrs share a name in one class
+    (Demands(frozenset("AB"), attrs=frozenset({("A", "x", "A"), ("A", "x", "B")})),
+     Bounds(attr_candidates=frozenset({("A", "x", "A"), ("A", "x", "B")}))),
+    # a demanded attr is not a candidate
+    (Demands(frozenset("AB"), attrs=frozenset({("A", "x", "B")})), Bounds(("C",), 2)),
+])
+def test_an_empty_query_is_refused_without_enumerating(demands, bounds, monkeypatch):
+    monkeypatch.setattr(sysmodel, "enumerate_systems", _no_enumeration)
+    assert first_system(bounds, demands, lambda sm: True) is None
+
+
+def test_the_closure_of_the_required_pairs_is_the_first_system(monkeypatch):
+    demands = Demands(frozenset("ABC"), frozenset({("A", "B"), ("B", "C")}), frozenset({("C", "A")}),
+                      frozenset({("A", "x", "C")}), frozenset("A"))
+    bounds = Bounds(("D",), 2, frozenset({("A", "x", "C"), ("B", "y", "A")}))
+    expected = next(enumerate_systems(bounds, demands, lambda sm: True))
+    monkeypatch.setattr(sysmodel, "enumerate_systems", _no_enumeration)
+    assert first_system(bounds, demands, lambda sm: True) == expected == make_system(
+        "ABC", {("A", "A"), ("A", "B"), ("A", "C"), ("B", "B"), ("B", "C"), ("C", "C")},
+        {("A", "x", "C")})
+
+
+def test_a_refused_closure_is_searched_in_the_demanded_universe_only(monkeypatch):
+    # SingleInheritance refuses the diamond's closure.  Restricting a system
+    # to the demanded classes keeps it valid, so the extra class is not tried.
+    demands = Demands(frozenset("ABC"), frozenset({("A", "B"), ("A", "C")}))
+    valid = variants_valid({"SingleInheritance"})
+    universes = []
+    enumerate_all = sysmodel.enumerate_systems
+
+    def recorded(bounds, *rest):
+        universes.append(bounds.extra_class_names)
+        return enumerate_all(bounds, *rest)
+
+    monkeypatch.setattr(sysmodel, "enumerate_systems", recorded)
+    bounds = Bounds(("D",), 1)
+    first = first_system(bounds, demands, valid)
+    assert universes == [()]
+    assert first == next(enumerate_all(bounds, demands, valid)) == make_system(
+        "ABC", {("A", "A"), ("A", "B"), ("A", "C"), ("B", "B"), ("B", "C"), ("C", "C")})
+
+
+@st.composite
+def _first_system_cases(draw):
+    """A query over at most three class names, each demanded, extra or both,
+    with up to two objects and two attr candidates.  Its pairs and attrs
+    mostly name demanded classes, and otherwise any name, extras and a name
+    outside every universe (Z) included; attrs may clash on a name or lie
+    outside the candidates.  The frame filter is SingleInheritance or
+    nothing, and may also drop an attr, as `check_refinement`'s filter
+    does."""
+    names = "ABC"[: draw(st.integers(0, 3))]
+    roles = [draw(st.sampled_from(("required", "extra", "both"))) for _ in names]
+    required = sorted(c for c, role in zip(names, roles) if role != "extra")
+    extra = tuple(c for c, role in zip(names, roles) if role != "required")
+    anywhere = st.sampled_from(f"{names}Z")
+    name = st.sampled_from(required) | anywhere if required else anywhere
+    pairs = st.frozensets(st.tuples(name, name), max_size=3)
+    triples = st.tuples(name, st.sampled_from("xy"), name)
+    candidates = draw(st.frozensets(triples, max_size=2))
+    attrs = st.sampled_from(sorted(candidates)) | triples if candidates else triples
+    demands = Demands(frozenset(required), draw(pairs), draw(pairs),
+                      draw(st.frozensets(attrs, max_size=2)),
+                      draw(st.frozensets(st.sampled_from(names), max_size=2)) if names else frozenset())
+    bounds = Bounds(extra, draw(st.integers(0, 2)), candidates)
+    features = draw(st.sampled_from([(), ("SingleInheritance",)]))
+    dropped = draw(st.none() | st.sampled_from(sorted(candidates))) if candidates else None
+    return bounds, demands, features, dropped
+
+
+# The example budget comes from the hypothesis profile (tests/conftest.py).
+@settings(deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(_first_system_cases())
+@example((Bounds(("C",), 1), Demands(frozenset("AB"), frozenset({("A", "B")})),
+          ("SingleInheritance",), None))
+@example((Bounds(("C",), 0, frozenset({("A", "x", "B")})),
+          Demands(frozenset("AB"), frozenset({("A", "C")}), attrs=frozenset({("A", "x", "B")})),
+          (), ("A", "x", "B")))
+@example((Bounds(("C",), 2), Demands(frozenset("ABC"), frozenset({("A", "B"), ("A", "C")})),
+          ("SingleInheritance",), None))
+def test_first_system_equals_the_first_enumerated_and_the_oracle(case):
+    bounds, demands, features, dropped = case
+    variants = variants_valid(features)
+    valid = variants if dropped is None else lambda f: dropped not in f.attrs and variants(f)
+    first = first_system(bounds, demands, valid)
+    assert first == next(enumerate_systems(bounds, demands, valid), None)
+    judge = composed_valid(features)
+    systems = oracle_enumerate(bounds, demands.classes, lambda sm: (
+        judge(sm) and dropped not in sm.attrs and holds(demands, sm)))
+    assert first == min(systems, key=canonical_key, default=None)

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -15,6 +15,7 @@ from oracles import (
     oracle_enumerate,
     structurally_valid,
 )
+from vlang import sysmodel
 from vlang.sysmodel import (
     DOMAIN_VARIANTS,
     Bounds,
@@ -310,6 +311,43 @@ def test_pair_bounded_enumeration_equals_filtered_oracle(case):
 
     expected = sorted(oracle_enumerate(bounds, demands.classes, admitted), key=canonical_key)
     assert list(enumerate_systems(bounds, demands, variants_valid(features))) == expected
+
+
+def test_populations_are_formed_after_the_first_frame(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(sysmodel, "product", counted)
+    systems = enumerate_systems(Bounds(max_objects=3), Demands(frozenset("ABC")), lambda sm: True)
+    assert next(systems) == make_system("ABC", {("A", "A"), ("B", "B"), ("C", "C")})
+    assert not calls
+    assert next(systems).objects == ("o1",)
+    assert calls
+
+
+def _restrict(sm: SystemModelLite, kept: set[str]) -> SystemModelLite:
+    return make_system(
+        kept,
+        ((a, b) for a, b in sm.sub if a in kept and b in kept),
+        ((o, n, t) for o, n, t in sm.attrs if o in kept and t in kept),
+    )
+
+
+def test_domain_variants_survive_restriction():
+    # first_system searches only the demanded classes when the least frame
+    # is refused, which is exact only if each variant accepts the
+    # restriction of every frame it accepts.
+    bounds = Bounds(attr_candidates=frozenset({("A", "x", "B"), ("D", "y", "C")}))
+    for feature, valid in DOMAIN_VARIANTS.items():
+        frames = list(enumerate_systems(bounds, Demands(frozenset("ABCD")), valid))
+        assert len(frames) > 4, feature
+        for frame in frames:
+            for size in range(len(frame.classes)):
+                for kept in combinations(frame.classes, size):
+                    assert valid(_restrict(frame, set(kept))), (feature, frame, kept)
 
 
 # ---------------------------------------------------------------------------
