@@ -2,10 +2,11 @@
 
 All verdicts are relative to the enumeration bounds they ran with, which the
 verdict records.  Each analysis asks `first_system` for the first system of
-a query in canonical order: the demanded classes with the closure of the
-required pairs and the demanded attrs, unless the query is empty or the
-domain variants refuse that frame, and only then an enumeration of the
-demanded classes.  Consistency asks once, with the models' joint `Demands`.
+a query in canonical order.  That is the least frame `enumerate_systems`
+offers first, the demanded classes with the closure of the required pairs
+and the demanded attrs, unless the query is empty or the domain variants
+refuse that frame; only then are preorders of the demanded classes built.
+Consistency asks once, with the models' joint `Demands`.
 Refinement asks for a system of the refined model that breaks one abstract
 atom the refined model lacks, once per negated atom.  Equivalence is
 refinement each way.  Reported systems are thus stable across runs and

@@ -263,12 +263,6 @@ def bound_domain_features(diagram: FeatureDiagram, config: Configuration) -> lis
     )
 
 
-def variants_predicate(config: SemanticsConfig) -> Callable[[SystemModelLite], bool]:
-    """The configured domain variants alone: what validity still asks of a
-    frame `enumerate_systems` built, which is base-valid already."""
-    return variants_valid(bound_domain_features(config.domain_diagram, config.domain_config))
-
-
 # Root datatype -> the compile of its language: (model, config) -> Demands.
 # Adding a language means adding a row.
 _LANGUAGES: dict[str, Callable[[AstNode, SemanticsConfig], Demands]] = {
@@ -298,7 +292,8 @@ def query(
     demands = [demands_of(m, config) for m in models]
     joint = reduce(or_, demands)
     bounds = config.bounds._replace(attr_candidates=config.bounds.attr_candidates | joint.attrs)
-    return demands, joint, bounds, variants_predicate(config)
+    variants = variants_valid(bound_domain_features(config.domain_diagram, config.domain_config))
+    return demands, joint, bounds, variants
 
 
 class SemanticsSet:

@@ -14,28 +14,27 @@ of its classes, with the `sub` pairs and attrs among them, gives a frame it
 accepts.  Base validity and `SingleInheritance` do.
 
 `enumerate_systems(bounds, demands, valid)` walks the systems within bounds
-that hold a query's `Demands`: it builds only preorders (the only relations
-base validity admits), cuts a relation that lacks a demanded `sub` pair or
-holds a forbidden one while it is built, forms only attribute sets holding
-the demanded attrs, and forms a class universe's capped populations once,
-after its first accepted frame.  Every frame is thus base-valid and holds the
-demands, so `valid` need only carry the domain variants.  It is checked once
-per frame, and every population of each frame that passes is yielded, in a
-canonical deterministic order: componentwise by cardinality, then
-lexicographically, over the encoding (classes, sub, attrs, objects, class
-assignment).  Smaller systems come first, which makes reported witnesses
-minimal.
+that hold a query's `Demands`, in a canonical deterministic order:
+componentwise by cardinality, then lexicographically, over the encoding
+(classes, sub, attrs, objects, class assignment).  Smaller systems come
+first, which makes reported witnesses minimal.  A class universe's least
+frame is its classes, the closure of the demanded `sub` pairs with every
+reflexive pair, and the demanded attrs.  A universe whose least frame is not
+base-valid, within bounds and holding the demands has no such frame and is
+skipped; otherwise the least frame is offered first, the universe's other
+preorders (the only relations base validity admits, cut while they are built
+when they break a bounded pair) only when the caller asks for more, and its
+capped populations after its first accepted frame.  Every frame is thus
+base-valid and holds the demands, so `valid` need only carry the domain
+variants; it is checked once per frame.
 
 `first_system(bounds, demands, valid)` is the first system of that order,
-found mostly without enumerating: the closure of the required pairs is in
-every answer, so it decides an empty query and, with the demanded classes
-and attrs, is the least frame.  Only when `valid` refuses that frame does it
-enumerate, and then within the demanded classes, which restriction allows.
+asked of the demanded classes alone when the query names no other class.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .lexer import IDENT
@@ -216,12 +215,10 @@ def _preorders(
     (OEIS A000798 counts them).  The pairs among placed classes never change
     afterwards, so a bounded pair is decided when its later endpoint is
     placed, and U and D are drawn only from the sets that decide it right.
+    The caller ensures that `must` names only classes of `classes` and that
+    its reflexive-transitive closure, listed first, holds no `must_not` pair.
     """
     must, must_not = set(must), set(must_not)
-    if any(a not in classes or b not in classes for a, b in must) or any(
-        (c, c) in must_not for c in classes
-    ):
-        return []
     relations: list[tuple[Pair, ...]] = [()]
     placed: list[str] = []
     for x in classes:
@@ -257,44 +254,46 @@ def enumerate_systems(
 
     The class universe ranges over the demanded classes plus any subset of
     the extra names; `sub` over the reflexive and transitive relations on it
-    that hold every demanded pair and no forbidden one; attributes over
-    subsets of the candidates that hold the demanded attrs and respect
-    per-class name uniqueness; objects o1..oN for N up to the bound, with
-    every total class assignment that puts at most one object in each
-    singleton class.  A frame is a system's classes, `sub` and attrs with no
-    objects.  Every frame is base-valid and holds the demands on classes,
-    `sub` and attrs by construction, so `valid` need only carry domain
-    variants or a further frame filter.  `valid` is called once per frame,
-    and every population of a frame it accepts is yielded, the frame itself
-    first.  So `valid` must not read objects: base validity judges each
-    generated population as it judges its frame, and domain variants
-    constrain classes, `sub` and attrs only.  The demands only drop systems
-    from the canonical sequence; they never reorder it.
+    that hold every demanded pair and no forbidden one, the least of them
+    offered before the others are built; attributes over subsets of the
+    candidates that hold the demanded attrs and respect per-class name
+    uniqueness; objects o1..oN for N up to the bound, with every total class
+    assignment that puts at most one object in each singleton class.  A
+    frame is a system's classes, `sub` and attrs with no objects.  Every
+    frame is base-valid and holds the demands on classes, `sub` and attrs by
+    construction, so `valid` need only carry domain variants or a further
+    frame filter.  `valid` is called once per frame, and every population of
+    a frame it accepts is yielded, the frame itself first.  So `valid` must
+    not read objects: base validity judges each generated population as it
+    judges its frame, and domain variants constrain classes, `sub` and attrs
+    only.  The demands only drop systems from the canonical sequence; they
+    never reorder it.
     """
     extras = sorted(set(bounds.extra_class_names) - demands.classes)
     class_universes = sorted(
         {tuple(sorted(demands.classes | set(chosen))) for chosen in _subsets_by_size(tuple(extras))},
         key=lambda t: (len(t), t),
     )
+    named = {c for pair in demands.sub for c in pair}
+    closure = set(demands.sub)
+    for k in named:  # Warshall
+        below, above = [a for a, b in closure if b == k], [d for c, d in closure if c == k]
+        closure.update((a, d) for a in below for d in above)
 
     for classes in class_universes:
         class_set = set(classes)
-        eligible_attrs = tuple(
-            sorted(
-                a
-                for a in bounds.attr_candidates
-                if a[0] in class_set and a[2] in class_set
-            )
-        )
-        attr_sets = [
-            attrs
-            for attrs in _subsets_by_size(eligible_attrs)
-            if demands.attrs.issubset(attrs)
-            # attribute names unique per class
-            and len({(o, n) for o, n, _ in attrs}) == len(attrs)
-        ]
+        least = closure | {(c, c) for c in classes}
+        eligible = {a for a in bounds.attr_candidates if a[0] in class_set and a[2] in class_set}
+        # the demanded attrs with each subset of the other eligible ones, in
+        # the order of the subsets, keeping attribute names unique per class
+        others = tuple(sorted(eligible - demands.attrs))
+        unions = (tuple(sorted(demands.attrs.union(c))) for c in _subsets_by_size(others))
+        attr_sets = [attrs for attrs in unions if len({(o, n) for o, n, _ in attrs}) == len(attrs)]
+        admitted = named <= class_set and demands.attrs <= eligible and attr_sets
+        if not admitted or not least.isdisjoint(demands.no_sub):
+            continue
         populations = None  # formed after the universe's first accepted frame
-        for sub in _preorders(classes, demands.sub, demands.no_sub):
+        for sub in _relations(classes, least, demands):
             for attrs in attr_sets:
                 frame = SystemModelLite(classes, sub, attrs, (), ())
                 if valid(frame):
@@ -303,6 +302,15 @@ def enumerate_systems(
                         populations = _populations(classes, bounds.max_objects, demands)
                     for objects, class_of in populations:
                         yield SystemModelLite(classes, sub, attrs, objects, class_of)
+
+
+def _relations(
+    classes: tuple[str, ...], least: set[Pair], demands: Demands
+) -> Iterator[tuple[Pair, ...]]:
+    """The least relation, then the universe's other preorders, which are
+    built only when asked for."""
+    yield tuple(sorted(least))
+    yield from islice(_preorders(classes, demands.sub, demands.no_sub), 1, None)
 
 
 def _populations(
@@ -326,36 +334,12 @@ def _populations(
 def first_system(
     bounds: Bounds, demands: Demands, valid: Callable[[SystemModelLite], bool]
 ) -> SystemModelLite | None:
-    """`next(enumerate_systems(bounds, demands, valid), None)`, mostly
-    without enumerating.
-
-    Every preorder holding the required pairs contains their reflexive and
-    transitive closure, so the query is empty when the closure holds a
-    forbidden pair, and also when the demanded attrs repeat a name in a class
-    or are not all candidates.  When the required pairs and attrs name only
-    demanded classes, the first frame offered is the demanded classes with
-    the closure and the demanded attrs, and it is the answer if `valid`
-    accepts it.  If `valid` refuses it, the enumeration is bounded to the
-    demanded classes: a frame of a larger universe restricts to one of them
-    that still holds the demands and, as domain variants must, `valid`.  A
-    query whose pairs or attrs name other classes is enumerated in full.
-    """
-    named = demands.classes.union(*demands.sub)
-    closure = set(demands.sub) | {(c, c) for c in named}
-    for k in named:  # Warshall
-        closure.update(product([a for a, b in closure if b == k], [d for c, d in closure if c == k]))
-    if (
-        not closure.isdisjoint(demands.no_sub)
-        or len({(o, n) for o, n, _ in demands.attrs}) < len(demands.attrs)
-        or not demands.attrs <= bounds.attr_candidates
-    ):
-        return None
-    if named.union(*((o, t) for o, _, t in demands.attrs)) <= demands.classes:
-        frame = SystemModelLite(
-            tuple(sorted(demands.classes)), tuple(sorted(closure)), tuple(sorted(demands.attrs)), (), ()
-        )
-        if valid(frame):
-            return frame
+    """`next(enumerate_systems(bounds, demands, valid), None)`.  When the
+    required pairs and attrs name only demanded classes, only the demanded
+    universe is asked: a frame of a larger universe restricts to a frame of
+    it that still holds the demands and, as domain variants must, `valid`."""
+    named = demands.classes.union(*demands.sub, *((o, t) for o, _, t in demands.attrs))
+    if named <= demands.classes:
         bounds = bounds._replace(extra_class_names=())
     return next(enumerate_systems(bounds, demands, valid), None)
 

@@ -15,7 +15,7 @@ from vlang.semantics import compute_sem
 from vlang import sysmodel
 from vlang.sysmodel import (
     DOMAIN_VARIANTS, Bounds, Demands, canonical_key, dump_system, enumerate_systems, first_system,
-    variants_valid,
+    valid_single_inheritance, variants_valid,
 )
 
 
@@ -350,8 +350,8 @@ def test_report_format_and_bounds_recording(cdsimp, example_diagrams):
 # The first system of a query
 # ---------------------------------------------------------------------------
 
-def _no_enumeration(*args):
-    raise AssertionError("enumerate_systems called")
+def _no_preorders(*args):
+    raise AssertionError("a preorder list was built")
 
 
 @pytest.mark.parametrize("demands, bounds", [
@@ -365,7 +365,7 @@ def _no_enumeration(*args):
     (Demands(frozenset("AB"), attrs=frozenset({("A", "x", "B")})), Bounds(("C",), 2)),
 ])
 def test_an_empty_query_is_refused_without_enumerating(demands, bounds, monkeypatch):
-    monkeypatch.setattr(sysmodel, "enumerate_systems", _no_enumeration)
+    monkeypatch.setattr(sysmodel, "_preorders", _no_preorders)
     assert first_system(bounds, demands, lambda sm: True) is None
 
 
@@ -374,7 +374,7 @@ def test_the_closure_of_the_required_pairs_is_the_first_system(monkeypatch):
                       frozenset({("A", "x", "C")}), frozenset("A"))
     bounds = Bounds(("D",), 2, frozenset({("A", "x", "C"), ("B", "y", "A")}))
     expected = next(enumerate_systems(bounds, demands, lambda sm: True))
-    monkeypatch.setattr(sysmodel, "enumerate_systems", _no_enumeration)
+    monkeypatch.setattr(sysmodel, "_preorders", _no_preorders)
     assert first_system(bounds, demands, lambda sm: True) == expected == make_system(
         "ABC", {("A", "A"), ("A", "B"), ("A", "C"), ("B", "B"), ("B", "C"), ("C", "C")},
         {("A", "x", "C")})
@@ -398,6 +398,21 @@ def test_a_refused_closure_is_searched_in_the_demanded_universe_only(monkeypatch
     assert universes == [()]
     assert first == next(enumerate_all(bounds, demands, valid)) == make_system(
         "ABC", {("A", "A"), ("A", "B"), ("A", "C"), ("B", "B"), ("B", "C"), ("C", "C")})
+
+
+def test_each_frame_is_offered_once():
+    # SingleInheritance refuses the diamond's closure; the search that
+    # follows goes on from the next relation instead of offering it again.
+    demands = Demands(frozenset("ABC"), frozenset({("A", "B"), ("A", "C")}))
+    offered = []
+
+    def valid(frame):
+        offered.append(frame)
+        return valid_single_inheritance(frame)
+
+    assert first_system(Bounds(), demands, valid) is not None
+    assert len(offered) > 1
+    assert len(set(offered)) == len(offered)
 
 
 @st.composite

@@ -297,6 +297,7 @@ def _pair_bounded_cases(draw):
 @example((Bounds(), set(), Demands(frozenset("A"), frozenset({("A", "Z")}))))
 @example((Bounds(("C",), 2), set(),
           Demands(frozenset("AB"), frozenset({("A", "B")}), singletons=frozenset("A"))))
+@example((Bounds(("A",)), set(), Demands(no_sub=frozenset({("A", "A")}))))
 def test_pair_bounded_enumeration_equals_filtered_oracle(case):
     # Frames arrive base-valid, so the enumerator is given the domain
     # variants alone; the oracle checks full validity and every demand,
@@ -311,6 +312,39 @@ def test_pair_bounded_enumeration_equals_filtered_oracle(case):
 
     expected = sorted(oracle_enumerate(bounds, demands.classes, admitted), key=canonical_key)
     assert list(enumerate_systems(bounds, demands, variants_valid(features))) == expected
+
+
+@pytest.mark.parametrize("demands, bounds", [
+    # two demanded attrs share a name in one class
+    (Demands(frozenset("AB"), attrs=frozenset({("A", "x", "A"), ("A", "x", "B")})),
+     Bounds(("C",), attr_candidates=frozenset({("A", "x", "A"), ("A", "x", "B")}))),
+    # a demanded attr is not a candidate
+    (Demands(frozenset("AB"), attrs=frozenset({("A", "x", "B")})), Bounds(("C",), 2)),
+    # the closure of the required pairs holds a forbidden one
+    (Demands(frozenset("AB"), frozenset({("A", "B"), ("B", "C")}), frozenset({("A", "C")})),
+     Bounds(("C", "D"))),
+])
+def test_an_empty_query_builds_no_preorder_list(demands, bounds, monkeypatch):
+    def no_preorders(*args):
+        raise AssertionError("a preorder list was built")
+
+    monkeypatch.setattr(sysmodel, "_preorders", no_preorders)
+    assert list(enumerate_systems(bounds, demands, lambda sm: True)) == []
+
+
+def test_attr_sets_are_drawn_from_the_attrs_not_demanded(monkeypatch):
+    # The demanded attrs are in every attr set, so the sets are formed from
+    # the subsets of the other candidates, not of all of them: a query that
+    # demands k attrs does not walk 2^k subsets to find its least frame.
+    drawn = []
+    subsets = sysmodel._subsets_by_size
+    monkeypatch.setattr(sysmodel, "_subsets_by_size", lambda items: drawn.append(items) or subsets(items))
+    demanded = frozenset(("A", f"a{i}", "A") for i in range(3))
+    other = ("A", "b", "A")
+    bounds = Bounds(attr_candidates=demanded | {other})
+    frames = list(enumerate_systems(bounds, Demands(frozenset("A"), attrs=demanded), lambda sm: True))
+    assert [f.attrs for f in frames] == [tuple(sorted(demanded)), tuple(sorted(demanded | {other}))]
+    assert max(len(items) for items in drawn) == 1
 
 
 def test_populations_are_formed_after_the_first_frame(monkeypatch):
