@@ -17,8 +17,8 @@ The last four reach a configuration by one path (`_load_workspace`, then
 
 Each subcommand is one row of `SUBCOMMANDS`: its help, the function adding
 its arguments, and its handler.  `main` builds the parser of the subcommand
-it is given alone; `build_parser` builds them all, for the top-level help
-and for the errors reported with the top-level usage.
+it is given alone, once per process; `build_parser` builds them all, for the
+top-level help and for the errors reported with the top-level usage.
 
 Exit codes: 0 for a positive verdict, 1 for a negative one (violations,
 holds=false, a grammar or model the command was asked to judge failing to
@@ -35,6 +35,7 @@ disables ANSI coloring (used only on terminals).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import warnings
@@ -346,17 +347,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _subparser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand `name` alone, built once per process: it
+    holds only the static argument table, and argparse makes a new formatter
+    for every help text, so the help still fits the terminal of the moment."""
+    parser = argparse.ArgumentParser(prog=f"vlang {name}")
+    SUBCOMMANDS[name][1](parser)
+    return parser
+
+
 def _namespace(argv: list[str]) -> argparse.Namespace:
     """Parse with the named subcommand's parser alone, as the full parser
     would.  Arguments it leaves over go to the full parser, which reports
     them with the top-level usage; so does an argv naming no subcommand."""
     if argv and argv[0] in SUBCOMMANDS:
-        _, add_arguments, handler = SUBCOMMANDS[argv[0]]
-        parser = argparse.ArgumentParser(prog=f"vlang {argv[0]}")
-        add_arguments(parser)
-        args, rest = parser.parse_known_args(argv[1:])
+        args, rest = _subparser(argv[0]).parse_known_args(argv[1:])
         if not rest:
-            args.command, args.fn = argv[0], handler
+            args.command, args.fn = argv[0], SUBCOMMANDS[argv[0]][2]
             return args
     return build_parser().parse_args(argv)
 

@@ -26,7 +26,10 @@ preorders (the only relations base validity admits, cut while they are built
 when they break a bounded pair) only when the caller asks for more, and its
 capped populations after its first accepted frame.  Every frame is thus
 base-valid and holds the demands, so `valid` need only carry the domain
-variants; it is checked once per frame.
+variants; it is checked once per frame.  The preorders are built as ints,
+pair (classes[i], classes[j]) of the sorted universe at bit n*n-1-(i*n+j), so
+that canonical order is ascending (bit count, -mask); each is decoded to its
+sorted pairs only when the walk reaches it.
 
 `first_system(bounds, demands, valid)` is the first system of that order,
 asked of the demanded classes alone when the query names no other class.
@@ -203,46 +206,86 @@ def _subsets_by_size(items: tuple) -> Iterator[tuple]:
 
 def _preorders(
     classes: tuple[str, ...], must: Iterable[Pair], must_not: Iterable[Pair]
-) -> list[tuple[Pair, ...]]:
-    """Every reflexive and transitive relation over `classes` that holds
-    each pair of `must` and none of `must_not`, each as a sorted tuple of
-    pairs, ordered by size and then lexicographically.
+) -> list[int]:
+    """Every reflexive and transitive relation over the sorted `classes`
+    that holds each pair of `must` and none of `must_not`, each as an int
+    with pair (classes[i], classes[j]) at bit n*n-1-(i*n+j), in canonical
+    order: by size and then lexicographically over the sorted pairs, which
+    is ascending `(bit_count, -mask)`.
 
     Classes are placed one at a time.  A preorder on the classes placed so
     far grows by a new class x with an up-closed set U above x and a
     down-closed set D below it, where every (d, u) in D x U is already
-    related; each preorder on the larger set arises exactly once this way
-    (OEIS A000798 counts them).  The pairs among placed classes never change
-    afterwards, so a bounded pair is decided when its later endpoint is
-    placed, and U and D are drawn only from the sets that decide it right.
-    The caller ensures that `must` names only classes of `classes` and that
-    its reflexive-transitive closure, listed first, holds no `must_not` pair.
+    related: D is drawn from the classes whose up-set holds U.  Each
+    preorder on the larger set arises exactly once this way (OEIS A000798
+    counts them).  A partial relation keeps each placed class's up- and
+    down-set as a bit set over class indices; closure tables over the
+    subsets of the placed classes tell which sets are up- and down-closed.
+    The pairs among placed classes never change afterwards, so a bounded
+    pair is decided when its later endpoint is placed, and U and D are drawn
+    only from the sets that decide it right.  The last step keeps the masks
+    alone.  The caller ensures that `must` names only classes of `classes`
+    and that its reflexive-transitive closure, listed first, holds no
+    `must_not` pair.
     """
-    must, must_not = set(must), set(must_not)
-    relations: list[tuple[Pair, ...]] = [()]
-    placed: list[str] = []
-    for x in classes:
-        subsets = [frozenset(chosen) for chosen in _subsets_by_size(tuple(placed))]
+    n = len(classes)
+    index = {c: i for i, c in enumerate(classes)}
 
-        def fitting(need: set[str], ban: set[str]) -> list[frozenset[str]]:
-            need &= set(placed)
-            return [s for s in subsets if need <= s and ban.isdisjoint(s)]
+    def bit(i: int, j: int) -> int:
+        return 1 << (n * n - 1 - i * n - j)
 
-        above = fitting({b for a, b in must if a == x}, {b for a, b in must_not if a == x})
-        below = fitting({a for a, b in must if b == x}, {a for a, b in must_not if b == x})
+    # need[k] and ban[k]: the earlier classes that must, or must not, be
+    # above and below class k, as bit sets; a pair is decided at its later
+    # endpoint
+    need, ban = [[0, 0] for _ in classes], [[0, 0] for _ in classes]
+    for pairs, table in ((must, need), (must_not, ban)):
+        for a, b in pairs:
+            if a in index and b in index:
+                i, j = index[a], index[b]
+                if i > j:
+                    table[i][0] |= 1 << j
+                elif j > i:
+                    table[j][1] |= 1 << i
+    relations: list = [(0, (), ())] if classes else [0]  # (mask, ups, downs)
+    for k in range(n):
+        size = top = 1 << k  # the subsets of the placed classes; class k's bit
+        last = k == n - 1
+        # each subset s of the placed classes, built from s less its lowest
+        # member j, and the pairs (k, u) for u in s and (d, k) for d in s
+        steps = [(s, s & (s - 1), (s & -s).bit_length() - 1) for s in range(1, size)]
+        row, col = [bit(k, k)] * size, [0] * size
+        for s, rest, j in steps:
+            row[s], col[s] = row[rest] | bit(k, j), col[rest] | bit(j, k)
+        (need_up, need_down), (ban_up, ban_down) = need[k], ban[k]
+        above = [s for s in range(size) if s & need_up == need_up and not s & ban_up]
+        below = [s for s in range(size) if s & need_down == need_down and not s & ban_down]
         grown = []
-        for rel in relations:
-            related = set(rel)
-            ups = [s for s in above if all(b in s for a, b in rel if a in s)]
-            downs = [s for s in below if all(a in s for a, b in rel if b in s)]
-            for up in ups:
-                for down in downs:
-                    if all((d, u) in related for d in down for u in up):
-                        added = ((x, x), *((x, u) for u in up), *((d, x) for d in down))
-                        grown.append(tuple(sorted(rel + added)))
+        for mask, ups, downs in relations:
+            up_closure, down_closure = [0] * size, [0] * size
+            for s, rest, j in steps:
+                up_closure[s] = up_closure[rest] | ups[j]
+                down_closure[s] = down_closure[rest] | downs[j]
+            closed_below = [d for d in below if down_closure[d] == d]
+            for up in above:
+                if up_closure[up] != up:
+                    continue
+                fits = 0  # the classes whose up-set holds U
+                for i, above_i in enumerate(ups):
+                    if above_i & up == up:
+                        fits |= 1 << i
+                for down in closed_below:
+                    if down & fits == down:
+                        grown_mask = mask | row[up] | col[down]
+                        if last:
+                            grown.append(grown_mask)
+                        else:
+                            grown.append((
+                                grown_mask,
+                                (*(u | top if down >> i & 1 else u for i, u in enumerate(ups)), up | top),
+                                (*(d | top if up >> i & 1 else d for i, d in enumerate(downs)), down | top),
+                            ))
         relations = grown
-        placed.append(x)
-    relations.sort(key=lambda sub: (len(sub), sub))
+    relations.sort(key=lambda mask: (mask.bit_count(), -mask))
     return relations
 
 
@@ -308,9 +351,25 @@ def _relations(
     classes: tuple[str, ...], least: set[Pair], demands: Demands
 ) -> Iterator[tuple[Pair, ...]]:
     """The least relation, then the universe's other preorders, which are
-    built only when asked for."""
+    built only when asked for and each decoded only when reached."""
     yield tuple(sorted(least))
-    yield from islice(_preorders(classes, demands.sub, demands.no_sub), 1, None)
+    masks = _preorders(classes, demands.sub, demands.no_sub)
+    n = len(classes)
+    # (shift, pairs) for row i: its bits sit `shift` up a mask, and pairs[r]
+    # holds the pairs (classes[i], c) of row bits r in sorted order, so the
+    # rows joined in order give the sorted relation
+    rows = []
+    for i, a in enumerate(classes):
+        pairs: list[tuple[Pair, ...]] = [()]
+        for b in classes:
+            pairs = [p for q in pairs for p in (q, (*q, (a, b)))]
+        rows.append((n * (n - 1 - i), pairs))
+    full = (1 << n) - 1
+    for mask in islice(masks, 1, None):
+        sub: tuple[Pair, ...] = ()
+        for shift, pairs in rows:
+            sub += pairs[mask >> shift & full]
+        yield sub
 
 
 def _populations(

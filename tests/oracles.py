@@ -1,6 +1,7 @@
 """Judges of arbitrary systems and ASTs, and the oracles the package is
-checked against: brute-force enumeration and refinement, the configuration
-validator as it was first written, the model vocabulary as the model scanner
+checked against: brute-force enumeration and refinement, `_preorders` as
+it was before relations were ints, the configuration validator as it was
+first written, the model vocabulary as the model scanner
 derived it before grammars carried it, and the hook-field reader, scanner,
 model parser and desugarer as they were before they were made faster (one
 pattern over the whole source, a parser that interprets the grammar element
@@ -297,6 +298,47 @@ def oracle_base_valid(classes, sub) -> bool:
             if b == c and (a, d) not in sub:
                 ok = False
     return ok
+
+
+def oracle_preorders(
+    classes: tuple[str, ...], must: Iterable[Pair], must_not: Iterable[Pair]
+) -> list[tuple[Pair, ...]]:
+    """`sysmodel._preorders` as it was before relations were ints: every
+    reflexive and transitive relation over `classes` that holds each pair of
+    `must` and none of `must_not`, each as a sorted tuple of pairs, ordered
+    by size and then lexicographically.
+
+    A preorder on the classes placed so far grows by a new class x with an
+    up-closed set U above x and a down-closed set D below it, where every
+    (d, u) in D x U is already related.  `must` names only classes of
+    `classes`, and its reflexive-transitive closure holds no `must_not` pair.
+    """
+    must, must_not = set(must), set(must_not)
+    relations: list[tuple[Pair, ...]] = [()]
+    placed: list[str] = []
+    for x in classes:
+        subsets = [frozenset(chosen) for chosen in _powerset(placed)]
+
+        def fitting(need: set[str], ban: set[str]) -> list[frozenset[str]]:
+            need &= set(placed)
+            return [s for s in subsets if need <= s and ban.isdisjoint(s)]
+
+        above = fitting({b for a, b in must if a == x}, {b for a, b in must_not if a == x})
+        below = fitting({a for a, b in must if b == x}, {a for a, b in must_not if b == x})
+        grown = []
+        for rel in relations:
+            related = set(rel)
+            ups = [s for s in above if all(b in s for a, b in rel if a in s)]
+            downs = [s for s in below if all(a in s for a, b in rel if b in s)]
+            for up in ups:
+                for down in downs:
+                    if all((d, u) in related for d in down for u in up):
+                        added = ((x, x), *((x, u) for u in up), *((d, x) for d in down))
+                        grown.append(tuple(sorted(rel + added)))
+        relations = grown
+        placed.append(x)
+    relations.sort(key=lambda sub: (len(sub), sub))
+    return relations
 
 
 def oracle_enumerate(bounds: Bounds, required, predicate):

@@ -785,6 +785,29 @@ def test_one_subparser_parses_as_the_full_parser(argv):
     assert vars(cli._namespace(argv)) == vars(build_parser().parse_args(argv))
 
 
+def test_one_subcommand_run_twice_keeps_no_flag_values(workspace, capsys):
+    # `main` builds each subcommand's parser once per process; the flags of
+    # one run must not reach the next.
+    conf = [str(workspace / "sm.conf"), str(workspace / "cd.conf")]
+    plain = _sem_args(workspace, *conf)
+    flagged = _sem_args(workspace, *conf, "--max-objects", "0", "--witnesses", "2", "--extra-classes", "X")
+    cli._subparser.cache_clear()
+    fresh = _run(capsys, *plain)
+    assert fresh[1].splitlines()[0] == "SEM count=6 bounds=extra={};maxObjects=1;attrs={}"
+    assert _run(capsys, *flagged) != fresh
+    assert _run(capsys, *plain) == fresh
+
+
+def test_one_subparser_help_fits_each_terminal_width(capsys, monkeypatch):
+    helps = []
+    for columns in ("60", "160"):
+        monkeypatch.setenv("COLUMNS", columns)
+        expected = _parsed(capsys, build_parser().parse_args, ["sem", "--help"])
+        assert _parsed(capsys, main, ["sem", "--help"]) == expected
+        helps.append(expected)
+    assert helps[0] != helps[1]
+
+
 def test_exit_codes_reflect_verdicts_only(workspace, capsys):
     # the same invocation yields the same exit code on repeat
     args = (

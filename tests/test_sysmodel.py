@@ -13,6 +13,7 @@ from oracles import (
     make_system,
     oracle_base_valid,
     oracle_enumerate,
+    oracle_preorders,
     structurally_valid,
 )
 from vlang import sysmodel
@@ -266,6 +267,52 @@ def test_enumeration_equals_sorted_oracle(case):
     valid = composed_valid(features)
     expected = sorted(oracle_enumerate(bounds, required, valid), key=canonical_key)
     assert list(enumerate_systems(bounds, Demands(frozenset(required)), valid)) == expected
+
+
+def _decoded(classes: tuple[str, ...], mask: int) -> tuple:
+    """The sorted pairs of a `_preorders` mask: pair rank i at bit n*n-1-i."""
+    n = len(classes)
+    ranked = enumerate(sorted(product(classes, classes)))
+    return tuple(pair for rank, pair in ranked if mask >> (n * n - 1 - rank) & 1)
+
+
+def test_preorder_counts_are_labelled_preorders_through_six_classes():
+    counts = [len(sysmodel._preorders(tuple("ABCDEF"[:n]), (), ())) for n in range(7)]
+    assert counts == [1, 1, 4, 29, 355, 6942, 209527]
+
+
+def test_mask_order_is_the_order_of_the_sorted_pair_tuples():
+    classes = tuple("ABCDE")
+    decoded = [_decoded(classes, mask) for mask in sysmodel._preorders(classes, (), ())]
+    assert decoded == sorted(decoded, key=lambda sub: (len(sub), sub))
+    assert len(set(decoded)) == len(decoded)
+
+
+@st.composite
+def _preorder_bounds(draw):
+    """At most five sorted classes, required pairs among them, and forbidden
+    pairs, some naming a class outside them, that miss the reflexive and
+    transitive closure of the required ones."""
+    classes = tuple(sorted(draw(st.sets(st.sampled_from("ABCDEFG"), max_size=5))))
+    names = [*classes, "Z"]
+    pairs = st.sets(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=4)
+    must = {(a, b) for a, b in draw(pairs) if a in classes and b in classes}
+    closure = must | {(c, c) for c in classes}
+    for k in classes:  # Warshall
+        closure |= {(a, d) for a, b in closure if b == k for c, d in closure if c == k}
+    return classes, must, draw(pairs) - closure
+
+
+@_ORACLE_SETTINGS
+@given(_preorder_bounds())
+@example((tuple("ABCDE"), set(), {("Z", "A")}))
+@example((tuple("ABCD"), {("D", "A"), ("B", "C")}, {("A", "D"), ("C", "A")}))
+def test_preorders_equal_the_oracle(case):
+    classes, must, must_not = case
+    expected = oracle_preorders(classes, must, must_not)
+    assert [_decoded(classes, mask) for mask in sysmodel._preorders(classes, must, must_not)] == expected
+    demands = Demands(frozenset(classes), frozenset(must), frozenset(must_not))
+    assert list(sysmodel._relations(classes, set(expected[0]), demands)) == expected
 
 
 @st.composite
