@@ -20,6 +20,9 @@ its arguments, and its handler.  `main` builds the parser of the subcommand
 it is given alone, once per process; `build_parser` builds them all, for the
 top-level help and for the errors reported with the top-level usage.
 
+Every input file is read whole and decoded as UTF-8, with text mode's
+newline translation: each CR LF pair, then each lone CR, becomes one LF.
+
 Exit codes: 0 for a positive verdict, 1 for a negative one (violations,
 holds=false, a grammar or model the command was asked to judge failing to
 parse, a theory that cannot be generated), 2 for usage errors, refused
@@ -82,10 +85,14 @@ def _paint(text: str, code: str) -> str:
 
 
 def _read(path: str) -> str:
+    """The file's text: its bytes in one read, decoded as UTF-8, with text
+    mode's newline translation."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as file:
+            text = file.read().decode()
     except (OSError, UnicodeDecodeError) as exc:
         raise _FileFailure(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_grammar(path: str, *, judged: bool = False):

@@ -43,7 +43,7 @@ import re
 from functools import cache
 from typing import NamedTuple
 
-from .lexer import IDENT, Cursor, SourceError, scan, token_pattern
+from .lexer import IDENT, Cursor, SourceError, scan, token_name, token_pattern
 
 FEATURE_KINDS = (
     "presentation",
@@ -175,10 +175,10 @@ class _Parser(Cursor):
         return items
 
     def _name(self, what: str) -> str:
-        tok = self._peek()
+        tok = self.toks[self.pos]
         if tok.kind != "ident" or not IDENT.fullmatch(tok.text):
-            raise self._err(f"expected {what} name, got {self._got()}")
-        self._advance()
+            raise self._err(f"expected {what} name, got {token_name(tok)}")
+        self.pos += 1
         return tok.text
 
 

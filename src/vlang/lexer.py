@@ -133,7 +133,9 @@ class Cursor:
     def _take(self, kind: str, text: str | None = None) -> Token:
         """Consume the current token, which must be of `kind` and, when
         given, `text`."""
-        tok = self._peek()
+        tok = self.toks[self.pos]
         if tok.kind != kind or text not in (None, tok.text):
-            raise self._err(f"expected {kind if text is None else text!r}, got {self._got()}")
-        return self._advance()
+            raise self._err(f"expected {kind if text is None else text!r}, got {token_name(tok)}")
+        if kind != "eof":
+            self.pos += 1
+        return tok

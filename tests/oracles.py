@@ -3,9 +3,11 @@ checked against: brute-force enumeration and refinement, `_preorders` as
 it was before relations were ints, the configuration validator as it was
 first written, the model vocabulary as the model scanner
 derived it before grammars carried it, and the hook-field reader, scanner,
-model parser and desugarer as they were before they were made faster (one
-pattern over the whole source, a parser that interprets the grammar element
-by element, and a desugarer that copies every node).
+model parser, desugarer, unscannable-terminal check and input reader as they
+were before they were made faster (one pattern over the whole source, a
+parser that interprets the grammar element by element, a desugarer that
+copies every node, a check that scans every spelling, and a read through
+pathlib's text mode).
 
 The package builds only systems that are base-valid and hold a query's
 `Demands`, and its parser builds only conforming ASTs, so it needs none of
@@ -17,8 +19,10 @@ from __future__ import annotations
 
 import re
 from itertools import chain, combinations, islice, product
+from pathlib import Path
 from typing import Callable, Container, Iterable
 
+from vlang.cli import _FileFailure
 from vlang.desugar import EXPANDERS, DesugarError
 from vlang.features import (
     Configuration,
@@ -32,6 +36,7 @@ from vlang.grammar import (
     IDENT_TOKEN,
     Element,
     GrammarDef,
+    GrammarError,
     Group,
     NonterminalRef,
     Production,
@@ -511,6 +516,23 @@ def oracle_model_vocabulary(grammar: GrammarDef) -> tuple[frozenset[str], re.Pat
     return keywords, token_pattern(terminals - keywords)
 
 
+def oracle_reject_unscannable_terminals(spellings: set[str], pattern: re.Pattern[str]) -> None:
+    """`vlang.grammar._reject_unscannable_terminals`, scanning every spelling
+    in one text, one per line, before grammars matched each spelling once."""
+    ordered = sorted(spellings)
+    try:
+        tokens = scan("\n".join(ordered), pattern, GrammarError)
+    except GrammarError as exc:
+        bad = ordered[exc.line - 1]
+    else:
+        scanned: list[list[str]] = [[] for _ in ordered]
+        for tok in tokens[:-1]:
+            scanned[tok.line - 1].append(tok.text)
+        bad = next((s for s, texts in zip(ordered, scanned) if texts != [s]), None)
+    if bad is not None:
+        raise GrammarError(f"terminal {bad!r} does not scan as one model token")
+
+
 def oracle_tokenize_model(grammar: GrammarDef, source: str) -> list[Token]:
     """`vlang.modelparse.tokenize_model`, with `oracle_model_vocabulary`."""
     keywords, pattern = oracle_model_vocabulary(grammar)
@@ -707,3 +729,15 @@ def oracle_desugar(node: AstNode, grammar: GrammarDef) -> AstNode:
     if len(nodes) != 1:
         raise DesugarError("the root node may not be an abbreviation")
     return nodes[0]
+
+
+# ---------------------------------------------------------------------------
+# Reading an input file: through pathlib and a text-mode wrapper.
+# ---------------------------------------------------------------------------
+
+def oracle_read(path: str) -> str:
+    """`vlang.cli._read`, as it was before it read the bytes itself."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _FileFailure(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc

@@ -8,8 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import golden
+from oracles import oracle_read
 from vlang import bundled, cli, features, semantics
 from vlang.cli import build_parser, main
 from vlang.sysmodel import Demands
@@ -982,6 +985,65 @@ def test_file_that_is_not_utf8_is_a_file_error(workspace, capsys):
     code, out, err = _run(capsys, "fm-check", str(diagram), str(workspace / "sm.conf"))
     assert (code, out) == (2, "")
     assert err.startswith(f"vlang: cannot read {diagram}: {reason} 15")
+
+
+# Byte runs an input file may hold: ASCII, every line end, multi-byte UTF-8,
+# a byte order mark, and bytes that are not UTF-8 (0xc3 starts a two-byte
+# sequence, 0x80 continues one).
+_READ_PIECES = [
+    b"a", b"Z", b" ", b"\t", b"\n", b"\r", b"\r\n", "\u00e9".encode(), "\u20ac".encode(),
+    "\U0001d11e".encode(), b"\xef\xbb\xbf", b"\xff", b"\xc3", b"\x80",
+]
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except cli._FileFailure as exc:
+        return str(exc), exc.exit_code
+
+
+@settings(max_examples=5 * settings.default.max_examples, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_READ_PIECES), max_size=20).map(b"".join))
+def test_read_equals_the_oracle(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "read.bin"
+    path.write_bytes(data)
+    assert _read_outcome(cli._read, str(path)) == _read_outcome(oracle_read, str(path))
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone cr"])
+def test_crlf_and_lone_cr_files_read_as_their_lf_twin(workspace, capsys, newline):
+    def twins(name, text):
+        lf, other = workspace / f"lf-{name}", workspace / f"nl-{name}"
+        lf.write_bytes(text.encode())
+        other.write_bytes(text.replace("\n", newline).encode())
+        return str(lf), str(other)
+
+    grammar, grammar_twin = twins("g.mclang", bundled.CDSIMP_GRAMMAR_TEXT)
+    want = _run(capsys, "check-grammar", grammar)
+    assert want[0] == 0
+    assert _run(capsys, "check-grammar", grammar_twin) == want
+    for name, text, code in (
+        ("ok.cd", "classdiagram D {\n  class A extends B;\n\n  class B; // base\n}\n", 0),
+        ("bad.cd", "classdiagram D {\n  class A;\n  class extends;\n}\n", 1),
+    ):
+        model, model_twin = twins(name, text)
+        want = _run(capsys, "parse", grammar, model)
+        got = _run(capsys, "parse", grammar_twin, model_twin)
+        assert want[0] == code
+        assert got == (code, want[1], want[2].replace(model, model_twin))
+    assert "bad.cd: line 3, col 9: " in want[2]
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("cdsimp.mclang/", "Not a directory"),
+    ("cdsimp.mclang/x", "Not a directory"),
+    (".", "Is a directory"),
+    (None, "No such file or directory"),
+], ids=["trailing slash", "through a file", "directory", "empty path"])
+def test_a_path_that_names_no_file_is_a_file_error(workspace, capsys, name, reason):
+    path = "" if name is None else f"{workspace}/{name}"
+    assert _run(capsys, "check-grammar", path) == (2, "", f"vlang: cannot read {path}: {reason}\n")
 
 
 def test_extra_classes_must_be_idents(workspace, capsys):

@@ -1,6 +1,7 @@
 """The line-by-line scanner against the scanner it replaced
 (`oracles.oracle_scan`): in each format's vocabulary, every text gives the
-same tokens, or the same error at the same line and column.
+same tokens, or the same error at the same line and column.  And the
+cursor's steps at the end of input.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_scan
-from vlang.features import _WORD, FeatureSyntaxError
+from vlang.features import _WORD, FeatureSyntaxError, _DiagramParser
 from vlang.grammar import _PUNCT, GrammarError
 from vlang.lexer import IDENT, scan, token_pattern
 from vlang.modelparse import TokenizeError
@@ -80,3 +81,35 @@ def test_scan_equals_the_oracle(text):
 ])
 def test_scan_equals_the_oracle_on(text):
     _check(text)
+
+
+def _at_eof():
+    """A .fd cursor that has read every token of a text whose end of input
+    is on line 2, column 3."""
+    cursor = _DiagramParser("featurediagram D\n  // no body")
+    cursor._take("ident", "featurediagram")
+    assert cursor._name("diagram") == "D"
+    assert cursor.pos == len(cursor.toks) - 1
+    return cursor
+
+
+def test_taking_eof_returns_it_and_stays_on_it():
+    cursor = _at_eof()
+    eof = cursor.toks[-1]
+    assert (eof.kind, eof.line, eof.col) == ("eof", 2, 3)
+    for _ in range(2):
+        assert cursor._take("eof") is eof
+        assert cursor.pos == len(cursor.toks) - 1
+
+
+@pytest.mark.parametrize("step, message", [
+    (lambda c: c._take("punct", "{"), "expected '{', got end of input"),
+    (lambda c: c._take("ident"), "expected 'ident', got end of input"),
+    (lambda c: c._name("feature"), "expected feature name, got end of input"),
+], ids=["take a text", "take a kind", "name"])
+def test_a_step_past_eof_raises_at_eof(step, message):
+    cursor = _at_eof()
+    with pytest.raises(FeatureSyntaxError) as exc:
+        step(cursor)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (f"line 2, col 3: {message}", 2, 3)
+    assert cursor.pos == len(cursor.toks) - 1
