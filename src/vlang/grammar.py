@@ -337,13 +337,8 @@ def _validate(g: GrammarDef) -> GrammarDef:
 
 def _reject_unscannable_terminals(spellings: set[str], pattern: re.Pattern[str]) -> None:
     """Reject a terminal or synonym spelling that no model can match: with
-    the model `pattern` it must scan as exactly one token of the same text,
-    so the pattern's first match in it must be a word or a mark (groups 4
-    and 5 of `token_pattern`) that spans it.  When one is not, the spellings
-    are scanned together, one per line, and the error names the first
-    culprit of that scan."""
-    if all((m := pattern.match(s)) and s in (m[4], m[5]) for s in spellings):
-        return
+    the model `pattern` it must scan as exactly one token of the same text.
+    The spellings are scanned together, one per line."""
     ordered = sorted(spellings)
     try:
         tokens = scan("\n".join(ordered), pattern, GrammarError)

@@ -18,9 +18,10 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # full-scan and first-system comparisons in test_analysis.py, the validator
 # comparison in test_features.py; the parser soups, the parser comparisons
 # and the model-vocabulary comparison of test_parser_fuzz.py, the scanner
-# comparison of test_lexer.py, the desugarer comparison of test_desugar.py,
-# the unscannable-terminal comparison of test_grammar.py and the file-read
-# comparison of test_cli.py draw five times as many).  Pick one with `pytest --hypothesis-profile=deep`.
+# comparison of test_lexer.py and the desugarer comparison of test_desugar.py
+# draw five times as many, and so does the file-read comparison of
+# test_cli.py, a module CI runs at the default profile only).  Pick one with
+# `pytest --hypothesis-profile=deep`.
 settings.register_profile("default", max_examples=60)
 settings.register_profile("deep", max_examples=600)
 

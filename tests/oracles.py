@@ -3,11 +3,10 @@ checked against: brute-force enumeration and refinement, `_preorders` as
 it was before relations were ints, the configuration validator as it was
 first written, the model vocabulary as the model scanner
 derived it before grammars carried it, and the hook-field reader, scanner,
-model parser, desugarer, unscannable-terminal check and input reader as they
-were before they were made faster (one pattern over the whole source, a
-parser that interprets the grammar element by element, a desugarer that
-copies every node, a check that scans every spelling, and a read through
-pathlib's text mode).
+model parser, desugarer and input reader as they were before they were made
+faster (one pattern over the whole source, a parser that interprets the
+grammar element by element, a desugarer that copies every node, and a read
+through pathlib's text mode).
 
 The package builds only systems that are base-valid and hold a query's
 `Demands`, and its parser builds only conforming ASTs, so it needs none of
@@ -36,7 +35,6 @@ from vlang.grammar import (
     IDENT_TOKEN,
     Element,
     GrammarDef,
-    GrammarError,
     Group,
     NonterminalRef,
     Production,
@@ -514,23 +512,6 @@ def oracle_model_vocabulary(grammar: GrammarDef) -> tuple[frozenset[str], re.Pat
         terminals |= {"<<", ">>"}
     keywords = frozenset(t for t in terminals if IDENT.fullmatch(t))
     return keywords, token_pattern(terminals - keywords)
-
-
-def oracle_reject_unscannable_terminals(spellings: set[str], pattern: re.Pattern[str]) -> None:
-    """`vlang.grammar._reject_unscannable_terminals`, scanning every spelling
-    in one text, one per line, before grammars matched each spelling once."""
-    ordered = sorted(spellings)
-    try:
-        tokens = scan("\n".join(ordered), pattern, GrammarError)
-    except GrammarError as exc:
-        bad = ordered[exc.line - 1]
-    else:
-        scanned: list[list[str]] = [[] for _ in ordered]
-        for tok in tokens[:-1]:
-            scanned[tok.line - 1].append(tok.text)
-        bad = next((s for s, texts in zip(ordered, scanned) if texts != [s]), None)
-    if bad is not None:
-        raise GrammarError(f"terminal {bad!r} does not scan as one model token")
 
 
 def oracle_tokenize_model(grammar: GrammarDef, source: str) -> list[Token]:

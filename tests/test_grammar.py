@@ -1,22 +1,17 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from oracles import oracle_reject_unscannable_terminals
 from vlang.grammar import (
-    _PUNCT,
     Group,
     GrammarError,
     NonterminalRef,
     StereotypeSlot,
     Terminal,
     TerminalSynonyms,
-    _reject_unscannable_terminals,
     parse_grammar,
 )
-from vlang.lexer import IDENT, SourceError, scan, token_pattern
+from vlang.lexer import SourceError, scan
 
 # A terser spelling of the minimal class-diagram grammar: multi-line
 # production, unlabeled star reference, no ';' terminator on class entries,
@@ -158,30 +153,6 @@ def test_productions_without_a_finite_model_are_rejected(source, barren):
 def test_terminals_must_scan_as_one_model_token(source, terminal):
     with pytest.raises(GrammarError, match=f"^terminal {terminal} does not scan as one model token$"):
         parse_grammar(source)
-
-
-# Pieces of terminal spellings: word characters, the grammar's punctuation,
-# the stereotype marks' characters, comment slashes, a quote, blanks, a
-# character no vocabulary has, and the empty spelling.
-_SPELLING_PIECES = ["a", "Z", "x1", "b_c", "7", "_", *_PUNCT, "<", ">", "/", '"', " ", "\t", "\r", "%", ""]
-
-
-@settings(max_examples=5 * settings.default.max_examples, deadline=None, derandomize=True)
-@given(
-    st.sets(st.lists(st.sampled_from(_SPELLING_PIECES), max_size=4).map("".join), max_size=6),
-    st.booleans(),
-)
-def test_unscannable_terminal_check_equals_the_oracle(spellings, slot):
-    # The model pattern as `_validate` builds it from these spellings.
-    keywords = set(filter(IDENT.fullmatch, spellings))
-    pattern = token_pattern(spellings - keywords | ({"<<", ">>"} if slot else set()))
-    outcomes = []
-    for check in (_reject_unscannable_terminals, oracle_reject_unscannable_terminals):
-        try:
-            outcomes.append(check(spellings, pattern))
-        except GrammarError as exc:
-            outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
 
 
 def test_conflicting_field_types_rejected():
