@@ -8,7 +8,9 @@ and the demanded attrs, unless the query is empty or the domain variants
 refuse that frame; only then are preorders of the demanded classes built.
 Consistency asks once, with the models' joint `Demands`.
 Refinement asks for a system of the refined model that breaks one abstract
-atom the refined model lacks, once per negated atom.  Equivalence is
+atom the refined model lacks, once per negated atom; an abstract attr the
+refined model lacks needs no search, since every frame carries just the
+demanded attrs and the refined model's first system lacks it.  Equivalence is
 refinement each way.  Reported systems are thus stable across runs and
 minimal in canonical order.
 """
@@ -63,17 +65,14 @@ def check_refinement(
     r |= Demands(joint.classes)
     negated = [Demands(no_sub=frozenset({p})) for p in a.sub - r.sub]
     negated += [Demands(sub=frozenset({p})) for p in a.no_sub - r.no_sub]
-    attrs = a.attrs - r.attrs
     caps = sorted(a.singletons - r.singletons) if bounds.max_objects >= 2 else []
-    first = first_system(bounds, r, variants) if negated or attrs or caps else None
+    first = first_system(bounds, r, variants) if negated or a.attrs - r.attrs or caps else None
     if first is None or not a.frame_holds(first):
         return AnalysisVerdict("refine", first is None, bounds, counterexample=first)
     if caps:  # the populations of a frame come right after it
         pair = first._replace(objects=("o1", "o2"), class_of=(("o1", caps[0]), ("o2", caps[0])))
         return AnalysisVerdict("refine", False, bounds, counterexample=pair)
-    firsts = [first_system(bounds, r | n, variants) for n in negated] + [
-        first_system(bounds, r, lambda f, t=t: t not in f.attrs and variants(f)) for t in attrs
-    ]
+    firsts = [first_system(bounds, r | n, variants) for n in negated]
     counterexample = min(filter(None, firsts), key=canonical_key, default=None)
     return AnalysisVerdict("refine", counterexample is None, bounds, counterexample=counterexample)
 

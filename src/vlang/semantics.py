@@ -19,8 +19,8 @@ mSuperClasses in `MAPPING_VARIANTS`; two are bundled:
 A model is compiled once per `query` into a `sysmodel.Demands` record: the
 classes that must exist, the `sub` pairs that must and must not be present,
 the attributes that must be present, and the classes with at most one
-object.  The record is the model's mapping predicate.  The attributes it
-demands join the candidates, and the record itself bounds, filters and caps
+object.  The record is the model's mapping predicate.  Its attributes are
+the only ones its systems carry, and the record bounds, filters and caps
 the enumeration, so a semantics set is one `enumerate_systems` call with the
 domain variants as its frame filter.
 
@@ -287,11 +287,11 @@ def query(
     models: Sequence[AstNode], config: SemanticsConfig
 ) -> tuple[list[Demands], Demands, Bounds, Callable[[SystemModelLite], bool]]:
     """A query over `models`: each model's demands, their conjunction, the
-    bounds (the configured ones, with the demanded attributes joining the
-    candidates) and the domain variants."""
+    bounds (the configured ones, recording the jointly demanded attributes
+    for the report) and the domain variants."""
     demands = [demands_of(m, config) for m in models]
     joint = reduce(or_, demands)
-    bounds = config.bounds._replace(attr_candidates=config.bounds.attr_candidates | joint.attrs)
+    bounds = config.bounds._replace(attr_candidates=joint.attrs)
     variants = variants_valid(bound_domain_features(config.domain_diagram, config.domain_config))
     return demands, joint, bounds, variants
 

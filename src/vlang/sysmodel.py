@@ -7,11 +7,13 @@ o1..oN, and a total class assignment for the objects.  Base validity demands
 a reflexive and transitive subclassing relation on top of the structural
 invariants.  Domain variants are extra validity predicates bound to feature
 names in `DOMAIN_VARIANTS` (feature F to its predicate valid-F); a valid
-system is base-valid and meets the selected variants.  Both constrain only a
-system's frame: its classes, subclassing and attributes.  A domain variant
-must also survive restriction: restricting a frame it accepts to any subset
-of its classes, with the `sub` pairs and attrs among them, gives a frame it
-accepts.  Base validity and `SingleInheritance` do.
+system is base-valid and meets the selected variants.  A domain variant
+reads only a frame's classes and subclassing, never its attributes or
+objects, and must survive restriction: restricting a frame it accepts to any
+subset of its classes, with the `sub` pairs among them, gives a frame it
+accepts.  Base validity and `SingleInheritance` do.  So a frame carries
+exactly the attributes its query demands: no other attribute set could
+change a variant's verdict.
 
 `enumerate_systems(bounds, demands, valid)` walks the systems within bounds
 that hold a query's `Demands`, in a canonical deterministic order:
@@ -100,11 +102,12 @@ def valid_single_inheritance(sm: SystemModelLite) -> bool:
 # Domain variants
 # ---------------------------------------------------------------------------
 
-# Feature name F -> its predicate valid-F.  A domain variant constrains a
-# system's classes, `sub` and attrs, never its objects: `enumerate_systems`
-# evaluates validity once per frame and lets every object population of an
-# accepted frame through.  It must survive restriction to fewer classes:
-# `first_system` searches only the demanded ones.
+# Feature name F -> its predicate valid-F.  A domain variant reads a
+# system's classes and `sub` only, never its attrs or objects:
+# `enumerate_systems` builds one attr set per class universe (the demanded
+# attrs), evaluates validity once per frame and lets every object population
+# of an accepted frame through.  It must survive restriction to fewer
+# classes: `first_system` searches only the demanded ones.
 DOMAIN_VARIANTS: dict[str, Callable[[SystemModelLite], bool]] = {
     "SingleInheritance": valid_single_inheritance,
 }
@@ -178,9 +181,10 @@ class _BoundsFields(NamedTuple):
 
 class Bounds(_BoundsFields):
     """Search-space bounds for enumeration: class names (IDENTs) addable
-    beyond the required ones, the maximum object count, and the attribute
-    triples eligible to appear.  A negative count or a name that is not an
-    IDENT raises ValueError."""
+    beyond the required ones and the maximum object count.  The attribute
+    triples are only recorded for `describe`: `semantics.query` sets them to
+    the query's demanded attrs, and the enumerator does not read them.  A
+    negative count or a name that is not an IDENT raises ValueError."""
 
     __slots__ = ()
 
@@ -197,11 +201,6 @@ class Bounds(_BoundsFields):
         extra = ",".join(sorted(set(self.extra_class_names)))
         attrs = ",".join(f"({o},{n},{t})" for o, n, t in sorted(self.attr_candidates))
         return f"extra={{{extra}}};maxObjects={self.max_objects};attrs={{{attrs}}}"
-
-
-def _subsets_by_size(items: tuple) -> Iterator[tuple]:
-    for r in range(len(items) + 1):
-        yield from combinations(items, r)
 
 
 def _preorders(
@@ -298,53 +297,48 @@ def enumerate_systems(
     The class universe ranges over the demanded classes plus any subset of
     the extra names; `sub` over the reflexive and transitive relations on it
     that hold every demanded pair and no forbidden one, the least of them
-    offered before the others are built; attributes over subsets of the
-    candidates that hold the demanded attrs and respect per-class name
-    uniqueness; objects o1..oN for N up to the bound, with every total class
-    assignment that puts at most one object in each singleton class.  A
-    frame is a system's classes, `sub` and attrs with no objects.  Every
+    offered before the others are built; the attributes are exactly the
+    demanded attrs, so a universe lacking an attr's owner or target is
+    skipped, and a query with two demanded attrs of one name in one class
+    has no system; objects o1..oN for N up to the bound, with every total
+    class assignment that puts at most one object in each singleton class.
+    A frame is a system's classes, `sub` and attrs with no objects.  Every
     frame is base-valid and holds the demands on classes, `sub` and attrs by
-    construction, so `valid` need only carry domain variants or a further
-    frame filter.  `valid` is called once per frame, and every population of
-    a frame it accepts is yielded, the frame itself first.  So `valid` must
-    not read objects: base validity judges each generated population as it
-    judges its frame, and domain variants constrain classes, `sub` and attrs
-    only.  The demands only drop systems from the canonical sequence; they
-    never reorder it.
+    construction, so `valid` need only carry domain variants.  `valid` is
+    called once per frame, and every population of a frame it accepts is
+    yielded, the frame itself first.  So `valid` must read classes and `sub`
+    only: base validity judges each generated population as it judges its
+    frame, and no other attr set is offered.  The demands only drop systems
+    from the canonical sequence; they never reorder it.
     """
+    attrs = tuple(sorted(demands.attrs))
+    if len({(o, n) for o, n, _ in attrs}) != len(attrs):
+        return  # two demanded attrs share a name in one class
     extras = sorted(set(bounds.extra_class_names) - demands.classes)
     class_universes = sorted(
-        {tuple(sorted(demands.classes | set(chosen))) for chosen in _subsets_by_size(tuple(extras))},
+        {tuple(sorted(demands.classes.union(chosen)))
+         for r in range(len(extras) + 1) for chosen in combinations(extras, r)},
         key=lambda t: (len(t), t),
     )
-    named = {c for pair in demands.sub for c in pair}
+    named = {c for o, _, t in attrs for c in (o, t)}.union(*demands.sub)
     closure = set(demands.sub)
     for k in named:  # Warshall
         below, above = [a for a, b in closure if b == k], [d for c, d in closure if c == k]
         closure.update((a, d) for a in below for d in above)
 
     for classes in class_universes:
-        class_set = set(classes)
         least = closure | {(c, c) for c in classes}
-        eligible = {a for a in bounds.attr_candidates if a[0] in class_set and a[2] in class_set}
-        # the demanded attrs with each subset of the other eligible ones, in
-        # the order of the subsets, keeping attribute names unique per class
-        others = tuple(sorted(eligible - demands.attrs))
-        unions = (tuple(sorted(demands.attrs.union(c))) for c in _subsets_by_size(others))
-        attr_sets = [attrs for attrs in unions if len({(o, n) for o, n, _ in attrs}) == len(attrs)]
-        admitted = named <= class_set and demands.attrs <= eligible and attr_sets
-        if not admitted or not least.isdisjoint(demands.no_sub):
+        if not named.issubset(classes) or not least.isdisjoint(demands.no_sub):
             continue
         populations = None  # formed after the universe's first accepted frame
         for sub in _relations(classes, least, demands):
-            for attrs in attr_sets:
-                frame = SystemModelLite(classes, sub, attrs, (), ())
-                if valid(frame):
-                    yield frame
-                    if populations is None:
-                        populations = _populations(classes, bounds.max_objects, demands)
-                    for objects, class_of in populations:
-                        yield SystemModelLite(classes, sub, attrs, objects, class_of)
+            frame = SystemModelLite(classes, sub, attrs, (), ())
+            if valid(frame):
+                yield frame
+                if populations is None:
+                    populations = _populations(classes, bounds.max_objects, demands)
+                for objects, class_of in populations:
+                    yield SystemModelLite(classes, sub, attrs, objects, class_of)
 
 
 def _relations(
@@ -396,7 +390,8 @@ def first_system(
     """`next(enumerate_systems(bounds, demands, valid), None)`.  When the
     required pairs and attrs name only demanded classes, only the demanded
     universe is asked: a frame of a larger universe restricts to a frame of
-    it that still holds the demands and, as domain variants must, `valid`."""
+    it with the same attrs that still holds the demands and, as domain
+    variants must, `valid`."""
     named = demands.classes.union(*demands.sub, *((o, t) for o, _, t in demands.attrs))
     if named <= demands.classes:
         bounds = bounds._replace(extra_class_names=())

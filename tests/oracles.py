@@ -344,15 +344,17 @@ def oracle_preorders(
     return relations
 
 
-def oracle_enumerate(bounds: Bounds, required, predicate):
-    """All systems within bounds satisfying `predicate`, as a set."""
+def oracle_enumerate(bounds: Bounds, required, predicate, triples: frozenset[Attr] = frozenset()):
+    """All systems within bounds satisfying `predicate`, as a set.  A
+    system's attrs range over every subset of the `triples` whose owner and
+    target it has."""
     out = set()
     extras = set(bounds.extra_class_names) - set(required)
     for extra_choice in _powerset(sorted(extras)):
         classes = tuple(sorted(set(required) | set(extra_choice)))
         for sub in _powerset(sorted(product(classes, classes))):
             candidates = sorted(
-                a for a in bounds.attr_candidates
+                a for a in triples
                 if a[0] in classes and a[2] in classes
             )
             for attrs in _powerset(candidates):

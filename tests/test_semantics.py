@@ -288,12 +288,14 @@ def test_membership_query_without_enumeration(cdsimp, example_diagrams):
 
 def _oracle_members(models, config):
     """The valid systems every model accepts, found by the brute-force oracle
-    (every subset of classes², every population), in canonical order."""
+    (every subset of classes² and of the demanded attrs, every population),
+    in canonical order."""
     valid = valid_predicate(config)
     accepts = [demands_of(m, config) for m in models]
     required = frozenset().union(*(a.classes for a in accepts))
+    attrs = frozenset().union(*(a.attrs for a in accepts))
     members = oracle_enumerate(
-        config.bounds, required, lambda sm: valid(sm) and all(holds(a, sm) for a in accepts)
+        config.bounds, required, lambda sm: valid(sm) and all(holds(a, sm) for a in accepts), attrs
     )
     return sorted(members, key=canonical_key)
 
@@ -316,8 +318,7 @@ def test_staged_enumeration_equals_oracle(
     doc = _cd(cdassert, f"assertions S {{ {assertion} }}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnknownStereotypeWarning)
-        attrs = demands_of(model, _config(example_diagrams, domain, mapping)).attrs
-        config = _config(example_diagrams, domain, mapping, Bounds(extra, max_objects, attrs))
+        config = _config(example_diagrams, domain, mapping, Bounds(extra, max_objects))
         assert list(compute_sem(model, config)) == _oracle_members([model], config)
         expected = _oracle_members([model, doc], config)
         verdict = check_consistency([model, doc], config)

@@ -168,9 +168,9 @@ def test_single_inheritance_cannot_fail_with_two_classes():
 
 
 def test_enumeration_is_sorted_by_canonical_key_and_duplicate_free():
-    bounds = Bounds(extra_class_names=("C",), max_objects=1,
-                    attr_candidates=frozenset({("A", "x", "A")}))
-    systems = list(enumerate_systems(bounds, Demands(frozenset("A")), eval_valid_base))
+    bounds = Bounds(extra_class_names=("C",), max_objects=1)
+    demands = Demands(frozenset("A"), attrs=frozenset({("A", "x", "A")}))
+    systems = list(enumerate_systems(bounds, demands, eval_valid_base))
     keys = [canonical_key(sm) for sm in systems]
     assert keys == sorted(keys)
     assert len(set(systems)) == len(systems)
@@ -185,10 +185,10 @@ def test_enumeration_deterministic_across_runs():
 
 def test_enumerated_systems_satisfy_invariants_and_predicate():
     valid = composed_valid({"SingleInheritance"})
-    bounds = Bounds(extra_class_names=("B",), max_objects=1,
-                    attr_candidates=frozenset({("A", "x", "B"), ("B", "y", "A")}))
+    bounds = Bounds(extra_class_names=("B",), max_objects=1)
+    demands = Demands(frozenset("A"), attrs=frozenset({("A", "x", "B"), ("B", "y", "A")}))
     count = 0
-    for sm in enumerate_systems(bounds, Demands(frozenset("A")), valid):
+    for sm in enumerate_systems(bounds, demands, valid):
         count += 1
         assert structurally_valid(sm)
         assert valid(sm)
@@ -196,24 +196,24 @@ def test_enumerated_systems_satisfy_invariants_and_predicate():
 
 
 def test_oracle_equivalence_small_bounds():
+    # The oracle also walks triples nobody demands; a system carries exactly
+    # the demanded attrs.
     valid = composed_valid(set())
+    others = frozenset({("A", "x", "A"), ("C", "z", "B")})
     cases = [
-        (Bounds(), {"A", "B"}),
-        (Bounds(extra_class_names=("C",)), {"A", "B"}),
-        (Bounds(max_objects=1), {"A", "B"}),
-        (Bounds(attr_candidates=frozenset({("A", "x", "B"), ("A", "y", "A")})), {"A", "B"}),
-        (
-            Bounds(
-                extra_class_names=("C",),
-                max_objects=1,
-                attr_candidates=frozenset({("A", "x", "B")}),
-            ),
-            {"A", "B"},
-        ),
+        (Bounds(), frozenset()),
+        (Bounds(extra_class_names=("C",)), frozenset()),
+        (Bounds(max_objects=1), frozenset()),
+        (Bounds(), frozenset({("A", "x", "B"), ("A", "y", "A")})),
+        (Bounds(extra_class_names=("C",), max_objects=1), frozenset({("A", "x", "B")})),
+        (Bounds(extra_class_names=("C",)), frozenset({("A", "y", "C")})),
     ]
-    for bounds, required in cases:
-        enumerated = list(enumerate_systems(bounds, Demands(frozenset(required)), valid))
-        assert set(enumerated) == oracle_enumerate(bounds, required, valid)
+    for bounds, attrs in cases:
+        demands = Demands(frozenset("AB"), attrs=attrs)
+        enumerated = list(enumerate_systems(bounds, demands, valid))
+        expected = oracle_enumerate(
+            bounds, demands.classes, lambda sm: valid(sm) and set(sm.attrs) == attrs, attrs | others)
+        assert set(enumerated) == expected
         assert len(enumerated) == len(set(enumerated))
 
 
@@ -234,8 +234,10 @@ def test_object_free_base_valid_counts_are_labelled_preorders(n, count):
 
 @st.composite
 def _enumeration_cases(draw, max_names=4):
-    """Bounds over at most four classes, at most one object and at most two
-    attribute candidates (names shared, so uniqueness filters some sets).
+    """Bounds over at most four classes and at most one object, demands of
+    the required classes and some of at most two attribute triples (names
+    shared, so two demanded attrs may clash), and the triples not demanded.
+    The oracle walks every subset of both kinds of triple.
 
     The oracle walks all 2^16 `sub` candidates of a four-class universe,
     times every attribute set and object assignment (over a million systems
@@ -248,10 +250,11 @@ def _enumeration_cases(draw, max_names=4):
     extra = [c for c, role in zip(names, roles) if role != "required"]
     small = len(names) < 4
     triples = [(o, n, t) for o in names for n in "xy" for t in names]
-    attrs = draw(st.lists(st.sampled_from(triples), unique=True, max_size=2)) if small and names else []
-    bounds = Bounds(tuple(extra), draw(st.integers(0, 1 if small else 0)), frozenset(attrs))
+    drawn = draw(st.lists(st.sampled_from(triples), unique=True, max_size=2)) if small and names else []
+    attrs = frozenset(draw(st.lists(st.sampled_from(drawn), unique=True))) if drawn else frozenset()
+    bounds = Bounds(tuple(extra), draw(st.integers(0, 1 if small else 0)))
     features = {"SingleInheritance"} if draw(st.booleans()) else set()
-    return bounds, required, features
+    return bounds, Demands(frozenset(required), attrs=attrs), features, frozenset(drawn) - attrs
 
 
 # The example budget comes from the hypothesis profile (tests/conftest.py).
@@ -261,12 +264,14 @@ _ORACLE_SETTINGS = settings(deadline=None, derandomize=True,
 
 @_ORACLE_SETTINGS
 @given(_enumeration_cases())
-@example((Bounds(("D",)), {"A", "B", "C"}, {"SingleInheritance"}))
+@example((Bounds(("D",)), Demands(frozenset("ABC")), {"SingleInheritance"}, frozenset()))
 def test_enumeration_equals_sorted_oracle(case):
-    bounds, required, features = case
+    bounds, demands, features, others = case
     valid = composed_valid(features)
-    expected = sorted(oracle_enumerate(bounds, required, valid), key=canonical_key)
-    assert list(enumerate_systems(bounds, Demands(frozenset(required)), valid)) == expected
+    expected = sorted(oracle_enumerate(
+        bounds, demands.classes, lambda sm: valid(sm) and set(sm.attrs) == demands.attrs,
+        demands.attrs | others), key=canonical_key)
+    assert list(enumerate_systems(bounds, demands, valid)) == expected
 
 
 def _decoded(classes: tuple[str, ...], mask: int) -> tuple:
@@ -319,54 +324,57 @@ def test_preorders_equal_the_oracle(case):
 def _pair_bounded_cases(draw):
     """An enumeration case over at most three classes (the oracle's four-class
     walk is left to the examples) and up to two objects, with the query's
-    demands: required and forbidden `sub` pairs over its class names, extras
-    included, required attrs among its candidates, and capped classes among
-    its names."""
-    bounds, required, features = draw(_enumeration_cases(max_names=3))
+    demands: its required classes and attrs, required and forbidden `sub`
+    pairs over its class names, extras included, and capped classes among
+    its names; and the triples it does not demand."""
+    bounds, demands, features, others = draw(_enumeration_cases(max_names=3))
     bounds = bounds._replace(max_objects=draw(st.integers(0, 2)))
-    names = sorted(required | set(bounds.extra_class_names))
+    names = sorted(demands.classes | set(bounds.extra_class_names))
     pairs = st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
                      max_size=3, unique=True) if names else st.just([])
-    attrs = st.lists(st.sampled_from(sorted(bounds.attr_candidates)),
-                     max_size=1) if bounds.attr_candidates else st.just([])
     caps = st.lists(st.sampled_from(names), max_size=2, unique=True) if names else st.just([])
-    demands = Demands(frozenset(required), *(frozenset(draw(s)) for s in (pairs, pairs, attrs, caps)))
-    return bounds, features, demands
+    demands = Demands(demands.classes, *(frozenset(draw(s)) for s in (pairs, pairs)),
+                      demands.attrs, frozenset(draw(caps)))
+    return bounds, features, demands, others
 
 
 @_ORACLE_SETTINGS
 @given(_pair_bounded_cases())
 @example((Bounds(("D",)), {"SingleInheritance"},
-          Demands(frozenset("ABC"), frozenset({("A", "D"), ("D", "B")}), frozenset({("C", "A")}))))
-@example((Bounds(("C",), 1, frozenset({("A", "x", "C")})), {"SingleInheritance"},
+          Demands(frozenset("ABC"), frozenset({("A", "D"), ("D", "B")}), frozenset({("C", "A")})),
+          frozenset()))
+@example((Bounds(("C",), 1), {"SingleInheritance"},
           Demands(frozenset("AB"), frozenset({("A", "B")}), frozenset({("C", "A")}),
-                  frozenset({("A", "x", "C")}))))
-@example((Bounds(), set(), Demands(frozenset("A"), frozenset({("A", "Z")}))))
+                  frozenset({("A", "x", "C")})),
+          frozenset({("B", "x", "A")})))
+@example((Bounds(), set(), Demands(frozenset("A"), frozenset({("A", "Z")})), frozenset()))
 @example((Bounds(("C",), 2), set(),
-          Demands(frozenset("AB"), frozenset({("A", "B")}), singletons=frozenset("A"))))
-@example((Bounds(("A",)), set(), Demands(no_sub=frozenset({("A", "A")}))))
+          Demands(frozenset("AB"), frozenset({("A", "B")}), singletons=frozenset("A")),
+          frozenset()))
+@example((Bounds(("A",)), set(), Demands(no_sub=frozenset({("A", "A")})), frozenset()))
 def test_pair_bounded_enumeration_equals_filtered_oracle(case):
     # Frames arrive base-valid, so the enumerator is given the domain
     # variants alone; the oracle checks full validity and every demand,
-    # the caps on object populations included.
-    bounds, features, demands = case
+    # the caps on object populations included, and that a system carries
+    # the demanded attrs and no other.
+    bounds, features, demands, others = case
     valid = composed_valid(features)
 
     def admitted(sm):
         capped = [c for _, c in sm.class_of if c in demands.singletons]
         return (valid(sm) and demands.sub <= set(sm.sub) and demands.no_sub.isdisjoint(sm.sub)
-                and demands.attrs <= set(sm.attrs) and len(capped) == len(set(capped)))
+                and set(sm.attrs) == demands.attrs and len(capped) == len(set(capped)))
 
-    expected = sorted(oracle_enumerate(bounds, demands.classes, admitted), key=canonical_key)
+    expected = sorted(oracle_enumerate(bounds, demands.classes, admitted, demands.attrs | others),
+                      key=canonical_key)
     assert list(enumerate_systems(bounds, demands, variants_valid(features))) == expected
 
 
 @pytest.mark.parametrize("demands, bounds", [
     # two demanded attrs share a name in one class
-    (Demands(frozenset("AB"), attrs=frozenset({("A", "x", "A"), ("A", "x", "B")})),
-     Bounds(("C",), attr_candidates=frozenset({("A", "x", "A"), ("A", "x", "B")}))),
-    # a demanded attr is not a candidate
-    (Demands(frozenset("AB"), attrs=frozenset({("A", "x", "B")})), Bounds(("C",), 2)),
+    (Demands(frozenset("AB"), attrs=frozenset({("A", "x", "A"), ("A", "x", "B")})), Bounds(("C",))),
+    # a demanded attr names a class outside every universe
+    (Demands(frozenset("AB"), attrs=frozenset({("A", "x", "Z")})), Bounds(("C",), 2)),
     # the closure of the required pairs holds a forbidden one
     (Demands(frozenset("AB"), frozenset({("A", "B"), ("B", "C")}), frozenset({("A", "C")})),
      Bounds(("C", "D"))),
@@ -377,21 +385,6 @@ def test_an_empty_query_builds_no_preorder_list(demands, bounds, monkeypatch):
 
     monkeypatch.setattr(sysmodel, "_preorders", no_preorders)
     assert list(enumerate_systems(bounds, demands, lambda sm: True)) == []
-
-
-def test_attr_sets_are_drawn_from_the_attrs_not_demanded(monkeypatch):
-    # The demanded attrs are in every attr set, so the sets are formed from
-    # the subsets of the other candidates, not of all of them: a query that
-    # demands k attrs does not walk 2^k subsets to find its least frame.
-    drawn = []
-    subsets = sysmodel._subsets_by_size
-    monkeypatch.setattr(sysmodel, "_subsets_by_size", lambda items: drawn.append(items) or subsets(items))
-    demanded = frozenset(("A", f"a{i}", "A") for i in range(3))
-    other = ("A", "b", "A")
-    bounds = Bounds(attr_candidates=demanded | {other})
-    frames = list(enumerate_systems(bounds, Demands(frozenset("A"), attrs=demanded), lambda sm: True))
-    assert [f.attrs for f in frames] == [tuple(sorted(demanded)), tuple(sorted(demanded | {other}))]
-    assert max(len(items) for items in drawn) == 1
 
 
 def test_populations_are_formed_after_the_first_frame(monkeypatch):
@@ -421,14 +414,25 @@ def test_domain_variants_survive_restriction():
     # first_system searches only the demanded classes when the least frame
     # is refused, which is exact only if each variant accepts the
     # restriction of every frame it accepts.
-    bounds = Bounds(attr_candidates=frozenset({("A", "x", "B"), ("D", "y", "C")}))
+    demands = Demands(frozenset("ABCD"), attrs=frozenset({("A", "x", "B"), ("D", "y", "C")}))
     for feature, valid in DOMAIN_VARIANTS.items():
-        frames = list(enumerate_systems(bounds, Demands(frozenset("ABCD")), valid))
+        frames = list(enumerate_systems(Bounds(), demands, valid))
         assert len(frames) > 4, feature
         for frame in frames:
             for size in range(len(frame.classes)):
                 for kept in combinations(frame.classes, size):
                     assert valid(_restrict(frame, set(kept))), (feature, frame, kept)
+
+
+def test_domain_variants_ignore_attrs():
+    # enumerate_systems offers each relation with the demanded attrs alone,
+    # which is exact only if no variant's verdict depends on the attrs.
+    frames = list(enumerate_systems(Bounds(), Demands(frozenset("ABCD")), lambda sm: True))
+    attr_sets = [(), (("A", "x", "B"),), (("A", "x", "B"), ("D", "y", "C")), (("C", "z", "C"),)]
+    for feature, valid in DOMAIN_VARIANTS.items():
+        for frame in frames:
+            for attrs in attr_sets:
+                assert valid(frame) == valid(frame._replace(attrs=attrs)), (feature, frame, attrs)
 
 
 # ---------------------------------------------------------------------------
