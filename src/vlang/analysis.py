@@ -32,13 +32,14 @@ class AnalysisVerdict(NamedTuple):
     kind: str  # "refine" | "consistent" | "equiv"
     holds: bool
     bounds_used: Bounds
+    demands: Demands  # the query's joint demands
     witness: SystemModelLite | None = None
     counterexample: SystemModelLite | None = None
 
     def report(self) -> str:
         lines = [
             f"RESULT holds={'true' if self.holds else 'false'} "
-            f"kind={self.kind} bounds={self.bounds_used.describe()}"
+            f"kind={self.kind} bounds={self.bounds_used.describe(self.demands.attrs)}"
         ]
         if self.witness is not None:
             lines.append("WITNESS")
@@ -61,20 +62,23 @@ def check_refinement(
             f"refinement relates models of one language, got "
             f"{refined.datatype} and {abstract.datatype}"
         )
-    (r, a), joint, bounds, variants = query([refined, abstract], config)
+    (r, a), joint, variants = query([refined, abstract], config)
+    bounds = config.bounds
     r |= Demands(joint.classes)
     negated = [Demands(no_sub=frozenset({p})) for p in a.sub - r.sub]
     negated += [Demands(sub=frozenset({p})) for p in a.no_sub - r.no_sub]
     caps = sorted(a.singletons - r.singletons) if bounds.max_objects >= 2 else []
     first = first_system(bounds, r, variants) if negated or a.attrs - r.attrs or caps else None
     if first is None or not a.frame_holds(first):
-        return AnalysisVerdict("refine", first is None, bounds, counterexample=first)
+        return AnalysisVerdict("refine", first is None, bounds, joint, counterexample=first)
     if caps:  # the populations of a frame come right after it
         pair = first._replace(objects=("o1", "o2"), class_of=(("o1", caps[0]), ("o2", caps[0])))
-        return AnalysisVerdict("refine", False, bounds, counterexample=pair)
+        return AnalysisVerdict("refine", False, bounds, joint, counterexample=pair)
     firsts = [first_system(bounds, r | n, variants) for n in negated]
     counterexample = min(filter(None, firsts), key=canonical_key, default=None)
-    return AnalysisVerdict("refine", counterexample is None, bounds, counterexample=counterexample)
+    return AnalysisVerdict(
+        "refine", counterexample is None, bounds, joint, counterexample=counterexample
+    )
 
 
 def check_consistency(models: Sequence[AstNode], config: SemanticsConfig) -> AnalysisVerdict:
@@ -82,9 +86,9 @@ def check_consistency(models: Sequence[AstNode], config: SemanticsConfig) -> Ana
     The models may come from different languages."""
     if not models:
         raise AnalysisError("consistency needs at least one model")
-    _, joint, bounds, variants = query(models, config)
-    witness = first_system(bounds, joint, variants)
-    return AnalysisVerdict("consistent", witness is not None, bounds, witness=witness)
+    _, joint, variants = query(models, config)
+    witness = first_system(config.bounds, joint, variants)
+    return AnalysisVerdict("consistent", witness is not None, config.bounds, joint, witness)
 
 
 def check_equivalence(m1: AstNode, m2: AstNode, config: SemanticsConfig) -> AnalysisVerdict:

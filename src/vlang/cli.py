@@ -212,7 +212,7 @@ def _cmd_sem(args) -> int:
     members = iter(sem)
     witnesses = list(islice(members, args.witnesses))
     count = len(witnesses) + sum(1 for _ in members)
-    print(f"SEM count={count} bounds={sem.bounds.describe()}")
+    print(f"SEM count={count} bounds={sem.bounds.describe(sem.demands.attrs)}")
     for i, sm in enumerate(witnesses, start=1):
         print(f"WITNESS {i}")
         sys.stdout.write(dump_system(sm))

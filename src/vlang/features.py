@@ -39,11 +39,10 @@ are IDENTs.
 
 from __future__ import annotations
 
-import re
 from functools import cache
 from typing import NamedTuple
 
-from .lexer import IDENT, Cursor, SourceError, scan, token_name, token_pattern
+from .lexer import IDENT, Cursor, SourceError, TokenPattern, scan, token_pattern
 
 FEATURE_KINDS = (
     "presentation",
@@ -58,7 +57,7 @@ _WORD = r"[A-Za-z][A-Za-z0-9_-]*"
 
 
 @cache
-def _pattern() -> re.Pattern[str]:
+def _pattern() -> TokenPattern:
     """The scanner pattern of .fd and .conf files, built at the first parse."""
     return token_pattern("{};.", _WORD)
 
@@ -169,17 +168,16 @@ class _Parser(Cursor):
         items = [self._item()]
         while self._at("ident", self.keyword):
             items.append(self._item())
-        tok = self._peek()
-        if tok.kind != "eof":
-            raise self._err(f"trailing input {tok.text!r}")
+        if self.kinds[self.pos] != "eof":
+            raise self._err(f"trailing input {self.texts[self.pos]!r}")
         return items
 
     def _name(self, what: str) -> str:
-        tok = self.toks[self.pos]
-        if tok.kind != "ident" or not IDENT.fullmatch(tok.text):
-            raise self._err(f"expected {what} name, got {token_name(tok)}")
+        text = self.texts[self.pos]
+        if self.kinds[self.pos] != "ident" or not IDENT.fullmatch(text):
+            raise self._err(f"expected {what} name, got {self._got()}")
         self.pos += 1
-        return tok.text
+        return text
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +226,7 @@ class _DiagramParser(_Parser):
             elif self._at("ident", "optional") or self._at("ident", "mandatory"):
                 if is_xor:
                     raise self._err("xor-group may not be mixed with other members")
-                modality = self._advance().text
+                modality = self._advance()
                 features.append(self._feature(modality))
             else:
                 raise self._err(
@@ -238,7 +236,7 @@ class _DiagramParser(_Parser):
         return VariationPoint(name, theory, tuple(features), is_xor)
 
     def _xor_group(self) -> list[Feature]:
-        xor_tok = self._peek()
+        opened = self.pos
         self._take("ident", "xor")
         self._take("punct", "{")
         members: list[Feature] = []
@@ -246,32 +244,32 @@ class _DiagramParser(_Parser):
             members.append(self._feature("xor-member"))
         self._take("punct", "}")
         if len(members) < 2:
-            raise self._err("xor-group needs at least 2 members", xor_tok)
+            raise self._err("xor-group needs at least 2 members", opened)
         return members
 
     def _feature(self, modality: str) -> Feature:
         self._take("ident", "feature")
         name = self._name("feature")
         self._take("ident", "kind")
-        kind_tok = self._peek()
-        if kind_tok.kind != "ident" or kind_tok.text not in FEATURE_KINDS:
+        kind = self.texts[self.pos]
+        if self.kinds[self.pos] != "ident" or kind not in FEATURE_KINDS:
             raise self._err(
                 f"expected one of {', '.join(FEATURE_KINDS)}, got {self._got()}"
             )
         self._advance()
         self._take("punct", ";")
-        return Feature(name, modality, kind_tok.text)
+        return Feature(name, modality, kind)
 
     def _constraint(self) -> CrossConstraint:
         self._take("ident", "constraint")
         source = self._feature_ref()
-        rel_tok = self._peek()
-        if rel_tok.kind != "ident" or rel_tok.text not in ("requires", "excludes"):
+        relation = self.texts[self.pos]
+        if self.kinds[self.pos] != "ident" or relation not in ("requires", "excludes"):
             raise self._err(f"expected 'requires' or 'excludes', got {self._got()}")
         self._advance()
         target = self._feature_ref()
         self._take("punct", ";")
-        return CrossConstraint(source, rel_tok.text, target)
+        return CrossConstraint(source, relation, target)
 
     def _feature_ref(self) -> FeatureRef:
         first = self._name("feature")

@@ -45,11 +45,11 @@ slots add ``<<`` and ``>>`` (an IDENT may not equal a keyword).
 
 from __future__ import annotations
 
-import re
 from functools import cache
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Union
 
-from .lexer import IDENT, Cursor, SourceError, Token, scan, token_pattern
+from .lexer import IDENT, Cursor, SourceError, TokenPattern, scan, token_pattern
 
 if TYPE_CHECKING:
     from .schema import AstSchema
@@ -60,9 +60,9 @@ _PUNCT = ("<<?>>", "{", "}", "(", ")", "*", "?", "|", ":", ";", "=")
 
 
 @cache
-def _pattern() -> re.Pattern[str]:
+def _pattern() -> TokenPattern:
     """The scanner pattern of grammar files, built at the first parse."""
-    return token_pattern(_PUNCT)
+    return token_pattern(_PUNCT, strings=True)
 
 
 class GrammarError(SourceError):
@@ -140,20 +140,18 @@ class GrammarDef(NamedTuple):
     start_production: str
     # Derived once, by the validation of `parse_grammar`, with the model
     # vocabulary: the pattern models are scanned with, and their keywords.
+    # A reference to a production parses one of its `alternatives`: the
+    # production and then its sugar productions, in declaration order.
     schema: AstSchema | None = None
-    model_pattern: re.Pattern[str] | None = None
+    model_pattern: TokenPattern | None = None
     keywords: frozenset[str] = frozenset()
+    alternatives: dict[str, tuple[str, ...]] | None = None
 
     def production(self, name: str) -> Production:
         for p in self.productions:
             if p.name == name:
                 return p
         raise KeyError(name)
-
-    def sugar_alternatives(self, base: str) -> tuple[Production, ...]:
-        """Sugar productions accepted wherever `base` is referenced, in
-        declaration order."""
-        return tuple(p for p in self.productions if p.sugar_for == base)
 
     def sugar_bases(self) -> dict[str, str]:
         return {p.name: p.sugar_for for p in self.productions if p.sugar_for}
@@ -176,14 +174,14 @@ class _GrammarParser(Cursor):
 
     def parse(self) -> GrammarDef:
         self._take("ident", "grammar")
-        name = self._take("ident").text
+        name = self._take("ident")
         self._take("punct", "{")
         productions: list[Production] = []
         while not self._at("punct", "}"):
             productions.append(self._production())
         self._take("punct", "}")
-        if self._peek().kind != "eof":
-            raise self._err(f"trailing input {self._peek().text!r}")
+        if self.kinds[self.pos] != "eof":
+            raise self._err(f"trailing input {self.texts[self.pos]!r}")
         if not productions:
             raise GrammarError(f"grammar {name} has no productions (start production undefined)")
         return GrammarDef(name, tuple(productions), productions[0].name)
@@ -192,37 +190,37 @@ class _GrammarParser(Cursor):
         sugar_for = None
         if self._at("ident", "sugar"):
             self._advance()
-            name_tok = self._take("ident")
+            name = self._take("ident")
             self._take("ident", "for")
-            sugar_for = self._take("ident").text
+            sugar_for = self._take("ident")
         else:
-            name_tok = self._take("ident")
+            name = self._take("ident")
         self._take("punct", "=")
         elements = self._elements(stop=";")
         self._take("punct", ";")
-        return Production(name_tok.text, tuple(elements), sugar_for)
+        return Production(name, tuple(elements), sugar_for)
 
     def _elements(self, stop: str) -> list[Element]:
         out: list[Element] = []
         while not self._at("punct", stop):
-            if self._peek().kind == "eof":
+            if self.kinds[self.pos] == "eof":
                 raise self._err(f"expected {stop!r}, got {self._got()}")
             out.append(self._element())
         return out
 
     def _element(self) -> Element:
-        tok = self._peek()
-        if tok.kind == "string":
+        kind, text = self.kinds[self.pos], self.texts[self.pos]
+        if kind == "string":
             self._advance()
             self._reject_cardinality("a terminal")
-            return Terminal(tok.text)
+            return Terminal(text)
         if self._at("punct", "<<?>>"):
             self._advance()
             self._reject_cardinality("a stereotype slot")
             return StereotypeSlot()
         if self._at("punct", "("):
             return self._group_or_synonyms()
-        if tok.kind == "ident":
+        if kind == "ident":
             ref = self._reference()
             card = self._cardinality()
             if card != "once":
@@ -230,41 +228,44 @@ class _GrammarParser(Cursor):
             return ref
         if self._at("punct", "|"):
             raise self._err("alternation is only permitted among terminals")
-        raise self._err(f"unexpected {tok.text!r} in production body")
+        raise self._err(f"unexpected {text!r} in production body")
 
     def _reference(self) -> NonterminalRef:
         first = self._take("ident")
         if self._at("punct", ":"):
             self._advance()
-            if self._peek().kind != "ident":
+            if self.kinds[self.pos] != "ident":
                 raise self._err(f"expected nonterminal after ':', got {self._got()}")
-            return NonterminalRef(first.text, self._advance().text)
-        return NonterminalRef(None, first.text)
+            return NonterminalRef(first, self._advance())
+        return NonterminalRef(None, first)
 
     def _group_or_synonyms(self) -> Element:
-        open_tok = self._take("punct", "(")
-        # Synonym groups look like ("a" | "b" | ...): detect via string + '|'.
+        opened = self.pos
+        self._take("punct", "(")
+        # Synonym groups look like ("a" | "b" | ...): detect via string + '|'
+        # (a string is never the last token).
+        at = self.pos
         if (
-            self._peek().kind == "string"
-            and self._peek(1).kind == "punct"
-            and self._peek(1).text == "|"
+            self.kinds[at] == "string"
+            and self.kinds[at + 1] == "punct"
+            and self.texts[at + 1] == "|"
         ):
-            spellings = [self._take("string").text]
+            spellings = [self._take("string")]
             while self._at("punct", "|"):
                 self._advance()
-                spellings.append(self._take("string").text)
+                spellings.append(self._take("string"))
             self._take("punct", ")")
             self._reject_cardinality("a synonym group")
             syn = TerminalSynonyms(spellings[0], tuple(spellings[1:]))
-            self._check_synonyms(syn, open_tok)
+            self._check_synonyms(syn, opened)
             return syn
         elements = self._elements(stop=")")
         self._take("punct", ")")
         if not elements:
-            raise self._err("empty group", open_tok)
+            raise self._err("empty group", opened)
         return Group(tuple(elements), self._cardinality())
 
-    def _check_synonyms(self, syn: TerminalSynonyms, at: Token) -> None:
+    def _check_synonyms(self, syn: TerminalSynonyms, at: int) -> None:
         spellings = syn.all_spellings()
         if any(not s for s in spellings):
             raise self._err("synonym alternatives must be nonempty", at)
@@ -281,9 +282,9 @@ class _GrammarParser(Cursor):
         return "once"
 
     def _reject_cardinality(self, what: str) -> None:
-        tok = self._peek()
-        if tok.kind == "punct" and tok.text in ("*", "?"):
-            raise self._err(f"cardinality {tok.text!r} not permitted on {what}")
+        text = self.texts[self.pos]
+        if self.kinds[self.pos] == "punct" and text in ("*", "?"):
+            raise self._err(f"cardinality {text!r} not permitted on {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +294,14 @@ class _GrammarParser(Cursor):
 def _validate(g: GrammarDef) -> GrammarDef:
     """`g` with its model vocabulary and its schema, once `g` passes every
     check."""
-    defined: set[str] = set()
+    # Each production's alternatives, filled in as sugar productions pass.
+    defined: dict[str, list[str]] = {}
     for p in g.productions:
         if p.name in defined:
             raise GrammarError(f"duplicate production name {p.name}")
         if p.name == IDENT_TOKEN:
             raise GrammarError(f"production may not be named {IDENT_TOKEN}")
-        defined.add(p.name)
+        defined[p.name] = [p.name]
 
     spellings: set[str] = set()
     marks: set[str] = set()
@@ -323,37 +325,41 @@ def _validate(g: GrammarDef) -> GrammarDef:
                 raise GrammarError(
                     f"sugar production {p.name} may not expand another sugar production"
                 )
+            defined[p.sugar_for].append(p.name)
 
     keywords = frozenset(filter(IDENT.fullmatch, spellings))
     pattern = token_pattern(spellings - keywords | marks)
     _reject_unscannable_terminals(spellings, pattern)
-    _reject_bad_recursion(g)
+    alternatives = {name: tuple(names) for name, names in defined.items()}
+    _reject_bad_recursion(g, alternatives)
 
     # Field labels must be consistent and unique after schema derivation.
     from .schema import derive_schema  # deferred: schema imports this module
 
-    return g._replace(schema=derive_schema(g), model_pattern=pattern, keywords=keywords)
+    return g._replace(
+        schema=derive_schema(g), model_pattern=pattern, keywords=keywords, alternatives=alternatives
+    )
 
 
-def _reject_unscannable_terminals(spellings: set[str], pattern: re.Pattern[str]) -> None:
+def _reject_unscannable_terminals(spellings: set[str], pattern: TokenPattern) -> None:
     """Reject a terminal or synonym spelling that no model can match: with
     the model `pattern` it must scan as exactly one token of the same text.
-    The spellings are scanned together, one per line."""
+    The spellings are scanned together, one per line.  A token is never
+    empty, blank or a comment, so the first token that differs from its
+    spelling, or is missing, belongs to the first line that does not scan
+    as itself."""
     ordered = sorted(spellings)
     try:
-        tokens = scan("\n".join(ordered), pattern, GrammarError)
+        texts = scan("\n".join(ordered), pattern, GrammarError).texts[:-1]
     except GrammarError as exc:
         bad = ordered[exc.line - 1]
     else:
-        scanned: list[list[str]] = [[] for _ in ordered]
-        for tok in tokens[:-1]:
-            scanned[tok.line - 1].append(tok.text)
-        bad = next((s for s, texts in zip(ordered, scanned) if texts != [s]), None)
+        bad = next((s for s, text in zip_longest(ordered, texts) if s != text), None)
     if bad is not None:
         raise GrammarError(f"terminal {bad!r} does not scan as one model token")
 
 
-def _reject_bad_recursion(g: GrammarDef) -> None:
+def _reject_bad_recursion(g: GrammarDef, alternatives: dict[str, tuple[str, ...]]) -> None:
     """Reject a production that can reach itself before consuming a token,
     and productions that derive no finite model.
 
@@ -364,9 +370,6 @@ def _reject_bad_recursion(g: GrammarDef) -> None:
     does, or a group that must match and holds such an element; a sugar
     alternative can thus be the base case of its production.
     """
-    alternatives = {
-        p.name: [p.name, *(s.name for s in g.sugar_alternatives(p.name))] for p in g.productions
-    }
     nullable: set[str] = set()
 
     def scan(elements: tuple[Element, ...]) -> tuple[list[str], bool]:
@@ -423,4 +426,4 @@ def _reject_bad_recursion(g: GrammarDef) -> None:
 def parse_grammar(source: str) -> GrammarDef:
     """Parse the text of a .mclang file into a validated GrammarDef, which
     carries its derived schema and model vocabulary."""
-    return _validate(_GrammarParser(scan(source, _pattern(), GrammarError, strings=True)).parse())
+    return _validate(_GrammarParser(scan(source, _pattern(), GrammarError)).parse())

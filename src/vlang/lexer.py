@@ -9,18 +9,26 @@ pattern, punctuation is matched longest-first, and only grammars have quoted
 strings.  Any other character is an error of the format's own class, at a
 1-based line and column.
 
-The scanner splits the source into lines and matches each line with one
-pattern that takes the run of blanks in front of every token along with it,
-so blanks and line ends cost no step of their own: the line loop counts the
-lines, and the columns are the lengths of what was matched so far.
+The scanner splits the whole source with the pattern in one call, which
+gives the blank runs and the tokens in turn, and returns the tokens as
+columns (`Tokens`): their kinds, their texts and their start offsets.  A
+token's kind follows from its text: the vocabulary's punctuation and the
+keywords are looked up, every other word is an identifier, and only a
+source holding a quote or ``//`` has strings or comments to find.  Lines and
+columns are worked out from an offset only when a parser asks for one, for
+a node's position or an error.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Container, Iterable, NamedTuple
+from bisect import bisect_right
+from itertools import accumulate, chain, repeat
+from typing import Iterable, NamedTuple
 
 IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+
+_BLANKS = " \t\r\n"
 
 
 class SourceError(Exception):
@@ -33,68 +41,120 @@ class SourceError(Exception):
         self.col = col
 
 
-class Token(NamedTuple):
-    kind: str  # "ident" | "keyword" | "string" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+class TokenPattern(NamedTuple):
+    """A vocabulary as `scan` reads it: the pattern whose one group is a
+    token, the kind of each punctuation mark, and whether quoted strings are
+    tokens."""
+
+    regex: re.Pattern[str]
+    punct: dict[str, str]
+    strings: bool
 
 
-def token_pattern(punct: Iterable[str], word: str = IDENT.pattern) -> re.Pattern[str]:
-    """The pattern `scan` matches each line with, for a vocabulary's
-    punctuation and word pattern (which has no group)."""
+def token_pattern(
+    punct: Iterable[str], word: str = IDENT.pattern, *, strings: bool = False
+) -> TokenPattern:
+    """The pattern of a vocabulary's punctuation and word pattern (which has
+    no group).  A mark that starts with a blank, a quote or ``//`` can never
+    be a token, and is left out."""
     # Punctuation longest first, ties in a fixed order; `(?!)` matches
     # nothing, for a vocabulary without punctuation.
-    ordered = sorted(filter(None, punct), key=lambda p: (-len(p), p))
+    ordered = sorted(
+        {p for p in punct if p and p[0] not in _BLANKS + '"' and not p.startswith("//")},
+        key=lambda p: (-len(p), p),
+    )
     marks = "|".join(map(re.escape, ordered)) or "(?!)"
-    # One match per token, blanks in front: a comment, a quoted string, a
-    # word, punctuation, or any other character.
-    return re.compile(rf'([ \t\r]*)(?:(//.*)|("[^"]*")|({word})|({marks})|([^ \t\r]))')
+    string = r'|"[^"\n]*"' if strings else ""
+    # One token: a comment, a quoted string, a word or punctuation.  A
+    # character that starts none of them stays between the tokens.
+    regex = re.compile(rf"(//[^\n]*{string}|{word}|{marks})")
+    # A word-like mark is always matched as a word.
+    word_re = re.compile(word)
+    return TokenPattern(regex, {p: "punct" for p in ordered if not word_re.fullmatch(p)}, strings)
+
+
+class Tokens:
+    """The tokens of one source, as columns: each token's kind ("ident",
+    "keyword", "string", "punct", and "eof" last), its text (a string's
+    without its quotes) and its start offset.  The "eof" token starts at the
+    end of the source, or at a comment that ends it."""
+
+    __slots__ = ("kinds", "texts", "starts", "_source", "_lines")
+
+    def __init__(self, kinds: list[str], texts: list[str], starts: list[int], source: str):
+        self.kinds = kinds
+        self.texts = texts
+        self.starts = starts
+        self._source = source
+        self._lines: list[int] | None = None
+
+    def where(self, offset: int) -> tuple[int, int]:
+        """The 1-based line and column of a source offset."""
+        lines = self._lines
+        if lines is None:
+            # The offset each line starts at: one past the end of the last.
+            ends = accumulate(map((1).__add__, map(len, self._source.split("\n"))))
+            lines = self._lines = [0, *ends]
+        line = bisect_right(lines, offset)
+        return line, offset - lines[line - 1] + 1
+
+    def name(self, i: int) -> str:
+        """Token `i` as an error names it: ``end of input`` or its quoted
+        text."""
+        return "end of input" if self.kinds[i] == "eof" else repr(self.texts[i])
 
 
 def scan(
     source: str,
-    pattern: re.Pattern[str],
+    pattern: TokenPattern,
     error: type[SourceError],
     *,
-    keywords: Container[str] = frozenset(),
-    strings: bool = False,
-) -> list[Token]:
-    """Tokenize `source` with a `token_pattern`; the list ends with one "eof"
-    token."""
-    tokens: list[Token] = []
-    append, new = tokens.append, tuple.__new__
-    for line, text in enumerate(source.split("\n"), 1):
-        col = 1
-        # Where this line's eof token would sit: its end, or its comment.
-        end = len(text) + 1
-        for blanks, comment, string, name, mark, other in pattern.findall(text):
-            col += len(blanks)
-            if name:
-                kind = "keyword" if name in keywords else "ident"
-                append(new(Token, (kind, name, line, col)))
-                col += len(name)
-            elif mark:
-                append(new(Token, ("punct", mark, line, col)))
-                col += len(mark)
-            elif comment:
-                end = col
-            elif string and strings:
-                append(new(Token, ("string", string[1:-1], line, col)))
-                col += len(string)
-            else:
-                # A quote is illegal where strings are not tokens.
-                char = other or string[0]
-                if strings and char == '"':
-                    raise error("unterminated terminal string", line, col)
-                raise error(f"illegal character {char!r}", line, col)
-    append(new(Token, ("eof", "", line, end)))
+    keywords: Iterable[str] = frozenset(),
+) -> Tokens:
+    """Tokenize `source` with a `token_pattern`; the columns end with one
+    "eof" token."""
+    parts = pattern.regex.split(source)
+    texts = parts[1::2]
+    # Blank runs and tokens alternate: each token starts where the parts
+    # before it end, and the last entry is the end of the source.
+    starts = list(accumulate(map(len, parts)))[::2]
+    kind = dict.fromkeys(keywords, "keyword")
+    kind.update(pattern.punct)
+    kinds = list(map(kind.get, texts, repeat("ident")))
+    tokens = Tokens(kinds, texts, starts, source)
+    gaps = parts[::2]
+    if "".join(gaps).strip(_BLANKS):
+        # A character no token starts with: the first one is the error.
+        i = next(i for i, gap in enumerate(gaps) if gap.strip(_BLANKS))
+        rest = gaps[i].lstrip(_BLANKS)
+        where = tokens.where(starts[i] - len(rest))
+        if pattern.strings and rest[0] == '"':
+            raise error("unterminated terminal string", *where)
+        raise error(f"illegal character {rest[0]!r}", *where)
+    if '"' in source or "//" in source:
+        comments = []
+        for i in [i for i, text in enumerate(texts) if text[0] in '"/']:
+            text = texts[i]
+            if text[0] == '"':
+                kinds[i], texts[i] = "string", text[1:-1]
+            elif text.startswith("//"):
+                comments.append(i)
+        if comments:
+            if comments[-1] == len(texts) - 1 and not parts[-1]:
+                # The source ends in a comment, where its end of input sits.
+                starts[-1] = starts[-2]
+            tokens.kinds = _without(kinds, comments)
+            tokens.texts = _without(texts, comments)
+            tokens.starts = _without(starts, comments)
+    tokens.kinds.append("eof")
+    tokens.texts.append("")
     return tokens
 
 
-def token_name(tok: Token) -> str:
-    """A token as an error names it: ``end of input`` or its quoted text."""
-    return "end of input" if tok.kind == "eof" else repr(tok.text)
+def _without(column: list, drop: list[int]) -> list:
+    """`column` without the entries at the ascending indices `drop`."""
+    bounds = zip([-1, *drop], [*drop, len(column)])
+    return list(chain.from_iterable(column[lo + 1:hi] for lo, hi in bounds))
 
 
 class Cursor:
@@ -103,39 +163,36 @@ class Cursor:
 
     error: type[SourceError]
 
-    def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+    def __init__(self, tokens: Tokens):
+        self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
         self.pos = 0
 
-    def _peek(self, ahead: int = 0) -> Token:
-        if ahead:
-            return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-        return self.toks[self.pos]
-
-    def _advance(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "eof":
+    def _advance(self) -> str:
+        """The current token's text; the position moves past it."""
+        text = self.texts[self.pos]
+        if self.kinds[self.pos] != "eof":
             self.pos += 1
-        return tok
+        return text
 
     def _at(self, kind: str, text: str) -> bool:
-        tok = self.toks[self.pos]
-        return tok.kind == kind and tok.text == text
+        return self.kinds[self.pos] == kind and self.texts[self.pos] == text
 
-    def _err(self, message: str, tok: Token | None = None) -> SourceError:
-        """An error at `tok`, by default the current token."""
-        tok = self._peek() if tok is None else tok
-        return self.error(message, tok.line, tok.col)
+    def _err(self, message: str, at: int | None = None) -> SourceError:
+        """An error at token `at`, by default the current token."""
+        tokens = self.tokens
+        return self.error(message, *tokens.where(tokens.starts[self.pos if at is None else at]))
 
     def _got(self) -> str:
-        return token_name(self._peek())
+        return self.tokens.name(self.pos)
 
-    def _take(self, kind: str, text: str | None = None) -> Token:
+    def _take(self, kind: str, text: str | None = None) -> str:
         """Consume the current token, which must be of `kind` and, when
-        given, `text`."""
-        tok = self.toks[self.pos]
-        if tok.kind != kind or text not in (None, tok.text):
-            raise self._err(f"expected {kind if text is None else text!r}, got {token_name(tok)}")
+        given, `text`; its text."""
+        pos = self.pos
+        if self.kinds[pos] != kind or text not in (None, self.texts[pos]):
+            raise self._err(f"expected {kind if text is None else text!r}, got {self._got()}")
         if kind != "eof":
-            self.pos += 1
-        return tok
+            self.pos = pos + 1
+        return self.texts[pos]

@@ -19,6 +19,8 @@ AST.
 Tokenization: the shared scanner of vlang.lexer, with the pattern and
 keywords of the model vocabulary the grammar carries (see vlang.grammar).
 Grammar validation ensures that each terminal scans as one token of it.
+The matchers read the token kinds and texts by index; a line and column are
+worked out from a token's offset only for a node's position or an error.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .grammar import (
     Terminal,
     TerminalSynonyms,
 )
-from .lexer import SourceError, Token, scan, token_name
+from .lexer import SourceError, Tokens, scan
 from .schema import STEREOTYPE_FIELD, AstNode, SourcePos
 
 
@@ -49,7 +51,7 @@ class ModelParseError(SourceError):
         self.expected = expected
 
 
-def tokenize_model(grammar: GrammarDef, source: str) -> list[Token]:
+def tokenize_model(grammar: GrammarDef, source: str) -> Tokens:
     """Scan a model in the vocabulary of `grammar` from `parse_grammar`."""
     return scan(source, grammar.model_pattern, TokenizeError, keywords=grammar.keywords)
 
@@ -76,12 +78,12 @@ class _Parse:
     productions, the tokens, and the farthest failure with the terminals
     expected there."""
 
-    __slots__ = ("grammar", "nodes", "toks", "farthest", "expected")
+    __slots__ = ("grammar", "nodes", "tokens", "farthest", "expected")
 
-    def __init__(self, grammar: GrammarDef, toks: list[Token]):
+    def __init__(self, grammar: GrammarDef, tokens: Tokens):
         self.grammar = grammar
         self.nodes: dict[str, _Node] = {}
-        self.toks = toks
+        self.tokens = tokens
         self.farthest = 0
         self.expected: set[str] = set()
 
@@ -102,7 +104,7 @@ class _Parse:
 
 def _node(p: _Parse, prod: Production, fields: tuple[tuple[str, str], ...]) -> _Node:
     body = _sequence(p, prod.elements)
-    toks, name, new = p.toks, prod.name, tuple.__new__
+    starts, where, name, new = p.tokens.starts, p.tokens.where, prod.name, tuple.__new__
 
     def node(pos):
         acc: _Fields = {}
@@ -121,8 +123,7 @@ def _node(p: _Parse, prod: Production, fields: tuple[tuple[str, str], ...]) -> _
                 values[label] = found[0] if found else None
             else:
                 values[label] = frozenset(found)
-        tok = toks[pos]
-        return AstNode(name, values, new(SourcePos, (tok.line, tok.col))), end
+        return AstNode(name, values, new(SourcePos, where(starts[pos]))), end
 
     return node
 
@@ -146,20 +147,19 @@ def _element(p: _Parse, el: Element) -> _Matcher:
     if isinstance(el, NonterminalRef):
         if el.target == IDENT_TOKEN:
             return _ident(p, el.field_label)
-        sugar = p.grammar.sugar_alternatives(el.target)
-        return _reference(p, el.field_label, (el.target, *(s.name for s in sugar)))
+        return _reference(p, el.field_label, p.grammar.alternatives[el.target])
     if isinstance(el, Group):
         return _group(p, el)
     return _stereotypes(p)
 
 
 def _terminal(p: _Parse, spellings: tuple[str, ...]) -> _Matcher:
-    toks, expected = p.toks, tuple(map(repr, spellings))
+    texts, expected = p.tokens.texts, tuple(map(repr, spellings))
 
     # No IDENT spells a terminal: the scanner makes word-like terminals
     # keywords, and the other terminals are not words.
     def terminal(pos, acc):
-        if toks[pos].text in spellings:
+        if texts[pos] in spellings:
             return pos + 1
         p.fail(pos, expected)
         raise _Backtrack
@@ -168,14 +168,13 @@ def _terminal(p: _Parse, spellings: tuple[str, ...]) -> _Matcher:
 
 
 def _ident(p: _Parse, label: str) -> _Matcher:
-    toks = p.toks
+    kinds, texts = p.tokens.kinds, p.tokens.texts
 
     def ident(pos, acc):
-        tok = toks[pos]
-        if tok.kind != "ident":
+        if kinds[pos] != "ident":
             p.fail(pos, (IDENT_TOKEN,))
             raise _Backtrack
-        acc.setdefault(label, []).append(tok.text)
+        acc.setdefault(label, []).append(texts[pos])
         return pos + 1
 
     return ident
@@ -200,10 +199,10 @@ def _reference(p: _Parse, label: str, alternatives: tuple[str, ...]) -> _Matcher
 
 
 def _stereotypes(p: _Parse) -> _Matcher:
-    toks, name, close = p.toks, _ident(p, STEREOTYPE_FIELD), _terminal(p, (">>",))
+    texts, name, close = p.tokens.texts, _ident(p, STEREOTYPE_FIELD), _terminal(p, (">>",))
 
     def stereotypes(pos, acc):
-        while toks[pos].text == "<<":
+        while texts[pos] == "<<":
             pos = close(name(pos + 1, acc), acc)
         return pos
 
@@ -219,14 +218,14 @@ def _group(p: _Parse, group: Group) -> _Matcher:
     # A body opened by a terminal cannot start at another token: the
     # failure its try would record is recorded without the try.
     spellings = head.all_spellings() if isinstance(head, (Terminal, TerminalSynonyms)) else ()
-    toks, expected = p.toks, tuple(map(repr, spellings))
+    texts, expected = p.tokens.texts, tuple(map(repr, spellings))
     # A lone reference or IDENT writes its field only when it matches, so
     # an iteration of it needs no fields of its own.
     direct = len(group.elements) == 1 and isinstance(head, NonterminalRef)
 
     def repeat(pos, acc):
         while True:
-            if spellings and toks[pos].text not in spellings:
+            if spellings and texts[pos] not in spellings:
                 p.fail(pos, expected)
                 return pos
             matched: _Fields = acc if direct else {}
@@ -249,8 +248,9 @@ def _group(p: _Parse, group: Group) -> _Matcher:
 def parse_model(grammar: GrammarDef, source: str) -> AstNode:
     """Parse a model text against a grammar from `parse_grammar`; the result
     conforms to the grammar's schema."""
-    p = _Parse(grammar, tokenize_model(grammar, source))
-    toks = p.toks
+    tokens = tokenize_model(grammar, source)
+    p = _Parse(grammar, tokens)
+    kinds, texts, starts = tokens.kinds, tokens.texts, tokens.starts
     fields = {
         dt.name: tuple((f.label, f.card) for f in dt.fields) for dt in grammar.schema.datatypes
     }
@@ -265,17 +265,16 @@ def parse_model(grammar: GrammarDef, source: str) -> AstNode:
             # The descent recurses once per nesting level; past the
             # interpreter's recursion limit the model is refused, not the
             # process.
-            tok = toks[exc.args[0]]
-            raise ModelParseError("model nested too deeply to parse", tok.line, tok.col) from None
+            where = tokens.where(starts[exc.args[0]])
+            raise ModelParseError("model nested too deeply to parse", *where) from None
     finally:
         p.nodes.clear()
     # A failure farther than the parse reached is the error, not the rest.
     if node is not None and p.farthest <= pos:
-        tok = toks[pos]
-        if tok.kind == "eof":
+        if kinds[pos] == "eof":
             return node
-        raise ModelParseError(f"trailing input starting at {tok.text!r}", tok.line, tok.col)
-    tok = toks[p.farthest]
+        message = f"trailing input starting at {texts[pos]!r}"
+        raise ModelParseError(message, *tokens.where(starts[pos]))
     expected = frozenset(p.expected)
-    message = f"expected {', '.join(sorted(expected))}, got {token_name(tok)}"
-    raise ModelParseError(message, tok.line, tok.col, expected)
+    message = f"expected {', '.join(sorted(expected))}, got {tokens.name(p.farthest)}"
+    raise ModelParseError(message, *tokens.where(starts[p.farthest]), expected)

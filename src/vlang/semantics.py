@@ -285,15 +285,12 @@ def demands_of(model: AstNode, config: SemanticsConfig) -> Demands:
 
 def query(
     models: Sequence[AstNode], config: SemanticsConfig
-) -> tuple[list[Demands], Demands, Bounds, Callable[[SystemModelLite], bool]]:
-    """A query over `models`: each model's demands, their conjunction, the
-    bounds (the configured ones, recording the jointly demanded attributes
-    for the report) and the domain variants."""
+) -> tuple[list[Demands], Demands, Callable[[SystemModelLite], bool]]:
+    """A query over `models`: each model's demands, their conjunction and
+    the domain variants."""
     demands = [demands_of(m, config) for m in models]
-    joint = reduce(or_, demands)
-    bounds = config.bounds._replace(attr_candidates=joint.attrs)
     variants = variants_valid(bound_domain_features(config.domain_diagram, config.domain_config))
-    return demands, joint, bounds, variants
+    return demands, reduce(or_, demands), variants
 
 
 class SemanticsSet:
@@ -314,5 +311,5 @@ class SemanticsSet:
 
 def compute_sem(model: AstNode, config: SemanticsConfig) -> SemanticsSet:
     """The semantics set of a minimal model under a validated configuration."""
-    (demands,), _, bounds, variants = query([model], config)
-    return SemanticsSet(bounds, demands, variants)
+    (demands,), _, variants = query([model], config)
+    return SemanticsSet(config.bounds, demands, variants)

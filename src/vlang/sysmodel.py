@@ -176,15 +176,12 @@ class Demands(NamedTuple):
 class _BoundsFields(NamedTuple):
     extra_class_names: tuple[str, ...] = ()
     max_objects: int = 0
-    attr_candidates: frozenset[Attr] = frozenset()
 
 
 class Bounds(_BoundsFields):
     """Search-space bounds for enumeration: class names (IDENTs) addable
-    beyond the required ones and the maximum object count.  The attribute
-    triples are only recorded for `describe`: `semantics.query` sets them to
-    the query's demanded attrs, and the enumerator does not read them.  A
-    negative count or a name that is not an IDENT raises ValueError."""
+    beyond the required ones and the maximum object count.  A negative count
+    or a name that is not an IDENT raises ValueError."""
 
     __slots__ = ()
 
@@ -197,9 +194,11 @@ class Bounds(_BoundsFields):
                 raise ValueError(f"extra class name {name!r} is not an IDENT")
         return self
 
-    def describe(self) -> str:
+    def describe(self, attrs: Iterable[Attr] = ()) -> str:
+        """The bounds as a report prints them, with the attrs a query
+        demands: every system of the query carries exactly those."""
         extra = ",".join(sorted(set(self.extra_class_names)))
-        attrs = ",".join(f"({o},{n},{t})" for o, n, t in sorted(self.attr_candidates))
+        attrs = ",".join(f"({o},{n},{t})" for o, n, t in sorted(attrs))
         return f"extra={{{extra}}};maxObjects={self.max_objects};attrs={{{attrs}}}"
 
 

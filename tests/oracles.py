@@ -4,9 +4,9 @@ it was before relations were ints, the configuration validator as it was
 first written, the model vocabulary as the model scanner
 derived it before grammars carried it, and the hook-field reader, scanner,
 model parser, desugarer and input reader as they were before they were made
-faster (one pattern over the whole source, a parser that interprets the
-grammar element by element, a desugarer that copies every node, and a read
-through pathlib's text mode).
+faster (a match for each token, blank run and newline and a record for
+each token, a parser that interprets the grammar element by element, a
+desugarer that copies every node, and a read through pathlib's text mode).
 
 The package builds only systems that are base-valid and hold a query's
 `Demands`, and its parser builds only conforming ASTs, so it needs none of
@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from itertools import chain, combinations, islice, product
 from pathlib import Path
-from typing import Callable, Container, Iterable
+from typing import Callable, Container, Iterable, NamedTuple
 
 from vlang.cli import _FileFailure
 from vlang.desugar import EXPANDERS, DesugarError
@@ -43,8 +43,8 @@ from vlang.grammar import (
     TerminalSynonyms,
     walk,
 )
-from vlang.lexer import IDENT, SourceError, Token, scan, token_name, token_pattern
-from vlang.modelparse import ModelParseError, TokenizeError, tokenize_model
+from vlang.lexer import IDENT, SourceError, Tokens
+from vlang.modelparse import ModelParseError, TokenizeError
 from vlang.schema import (
     _SHAPES,
     STEREOTYPE_FIELD,
@@ -154,8 +154,8 @@ def full_scan_refinement(
 ) -> SystemModelLite | None:
     """The first system of `refined` outside `abstract` over both models'
     classes, found by judging every system of `refined` in turn."""
-    (r, a), joint, bounds, variants = query([refined, abstract], config)
-    systems = enumerate_systems(bounds, r | Demands(joint.classes), variants)
+    (r, a), joint, variants = query([refined, abstract], config)
+    systems = enumerate_systems(config.bounds, r | Demands(joint.classes), variants)
     return next((sm for sm in systems if not holds(a, sm)), None)
 
 
@@ -450,9 +450,26 @@ def oracle_hook_field(
 
 
 # ---------------------------------------------------------------------------
-# Scanning: one pattern over the whole source, a step for every token, blank
-# run and newline.
+# Scanning: one match for every token, blank run and newline, and one
+# record per token.
 # ---------------------------------------------------------------------------
+
+class Token(NamedTuple):
+    kind: str  # "ident" | "keyword" | "string" | "punct" | "eof"
+    text: str
+    line: int
+    col: int
+
+
+def token_rows(tokens: Tokens) -> list[Token]:
+    """The columns `vlang.lexer.scan` returns, one record per token."""
+    rows = zip(tokens.kinds, tokens.texts, map(tokens.where, tokens.starts))
+    return [Token(kind, text, *where) for kind, text, where in rows]
+
+
+def token_name(tok: Token) -> str:
+    return "end of input" if tok.kind == "eof" else repr(tok.text)
+
 
 def oracle_scan(
     source: str,
@@ -503,8 +520,8 @@ def oracle_scan(
 # each scan.
 # ---------------------------------------------------------------------------
 
-def oracle_model_vocabulary(grammar: GrammarDef) -> tuple[frozenset[str], re.Pattern[str]]:
-    """The keywords and scanner pattern of `grammar`'s models, as
+def oracle_model_vocabulary(grammar: GrammarDef) -> tuple[frozenset[str], frozenset[str]]:
+    """The keywords and punctuation of `grammar`'s models, as
     `tokenize_model` derived them before `parse_grammar` did: the terminal
     spellings, with ``<<`` and ``>>`` for a stereotype slot."""
     elements = [el for p in grammar.productions for el in walk(p.elements)]
@@ -513,13 +530,14 @@ def oracle_model_vocabulary(grammar: GrammarDef) -> tuple[frozenset[str], re.Pat
     if any(isinstance(el, StereotypeSlot) for el in elements):
         terminals |= {"<<", ">>"}
     keywords = frozenset(t for t in terminals if IDENT.fullmatch(t))
-    return keywords, token_pattern(terminals - keywords)
+    return keywords, frozenset(terminals - keywords)
 
 
 def oracle_tokenize_model(grammar: GrammarDef, source: str) -> list[Token]:
-    """`vlang.modelparse.tokenize_model`, with `oracle_model_vocabulary`."""
-    keywords, pattern = oracle_model_vocabulary(grammar)
-    return scan(source, pattern, TokenizeError, keywords=keywords)
+    """`vlang.modelparse.tokenize_model`, with `oracle_model_vocabulary` and
+    `oracle_scan`."""
+    keywords, punct = oracle_model_vocabulary(grammar)
+    return oracle_scan(source, punct, TokenizeError, keywords=keywords)
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +554,12 @@ _Fields = dict[str, list[object]]
 class _ModelParser:
     def __init__(self, grammar: GrammarDef, source: str):
         self.alternatives = {
-            p.name: (p, *grammar.sugar_alternatives(p.name)) for p in grammar.productions
+            p.name: (p, *(s for s in grammar.productions if s.sugar_for == p.name))
+            for p in grammar.productions
         }
         self.fields = {dt.name: dt.fields for dt in derive_schema(grammar).datatypes}
         self.start = self.alternatives[grammar.start_production][0]
-        self.toks = tokenize_model(grammar, source)
+        self.toks = oracle_tokenize_model(grammar, source)
         self.pos = 0
         self.farthest = 0
         self.expected_at_farthest: set[str] = set()

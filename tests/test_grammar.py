@@ -93,8 +93,15 @@ def test_sugar_production_records_its_base():
         'grammar X { A = "a" x:IDENT; sugar B for A = "b" names:IDENT; }'
     )
     assert g.production("B").sugar_for == "A"
-    assert [p.name for p in g.sugar_alternatives("A")] == ["B"]
+    assert g.alternatives == {"A": ("A", "B"), "B": ("B",)}
     assert g.sugar_bases() == {"B": "A"}
+
+
+def test_sugar_alternatives_follow_the_declaration_order():
+    g = parse_grammar(
+        'grammar X { S = (a:A)*; sugar C for A = "c"; A = "a"; sugar B for A = "b"; }'
+    )
+    assert g.alternatives["A"] == ("A", "C", "B")
 
 
 def test_sugar_base_must_exist():
@@ -149,6 +156,9 @@ def test_productions_without_a_finite_model_are_rejected(source, barren):
     ('grammar G { A = "a b"; }', "'a b'"),
     ('grammar G { A = "//" x:IDENT; }', "'//'"),
     ('grammar G { A = ("to" | "x-y") x:IDENT; }', "'x-y'"),
+    # Blanks separate model tokens, so a spelling of blanks alone is none.
+    ('grammar G { A = " " x:IDENT; }', "' '"),
+    ('grammar G { A = "\t" x:IDENT; }', r"'\\t'"),
 ])
 def test_terminals_must_scan_as_one_model_token(source, terminal):
     with pytest.raises(GrammarError, match=f"^terminal {terminal} does not scan as one model token$"):
@@ -163,7 +173,7 @@ def test_conflicting_field_types_rejected():
 def test_stereotype_slot_parses():
     g = parse_grammar('grammar X { A = <<?>> "a" x:IDENT; }')
     assert isinstance(g.production("A").elements[0], StereotypeSlot)
-    assert [t.text for t in scan("<<s>>", g.model_pattern, SourceError)] == ["<<", "s", ">>", ""]
+    assert scan("<<s>>", g.model_pattern, SourceError).texts == ["<<", "s", ">>", ""]
 
 
 def test_stereotype_slot_not_allowed_inside_groups():
@@ -180,6 +190,6 @@ def test_syntax_error_carries_position():
 def test_terminal_texts_and_slots():
     g = parse_grammar(VARIANT_TEXT)
     assert g.keywords == frozenset({"classdiagram", "class", "extends"})
-    assert [t.text for t in scan("{},", g.model_pattern, SourceError)] == ["{", "}", ",", ""]
+    assert scan("{},", g.model_pattern, SourceError).texts == ["{", "}", ",", ""]
     with pytest.raises(SourceError, match="illegal character '<'"):
         scan("<<s>>", g.model_pattern, SourceError)

@@ -1,7 +1,9 @@
-"""The line-by-line scanner against the scanner it replaced
-(`oracles.oracle_scan`): in each format's vocabulary, every text gives the
-same tokens, or the same error at the same line and column.  And the
-cursor's steps at the end of input.
+"""The scanner, which splits the whole source once into token columns,
+against the scanner it replaced (`oracles.oracle_scan`, one step per token,
+blank run and newline, one record per token): in each format's vocabulary,
+every text gives the same tokens, each with the same kind, text, line and
+column, or the same error at the same line and column.  And the cursor's
+steps at the end of input.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_scan
+from oracles import oracle_scan, token_rows
 from vlang.features import _WORD, FeatureSyntaxError, _DiagramParser
 from vlang.grammar import _PUNCT, GrammarError
 from vlang.lexer import IDENT, scan, token_pattern
@@ -38,8 +40,8 @@ def _outcome(scanner, text, punct, error, options):
         return type(exc), str(exc), exc.line, exc.col
 
 
-def _scan(text, punct, error, *, word=IDENT.pattern, **options):
-    return scan(text, token_pattern(punct, word), error, **options)
+def _scan(text, punct, error, *, word=IDENT.pattern, strings=False, **options):
+    return token_rows(scan(text, token_pattern(punct, word, strings=strings), error, **options))
 
 
 def _check(text):
@@ -64,6 +66,12 @@ def test_scan_equals_the_oracle(text):
     "a // note\r",
     'a "b\nc',
     '"a"\n"b',
+    'a "b\nc" d',
+    "a\tb\r c\t\r;",
+    "a // note\nb",
+    "// note",
+    "a\n\n  %",
+    "a\n\t\r\n\t%",
     "",
     "\n",
 ], ids=[
@@ -76,6 +84,12 @@ def test_scan_equals_the_oracle(text):
     "comment ending in a carriage return",
     "unterminated quote at the end of a line",
     "unterminated quote at the end of input",
+    "quotes on two lines",
+    "tabs and carriage returns inside a line",
+    "comment before the last line",
+    "comment only",
+    "error after a blank line",
+    "error after a line of blanks",
     "empty input",
     "newline only",
 ])
@@ -89,17 +103,17 @@ def _at_eof():
     cursor = _DiagramParser("featurediagram D\n  // no body")
     cursor._take("ident", "featurediagram")
     assert cursor._name("diagram") == "D"
-    assert cursor.pos == len(cursor.toks) - 1
+    assert cursor.pos == len(cursor.kinds) - 1
     return cursor
 
 
 def test_taking_eof_returns_it_and_stays_on_it():
     cursor = _at_eof()
-    eof = cursor.toks[-1]
-    assert (eof.kind, eof.line, eof.col) == ("eof", 2, 3)
+    tokens = cursor.tokens
+    assert (tokens.kinds[-1], tokens.texts[-1], *tokens.where(tokens.starts[-1])) == ("eof", "", 2, 3)
     for _ in range(2):
-        assert cursor._take("eof") is eof
-        assert cursor.pos == len(cursor.toks) - 1
+        assert cursor._take("eof") == ""
+        assert cursor.pos == len(cursor.kinds) - 1
 
 
 @pytest.mark.parametrize("step, message", [
@@ -112,4 +126,4 @@ def test_a_step_past_eof_raises_at_eof(step, message):
     with pytest.raises(FeatureSyntaxError) as exc:
         step(cursor)
     assert (str(exc.value), exc.value.line, exc.value.col) == (f"line 2, col 3: {message}", 2, 3)
-    assert cursor.pos == len(cursor.toks) - 1
+    assert cursor.pos == len(cursor.kinds) - 1

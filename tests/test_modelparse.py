@@ -4,10 +4,10 @@ import gc
 
 import pytest
 
-from oracles import conforms, oracle_parse_model
-from vlang import bundled
+from oracles import conforms, oracle_parse_model, token_rows
+from vlang import bundled, modelparse
 from vlang.grammar import parse_grammar
-from vlang.lexer import Token
+from vlang.lexer import Tokens
 from vlang.modelparse import ModelParseError, TokenizeError, parse_model, tokenize_model
 from vlang.schema import derive_schema, dump_ast
 
@@ -93,10 +93,9 @@ def test_nesting_past_the_recursion_limit_is_a_parse_error():
     assert exc.value.col % 2 == 1 and exc.value.col < 2 * 3000
 
 
-def test_a_parse_leaves_no_cycle_that_holds_its_tokens(cd):
-    # The compiled matchers reach each other only through the parse's table
-    # of productions, which parse_model empties; a cycle through them would
-    # keep every token alive until the collector next runs.
+def _leaked_token_columns(grammar):
+    """How many token records, and token columns of theirs, a parse of a
+    1,000-class model leaves for the cycle collector."""
     text = "classdiagram D {\n" + "".join(
         f"<<s>> class C{i} ext A{i}, B{i};\nclasses A{i}, B{i}, E{i};\n" for i in range(500)
     ) + "}"
@@ -105,15 +104,40 @@ def test_a_parse_leaves_no_cycle_that_holds_its_tokens(cd):
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        assert len(parse_model(cd, text).fields["classes"]) == 1000
+        assert len(parse_model(grammar, text).fields["classes"]) == 1000
         gc.collect()
-        leaked = sum(isinstance(o, Token) for o in gc.garbage)
+        records = [o for o in gc.garbage if isinstance(o, Tokens)]
+        columns = {id(c) for r in records for c in (r.kinds, r.texts, r.starts)}
+        leaked = len(records) + sum(id(o) in columns for o in gc.garbage)
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
         if enabled:
             gc.enable()
-    assert leaked == 0
+    return leaked
+
+
+def test_a_parse_leaves_no_cycle_that_holds_its_tokens(cd):
+    # The compiled matchers reach each other only through the parse's table
+    # of productions, which parse_model empties; a cycle through them would
+    # keep the token columns alive until the collector next runs.
+    assert _leaked_token_columns(cd) == 0
+
+
+def test_a_planted_cycle_holds_the_tokens(cd, monkeypatch):
+    # The same count sees a cycle: with the table left full, the record and
+    # its three columns wait for the collector.
+    class KeptNodes(dict):
+        def clear(self):
+            pass
+
+    class Parse(modelparse._Parse):
+        def __init__(self, grammar, tokens):
+            super().__init__(grammar, tokens)
+            self.nodes = KeptNodes()
+
+    monkeypatch.setattr(modelparse, "_Parse", Parse)
+    assert _leaked_token_columns(cd) == 4
 
 
 def test_trailing_input_is_an_error(cdsimp):
@@ -127,8 +151,8 @@ def test_line_comments_are_skipped(cdsimp):
     )
     assert _class_names(node) == ["A"]
     # A comment takes no columns: the end of input sits where it starts.
-    assert tokenize_model(cdsimp, "class A // end")[-1] == ("eof", "", 1, 9)
-    assert tokenize_model(cdsimp, "class A\n// end")[-1] == ("eof", "", 2, 1)
+    assert token_rows(tokenize_model(cdsimp, "class A // end"))[-1] == ("eof", "", 1, 9)
+    assert token_rows(tokenize_model(cdsimp, "class A\n// end"))[-1] == ("eof", "", 2, 1)
 
 
 def test_positions_recorded_for_diagnostics(cdsimp):
@@ -172,11 +196,11 @@ def test_every_parse_conforms_to_the_derived_schema(cd, cdsimp, cdassert):
 
 def test_tokenizer_classifies_words_per_grammar(cd, cdsimp):
     # "classes" is a keyword of the full language only.
-    assert [t.kind for t in tokenize_model(cd, "classes")][:-1] == ["keyword"]
-    assert [t.kind for t in tokenize_model(cdsimp, "classes")][:-1] == ["ident"]
+    assert tokenize_model(cd, "classes").kinds[:-1] == ["keyword"]
+    assert tokenize_model(cdsimp, "classes").kinds[:-1] == ["ident"]
     # Punctuation is matched longest-first.
     arrows = parse_grammar('grammar G { S = x:IDENT ("->" y:IDENT)? ("-" z:IDENT)?; }')
-    assert [t.text for t in tokenize_model(arrows, "a->b-c")][:-1] == ["a", "->", "b", "-", "c"]
+    assert tokenize_model(arrows, "a->b-c").texts[:-1] == ["a", "->", "b", "-", "c"]
 
 
 _SUGAR_FARTHER = """grammar H { S = (T)* "end"; T = "t" x:IDENT ";";

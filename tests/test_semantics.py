@@ -189,8 +189,8 @@ def test_auto_candidates_depend_on_selected_variant(cdsimp, example_diagrams):
     m = _cd(cdsimp, "classdiagram D { class D extends B, C; class B; class C; }")
     delegate = _config(example_diagrams, mapping={"MapSuperCDelegate"})
     direct = _config(example_diagrams, mapping={"MapSuperCDirect"})
-    assert compute_sem(m, delegate).bounds.attr_candidates == frozenset({("D", "dlg_C", "C")})
-    assert compute_sem(m, direct).bounds.attr_candidates == frozenset()
+    assert compute_sem(m, delegate).demands.attrs == frozenset({("D", "dlg_C", "C")})
+    assert compute_sem(m, direct).demands.attrs == frozenset()
 
 
 # ---------------------------------------------------------------------------

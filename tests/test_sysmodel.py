@@ -490,8 +490,9 @@ def test_dump_empty_sections_are_bare_headers():
 
 
 def test_bounds_describe_is_deterministic():
-    bounds = Bounds(("B", "A"), 2, frozenset({("A", "x", "B"), ("A", "a", "A")}))
-    assert bounds.describe() == "extra={A,B};maxObjects=2;attrs={(A,a,A),(A,x,B)}"
+    bounds = Bounds(("B", "A"), 2)
+    attrs = frozenset({("A", "x", "B"), ("A", "a", "A")})
+    assert bounds.describe(attrs) == "extra={A,B};maxObjects=2;attrs={(A,a,A),(A,x,B)}"
 
 
 def test_bounds_reject_negative_objects():
