@@ -42,7 +42,7 @@ class ContextCondition(NamedTuple):
 
 
 def _violation(cc_id: str, node: AstNode, message: str) -> CCViolation:
-    line, col = (node.pos.line, node.pos.col) if node.pos else (0, 0)
+    line, col = node.pos or (0, 0)
     return CCViolation(cc_id, line, col, message)
 
 

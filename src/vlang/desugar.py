@@ -24,11 +24,7 @@ class DesugarError(Exception):
 
 def _expand_class_list(node: AstNode) -> list[AstNode]:
     return [
-        AstNode(
-            "CDCClass",
-            {"stereotypes": frozenset(), "Name": name, "scl": []},
-            pos=node.pos,
-        )
+        node.derived("CDCClass", {"stereotypes": frozenset(), "Name": name, "scl": []})
         for name in hook_field(node, "names", list, error=DesugarError)
     ]
 
@@ -65,7 +61,7 @@ def desugar_to_minimal(node: AstNode, grammar: GrammarDef) -> AstNode:
                 if fields is n.fields:
                     fields = dict(fields)
                 fields[label] = new
-        result = n if fields is n.fields else AstNode(n.datatype, fields, pos=n.pos)
+        result = n if fields is n.fields else n.derived(n.datatype, fields)
         if n.datatype in sugar:
             expander = EXPANDERS.get((grammar.name, n.datatype))
             if expander is None:

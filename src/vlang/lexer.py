@@ -11,12 +11,12 @@ strings.  Any other character is an error of the format's own class, at a
 
 The scanner splits the whole source with the pattern in one call, which
 gives the blank runs and the tokens in turn, and returns the tokens as
-columns (`Tokens`): their kinds, their texts and their start offsets.  A
-token's kind follows from its text: the vocabulary's punctuation and the
-keywords are looked up, every other word is an identifier, and only a
-source holding a quote or ``//`` has strings or comments to find.  Lines and
-columns are worked out from an offset only when a parser asks for one, for
-a node's position or an error.
+columns (`Tokens`): their kinds and their texts.  A token's kind follows
+from its text: the vocabulary's punctuation and the keywords are looked up,
+every other word is an identifier, and only a source holding a quote or
+``//`` has strings or comments to find.  Start offsets, and the lines and
+columns they fall on, are computed on first read, for an error or a node
+position that someone reads; a parse that reads none computes none.
 """
 
 from __future__ import annotations
@@ -75,18 +75,41 @@ def token_pattern(
 
 class Tokens:
     """The tokens of one source, as columns: each token's kind ("ident",
-    "keyword", "string", "punct", and "eof" last), its text (a string's
-    without its quotes) and its start offset.  The "eof" token starts at the
-    end of the source, or at a comment that ends it."""
+    "keyword", "string", "punct", and "eof" last) and its text (a string's
+    without its quotes).  The start offsets (`starts`) and the table of
+    line starts behind `where` and `locate` are computed on first read, the
+    offsets by finding the tokens in the source again; the "eof" token
+    starts at the end of the source, or at a comment that ends it."""
 
-    __slots__ = ("kinds", "texts", "starts", "_source", "_lines")
+    __slots__ = ("kinds", "texts", "_source", "_regex", "_comments", "_starts", "_lines")
 
-    def __init__(self, kinds: list[str], texts: list[str], starts: list[int], source: str):
+    def __init__(self, kinds: list[str], texts: list[str], source: str, regex: re.Pattern[str]):
         self.kinds = kinds
         self.texts = texts
-        self.starts = starts
         self._source = source
+        self._regex = regex
+        self._comments: list[int] = []
+        self._starts: list[int] | None = None
         self._lines: list[int] | None = None
+
+    @property
+    def starts(self) -> list[int]:
+        """Each token's start offset."""
+        starts = self._starts
+        if starts is None:
+            # The pattern finds the tokens the scan split the source at,
+            # comments included.
+            source, comments = self._source, self._comments
+            starts = list(map(re.Match.start, self._regex.finditer(source)))
+            end = len(source)
+            if comments:
+                if comments[-1] == len(starts) - 1 and "\n" not in source[starts[-1]:]:
+                    # The source ends in a comment, where its end of input sits.
+                    end = starts[-1]
+                starts = _without(starts, comments)
+            starts.append(end)
+            self._starts = starts
+        return starts
 
     def where(self, offset: int) -> tuple[int, int]:
         """The 1-based line and column of a source offset."""
@@ -97,6 +120,10 @@ class Tokens:
             lines = self._lines = [0, *ends]
         line = bisect_right(lines, offset)
         return line, offset - lines[line - 1] + 1
+
+    def locate(self, i: int) -> tuple[int, int]:
+        """The 1-based line and column token `i` starts at."""
+        return self.where(self.starts[i])
 
     def name(self, i: int) -> str:
         """Token `i` as an error names it: ``end of input`` or its quoted
@@ -115,24 +142,21 @@ def scan(
     "eof" token."""
     parts = pattern.regex.split(source)
     texts = parts[1::2]
-    # Blank runs and tokens alternate: each token starts where the parts
-    # before it end, and the last entry is the end of the source.
-    starts = list(accumulate(map(len, parts)))[::2]
     kind = dict.fromkeys(keywords, "keyword")
     kind.update(pattern.punct)
     kinds = list(map(kind.get, texts, repeat("ident")))
-    tokens = Tokens(kinds, texts, starts, source)
+    tokens = Tokens(kinds, texts, source, pattern.regex)
     gaps = parts[::2]
     if "".join(gaps).strip(_BLANKS):
         # A character no token starts with: the first one is the error.
         i = next(i for i, gap in enumerate(gaps) if gap.strip(_BLANKS))
         rest = gaps[i].lstrip(_BLANKS)
-        where = tokens.where(starts[i] - len(rest))
+        where = tokens.where(sum(map(len, parts[:2 * i + 1])) - len(rest))
         if pattern.strings and rest[0] == '"':
             raise error("unterminated terminal string", *where)
         raise error(f"illegal character {rest[0]!r}", *where)
     if '"' in source or "//" in source:
-        comments = []
+        comments = tokens._comments
         for i in [i for i, text in enumerate(texts) if text[0] in '"/']:
             text = texts[i]
             if text[0] == '"':
@@ -140,12 +164,8 @@ def scan(
             elif text.startswith("//"):
                 comments.append(i)
         if comments:
-            if comments[-1] == len(texts) - 1 and not parts[-1]:
-                # The source ends in a comment, where its end of input sits.
-                starts[-1] = starts[-2]
             tokens.kinds = _without(kinds, comments)
             tokens.texts = _without(texts, comments)
-            tokens.starts = _without(starts, comments)
     tokens.kinds.append("eof")
     tokens.texts.append("")
     return tokens
@@ -181,8 +201,7 @@ class Cursor:
 
     def _err(self, message: str, at: int | None = None) -> SourceError:
         """An error at token `at`, by default the current token."""
-        tokens = self.tokens
-        return self.error(message, *tokens.where(tokens.starts[self.pos if at is None else at]))
+        return self.error(message, *self.tokens.locate(self.pos if at is None else at))
 
     def _got(self) -> str:
         return self.tokens.name(self.pos)

@@ -19,8 +19,10 @@ AST.
 Tokenization: the shared scanner of vlang.lexer, with the pattern and
 keywords of the model vocabulary the grammar carries (see vlang.grammar).
 Grammar validation ensures that each terminal scans as one token of it.
-The matchers read the token kinds and texts by index; a line and column are
-worked out from a token's offset only for a node's position or an error.
+The matchers read the token kinds and texts by index.  A node keeps the
+index of its first token, and its line and column are computed when its
+position is first read; an error computes its own.  So a parse computes no
+offset or position that nobody reads.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .grammar import (
     TerminalSynonyms,
 )
 from .lexer import SourceError, Tokens, scan
-from .schema import STEREOTYPE_FIELD, AstNode, SourcePos
+from .schema import STEREOTYPE_FIELD, AstNode
 
 
 class TokenizeError(SourceError):
@@ -104,7 +106,7 @@ class _Parse:
 
 def _node(p: _Parse, prod: Production, fields: tuple[tuple[str, str], ...]) -> _Node:
     body = _sequence(p, prod.elements)
-    starts, where, name, new = p.tokens.starts, p.tokens.where, prod.name, tuple.__new__
+    locate, name = p.tokens.locate, prod.name
 
     def node(pos):
         acc: _Fields = {}
@@ -123,7 +125,7 @@ def _node(p: _Parse, prod: Production, fields: tuple[tuple[str, str], ...]) -> _
                 values[label] = found[0] if found else None
             else:
                 values[label] = frozenset(found)
-        return AstNode(name, values, new(SourcePos, where(starts[pos]))), end
+        return AstNode(name, values, pos, locate), end
 
     return node
 
@@ -250,7 +252,7 @@ def parse_model(grammar: GrammarDef, source: str) -> AstNode:
     conforms to the grammar's schema."""
     tokens = tokenize_model(grammar, source)
     p = _Parse(grammar, tokens)
-    kinds, texts, starts = tokens.kinds, tokens.texts, tokens.starts
+    kinds, texts = tokens.kinds, tokens.texts
     fields = {
         dt.name: tuple((f.label, f.card) for f in dt.fields) for dt in grammar.schema.datatypes
     }
@@ -265,7 +267,7 @@ def parse_model(grammar: GrammarDef, source: str) -> AstNode:
             # The descent recurses once per nesting level; past the
             # interpreter's recursion limit the model is refused, not the
             # process.
-            where = tokens.where(starts[exc.args[0]])
+            where = tokens.locate(exc.args[0])
             raise ModelParseError("model nested too deeply to parse", *where) from None
     finally:
         p.nodes.clear()
@@ -274,7 +276,7 @@ def parse_model(grammar: GrammarDef, source: str) -> AstNode:
         if kinds[pos] == "eof":
             return node
         message = f"trailing input starting at {texts[pos]!r}"
-        raise ModelParseError(message, *tokens.where(starts[pos]))
+        raise ModelParseError(message, *tokens.locate(pos))
     expected = frozenset(p.expected)
     message = f"expected {', '.join(sorted(expected))}, got {tokens.name(p.farthest)}"
-    raise ModelParseError(message, *tokens.where(starts[p.farthest]), expected)
+    raise ModelParseError(message, *tokens.locate(p.farthest), expected)

@@ -17,7 +17,7 @@ tests.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .grammar import (
     IDENT_TOKEN,
@@ -184,15 +184,39 @@ class AstNode:
 
     Field values are identifiers (str), child nodes, lists of values, None
     for an absent optional, or a frozenset of stereotype names.  Source
-    positions are diagnostic only and excluded from equality.
+    positions are diagnostic only and excluded from equality.  A node is
+    given its `pos`, or, by a parser, the index of its first token as `pos`
+    and a `locate` that maps the index to a line and column: then `pos` is
+    computed on first read and kept.
     """
 
-    __slots__ = ("datatype", "fields", "pos")
+    __slots__ = ("datatype", "fields", "_pos", "_locate")
 
-    def __init__(self, datatype: str, fields: dict[str, object], pos: SourcePos | None = None):
+    def __init__(
+        self,
+        datatype: str,
+        fields: dict[str, object],
+        pos: SourcePos | int | None = None,
+        locate: Callable[[int], tuple[int, int]] | None = None,
+    ):
         self.datatype = datatype
         self.fields = fields
-        self.pos = pos
+        self._pos = pos
+        self._locate = locate
+
+    @property
+    def pos(self) -> SourcePos | None:
+        locate = self._locate
+        if locate is None:
+            return self._pos
+        self._pos = pos = SourcePos(*locate(self._pos))
+        self._locate = None
+        return pos
+
+    def derived(self, datatype: str, fields: dict[str, object]) -> AstNode:
+        """A node of `datatype` and `fields` at this node's position; a
+        position not yet computed is copied as it is."""
+        return AstNode(datatype, fields, self._pos, self._locate)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -5,11 +5,12 @@ import gc
 import pytest
 
 from oracles import conforms, oracle_parse_model, token_rows
-from vlang import bundled, modelparse
+from vlang import bundled, cli, modelparse
+from vlang.desugar import desugar_to_minimal
 from vlang.grammar import parse_grammar
 from vlang.lexer import Tokens
 from vlang.modelparse import ModelParseError, TokenizeError, parse_model, tokenize_model
-from vlang.schema import derive_schema, dump_ast
+from vlang.schema import SourcePos, derive_schema, dump_ast
 
 
 def _class_names(node, field="CDCClass"):
@@ -94,8 +95,10 @@ def test_nesting_past_the_recursion_limit_is_a_parse_error():
 
 
 def _leaked_token_columns(grammar):
-    """How many token records, and token columns of theirs, a parse of a
-    1,000-class model leaves for the cycle collector."""
+    """How many token records, and objects a record holds in its slots, a
+    parse of a 1,000-class model leaves for the cycle collector.  The slots
+    are read as they are: the offsets and the line table a record builds on
+    first read are counted only if they were built."""
     text = "classdiagram D {\n" + "".join(
         f"<<s>> class C{i} ext A{i}, B{i};\nclasses A{i}, B{i}, E{i};\n" for i in range(500)
     ) + "}"
@@ -107,8 +110,8 @@ def _leaked_token_columns(grammar):
         assert len(parse_model(grammar, text).fields["classes"]) == 1000
         gc.collect()
         records = [o for o in gc.garbage if isinstance(o, Tokens)]
-        columns = {id(c) for r in records for c in (r.kinds, r.texts, r.starts)}
-        leaked = len(records) + sum(id(o) in columns for o in gc.garbage)
+        held = {id(getattr(r, slot)) for r in records for slot in Tokens.__slots__}
+        leaked = len(records) + sum(id(o) in held for o in gc.garbage)
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
@@ -126,7 +129,8 @@ def test_a_parse_leaves_no_cycle_that_holds_its_tokens(cd):
 
 def test_a_planted_cycle_holds_the_tokens(cd, monkeypatch):
     # The same count sees a cycle: with the table left full, the record and
-    # its three columns wait for the collector.
+    # its three lists (kinds, texts and the comment indices) wait for the
+    # collector; no node's position was read, so no offsets were built.
     class KeptNodes(dict):
         def clear(self):
             pass
@@ -138,6 +142,78 @@ def test_a_planted_cycle_holds_the_tokens(cd, monkeypatch):
 
     monkeypatch.setattr(modelparse, "_Parse", Parse)
     assert _leaked_token_columns(cd) == 4
+
+
+class _Located(Exception):
+    """Raised by `Tokens.where` where a test forbids computing positions."""
+
+
+def _refuse(tokens, offset):
+    raise _Located(offset)
+
+
+def test_parsing_desugaring_and_dumping_work_out_no_position(cd, monkeypatch):
+    text = "// header\nclassdiagram D { // two\n  <<s>> class A ext B;\n  classes B, C; // end\n}\n// last"
+    dump = dump_ast(desugar_to_minimal(parse_model(cd, text), cd))
+    monkeypatch.setattr(Tokens, "where", _refuse)
+    node = parse_model(cd, text)
+    minimal = desugar_to_minimal(node, cd)
+    assert dump_ast(minimal) == dump
+    # A position is computed when it is first read, and kept.
+    expanded = minimal.fields["classes"][1]
+    with pytest.raises(_Located):
+        expanded.pos
+    monkeypatch.undo()
+    assert (node.pos, expanded.pos) == (SourcePos(2, 1), SourcePos(4, 3))
+    monkeypatch.setattr(Tokens, "where", _refuse)
+    assert expanded.pos == SourcePos(4, 3)
+
+
+@pytest.mark.parametrize("text, error, message, line, col", [
+    ("classdiagram D { class A% ; }", TokenizeError, "illegal character '%'", 1, 25),
+    ("classdiagram D { class A extends ; }", ModelParseError, "expected IDENT, got ';'", 1, 34),
+    ("classdiagram D { }\n  class", ModelParseError, "trailing input starting at 'class'", 2, 3),
+    ("classdiagram D {\n  class A;\n// end", ModelParseError,
+     "expected 'class', 'classes', '}', got end of input", 3, 1),
+    ("classdiagram D { class A; } // end\n}", ModelParseError, "trailing input starting at '}'", 2, 1),
+])
+def test_an_error_works_out_its_position(cd, monkeypatch, text, error, message, line, col):
+    # Only the error reads a position, and it reads the one it reports.
+    monkeypatch.setattr(Tokens, "where", _refuse)
+    with pytest.raises(_Located):
+        parse_model(cd, text)
+    monkeypatch.undo()
+    with pytest.raises(error) as exc:
+        parse_model(cd, text)
+    assert (str(exc.value), exc.value.line, exc.value.col) == (f"line {line}, col {col}: {message}", line, col)
+
+
+def test_too_deep_a_nesting_works_out_its_position(monkeypatch):
+    # The message and position are those of the test above.
+    g = parse_grammar('grammar N { A = "a" (A)?; }')
+    monkeypatch.setattr(Tokens, "where", _refuse)
+    with pytest.raises(_Located):
+        parse_model(g, " ".join(["a"] * 3000))
+
+
+def test_wf_works_out_one_position_per_violation(tmp_path, monkeypatch, capsys):
+    grammar, model = tmp_path / "cd.mclang", tmp_path / "big.cd"
+    grammar.write_text(bundled.CD_GRAMMAR_TEXT, encoding="utf-8")
+    classes = "".join(f"  class C{i};\n" for i in range(200))
+    model.write_text(f"classdiagram D {{\n{classes}  class A ext X, Y;\n  classes C7;\n}}\n", encoding="utf-8")
+    calls = []
+    where = Tokens.where
+    monkeypatch.setattr(Tokens, "where", lambda tokens, offset: calls.append(offset) or where(tokens, offset))
+    argv = ["wf", str(grammar), str(model), "--cc", "CC-supers-declared,CC-single-inheritance-syntactic"]
+    assert cli.main(argv) == 1
+    violations = capsys.readouterr().out.splitlines()
+    assert violations == [
+        "CC CC-single-inheritance-syntactic 202:3 class A has 2 super-classes",
+        "CC CC-supers-declared 202:3 class A extends undeclared class X",
+        "CC CC-supers-declared 202:3 class A extends undeclared class Y",
+        "CC CC-unique-class-names 203:3 duplicate class name C7",
+    ]
+    assert 1 <= len(calls) <= len(violations) + 1
 
 
 def test_trailing_input_is_an_error(cdsimp):
