@@ -1,17 +1,25 @@
-"""Time the scanner and the four parse entry points of one benchmark pass.
+"""Time the scanner, the four parse entry points and the context conditions
+of one benchmark pass.
 
     python3 scripts/layer_us.py --workload frontend --seed 71 --batches 15
 
 Run it from the root of a vlang source tree; it imports `vlang` from `src/`
 there, and `perfbench/workloads.py` to build the workload's inputs, which it
 only reads.  It runs one pass of the workload's operations through
-`vlang.cli.main` in this process and records each call of `lexer.scan` and
-of `parse_grammar`, `parse_model`, `parse_feature_diagrams` and
-`parse_configurations` with its arguments.  Then, layer by layer, it replays
-the recorded calls in batches, each batch every call once, and prints one
-JSON object: per layer, the calls in a pass and the minimum and median over
-the batches of the microseconds per call.  To compare two trees, run it from
+`vlang.cli.main` in this process and records each call of `lexer.scan`, of
+`parse_grammar`, `parse_model`, `parse_feature_diagrams` and
+`parse_configurations`, and of `check_context_conditions` with its
+arguments.  Then, layer by layer, it replays the recorded calls in batches,
+each batch every call once, and prints one JSON object: per layer, the calls
+in a pass and the minimum and median over the batches of the microseconds
+per call.  A replayed condition check is warm: the pass has already computed
+the positions of the nodes it reports.  To compare two trees, run it from
 each in turn, alternating, on one host.
+
+It exits 1, naming the layer, when a layer records no call in the pass,
+as when a module no longer calls the layer's function through the name this
+script patches; the conditions need a call only in a pass with a `wf`
+operation.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ def main() -> int:
     root = Path.cwd()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads
-    from vlang import cli, features, grammar, lexer, modelparse
+    from vlang import cli, conditions, features, grammar, lexer, modelparse, semantics
 
     # Each layer's function, and the module names it is called through.
     layers = {
@@ -49,6 +57,9 @@ def main() -> int:
         ),
         "features.parse_configurations": (
             features.parse_configurations, [(cli, "parse_configurations")]
+        ),
+        "conditions.check_context_conditions": (
+            conditions.check_context_conditions, [(cli, "check_context_conditions")]
         ),
     }
     calls: dict[str, list] = {name: [] for name in layers}
@@ -78,18 +89,23 @@ def main() -> int:
             for module, attr in sites:
                 setattr(module, attr, function)
 
+    if not any(op.argv[0] == "wf" for op in workload.ops):
+        del calls["conditions.check_context_conditions"]
+    silent = [name for name, recorded in calls.items() if not recorded]
+    if silent:
+        print("layer_us: no call recorded for " + ", ".join(silent), file=sys.stderr)
+        return 1
+
     result = {}
-    for name, (function, _) in layers.items():
-        recorded = calls[name]
-        if not recorded:
-            continue
+    for name, recorded in calls.items():
+        function = layers[name][0]
         per_call = []
         for _ in range(args.batches):
             start = perf_counter()
             for a, kw in recorded:
                 try:
                     function(*a, **kw)
-                except (lexer.SourceError, features.FeatureModelError):
+                except (lexer.SourceError, features.FeatureModelError, semantics.SemanticsError):
                     pass
             per_call.append((perf_counter() - start) / len(recorded) * 1e6)
         result[name] = {

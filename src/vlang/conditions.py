@@ -11,6 +11,11 @@ Non-optional conditions always apply; optional ones are selected by id.
 Each condition is a total predicate yielding a possibly empty violation
 list; violations are reported deterministically, ordered by (condition id,
 source position).
+
+The conditions of one check run in id order and share one record of the
+diagram's classes (`_Classes`), which reads each class's Name and supers at
+most once, where a condition first needs them; so a field of the wrong shape
+is refused at the same read as when each condition read its own fields.
 """
 
 from __future__ import annotations
@@ -35,10 +40,19 @@ class CCViolation(NamedTuple):
         return f"CC {self.condition_id} {self.line}:{self.col} {self.message}"
 
 
+class _Classes(NamedTuple):
+    """A diagram's class statements, and each one's Name and supers, None
+    until read."""
+
+    nodes: list[AstNode]
+    names: list
+    supers: list
+
+
 class ContextCondition(NamedTuple):
     id: str
     optional: bool
-    check: Callable[[AstNode], list[CCViolation]]
+    check: Callable[[_Classes], list[CCViolation]]
 
 
 def _violation(cc_id: str, node: AstNode, message: str) -> CCViolation:
@@ -46,11 +60,17 @@ def _violation(cc_id: str, node: AstNode, message: str) -> CCViolation:
     return CCViolation(cc_id, line, col, message)
 
 
-def _cc_unique_class_names(diagram: AstNode) -> list[CCViolation]:
+def _every(values: list, read: Callable[[AstNode], object], nodes: list[AstNode]) -> list:
+    """Every class's field, read in statement order where it is not yet."""
+    if None in values:
+        values[:] = [read(c) if v is None else v for v, c in zip(values, nodes)]
+    return values
+
+
+def _cc_unique_class_names(classes: _Classes) -> list[CCViolation]:
     seen: set[str] = set()
     violations = []
-    for c in statement_nodes(diagram):
-        name = class_name(c)
+    for c, name in zip(classes.nodes, _every(classes.names, class_name, classes.nodes)):
         if name in seen:
             violations.append(
                 _violation("CC-unique-class-names", c, f"duplicate class name {name}")
@@ -59,29 +79,32 @@ def _cc_unique_class_names(diagram: AstNode) -> list[CCViolation]:
     return violations
 
 
-def _cc_supers_declared(diagram: AstNode) -> list[CCViolation]:
+def _cc_supers_declared(classes: _Classes) -> list[CCViolation]:
     # Every name before any super: a Name defect is reported first.
-    classes = statement_nodes(diagram)
-    names = [class_name(c) for c in classes]
+    nodes = classes.nodes
+    names = _every(classes.names, class_name, nodes)
     declared = set(names)
     return [
         _violation("CC-supers-declared", c, f"class {name} extends undeclared class {s}")
-        for c, name in zip(classes, names)
-        for s in class_supers(c)
+        for c, name, supers in zip(nodes, names, _every(classes.supers, class_supers, nodes))
+        for s in supers
         if s not in declared
     ]
 
 
-def _cc_single_inheritance(diagram: AstNode) -> list[CCViolation]:
-    return [
-        _violation(
-            "CC-single-inheritance-syntactic",
-            c,
-            f"class {class_name(c)} has {count} super-classes",
-        )
-        for c in statement_nodes(diagram)
-        if (count := len(class_supers(c))) > 1
-    ]
+def _cc_single_inheritance(classes: _Classes) -> list[CCViolation]:
+    # Class by class: its supers, and then the Name of one with several.
+    nodes, names, supers = classes
+    violations = []
+    for i, c in enumerate(nodes):
+        if supers[i] is None:
+            supers[i] = class_supers(c)
+        if len(supers[i]) > 1:
+            if names[i] is None:
+                names[i] = class_name(c)
+            message = f"class {names[i]} has {len(supers[i])} super-classes"
+            violations.append(_violation("CC-single-inheritance-syntactic", c, message))
+    return violations
 
 
 _CLASS_DIAGRAM = {
@@ -118,11 +141,15 @@ def check_context_conditions(
     all violations in deterministic order."""
     conditions = CONDITIONS.get(language, {})
     violations: list[CCViolation] = []
+    classes = None
     for cc_id in sorted(set(active)):
         condition = conditions.get(cc_id)
         if condition is None:
             raise UnknownConditionError(
                 f"unknown context condition {cc_id} for language {language}"
             )
-        violations.extend(condition.check(node))
+        if classes is None:
+            nodes = statement_nodes(node)
+            classes = _Classes(nodes, [None] * len(nodes), [None] * len(nodes))
+        violations.extend(condition.check(classes))
     return sorted(violations)

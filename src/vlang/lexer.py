@@ -3,27 +3,30 @@ diagrams (.fd) and configurations (.conf).  Each vocabulary's pattern is
 built once (`token_pattern`) and passed in: that of grammar, .fd and .conf
 files at the first parse, and that of a grammar's models when
 `parse_grammar` validates the grammar, which carries it.  Spaces, tabs,
-carriage returns and newlines separate tokens; a ``//`` comment runs to the
-end of its line and takes no columns.  Words match the format's word
-pattern, punctuation is matched longest-first, and only grammars have quoted
-strings.  Any other character is an error of the format's own class, at a
-1-based line and column.
+carriage returns and newlines separate tokens; a ``//`` comment runs from
+where a token could start to the end of its line and takes no columns.
+Words match the format's word pattern, punctuation is matched
+longest-first, and only grammars have quoted strings.  Any other character
+is an error of the format's own class, at a 1-based line and column.
 
-The scanner splits the whole source with the pattern in one call, which
-gives the blank runs and the tokens in turn, and returns the tokens as
-columns (`Tokens`): their kinds and their texts.  A token's kind follows
-from its text: the vocabulary's punctuation and the keywords are looked up,
-every other word is an identifier, and only a source holding a quote or
-``//`` has strings or comments to find.  Start offsets, and the lines and
-columns they fall on, are computed on first read, for an error or a node
-position that someone reads; a parse that reads none computes none.
+No token spans a line, so the scanner finds each line that holds ``//``,
+splits that line alone with the pattern, and overwrites the comment it
+meets, if any, with blanks of the same width: a ``//`` inside a string or a
+mark such as ``://`` starts none.  Then it splits the whole source with the
+pattern in one call, which gives the blank runs and the tokens in turn, and
+returns the tokens as columns (`Tokens`): their kinds and their texts.  A
+token's kind follows from its text: the vocabulary's punctuation and the
+keywords are looked up, every other word is an identifier, and only a
+source holding a quote has strings to find.  Start offsets, and the lines
+and columns they fall on, are computed on first read, for an error or a
+node position that someone reads; a parse that reads none computes none.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from typing import Iterable, NamedTuple
 
 IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -55,12 +58,13 @@ def token_pattern(
     punct: Iterable[str], word: str = IDENT.pattern, *, strings: bool = False
 ) -> TokenPattern:
     """The pattern of a vocabulary's punctuation and word pattern (which has
-    no group).  A mark that starts with a blank, a quote or ``//`` can never
-    be a token, and is left out."""
+    no group).  A mark that starts or ends with a blank, or starts with a
+    quote or ``//``, can never be a token, and is left out: no token before
+    a comment can then reach into the blanks that replace it."""
     # Punctuation longest first, ties in a fixed order; `(?!)` matches
     # nothing, for a vocabulary without punctuation.
     ordered = sorted(
-        {p for p in punct if p and p[0] not in _BLANKS + '"' and not p.startswith("//")},
+        {p for p in punct if p and p == p.strip(_BLANKS) and p[0] != '"' and p[:2] != "//"},
         key=lambda p: (-len(p), p),
     )
     marks = "|".join(map(re.escape, ordered)) or "(?!)"
@@ -76,19 +80,23 @@ def token_pattern(
 class Tokens:
     """The tokens of one source, as columns: each token's kind ("ident",
     "keyword", "string", "punct", and "eof" last) and its text (a string's
-    without its quotes).  The start offsets (`starts`) and the table of
-    line starts behind `where` and `locate` are computed on first read, the
-    offsets by finding the tokens in the source again; the "eof" token
-    starts at the end of the source, or at a comment that ends it."""
+    without its quotes).  The source kept is the one scanned, its comments
+    blanked, so it has the same offsets and lines.  The start offsets
+    (`starts`) and the table of line starts behind `where` and `locate` are
+    computed on first read, the offsets by finding the tokens in the source
+    again; the "eof" token starts at `end`: the end of the source, or the
+    comment that ends it."""
 
-    __slots__ = ("kinds", "texts", "_source", "_regex", "_comments", "_starts", "_lines")
+    __slots__ = ("kinds", "texts", "_source", "_regex", "_end", "_starts", "_lines")
 
-    def __init__(self, kinds: list[str], texts: list[str], source: str, regex: re.Pattern[str]):
+    def __init__(
+        self, kinds: list[str], texts: list[str], source: str, regex: re.Pattern[str], end: int
+    ):
         self.kinds = kinds
         self.texts = texts
         self._source = source
         self._regex = regex
-        self._comments: list[int] = []
+        self._end = end
         self._starts: list[int] | None = None
         self._lines: list[int] | None = None
 
@@ -97,18 +105,8 @@ class Tokens:
         """Each token's start offset."""
         starts = self._starts
         if starts is None:
-            # The pattern finds the tokens the scan split the source at,
-            # comments included.
-            source, comments = self._source, self._comments
-            starts = list(map(re.Match.start, self._regex.finditer(source)))
-            end = len(source)
-            if comments:
-                if comments[-1] == len(starts) - 1 and "\n" not in source[starts[-1]:]:
-                    # The source ends in a comment, where its end of input sits.
-                    end = starts[-1]
-                starts = _without(starts, comments)
-            starts.append(end)
-            self._starts = starts
+            found = self._regex.finditer(self._source)
+            starts = self._starts = [*map(re.Match.start, found), self._end]
         return starts
 
     def where(self, offset: int) -> tuple[int, int]:
@@ -140,12 +138,29 @@ def scan(
 ) -> Tokens:
     """Tokenize `source` with a `token_pattern`; the columns end with one
     "eof" token."""
-    parts = pattern.regex.split(source)
+    regex, end = pattern.regex, len(source)
+    # Each line holding "//" is split alone; a comment among its tokens
+    # becomes blanks up to the line's end.
+    pieces, done, at = [], 0, source.find("//")
+    while at >= 0:
+        line, stop = source.rfind("\n", 0, at) + 1, source.find("\n", at)
+        stop = len(source) if stop < 0 else stop
+        for m in regex.finditer(source, line, stop):
+            if m[1][:2] == "//":
+                pieces += source[done:m.start()], " " * (stop - m.start())
+                done = stop
+                if stop == len(source):
+                    end = m.start()
+                break
+        at = source.find("//", stop)
+    if pieces:
+        source = "".join(pieces) + source[done:]
+    parts = regex.split(source)
     texts = parts[1::2]
     kind = dict.fromkeys(keywords, "keyword")
     kind.update(pattern.punct)
     kinds = list(map(kind.get, texts, repeat("ident")))
-    tokens = Tokens(kinds, texts, source, pattern.regex)
+    tokens = Tokens(kinds, texts, source, regex, end)
     gaps = parts[::2]
     if "".join(gaps).strip(_BLANKS):
         # A character no token starts with: the first one is the error.
@@ -155,26 +170,12 @@ def scan(
         if pattern.strings and rest[0] == '"':
             raise error("unterminated terminal string", *where)
         raise error(f"illegal character {rest[0]!r}", *where)
-    if '"' in source or "//" in source:
-        comments = tokens._comments
-        for i in [i for i, text in enumerate(texts) if text[0] in '"/']:
-            text = texts[i]
-            if text[0] == '"':
-                kinds[i], texts[i] = "string", text[1:-1]
-            elif text.startswith("//"):
-                comments.append(i)
-        if comments:
-            tokens.kinds = _without(kinds, comments)
-            tokens.texts = _without(texts, comments)
-    tokens.kinds.append("eof")
-    tokens.texts.append("")
+    if '"' in source:
+        for i in [i for i, text in enumerate(texts) if text[0] == '"']:
+            kinds[i], texts[i] = "string", texts[i][1:-1]
+    kinds.append("eof")
+    texts.append("")
     return tokens
-
-
-def _without(column: list, drop: list[int]) -> list:
-    """`column` without the entries at the ascending indices `drop`."""
-    bounds = zip([-1, *drop], [*drop, len(column)])
-    return list(chain.from_iterable(column[lo + 1:hi] for lo, hi in bounds))
 
 
 class Cursor:

@@ -6,15 +6,18 @@ and greedy matching, with backtracking in two places.  An optional or
 starred group is tried one iteration at a time, and an iteration commits
 only if it matches fully.  A reference tries its production and then the
 production's sugar alternatives, in declaration order, and takes the first
-that matches.  Each node and each iteration collects its fields into a dict
-of its own, which joins the enclosing one only when it matches, so a failed
-iteration or alternative leaves no fields behind; an iteration of a lone
-reference or IDENT, which writes only when it matches, needs none.  A
-repetition whose body opens with a terminal tests the current token before
-it tries the body.  An error reports the farthest token any alternative
-reached and every terminal expected there.  Terminal synonyms all produce
-the canonical token, so the spelling chosen in the model never shows in the
-AST.
+that matches.  Each node collects its fields into a dict of its own, and so
+does an iteration in which an element that can fail follows one that may
+have written; such a dict joins the enclosing one only when it matches, so
+a failed iteration or alternative leaves no fields behind.  Any other
+iteration writes straight into the enclosing fields, as decided when the
+grammar is compiled: an IDENT or a reference writes only when it matches,
+an optional or starred group never fails, and a stereotype slot is never in
+an iteration.  A repetition whose body
+opens with a terminal tests the current token before it tries the body.  An
+error reports the farthest token any alternative reached and every terminal
+expected there.  Terminal synonyms all produce the canonical token, so the
+spelling chosen in the model never shows in the AST.
 
 Tokenization: the shared scanner of vlang.lexer, with the pattern and
 keywords of the model vocabulary the grammar carries (see vlang.grammar).
@@ -221,9 +224,16 @@ def _group(p: _Parse, group: Group) -> _Matcher:
     # failure its try would record is recorded without the try.
     spellings = head.all_spellings() if isinstance(head, (Terminal, TerminalSynonyms)) else ()
     texts, expected = p.tokens.texts, tuple(map(repr, spellings))
-    # A lone reference or IDENT writes its field only when it matches, so
-    # an iteration of it needs no fields of its own.
-    direct = len(group.elements) == 1 and isinstance(head, NonterminalRef)
+    # Fields of its own where an element that can fail (anything but an
+    # optional or starred group) follows one that may have written, or for
+    # a once-group, which may do both.
+    direct, wrote = True, False
+    for el in group.elements:
+        inner = isinstance(el, Group) and el.cardinality == "once"
+        if inner or wrote and not isinstance(el, Group):
+            direct = False
+            break
+        wrote = wrote or not isinstance(el, (Terminal, TerminalSynonyms))
 
     def repeat(pos, acc):
         while True:

@@ -948,7 +948,12 @@ def test_hooks_bound_to_a_reused_name_refuse_a_missing_field(
     (_SUP.replace(_CLASS, 'CDCClass = "class" (Name:IDENT)?'),
      "classdiagram D { class A extends s B; class; }", ["--cc", "CC-supers-declared"],
      (2, "", "vlang: CDCClass field Name is not an IDENT\n")),
-], ids=["scl-unread", "scl-read", "name-before-scl"])
+    # The same diagram under CC-single-inheritance-syntactic, which runs
+    # first and reads each class's `scl` before its Name.
+    (_SUP.replace(_CLASS, 'CDCClass = "class" (Name:IDENT)?'),
+     "classdiagram D { class A extends s B; class; }", ["--cc", "CC-single-inheritance-syntactic"],
+     (2, "", "vlang: CDCClass field scl is not an IDENT or a list of IDENTs\n")),
+], ids=["scl-unread", "scl-read", "name-before-scl", "scl-before-name"])
 def test_conditions_read_the_fields_they_check_in_a_fixed_order(workspace, capsys, grammar, model, cc, want):
     (workspace / "h.mclang").write_text(grammar)
     (workspace / "h.txt").write_text(model)

@@ -156,9 +156,11 @@ def test_productions_without_a_finite_model_are_rejected(source, barren):
     ('grammar G { A = "a b"; }', "'a b'"),
     ('grammar G { A = "//" x:IDENT; }', "'//'"),
     ('grammar G { A = ("to" | "x-y") x:IDENT; }', "'x-y'"),
-    # Blanks separate model tokens, so a spelling of blanks alone is none.
+    # Blanks separate model tokens, so a spelling of blanks alone is none,
+    # and neither is one that ends in a blank.
     ('grammar G { A = " " x:IDENT; }', "' '"),
     ('grammar G { A = "\t" x:IDENT; }', r"'\\t'"),
+    ('grammar G { A = "- " x:IDENT; }', "'- '"),
 ])
 def test_terminals_must_scan_as_one_model_token(source, terminal):
     with pytest.raises(GrammarError, match=f"^terminal {terminal} does not scan as one model token$"):

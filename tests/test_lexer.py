@@ -23,12 +23,16 @@ _CD_KEYWORDS = {"classdiagram", "class", "classes", "extends", "ext"}
 # (punct, error, options) of a grammar, a model and a feature diagram.
 VOCABULARIES = {
     "grammar": (_PUNCT, GrammarError, {"strings": True}),
-    "model": ({"{", "}", ";", ",", "<<", ">>"}, TokenizeError, {"keywords": _CD_KEYWORDS}),
+    "model": (
+        {"{", "}", ";", ",", "<<", ">>", "://", "-//", "--"},
+        TokenizeError,
+        {"keywords": _CD_KEYWORDS},
+    ),
     "feature diagram": ("{};.", FeatureSyntaxError, {"word": _WORD}),
 }
 
 _ALPHABET = [
-    "a", "Z", "x1", "b_c", "class", "classes", "ext", "-", '"', "/", "//",
+    "a", "Z", "x1", "b_c", "class", "classes", "ext", "-", ":", '"', "/", "//",
     *_PUNCT, "<<", ">>", ",", ".", " ", "\t", "\r", "\n", "%",
 ]
 
@@ -74,6 +78,12 @@ def test_scan_equals_the_oracle(text):
     "a\n\t\r\n\t%",
     "",
     "\n",
+    "go :// x // c",
+    "-- -// x",
+    "---// x",
+    'a "b//c" // d',
+    '// say "x',
+    "a // c",
 ], ids=[
     "blanks at the end of a line",
     "blanks at the end of input",
@@ -92,6 +102,12 @@ def test_scan_equals_the_oracle(text):
     "error after a line of blanks",
     "empty input",
     "newline only",
+    "a mark holding // before a comment",
+    "marks holding // after their first character",
+    "a mark holding // after a shorter mark",
+    "a string holding // before a comment",
+    "a quote inside a comment",
+    "comment at the end of input",
 ])
 def test_scan_equals_the_oracle_on(text):
     _check(text)

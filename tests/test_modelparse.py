@@ -129,8 +129,8 @@ def test_a_parse_leaves_no_cycle_that_holds_its_tokens(cd):
 
 def test_a_planted_cycle_holds_the_tokens(cd, monkeypatch):
     # The same count sees a cycle: with the table left full, the record and
-    # its three lists (kinds, texts and the comment indices) wait for the
-    # collector; no node's position was read, so no offsets were built.
+    # its two lists (kinds and texts) wait for the collector; no node's
+    # position was read, so no offsets were built.
     class KeptNodes(dict):
         def clear(self):
             pass
@@ -141,7 +141,7 @@ def test_a_planted_cycle_holds_the_tokens(cd, monkeypatch):
             self.nodes = KeptNodes()
 
     monkeypatch.setattr(modelparse, "_Parse", Parse)
-    assert _leaked_token_columns(cd) == 4
+    assert _leaked_token_columns(cd) == 3
 
 
 class _Located(Exception):
@@ -231,6 +231,12 @@ def test_line_comments_are_skipped(cdsimp):
     assert token_rows(tokenize_model(cdsimp, "class A\n// end"))[-1] == ("eof", "", 2, 1)
 
 
+def test_a_mark_holding_a_comment_opener_is_one_token():
+    # "//" starts a comment only where a token can start.
+    g = parse_grammar('grammar G { R = "go" "://" Name:IDENT ";"; }')
+    assert dump_ast(parse_model(g, "go :// x; // trailing")) == "(R Name=x)"
+
+
 def test_positions_recorded_for_diagnostics(cdsimp):
     node = parse_model(cdsimp, "classdiagram D {\n  class A;\n  class B;\n}")
     a, b = node.fields["CDCClass"]
@@ -245,6 +251,24 @@ def test_star_iteration_commits_only_full_matches():
     # An iteration opened by a field keeps it only when the rest matches.
     g = parse_grammar('grammar G { S = (x:IDENT ";")* y:IDENT "end"; }')
     assert parse_model(g, "p ; q end").fields == {"x": ["p"], "y": "q"}
+    # A terminal after a field that may have matched: the failed second
+    # iteration wrote x = c, which must not stay.
+    g = parse_grammar('grammar G { S = (x:IDENT (y:IDENT)? ";")* z:IDENT "end"; }')
+    assert parse_model(g, "a b ; c end").fields == {"x": ["a"], "y": ["b"], "z": "c"}
+    # Nothing can fail after a field is written: the iteration writes
+    # straight into the node's fields.
+    g = parse_grammar('grammar G { S = ("," x:IDENT (y:IDENT)?)* ";"; }')
+    assert parse_model(g, ", a b , c ;").fields == {"x": ["a", "c"], "y": ["b"]}
+    # A group that opens the iteration can fail after it wrote.
+    g = parse_grammar('grammar G { S = ((x:IDENT ";"))* y:IDENT "end"; }')
+    assert parse_model(g, "p ; q end").fields == {"x": ["p"], "y": "q"}
+    # An iteration of nodes with a stereotype slot: the third fails after
+    # "<< s", and neither it nor its stereotype stays.
+    g = parse_grammar(
+        'grammar G { S = (cs:C)* "<<" t:IDENT "!"; C = <<?>> "c" n:IDENT; }'
+    )
+    node = parse_model(g, "<<p>> c a c b << s !")
+    assert dump_ast(node) == "(S cs=[(C n=a stereotypes={p}),(C n=b stereotypes={})] t=s)"
 
 
 def test_optional_group_backtracks_cleanly():
