@@ -34,15 +34,16 @@ target is absent (requires) or present (excludes).
 
 Both formats are read by the shared scanner of vlang.lexer, with ``{ } ; .``
 as punctuation and words that may contain ``-`` (``semantic-domain``); names
-are IDENTs.
+are IDENTs.  The readers read its token columns by index, one function per
+construct.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
-from .lexer import IDENT, Cursor, SourceError, TokenPattern, scan, token_pattern
+from .lexer import SourceError, TokenPattern, Tokens, scan, token_pattern
 
 FEATURE_KINDS = (
     "presentation",
@@ -54,6 +55,8 @@ FEATURE_KINDS = (
 )
 
 _WORD = r"[A-Za-z][A-Za-z0-9_-]*"
+
+_Item = TypeVar("_Item")
 
 
 @cache
@@ -151,132 +154,129 @@ class Violation(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Token access and the file loop shared by .fd and .conf files
+# Reading .fd and .conf files
+#
+# Each reader takes the token columns and the index of its first token, and
+# returns what it read and the index after it.  A word is compared by its
+# text alone: only words have letters, and only "eof" has an empty text.
 # ---------------------------------------------------------------------------
 
-class _Parser(Cursor):
-    """A file of one or more items, each opened by the word `keyword` and
-    read by `_item`."""
-
-    error = FeatureSyntaxError
-    keyword: str
-
-    def __init__(self, source: str):
-        super().__init__(scan(source, _pattern(), self.error))
-
-    def parse_all(self) -> list:
-        items = [self._item()]
-        while self._at("ident", self.keyword):
-            items.append(self._item())
-        if self.kinds[self.pos] != "eof":
-            raise self._err(f"trailing input {self.texts[self.pos]!r}")
-        return items
-
-    def _name(self, what: str) -> str:
-        text = self.texts[self.pos]
-        if self.kinds[self.pos] != "ident" or not IDENT.fullmatch(text):
-            raise self._err(f"expected {what} name, got {self._got()}")
-        self.pos += 1
-        return text
+def _read_all(
+    source: str, keyword: str, read: Callable[[Tokens, int], tuple[_Item, int]]
+) -> list[_Item]:
+    """The items of a file of one or more, each opened by the word
+    `keyword` and read by `read`."""
+    tokens = scan(source, _pattern(), FeatureSyntaxError)
+    texts = tokens.texts
+    item, i = read(tokens, 0)
+    items = [item]
+    while texts[i] == keyword:
+        item, i = read(tokens, i)
+        items.append(item)
+    if texts[i]:
+        raise tokens.fail(i, f"trailing input {texts[i]!r}")
+    return items
 
 
-# ---------------------------------------------------------------------------
-# Feature diagram parsing
-# ---------------------------------------------------------------------------
+def _name(tokens: Tokens, i: int, what: str) -> str:
+    """Token `i`, which must be an IDENT: a word without ``-``."""
+    text = tokens.texts[i]
+    if tokens.kinds[i] != "ident" or "-" in text:
+        raise tokens.fail(i, f"expected {what} name", got=True)
+    return text
 
-class _DiagramParser(_Parser):
-    keyword = "featurediagram"
 
-    def _item(self) -> FeatureDiagram:
-        self._take("ident", "featurediagram")
-        name = self._name("diagram")
-        self._take("punct", "{")
-        vps: list[VariationPoint] = []
-        constraints: list[CrossConstraint] = []
-        while not self._at("punct", "}"):
-            if self._at("ident", "vp"):
-                vps.append(self._variation_point())
-            elif self._at("ident", "constraint"):
-                constraints.append(self._constraint())
-            else:
-                raise self._err(f"expected 'vp' or 'constraint', got {self._got()}")
-        self._take("punct", "}")
-        diagram = FeatureDiagram(name, tuple(vps), tuple(constraints))
-        _check_diagram(diagram)
-        return diagram
+def _read_diagram(tokens: Tokens, i: int) -> tuple[FeatureDiagram, int]:
+    texts, fail = tokens.texts, tokens.fail
+    if texts[i] != "featurediagram":
+        raise fail(i, "expected 'featurediagram'", got=True)
+    name = _name(tokens, i + 1, "diagram")
+    if texts[i + 2] != "{":
+        raise fail(i + 2, "expected '{'", got=True)
+    i += 3
+    vps: list[VariationPoint] = []
+    constraints: list[CrossConstraint] = []
+    while texts[i] != "}":
+        if texts[i] == "vp":
+            vp, i = _read_variation_point(tokens, i)
+            vps.append(vp)
+        elif texts[i] == "constraint":
+            source, i = _read_ref(tokens, i + 1)
+            relation = texts[i]
+            if relation != "requires" and relation != "excludes":
+                raise fail(i, "expected 'requires' or 'excludes'", got=True)
+            target, i = _read_ref(tokens, i + 1)
+            if texts[i] != ";":
+                raise fail(i, "expected ';'", got=True)
+            constraints.append(CrossConstraint(source, relation, target))
+            i += 1
+        else:
+            raise fail(i, "expected 'vp' or 'constraint'", got=True)
+    diagram = FeatureDiagram(name, tuple(vps), tuple(constraints))
+    _check_diagram(diagram)
+    return diagram, i + 1
 
-    def _variation_point(self) -> VariationPoint:
-        self._take("ident", "vp")
-        name = self._name("variation point")
-        self._take("ident", "for")
-        self._take("ident", "theory")
-        theory = self._name("theory")
-        self._take("punct", "{")
-        features: list[Feature] = []
-        is_xor = False
-        while not self._at("punct", "}"):
-            if self._at("ident", "xor"):
-                if features or is_xor:
-                    raise self._err(
-                        "a variation point holds either optional/mandatory "
-                        "features or one xor-group"
-                    )
-                is_xor = True
-                features.extend(self._xor_group())
-            elif self._at("ident", "optional") or self._at("ident", "mandatory"):
-                if is_xor:
-                    raise self._err("xor-group may not be mixed with other members")
-                modality = self._advance()
-                features.append(self._feature(modality))
-            else:
-                raise self._err(
-                    f"expected 'optional', 'mandatory' or 'xor', got {self._got()}"
+
+def _read_variation_point(tokens: Tokens, i: int) -> tuple[VariationPoint, int]:
+    texts, fail = tokens.texts, tokens.fail
+    name = _name(tokens, i + 1, "variation point")
+    if texts[i + 2] != "for":
+        raise fail(i + 2, "expected 'for'", got=True)
+    if texts[i + 3] != "theory":
+        raise fail(i + 3, "expected 'theory'", got=True)
+    theory = _name(tokens, i + 4, "theory")
+    if texts[i + 5] != "{":
+        raise fail(i + 5, "expected '{'", got=True)
+    i += 6
+    features: list[Feature] = []
+    is_xor = False
+    while texts[i] != "}":
+        word = texts[i]
+        if word == "xor":
+            if features or is_xor:
+                raise fail(
+                    i, "a variation point holds either optional/mandatory features or one xor-group"
                 )
-        self._take("punct", "}")
-        return VariationPoint(name, theory, tuple(features), is_xor)
+            opened, is_xor = i, True
+            if texts[i + 1] != "{":
+                raise fail(i + 1, "expected '{'", got=True)
+            i += 2
+            while texts[i] != "}":
+                feature, i = _read_feature(tokens, i, "xor-member")
+                features.append(feature)
+            if len(features) < 2:
+                raise fail(opened, "xor-group needs at least 2 members")
+            i += 1
+        elif word == "optional" or word == "mandatory":
+            if is_xor:
+                raise fail(i, "xor-group may not be mixed with other members")
+            feature, i = _read_feature(tokens, i + 1, word)
+            features.append(feature)
+        else:
+            raise fail(i, "expected 'optional', 'mandatory' or 'xor'", got=True)
+    return VariationPoint(name, theory, tuple(features), is_xor), i + 1
 
-    def _xor_group(self) -> list[Feature]:
-        opened = self.pos
-        self._take("ident", "xor")
-        self._take("punct", "{")
-        members: list[Feature] = []
-        while not self._at("punct", "}"):
-            members.append(self._feature("xor-member"))
-        self._take("punct", "}")
-        if len(members) < 2:
-            raise self._err("xor-group needs at least 2 members", opened)
-        return members
 
-    def _feature(self, modality: str) -> Feature:
-        self._take("ident", "feature")
-        name = self._name("feature")
-        self._take("ident", "kind")
-        kind = self.texts[self.pos]
-        if self.kinds[self.pos] != "ident" or kind not in FEATURE_KINDS:
-            raise self._err(
-                f"expected one of {', '.join(FEATURE_KINDS)}, got {self._got()}"
-            )
-        self._advance()
-        self._take("punct", ";")
-        return Feature(name, modality, kind)
+def _read_feature(tokens: Tokens, i: int, modality: str) -> tuple[Feature, int]:
+    texts, fail = tokens.texts, tokens.fail
+    if texts[i] != "feature":
+        raise fail(i, "expected 'feature'", got=True)
+    name = _name(tokens, i + 1, "feature")
+    if texts[i + 2] != "kind":
+        raise fail(i + 2, "expected 'kind'", got=True)
+    kind = texts[i + 3]
+    if kind not in FEATURE_KINDS:
+        raise fail(i + 3, f"expected one of {', '.join(FEATURE_KINDS)}", got=True)
+    if texts[i + 4] != ";":
+        raise fail(i + 4, "expected ';'", got=True)
+    return Feature(name, modality, kind), i + 5
 
-    def _constraint(self) -> CrossConstraint:
-        self._take("ident", "constraint")
-        source = self._feature_ref()
-        relation = self.texts[self.pos]
-        if self.kinds[self.pos] != "ident" or relation not in ("requires", "excludes"):
-            raise self._err(f"expected 'requires' or 'excludes', got {self._got()}")
-        self._advance()
-        target = self._feature_ref()
-        self._take("punct", ";")
-        return CrossConstraint(source, relation, target)
 
-    def _feature_ref(self) -> FeatureRef:
-        first = self._name("feature")
-        if self._at("punct", "."):
-            self._advance()
-            return FeatureRef(first, self._name("feature"))
-        return FeatureRef(None, first)
+def _read_ref(tokens: Tokens, i: int) -> tuple[FeatureRef, int]:
+    first = _name(tokens, i, "feature")
+    if tokens.texts[i + 1] == ".":
+        return FeatureRef(first, _name(tokens, i + 2, "feature")), i + 3
+    return FeatureRef(None, first), i + 1
 
 
 def _check_diagram(d: FeatureDiagram) -> None:
@@ -298,34 +298,34 @@ def _check_diagram(d: FeatureDiagram) -> None:
 
 def parse_feature_diagrams(source: str) -> list[FeatureDiagram]:
     """Parse a .fd file, which may declare several diagrams."""
-    return _DiagramParser(source).parse_all()
+    return _read_all(source, "featurediagram", _read_diagram)
 
 
-# ---------------------------------------------------------------------------
-# Configuration parsing
-# ---------------------------------------------------------------------------
-
-class _ConfigParser(_Parser):
-    keyword = "configuration"
-
-    def _item(self) -> Configuration:
-        self._take("ident", "configuration")
-        name = self._name("configuration")
-        self._take("ident", "for")
-        diagram = self._name("diagram")
-        self._take("punct", "{")
-        selected: set[str] = set()
-        while not self._at("punct", "}"):
-            self._take("ident", "select")
-            selected.add(self._name("feature"))
-            self._take("punct", ";")
-        self._take("punct", "}")
-        return Configuration(name, diagram, frozenset(selected))
+def _read_configuration(tokens: Tokens, i: int) -> tuple[Configuration, int]:
+    texts, fail = tokens.texts, tokens.fail
+    if texts[i] != "configuration":
+        raise fail(i, "expected 'configuration'", got=True)
+    name = _name(tokens, i + 1, "configuration")
+    if texts[i + 2] != "for":
+        raise fail(i + 2, "expected 'for'", got=True)
+    diagram = _name(tokens, i + 3, "diagram")
+    if texts[i + 4] != "{":
+        raise fail(i + 4, "expected '{'", got=True)
+    i += 5
+    selected: set[str] = set()
+    while texts[i] != "}":
+        if texts[i] != "select":
+            raise fail(i, "expected 'select'", got=True)
+        selected.add(_name(tokens, i + 1, "feature"))
+        if texts[i + 2] != ";":
+            raise fail(i + 2, "expected ';'", got=True)
+        i += 3
+    return Configuration(name, diagram, frozenset(selected)), i + 1
 
 
 def parse_configurations(source: str) -> list[Configuration]:
     """Parse a .conf file, which may declare several configurations."""
-    return _ConfigParser(source).parse_all()
+    return _read_all(source, "configuration", _read_configuration)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,13 @@ token IDENT must carry a label, no production reaching itself before
 consuming a token (left recursion), every production deriving some finite
 model, every terminal and synonym spelling scanning as one model token.
 
-`walk` visits the elements of a production depth first, each group before
-its contents; validation reads the grammar through it once, for the
-reference check and for the model vocabulary.
+The reader takes the scanner's token columns and reads each token by index.
+Validation walks each production once, depth first: the walk checks the
+references, collects the terminal spellings, and derives the production's
+schema datatype (see vlang.schema), whose field errors are reported only
+after every other check has passed.  The recursion checks then work on what
+the walk collected, and read the elements again only up to the first token
+of each production.
 
 Grammar files and the models they define are read by the shared scanner of
 vlang.lexer; only grammar files have quoted strings.  The vocabulary of the
@@ -47,9 +51,10 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Union
+from math import inf
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
-from .lexer import IDENT, Cursor, SourceError, TokenPattern, scan, token_pattern
+from .lexer import IDENT, SourceError, TokenPattern, Tokens, scan, token_pattern
 
 if TYPE_CHECKING:
     from .schema import AstSchema
@@ -57,6 +62,11 @@ if TYPE_CHECKING:
 IDENT_TOKEN = "IDENT"
 
 _PUNCT = ("<<?>>", "{", "}", "(", ")", "*", "?", "|", ":", ";", "=")
+_CARDINALITY = {"*": "star", "?": "optional"}
+# The target of a stereotype slot's field while fields are collected: no
+# reference target equals it, so a reference labeled `stereotypes` conflicts
+# with it.
+_SLOT = "<<?>>"
 
 
 @cache
@@ -157,134 +167,113 @@ class GrammarDef(NamedTuple):
         return {p.name: p.sugar_for for p in self.productions if p.sugar_for}
 
 
-def walk(elements: tuple[Element, ...]) -> Iterator[Element]:
-    """Each of `elements` in order, a group followed by its contents."""
-    for el in elements:
-        yield el
-        if isinstance(el, Group):
-            yield from walk(el.elements)
-
-
 # ---------------------------------------------------------------------------
-# Parser
+# Reader
 # ---------------------------------------------------------------------------
 
-class _GrammarParser(Cursor):
-    error = GrammarError
+def _read(tokens: Tokens) -> GrammarDef:
+    """The grammar the token columns spell.  Each check reads its token by
+    index, kind and text (a string may have the text of a mark), and no
+    index passes the "eof" token."""
+    kinds, texts, fail = tokens.kinds, tokens.texts, tokens.fail
 
-    def parse(self) -> GrammarDef:
-        self._take("ident", "grammar")
-        name = self._take("ident")
-        self._take("punct", "{")
-        productions: list[Production] = []
-        while not self._at("punct", "}"):
-            productions.append(self._production())
-        self._take("punct", "}")
-        if self.kinds[self.pos] != "eof":
-            raise self._err(f"trailing input {self.texts[self.pos]!r}")
-        if not productions:
-            raise GrammarError(f"grammar {name} has no productions (start production undefined)")
-        return GrammarDef(name, tuple(productions), productions[0].name)
+    def ident(i: int, text: str | None = None) -> str:
+        if kinds[i] != "ident" or text not in (None, texts[i]):
+            raise fail(i, f"expected {text or 'ident'!r}", got=True)
+        return texts[i]
 
-    def _production(self) -> Production:
-        sugar_for = None
-        if self._at("ident", "sugar"):
-            self._advance()
-            name = self._take("ident")
-            self._take("ident", "for")
-            sugar_for = self._take("ident")
-        else:
-            name = self._take("ident")
-        self._take("punct", "=")
-        elements = self._elements(stop=";")
-        self._take("punct", ";")
-        return Production(name, tuple(elements), sugar_for)
+    def mark(i: int, text: str) -> None:
+        if texts[i] != text or kinds[i] != "punct":
+            raise fail(i, f"expected {text!r}", got=True)
 
-    def _elements(self, stop: str) -> list[Element]:
+    def reject_cardinality(i: int, what: str) -> None:
+        """Called where token `i` is ``*`` or ``?`` by its text."""
+        if kinds[i] == "punct":
+            raise fail(i, f"cardinality {texts[i]!r} not permitted on {what}")
+
+    def elements(i: int, stop: str) -> tuple[tuple[Element, ...], int]:
+        """The elements from token `i` to the `stop` mark, and its index."""
         out: list[Element] = []
-        while not self._at("punct", stop):
-            if self.kinds[self.pos] == "eof":
-                raise self._err(f"expected {stop!r}, got {self._got()}")
-            out.append(self._element())
-        return out
+        while texts[i] != stop or kinds[i] != "punct":
+            kind, text = kinds[i], texts[i]
+            if kind == "ident":
+                if texts[i + 1] == ":" and kinds[i + 1] == "punct":
+                    if kinds[i + 2] != "ident":
+                        raise fail(i + 2, "expected nonterminal after ':'", got=True)
+                    el, i = NonterminalRef(text, texts[i + 2]), i + 3
+                else:
+                    el, i = NonterminalRef(None, text), i + 1
+                if texts[i] in _CARDINALITY and kinds[i] == "punct":
+                    el, i = Group((el,), _CARDINALITY[texts[i]]), i + 1
+            elif kind == "string":
+                el, i = Terminal(text), i + 1
+                if texts[i] in _CARDINALITY:
+                    reject_cardinality(i, "a terminal")
+            elif text == "<<?>>":
+                el, i = StereotypeSlot(), i + 1
+                if texts[i] in _CARDINALITY:
+                    reject_cardinality(i, "a stereotype slot")
+            elif text == "(":
+                el, i = group_or_synonyms(i)
+            elif kind == "eof":
+                raise fail(i, f"expected {stop!r}", got=True)
+            elif text == "|":
+                raise fail(i, "alternation is only permitted among terminals")
+            else:
+                raise fail(i, f"unexpected {text!r} in production body")
+            out.append(el)
+        return tuple(out), i
 
-    def _element(self) -> Element:
-        kind, text = self.kinds[self.pos], self.texts[self.pos]
-        if kind == "string":
-            self._advance()
-            self._reject_cardinality("a terminal")
-            return Terminal(text)
-        if self._at("punct", "<<?>>"):
-            self._advance()
-            self._reject_cardinality("a stereotype slot")
-            return StereotypeSlot()
-        if self._at("punct", "("):
-            return self._group_or_synonyms()
-        if kind == "ident":
-            ref = self._reference()
-            card = self._cardinality()
-            if card != "once":
-                return Group((ref,), card)
-            return ref
-        if self._at("punct", "|"):
-            raise self._err("alternation is only permitted among terminals")
-        raise self._err(f"unexpected {text!r} in production body")
-
-    def _reference(self) -> NonterminalRef:
-        first = self._take("ident")
-        if self._at("punct", ":"):
-            self._advance()
-            if self.kinds[self.pos] != "ident":
-                raise self._err(f"expected nonterminal after ':', got {self._got()}")
-            return NonterminalRef(first, self._advance())
-        return NonterminalRef(None, first)
-
-    def _group_or_synonyms(self) -> Element:
-        opened = self.pos
-        self._take("punct", "(")
-        # Synonym groups look like ("a" | "b" | ...): detect via string + '|'
-        # (a string is never the last token).
-        at = self.pos
-        if (
-            self.kinds[at] == "string"
-            and self.kinds[at + 1] == "punct"
-            and self.texts[at + 1] == "|"
-        ):
-            spellings = [self._take("string")]
-            while self._at("punct", "|"):
-                self._advance()
-                spellings.append(self._take("string"))
-            self._take("punct", ")")
-            self._reject_cardinality("a synonym group")
-            syn = TerminalSynonyms(spellings[0], tuple(spellings[1:]))
-            self._check_synonyms(syn, opened)
-            return syn
-        elements = self._elements(stop=")")
-        self._take("punct", ")")
-        if not elements:
-            raise self._err("empty group", opened)
-        return Group(tuple(elements), self._cardinality())
-
-    def _check_synonyms(self, syn: TerminalSynonyms, at: int) -> None:
-        spellings = syn.all_spellings()
-        if any(not s for s in spellings):
-            raise self._err("synonym alternatives must be nonempty", at)
+    def group_or_synonyms(opened: int) -> tuple[Element, int]:
+        """The group or synonym group opened at token `opened`, and the
+        index after it."""
+        # A synonym group opens with a string and '|' (a string is never
+        # the last token).
+        i = opened + 1
+        if kinds[i] != "string" or texts[i + 1] != "|" or kinds[i + 1] != "punct":
+            inner, i = elements(i, ")")
+            if not inner:
+                raise fail(opened, "empty group")
+            if texts[i + 1] in _CARDINALITY and kinds[i + 1] == "punct":
+                return Group(inner, _CARDINALITY[texts[i + 1]]), i + 2
+            return Group(inner, "once"), i + 1
+        spellings = [texts[i]]
+        while texts[i + 1] == "|" and kinds[i + 1] == "punct":
+            i += 2
+            if kinds[i] != "string":
+                raise fail(i, "expected 'string'", got=True)
+            spellings.append(texts[i])
+        mark(i + 1, ")")
+        if texts[i + 2] in _CARDINALITY:
+            reject_cardinality(i + 2, "a synonym group")
+        if "" in spellings:
+            raise fail(opened, "synonym alternatives must be nonempty")
         if len(set(spellings)) != len(spellings):
-            raise self._err("synonym alternatives must be pairwise distinct", at)
+            raise fail(opened, "synonym alternatives must be pairwise distinct")
+        return TerminalSynonyms(spellings[0], tuple(spellings[1:])), i + 2
 
-    def _cardinality(self) -> str:
-        if self._at("punct", "*"):
-            self._advance()
-            return "star"
-        if self._at("punct", "?"):
-            self._advance()
-            return "optional"
-        return "once"
-
-    def _reject_cardinality(self, what: str) -> None:
-        text = self.texts[self.pos]
-        if self.kinds[self.pos] == "punct" and text in ("*", "?"):
-            raise self._err(f"cardinality {text!r} not permitted on {what}")
+    ident(0, "grammar")
+    name = ident(1)
+    mark(2, "{")
+    productions: list[Production] = []
+    i = 3
+    while texts[i] != "}" or kinds[i] != "punct":
+        sugar_for = None
+        if texts[i] == "sugar" and kinds[i] == "ident":
+            production = ident(i + 1)
+            ident(i + 2, "for")
+            sugar_for, i = ident(i + 3), i + 3
+        else:
+            production = ident(i)
+        mark(i + 1, "=")
+        body, i = elements(i + 2, ";")
+        productions.append(Production(production, body, sugar_for))
+        i += 1
+    if kinds[i + 1] != "eof":
+        raise fail(i + 1, f"trailing input {texts[i + 1]!r}")
+    if not productions:
+        raise GrammarError(f"grammar {name} has no productions (start production undefined)")
+    return GrammarDef(name, tuple(productions), productions[0].name)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +281,15 @@ class _GrammarParser(Cursor):
 # ---------------------------------------------------------------------------
 
 def _validate(g: GrammarDef) -> GrammarDef:
-    """`g` with its model vocabulary and its schema, once `g` passes every
-    check."""
+    """`g` with its model vocabulary, its sugar alternatives and its schema,
+    once `g` passes every check.  One walk of each production checks its
+    references and collects its spellings, the references it cannot match
+    without and whether it must consume a token, and derives its fields.
+    A field error is held until every other check has passed, and then the
+    first one is raised."""
+    # Deferred: schema imports this module.
+    from .schema import STEREOTYPE_FIELD, AstSchema, SchemaDatatype, SchemaField
+
     # Each production's alternatives, filled in as sugar productions pass.
     defined: dict[str, list[str]] = {}
     for p in g.productions:
@@ -304,18 +300,71 @@ def _validate(g: GrammarDef) -> GrammarDef:
         defined[p.name] = [p.name]
 
     spellings: set[str] = set()
-    marks: set[str] = set()
+    slots = False
+    faults: list[GrammarError] = []
+    # Per production: the targets of the references outside optional and
+    # starred groups, and whether a terminal or IDENT is there too.
+    needs: dict[str, list[str]] = {}
+    consuming: set[str] = set()
+    datatypes: list[SchemaDatatype] = []
+
+    def visit(elements: tuple[Element, ...], lo: float, hi: float) -> None:
+        """Walk `elements`, each matched between `lo` and `hi` times, into
+        `fields` (label -> [target, least and most times matched]) and
+        `required` of production `name`."""
+        nonlocal slots
+        for el in elements:
+            t = type(el)
+            if t is Terminal:
+                spellings.add(el.text)
+                if lo:
+                    consuming.add(name)
+            elif t is NonterminalRef:
+                target, label = el.target, el.label or el.target
+                if target == IDENT_TOKEN:
+                    if el.label is None:
+                        raise GrammarError(f"reference to {IDENT_TOKEN} must carry a label")
+                    if lo:
+                        consuming.add(name)
+                elif target not in defined:
+                    raise GrammarError(f"unresolved nonterminal {target}")
+                elif lo:
+                    required.append(target)
+                field = fields.get(label)
+                if field is None:
+                    fields[label] = [target, lo, hi]
+                elif field[0] != target:
+                    faults.append(
+                        GrammarError(f"field {label} of {name} is used with conflicting types")
+                    )
+                else:
+                    field[1] += lo
+                    field[2] += hi
+            elif t is Group:
+                card = el.cardinality
+                visit(el.elements, lo if card == "once" else 0, hi if card != "star" else inf)
+            elif t is StereotypeSlot:
+                slots = True
+                if lo != 1 or hi != 1 or STEREOTYPE_FIELD in fields:
+                    faults.append(GrammarError(
+                        f"production {name}: a stereotype slot must appear "
+                        "exactly once, outside groups"
+                    ))
+                fields[STEREOTYPE_FIELD] = [_SLOT, 1, 1]
+            else:
+                spellings.update(el.all_spellings())  # a synonym group
+                if lo:
+                    consuming.add(name)
+
     for p in g.productions:
-        for el in walk(p.elements):
-            if isinstance(el, NonterminalRef) and el.target == IDENT_TOKEN:
-                if el.label is None:
-                    raise GrammarError(f"reference to {IDENT_TOKEN} must carry a label")
-            elif isinstance(el, NonterminalRef) and el.target not in defined:
-                raise GrammarError(f"unresolved nonterminal {el.target}")
-            elif isinstance(el, (Terminal, TerminalSynonyms)):
-                spellings.update(el.all_spellings())
-            elif isinstance(el, StereotypeSlot):
-                marks = {"<<", ">>"}
+        name, fields, required = p.name, {}, []
+        visit(p.elements, 1, 1)
+        needs[name] = required
+        datatypes.append(SchemaDatatype(name, tuple([
+            SchemaField(label, IDENT_TOKEN, "set") if target == _SLOT
+            else SchemaField(label, target, "list" if hi > 1 else "option" if lo == 0 else "")
+            for label, (target, lo, hi) in fields.items()
+        ]), p.sugar_for))
         if p.sugar_for is not None:
             if p.sugar_for not in defined:
                 raise GrammarError(
@@ -328,71 +377,94 @@ def _validate(g: GrammarDef) -> GrammarDef:
             defined[p.sugar_for].append(p.name)
 
     keywords = frozenset(filter(IDENT.fullmatch, spellings))
-    pattern = token_pattern(spellings - keywords | marks)
+    punct = spellings - keywords
+    if slots:
+        punct |= {"<<", ">>"}
+    pattern = token_pattern(punct)
     _reject_unscannable_terminals(spellings, pattern)
     alternatives = {name: tuple(names) for name, names in defined.items()}
-    _reject_bad_recursion(g, alternatives)
-
-    # Field labels must be consistent and unique after schema derivation.
-    from .schema import derive_schema  # deferred: schema imports this module
-
-    return g._replace(
-        schema=derive_schema(g), model_pattern=pattern, keywords=keywords, alternatives=alternatives
-    )
+    _reject_bad_recursion(g, alternatives, needs, consuming)
+    if faults:
+        raise faults[0]
+    schema = AstSchema(g.name, tuple(datatypes))
+    return GrammarDef(*g[:3], schema, pattern, keywords, alternatives)
 
 
 def _reject_unscannable_terminals(spellings: set[str], pattern: TokenPattern) -> None:
     """Reject a terminal or synonym spelling that no model can match: with
     the model `pattern` it must scan as exactly one token of the same text.
-    The spellings are scanned together, one per line.  A token is never
-    empty, blank or a comment, so the first token that differs from its
-    spelling, or is missing, belongs to the first line that does not scan
-    as itself."""
+    The spellings are scanned together, one per line; no token spans a line.
+    They all pass when the tokens found are the spellings and none is a
+    comment.  Otherwise the one reported is the one a scan in sorted order
+    stops at: the first with a character no token starts with, or else the
+    first line that does not scan as itself (a token is never empty, blank
+    or a comment, so the first token that differs from its spelling, or is
+    missing, belongs to that line)."""
+    found = list(spellings)
+    if pattern.regex.findall("\n".join(found)) == found and not any(
+        s[:2] == "//" for s in found
+    ):
+        return
     ordered = sorted(spellings)
     try:
         texts = scan("\n".join(ordered), pattern, GrammarError).texts[:-1]
     except GrammarError as exc:
         bad = ordered[exc.line - 1]
     else:
-        bad = next((s for s, text in zip_longest(ordered, texts) if s != text), None)
-    if bad is not None:
-        raise GrammarError(f"terminal {bad!r} does not scan as one model token")
+        bad = next(s for s, text in zip_longest(ordered, texts) if s != text)
+    raise GrammarError(f"terminal {bad!r} does not scan as one model token")
 
 
-def _reject_bad_recursion(g: GrammarDef, alternatives: dict[str, tuple[str, ...]]) -> None:
+def _reject_bad_recursion(
+    g: GrammarDef,
+    alternatives: dict[str, tuple[str, ...]],
+    needs: dict[str, list[str]],
+    consuming: set[str],
+) -> None:
     """Reject a production that can reach itself before consuming a token,
     and productions that derive no finite model.
 
-    A reference to X parses X or one of its sugar productions.  An element
-    can match nothing when it is a stereotype slot, an optional or starred
-    group, or a group or reference whose contents can.  An element derives
-    a finite model unless it is a reference none of whose alternatives
-    does, or a group that must match and holds such an element; a sugar
+    A reference to X parses X or one of its sugar productions.  A production
+    can match nothing when it is not `consuming` (it needs no terminal or
+    IDENT outside optional and starred groups) and each reference it
+    `needs` has an alternative that can.  It derives a finite model when
+    each reference it needs has an alternative that does; a sugar
     alternative can thus be the base case of its production.
     """
-    nullable: set[str] = set()
 
-    def scan(elements: tuple[Element, ...]) -> tuple[list[str], bool]:
+    def least(names: Iterable[str]) -> set[str]:
+        """The least set of `names` each of which needs only references
+        with an alternative in the set."""
+        found = {p for p in names if not needs[p]}
+        rest = [p for p in names if needs[p]]
+        while grown := [
+            p for p in rest if all(not found.isdisjoint(alternatives[t]) for t in needs[p])
+        ]:
+            found.update(grown)
+            rest = [p for p in rest if p not in found]
+        return found
+
+    nullable = least([p for p in needs if p not in consuming])
+
+    def reached(elements: tuple[Element, ...]) -> tuple[list[str], bool]:
         """The productions reached before a token, and whether all of
         `elements` can match nothing."""
-        reached: list[str] = []
+        out: list[str] = []
         for el in elements:
-            if isinstance(el, Group):
-                inner, empty = scan(el.elements)
-                reached += inner
+            if type(el) is Group:
+                inner, empty = reached(el.elements)
+                out += inner
                 empty = empty or el.cardinality != "once"
-            elif isinstance(el, NonterminalRef) and el.target != IDENT_TOKEN:
-                reached += alternatives[el.target]
+            elif type(el) is NonterminalRef and el.target != IDENT_TOKEN:
+                out += alternatives[el.target]
                 empty = not nullable.isdisjoint(alternatives[el.target])
             else:
-                empty = isinstance(el, StereotypeSlot)
+                empty = type(el) is StereotypeSlot
             if not empty:
-                return reached, False
-        return reached, True
+                return out, False
+        return out, True
 
-    while (grown := {p.name for p in g.productions if scan(p.elements)[1]}) != nullable:
-        nullable = grown
-    edges = {p.name: scan(p.elements)[0] for p in g.productions}
+    edges = {p.name: reached(p.elements)[0] for p in g.productions}
     finished: set[str] = set()
     for root in edges:
         path, pending = [root], [iter(edges[root])]
@@ -408,22 +480,12 @@ def _reject_bad_recursion(g: GrammarDef, alternatives: dict[str, tuple[str, ...]
                 path.append(nxt)
                 pending.append(iter(edges[nxt]))
 
-    productive: set[str] = set()
-
-    def finite(el: Element) -> bool:
-        if isinstance(el, Group):
-            return el.cardinality != "once" or all(finite(e) for e in el.elements)
-        if isinstance(el, NonterminalRef) and el.target != IDENT_TOKEN:
-            return not productive.isdisjoint(alternatives[el.target])
-        return True
-
-    while (grown := {p.name for p in g.productions if all(map(finite, p.elements))}) != productive:
-        productive = grown
-    if barren := [p.name for p in g.productions if p.name not in productive]:
+    productive = least(needs)
+    if barren := [p for p in needs if p not in productive]:
         raise GrammarError(f"no finite model derives from {', '.join(barren)}")
 
 
 def parse_grammar(source: str) -> GrammarDef:
     """Parse the text of a .mclang file into a validated GrammarDef, which
     carries its derived schema and model vocabulary."""
-    return _validate(_GrammarParser(scan(source, _pattern(), GrammarError)).parse())
+    return _validate(_read(scan(source, _pattern(), GrammarError)))

@@ -18,16 +18,22 @@ returns the tokens as columns (`Tokens`): their kinds and their texts.  A
 token's kind follows from its text: the vocabulary's punctuation and the
 keywords are looked up, every other word is an identifier, and only a
 source holding a quote has strings to find.  Start offsets, and the lines
-and columns they fall on, are computed on first read, for an error or a
-node position that someone reads; a parse that reads none computes none.
+and columns they fall on, are computed when an error or a node position
+reads them, and offsets only up to the token read; a parse that reads none
+computes none.
+
+Every reader reads the columns by index: the grammar reader, the .fd and
+.conf readers and the model parser.  The first three raise their errors
+through `Tokens.fail`, which gives the format's error class the line and
+column of a token.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import accumulate, repeat
-from typing import Iterable, NamedTuple
+from itertools import accumulate, filterfalse, islice, repeat
+from typing import Iterable, Iterator, NamedTuple
 
 IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -61,11 +67,12 @@ def token_pattern(
     no group).  A mark that starts or ends with a blank, or starts with a
     quote or ``//``, can never be a token, and is left out: no token before
     a comment can then reach into the blanks that replace it."""
-    # Punctuation longest first, ties in a fixed order; `(?!)` matches
-    # nothing, for a vocabulary without punctuation.
+    # Punctuation longest first, ties in text order (the sort by length is
+    # stable); `(?!)` matches nothing, for a vocabulary without punctuation.
     ordered = sorted(
-        {p for p in punct if p and p == p.strip(_BLANKS) and p[0] != '"' and p[:2] != "//"},
-        key=lambda p: (-len(p), p),
+        sorted({p for p in punct if p and p == p.strip(_BLANKS) and p[0] != '"' and p[:2] != "//"}),
+        key=len,
+        reverse=True,
     )
     marks = "|".join(map(re.escape, ordered)) or "(?!)"
     string = r'|"[^"\n]*"' if strings else ""
@@ -73,41 +80,60 @@ def token_pattern(
     # character that starts none of them stays between the tokens.
     regex = re.compile(rf"(//[^\n]*{string}|{word}|{marks})")
     # A word-like mark is always matched as a word.
-    word_re = re.compile(word)
-    return TokenPattern(regex, {p: "punct" for p in ordered if not word_re.fullmatch(p)}, strings)
+    punct_kinds = dict.fromkeys(filterfalse(re.compile(word).fullmatch, ordered), "punct")
+    return TokenPattern(regex, punct_kinds, strings)
 
 
 class Tokens:
     """The tokens of one source, as columns: each token's kind ("ident",
     "keyword", "string", "punct", and "eof" last) and its text (a string's
     without its quotes).  The source kept is the one scanned, its comments
-    blanked, so it has the same offsets and lines.  The start offsets
-    (`starts`) and the table of line starts behind `where` and `locate` are
-    computed on first read, the offsets by finding the tokens in the source
-    again; the "eof" token starts at `end`: the end of the source, or the
-    comment that ends it."""
+    blanked, so it has the same offsets and lines.  Start offsets are found
+    on demand, by finding the tokens in the source again up to the one asked
+    for (`locate`), or all of them (`starts`); the table of line starts
+    behind `where` is computed on first read.  The "eof" token starts at
+    `end`: the end of the source, or the comment that ends it.  `fail`
+    makes the format's `error` at a token."""
 
-    __slots__ = ("kinds", "texts", "_source", "_regex", "_end", "_starts", "_lines")
+    __slots__ = (
+        "kinds", "texts", "error", "_source", "_regex", "_end", "_starts", "_found", "_lines"
+    )
 
     def __init__(
-        self, kinds: list[str], texts: list[str], source: str, regex: re.Pattern[str], end: int
+        self,
+        kinds: list[str],
+        texts: list[str],
+        source: str,
+        regex: re.Pattern[str],
+        end: int,
+        error: type[SourceError],
     ):
         self.kinds = kinds
         self.texts = texts
+        self.error = error
         self._source = source
         self._regex = regex
         self._end = end
         self._starts: list[int] | None = None
+        self._found: Iterator[int] | None = None
         self._lines: list[int] | None = None
+
+    def _starts_to(self, n: int) -> list[int]:
+        """The start offsets, found up to the first `n` tokens at least."""
+        starts = self._starts
+        if starts is None:
+            starts = self._starts = []
+            self._found = map(re.Match.start, self._regex.finditer(self._source))
+        if len(starts) < n:
+            starts += islice(self._found, n - len(starts))
+            if len(starts) < n:
+                starts.append(self._end)
+        return starts
 
     @property
     def starts(self) -> list[int]:
         """Each token's start offset."""
-        starts = self._starts
-        if starts is None:
-            found = self._regex.finditer(self._source)
-            starts = self._starts = [*map(re.Match.start, found), self._end]
-        return starts
+        return self._starts_to(len(self.kinds))
 
     def where(self, offset: int) -> tuple[int, int]:
         """The 1-based line and column of a source offset."""
@@ -120,13 +146,20 @@ class Tokens:
         return line, offset - lines[line - 1] + 1
 
     def locate(self, i: int) -> tuple[int, int]:
-        """The 1-based line and column token `i` starts at."""
-        return self.where(self.starts[i])
+        """The 1-based line and column token `i` (not negative) starts at."""
+        return self.where(self._starts_to(i + 1)[i])
 
     def name(self, i: int) -> str:
         """Token `i` as an error names it: ``end of input`` or its quoted
         text."""
         return "end of input" if self.kinds[i] == "eof" else repr(self.texts[i])
+
+    def fail(self, i: int, message: str, got: bool = False) -> SourceError:
+        """The format's error at token `i`: `message`, followed with `got`
+        by the token's name (``expected ';', got end of input``)."""
+        if got:
+            message = f"{message}, got {self.name(i)}"
+        return self.error(message, *self.locate(i))
 
 
 def scan(
@@ -160,7 +193,7 @@ def scan(
     kind = dict.fromkeys(keywords, "keyword")
     kind.update(pattern.punct)
     kinds = list(map(kind.get, texts, repeat("ident")))
-    tokens = Tokens(kinds, texts, source, regex, end)
+    tokens = Tokens(kinds, texts, source, regex, end, error)
     gaps = parts[::2]
     if "".join(gaps).strip(_BLANKS):
         # A character no token starts with: the first one is the error.
@@ -176,43 +209,3 @@ def scan(
     kinds.append("eof")
     texts.append("")
     return tokens
-
-
-class Cursor:
-    """Token access shared by the grammar and feature parsers; the position
-    never moves past the "eof" token.  Errors are raised as `error`."""
-
-    error: type[SourceError]
-
-    def __init__(self, tokens: Tokens):
-        self.tokens = tokens
-        self.kinds = tokens.kinds
-        self.texts = tokens.texts
-        self.pos = 0
-
-    def _advance(self) -> str:
-        """The current token's text; the position moves past it."""
-        text = self.texts[self.pos]
-        if self.kinds[self.pos] != "eof":
-            self.pos += 1
-        return text
-
-    def _at(self, kind: str, text: str) -> bool:
-        return self.kinds[self.pos] == kind and self.texts[self.pos] == text
-
-    def _err(self, message: str, at: int | None = None) -> SourceError:
-        """An error at token `at`, by default the current token."""
-        return self.error(message, *self.tokens.locate(self.pos if at is None else at))
-
-    def _got(self) -> str:
-        return self.tokens.name(self.pos)
-
-    def _take(self, kind: str, text: str | None = None) -> str:
-        """Consume the current token, which must be of `kind` and, when
-        given, `text`; its text."""
-        pos = self.pos
-        if self.kinds[pos] != kind or text not in (None, self.texts[pos]):
-            raise self._err(f"expected {kind if text is None else text!r}, got {self._got()}")
-        if kind != "eof":
-            self.pos = pos + 1
-        return self.texts[pos]

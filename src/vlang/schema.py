@@ -1,12 +1,14 @@
 """Abstract-syntax schemas derived from grammars, and generic AST nodes.
 
-Each production of a grammar yields exactly one datatype.  Terminals and
-synonym groups are dropped; labeled references become fields.  A field is a
-target and a card, in the words of the dump: the target is ``IDENT`` or a
-production name, and the card is empty (exactly one), ``list`` (a reference
-under a star, or occurring more than once), ``option`` (a reference under an
-option) or ``set`` (the ``stereotypes`` field of a stereotype slot, a set of
-IDENTs).
+Each production of a grammar yields exactly one datatype, derived by the
+same walk of the production that validates it (`grammar.parse_grammar`)
+and carried by the grammar as its `schema`.  Terminals and synonym groups
+are dropped; labeled references become fields.  A field is a target and a
+card, in the words of the dump: the target is ``IDENT`` or a production
+name, and the card is empty (exactly one), ``list`` (a reference under a
+star, or occurring more than once), ``option`` (a reference under an
+option) or ``set`` (the ``stereotypes`` field of a stereotype slot, a set
+of IDENTs).
 
 The schema dump renders the derived datatypes as a plain-text theory
 document, one ``datatype <Name> = <Name> <argument types>`` line per
@@ -16,21 +18,9 @@ tests.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
-from .grammar import (
-    IDENT_TOKEN,
-    Element,
-    GrammarDef,
-    GrammarError,
-    Group,
-    NonterminalRef,
-    Production,
-    StereotypeSlot,
-    Terminal,
-    TerminalSynonyms,
-)
+from .grammar import IDENT_TOKEN
 
 STEREOTYPE_FIELD = "stereotypes"
 
@@ -54,82 +44,6 @@ class SchemaDatatype(NamedTuple):
 class AstSchema(NamedTuple):
     language: str
     datatypes: tuple[SchemaDatatype, ...]
-
-
-# ---------------------------------------------------------------------------
-# Derivation
-# ---------------------------------------------------------------------------
-
-# The base of a stereotype slot while fields are collected: no reference
-# target equals it, so a reference labeled `stereotypes` conflicts with it.
-_SLOT = "<<?>>"
-
-
-def _derive_fields(prod: Production) -> tuple[SchemaField, ...]:
-    order: list[str] = []
-    bases: dict[str, str] = {}
-    lo: dict[str, float] = {}
-    hi: dict[str, float] = {}
-
-    def add(label: str, base: str, mult_lo: float, mult_hi: float) -> None:
-        if label in bases:
-            if bases[label] != base:
-                raise GrammarError(
-                    f"field {label} of {prod.name} is used with conflicting types"
-                )
-            lo[label] += mult_lo
-            hi[label] += mult_hi
-        else:
-            order.append(label)
-            bases[label] = base
-            lo[label] = mult_lo
-            hi[label] = mult_hi
-
-    def walk(elements: tuple[Element, ...], mult_lo: float, mult_hi: float) -> None:
-        for el in elements:
-            if isinstance(el, (Terminal, TerminalSynonyms)):
-                continue
-            if isinstance(el, StereotypeSlot):
-                if (mult_lo, mult_hi) != (1, 1) or STEREOTYPE_FIELD in bases:
-                    raise GrammarError(
-                        f"production {prod.name}: a stereotype slot must appear "
-                        "exactly once, outside groups"
-                    )
-                add(STEREOTYPE_FIELD, _SLOT, 1, 1)
-            elif isinstance(el, NonterminalRef):
-                add(el.field_label, el.target, mult_lo, mult_hi)
-            elif isinstance(el, Group):
-                if el.cardinality == "optional":
-                    walk(el.elements, 0, mult_hi)
-                elif el.cardinality == "star":
-                    walk(el.elements, 0, math.inf)
-                else:
-                    walk(el.elements, mult_lo, mult_hi)
-
-    walk(prod.elements, 1, 1)
-
-    fields: list[SchemaField] = []
-    for label in order:
-        base = bases[label]
-        if base == _SLOT:
-            fields.append(SchemaField(label, IDENT_TOKEN, "set"))
-        elif hi[label] > 1:
-            fields.append(SchemaField(label, base, "list"))
-        elif lo[label] == 0:
-            fields.append(SchemaField(label, base, "option"))
-        else:
-            fields.append(SchemaField(label, base))
-    return tuple(fields)
-
-
-def derive_schema(g: GrammarDef) -> AstSchema:
-    """Derive the abstract-syntax schema of a grammar: one datatype per
-    production, in declaration order."""
-    datatypes = tuple(
-        SchemaDatatype(p.name, _derive_fields(p), p.sugar_for)
-        for p in g.productions
-    )
-    return AstSchema(g.name, datatypes)
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,10 @@ def map_class(class_node: AstNode, variant: SuperMapping) -> Demands:
 
 def map_diagram(diagram: AstNode, variant: SuperMapping) -> Demands:
     """Conjunction of map_class over the classes of a minimal class
-    diagram."""
-    return reduce(or_, (map_class(c, variant) for c in statement_nodes(diagram)), Demands())
+    diagram, in statement order: each component is one union of the
+    classes' components."""
+    parts = [map_class(c, variant) for c in statement_nodes(diagram)]
+    return Demands(*(frozenset().union(*column) for column in zip(*parts)))
 
 
 def map_assertions(doc: AstNode) -> Demands:

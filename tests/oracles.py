@@ -3,10 +3,12 @@ checked against: brute-force enumeration and refinement, `_preorders` as
 it was before relations were ints, the configuration validator as it was
 first written, the model vocabulary as the model scanner
 derived it before grammars carried it, and the hook-field reader, scanner,
-model parser, desugarer and input reader as they were before they were made
-faster (a match for each token, blank run and newline and a record for
-each token, a parser that interprets the grammar element by element, a
-desugarer that copies every node, and a read through pathlib's text mode).
+model parser, desugarer, input reader, grammar, .fd and .conf readers and
+grammar validation as they were before they were made faster (a match for
+each token, blank run and newline and a record for each token, a parser
+that interprets the grammar element by element, a desugarer that copies
+every node, a read through pathlib's text mode, a cursor with a method call
+per token, and a grammar validated by walks of its own).
 
 The package builds only systems that are base-valid and hold a query's
 `Demands`, and its parser builds only conforming ASTs, so it needs none of
@@ -17,42 +19,50 @@ semantics set through `count` and `first`.
 from __future__ import annotations
 
 import re
-from itertools import chain, combinations, islice, product
+from itertools import chain, combinations, islice, product, zip_longest
 from pathlib import Path
 from typing import Callable, Container, Iterable, NamedTuple
 
 from vlang.cli import _FileFailure
 from vlang.desugar import EXPANDERS, DesugarError
 from vlang.features import (
+    FEATURE_KINDS,
     Configuration,
+    CrossConstraint,
+    Feature,
     FeatureDiagram,
     FeatureModelError,
     FeatureRef,
+    FeatureSyntaxError,
     ResolutionError,
+    VariationPoint,
     Violation,
+    _check_diagram,
 )
+from vlang.features import _pattern as _feature_pattern
 from vlang.grammar import (
+    _PUNCT,
     IDENT_TOKEN,
     Element,
     GrammarDef,
+    GrammarError,
     Group,
     NonterminalRef,
     Production,
     StereotypeSlot,
     Terminal,
     TerminalSynonyms,
-    walk,
 )
-from vlang.lexer import IDENT, SourceError, Tokens
+from vlang.lexer import IDENT, SourceError, TokenPattern, Tokens, scan, token_pattern
 from vlang.modelparse import ModelParseError, TokenizeError
 from vlang.schema import (
     _SHAPES,
     STEREOTYPE_FIELD,
     AstNode,
     AstSchema,
+    SchemaDatatype,
     SchemaField,
     SourcePos,
-    derive_schema,
 )
 from vlang.semantics import SemanticsConfig, SemanticsSet, bound_domain_features, query
 from vlang.sysmodel import (
@@ -557,7 +567,7 @@ class _ModelParser:
             p.name: (p, *(s for s in grammar.productions if s.sugar_for == p.name))
             for p in grammar.productions
         }
-        self.fields = {dt.name: dt.fields for dt in derive_schema(grammar).datatypes}
+        self.fields = {dt.name: dt.fields for dt in oracle_derive_schema(grammar).datatypes}
         self.start = self.alternatives[grammar.start_production][0]
         self.toks = oracle_tokenize_model(grammar, source)
         self.pos = 0
@@ -743,3 +753,490 @@ def oracle_read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise _FileFailure(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
+
+
+# ---------------------------------------------------------------------------
+# Grammar, .fd and .conf reading: a cursor with a method call per token,
+# and a grammar validated by a walk of its own, a schema derived by another,
+# and a whole scan of the spellings and fixpoint rounds over the element
+# trees for the recursion checks.
+# ---------------------------------------------------------------------------
+
+def walk(elements: tuple[Element, ...]):
+    """Each of `elements` in order, a group followed by its contents."""
+    for el in elements:
+        yield el
+        if isinstance(el, Group):
+            yield from walk(el.elements)
+
+
+class _Cursor:
+    """Token access of the grammar and feature readers; the position never
+    moves past the "eof" token.  Errors are raised as `error`."""
+
+    error: type[SourceError]
+
+    def __init__(self, tokens: Tokens):
+        self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.pos = 0
+
+    def _advance(self) -> str:
+        text = self.texts[self.pos]
+        if self.kinds[self.pos] != "eof":
+            self.pos += 1
+        return text
+
+    def _at(self, kind: str, text: str) -> bool:
+        return self.kinds[self.pos] == kind and self.texts[self.pos] == text
+
+    def _err(self, message: str, at: int | None = None) -> SourceError:
+        return self.error(message, *self.tokens.locate(self.pos if at is None else at))
+
+    def _got(self) -> str:
+        return self.tokens.name(self.pos)
+
+    def _take(self, kind: str, text: str | None = None) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind or text not in (None, self.texts[pos]):
+            raise self._err(f"expected {kind if text is None else text!r}, got {self._got()}")
+        if kind != "eof":
+            self.pos = pos + 1
+        return self.texts[pos]
+
+
+class _GrammarParser(_Cursor):
+    error = GrammarError
+
+    def parse(self) -> GrammarDef:
+        self._take("ident", "grammar")
+        name = self._take("ident")
+        self._take("punct", "{")
+        productions: list[Production] = []
+        while not self._at("punct", "}"):
+            productions.append(self._production())
+        self._take("punct", "}")
+        if self.kinds[self.pos] != "eof":
+            raise self._err(f"trailing input {self.texts[self.pos]!r}")
+        if not productions:
+            raise GrammarError(f"grammar {name} has no productions (start production undefined)")
+        return GrammarDef(name, tuple(productions), productions[0].name)
+
+    def _production(self) -> Production:
+        sugar_for = None
+        if self._at("ident", "sugar"):
+            self._advance()
+            name = self._take("ident")
+            self._take("ident", "for")
+            sugar_for = self._take("ident")
+        else:
+            name = self._take("ident")
+        self._take("punct", "=")
+        elements = self._elements(stop=";")
+        self._take("punct", ";")
+        return Production(name, tuple(elements), sugar_for)
+
+    def _elements(self, stop: str) -> list[Element]:
+        out: list[Element] = []
+        while not self._at("punct", stop):
+            if self.kinds[self.pos] == "eof":
+                raise self._err(f"expected {stop!r}, got {self._got()}")
+            out.append(self._element())
+        return out
+
+    def _element(self) -> Element:
+        kind, text = self.kinds[self.pos], self.texts[self.pos]
+        if kind == "string":
+            self._advance()
+            self._reject_cardinality("a terminal")
+            return Terminal(text)
+        if self._at("punct", "<<?>>"):
+            self._advance()
+            self._reject_cardinality("a stereotype slot")
+            return StereotypeSlot()
+        if self._at("punct", "("):
+            return self._group_or_synonyms()
+        if kind == "ident":
+            ref = self._reference()
+            card = self._cardinality()
+            if card != "once":
+                return Group((ref,), card)
+            return ref
+        if self._at("punct", "|"):
+            raise self._err("alternation is only permitted among terminals")
+        raise self._err(f"unexpected {text!r} in production body")
+
+    def _reference(self) -> NonterminalRef:
+        first = self._take("ident")
+        if self._at("punct", ":"):
+            self._advance()
+            if self.kinds[self.pos] != "ident":
+                raise self._err(f"expected nonterminal after ':', got {self._got()}")
+            return NonterminalRef(first, self._advance())
+        return NonterminalRef(None, first)
+
+    def _group_or_synonyms(self) -> Element:
+        opened = self.pos
+        self._take("punct", "(")
+        at = self.pos
+        if (
+            self.kinds[at] == "string"
+            and self.kinds[at + 1] == "punct"
+            and self.texts[at + 1] == "|"
+        ):
+            spellings = [self._take("string")]
+            while self._at("punct", "|"):
+                self._advance()
+                spellings.append(self._take("string"))
+            self._take("punct", ")")
+            self._reject_cardinality("a synonym group")
+            if any(not s for s in spellings):
+                raise self._err("synonym alternatives must be nonempty", opened)
+            if len(set(spellings)) != len(spellings):
+                raise self._err("synonym alternatives must be pairwise distinct", opened)
+            return TerminalSynonyms(spellings[0], tuple(spellings[1:]))
+        elements = self._elements(stop=")")
+        self._take("punct", ")")
+        if not elements:
+            raise self._err("empty group", opened)
+        return Group(tuple(elements), self._cardinality())
+
+    def _cardinality(self) -> str:
+        if self._at("punct", "*"):
+            self._advance()
+            return "star"
+        if self._at("punct", "?"):
+            self._advance()
+            return "optional"
+        return "once"
+
+    def _reject_cardinality(self, what: str) -> None:
+        text = self.texts[self.pos]
+        if self.kinds[self.pos] == "punct" and text in ("*", "?"):
+            raise self._err(f"cardinality {text!r} not permitted on {what}")
+
+
+_SLOT = "<<?>>"
+
+
+def _oracle_fields(prod: Production) -> tuple[SchemaField, ...]:
+    order: list[str] = []
+    bases: dict[str, str] = {}
+    lo: dict[str, float] = {}
+    hi: dict[str, float] = {}
+
+    def add(label: str, base: str, mult_lo: float, mult_hi: float) -> None:
+        if label in bases:
+            if bases[label] != base:
+                raise GrammarError(f"field {label} of {prod.name} is used with conflicting types")
+            lo[label] += mult_lo
+            hi[label] += mult_hi
+        else:
+            order.append(label)
+            bases[label] = base
+            lo[label] = mult_lo
+            hi[label] = mult_hi
+
+    def visit(elements: tuple[Element, ...], mult_lo: float, mult_hi: float) -> None:
+        for el in elements:
+            if isinstance(el, (Terminal, TerminalSynonyms)):
+                continue
+            if isinstance(el, StereotypeSlot):
+                if (mult_lo, mult_hi) != (1, 1) or STEREOTYPE_FIELD in bases:
+                    raise GrammarError(
+                        f"production {prod.name}: a stereotype slot must appear "
+                        "exactly once, outside groups"
+                    )
+                add(STEREOTYPE_FIELD, _SLOT, 1, 1)
+            elif isinstance(el, NonterminalRef):
+                add(el.field_label, el.target, mult_lo, mult_hi)
+            elif isinstance(el, Group):
+                if el.cardinality == "optional":
+                    visit(el.elements, 0, mult_hi)
+                elif el.cardinality == "star":
+                    visit(el.elements, 0, float("inf"))
+                else:
+                    visit(el.elements, mult_lo, mult_hi)
+
+    visit(prod.elements, 1, 1)
+    fields: list[SchemaField] = []
+    for label in order:
+        base = bases[label]
+        if base == _SLOT:
+            fields.append(SchemaField(label, IDENT_TOKEN, "set"))
+        elif hi[label] > 1:
+            fields.append(SchemaField(label, base, "list"))
+        elif lo[label] == 0:
+            fields.append(SchemaField(label, base, "option"))
+        else:
+            fields.append(SchemaField(label, base))
+    return tuple(fields)
+
+
+def oracle_derive_schema(g: GrammarDef) -> AstSchema:
+    """The schema of `g` by a walk of its own: one datatype per production,
+    in declaration order."""
+    return AstSchema(g.name, tuple(
+        SchemaDatatype(p.name, _oracle_fields(p), p.sugar_for) for p in g.productions
+    ))
+
+
+def _oracle_reject_unscannable(spellings: set[str], pattern: TokenPattern) -> None:
+    ordered = sorted(spellings)
+    try:
+        texts = scan("\n".join(ordered), pattern, GrammarError).texts[:-1]
+    except GrammarError as exc:
+        bad = ordered[exc.line - 1]
+    else:
+        bad = next((s for s, text in zip_longest(ordered, texts) if s != text), None)
+    if bad is not None:
+        raise GrammarError(f"terminal {bad!r} does not scan as one model token")
+
+
+def _oracle_reject_bad_recursion(g: GrammarDef, alternatives: dict[str, tuple[str, ...]]) -> None:
+    nullable: set[str] = set()
+
+    def first(elements: tuple[Element, ...]) -> tuple[list[str], bool]:
+        reached: list[str] = []
+        for el in elements:
+            if isinstance(el, Group):
+                inner, empty = first(el.elements)
+                reached += inner
+                empty = empty or el.cardinality != "once"
+            elif isinstance(el, NonterminalRef) and el.target != IDENT_TOKEN:
+                reached += alternatives[el.target]
+                empty = not nullable.isdisjoint(alternatives[el.target])
+            else:
+                empty = isinstance(el, StereotypeSlot)
+            if not empty:
+                return reached, False
+        return reached, True
+
+    while (grown := {p.name for p in g.productions if first(p.elements)[1]}) != nullable:
+        nullable = grown
+    edges = {p.name: first(p.elements)[0] for p in g.productions}
+    finished: set[str] = set()
+    for root in edges:
+        path, pending = [root], [iter(edges[root])]
+        while pending:
+            nxt = next(pending[-1], None)
+            if nxt is None:
+                finished.add(path.pop())
+                pending.pop()
+            elif nxt in path:
+                cycle = " -> ".join(path[path.index(nxt):] + [nxt])
+                raise GrammarError(f"left recursion: {cycle}")
+            elif nxt not in finished:
+                path.append(nxt)
+                pending.append(iter(edges[nxt]))
+
+    productive: set[str] = set()
+
+    def finite(el: Element) -> bool:
+        if isinstance(el, Group):
+            return el.cardinality != "once" or all(finite(e) for e in el.elements)
+        if isinstance(el, NonterminalRef) and el.target != IDENT_TOKEN:
+            return not productive.isdisjoint(alternatives[el.target])
+        return True
+
+    while (grown := {p.name for p in g.productions if all(map(finite, p.elements))}) != productive:
+        productive = grown
+    if barren := [p.name for p in g.productions if p.name not in productive]:
+        raise GrammarError(f"no finite model derives from {', '.join(barren)}")
+
+
+def _oracle_validate(g: GrammarDef) -> GrammarDef:
+    defined: dict[str, list[str]] = {}
+    for p in g.productions:
+        if p.name in defined:
+            raise GrammarError(f"duplicate production name {p.name}")
+        if p.name == IDENT_TOKEN:
+            raise GrammarError(f"production may not be named {IDENT_TOKEN}")
+        defined[p.name] = [p.name]
+
+    spellings: set[str] = set()
+    marks: set[str] = set()
+    for p in g.productions:
+        for el in walk(p.elements):
+            if isinstance(el, NonterminalRef) and el.target == IDENT_TOKEN:
+                if el.label is None:
+                    raise GrammarError(f"reference to {IDENT_TOKEN} must carry a label")
+            elif isinstance(el, NonterminalRef) and el.target not in defined:
+                raise GrammarError(f"unresolved nonterminal {el.target}")
+            elif isinstance(el, (Terminal, TerminalSynonyms)):
+                spellings.update(el.all_spellings())
+            elif isinstance(el, StereotypeSlot):
+                marks = {"<<", ">>"}
+        if p.sugar_for is not None:
+            if p.sugar_for not in defined:
+                raise GrammarError(
+                    f"sugar production {p.name} expands an undefined production {p.sugar_for}"
+                )
+            if g.production(p.sugar_for).sugar_for is not None:
+                raise GrammarError(
+                    f"sugar production {p.name} may not expand another sugar production"
+                )
+            defined[p.sugar_for].append(p.name)
+
+    keywords = frozenset(filter(IDENT.fullmatch, spellings))
+    pattern = token_pattern(spellings - keywords | marks)
+    _oracle_reject_unscannable(spellings, pattern)
+    alternatives = {name: tuple(names) for name, names in defined.items()}
+    _oracle_reject_bad_recursion(g, alternatives)
+    return g._replace(
+        schema=oracle_derive_schema(g), model_pattern=pattern, keywords=keywords,
+        alternatives=alternatives,
+    )
+
+
+def oracle_parse_grammar(source: str) -> GrammarDef:
+    """`vlang.grammar.parse_grammar`, read by a cursor and validated by
+    walks of their own."""
+    tokens = scan(source, token_pattern(_PUNCT, strings=True), GrammarError)
+    return _oracle_validate(_GrammarParser(tokens).parse())
+
+
+class _FeatureParser(_Cursor):
+    """A file of one or more items, each opened by the word `keyword` and
+    read by `_item`."""
+
+    error = FeatureSyntaxError
+    keyword: str
+
+    def __init__(self, source: str):
+        super().__init__(scan(source, _feature_pattern(), self.error))
+
+    def parse_all(self) -> list:
+        items = [self._item()]
+        while self._at("ident", self.keyword):
+            items.append(self._item())
+        if self.kinds[self.pos] != "eof":
+            raise self._err(f"trailing input {self.texts[self.pos]!r}")
+        return items
+
+    def _name(self, what: str) -> str:
+        text = self.texts[self.pos]
+        if self.kinds[self.pos] != "ident" or not IDENT.fullmatch(text):
+            raise self._err(f"expected {what} name, got {self._got()}")
+        self.pos += 1
+        return text
+
+
+class _DiagramParser(_FeatureParser):
+    keyword = "featurediagram"
+
+    def _item(self) -> FeatureDiagram:
+        self._take("ident", "featurediagram")
+        name = self._name("diagram")
+        self._take("punct", "{")
+        vps: list[VariationPoint] = []
+        constraints: list[CrossConstraint] = []
+        while not self._at("punct", "}"):
+            if self._at("ident", "vp"):
+                vps.append(self._variation_point())
+            elif self._at("ident", "constraint"):
+                constraints.append(self._constraint())
+            else:
+                raise self._err(f"expected 'vp' or 'constraint', got {self._got()}")
+        self._take("punct", "}")
+        diagram = FeatureDiagram(name, tuple(vps), tuple(constraints))
+        _check_diagram(diagram)
+        return diagram
+
+    def _variation_point(self) -> VariationPoint:
+        self._take("ident", "vp")
+        name = self._name("variation point")
+        self._take("ident", "for")
+        self._take("ident", "theory")
+        theory = self._name("theory")
+        self._take("punct", "{")
+        features: list[Feature] = []
+        is_xor = False
+        while not self._at("punct", "}"):
+            if self._at("ident", "xor"):
+                if features or is_xor:
+                    raise self._err(
+                        "a variation point holds either optional/mandatory "
+                        "features or one xor-group"
+                    )
+                is_xor = True
+                features.extend(self._xor_group())
+            elif self._at("ident", "optional") or self._at("ident", "mandatory"):
+                if is_xor:
+                    raise self._err("xor-group may not be mixed with other members")
+                modality = self._advance()
+                features.append(self._feature(modality))
+            else:
+                raise self._err(f"expected 'optional', 'mandatory' or 'xor', got {self._got()}")
+        self._take("punct", "}")
+        return VariationPoint(name, theory, tuple(features), is_xor)
+
+    def _xor_group(self) -> list[Feature]:
+        opened = self.pos
+        self._take("ident", "xor")
+        self._take("punct", "{")
+        members: list[Feature] = []
+        while not self._at("punct", "}"):
+            members.append(self._feature("xor-member"))
+        self._take("punct", "}")
+        if len(members) < 2:
+            raise self._err("xor-group needs at least 2 members", opened)
+        return members
+
+    def _feature(self, modality: str) -> Feature:
+        self._take("ident", "feature")
+        name = self._name("feature")
+        self._take("ident", "kind")
+        kind = self.texts[self.pos]
+        if self.kinds[self.pos] != "ident" or kind not in FEATURE_KINDS:
+            raise self._err(f"expected one of {', '.join(FEATURE_KINDS)}, got {self._got()}")
+        self._advance()
+        self._take("punct", ";")
+        return Feature(name, modality, kind)
+
+    def _constraint(self) -> CrossConstraint:
+        self._take("ident", "constraint")
+        source = self._feature_ref()
+        relation = self.texts[self.pos]
+        if self.kinds[self.pos] != "ident" or relation not in ("requires", "excludes"):
+            raise self._err(f"expected 'requires' or 'excludes', got {self._got()}")
+        self._advance()
+        target = self._feature_ref()
+        self._take("punct", ";")
+        return CrossConstraint(source, relation, target)
+
+    def _feature_ref(self) -> FeatureRef:
+        first = self._name("feature")
+        if self._at("punct", "."):
+            self._advance()
+            return FeatureRef(first, self._name("feature"))
+        return FeatureRef(None, first)
+
+
+class _ConfigParser(_FeatureParser):
+    keyword = "configuration"
+
+    def _item(self) -> Configuration:
+        self._take("ident", "configuration")
+        name = self._name("configuration")
+        self._take("ident", "for")
+        diagram = self._name("diagram")
+        self._take("punct", "{")
+        selected: set[str] = set()
+        while not self._at("punct", "}"):
+            self._take("ident", "select")
+            selected.add(self._name("feature"))
+            self._take("punct", ";")
+        self._take("punct", "}")
+        return Configuration(name, diagram, frozenset(selected))
+
+
+def oracle_parse_feature_diagrams(source: str) -> list[FeatureDiagram]:
+    """`vlang.features.parse_feature_diagrams`, read by a cursor."""
+    return _DiagramParser(source).parse_all()
+
+
+def oracle_parse_configurations(source: str) -> list[Configuration]:
+    """`vlang.features.parse_configurations`, read by a cursor."""
+    return _ConfigParser(source).parse_all()

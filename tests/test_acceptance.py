@@ -36,7 +36,7 @@ from vlang.features import (
     validate_configurations,
 )
 from vlang.modelparse import parse_model
-from vlang.schema import AstNode, derive_schema, dump_ast, dump_schema
+from vlang.schema import AstNode, dump_ast, dump_schema
 from vlang.semantics import compute_sem, demands_of
 from vlang.sysmodel import (
     Bounds,
@@ -77,7 +77,7 @@ def _config(example_diagrams, domain=frozenset(), mapping=frozenset({"MapSuperCD
 
 def test_criterion_1_grammar_round_trip(cdsimp):
     with criterion(1, "grammar round-trip schema dump", 1.0):
-        schema = derive_schema(cdsimp)
+        schema = cdsimp.schema
         assert [dt.name for dt in schema.datatypes] == ["CDDefinition", "CDCClass"]
         assert dump_schema(schema) == golden("cdsimp_schema.txt")
 

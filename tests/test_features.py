@@ -135,6 +135,35 @@ def test_unknown_kind_rejected():
         )
 
 
+_NAMED_FD = (
+    "featurediagram X { vp v for theory T { optional feature F kind presentation; } "
+    "constraint F requires X . F ; }"
+)
+_NAMED_CONF = "configuration C for X { select F ; }"
+
+
+@pytest.mark.parametrize("parse, text, at, what", [
+    (parse_feature_diagrams, _NAMED_FD, 1, "diagram"),
+    (parse_feature_diagrams, _NAMED_FD, 4, "variation point"),
+    (parse_feature_diagrams, _NAMED_FD, 7, "theory"),
+    (parse_feature_diagrams, _NAMED_FD, 11, "feature"),
+    (parse_feature_diagrams, _NAMED_FD, 16, "feature"),
+    (parse_feature_diagrams, _NAMED_FD, 18, "feature"),
+    (parse_feature_diagrams, _NAMED_FD, 20, "feature"),
+    (parse_configurations, _NAMED_CONF, 1, "configuration"),
+    (parse_configurations, _NAMED_CONF, 3, "diagram"),
+    (parse_configurations, _NAMED_CONF, 6, "feature"),
+], ids=["diagram", "vp", "theory", "feature", "source", "qualifier", "target",
+        "configuration", "configured diagram", "selected"])
+def test_a_name_is_a_word_without_a_hyphen(parse, text, at, what):
+    words = text.split(" ")
+    words[at] = "semantic-domain"
+    col = len(" ".join(words[:at])) + 2
+    with pytest.raises(FeatureSyntaxError) as exc:
+        parse(" ".join(words))
+    assert str(exc.value) == f"line 1, col {col}: expected {what} name, got 'semantic-domain'"
+
+
 def test_configuration_parse():
     (conf,) = parse_configurations(bundled.DOMAIN_CONF_TEXT)
     assert conf.name == "SMConf"

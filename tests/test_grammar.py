@@ -172,6 +172,22 @@ def test_conflicting_field_types_rejected():
         parse_grammar('grammar X { A = "a"; B = x:IDENT x:A; }')
 
 
+@pytest.mark.parametrize("source, message", [
+    ('grammar X { A = (x:A)? x:IDENT; }', "left recursion: A -> A"),
+    ('grammar X { A = "a b" x:IDENT (x:A)?; }', "terminal 'a b' does not scan as one model token"),
+    ('grammar X { A = "a" x:IDENT (x:B)?; B = "b" B; }', "no finite model derives from B"),
+    ('grammar X { A = "a" x:IDENT (x:A)?; B = "b" y:IDENT; sugar C for B = "c"; sugar D for C = "d"; }',
+     "sugar production D may not expand another sugar production"),
+    ('grammar X { A = "a" (<<?>>)? x:IDENT (x:A)?; }',
+     "production A: a stereotype slot must appear exactly once, outside groups"),
+    ('grammar X { A = "a" y:IDENT (y:B)?; B = "b" (<<?>>)?; }', "field y of A is used with conflicting types"),
+], ids=["recursion", "spelling", "barren", "sugar", "first field error", "first production"])
+def test_a_field_error_waits_for_every_other_check(source, message):
+    with pytest.raises(GrammarError) as exc:
+        parse_grammar(source)
+    assert str(exc.value) == message
+
+
 def test_stereotype_slot_parses():
     g = parse_grammar('grammar X { A = <<?>> "a" x:IDENT; }')
     assert isinstance(g.production("A").elements[0], StereotypeSlot)

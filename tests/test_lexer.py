@@ -2,8 +2,9 @@
 against the scanner it replaced (`oracles.oracle_scan`, one step per token,
 blank run and newline, one record per token): in each format's vocabulary,
 every text gives the same tokens, each with the same kind, text, line and
-column, or the same error at the same line and column.  And the cursor's
-steps at the end of input.
+column, or the same error at the same line and column.  `locate`, read in
+any order, against the positions of the whole offset column.  And the
+readers' steps at the end of input, whose errors `Tokens.fail` makes.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_scan, token_rows
-from vlang.features import _WORD, FeatureSyntaxError, _DiagramParser
-from vlang.grammar import _PUNCT, GrammarError
-from vlang.lexer import IDENT, scan, token_pattern
+from vlang import bundled
+from vlang.features import _WORD, FeatureSyntaxError, parse_configurations, parse_feature_diagrams
+from vlang.grammar import _PUNCT, GrammarError, parse_grammar
+from vlang.lexer import IDENT, SourceError, scan, token_pattern
 from vlang.modelparse import TokenizeError
 
 _CD_KEYWORDS = {"classdiagram", "class", "classes", "extends", "ext"}
@@ -113,33 +115,58 @@ def test_scan_equals_the_oracle_on(text):
     _check(text)
 
 
-def _at_eof():
-    """A .fd cursor that has read every token of a text whose end of input
-    is on line 2, column 3."""
-    cursor = _DiagramParser("featurediagram D\n  // no body")
-    cursor._take("ident", "featurediagram")
-    assert cursor._name("diagram") == "D"
-    assert cursor.pos == len(cursor.kinds) - 1
-    return cursor
-
-
 def test_taking_eof_returns_it_and_stays_on_it():
-    cursor = _at_eof()
-    tokens = cursor.tokens
-    assert (tokens.kinds[-1], tokens.texts[-1], *tokens.where(tokens.starts[-1])) == ("eof", "", 2, 3)
-    for _ in range(2):
-        assert cursor._take("eof") == ""
-        assert cursor.pos == len(cursor.kinds) - 1
+    """No reader indexes past the "eof" token: each cut of a document ends
+    in its result or in the format's error at a token, at the last one at
+    most."""
+    for parse, document in [
+        (parse_grammar, bundled.CD_GRAMMAR_TEXT),
+        (parse_feature_diagrams, bundled.EXAMPLE_FD_TEXT),
+        (parse_configurations, bundled.DOMAIN_CONF_TEXT + bundled.MAPPING_CONF_TEXT),
+    ]:
+        words = document.split()
+        for n in range(len(words) + 1):
+            text = " ".join(words[:n]) + "\n  // no body"
+            try:
+                parse(text)
+            except SourceError as exc:
+                assert (exc.line, exc.col) <= (2, 3), text
 
 
-@pytest.mark.parametrize("step, message", [
-    (lambda c: c._take("punct", "{"), "expected '{', got end of input"),
-    (lambda c: c._take("ident"), "expected 'ident', got end of input"),
-    (lambda c: c._name("feature"), "expected feature name, got end of input"),
+@pytest.mark.parametrize("parse, text, error, message", [
+    (parse_feature_diagrams, "featurediagram D", FeatureSyntaxError, "expected '{', got end of input"),
+    (parse_grammar, "grammar", GrammarError, "expected 'ident', got end of input"),
+    (parse_configurations, "configuration C for D { select", FeatureSyntaxError,
+     "expected feature name, got end of input"),
 ], ids=["take a text", "take a kind", "name"])
-def test_a_step_past_eof_raises_at_eof(step, message):
-    cursor = _at_eof()
-    with pytest.raises(FeatureSyntaxError) as exc:
-        step(cursor)
+def test_a_step_past_eof_raises_at_eof(parse, text, error, message):
+    with pytest.raises(error) as exc:
+        parse(text + "\n  // no body")
+    assert type(exc.value) is error
     assert (str(exc.value), exc.value.line, exc.value.col) == (f"line 2, col 3: {message}", 2, 3)
-    assert cursor.pos == len(cursor.kinds) - 1
+
+
+def test_fail_raises_the_format_error_at_its_token():
+    tokens = scan("a\n  b c", token_pattern("{};.", _WORD), FeatureSyntaxError)
+    exc = tokens.fail(2, "expected ';'", got=True)
+    assert type(exc) is FeatureSyntaxError
+    assert (str(exc), exc.line, exc.col) == ("line 2, col 5: expected ';', got 'c'", 2, 5)
+    exc = tokens.fail(3, "trailing input")
+    assert (str(exc), exc.line, exc.col) == ("line 2, col 6: trailing input", 2, 6)
+
+
+@settings(max_examples=5 * settings.default.max_examples, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_ALPHABET), max_size=30).map("".join), st.data())
+def test_locate_in_any_order_equals_the_rows(text, data):
+    """`locate` finds offsets up to the token asked for only; read in any
+    order, it gives each token the position `token_rows` gives it, which
+    reads the whole `starts` column."""
+    punct, error, options = VOCABULARIES["grammar"]
+    try:
+        rows = _scan(text, punct, error, **options)
+    except error:
+        return
+    tokens = scan(text, token_pattern(punct, strings=True), error)
+    order = data.draw(st.permutations(range(len(rows))))
+    assert {i: tokens.locate(i) for i in order} == {i: (r.line, r.col) for i, r in enumerate(rows)}
+    assert tokens.starts == scan(text, token_pattern(punct, strings=True), error).starts

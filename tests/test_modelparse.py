@@ -10,7 +10,7 @@ from vlang.desugar import desugar_to_minimal
 from vlang.grammar import parse_grammar
 from vlang.lexer import Tokens
 from vlang.modelparse import ModelParseError, TokenizeError, parse_model, tokenize_model
-from vlang.schema import SourcePos, derive_schema, dump_ast
+from vlang.schema import SourcePos, dump_ast
 
 
 def _class_names(node, field="CDCClass"):
@@ -291,7 +291,7 @@ def test_every_parse_conforms_to_the_derived_schema(cd, cdsimp, cdassert):
     ]
     for grammar, text in corpus:
         node = parse_model(grammar, text)
-        assert conforms(node, derive_schema(grammar)), text
+        assert conforms(node, grammar.schema), text
 
 
 def test_tokenizer_classifies_words_per_grammar(cd, cdsimp):

@@ -13,6 +13,13 @@ model soups, and on random grammars with models derived from them, some
 with one token dropped, repeated or replaced.  The model vocabulary a random
 grammar carries must give the keywords and tokens of the one the model
 scanner derived before (`oracles.oracle_model_vocabulary`).
+
+The grammar, .fd and .conf readers must read what the cursor readers they
+replaced read, and a grammar must pass or fail the validation its separate
+walks gave (`oracles.oracle_parse_grammar`, ...): the same value, or the
+same error at the same line and column.  On the soups, and on random
+grammars, some with several planted defects, so that the first defect
+reported must be the same one.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ from hypothesis import strategies as st
 from oracles import (
     conforms,
     oracle_model_vocabulary,
+    oracle_parse_configurations,
+    oracle_parse_feature_diagrams,
+    oracle_parse_grammar,
     oracle_parse_model,
     oracle_tokenize_model,
     token_rows,
@@ -44,8 +54,9 @@ from vlang.grammar import (
     TerminalSynonyms,
     parse_grammar,
 )
+from vlang.lexer import SourceError
 from vlang.modelparse import ModelParseError, TokenizeError, parse_model, tokenize_model
-from vlang.schema import AstNode, derive_schema, dump_ast
+from vlang.schema import AstNode, dump_ast
 
 _PUNCT = ["{", "}", "(", ")", ";", ":", "=", "|", "*", "?", ",", ".", "$", "<<", ">>", "<<?>>"]
 _NAMES = ["A", "B", "x", "IDENT", "for", "kind", "//c\n", "\n", '"', '""', '"a"', '"b', "1"]
@@ -55,7 +66,7 @@ _CD = parse_grammar(bundled.CD_GRAMMAR_TEXT)
 
 def _conforming_parse(text):
     node = parse_model(_CD, text)
-    assert conforms(node, derive_schema(_CD)), text
+    assert conforms(node, _CD.schema), text
     return node
 
 
@@ -295,3 +306,79 @@ def test_random_grammars_carry_the_former_model_vocabulary(case):
         grammar, text = case
         assert grammar.keywords == oracle_model_vocabulary(grammar)[0]
         assert _tokens(_rows, grammar, text) == _tokens(oracle_tokenize_model, grammar, text)
+
+
+# ---------------------------------------------------------------------------
+# The grammar, .fd and .conf readers against the cursor readers and the
+# grammar validation they replaced (`oracles.oracle_parse_grammar`, ...)
+# ---------------------------------------------------------------------------
+
+# Words that plant a defect: a spelling no model token matches, a reference
+# that is unlabeled, unresolved or conflicting, a misplaced stereotype slot,
+# a sugar production, a synonym group with a repeated or empty spelling, and
+# stray marks.
+_DEFECTS = [
+    '"a b"', '"a-"', '""', '"//"', '"%"', '" x"', '"://"', "IDENT", "Q", "x:Q", "x:P0", "x:IDENT*",
+    "(x:P1)?", "x:IDENT", "stereotypes:IDENT", "stereotypes:P0", "<<?>>", "(<<?>>)?", "P0", "P1?",
+    "(P0)*", "S0", "sugar S0 for P0 =", "sugar S1 for S0 =", "P0 =", '("a" | "a")', '("a" | "")*',
+    "(", ")", "|", ";", "*",
+]
+
+_READERS = {
+    "grammar": (parse_grammar, oracle_parse_grammar),
+    "feature diagrams": (parse_feature_diagrams, oracle_parse_feature_diagrams),
+    "configurations": (parse_configurations, oracle_parse_configurations),
+}
+
+
+@st.composite
+def _defective_grammar_texts(draw):
+    """A random grammar with up to four of its inner elements replaced,
+    each by a defect or by another of them (a repeated label, a reference to
+    the production itself, ...), and at times a production or a sugar base
+    renamed."""
+    words = draw(_grammar_texts()).split(" ")
+    inner = [i for i, w in enumerate(words) if w not in ("grammar", "G", "sugar", "for")
+             and not set(w) & set("\n{}=")]
+    for _ in range(draw(st.integers(0, 4)) if inner else 0):
+        words[draw(st.sampled_from(inner))] = draw(
+            st.sampled_from(_DEFECTS) | st.sampled_from([words[i] for i in inner])
+        )
+    old, new = draw(st.sampled_from([
+        ("", ""), ("", ""), ("\nP1 =", "\nP0 ="), ("\nP0 =", "\nIDENT ="), ("for P0", "for S0"),
+        ("for P0", "for Q"), (";\n", " x:IDENT (x:P0)?;\n"),
+        ("\nP1 =", "\nP1 = <<?>> z:IDENT <<?>>"), ("\nP1 =", "\nP1 = (z:IDENT <<?>>)?"),
+        ("\nP0 =", "\nP0 = stereotypes:P0 <<?>>"),
+    ]))
+    return " ".join(words).replace(old, new)
+
+
+def _read(parse, text):
+    """The value read, or the error in full."""
+    try:
+        return parse(text)
+    except (SourceError, FeatureModelError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+def _reads_as_the_cursor(name, text):
+    parse, oracle = _READERS[name]
+    assert _read(parse, text) == _read(oracle, text), text
+
+
+@settings(max_examples=5 * settings.default.max_examples, deadline=None, derandomize=True)
+@given(st.one_of(_grammar_texts(), _defective_grammar_texts()))
+def test_random_grammars_read_and_validate_as_before(text):
+    _reads_as_the_cursor("grammar", text)
+
+
+@pytest.mark.parametrize("name", _READERS)
+def test_soups_read_as_the_cursor_reads_them(name):
+    _, _, document, vocabulary = CASES[name]
+
+    @settings(max_examples=5 * settings.default.max_examples, deadline=None, derandomize=True)
+    @given(_soups(document, vocabulary))
+    def check(text):
+        _reads_as_the_cursor(name, text)
+
+    check()

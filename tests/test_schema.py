@@ -6,9 +6,10 @@ import pytest
 
 from conftest import golden
 from oracles import conformance_violations, conforms, oracle_hook_field
+from vlang import bundled
 from vlang.grammar import GrammarError, parse_grammar
 from vlang.modelparse import parse_model
-from vlang.schema import AstNode, derive_schema, dump_ast, dump_schema, hook_field
+from vlang.schema import AstNode, dump_ast, dump_schema, hook_field
 
 
 def _datatypes(schema):
@@ -20,7 +21,7 @@ def _fields(schema, name):
 
 
 def test_two_datatype_schema(cdsimp):
-    schema = derive_schema(cdsimp)
+    schema = cdsimp.schema
     assert [dt.name for dt in schema.datatypes] == ["CDDefinition", "CDCClass"]
     assert _fields(schema, "CDDefinition") == {
         "Name": ("IDENT", ""),
@@ -30,7 +31,7 @@ def test_two_datatype_schema(cdsimp):
 
 
 def test_full_class_diagram_schema(cd):
-    schema = derive_schema(cd)
+    schema = cd.schema
     assert _fields(schema, "CDDefinition") == {
         "Name": ("IDENT", ""),
         "classes": ("CDCClass", "list"),
@@ -46,12 +47,12 @@ def test_full_class_diagram_schema(cd):
 
 def test_optional_single_reference_becomes_option():
     g = parse_grammar('grammar G { A = x:IDENT ("opt" y:IDENT)?; }')
-    assert _fields(derive_schema(g), "A") == {"x": ("IDENT", ""), "y": ("IDENT", "option")}
+    assert _fields(g.schema, "A") == {"x": ("IDENT", ""), "y": ("IDENT", "option")}
 
 
 def test_terminal_only_production_has_no_fields():
     g = parse_grammar('grammar G { A = "only" "terminals"; }')
-    assert _datatypes(derive_schema(g))["A"].fields == ()
+    assert _datatypes(g.schema)["A"].fields == ()
 
 
 @pytest.mark.parametrize("grammar, name", [
@@ -60,12 +61,12 @@ def test_terminal_only_production_has_no_fields():
     ("cdassert", "cdassert_schema.txt"),
 ], ids=["CDSimp", "CD", "CDAssert"])
 def test_schema_dump_matches_golden(request, grammar, name):
-    assert dump_schema(derive_schema(request.getfixturevalue(grammar))) == golden(name)
+    assert dump_schema(request.getfixturevalue(grammar).schema) == golden(name)
 
 
 def test_schema_dump_of_every_field_kind():
     g = parse_grammar('grammar G { A = x:B (y:IDENT)? (zs:B)* ("o" o:B)?; B = "b"; }')
-    assert dump_schema(derive_schema(g)) == (
+    assert dump_schema(g.schema) == (
         "theory GAS imports GeneralAS\nbegin\ndatatype B = B\n"
         'datatype A = A B "IDENT option" "B list" "B option"\nend\n'
     )
@@ -79,16 +80,16 @@ def test_schema_dump_of_every_field_kind():
 ], ids=["label-after-slot", "label-before-slot"])
 def test_a_stereotype_slot_owns_its_field(grammar_text, message):
     with pytest.raises(GrammarError) as exc:
-        derive_schema(parse_grammar(grammar_text))
+        parse_grammar(grammar_text)
     assert str(exc.value) == message
 
 
 def test_schema_dump_is_deterministic(cd):
-    assert dump_schema(derive_schema(cd)) == dump_schema(derive_schema(cd))
+    assert dump_schema(cd.schema) == dump_schema(parse_grammar(bundled.CD_GRAMMAR_TEXT).schema)
 
 
 def test_schema_dump_orders_dependencies_first(cd):
-    text = dump_schema(derive_schema(cd))
+    text = dump_schema(cd.schema)
     lines = [l for l in text.splitlines() if l.startswith("datatype")]
     assert lines.index("datatype CDCClass = CDCClass \"IDENT set\" IDENT \"IDENT list\"") < lines.index(
         "datatype CDDefinition = CDDefinition IDENT \"CDCClass list\""
@@ -96,31 +97,31 @@ def test_schema_dump_orders_dependencies_first(cd):
 
 
 def test_option_field_rendering(cdassert):
-    text = dump_schema(derive_schema(cdassert))
+    text = dump_schema(cdassert.schema)
     assert 'datatype SubAssertion = SubAssertion "Negation option" IDENT IDENT' in text
     assert "datatype Negation = Negation\n" in text
 
 
 def test_parse_results_conform(cdsimp):
-    schema = derive_schema(cdsimp)
+    schema = cdsimp.schema
     node = parse_model(cdsimp, "classdiagram D { class A extends B; class B; }")
     assert conforms(node, schema)
 
 
 def test_sugar_nodes_conform_before_desugaring(cd):
-    schema = derive_schema(cd)
+    schema = cd.schema
     node = parse_model(cd, "classdiagram D { classes A, B; }")
     assert conforms(node, schema)
 
 
 def test_conformance_detects_missing_field(cdsimp):
-    schema = derive_schema(cdsimp)
+    schema = cdsimp.schema
     bad = AstNode("CDCClass", {"Name": "A"})
     assert any("missing field scl" in p for p in conformance_violations(bad, schema))
 
 
 def test_conformance_detects_wrong_kinds(cdsimp):
-    schema = derive_schema(cdsimp)
+    schema = cdsimp.schema
     bad = AstNode("CDCClass", {"Name": "A", "scl": "B"})
     assert any("expected list" in p for p in conformance_violations(bad, schema))
     unknown = AstNode("Nope", {})
@@ -170,7 +171,7 @@ def test_absent_option_renders_as_dash(cdassert):
     ]),
 ], ids=["wrong-kinds", "extra-field-and-list-item", "list-of-nodes"])
 def test_exact_conformance_violations(cd, node, problems):
-    assert conformance_violations(node, derive_schema(cd)) == problems
+    assert conformance_violations(node, cd.schema) == problems
 
 
 @pytest.mark.parametrize("neg, problems", [
@@ -179,7 +180,7 @@ def test_exact_conformance_violations(cd, node, problems):
 ], ids=["str", "absent"])
 def test_exact_conformance_violations_of_an_option(cdassert, neg, problems):
     node = AstNode("SubAssertion", {"neg": neg, "left": "A", "right": "B"})
-    assert conformance_violations(node, derive_schema(cdassert)) == problems
+    assert conformance_violations(node, cdassert.schema) == problems
 
 
 _ABSENT = object()

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import warnings
+from functools import reduce
+from operator import or_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import raw_semantics_config
 from oracles import (
@@ -26,7 +30,8 @@ from vlang.semantics import (
     super_mapping_for,
 )
 from vlang.features import Configuration, InvalidConfigurationError, validated_merge
-from vlang.sysmodel import Bounds, canonical_key
+from vlang.schema import AstNode
+from vlang.sysmodel import Bounds, Demands, canonical_key
 
 REFL2 = {("A", "A"), ("B", "B")}
 
@@ -143,6 +148,38 @@ def test_loose_semantics_ignores_extra_material(cdsimp):
         class_of={("o1", "Z")},
     )
     assert holds(m, bigger)
+
+
+_NAMES = ["A", "B", "C", "D"]
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(
+        st.sampled_from(_NAMES),
+        st.lists(st.sampled_from(_NAMES), max_size=3),
+        st.frozensets(st.sampled_from(["singleton", "fancy", "odd"])),
+    ), max_size=6),
+    st.sampled_from([map_super_direct, map_super_delegate]),
+)
+def test_diagram_equals_the_fold_of_its_classes(classes, variant):
+    """One union per component gives what folding `|` over the classes
+    gave, with the same unknown-stereotype warnings in statement order."""
+    diagram = AstNode("CDDefinition", {"Name": "D", "classes": [
+        AstNode("CDCClass", {"stereotypes": stereotypes, "Name": name, "scl": supers})
+        for name, supers, stereotypes in classes
+    ]})
+
+    def outcome(compile_diagram):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            demands = compile_diagram()
+        return demands, [str(w.message) for w in caught]
+
+    classes = diagram.fields["classes"]
+    assert outcome(lambda: map_diagram(diagram, variant)) == outcome(
+        lambda: reduce(or_, (map_class(c, variant) for c in classes), Demands())
+    )
 
 
 # ---------------------------------------------------------------------------
