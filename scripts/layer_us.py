@@ -13,7 +13,9 @@ arguments.  Then, layer by layer, it replays the recorded calls in batches,
 each batch every call once, and prints one JSON object: per layer, the calls
 in a pass and the minimum and median over the batches of the microseconds
 per call.  A replayed condition check is warm: the pass has already computed
-the positions of the nodes it reports.  To compare two trees, run it from
+the positions of the nodes it reports.  It is replayed with the arguments it
+was called with, whatever they are, so it includes the check of the
+grammar's class fields that each call makes.  To compare two trees, run it from
 each in turn, alternating, on one host.
 
 It exits 1, naming the layer, when a layer records no call in the pass,

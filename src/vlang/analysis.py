@@ -12,7 +12,8 @@ atom the refined model lacks, once per negated atom; an abstract attr the
 refined model lacks needs no search, since every frame carries just the
 demanded attrs and the refined model's first system lacks it.  Equivalence is
 refinement each way.  Reported systems are thus stable across runs and
-minimal in canonical order.
+minimal in canonical order.  As for `semantics.query`, each model's grammar
+must pass `semantics.check_semantics`.
 """
 
 from __future__ import annotations

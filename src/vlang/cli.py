@@ -62,6 +62,7 @@ from .schema import dump_ast, dump_schema
 from .semantics import (
     SemanticsError,
     UnknownStereotypeWarning,
+    check_semantics,
     compute_sem,
     make_semantics_config,
     semantic_diagrams,
@@ -154,7 +155,7 @@ def _cmd_wf(args) -> int:
     active = {cc_id for cc_id, cc in CONDITIONS.get(grammar.name, {}).items() if not cc.optional}
     if args.cc:
         active.update(s for s in args.cc.split(",") if s)
-    violations = check_context_conditions(node, active, grammar.name)
+    violations = check_context_conditions(node, active, grammar)
     for v in violations:
         print(v.render())
     if violations:
@@ -208,7 +209,9 @@ def _cmd_sem(args) -> int:
     grammar = _load_grammar(args.grammar)
     model = desugar_to_minimal(_load_model(grammar, args.model), grammar)
     diagrams, _, merged = _load_workspace(args.files)
-    sem = compute_sem(model, make_semantics_config(diagrams, merged, _bounds(args)))
+    config = make_semantics_config(diagrams, merged, _bounds(args))
+    check_semantics(grammar)
+    sem = compute_sem(model, config)
     members = iter(sem)
     witnesses = list(islice(members, args.witnesses))
     count = len(witnesses) + sum(1 for _ in members)
@@ -223,14 +226,17 @@ def _cmd_analyze(args) -> int:
     pairs, rest = _model_arguments(args.args)
     if args.mode in ("refine", "equiv") and (len(pairs) != 1 or len(pairs[0][1]) != 2):
         raise _FileFailure(f"analyze {args.mode} needs one grammar followed by two model files")
-    models = []
+    grammars, models = [], []  # the grammars of the models, which bind their compile
     for grammar_path, model_paths in pairs:
         grammar = _load_grammar(grammar_path)
+        grammars += [grammar] if model_paths else []
         models.extend(desugar_to_minimal(_load_model(grammar, p), grammar) for p in model_paths)
     if not models:
         raise _FileFailure("analyze consistent needs grammar/model arguments")
     diagrams, _, merged = _load_workspace(rest)
     config = make_semantics_config(diagrams, merged, _bounds(args))
+    for grammar in grammars:
+        check_semantics(grammar)
     if args.mode == "refine":
         verdict = check_refinement(models[0], models[1], config)
     elif args.mode == "equiv":

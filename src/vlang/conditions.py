@@ -11,19 +11,15 @@ Non-optional conditions always apply; optional ones are selected by id.
 Each condition is a total predicate yielding a possibly empty violation
 list; violations are reported deterministically, ordered by (condition id,
 source position).
-
-The conditions of one check run in id order and share one record of the
-diagram's classes (`_Classes`), which reads each class's Name and supers at
-most once, where a condition first needs them; so a field of the wrong shape
-is refused at the same read as when each condition read its own fields.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple
 
+from .grammar import GrammarDef
 from .schema import AstNode
-from .semantics import class_name, class_supers, statement_nodes
+from .semantics import CLASS_FIELDS, check_statements, class_supers, statement_nodes
 
 
 class UnknownConditionError(Exception):
@@ -40,19 +36,10 @@ class CCViolation(NamedTuple):
         return f"CC {self.condition_id} {self.line}:{self.col} {self.message}"
 
 
-class _Classes(NamedTuple):
-    """A diagram's class statements, and each one's Name and supers, None
-    until read."""
-
-    nodes: list[AstNode]
-    names: list
-    supers: list
-
-
 class ContextCondition(NamedTuple):
     id: str
     optional: bool
-    check: Callable[[_Classes], list[CCViolation]]
+    check: Callable[[list[AstNode]], list[CCViolation]]
 
 
 def _violation(cc_id: str, node: AstNode, message: str) -> CCViolation:
@@ -60,17 +47,11 @@ def _violation(cc_id: str, node: AstNode, message: str) -> CCViolation:
     return CCViolation(cc_id, line, col, message)
 
 
-def _every(values: list, read: Callable[[AstNode], object], nodes: list[AstNode]) -> list:
-    """Every class's field, read in statement order where it is not yet."""
-    if None in values:
-        values[:] = [read(c) if v is None else v for v, c in zip(values, nodes)]
-    return values
-
-
-def _cc_unique_class_names(classes: _Classes) -> list[CCViolation]:
+def _cc_unique_class_names(classes: list[AstNode]) -> list[CCViolation]:
     seen: set[str] = set()
     violations = []
-    for c, name in zip(classes.nodes, _every(classes.names, class_name, classes.nodes)):
+    for c in classes:
+        name = c.fields["Name"]
         if name in seen:
             violations.append(
                 _violation("CC-unique-class-names", c, f"duplicate class name {name}")
@@ -79,30 +60,24 @@ def _cc_unique_class_names(classes: _Classes) -> list[CCViolation]:
     return violations
 
 
-def _cc_supers_declared(classes: _Classes) -> list[CCViolation]:
-    # Every name before any super: a Name defect is reported first.
-    nodes = classes.nodes
-    names = _every(classes.names, class_name, nodes)
-    declared = set(names)
+def _cc_supers_declared(classes: list[AstNode]) -> list[CCViolation]:
+    declared = {c.fields["Name"] for c in classes}
     return [
-        _violation("CC-supers-declared", c, f"class {name} extends undeclared class {s}")
-        for c, name, supers in zip(nodes, names, _every(classes.supers, class_supers, nodes))
-        for s in supers
+        _violation(
+            "CC-supers-declared", c, f"class {c.fields['Name']} extends undeclared class {s}"
+        )
+        for c in classes
+        for s in class_supers(c)
         if s not in declared
     ]
 
 
-def _cc_single_inheritance(classes: _Classes) -> list[CCViolation]:
-    # Class by class: its supers, and then the Name of one with several.
-    nodes, names, supers = classes
+def _cc_single_inheritance(classes: list[AstNode]) -> list[CCViolation]:
     violations = []
-    for i, c in enumerate(nodes):
-        if supers[i] is None:
-            supers[i] = class_supers(c)
-        if len(supers[i]) > 1:
-            if names[i] is None:
-                names[i] = class_name(c)
-            message = f"class {names[i]} has {len(supers[i])} super-classes"
+    for c in classes:
+        supers = class_supers(c)
+        if len(supers) > 1:
+            message = f"class {c.fields['Name']} has {len(supers)} super-classes"
             violations.append(_violation("CC-single-inheritance-syntactic", c, message))
     return violations
 
@@ -135,21 +110,23 @@ CONDITIONS: dict[str, dict[str, ContextCondition]] = {
 
 
 def check_context_conditions(
-    node: AstNode, active: Iterable[str], language: str
+    node: AstNode, active: Iterable[str], grammar: GrammarDef
 ) -> list[CCViolation]:
-    """Run the given conditions of the language on a minimal AST and return
-    all violations in deterministic order."""
-    conditions = CONDITIONS.get(language, {})
-    violations: list[CCViolation] = []
-    classes = None
+    """Run the given conditions of the grammar's language on a minimal AST
+    parsed by `grammar`, and return all violations in deterministic order.
+    Before any runs, the grammar's class statements are checked once for the
+    fields the conditions read (`semantics.CLASS_FIELDS`)."""
+    conditions = CONDITIONS.get(grammar.name, {})
+    checks = []
     for cc_id in sorted(set(active)):
         condition = conditions.get(cc_id)
         if condition is None:
             raise UnknownConditionError(
-                f"unknown context condition {cc_id} for language {language}"
+                f"unknown context condition {cc_id} for language {grammar.name}"
             )
-        if classes is None:
-            nodes = statement_nodes(node)
-            classes = _Classes(nodes, [None] * len(nodes), [None] * len(nodes))
-        violations.extend(condition.check(classes))
-    return sorted(violations)
+        checks.append(condition.check)
+    if not checks:
+        return []
+    check_statements(grammar.schema, grammar.start_production, CLASS_FIELDS)
+    classes = statement_nodes(node)
+    return sorted(v for check in checks for v in check(classes))

@@ -1,13 +1,15 @@
 """Elimination of abbreviation (sugar) constructs from parsed ASTs.
 
 `EXPANDERS` binds each sugar datatype of a language, keyed by (grammar name,
-datatype), to the function that expands it; the bundled CD language has one,
-`classes A, B;` to one plain class per name.  Desugaring walks an AST
-bottom-up, replaces every sugar node by its expansion, and splices
-expansions into the surrounding list.  It rebuilds only the nodes on a path
-to a sugar node and shares every other subtree with its input, which no
-caller mutates.  The result contains no sugar datatype instances and
-desugaring a minimal AST returns it, so the operation is idempotent.
+datatype), to the function that expands it and the fields it reads; the
+bundled CD language has one, `classes A, B;` to one plain class per name.
+Each desugaring first checks the grammar's sugar datatypes against the
+fields their expanders read, which then read them directly.  Desugaring
+walks an AST bottom-up, replaces every sugar node by its expansion, and
+splices expansions into the surrounding list.  It rebuilds only the nodes
+on a path to a sugar node and shares every other subtree with its input,
+which no caller mutates.  The result contains no sugar datatype instances
+and desugaring a minimal AST returns it, so the operation is idempotent.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 from typing import Callable
 
 from .grammar import GrammarDef
-from .schema import AstNode, hook_field
+from .schema import AstNode, Signature, check_fields
+
+Expander = Callable[[AstNode], list[AstNode]]
 
 
 class DesugarError(Exception):
@@ -25,13 +29,27 @@ class DesugarError(Exception):
 def _expand_class_list(node: AstNode) -> list[AstNode]:
     return [
         node.derived("CDCClass", {"stereotypes": frozenset(), "Name": name, "scl": []})
-        for name in hook_field(node, "names", list, error=DesugarError)
+        for name in node.fields["names"]
     ]
 
 
-EXPANDERS: dict[tuple[str, str], Callable[[AstNode], list[AstNode]]] = {
-    ("CD", "CDCClasses"): _expand_class_list,
+# (grammar name, sugar datatype) -> the fields its expander reads, and the
+# expander.
+EXPANDERS: dict[tuple[str, str], tuple[Signature, Expander]] = {
+    ("CD", "CDCClasses"): ({"names": ("IDENT list",)}, _expand_class_list),
 }
+
+
+def bound_expanders(grammar: GrammarDef) -> dict[str, Expander]:
+    """The expander bound to each sugar datatype of `grammar` that has one,
+    once the datatype has the fields the expander reads."""
+    bound = {}
+    for datatype in grammar.sugar_bases():
+        row = EXPANDERS.get((grammar.name, datatype))
+        if row is not None:
+            check_fields(grammar.schema, datatype, row[0], DesugarError)
+            bound[datatype] = row[1]
+    return bound
 
 
 def desugar_to_minimal(node: AstNode, grammar: GrammarDef) -> AstNode:
@@ -41,6 +59,7 @@ def desugar_to_minimal(node: AstNode, grammar: GrammarDef) -> AstNode:
     every other subtree of the result is the input's own, and a tree without
     sugar is returned as it is."""
     sugar = grammar.sugar_bases()
+    expanders = bound_expanders(grammar)
     # The datatypes whose nodes may hold a sugar node: the sugar datatypes,
     # and by the schema each datatype with a field that may hold one.
     holders, bases = set(sugar), set(sugar.values())
@@ -63,7 +82,7 @@ def desugar_to_minimal(node: AstNode, grammar: GrammarDef) -> AstNode:
                 fields[label] = new
         result = n if fields is n.fields else n.derived(n.datatype, fields)
         if n.datatype in sugar:
-            expander = EXPANDERS.get((grammar.name, n.datatype))
+            expander = expanders.get(n.datatype)
             if expander is None:
                 raise DesugarError(
                     f"no expander registered for sugar production "

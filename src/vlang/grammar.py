@@ -79,6 +79,11 @@ class GrammarError(SourceError):
     """Raised for malformed grammar definitions."""
 
 
+class _TooDeep(Exception):
+    """Internal: the reader passed the recursion limit in the group opened
+    at token index ``args[0]``."""
+
+
 # ---------------------------------------------------------------------------
 # Grammar model
 # ---------------------------------------------------------------------------
@@ -231,7 +236,10 @@ def _read(tokens: Tokens) -> GrammarDef:
         # the last token).
         i = opened + 1
         if kinds[i] != "string" or texts[i + 1] != "|" or kinds[i + 1] != "punct":
-            inner, i = elements(i, ")")
+            try:
+                inner, i = elements(i, ")")
+            except RecursionError:
+                raise _TooDeep(opened) from None
             if not inner:
                 raise fail(opened, "empty group")
             if texts[i + 1] in _CARDINALITY and kinds[i + 1] == "punct":
@@ -488,4 +496,12 @@ def _reject_bad_recursion(
 def parse_grammar(source: str) -> GrammarDef:
     """Parse the text of a .mclang file into a validated GrammarDef, which
     carries its derived schema and model vocabulary."""
-    return _validate(_read(scan(source, _pattern(), GrammarError)))
+    tokens = scan(source, _pattern(), GrammarError)
+    try:
+        g = _read(tokens)
+    except _TooDeep as exc:
+        # The reader recurses twice per group level, the walks of `_validate`
+        # once: past the interpreter's recursion limit the grammar is
+        # refused, not the process.
+        raise tokens.fail(exc.args[0], "grammar nested too deeply to parse") from None
+    return _validate(g)

@@ -267,8 +267,14 @@ def parse_model(grammar: GrammarDef, source: str) -> AstNode:
         dt.name: tuple((f.label, f.card) for f in dt.fields) for dt in grammar.schema.datatypes
     }
     try:
-        for prod in grammar.productions:
-            p.nodes[prod.name] = _node(p, prod, fields[prod.name])
+        try:
+            for prod in grammar.productions:
+                p.nodes[prod.name] = _node(p, prod, fields[prod.name])
+        except RecursionError:
+            # Compiling recurses more often per group level than reading
+            # the grammar did.
+            where = tokens.locate(0)
+            raise ModelParseError("grammar nested too deeply to parse a model", *where) from None
         try:
             node, pos = p.nodes[grammar.start_production](0)
         except _Backtrack:

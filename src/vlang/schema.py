@@ -14,6 +14,11 @@ The schema dump renders the derived datatypes as a plain-text theory
 document, one ``datatype <Name> = <Name> <argument types>`` line per
 production, dependencies first.  It is deterministic and used for golden
 tests.
+
+The hooks a language binds by name (expanders, context conditions, the
+mapping compile) declare the fields they read as a `Signature` in the same
+words.  `check_fields` checks a schema against one once per command; the
+hooks then read the fields of the nodes a parse gives directly.
 """
 
 from __future__ import annotations
@@ -45,13 +50,30 @@ class AstSchema(NamedTuple):
     language: str
     datatypes: tuple[SchemaDatatype, ...]
 
+    def datatype(self, name: str) -> SchemaDatatype:
+        return next(dt for dt in self.datatypes if dt.name == name)
+
+
+# The fields a hook reads, label -> the types each may have, in the words of
+# the dump ("IDENT", "IDENT list", "CDCClass"); None where it may be absent.
+Signature = dict[str, tuple[str | None, ...]]
+
 
 # ---------------------------------------------------------------------------
 # Schema dump
 # ---------------------------------------------------------------------------
 
-def _render_argument(f: SchemaField) -> str:
-    return f'"{f.target} {f.card}"' if f.card else f.target
+def _words(f: SchemaField) -> str:
+    return f"{f.target} {f.card}" if f.card else f.target
+
+
+def _quoted(words: str) -> str:
+    return f'"{words}"' if " " in words else words
+
+
+def field_type(f: SchemaField) -> str:
+    """The type of `f` as the dump writes it: ``IDENT``, ``"IDENT list"``."""
+    return _quoted(_words(f))
 
 
 def _dependency_order(schema: AstSchema) -> list[SchemaDatatype]:
@@ -77,7 +99,7 @@ def _dependency_order(schema: AstSchema) -> list[SchemaDatatype]:
 def dump_schema(schema: AstSchema) -> str:
     lines = [f"theory {schema.language}AS imports GeneralAS", "begin"]
     for dt in _dependency_order(schema):
-        args = " ".join(_render_argument(f) for f in dt.fields)
+        args = " ".join(field_type(f) for f in dt.fields)
         decl = f"datatype {dt.name} = {dt.name}"
         lines.append(f"{decl} {args}" if args else decl)
     lines.append("end")
@@ -143,49 +165,71 @@ class AstNode:
         return f"AstNode({self.datatype!r}, {self.fields!r}, pos={self.pos!r})"
 
 
-_SHAPES = {str: "an IDENT", list: "a list of IDENTs", frozenset: "a stereotype set"}
-
-
-def hook_field(
-    node: AstNode, label: str, *shapes: type, error: type[Exception], optional: bool = False
-) -> object:
-    """Field `label` of `node` as one of `shapes`: `str` (one IDENT, the
-    default), `list` (of IDENTs) or `frozenset` (a stereotype set); with
-    `optional`, None when the field is absent or empty.  A grammar that
-    reuses a hook's name may give the node no such field, or one of another
-    shape; `error` then names the datatype and the field."""
-    value = node.fields.get(label)
-    shapes = shapes or (str,)
-    # One exact type test, and for a list one pass over its items, decide;
-    # what follows only picks the message.
-    shape = type(value)
-    if shape in shapes and (shape is not list or all(type(v) is str for v in value)):
-        return value
-    if optional and value is None:
-        return None
-    if label not in node.fields:
-        raise error(f"{node.datatype} has no field {label}")
-    raise error(f"{node.datatype} field {label} is not {' or '.join(_SHAPES[s] for s in shapes)}")
-
-
-def _dump_value(v: object) -> str:
-    if v is None:
-        return "-"
-    if isinstance(v, str):
-        return v
-    if isinstance(v, AstNode):
-        return dump_ast(v)
-    if isinstance(v, list):
-        return "[" + ",".join(_dump_value(x) for x in v) + "]"
-    if isinstance(v, (set, frozenset)):
-        return "{" + ",".join(sorted(v)) + "}"
-    raise TypeError(f"not an AST value: {v!r}")
+def check_fields(
+    schema: AstSchema, datatype: str, signature: Signature, error: type[Exception]
+) -> None:
+    """Refuse with `error` a `datatype` of `schema` whose fields do not match
+    `signature`: each field it names must have one of the types listed for
+    it, or be absent where None is listed.  A parse conforms to its
+    grammar's schema, so a hook that checks the schema once, when a command
+    binds it, reads its nodes' fields directly."""
+    fields = {f.label: f for f in schema.datatype(datatype).fields}
+    for label, types in signature.items():
+        field = fields.get(label)
+        if field is None:
+            if None not in types:
+                raise error(f"{datatype} has no field {label}")
+        elif _words(field) not in types:
+            expected = " or ".join(_quoted(t) for t in types if t is not None)
+            raise error(f"{datatype} field {label} is {field_type(field)}, expected {expected}")
 
 
 def dump_ast(node: AstNode) -> str:
     """Deterministic one-line rendering of an AST; positions excluded, fields
     sorted by label."""
-    parts = [node.datatype]
-    for label in sorted(node.fields):
-        parts.append(f"{label}={_dump_value(node.fields[label])}")
-    return "(" + " ".join(parts) + ")"
+    out: list[str] = []
+    put = out.append
+    # Per datatype and label sequence met: each label, sorted, and its
+    # " label=" prefix.
+    orders: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+
+    def value(v: object) -> None:
+        t = type(v)
+        if t is str:
+            put(v)
+        elif t is AstNode:
+            fields = v.fields
+            key = (v.datatype, *fields)
+            order = orders.get(key)
+            if order is None:
+                order = orders[key] = [(label, f" {label}=") for label in sorted(fields)]
+            put("(" + v.datatype)
+            for label, prefix in order:
+                x = fields[label]
+                if type(x) is str:
+                    put(prefix + x)
+                else:
+                    put(prefix)
+                    value(x)
+            put(")")
+        elif v is None:
+            put("-")
+        elif t is list:
+            if not v:
+                put("[]")
+                return
+            put("[")
+            for x in v:
+                if type(x) is str:
+                    put(x)
+                else:
+                    value(x)
+                put(",")
+            out[-1] = "]"  # the last item's comma
+        elif t is frozenset or t is set:
+            put("{" + ",".join(sorted(v)) + "}")
+        else:
+            raise TypeError(f"not an AST value: {v!r}")
+
+    value(node)
+    return "".join(out)

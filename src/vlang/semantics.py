@@ -16,6 +16,12 @@ mSuperClasses in `MAPPING_VARIANTS`; two are bundled:
                      further super S is reached through a delegation
                      attribute dlg_S of target S on the class.
 
+A language's compile is bound by the root datatype of its models, and
+reads the fields of their statements directly.  `check_semantics` checks a
+grammar's schema once per command for the fields the compile reads
+(`CLASS_FIELDS`, `ASSERTION_FIELDS`); a model whose grammar has not passed
+it must not reach the mappings, `demands_of`, `query` or `compute_sem`.
+
 A model is compiled once per `query` into a `sysmodel.Demands` record: the
 classes that must exist, the `sub` pairs that must and must not be present,
 the attributes that must be present, and the classes with at most one
@@ -35,7 +41,8 @@ from operator import or_
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .features import Configuration, FeatureDiagram
-from .schema import AstNode, hook_field
+from .grammar import IDENT_TOKEN, GrammarDef
+from .schema import AstNode, AstSchema, Signature, check_fields, field_type
 from .sysmodel import Bounds, Demands, SystemModelLite, enumerate_systems, variants_valid
 
 SUPER_MAPPING_SLOT = "mSuperClasses"
@@ -110,35 +117,48 @@ def super_mapping_for(config: Configuration) -> SuperMapping:
 
 
 # ---------------------------------------------------------------------------
-# AST access helpers (shape shared by all class-diagram grammars)
+# The fields the hooks read (shared by all class-diagram grammars)
 # ---------------------------------------------------------------------------
 
-def statement_nodes(root: AstNode) -> list[AstNode]:
-    """The one list field of a class diagram or an assertion document."""
-    lists = [v for v in root.fields.values() if isinstance(v, list)]
+# A class statement: its name, its supers (`("extends" scl:IDENT)?` holds
+# one name, not a list) and its stereotypes.
+CLASS_FIELDS: Signature = {
+    "Name": ("IDENT",),
+    "scl": ("IDENT list", "IDENT option", None),
+    "stereotypes": ("IDENT set", None),
+}
+# A (possibly negated) subclass statement.
+ASSERTION_FIELDS: Signature = {"left": ("IDENT",), "right": ("IDENT",)}
+
+
+def check_statements(schema: AstSchema, root: str, signature: Signature) -> None:
+    """Refuse a `root` datatype of `schema` unless it has exactly one list
+    field, of a production (its statements) whose fields match
+    `signature` (`schema.check_fields`)."""
+    lists = [f for f in schema.datatype(root).fields if f.card == "list"]
     if len(lists) != 1:
+        raise SemanticsError(f"{root} has {len(lists)} list fields, expected exactly one")
+    (statements,) = lists
+    if statements.target == IDENT_TOKEN:
         raise SemanticsError(
-            f"{root.datatype} has {len(lists)} list fields, expected exactly one"
+            f"{root} field {statements.label} is {field_type(statements)}, "
+            "expected a production list"
         )
-    return lists[0]
+    check_fields(schema, statements.target, signature, SemanticsError)
 
 
-def class_name(class_node: AstNode) -> str:
-    return hook_field(class_node, "Name", error=SemanticsError)
+def statement_nodes(root: AstNode) -> list[AstNode]:
+    """The statements of a class diagram or an assertion document, whose
+    grammar passed `check_statements`: its one list field."""
+    return next(v for v in root.fields.values() if type(v) is list)
 
 
 def class_supers(class_node: AstNode) -> list[str]:
-    """The declared supers; an option field (`("extends" scl:IDENT)?`)
-    holds one name, not a list."""
-    supers = hook_field(class_node, "scl", str, list, error=SemanticsError, optional=True) or []
-    return [supers] if isinstance(supers, str) else list(supers)
-
-
-def class_stereotypes(class_node: AstNode) -> frozenset[str]:
-    stereotypes = hook_field(
-        class_node, "stereotypes", frozenset, error=SemanticsError, optional=True
-    )
-    return stereotypes or frozenset()
+    """The declared supers, the node's own list where it holds one."""
+    supers = class_node.fields.get("scl")
+    if supers is None:
+        return []
+    return [supers] if type(supers) is str else supers
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +169,8 @@ def map_class(class_node: AstNode, variant: SuperMapping) -> Demands:
     """The class exists, its supers map under the variant, and a
     <<singleton>> class has at most one object.  Unknown stereotypes are
     ignored with a warning, once per mapped class."""
-    name = class_name(class_node)
-    stereotypes = class_stereotypes(class_node)
+    name = class_node.fields["Name"]
+    stereotypes = class_node.fields.get("stereotypes") or frozenset()
     for st in sorted(stereotypes - KNOWN_STEREOTYPES):
         warnings.warn(
             f"ignoring unknown stereotype <<{st}>> on class {name}",
@@ -175,11 +195,7 @@ def map_assertions(doc: AstNode) -> Demands:
     """Conjunction over the (possibly negated) subclass statements of a
     minimal assertion document."""
     statements = [
-        (
-            hook_field(stmt, "left", error=SemanticsError),
-            hook_field(stmt, "right", error=SemanticsError),
-            stmt.fields.get("neg") is None,
-        )
+        (stmt.fields["left"], stmt.fields["right"], stmt.fields.get("neg") is None)
         for stmt in statement_nodes(doc)
     ]
     return Demands(
@@ -265,31 +281,46 @@ def bound_domain_features(diagram: FeatureDiagram, config: Configuration) -> lis
     )
 
 
-# Root datatype -> the compile of its language: (model, config) -> Demands.
-# Adding a language means adding a row.
-_LANGUAGES: dict[str, Callable[[AstNode, SemanticsConfig], Demands]] = {
-    "CDDefinition": lambda model, config: map_diagram(
-        model, super_mapping_for(config.mapping_config)
+# Root datatype -> the fields its statements must have, and the compile of
+# its language: (model, config) -> Demands.  Adding a language means adding
+# a row.
+_Language = tuple[Signature, Callable[[AstNode, SemanticsConfig], Demands]]
+_LANGUAGES: dict[str, _Language] = {
+    "CDDefinition": (
+        CLASS_FIELDS,
+        lambda model, config: map_diagram(model, super_mapping_for(config.mapping_config)),
     ),
-    "AssertionDoc": lambda model, config: map_assertions(model),
+    "AssertionDoc": (ASSERTION_FIELDS, lambda model, config: map_assertions(model)),
 }
+
+
+def _registered(root: str) -> _Language:
+    try:
+        return _LANGUAGES[root]
+    except KeyError:
+        raise SemanticsError(f"no semantics registered for {root} models") from None
+
+
+def check_semantics(grammar: GrammarDef) -> None:
+    """Refuse a grammar whose models have no semantics, or whose statements
+    lack a field of the type its compile reads (`check_statements`).  Each
+    command checks a model's grammar once, before it compiles the model."""
+    root = grammar.start_production
+    check_statements(grammar.schema, root, _registered(root)[0])
 
 
 def demands_of(model: AstNode, config: SemanticsConfig) -> Demands:
     """What the model demands of a system under the configured mapping,
-    compiled once for the query."""
-    try:
-        compile_model = _LANGUAGES[model.datatype]
-    except KeyError:
-        raise SemanticsError(f"no semantics registered for {model.datatype} models") from None
-    return compile_model(model, config)
+    compiled once for the query.  The model's grammar must pass
+    `check_semantics`."""
+    return _registered(model.datatype)[1](model, config)
 
 
 def query(
     models: Sequence[AstNode], config: SemanticsConfig
 ) -> tuple[list[Demands], Demands, Callable[[SystemModelLite], bool]]:
     """A query over `models`: each model's demands, their conjunction and
-    the domain variants."""
+    the domain variants.  Each model's grammar must pass `check_semantics`."""
     demands = [demands_of(m, config) for m in models]
     variants = variants_valid(bound_domain_features(config.domain_diagram, config.domain_config))
     return demands, reduce(or_, demands), variants
@@ -312,6 +343,7 @@ class SemanticsSet:
 
 
 def compute_sem(model: AstNode, config: SemanticsConfig) -> SemanticsSet:
-    """The semantics set of a minimal model under a validated configuration."""
+    """The semantics set of a minimal model under a validated configuration;
+    its grammar must pass `check_semantics`."""
     (demands,), _, variants = query([model], config)
     return SemanticsSet(config.bounds, demands, variants)

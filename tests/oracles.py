@@ -2,13 +2,14 @@
 checked against: brute-force enumeration and refinement, `_preorders` as
 it was before relations were ints, the configuration validator as it was
 first written, the model vocabulary as the model scanner
-derived it before grammars carried it, and the hook-field reader, scanner,
-model parser, desugarer, input reader, grammar, .fd and .conf readers and
-grammar validation as they were before they were made faster (a match for
-each token, blank run and newline and a record for each token, a parser
-that interprets the grammar element by element, a desugarer that copies
-every node, a read through pathlib's text mode, a cursor with a method call
-per token, and a grammar validated by walks of its own).
+derived it before grammars carried it, and the AST dump, scanner, model
+parser, desugarer, input reader, grammar, .fd and .conf readers and
+grammar validation as they were before they were made faster (a string
+joined per node and per value, a match for each token, blank run and
+newline and a record for each token, a parser that interprets the grammar
+element by element, a desugarer that copies every node, a read through
+pathlib's text mode, a cursor with a method call per token, and a grammar
+validated by walks of its own).
 
 The package builds only systems that are base-valid and hold a query's
 `Demands`, and its parser builds only conforming ASTs, so it needs none of
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Container, Iterable, NamedTuple
 
 from vlang.cli import _FileFailure
-from vlang.desugar import EXPANDERS, DesugarError
+from vlang.desugar import DesugarError, bound_expanders
 from vlang.features import (
     FEATURE_KINDS,
     Configuration,
@@ -56,7 +57,6 @@ from vlang.grammar import (
 from vlang.lexer import IDENT, SourceError, TokenPattern, Tokens, scan, token_pattern
 from vlang.modelparse import ModelParseError, TokenizeError
 from vlang.schema import (
-    _SHAPES,
     STEREOTYPE_FIELD,
     AstNode,
     AstSchema,
@@ -443,20 +443,26 @@ def conforms(node: AstNode, schema: AstSchema) -> bool:
     return not conformance_violations(node, schema)
 
 
-def oracle_hook_field(
-    node: AstNode, label: str, *shapes: type, error: type[Exception], optional: bool = False
-) -> object:
-    """`vlang.schema.hook_field`, testing the shape before anything else."""
-    value = node.fields.get(label)
-    if optional and value is None:
-        return None
-    if label not in node.fields:
-        raise error(f"{node.datatype} has no field {label}")
-    shapes = shapes or (str,)
-    idents = not isinstance(value, list) or all(isinstance(v, str) for v in value)
-    if not (isinstance(value, shapes) and idents):
-        raise error(f"{node.datatype} field {label} is not {' or '.join(_SHAPES[s] for s in shapes)}")
-    return value
+def _oracle_dump_value(v: object) -> str:
+    if v is None:
+        return "-"
+    if isinstance(v, str):
+        return v
+    if isinstance(v, AstNode):
+        return oracle_dump_ast(v)
+    if isinstance(v, list):
+        return "[" + ",".join(_oracle_dump_value(x) for x in v) + "]"
+    if isinstance(v, (set, frozenset)):
+        return "{" + ",".join(sorted(v)) + "}"
+    raise TypeError(f"not an AST value: {v!r}")
+
+
+def oracle_dump_ast(node: AstNode) -> str:
+    """`vlang.schema.dump_ast`, joining a string per node and per value."""
+    parts = [node.datatype]
+    for label in sorted(node.fields):
+        parts.append(f"{label}={_oracle_dump_value(node.fields[label])}")
+    return "(" + " ".join(parts) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -698,6 +704,7 @@ def oracle_parse_model(grammar: GrammarDef, source: str) -> AstNode:
 def oracle_desugar(node: AstNode, grammar: GrammarDef) -> AstNode:
     """`vlang.desugar.desugar_to_minimal`, rebuilding every node."""
     sugar = grammar.sugar_bases()
+    expanders = bound_expanders(grammar)
 
     def rewrite(n: AstNode) -> list[AstNode]:
         fields: dict[str, object] = {}
@@ -705,7 +712,7 @@ def oracle_desugar(node: AstNode, grammar: GrammarDef) -> AstNode:
             fields[label] = rewrite_value(label, value, n)
         result = AstNode(n.datatype, fields, pos=n.pos)
         if n.datatype in sugar:
-            expander = EXPANDERS.get((grammar.name, n.datatype))
+            expander = expanders.get(n.datatype)
             if expander is None:
                 raise DesugarError(
                     f"no expander registered for sugar production "

@@ -160,6 +160,33 @@ def test_parse_of_too_deep_a_model_is_a_negative_verdict(workspace, capsys):
     assert err.endswith(": model nested too deeply to parse\n")
 
 
+def _nested_grammar(workspace, depth: int):
+    grammar = workspace / f"nested{depth}.mclang"
+    grammar.write_text("grammar G { A = " + "(" * depth + '"a"' + ")" * depth + "; }\n")
+    model = workspace / "a.txt"
+    model.write_text("a\n")
+    return str(grammar), str(model)
+
+
+def test_too_deep_a_grammar_is_refused_where_the_reader_stopped(workspace, capsys):
+    grammar, model = _nested_grammar(workspace, 1000)
+    code, out, err = _run(capsys, "check-grammar", grammar)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"vlang: {grammar}: line 1, col ")
+    assert err.endswith(": grammar nested too deeply to parse\n")
+    # The same line for a grammar a command only uses.
+    assert _run(capsys, "parse", grammar, model) == (2, "", err)
+
+
+def test_a_grammar_too_deep_to_compile_refuses_its_models(workspace, capsys):
+    # Read and validated, but compiling it for a model recurses more often
+    # per group level than reading it.
+    grammar, model = _nested_grammar(workspace, 300)
+    assert _run(capsys, "check-grammar", grammar)[0] == 0
+    assert _run(capsys, "parse", grammar, model) == (
+        1, "", f"vlang: {model}: line 1, col 1: grammar nested too deeply to parse a model\n")
+
+
 def test_wf_clean_model(workspace, capsys):
     code, out, _ = _run(
         capsys,
@@ -885,6 +912,7 @@ def test_generate_refuses_the_diagrams_sem_refuses(workspace, capsys, fd, conf, 
 
 
 ITEMS = 'D = "d" Name:IDENT "{" (items:Item)* "}"; Item = "item" Label:IDENT ";";'
+IDENTS = 'D = "d" Name:IDENT "{" (x:IDENT)* "}";'
 _CLASS = 'CDCClass = "class" Name:IDENT'
 # `scl` holds a node, which no class-diagram hook reads.
 _SUP = (bundled.CDSIMP_GRAMMAR_TEXT.replace('scl:IDENT ("," scl:IDENT)*', "scl:Sup")
@@ -903,33 +931,48 @@ _SUP = (bundled.CDSIMP_GRAMMAR_TEXT.replace('scl:IDENT ("," scl:IDENT)*', "scl:S
         (f'grammar CD {{ {ITEMS} sugar CDCClasses for Item = "many" Label:IDENT ";"; }}',
          "d X { many a; }", ["parse", "--minimal"], "CDCClasses has no field names"),
         (bundled.CDSIMP_GRAMMAR_TEXT.replace(_CLASS, 'CDCClass = "class" (Name:IDENT)*'),
-         "classdiagram D { class A; }", ["wf"], "CDCClass field Name is not an IDENT"),
+         "classdiagram D { class A; }", ["wf"], 'CDCClass field Name is "IDENT list", expected IDENT'),
         (bundled.CDSIMP_GRAMMAR_TEXT.replace(_CLASS, 'CDCClass = "class" Name:N')
          .replace("}\n", 'N = "n" X:IDENT; }\n'),
-         "classdiagram D { class n A; }", ["sem"], "CDCClass field Name is not an IDENT"),
+         "classdiagram D { class n A; }", ["sem"], "CDCClass field Name is N, expected IDENT"),
         (_SUP, "classdiagram D { class A extends s B; }", ["wf", "--cc", "CC-supers-declared"],
-         "CDCClass field scl is not an IDENT or a list of IDENTs"),
+         'CDCClass field scl is "Sup option", expected "IDENT list" or "IDENT option"'),
         (bundled.CDSIMP_GRAMMAR_TEXT.replace(_CLASS, 'CDCClass = "class" (Name:IDENT)?'),
-         "classdiagram D { class; class A; }", ["sem"], "CDCClass field Name is not an IDENT"),
+         "classdiagram D { class; class A; }", ["sem"],
+         'CDCClass field Name is "IDENT option", expected IDENT'),
         (bundled.ASSERTION_GRAMMAR_TEXT.replace("left:IDENT", '(left:IDENT)* "<"'),
-         "assertions S { sub A < B; }", ["sem"], "SubAssertion field left is not an IDENT"),
+         "assertions S { sub A < B; }", ["sem"],
+         'SubAssertion field left is "IDENT list", expected IDENT'),
         (bundled.CD_GRAMMAR_TEXT.replace('names:IDENT ("," names:IDENT)*', "(names:IDENT)?"),
-         "classdiagram D { classes AB; }", ["sem"], "CDCClasses field names is not a list of IDENTs"),
+         "classdiagram D { classes AB; }", ["sem"],
+         'CDCClasses field names is "IDENT option", expected "IDENT list"'),
         (bundled.CDSIMP_GRAMMAR_TEXT.replace(_CLASS, _CLASS + ' ("is" stereotypes:IDENT)?'),
          "classdiagram D { class A is singleton; }", ["sem"],
-         "CDCClass field stereotypes is not a stereotype set"),
+         'CDCClass field stereotypes is "IDENT option", expected "IDENT set"'),
+        (bundled.CDSIMP_GRAMMAR_TEXT.replace('("extends" scl:IDENT ("," scl:IDENT)*)?', '"extends" scl:IDENT'),
+         "classdiagram D { class A extends B; }", ["wf"],
+         'CDCClass field scl is IDENT, expected "IDENT list" or "IDENT option"'),
+        # Statements that are IDENTs, not nodes with fields.
+        (f"grammar CDSimp {{ {IDENTS} }}", "d X { a b }", ["wf"],
+         'D field x is "IDENT list", expected a production list'),
+        (f"grammar Mine {{ {IDENTS.replace('D =', 'CDDefinition =')} }}", "d X { a b }", ["sem"],
+         'CDDefinition field x is "IDENT list", expected a production list'),
+        (f"grammar Mine {{ {IDENTS.replace('D =', 'AssertionDoc =')} }}", "d X { a b }", ["sem"],
+         'AssertionDoc field x is "IDENT list", expected a production list'),
     ],
     ids=["wf-conditions", "sem-class-diagram", "sem-assertions", "desugar-expander",
          "name-list", "name-node", "supers-node", "name-option", "left-list", "names-option",
-         "stereotypes-ident"],
+         "stereotypes-ident", "scl-once", "wf-ident-statements", "sem-ident-classes",
+         "sem-ident-assertions"],
 )
 def test_hooks_bound_to_a_reused_name_refuse_a_missing_field(
     workspace, capsys, grammar, model, argv, message
 ):
     # Hooks are bound by grammar or datatype name; a user grammar reusing the
-    # name with other fields, or with a field of another shape than the hook
-    # reads, is refused, not crashed on or misread (`classes AB;` as classes
-    # A and B, `is singleton` as the stereotypes s, i, n, ...).
+    # name with other fields, or with a field of another type than the hook
+    # reads, is refused once, against its schema, before the hook runs: not
+    # crashed on or misread (`classes AB;` as classes A and B, `is
+    # singleton` as the stereotypes s, i, n, ...).
     (workspace / "h.mclang").write_text(grammar)
     (workspace / "h.txt").write_text(model)
     args = [*argv, str(workspace / "h.mclang"), str(workspace / "h.txt")]
@@ -938,21 +981,23 @@ def test_hooks_bound_to_a_reused_name_refuse_a_missing_field(
     assert _run(capsys, *args) == (2, "", f"vlang: {message}\n")
 
 
+_SCL = 'CDCClass field scl is "Sup option", expected "IDENT list" or "IDENT option"'
+_NAME = 'CDCClass field Name is "IDENT option", expected IDENT'
+
+
+# The class fields are checked once against the schema, Name before scl,
+# whichever conditions run: a field no active condition reads is refused
+# too, and a diagram whose Name and scl both differ reports Name.
 @pytest.mark.parametrize("grammar, model, cc, want", [
-    (_SUP, "classdiagram D { class A extends s B; }", [], (0, "OK 1 conditions, no violations\n", "")),
+    (_SUP, "classdiagram D { class A extends s B; }", [], (2, "", f"vlang: {_SCL}\n")),
     (_SUP, "classdiagram D { class A extends s B; }",
-     ["--cc", "CC-supers-declared,CC-single-inheritance-syntactic"],
-     (2, "", "vlang: CDCClass field scl is not an IDENT or a list of IDENTs\n")),
-    # The first class's `scl` is of another shape, the second class has no
-    # Name: CC-supers-declared reads every Name before any `scl`.
+     ["--cc", "CC-supers-declared,CC-single-inheritance-syntactic"], (2, "", f"vlang: {_SCL}\n")),
     (_SUP.replace(_CLASS, 'CDCClass = "class" (Name:IDENT)?'),
      "classdiagram D { class A extends s B; class; }", ["--cc", "CC-supers-declared"],
-     (2, "", "vlang: CDCClass field Name is not an IDENT\n")),
-    # The same diagram under CC-single-inheritance-syntactic, which runs
-    # first and reads each class's `scl` before its Name.
+     (2, "", f"vlang: {_NAME}\n")),
     (_SUP.replace(_CLASS, 'CDCClass = "class" (Name:IDENT)?'),
      "classdiagram D { class A extends s B; class; }", ["--cc", "CC-single-inheritance-syntactic"],
-     (2, "", "vlang: CDCClass field scl is not an IDENT or a list of IDENTs\n")),
+     (2, "", f"vlang: {_NAME}\n")),
 ], ids=["scl-unread", "scl-read", "name-before-scl", "scl-before-name"])
 def test_conditions_read_the_fields_they_check_in_a_fixed_order(workspace, capsys, grammar, model, cc, want):
     (workspace / "h.mclang").write_text(grammar)

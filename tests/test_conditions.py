@@ -42,7 +42,7 @@ def test_bundled_conditions_registered_for_both_grammars():
 
 def test_duplicate_class_name_reported_once(cdsimp):
     node = _minimal(cdsimp, "classdiagram D { class A; class A; }")
-    violations = check_context_conditions(node, ["CC-unique-class-names"], "CDSimp")
+    violations = check_context_conditions(node, ["CC-unique-class-names"], cdsimp)
     assert len(violations) == 1
     assert "A" in violations[0].message
 
@@ -50,7 +50,7 @@ def test_duplicate_class_name_reported_once(cdsimp):
 def test_multiple_inheritance_fires_single_inheritance_condition(cdsimp):
     node = _minimal(cdsimp, "classdiagram D { class A extends B, C; class B; class C; }")
     violations = check_context_conditions(
-        node, ["CC-single-inheritance-syntactic"], "CDSimp"
+        node, ["CC-single-inheritance-syntactic"], cdsimp
     )
     assert len(violations) == 1
     assert "A" in violations[0].message
@@ -58,20 +58,20 @@ def test_multiple_inheritance_fires_single_inheritance_condition(cdsimp):
 
 def test_undeclared_super_reported(cdsimp):
     node = _minimal(cdsimp, "classdiagram D { class A extends B; }")
-    violations = check_context_conditions(node, ["CC-supers-declared"], "CDSimp")
+    violations = check_context_conditions(node, ["CC-supers-declared"], cdsimp)
     assert len(violations) == 1
     assert "B" in violations[0].message
 
 
 def test_well_formed_diagram_has_no_violations(cdsimp):
     node = _minimal(cdsimp, "classdiagram D { class A extends B; class B; }")
-    assert check_context_conditions(node, ALL_CC, "CDSimp") == []
+    assert check_context_conditions(node, ALL_CC, cdsimp) == []
 
 
 def test_unknown_condition_id_raises(cdsimp):
     node = _minimal(cdsimp, "classdiagram D { }")
     with pytest.raises(UnknownConditionError, match="CC-nope"):
-        check_context_conditions(node, ["CC-nope"], "CDSimp")
+        check_context_conditions(node, ["CC-nope"], cdsimp)
 
 
 def test_violations_ordered_by_condition_then_position(cdsimp):
@@ -83,7 +83,7 @@ def test_violations_ordered_by_condition_then_position(cdsimp):
         "  class B extends P, Q;\n"
         "}",
     )
-    violations = check_context_conditions(node, ALL_CC, "CDSimp")
+    violations = check_context_conditions(node, ALL_CC, cdsimp)
     keys = [(v.condition_id, v.line, v.col) for v in violations]
     assert keys == sorted(keys)
     ids = [v.condition_id for v in violations]
@@ -96,13 +96,13 @@ def test_violations_ordered_by_condition_then_position(cdsimp):
 
 def test_sugar_classes_checked_after_desugaring(cd):
     node = _minimal(cd, "classdiagram D { classes A, B; class A; }")
-    violations = check_context_conditions(node, ["CC-unique-class-names"], "CD")
+    violations = check_context_conditions(node, ["CC-unique-class-names"], cd)
     assert len(violations) == 1
 
 
 def test_render_format(cdsimp):
     node = _minimal(cdsimp, "classdiagram D { class A; class A; }")
-    (violation,) = check_context_conditions(node, ["CC-unique-class-names"], "CDSimp")
+    (violation,) = check_context_conditions(node, ["CC-unique-class-names"], cdsimp)
     assert violation.render().startswith(
         f"CC CC-unique-class-names {violation.line}:{violation.col} "
     )
@@ -114,7 +114,7 @@ def _violations(parse, desugar, grammar, text):
         node = desugar(parse(grammar, text), grammar)
     except (TokenizeError, ModelParseError) as exc:
         return type(exc), str(exc), exc.line, exc.col
-    return check_context_conditions(node, ALL_CC, grammar.name)
+    return check_context_conditions(node, ALL_CC, grammar)
 
 
 def _same_as_the_oracle(grammar, text):

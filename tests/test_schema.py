@@ -1,15 +1,15 @@
 from __future__ import annotations
 
-from itertools import product
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import golden
-from oracles import conformance_violations, conforms, oracle_hook_field
+from oracles import conformance_violations, conforms, oracle_dump_ast
 from vlang import bundled
 from vlang.grammar import GrammarError, parse_grammar
 from vlang.modelparse import parse_model
-from vlang.schema import AstNode, dump_ast, dump_schema, hook_field
+from vlang.schema import AstNode, dump_ast, dump_schema
 
 
 def _datatypes(schema):
@@ -183,22 +183,38 @@ def test_exact_conformance_violations_of_an_option(cdassert, neg, problems):
     assert conformance_violations(node, cdassert.schema) == problems
 
 
-_ABSENT = object()
-_FIELD_VALUES = [
-    _ABSENT, None, "A", [], ["A", "B"], ["A", AstNode("X", {})], frozenset({"s"}), AstNode("X", {}),
-]
+# AST values of every kind a dump renders, nested: IDENTs, absent options,
+# nodes, lists and stereotype sets; now and then a value that is not one.
+_LABELS = st.sampled_from(["Name", "scl", "b", "a", "stereotypes", "classes"])
+_IDENTS = st.sampled_from(["A", "B", "c1", "x_y"])
+_VALUES = st.recursive(
+    st.one_of(
+        _IDENTS,
+        st.none(),
+        st.frozensets(_IDENTS, max_size=3),
+        st.sets(_IDENTS, max_size=3),
+        st.just(0),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.builds(
+            AstNode,
+            st.sampled_from(["D", "C", "CDCClass"]),
+            st.dictionaries(_LABELS, inner, max_size=4),
+        ),
+    ),
+    max_leaves=25,
+)
 
 
-@pytest.mark.parametrize("shapes", [(), (list,), (str, list), (frozenset,)])
-def test_hook_field_reads_as_its_former_body(shapes):
-    # The same value, or the same refusal, for every shape a field can have.
-    def outcome(read, node, optional):
+@settings(deadline=None, derandomize=True)
+@given(st.builds(AstNode, st.sampled_from(["D", "C"]), st.dictionaries(_LABELS, _VALUES, max_size=4)))
+def test_dump_ast_equals_its_former_body(node):
+    # Byte for byte, or the same refusal of a value that is not an AST's.
+    def outcome(dump):
         try:
-            return "value", id(read(node, "f", *shapes, error=ValueError, optional=optional))
-        except ValueError as exc:
-            return "refused", str(exc)
+            return dump(node)
+        except TypeError as exc:
+            return str(exc)
 
-    for value, optional in product(_FIELD_VALUES, (False, True)):
-        node = AstNode("T", {} if value is _ABSENT else {"f": value})
-        assert outcome(hook_field, node, optional) == outcome(oracle_hook_field, node, optional), (
-            value, optional)
+    assert outcome(dump_ast) == outcome(oracle_dump_ast)
