@@ -1,10 +1,10 @@
 """Elimination of abbreviation (sugar) constructs from parsed ASTs.
 
 `EXPANDERS` binds each sugar datatype of a language, keyed by (grammar name,
-datatype), to the function that expands it and the fields it reads; the
-bundled CD language has one, `classes A, B;` to one plain class per name.
-Each desugaring first checks the grammar's sugar datatypes against the
-fields their expanders read, which then read them directly.  Desugaring
+datatype), to its expander, the fields it reads and the production and fields
+it builds; the bundled CD language has one, `classes A, B;` to plain classes.
+Each desugaring first checks these against the grammar's schema, so that an
+expander reads fields directly and builds nodes of the schema.  Desugaring
 walks an AST bottom-up, replaces every sugar node by its expansion, and
 splices expansions into the surrounding list.  It rebuilds only the nodes
 on a path to a sugar node and shares every other subtree with its input,
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .grammar import GrammarDef
-from .schema import AstNode, Signature, check_fields
+from .schema import AstNode, SchemaField, Signature, check_fields, field_type
 
 Expander = Callable[[AstNode], list[AstNode]]
 
@@ -33,22 +33,28 @@ def _expand_class_list(node: AstNode) -> list[AstNode]:
     ]
 
 
-# (grammar name, sugar datatype) -> the fields its expander reads, and the
-# expander.
-EXPANDERS: dict[tuple[str, str], tuple[Signature, Expander]] = {
-    ("CD", "CDCClasses"): ({"names": ("IDENT list",)}, _expand_class_list),
+# (grammar name, sugar datatype) -> the fields its expander reads, the
+# production it expands to with exactly the fields it builds, and the expander.
+EXPANDERS: dict[tuple[str, str], tuple[Signature, str, frozenset[SchemaField], Expander]] = {
+    ("CD", "CDCClasses"): ({"names": ("IDENT list",)}, "CDCClass",
+                           frozenset({SchemaField("Name", "IDENT"), SchemaField("scl", "IDENT", "list"),
+                                      SchemaField("stereotypes", "IDENT", "set")}), _expand_class_list),
 }
 
 
 def bound_expanders(grammar: GrammarDef) -> dict[str, Expander]:
     """The expander bound to each sugar datatype of `grammar` that has one,
-    once the datatype has the fields the expander reads."""
+    once what it reads and builds matches the schema (see `EXPANDERS`)."""
     bound = {}
-    for datatype in grammar.sugar_bases():
+    for datatype, base in grammar.sugar_bases().items():
         row = EXPANDERS.get((grammar.name, datatype))
         if row is not None:
-            check_fields(grammar.schema, datatype, row[0], DesugarError)
-            bound[datatype] = row[1]
+            reads, target, builds, expander = row
+            check_fields(grammar.schema, datatype, reads, DesugarError)
+            if base != target or set(grammar.schema.datatype(base).fields) != builds:
+                fields = ", ".join(f"{f.label}: {field_type(f)}" for f in sorted(builds))
+                raise DesugarError(f"{datatype} must be sugar for {target}({fields})")
+            bound[datatype] = expander
     return bound
 
 

@@ -35,6 +35,8 @@ sorted pairs only when the walk reaches it.
 
 `first_system(bounds, demands, valid)` is the first system of that order,
 asked of the demanded classes alone when the query names no other class.
+`COUNTS` adds up their work: preorders built, frames offered and accepted,
+and `first_system` calls that built none (`least`); readers zero it first.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .lexer import IDENT
 
 Pair = tuple[str, str]
 Attr = tuple[str, str, str]  # (owner class, attribute name, target class)
+COUNTS = {"preorders": 0, "offered": 0, "accepted": 0, "least": 0}  # the work done
 
 
 class NameConventionError(Exception):
@@ -332,7 +335,9 @@ def enumerate_systems(
         populations = None  # formed after the universe's first accepted frame
         for sub in _relations(classes, least, demands):
             frame = SystemModelLite(classes, sub, attrs, (), ())
+            COUNTS["offered"] += 1
             if valid(frame):
+                COUNTS["accepted"] += 1
                 yield frame
                 if populations is None:
                     populations = _populations(classes, bounds.max_objects, demands)
@@ -347,6 +352,7 @@ def _relations(
     built only when asked for and each decoded only when reached."""
     yield tuple(sorted(least))
     masks = _preorders(classes, demands.sub, demands.no_sub)
+    COUNTS["preorders"] += len(masks)
     n = len(classes)
     # (shift, pairs) for row i: its bits sit `shift` up a mask, and pairs[r]
     # holds the pairs (classes[i], c) of row bits r in sorted order, so the
@@ -394,7 +400,10 @@ def first_system(
     named = demands.classes.union(*demands.sub, *((o, t) for o, _, t in demands.attrs))
     if named <= demands.classes:
         bounds = bounds._replace(extra_class_names=())
-    return next(enumerate_systems(bounds, demands, valid), None)
+    built = COUNTS["preorders"]
+    first = next(enumerate_systems(bounds, demands, valid), None)
+    COUNTS["least"] += COUNTS["preorders"] == built
+    return first
 
 
 # ---------------------------------------------------------------------------

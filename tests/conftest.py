@@ -9,7 +9,7 @@ from vlang import bundled
 from vlang.features import Configuration, FeatureDiagram, parse_configurations, parse_feature_diagrams
 from vlang.grammar import parse_grammar
 from vlang.semantics import SemanticsConfig
-from vlang.sysmodel import Bounds
+from vlang.sysmodel import COUNTS, Bounds
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -57,6 +57,12 @@ def example_configs() -> list[Configuration]:
     return parse_configurations(bundled.DOMAIN_CONF_TEXT) + parse_configurations(
         bundled.MAPPING_CONF_TEXT
     )
+
+
+def zeroed_counts() -> dict[str, int]:
+    """`sysmodel.COUNTS`, zeroed: the enumeration work from here on."""
+    COUNTS.update(dict.fromkeys(COUNTS, 0))
+    return COUNTS
 
 
 def raw_semantics_config(

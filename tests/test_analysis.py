@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import raw_semantics_config
+from conftest import raw_semantics_config, zeroed_counts
 from oracles import composed_valid, first, full_scan_refinement, holds, make_system, oracle_enumerate
 from vlang.analysis import AnalysisError, check_consistency, check_equivalence, check_refinement
 from vlang.desugar import desugar_to_minimal
@@ -323,10 +323,6 @@ def test_report_format_and_bounds_recording(cdsimp, example_diagrams):
 # The first system of a query
 # ---------------------------------------------------------------------------
 
-def _no_preorders(*args):
-    raise AssertionError("a preorder list was built")
-
-
 @pytest.mark.parametrize("demands, bounds", [
     # the closure of the required pairs holds a forbidden one
     (Demands(frozenset("AB"), frozenset({("A", "B"), ("B", "C")}), frozenset({("A", "C")})),
@@ -336,18 +332,20 @@ def _no_preorders(*args):
     # a demanded attr names a class outside every universe
     (Demands(frozenset("AB"), attrs=frozenset({("A", "x", "Z")})), Bounds(("C",), 2)),
 ])
-def test_an_empty_query_is_refused_without_enumerating(demands, bounds, monkeypatch):
-    monkeypatch.setattr(sysmodel, "_preorders", _no_preorders)
+def test_an_empty_query_is_refused_without_enumerating(demands, bounds):
+    counts = zeroed_counts()
     assert first_system(bounds, demands, lambda sm: True) is None
+    assert counts == {"preorders": 0, "offered": 0, "accepted": 0, "least": 1}
 
 
-def test_the_closure_of_the_required_pairs_is_the_first_system(monkeypatch):
+def test_the_closure_of_the_required_pairs_is_the_first_system():
     demands = Demands(frozenset("ABC"), frozenset({("A", "B"), ("B", "C")}), frozenset({("C", "A")}),
                       frozenset({("A", "x", "C")}), frozenset("A"))
     bounds = Bounds(("D",), 2)
-    expected = next(enumerate_systems(bounds, demands, lambda sm: True))
-    monkeypatch.setattr(sysmodel, "_preorders", _no_preorders)
-    assert first_system(bounds, demands, lambda sm: True) == expected == make_system(
+    counts = zeroed_counts()
+    first = first_system(bounds, demands, lambda sm: True)
+    assert counts == {"preorders": 0, "offered": 1, "accepted": 1, "least": 1}
+    assert first == next(enumerate_systems(bounds, demands, lambda sm: True)) == make_system(
         "ABC", {("A", "A"), ("A", "B"), ("A", "C"), ("B", "B"), ("B", "C"), ("C", "C")},
         {("A", "x", "C")})
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import golden
+from conftest import golden, zeroed_counts
 from oracles import oracle_read
 from vlang import bundled, cli, features, semantics
 from vlang.cli import build_parser, main
@@ -571,39 +571,31 @@ def test_semantics_config_is_built_once(workspace, capsys, monkeypatch):
     assert calls == {"config": 1, "validate": 1}
 
 
-def _count_frames(monkeypatch, offered: list, prune: bool = True) -> None:
-    """Count the frames `sem` offers its frame filter; without `prune` the
-    enumerator is given only the demanded classes and caps, and the filter
-    checks the query's `sub` pairs and attrs on each frame."""
+def _unpruned(monkeypatch) -> None:
+    """Give `sem`'s enumerator only the demanded classes and caps; the frame
+    filter then checks the query's `sub` pairs and attrs on each frame."""
     enumerate_systems = semantics.enumerate_systems
 
-    def counting(bounds, demands, valid):
-        def counted(frame):
-            offered.append(frame)
-            return valid(frame) and (prune or demands.frame_holds(frame))
+    def unpruned(bounds, demands, valid):
+        loose = Demands(demands.classes, singletons=demands.singletons)
+        return enumerate_systems(bounds, loose, lambda frame: valid(frame) and demands.frame_holds(frame))
 
-        loose = demands if prune else Demands(demands.classes, singletons=demands.singletons)
-        return enumerate_systems(bounds, loose, counted)
-
-    monkeypatch.setattr(semantics, "enumerate_systems", counting)
+    monkeypatch.setattr(semantics, "enumerate_systems", unpruned)
 
 
 @pytest.mark.parametrize("model, count", [
     ("class A extends B; class B;", 2),
     ("class A extends B, C; class B; class C extends B;", 4),
 ])
-def test_direct_mapping_offers_only_frames_it_accepts(
-    workspace, capsys, monkeypatch, model, count
-):
+def test_direct_mapping_offers_only_frames_it_accepts(workspace, capsys, model, count):
     # Direct mapping without a domain variant demands only classes and `sub`
     # pairs, which bound the enumeration: no offered frame is rejected.
     (workspace / "m.cd").write_text(f"classdiagram D {{ {model} }}\n")
-    offered: list = []
-    _count_frames(monkeypatch, offered)
     files = ("cdsimp.mclang", "m.cd", "example.fd", "bad.conf")
+    counts = zeroed_counts()
     code, out, _ = _run(capsys, "sem", *(str(workspace / n) for n in files), "--max-objects", "0")
     assert (code, out) == (0, f"SEM count={count} bounds=extra={{}};maxObjects=0;attrs={{}}\n")
-    assert len(offered) == count
+    assert counts["offered"] == counts["accepted"] == count
 
 
 def test_pair_bounds_cut_the_four_class_chain_from_355_frames_to_8(workspace, capsys, monkeypatch):
@@ -614,12 +606,13 @@ def test_pair_bounds_cut_the_four_class_chain_from_355_frames_to_8(workspace, ca
     argv = ["sem", *(str(workspace / n) for n in files), "--max-objects", "0", "--witnesses", "8"]
     outs = []
     for prune, frames in ((False, 355), (True, 8)):  # all preorders (A000798), then the pruned
-        offered: list = []
         with monkeypatch.context() as patch:
-            _count_frames(patch, offered, prune)
+            if not prune:
+                _unpruned(patch)
+            counts = zeroed_counts()
             code, out, _ = _run(capsys, *argv)
         assert (code, out.splitlines()[0]) == (0, "SEM count=8 bounds=extra={};maxObjects=0;attrs={}")
-        assert len(offered) == frames
+        assert counts["offered"] == frames
         outs.append(out)
     assert outs[0] == outs[1]
 
@@ -914,6 +907,7 @@ def test_generate_refuses_the_diagrams_sem_refuses(workspace, capsys, fd, conf, 
 ITEMS = 'D = "d" Name:IDENT "{" (items:Item)* "}"; Item = "item" Label:IDENT ";";'
 IDENTS = 'D = "d" Name:IDENT "{" (x:IDENT)* "}";'
 _CLASS = 'CDCClass = "class" Name:IDENT'
+_EXPANSION = 'CDCClasses must be sugar for CDCClass(Name: IDENT, scl: "IDENT list", stereotypes: "IDENT set")'
 # `scl` holds a node, which no class-diagram hook reads.
 _SUP = (bundled.CDSIMP_GRAMMAR_TEXT.replace('scl:IDENT ("," scl:IDENT)*', "scl:Sup")
         .replace("}\n", 'Sup = "s" X:IDENT; }\n'))
@@ -930,6 +924,16 @@ _SUP = (bundled.CDSIMP_GRAMMAR_TEXT.replace('scl:IDENT ("," scl:IDENT)*', "scl:S
          ["sem"], "Item has no field left"),
         (f'grammar CD {{ {ITEMS} sugar CDCClasses for Item = "many" Label:IDENT ";"; }}',
          "d X { many a; }", ["parse", "--minimal"], "CDCClasses has no field names"),
+        # The class-list expander builds CDCClass nodes with exactly these
+        # fields, so it expands only a sugar for a CDCClass that has them.
+        (f'grammar CD {{ {ITEMS} sugar CDCClasses for Item = "many" names:IDENT ("," names:IDENT)* ";"; }}',
+         "d X { item q; many a, b; }", ["parse", "--minimal"], _EXPANSION),
+        (bundled.CD_GRAMMAR_TEXT.replace("<<?>> ", ""), "classdiagram D { classes a, b; }",
+         ["parse", "--minimal"], _EXPANSION),
+        (bundled.CD_GRAMMAR_TEXT.replace(";\n    sugar", ' ("doc" Doc:IDENT)?;\n    sugar'),
+         "classdiagram D { classes a, b; }", ["parse", "--minimal"], _EXPANSION),
+        (bundled.CD_GRAMMAR_TEXT.replace('scl:IDENT ("," scl:IDENT)*', "scl:IDENT"),
+         "classdiagram D { classes a, b; }", ["parse", "--minimal"], _EXPANSION),
         (bundled.CDSIMP_GRAMMAR_TEXT.replace(_CLASS, 'CDCClass = "class" (Name:IDENT)*'),
          "classdiagram D { class A; }", ["wf"], 'CDCClass field Name is "IDENT list", expected IDENT'),
         (bundled.CDSIMP_GRAMMAR_TEXT.replace(_CLASS, 'CDCClass = "class" Name:N')
@@ -961,6 +965,7 @@ _SUP = (bundled.CDSIMP_GRAMMAR_TEXT.replace('scl:IDENT ("," scl:IDENT)*', "scl:S
          'AssertionDoc field x is "IDENT list", expected a production list'),
     ],
     ids=["wf-conditions", "sem-class-diagram", "sem-assertions", "desugar-expander",
+         "desugar-other-base", "desugar-no-stereotypes", "desugar-extra-field", "desugar-scl-option",
          "name-list", "name-node", "supers-node", "name-option", "left-list", "names-option",
          "stereotypes-ident", "scl-once", "wf-ident-statements", "sem-ident-classes",
          "sem-ident-assertions"],

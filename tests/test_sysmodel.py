@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import json
 import random
+from contextlib import redirect_stderr, redirect_stdout, suppress
+from io import StringIO
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import zeroed_counts
 from oracles import (
     composed_valid,
     eval_valid_base,
@@ -16,7 +21,7 @@ from oracles import (
     oracle_preorders,
     structurally_valid,
 )
-from vlang import sysmodel
+from vlang import cli, sysmodel
 from vlang.sysmodel import (
     DOMAIN_VARIANTS,
     Bounds,
@@ -302,10 +307,15 @@ def _preorder_bounds(draw):
     names = [*classes, "Z"]
     pairs = st.sets(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=4)
     must = {(a, b) for a, b in draw(pairs) if a in classes and b in classes}
-    closure = must | {(c, c) for c in classes}
+    return classes, must, draw(pairs) - _closure(classes, must)
+
+
+def _closure(classes, pairs) -> set:
+    """The reflexive and transitive closure of `pairs` over `classes`."""
+    closure = set(pairs) | {(c, c) for c in classes}
     for k in classes:  # Warshall
         closure |= {(a, d) for a, b in closure if b == k for c, d in closure if c == k}
-    return classes, must, draw(pairs) - closure
+    return closure
 
 
 @_ORACLE_SETTINGS
@@ -379,12 +389,64 @@ def test_pair_bounded_enumeration_equals_filtered_oracle(case):
     (Demands(frozenset("AB"), frozenset({("A", "B"), ("B", "C")}), frozenset({("A", "C")})),
      Bounds(("C", "D"))),
 ])
-def test_an_empty_query_builds_no_preorder_list(demands, bounds, monkeypatch):
-    def no_preorders(*args):
-        raise AssertionError("a preorder list was built")
-
-    monkeypatch.setattr(sysmodel, "_preorders", no_preorders)
+def test_an_empty_query_builds_no_preorder_list(demands, bounds):
+    counts = zeroed_counts()
     assert list(enumerate_systems(bounds, demands, lambda sm: True)) == []
+    assert counts == {"preorders": 0, "offered": 0, "accepted": 0, "least": 0}
+
+
+@_ORACLE_SETTINGS
+@given(_pair_bounded_cases())
+def test_the_record_counts_what_the_oracles_see(case):
+    # A full walk builds the preorders of each universe that holds every
+    # class the query names and whose least relation breaks no forbidden
+    # pair, offers each frame to the filter once and yields the frames it
+    # accepts, each before its populations.
+    bounds, features, demands, _ = case
+    valid = variants_valid(features)
+    seen = []
+
+    def counting(frame):
+        seen.append(frame)
+        return valid(frame)
+
+    counts = zeroed_counts()
+    systems = list(enumerate_systems(bounds, demands, counting))
+    named = demands.classes.union(*demands.sub, *((o, t) for o, _, t in demands.attrs))
+    extras = sorted(set(bounds.extra_class_names) - demands.classes)
+    universes = [tuple(sorted(demands.classes.union(chosen)))
+                 for r in range(len(extras) + 1) for chosen in combinations(extras, r)]
+    clash = len({(o, n) for o, n, _ in demands.attrs}) != len(demands.attrs)
+    built = [] if clash else [oracle_preorders(u, demands.sub, demands.no_sub) for u in universes
+                              if named <= set(u) and _closure(u, demands.sub).isdisjoint(demands.no_sub)]
+    assert counts == {"preorders": sum(map(len, built)), "offered": len(seen),
+                      "accepted": sum(not sm.objects for sm in systems), "least": 0}
+    before = dict(counts)
+    sysmodel.first_system(bounds, demands, valid)
+    assert counts["least"] - before["least"] == (counts["preorders"] == before["preorders"])
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+# The "Enumeration counts" pins of CI: a pass's counts, the change side of
+# the BENCH file that recorded them.
+_PINS = [("sem-enum", seed, "BENCH_pruning.json") for seed in range(71, 81)]
+_PINS.append(("analyze-mix", 71, "BENCH_onepath.json"))
+
+
+@pytest.mark.parametrize("workload, seed, bench", _PINS)
+def test_a_benchmark_pass_counts_what_its_bench_file_pins(tmp_path, monkeypatch, workload, seed, bench):
+    monkeypatch.syspath_prepend(str(_ROOT / "perfbench"))
+    import workloads
+
+    want = json.loads((_ROOT / bench).read_text())["counts_per_pass"]["workloads"][workload]
+    want = want[str(seed)]["change"]
+    built = workloads.build(workload, seed, str(tmp_path))
+    built.write(tmp_path)
+    counts = zeroed_counts()
+    for op in built.ops:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()), suppress(SystemExit):
+            cli.main(list(op.argv))
+    assert {k: counts[k] for k in want} == want
 
 
 def test_populations_are_formed_after_the_first_frame(monkeypatch):
