@@ -18,10 +18,12 @@ was called with, whatever they are, so it includes the check of the
 grammar's class fields that each call makes.  To compare two trees, run it from
 each in turn, alternating, on one host.
 
-It exits 1, naming the layer, when a layer records no call in the pass,
-as when a module no longer calls the layer's function through the name this
-script patches; the conditions need a call only in a pass with a `wf`
-operation.
+It patches each function under its name in the module that defines it,
+which the `vlang.cli` handlers import it from when they run (and, for
+`lexer.scan`, in the three modules that call it).  It exits 1, naming the
+layer, when a layer records no call in the pass, as when a caller no longer
+reaches the layer's function through the name this script patches; the
+conditions need a call only in a pass with a `wf` operation.
 """
 
 from __future__ import annotations
@@ -49,19 +51,21 @@ def main() -> int:
     import workloads
     from vlang import cli, conditions, features, grammar, lexer, modelparse, semantics
 
-    # Each layer's function, and the module names it is called through.
+    # Each layer's function, and the module names it is called through: the
+    # scanner's callers import it by name, and the `cli` handlers import the
+    # others from their defining modules when they run.
     layers = {
         "lexer.scan": (lexer.scan, [(grammar, "scan"), (modelparse, "scan"), (features, "scan")]),
-        "grammar.parse_grammar": (grammar.parse_grammar, [(cli, "parse_grammar")]),
-        "modelparse.parse_model": (modelparse.parse_model, [(cli, "parse_model")]),
+        "grammar.parse_grammar": (grammar.parse_grammar, [(grammar, "parse_grammar")]),
+        "modelparse.parse_model": (modelparse.parse_model, [(modelparse, "parse_model")]),
         "features.parse_feature_diagrams": (
-            features.parse_feature_diagrams, [(cli, "parse_feature_diagrams")]
+            features.parse_feature_diagrams, [(features, "parse_feature_diagrams")]
         ),
         "features.parse_configurations": (
-            features.parse_configurations, [(cli, "parse_configurations")]
+            features.parse_configurations, [(features, "parse_configurations")]
         ),
         "conditions.check_context_conditions": (
-            conditions.check_context_conditions, [(cli, "check_context_conditions")]
+            conditions.check_context_conditions, [(conditions, "check_context_conditions")]
         ),
     }
     calls: dict[str, list] = {name: [] for name in layers}

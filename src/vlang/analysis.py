@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+from .lexer import RefusalError
 from .schema import AstNode
 from .semantics import SemanticsConfig, query
 from .sysmodel import Bounds, Demands, SystemModelLite, canonical_key, dump_system, first_system
 
 
-class AnalysisError(Exception):
+class AnalysisError(RefusalError):
     pass
 
 

@@ -20,6 +20,12 @@ its arguments, and its handler.  `main` builds the parser of the subcommand
 it is given alone, once per process; `build_parser` builds them all, for the
 top-level help and for the errors reported with the top-level usage.
 
+Importing this module loads no library module but `lexer`, which defines
+the errors `main` catches.  Each handler imports what its command runs when
+it runs, once per command, so a command pays at start-up only for the
+modules it uses: `check-grammar` loads no model parser, and `fm-check` only
+the feature layer.
+
 Every input file is read whole and decoded as UTF-8, with text mode's
 newline translation: each CR LF pair, then each lone CR, becomes one LF.
 
@@ -27,12 +33,14 @@ Exit codes: 0 for a positive verdict, 1 for a negative one (violations,
 holds=false, a grammar or model the command was asked to judge failing to
 parse, a theory that cannot be generated), 2 for usage errors, refused
 diagram roles, and unreadable (or not UTF-8) or unparseable auxiliary input
-files.  `main` is the one place a library error (an undesugarable model, an
-unknown condition, a feature-model, semantics, analysis or naming error)
-becomes one `vlang: <message>` line with exit 2; a handler wraps an error only
-when the message needs the file's path or the exit code of a judged input.
-Results go to stdout, diagnostics to stderr.  Setting VLANG_COLOR=0
-disables ANSI coloring (used only on terminals).
+files.  `main` is the one place a library error (a `lexer.RefusalError`: an
+undesugarable model, an unknown condition, a feature-model, semantics,
+analysis or naming error) becomes one `vlang: <message>` line with exit 2; a
+handler wraps an error only when the message needs the file's path or the
+exit code of a judged input.  Configurations that break their diagrams print
+their violations on stdout and exit 1.  Results go to stdout, diagnostics to
+stderr.  Setting VLANG_COLOR=0 disables ANSI coloring (used only on
+terminals).
 """
 
 from __future__ import annotations
@@ -43,32 +51,8 @@ import os
 import sys
 import warnings
 from itertools import islice
-from pathlib import Path
 
-from .analysis import AnalysisError, check_consistency, check_equivalence, check_refinement
-from .conditions import CONDITIONS, UnknownConditionError, check_context_conditions
-from .desugar import DesugarError, desugar_to_minimal
-from .features import (
-    FeatureModelError,
-    InvalidConfigurationError,
-    parse_configurations,
-    parse_feature_diagrams,
-    render_violations,
-    validated_merge,
-)
-from .grammar import GrammarError, parse_grammar
-from .modelparse import ModelParseError, TokenizeError, parse_model
-from .schema import dump_ast, dump_schema
-from .semantics import (
-    SemanticsError,
-    UnknownStereotypeWarning,
-    check_semantics,
-    compute_sem,
-    make_semantics_config,
-    semantic_diagrams,
-)
-from .sysmodel import Bounds, NameConventionError, dump_system
-from .theorygen import generate_domain_theory, generate_mapping_theory, write_theory
+from .lexer import RefusalError, SourceError
 
 
 class _FileFailure(Exception):
@@ -77,6 +61,10 @@ class _FileFailure(Exception):
     def __init__(self, message: str, exit_code: int = 2):
         super().__init__(message)
         self.exit_code = exit_code
+
+
+class _Exit(Exception):
+    """The command has written its verdict; it exits with the given code."""
 
 
 def _paint(text: str, code: str) -> str:
@@ -96,25 +84,30 @@ def _read(path: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _load_grammar(path: str, *, judged: bool = False):
+def _parsed(parse, path: str, *head, judged: bool = False):
+    """`parse(*head, text)` of the file at `path`: a grammar, or a model of
+    the grammar in `head`.  A syntax error is reported with the path, with
+    exit 1 where the command judges the file."""
     text = _read(path)
     try:
-        return parse_grammar(text)
-    except GrammarError as exc:
-        raise _FileFailure(f"{path}: {exc}", exit_code=1 if judged else 2) from exc
-
-
-def _load_model(grammar, path: str, *, judged: bool = False):
-    text = _read(path)
-    try:
-        return parse_model(grammar, text)
-    except (TokenizeError, ModelParseError) as exc:
+        return parse(*head, text)
+    except SourceError as exc:
         raise _FileFailure(f"{path}: {exc}", exit_code=1 if judged else 2) from exc
 
 
 def _load_workspace(paths: list[str]):
     """Read .fd and .conf files into (diagrams, configurations, their
-    validated merge)."""
+    validated merge).  Configurations that break their diagrams end the
+    command: their violations go to stdout, and it exits 1."""
+    from .features import (
+        FeatureModelError,
+        InvalidConfigurationError,
+        parse_configurations,
+        parse_feature_diagrams,
+        render_violations,
+        validated_merge,
+    )
+
     diagrams, configs = [], []
     for path in paths:
         text = _read(path)
@@ -127,7 +120,11 @@ def _load_workspace(paths: list[str]):
                 raise _FileFailure(f"{path}: expected a .fd or .conf file")
         except FeatureModelError as exc:
             raise _FileFailure(f"{path}: {exc}") from exc
-    return diagrams, configs, validated_merge(diagrams, configs)
+    try:
+        return diagrams, configs, validated_merge(diagrams, configs)
+    except InvalidConfigurationError as exc:
+        print(render_violations(exc.violations))
+        raise _Exit(1) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +132,22 @@ def _load_workspace(paths: list[str]):
 # ---------------------------------------------------------------------------
 
 def _cmd_check_grammar(args) -> int:
-    grammar = _load_grammar(args.grammar, judged=True)
+    from .grammar import parse_grammar
+    from .schema import dump_schema
+
+    grammar = _parsed(parse_grammar, args.grammar, judged=True)
     sys.stdout.write(dump_schema(grammar.schema))
     return 0
 
 
 def _cmd_parse(args) -> int:
-    grammar = _load_grammar(args.grammar)
-    node = _load_model(grammar, args.model, judged=True)
+    from .desugar import desugar_to_minimal
+    from .grammar import parse_grammar
+    from .modelparse import parse_model
+    from .schema import dump_ast
+
+    grammar = _parsed(parse_grammar, args.grammar)
+    node = _parsed(parse_model, args.model, grammar, judged=True)
     if args.minimal:
         node = desugar_to_minimal(node, grammar)
     print(dump_ast(node))
@@ -150,8 +155,13 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_wf(args) -> int:
-    grammar = _load_grammar(args.grammar)
-    node = desugar_to_minimal(_load_model(grammar, args.model), grammar)
+    from .conditions import CONDITIONS, check_context_conditions
+    from .desugar import desugar_to_minimal
+    from .grammar import parse_grammar
+    from .modelparse import parse_model
+
+    grammar = _parsed(parse_grammar, args.grammar)
+    node = desugar_to_minimal(_parsed(parse_model, args.model, grammar), grammar)
     active = {cc_id for cc_id, cc in CONDITIONS.get(grammar.name, {}).items() if not cc.optional}
     if args.cc:
         active.update(s for s in args.cc.split(",") if s)
@@ -171,6 +181,12 @@ def _cmd_fm_check(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from pathlib import Path
+
+    from .semantics import SemanticsError, semantic_diagrams
+    from .sysmodel import NameConventionError
+    from .theorygen import generate_domain_theory, generate_mapping_theory, write_theory
+
     diagrams, _, merged = _load_workspace(args.files)
     domain, mapping = semantic_diagrams(diagrams)
     generators = {domain: generate_domain_theory, mapping: generate_mapping_theory}
@@ -193,9 +209,11 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _bounds(args) -> Bounds:
+def _bounds(args):
     """Read after the configuration, so violations (exit 1) win over a bad
     bound (exit 2)."""
+    from .sysmodel import Bounds
+
     extra = tuple(s for s in (args.extra_classes or "").split(",") if s)
     try:
         return Bounds(extra_class_names=extra, max_objects=args.max_objects)
@@ -203,15 +221,37 @@ def _bounds(args) -> Bounds:
         raise _FileFailure(str(exc)) from exc
 
 
+def _compiled(run, *args):
+    """`run(*args)`, which compiles class diagrams.  An ignored stereotype
+    is a diagnostic of the run: one line per message, whatever the caller's
+    warning filters say."""
+    from .semantics import UnknownStereotypeWarning
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", UnknownStereotypeWarning)
+        warnings.showwarning = _show_warning
+        return run(*args)
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"vlang: warning: {message}", file=sys.stderr)
+
+
 def _cmd_sem(args) -> int:
+    from .desugar import desugar_to_minimal
+    from .grammar import parse_grammar
+    from .modelparse import parse_model
+    from .semantics import check_semantics, compute_sem, make_semantics_config
+    from .sysmodel import dump_system
+
     if args.witnesses < 0:
         raise _FileFailure("--witnesses must be non-negative")
-    grammar = _load_grammar(args.grammar)
-    model = desugar_to_minimal(_load_model(grammar, args.model), grammar)
+    grammar = _parsed(parse_grammar, args.grammar)
+    model = desugar_to_minimal(_parsed(parse_model, args.model, grammar), grammar)
     diagrams, _, merged = _load_workspace(args.files)
     config = make_semantics_config(diagrams, merged, _bounds(args))
     check_semantics(grammar)
-    sem = compute_sem(model, config)
+    sem = _compiled(compute_sem, model, config)
     members = iter(sem)
     witnesses = list(islice(members, args.witnesses))
     count = len(witnesses) + sum(1 for _ in members)
@@ -223,26 +263,33 @@ def _cmd_sem(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analysis import check_consistency, check_equivalence, check_refinement
+    from .desugar import desugar_to_minimal
+    from .grammar import parse_grammar
+    from .modelparse import parse_model
+    from .semantics import check_semantics, make_semantics_config
+
     pairs, rest = _model_arguments(args.args)
     if args.mode in ("refine", "equiv") and (len(pairs) != 1 or len(pairs[0][1]) != 2):
         raise _FileFailure(f"analyze {args.mode} needs one grammar followed by two model files")
     grammars, models = [], []  # the grammars of the models, which bind their compile
     for grammar_path, model_paths in pairs:
-        grammar = _load_grammar(grammar_path)
+        grammar = _parsed(parse_grammar, grammar_path)
         grammars += [grammar] if model_paths else []
-        models.extend(desugar_to_minimal(_load_model(grammar, p), grammar) for p in model_paths)
+        models.extend(
+            desugar_to_minimal(_parsed(parse_model, p, grammar), grammar) for p in model_paths
+        )
     if not models:
         raise _FileFailure("analyze consistent needs grammar/model arguments")
     diagrams, _, merged = _load_workspace(rest)
     config = make_semantics_config(diagrams, merged, _bounds(args))
     for grammar in grammars:
         check_semantics(grammar)
-    if args.mode == "refine":
-        verdict = check_refinement(models[0], models[1], config)
-    elif args.mode == "equiv":
-        verdict = check_equivalence(models[0], models[1], config)
+    if args.mode == "consistent":
+        verdict = _compiled(check_consistency, models, config)
     else:
-        verdict = check_consistency(models, config)
+        check = check_refinement if args.mode == "refine" else check_equivalence
+        verdict = _compiled(check, models[0], models[1], config)
     sys.stdout.write(verdict.report())
     return 0 if verdict.holds else 1
 
@@ -382,27 +429,16 @@ def _namespace(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
-def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    print(f"vlang: warning: {message}", file=sys.stderr)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _namespace(sys.argv[1:] if argv is None else list(argv))
     try:
-        # An ignored stereotype is a diagnostic of the run: one line per
-        # message, whatever the caller's warning filters say.
-        with warnings.catch_warnings():
-            warnings.simplefilter("default", UnknownStereotypeWarning)
-            warnings.showwarning = _show_warning
-            return args.fn(args)
+        return args.fn(args)
+    except _Exit as exc:
+        return exc.args[0]
     except _FileFailure as exc:
         print(f"vlang: {exc}", file=sys.stderr)
         return exc.exit_code
-    except InvalidConfigurationError as exc:
-        print(render_violations(exc.violations))
-        return 1
-    except (DesugarError, UnknownConditionError, FeatureModelError,
-            SemanticsError, AnalysisError, NameConventionError) as exc:
+    except RefusalError as exc:
         print(f"vlang: {exc}", file=sys.stderr)
         return 2
 

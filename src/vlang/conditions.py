@@ -18,11 +18,11 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple
 
 from .grammar import GrammarDef
-from .schema import AstNode
-from .semantics import CLASS_FIELDS, check_statements, class_supers, statement_nodes
+from .lexer import RefusalError
+from .schema import CLASS_FIELDS, AstNode, check_statements, class_supers, statement_nodes
 
 
-class UnknownConditionError(Exception):
+class UnknownConditionError(RefusalError):
     pass
 
 
@@ -115,7 +115,8 @@ def check_context_conditions(
     """Run the given conditions of the grammar's language on a minimal AST
     parsed by `grammar`, and return all violations in deterministic order.
     Before any runs, the grammar's class statements are checked once for the
-    fields the conditions read (`semantics.CLASS_FIELDS`)."""
+    fields the conditions read (`schema.CLASS_FIELDS`); a grammar without
+    them is refused with `lexer.RefusalError`."""
     conditions = CONDITIONS.get(grammar.name, {})
     checks = []
     for cc_id in sorted(set(active)):
@@ -127,6 +128,6 @@ def check_context_conditions(
         checks.append(condition.check)
     if not checks:
         return []
-    check_statements(grammar.schema, grammar.start_production, CLASS_FIELDS)
+    check_statements(grammar.schema, grammar.start_production, CLASS_FIELDS, RefusalError)
     classes = statement_nodes(node)
     return sorted(v for check in checks for v in check(classes))

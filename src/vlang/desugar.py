@@ -17,12 +17,13 @@ from __future__ import annotations
 from typing import Callable
 
 from .grammar import GrammarDef
+from .lexer import RefusalError
 from .schema import AstNode, SchemaField, Signature, check_fields, field_type
 
 Expander = Callable[[AstNode], list[AstNode]]
 
 
-class DesugarError(Exception):
+class DesugarError(RefusalError):
     pass
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Callable, NamedTuple, TypeVar
 
-from .lexer import SourceError, TokenPattern, Tokens, scan, token_pattern
+from .lexer import RefusalError, SourceError, TokenPattern, Tokens, scan, token_pattern
 
 FEATURE_KINDS = (
     "presentation",
@@ -65,7 +65,7 @@ def _pattern() -> TokenPattern:
     return token_pattern("{};.", _WORD)
 
 
-class FeatureModelError(Exception):
+class FeatureModelError(RefusalError):
     pass
 
 

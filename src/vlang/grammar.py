@@ -52,14 +52,10 @@ from __future__ import annotations
 from functools import cache
 from itertools import zip_longest
 from math import inf
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .lexer import IDENT, SourceError, TokenPattern, Tokens, scan, token_pattern
-
-if TYPE_CHECKING:
-    from .schema import AstSchema
-
-IDENT_TOKEN = "IDENT"
+from .schema import IDENT_TOKEN, STEREOTYPE_FIELD, AstSchema, SchemaDatatype, SchemaField
 
 _PUNCT = ("<<?>>", "{", "}", "(", ")", "*", "?", "|", ":", ";", "=")
 _CARDINALITY = {"*": "star", "?": "optional"}
@@ -295,9 +291,6 @@ def _validate(g: GrammarDef) -> GrammarDef:
     without and whether it must consume a token, and derives its fields.
     A field error is held until every other check has passed, and then the
     first one is raised."""
-    # Deferred: schema imports this module.
-    from .schema import STEREOTYPE_FIELD, AstSchema, SchemaDatatype, SchemaField
-
     # Each production's alternatives, filled in as sugar productions pass.
     defined: dict[str, list[str]] = {}
     for p in g.productions:

@@ -26,6 +26,10 @@ Every reader reads the columns by index: the grammar reader, the .fd and
 .conf readers and the model parser.  The first three raise their errors
 through `Tokens.fail`, which gives the format's error class the line and
 column of a token.
+
+Every command scans, so the base of the errors a command refuses its input
+with, `RefusalError`, is defined here too: importing the command line loads
+no other library module to catch them.
 """
 
 from __future__ import annotations
@@ -38,6 +42,13 @@ from typing import Iterable, Iterator, NamedTuple
 IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 _BLANKS = " \t\r\n"
+
+
+class RefusalError(Exception):
+    """A refused input that no syntax error names: a model that cannot be
+    desugared, an unknown condition, a feature model, semantics, analysis
+    or naming error.  `cli.main` reports it as one `vlang: <message>` line
+    with exit code 2."""
 
 
 class SourceError(Exception):

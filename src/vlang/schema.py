@@ -18,15 +18,17 @@ tests.
 The hooks a language binds by name (expanders, context conditions, the
 mapping compile) declare the fields they read as a `Signature` in the same
 words.  `check_fields` checks a schema against one once per command; the
-hooks then read the fields of the nodes a parse gives directly.
+hooks then read the fields of the nodes a parse gives directly.  The
+class-diagram hooks share `CLASS_FIELDS`, checked on a model's statements
+by `check_statements`, and read them with `statement_nodes` and
+`class_supers`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .grammar import IDENT_TOKEN
-
+IDENT_TOKEN = "IDENT"  # the target of an identifier field
 STEREOTYPE_FIELD = "stereotypes"
 
 
@@ -182,6 +184,48 @@ def check_fields(
         elif _words(field) not in types:
             expected = " or ".join(_quoted(t) for t in types if t is not None)
             raise error(f"{datatype} field {label} is {field_type(field)}, expected {expected}")
+
+
+# The fields the class-diagram hooks (context conditions, the mapping
+# compile) read of a class statement: its name, its supers (`("extends"
+# scl:IDENT)?` holds one name, not a list) and its stereotypes.
+CLASS_FIELDS: Signature = {
+    "Name": ("IDENT",),
+    "scl": ("IDENT list", "IDENT option", None),
+    "stereotypes": ("IDENT set", None),
+}
+
+
+def check_statements(
+    schema: AstSchema, root: str, signature: Signature, error: type[Exception]
+) -> None:
+    """Refuse with `error` a `root` datatype of `schema` unless it has
+    exactly one list field, of a production (its statements) whose fields
+    match `signature` (`check_fields`)."""
+    lists = [f for f in schema.datatype(root).fields if f.card == "list"]
+    if len(lists) != 1:
+        raise error(f"{root} has {len(lists)} list fields, expected exactly one")
+    (statements,) = lists
+    if statements.target == IDENT_TOKEN:
+        raise error(
+            f"{root} field {statements.label} is {field_type(statements)}, "
+            "expected a production list"
+        )
+    check_fields(schema, statements.target, signature, error)
+
+
+def statement_nodes(root: AstNode) -> list[AstNode]:
+    """The statements of a class diagram or an assertion document, whose
+    grammar passed `check_statements`: its one list field."""
+    return next(v for v in root.fields.values() if type(v) is list)
+
+
+def class_supers(class_node: AstNode) -> list[str]:
+    """The declared supers, the node's own list where it holds one."""
+    supers = class_node.fields.get("scl")
+    if supers is None:
+        return []
+    return [supers] if type(supers) is str else supers
 
 
 def dump_ast(node: AstNode) -> str:

@@ -19,8 +19,9 @@ mSuperClasses in `MAPPING_VARIANTS`; two are bundled:
 A language's compile is bound by the root datatype of its models, and
 reads the fields of their statements directly.  `check_semantics` checks a
 grammar's schema once per command for the fields the compile reads
-(`CLASS_FIELDS`, `ASSERTION_FIELDS`); a model whose grammar has not passed
-it must not reach the mappings, `demands_of`, `query` or `compute_sem`.
+(`schema.CLASS_FIELDS`, `ASSERTION_FIELDS`); a model whose grammar has not
+passed it must not reach the mappings, `demands_of`, `query` or
+`compute_sem`.
 
 A model is compiled once per `query` into a `sysmodel.Demands` record: the
 classes that must exist, the `sub` pairs that must and must not be present,
@@ -38,12 +39,15 @@ from __future__ import annotations
 import warnings
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .features import Configuration, FeatureDiagram
-from .grammar import IDENT_TOKEN, GrammarDef
-from .schema import AstNode, AstSchema, Signature, check_fields, field_type
+from .lexer import RefusalError
+from .schema import CLASS_FIELDS, AstNode, Signature, check_statements, class_supers, statement_nodes
 from .sysmodel import Bounds, Demands, SystemModelLite, enumerate_systems, variants_valid
+
+if TYPE_CHECKING:
+    from .grammar import GrammarDef
 
 SUPER_MAPPING_SLOT = "mSuperClasses"
 SINGLETON = "singleton"
@@ -52,7 +56,7 @@ KNOWN_STEREOTYPES = frozenset({SINGLETON})
 SuperMapping = Callable[[str, list[str]], "Demands"]
 
 
-class SemanticsError(Exception):
+class SemanticsError(RefusalError):
     pass
 
 
@@ -116,49 +120,9 @@ def super_mapping_for(config: Configuration) -> SuperMapping:
     return functions[0]
 
 
-# ---------------------------------------------------------------------------
-# The fields the hooks read (shared by all class-diagram grammars)
-# ---------------------------------------------------------------------------
-
-# A class statement: its name, its supers (`("extends" scl:IDENT)?` holds
-# one name, not a list) and its stereotypes.
-CLASS_FIELDS: Signature = {
-    "Name": ("IDENT",),
-    "scl": ("IDENT list", "IDENT option", None),
-    "stereotypes": ("IDENT set", None),
-}
-# A (possibly negated) subclass statement.
+# The fields an assertion compile reads of a (possibly negated) subclass
+# statement; a class diagram's compile reads `schema.CLASS_FIELDS`.
 ASSERTION_FIELDS: Signature = {"left": ("IDENT",), "right": ("IDENT",)}
-
-
-def check_statements(schema: AstSchema, root: str, signature: Signature) -> None:
-    """Refuse a `root` datatype of `schema` unless it has exactly one list
-    field, of a production (its statements) whose fields match
-    `signature` (`schema.check_fields`)."""
-    lists = [f for f in schema.datatype(root).fields if f.card == "list"]
-    if len(lists) != 1:
-        raise SemanticsError(f"{root} has {len(lists)} list fields, expected exactly one")
-    (statements,) = lists
-    if statements.target == IDENT_TOKEN:
-        raise SemanticsError(
-            f"{root} field {statements.label} is {field_type(statements)}, "
-            "expected a production list"
-        )
-    check_fields(schema, statements.target, signature, SemanticsError)
-
-
-def statement_nodes(root: AstNode) -> list[AstNode]:
-    """The statements of a class diagram or an assertion document, whose
-    grammar passed `check_statements`: its one list field."""
-    return next(v for v in root.fields.values() if type(v) is list)
-
-
-def class_supers(class_node: AstNode) -> list[str]:
-    """The declared supers, the node's own list where it holds one."""
-    supers = class_node.fields.get("scl")
-    if supers is None:
-        return []
-    return [supers] if type(supers) is str else supers
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +270,7 @@ def check_semantics(grammar: GrammarDef) -> None:
     lack a field of the type its compile reads (`check_statements`).  Each
     command checks a model's grammar once, before it compiles the model."""
     root = grammar.start_production
-    check_statements(grammar.schema, root, _registered(root)[0])
+    check_statements(grammar.schema, root, _registered(root)[0], SemanticsError)
 
 
 def demands_of(model: AstNode, config: SemanticsConfig) -> Demands:

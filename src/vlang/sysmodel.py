@@ -44,14 +44,14 @@ from __future__ import annotations
 from itertools import combinations, islice, product
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .lexer import IDENT
+from .lexer import IDENT, RefusalError
 
 Pair = tuple[str, str]
 Attr = tuple[str, str, str]  # (owner class, attribute name, target class)
 COUNTS = {"preorders": 0, "offered": 0, "accepted": 0, "least": 0}  # the work done
 
 
-class NameConventionError(Exception):
+class NameConventionError(RefusalError):
     """A selected domain feature F has no predicate valid-F in
     `DOMAIN_VARIANTS`."""
 

@@ -562,7 +562,8 @@ def test_semantics_config_is_built_once(workspace, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cli, "make_semantics_config", counting("config", cli.make_semantics_config))
+    config = counting("config", semantics.make_semantics_config)
+    monkeypatch.setattr(semantics, "make_semantics_config", config)
     validate = counting("validate", features.validate_configurations)
     monkeypatch.setattr(features, "validate_configurations", validate)
     conf = [str(workspace / "sm.conf"), str(workspace / "cd.conf")]

@@ -1,8 +1,9 @@
 """The value semantics of vlang's records, which are named tuples or
 `__slots__` classes, and the start-up cost they keep down: importing the
-CLI loads no `dataclasses` (nor the `inspect` it pulls in), and parsing a
-grammar, which derives its models' vocabulary itself, loads no model parser.
-Each module also imports alone, in a fresh interpreter."""
+CLI loads no `dataclasses` (nor the `inspect` it pulls in) and no library
+module but `lexer`, each subcommand loads only the modules it runs, and
+parsing a grammar, which derives its models' vocabulary itself, loads no
+model parser.  Each module also imports alone, in a fresh interpreter."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from vlang import cli
+from vlang import bundled, cli
 from vlang.conditions import CCViolation
 from vlang.features import Feature, FeatureModelError, Violation
 from vlang.grammar import StereotypeSlot
@@ -33,6 +34,62 @@ def test_cli_import_loads_no_dataclasses():
     )
     fresh = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
     assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, "[]\n", "")
+
+
+# The files of the README Quickstart, and the modules each of its commands
+# loads: the syntax pillar alone, the feature layer alone, or the semantics.
+# Importing the CLI and printing its help load only `lexer`, which defines
+# the errors `main` catches.
+_QUICKSTART = {
+    "cdsimp.mclang": bundled.CDSIMP_GRAMMAR_TEXT,
+    "cda.mclang": bundled.ASSERTION_GRAMMAR_TEXT,
+    "example.fd": bundled.EXAMPLE_FD_TEXT,
+    "sm.conf": bundled.DOMAIN_CONF_TEXT,
+    "cd.conf": bundled.MAPPING_CONF_TEXT,
+    "refined.cd": "classdiagram D { class A extends B; class B; }",
+    "abstract.cd": "classdiagram D { class A; class B; }",
+    "claim.cda": "assertions S { no sub A B; }",
+}
+_SYNTAX = {"cli", "lexer", "grammar", "schema"}
+_MODEL = _SYNTAX | {"modelparse", "desugar"}
+_FEATURES = {"cli", "lexer", "features"}
+_SEMANTICS = _MODEL | _FEATURES | {"semantics", "sysmodel"}
+_WORKSPACE = "example.fd sm.conf cd.conf"
+
+
+@pytest.mark.parametrize("argv, code, modules", [
+    ("--help", 0, {"cli", "lexer"}),
+    ("check-grammar cdsimp.mclang", 0, _SYNTAX),
+    ("parse cdsimp.mclang refined.cd", 0, _MODEL),
+    ("wf cdsimp.mclang refined.cd --cc CC-supers-declared", 0, _MODEL | {"conditions"}),
+    (f"fm-check {_WORKSPACE}", 0, _FEATURES),
+    (f"generate {_WORKSPACE} --out gen/", 0,
+     _FEATURES | {"schema", "semantics", "sysmodel", "theorygen"}),
+    (f"sem cdsimp.mclang refined.cd {_WORKSPACE} --witnesses 1", 0, _SEMANTICS),
+    (f"analyze refine cdsimp.mclang refined.cd abstract.cd {_WORKSPACE}", 0,
+     _SEMANTICS | {"analysis"}),
+    (f"analyze consistent cdsimp.mclang refined.cd cda.mclang claim.cda {_WORKSPACE}", 1,
+     _SEMANTICS | {"analysis"}),
+])
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, argv, code, modules):
+    for name, text in _QUICKSTART.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    script = (
+        "import contextlib, io, sys\n"
+        "from vlang.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        code = main(sys.argv[1:])\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, *sorted(m[6:] for m in sys.modules if m.startswith('vlang.')))\n"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", script, *argv.split()],
+        capture_output=True, text=True, env=ENV, cwd=tmp_path,
+    )
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert fresh.stdout.split() == [str(code), *sorted(modules)]
 
 
 def test_grammar_parse_loads_no_model_parser():
