@@ -37,10 +37,11 @@ files.  `main` is the one place a library error (a `lexer.RefusalError`: an
 undesugarable model, an unknown condition, a feature-model, semantics,
 analysis or naming error) becomes one `vlang: <message>` line with exit 2; a
 handler wraps an error only when the message needs the file's path or the
-exit code of a judged input.  Configurations that break their diagrams print
-their violations on stdout and exit 1.  Results go to stdout, diagnostics to
-stderr.  Setting VLANG_COLOR=0 disables ANSI coloring (used only on
-terminals).
+exit code of a judged input, and ends a command early by one exception,
+`_Exit`, with a `vlang:` message unless it has written its verdict, as for
+configurations that break their diagrams (violations on stdout, exit 1).
+Results go to stdout, diagnostics to stderr.  Setting VLANG_COLOR=0
+disables ANSI coloring (used only on terminals).
 """
 
 from __future__ import annotations
@@ -55,16 +56,14 @@ from itertools import islice
 from .lexer import RefusalError, SourceError
 
 
-class _FileFailure(Exception):
-    """Input file missing or unparseable; exits with the given code."""
+class _Exit(Exception):
+    """Ends the command with `exit_code`, after one `vlang: <message>` line
+    on stderr when there is a message: a refused input or usage, or (with no
+    message) a verdict the command has written."""
 
-    def __init__(self, message: str, exit_code: int = 2):
+    def __init__(self, message: str | None = None, exit_code: int = 2):
         super().__init__(message)
         self.exit_code = exit_code
-
-
-class _Exit(Exception):
-    """The command has written its verdict; it exits with the given code."""
 
 
 def _paint(text: str, code: str) -> str:
@@ -80,7 +79,7 @@ def _read(path: str) -> str:
         with open(path, "rb", buffering=0) as file:
             text = file.read().decode()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _FileFailure(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
+        raise _Exit(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -92,7 +91,7 @@ def _parsed(parse, path: str, *head, judged: bool = False):
     try:
         return parse(*head, text)
     except SourceError as exc:
-        raise _FileFailure(f"{path}: {exc}", exit_code=1 if judged else 2) from exc
+        raise _Exit(f"{path}: {exc}", exit_code=1 if judged else 2) from exc
 
 
 def _load_workspace(paths: list[str]):
@@ -117,14 +116,14 @@ def _load_workspace(paths: list[str]):
             elif path.endswith(".conf"):
                 configs.extend(parse_configurations(text))
             else:
-                raise _FileFailure(f"{path}: expected a .fd or .conf file")
+                raise _Exit(f"{path}: expected a .fd or .conf file")
         except FeatureModelError as exc:
-            raise _FileFailure(f"{path}: {exc}") from exc
+            raise _Exit(f"{path}: {exc}") from exc
     try:
         return diagrams, configs, validated_merge(diagrams, configs)
     except InvalidConfigurationError as exc:
         print(render_violations(exc.violations))
-        raise _Exit(1) from exc
+        raise _Exit(exit_code=1) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +203,7 @@ def _cmd_generate(args) -> int:
         try:
             path = write_theory(doc, Path(args.out))
         except OSError as exc:
-            raise _FileFailure(f"cannot write {args.out}: {exc.strerror}") from exc
+            raise _Exit(f"cannot write {args.out}: {exc.strerror}") from exc
         print(path.as_posix())
     return 0
 
@@ -218,7 +217,7 @@ def _bounds(args):
     try:
         return Bounds(extra_class_names=extra, max_objects=args.max_objects)
     except ValueError as exc:
-        raise _FileFailure(str(exc)) from exc
+        raise _Exit(str(exc)) from exc
 
 
 def _compiled(run, *args):
@@ -245,7 +244,7 @@ def _cmd_sem(args) -> int:
     from .sysmodel import dump_system
 
     if args.witnesses < 0:
-        raise _FileFailure("--witnesses must be non-negative")
+        raise _Exit("--witnesses must be non-negative")
     grammar = _parsed(parse_grammar, args.grammar)
     model = desugar_to_minimal(_parsed(parse_model, args.model, grammar), grammar)
     diagrams, _, merged = _load_workspace(args.files)
@@ -264,23 +263,25 @@ def _cmd_sem(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from .analysis import check_consistency, check_equivalence, check_refinement
-    from .desugar import desugar_to_minimal
+    from .desugar import desugarer
     from .grammar import parse_grammar
     from .modelparse import parse_model
     from .semantics import check_semantics, make_semantics_config
 
     pairs, rest = _model_arguments(args.args)
     if args.mode in ("refine", "equiv") and (len(pairs) != 1 or len(pairs[0][1]) != 2):
-        raise _FileFailure(f"analyze {args.mode} needs one grammar followed by two model files")
+        raise _Exit(f"analyze {args.mode} needs one grammar followed by two model files")
     grammars, models = [], []  # the grammars of the models, which bind their compile
     for grammar_path, model_paths in pairs:
         grammar = _parsed(parse_grammar, grammar_path)
         grammars += [grammar] if model_paths else []
-        models.extend(
-            desugar_to_minimal(_parsed(parse_model, p, grammar), grammar) for p in model_paths
-        )
+        desugar = None  # bound at the first model, after it parses
+        for path in model_paths:
+            model = _parsed(parse_model, path, grammar)
+            desugar = desugar or desugarer(grammar)
+            models.append(desugar(model))
     if not models:
-        raise _FileFailure("analyze consistent needs grammar/model arguments")
+        raise _Exit("analyze consistent needs grammar/model arguments")
     diagrams, _, merged = _load_workspace(rest)
     config = make_semantics_config(diagrams, merged, _bounds(args))
     for grammar in grammars:
@@ -308,7 +309,7 @@ def _model_arguments(args: list[str]):
         elif current is not None:
             current[1].append(a)
         else:
-            raise _FileFailure(f"model file {a} must follow its grammar file")
+            raise _Exit(f"model file {a} must follow its grammar file")
     return pairs, rest
 
 
@@ -434,9 +435,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except _Exit as exc:
-        return exc.args[0]
-    except _FileFailure as exc:
-        print(f"vlang: {exc}", file=sys.stderr)
+        if exc.args[0] is not None:
+            print(f"vlang: {exc}", file=sys.stderr)
         return exc.exit_code
     except RefusalError as exc:
         print(f"vlang: {exc}", file=sys.stderr)

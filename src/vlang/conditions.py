@@ -8,9 +8,9 @@ id.  CD and CDSimp share the class-diagram conditions:
   CC-single-inheritance-syntactic (optional) at most one super per class
 
 Non-optional conditions always apply; optional ones are selected by id.
-Each condition is a total predicate yielding a possibly empty violation
-list; violations are reported deterministically, ordered by (condition id,
-source position).
+A condition's id is its key alone: its check is a total predicate yielding
+the (node, message) pairs it finds, which `check_context_conditions` reports
+under that key, ordered by (condition id, source position).
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ class CCViolation(NamedTuple):
 
 
 class ContextCondition(NamedTuple):
-    id: str
     optional: bool
-    check: Callable[[list[AstNode]], list[CCViolation]]
+    check: Callable[[list[AstNode]], Iterable[tuple[AstNode, str]]]
 
 
 def _violation(cc_id: str, node: AstNode, message: str) -> CCViolation:
@@ -47,60 +46,34 @@ def _violation(cc_id: str, node: AstNode, message: str) -> CCViolation:
     return CCViolation(cc_id, line, col, message)
 
 
-def _cc_unique_class_names(classes: list[AstNode]) -> list[CCViolation]:
+def _cc_unique_class_names(classes: list[AstNode]) -> Iterable[tuple[AstNode, str]]:
     seen: set[str] = set()
-    violations = []
     for c in classes:
         name = c.fields["Name"]
         if name in seen:
-            violations.append(
-                _violation("CC-unique-class-names", c, f"duplicate class name {name}")
-            )
+            yield c, f"duplicate class name {name}"
         seen.add(name)
-    return violations
 
 
-def _cc_supers_declared(classes: list[AstNode]) -> list[CCViolation]:
+def _cc_supers_declared(classes: list[AstNode]) -> Iterable[tuple[AstNode, str]]:
     declared = {c.fields["Name"] for c in classes}
-    return [
-        _violation(
-            "CC-supers-declared", c, f"class {c.fields['Name']} extends undeclared class {s}"
-        )
-        for c in classes
-        for s in class_supers(c)
-        if s not in declared
-    ]
+    for c in classes:
+        for s in class_supers(c):
+            if s not in declared:
+                yield c, f"class {c.fields['Name']} extends undeclared class {s}"
 
 
-def _cc_single_inheritance(classes: list[AstNode]) -> list[CCViolation]:
-    violations = []
+def _cc_single_inheritance(classes: list[AstNode]) -> Iterable[tuple[AstNode, str]]:
     for c in classes:
         supers = class_supers(c)
         if len(supers) > 1:
-            message = f"class {c.fields['Name']} has {len(supers)} super-classes"
-            violations.append(_violation("CC-single-inheritance-syntactic", c, message))
-    return violations
+            yield c, f"class {c.fields['Name']} has {len(supers)} super-classes"
 
 
 _CLASS_DIAGRAM = {
-    cc.id: cc
-    for cc in (
-        ContextCondition(
-            "CC-unique-class-names",
-            optional=False,
-            check=_cc_unique_class_names,
-        ),
-        ContextCondition(
-            "CC-supers-declared",
-            optional=True,
-            check=_cc_supers_declared,
-        ),
-        ContextCondition(
-            "CC-single-inheritance-syntactic",
-            optional=True,
-            check=_cc_single_inheritance,
-        ),
-    )
+    "CC-unique-class-names": ContextCondition(optional=False, check=_cc_unique_class_names),
+    "CC-supers-declared": ContextCondition(optional=True, check=_cc_supers_declared),
+    "CC-single-inheritance-syntactic": ContextCondition(optional=True, check=_cc_single_inheritance),
 }
 
 CONDITIONS: dict[str, dict[str, ContextCondition]] = {
@@ -125,9 +98,11 @@ def check_context_conditions(
             raise UnknownConditionError(
                 f"unknown context condition {cc_id} for language {grammar.name}"
             )
-        checks.append(condition.check)
+        checks.append((cc_id, condition.check))
     if not checks:
         return []
     check_statements(grammar.schema, grammar.start_production, CLASS_FIELDS, RefusalError)
     classes = statement_nodes(node)
-    return sorted(v for check in checks for v in check(classes))
+    return sorted(
+        _violation(cc_id, c, message) for cc_id, check in checks for c, message in check(classes)
+    )

@@ -3,8 +3,9 @@
 `EXPANDERS` binds each sugar datatype of a language, keyed by (grammar name,
 datatype), to its expander, the fields it reads and the production and fields
 it builds; the bundled CD language has one, `classes A, B;` to plain classes.
-Each desugaring first checks these against the grammar's schema, so that an
-expander reads fields directly and builds nodes of the schema.  Desugaring
+A grammar's `desugarer` checks these against its schema once, so that an
+expander reads fields directly and builds nodes of the schema; a command
+desugars each grammar's models through one desugarer.  Desugaring
 walks an AST bottom-up, replaces every sugar node by its expansion, and
 splices expansions into the surrounding list.  It rebuilds only the nodes
 on a path to a sugar node and shares every other subtree with its input,
@@ -65,6 +66,13 @@ def desugar_to_minimal(node: AstNode, grammar: GrammarDef) -> AstNode:
     are rebuilt, and only those of a datatype that may hold one are visited:
     every other subtree of the result is the input's own, and a tree without
     sugar is returned as it is."""
+    return desugarer(grammar)(node)
+
+
+def desugarer(grammar: GrammarDef) -> Callable[[AstNode], AstNode]:
+    """`desugar_to_minimal` of the models of `grammar`, as a function of the
+    model alone: the expanders are bound, and the datatypes that may hold
+    sugar worked out, once."""
     sugar = grammar.sugar_bases()
     expanders = bound_expanders(grammar)
     # The datatypes whose nodes may hold a sugar node: the sugar datatypes,
@@ -111,7 +119,8 @@ def desugar_to_minimal(node: AstNode, grammar: GrammarDef) -> AstNode:
                 )
             return nodes[0]
         if isinstance(value, list):
-            # Copied from the first item that changes on.
+            # Copied from the first item that changes on.  A list holds
+            # nodes only or IDENTs only: a label has one target.
             out: list[object] | None = None
             for i, item in enumerate(value):
                 if isinstance(item, AstNode):
@@ -120,12 +129,13 @@ def desugar_to_minimal(node: AstNode, grammar: GrammarDef) -> AstNode:
                         out = value[:i]
                     if out is not None:
                         out.extend(nodes)
-                elif out is not None:
-                    out.append(item)
             return value if out is None else out
         return value
 
-    nodes = rewrite(node)
-    if len(nodes) != 1:
-        raise DesugarError("the root node may not be an abbreviation")
-    return nodes[0]
+    def desugar(node: AstNode) -> AstNode:
+        nodes = rewrite(node)
+        if len(nodes) != 1:
+            raise DesugarError("the root node may not be an abbreviation")
+        return nodes[0]
+
+    return desugar

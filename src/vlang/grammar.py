@@ -76,30 +76,14 @@ class GrammarError(SourceError):
 
 
 class _TooDeep(Exception):
-    """Internal: the reader passed the recursion limit in the group opened
-    at token index ``args[0]``."""
+    """Internal: a reader passed the recursion limit at token index
+    ``args[0]``: the grammar reader's in the group opened there, the model
+    parser's in the node that starts there."""
 
 
 # ---------------------------------------------------------------------------
 # Grammar model
 # ---------------------------------------------------------------------------
-
-class Marker:
-    """A record without fields: equal to, and hashing like, the instances
-    of its own class only (a field-less `NamedTuple` would equal `()` and
-    every other one)."""
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self)
-
-    def __hash__(self) -> int:
-        return hash(type(self))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
-
 
 class Terminal(NamedTuple):
     text: str
@@ -132,8 +116,21 @@ class Group(NamedTuple):
     cardinality: str  # "once" | "optional" | "star"
 
 
-class StereotypeSlot(Marker):
+class StereotypeSlot:
+    """The stereotype slot ``<<?>>``.  A record without fields: equal to,
+    and hashing like, the other slots only (a field-less `NamedTuple` would
+    equal `()` and every other one)."""
+
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self)
+
+    def __hash__(self) -> int:
+        return hash(type(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
 
 
 Element = Union[Terminal, TerminalSynonyms, NonterminalRef, Group, StereotypeSlot]

@@ -41,6 +41,7 @@ from .grammar import (
     Production,
     Terminal,
     TerminalSynonyms,
+    _TooDeep,
 )
 from .lexer import SourceError, Tokens, scan
 from .schema import STEREOTYPE_FIELD, AstNode
@@ -63,11 +64,6 @@ def tokenize_model(grammar: GrammarDef, source: str) -> Tokens:
 
 class _Backtrack(Exception):
     """Internal: current alternative failed; recovery decided by the caller."""
-
-
-class _TooDeep(Exception):
-    """Internal: the descent passed the recursion limit in the node that
-    starts at token index ``args[0]``."""
 
 
 _Fields = dict[str, list[object]]

@@ -375,15 +375,16 @@ def _populations(
     classes: tuple[str, ...], max_objects: int, demands: Demands
 ) -> list[tuple[tuple[str, ...], tuple[Pair, ...]]]:
     """Every non-empty (objects, class assignment) over `classes` within the
-    object bound and the demanded caps, canonically."""
+    object bound and the demanded caps, canonically.  An assignment lists
+    its objects by name (o1, o10, o2, ...), so over the sorted `classes` the
+    product's order is the sorted order of the assignments."""
     populations = []
     for count in range(1, max_objects + 1):
         objects = tuple(f"o{i}" for i in range(1, count + 1))
+        names = sorted(objects)
         populations += [
             (objects, class_of)
-            for class_of in sorted(
-                tuple(sorted(zip(objects, chosen))) for chosen in product(classes, repeat=count)
-            )
+            for class_of in (tuple(zip(names, chosen)) for chosen in product(classes, repeat=count))
             if demands.caps_hold(class_of)
         ]
     return populations

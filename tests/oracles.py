@@ -24,7 +24,7 @@ from itertools import chain, combinations, islice, product, zip_longest
 from pathlib import Path
 from typing import Callable, Container, Iterable, NamedTuple
 
-from vlang.cli import _FileFailure
+from vlang.cli import _Exit
 from vlang.desugar import DesugarError, bound_expanders
 from vlang.features import (
     FEATURE_KINDS,
@@ -352,6 +352,24 @@ def oracle_preorders(
         placed.append(x)
     relations.sort(key=lambda sub: (len(sub), sub))
     return relations
+
+
+def oracle_populations(
+    classes: tuple[str, ...], max_objects: int, demands: Demands
+) -> list[tuple[tuple[str, ...], tuple[Pair, ...]]]:
+    """`sysmodel._populations` as it was before it read the canonical order
+    off the product: each object count's every assignment, sorted."""
+    populations = []
+    for count in range(1, max_objects + 1):
+        objects = tuple(f"o{i}" for i in range(1, count + 1))
+        populations += [
+            (objects, class_of)
+            for class_of in sorted(
+                tuple(sorted(zip(objects, chosen))) for chosen in product(classes, repeat=count)
+            )
+            if demands.caps_hold(class_of)
+        ]
+    return populations
 
 
 def oracle_enumerate(bounds: Bounds, required, predicate, triples: frozenset[Attr] = frozenset()):
@@ -759,7 +777,7 @@ def oracle_read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _FileFailure(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
+        raise _Exit(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import golden, zeroed_counts
 from oracles import oracle_read
-from vlang import bundled, cli, features, semantics
+from vlang import bundled, cli, desugar, features, semantics
 from vlang.cli import build_parser, main
 from vlang.sysmodel import Demands
 
@@ -987,6 +987,23 @@ def test_hooks_bound_to_a_reused_name_refuse_a_missing_field(
     assert _run(capsys, *args) == (2, "", f"vlang: {message}\n")
 
 
+def test_analyze_binds_a_grammars_expanders_once_at_its_first_model(workspace, capsys, monkeypatch):
+    grammars = []
+    bound_expanders = desugar.bound_expanders
+    monkeypatch.setattr(desugar, "bound_expanders", lambda g: grammars.append(g.name) or bound_expanders(g))
+    files = [str(workspace / n) for n in ("example.fd", "sm.conf", "cd.conf")]
+    cd, sugar, plain, broken = (str(workspace / n) for n in ("cd.mclang", "sugar.cd", "abs.cd", "broken.cd"))
+    code, out, _ = _run(capsys, "analyze", "refine", cd, sugar, plain, *files)
+    assert (code, out.startswith("RESULT holds=true kind=refine "), grammars) == (0, True, ["CD"])
+    # A grammar the expander cannot bind is refused after its first model
+    # parses, and before the next one is read.
+    (workspace / "h.mclang").write_text(bundled.CD_GRAMMAR_TEXT.replace("<<?>> ", ""))
+    refine = ["analyze", "refine", str(workspace / "h.mclang")]
+    code, out, err = _run(capsys, *refine, broken, plain, *files)
+    assert (code, out, err.startswith(f"vlang: {broken}:")) == (2, "", True)
+    assert _run(capsys, *refine, plain, broken, *files) == (2, "", f"vlang: {_EXPANSION}\n")
+
+
 _SCL = 'CDCClass field scl is "Sup option", expected "IDENT list" or "IDENT option"'
 _NAME = 'CDCClass field Name is "IDENT option", expected IDENT'
 
@@ -1055,7 +1072,7 @@ _READ_PIECES = [
 def _read_outcome(read, path):
     try:
         return read(path)
-    except cli._FileFailure as exc:
+    except cli._Exit as exc:
         return str(exc), exc.exit_code
 
 

@@ -18,6 +18,7 @@ from oracles import (
     make_system,
     oracle_base_valid,
     oracle_enumerate,
+    oracle_populations,
     oracle_preorders,
     structurally_valid,
 )
@@ -462,6 +463,16 @@ def test_populations_are_formed_after_the_first_frame(monkeypatch):
     assert not calls
     assert next(systems).objects == ("o1",)
     assert calls
+
+
+@pytest.mark.parametrize("classes, max_objects, singletons", [
+    ("A", 11, ""), ("AB", 10, ""), ("AB", 11, ""), ("AB", 11, "B"), ("ABC", 3, "AC"),
+])
+def test_populations_are_the_sorted_assignments(classes, max_objects, singletons):
+    # From o10 on the objects' names no longer sort in numeric order.
+    demands = Demands(frozenset(classes), singletons=frozenset(singletons))
+    got = sysmodel._populations(tuple(classes), max_objects, demands)
+    assert got == oracle_populations(tuple(classes), max_objects, demands)
 
 
 def _restrict(sm: SystemModelLite, kept: set[str]) -> SystemModelLite:
