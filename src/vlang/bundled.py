@@ -11,8 +11,8 @@ Three grammars ship with the workbench (parse them with
   CDAssert  subclass assertion documents with statements "sub A B;" and
             "no sub A B;", used to exercise multi-language composition.
 
-The hooks these languages use are bound by grammar name where they are
-read: the CD abbreviation expander in `desugar.EXPANDERS`, the class-diagram
+The hooks these languages use are bound by root datatype where they are
+read: the class-list expander in `desugar.EXPANDERS`, the class-diagram
 context conditions in `conditions.CONDITIONS`.
 
 The fixture texts mirror the running example: a semantic-domain diagram with

@@ -161,7 +161,8 @@ def _cmd_wf(args) -> int:
 
     grammar = _parsed(parse_grammar, args.grammar)
     node = desugar_to_minimal(_parsed(parse_model, args.model, grammar), grammar)
-    active = {cc_id for cc_id, cc in CONDITIONS.get(grammar.name, {}).items() if not cc.optional}
+    conditions = CONDITIONS.get(grammar.start_production, {})
+    active = {cc_id for cc_id, cc in conditions.items() if not cc.optional}
     if args.cc:
         active.update(s for s in args.cc.split(",") if s)
     violations = check_context_conditions(node, active, grammar)

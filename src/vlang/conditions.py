@@ -1,7 +1,7 @@
 """Context conditions: configurable well-formedness checks over minimal ASTs.
 
-`CONDITIONS` binds each language (grammar name) to its conditions, keyed by
-id.  CD and CDSimp share the class-diagram conditions:
+`CONDITIONS` binds each language, by its root datatype, to its conditions,
+keyed by id.  Class diagrams (a `CDDefinition` root: CD and CDSimp) have:
 
   CC-unique-class-names           (always active) class names unique
   CC-supers-declared              (optional) every super is a declared class
@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .grammar import GrammarDef
 from .lexer import RefusalError
-from .schema import CLASS_FIELDS, AstNode, check_statements, class_supers, statement_nodes
+from .schema import AstNode, check_statements, class_supers, statement_nodes
 
 
 class UnknownConditionError(RefusalError):
@@ -70,27 +70,24 @@ def _cc_single_inheritance(classes: list[AstNode]) -> Iterable[tuple[AstNode, st
             yield c, f"class {c.fields['Name']} has {len(supers)} super-classes"
 
 
-_CLASS_DIAGRAM = {
-    "CC-unique-class-names": ContextCondition(optional=False, check=_cc_unique_class_names),
-    "CC-supers-declared": ContextCondition(optional=True, check=_cc_supers_declared),
-    "CC-single-inheritance-syntactic": ContextCondition(optional=True, check=_cc_single_inheritance),
-}
-
 CONDITIONS: dict[str, dict[str, ContextCondition]] = {
-    "CD": _CLASS_DIAGRAM,
-    "CDSimp": _CLASS_DIAGRAM,
+    "CDDefinition": {
+        "CC-unique-class-names": ContextCondition(optional=False, check=_cc_unique_class_names),
+        "CC-supers-declared": ContextCondition(optional=True, check=_cc_supers_declared),
+        "CC-single-inheritance-syntactic": ContextCondition(optional=True, check=_cc_single_inheritance),
+    },
 }
 
 
 def check_context_conditions(
     node: AstNode, active: Iterable[str], grammar: GrammarDef
 ) -> list[CCViolation]:
-    """Run the given conditions of the grammar's language on a minimal AST
-    parsed by `grammar`, and return all violations in deterministic order.
-    Before any runs, the grammar's class statements are checked once for the
-    fields the conditions read (`schema.CLASS_FIELDS`); a grammar without
-    them is refused with `lexer.RefusalError`."""
-    conditions = CONDITIONS.get(grammar.name, {})
+    """Run the given conditions of the grammar's language (its root
+    datatype) on a minimal AST parsed by `grammar`, and return all
+    violations in deterministic order.  Before any runs, the grammar's
+    statements are checked once for the fields the conditions read
+    (`schema.check_statements`)."""
+    conditions = CONDITIONS.get(grammar.start_production, {})
     checks = []
     for cc_id in sorted(set(active)):
         condition = conditions.get(cc_id)
@@ -101,7 +98,7 @@ def check_context_conditions(
         checks.append((cc_id, condition.check))
     if not checks:
         return []
-    check_statements(grammar.schema, grammar.start_production, CLASS_FIELDS, RefusalError)
+    check_statements(grammar.schema, grammar.start_production)
     classes = statement_nodes(node)
     return sorted(
         _violation(cc_id, c, message) for cc_id, check in checks for c, message in check(classes)

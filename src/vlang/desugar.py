@@ -1,8 +1,8 @@
 """Elimination of abbreviation (sugar) constructs from parsed ASTs.
 
-`EXPANDERS` binds each sugar datatype of a language, keyed by (grammar name,
-datatype), to its expander, the fields it reads and the production and fields
-it builds; the bundled CD language has one, `classes A, B;` to plain classes.
+`EXPANDERS` binds each sugar datatype of a language, keyed by (root datatype,
+sugar datatype), to its expander, the fields it reads and the production and
+fields it builds; class diagrams have one, `classes A, B;` to plain classes.
 A grammar's `desugarer` checks these against its schema once, so that an
 expander reads fields directly and builds nodes of the schema; a command
 desugars each grammar's models through one desugarer.  Desugaring
@@ -35,12 +35,13 @@ def _expand_class_list(node: AstNode) -> list[AstNode]:
     ]
 
 
-# (grammar name, sugar datatype) -> the fields its expander reads, the
+# (root datatype, sugar datatype) -> the fields its expander reads, the
 # production it expands to with exactly the fields it builds, and the expander.
 EXPANDERS: dict[tuple[str, str], tuple[Signature, str, frozenset[SchemaField], Expander]] = {
-    ("CD", "CDCClasses"): ({"names": ("IDENT list",)}, "CDCClass",
-                           frozenset({SchemaField("Name", "IDENT"), SchemaField("scl", "IDENT", "list"),
-                                      SchemaField("stereotypes", "IDENT", "set")}), _expand_class_list),
+    ("CDDefinition", "CDCClasses"): (
+        {"names": ("IDENT list",)}, "CDCClass",
+        frozenset({SchemaField("Name", "IDENT"), SchemaField("scl", "IDENT", "list"),
+                   SchemaField("stereotypes", "IDENT", "set")}), _expand_class_list),
 }
 
 
@@ -49,10 +50,10 @@ def bound_expanders(grammar: GrammarDef) -> dict[str, Expander]:
     once what it reads and builds matches the schema (see `EXPANDERS`)."""
     bound = {}
     for datatype, base in grammar.sugar_bases().items():
-        row = EXPANDERS.get((grammar.name, datatype))
+        row = EXPANDERS.get((grammar.start_production, datatype))
         if row is not None:
             reads, target, builds, expander = row
-            check_fields(grammar.schema, datatype, reads, DesugarError)
+            check_fields(grammar.schema, datatype, reads)
             if base != target or set(grammar.schema.datatype(base).fields) != builds:
                 fields = ", ".join(f"{f.label}: {field_type(f)}" for f in sorted(builds))
                 raise DesugarError(f"{datatype} must be sugar for {target}({fields})")

@@ -101,10 +101,9 @@ class Tokens:
     without its quotes).  The source kept is the one scanned, its comments
     blanked, so it has the same offsets and lines.  Start offsets are found
     on demand, by finding the tokens in the source again up to the one asked
-    for (`locate`), or all of them (`starts`); the table of line starts
-    behind `where` is computed on first read.  The "eof" token starts at
-    `end`: the end of the source, or the comment that ends it.  `fail`
-    makes the format's `error` at a token."""
+    for (`locate`); the table of line starts behind `where` is computed on
+    first read.  The "eof" token starts at `end`: the end of the source, or
+    the comment that ends it.  `fail` makes the format's `error` at a token."""
 
     __slots__ = (
         "kinds", "texts", "error", "_source", "_regex", "_end", "_starts", "_found", "_lines"
@@ -140,11 +139,6 @@ class Tokens:
             if len(starts) < n:
                 starts.append(self._end)
         return starts
-
-    @property
-    def starts(self) -> list[int]:
-        """Each token's start offset."""
-        return self._starts_to(len(self.kinds))
 
     def where(self, offset: int) -> tuple[int, int]:
         """The 1-based line and column of a source offset."""

@@ -15,18 +15,21 @@ document, one ``datatype <Name> = <Name> <argument types>`` line per
 production, dependencies first.  It is deterministic and used for golden
 tests.
 
-The hooks a language binds by name (expanders, context conditions, the
-mapping compile) declare the fields they read as a `Signature` in the same
-words.  `check_fields` checks a schema against one once per command; the
-hooks then read the fields of the nodes a parse gives directly.  The
-class-diagram hooks share `CLASS_FIELDS`, checked on a model's statements
-by `check_statements`, and read them with `statement_nodes` and
-`class_supers`.
+A language's hooks (expanders, context conditions, the mapping compile)
+are bound by its root datatype, and declare the fields they read as a
+`Signature` in the same words.  `check_fields` checks a schema against one
+once per command, and refuses a mismatch with `SignatureError`; the hooks
+then read the fields of the nodes a parse gives directly.  Each language's
+statement fields, which its conditions and its compile share, are one row
+of `STATEMENT_FIELDS`, checked on a model's statements by
+`check_statements` and read with `statement_nodes` and `class_supers`.
 """
 
 from __future__ import annotations
 
 from typing import Callable, NamedTuple
+
+from .lexer import RefusalError
 
 IDENT_TOKEN = "IDENT"  # the target of an identifier field
 STEREOTYPE_FIELD = "stereotypes"
@@ -167,51 +170,55 @@ class AstNode:
         return f"AstNode({self.datatype!r}, {self.fields!r}, pos={self.pos!r})"
 
 
-def check_fields(
-    schema: AstSchema, datatype: str, signature: Signature, error: type[Exception]
-) -> None:
-    """Refuse with `error` a `datatype` of `schema` whose fields do not match
-    `signature`: each field it names must have one of the types listed for
-    it, or be absent where None is listed.  A parse conforms to its
-    grammar's schema, so a hook that checks the schema once, when a command
-    binds it, reads its nodes' fields directly."""
+class SignatureError(RefusalError):
+    """A schema without a field of the type a hook reads."""
+
+
+def check_fields(schema: AstSchema, datatype: str, signature: Signature) -> None:
+    """Refuse a `datatype` of `schema` whose fields do not match `signature`:
+    each field it names must have one of the types listed for it, or be
+    absent where None is listed.  A parse conforms to its grammar's schema,
+    so a hook that checks the schema once, when a command binds it, reads
+    its nodes' fields directly."""
     fields = {f.label: f for f in schema.datatype(datatype).fields}
     for label, types in signature.items():
         field = fields.get(label)
         if field is None:
             if None not in types:
-                raise error(f"{datatype} has no field {label}")
+                raise SignatureError(f"{datatype} has no field {label}")
         elif _words(field) not in types:
             expected = " or ".join(_quoted(t) for t in types if t is not None)
-            raise error(f"{datatype} field {label} is {field_type(field)}, expected {expected}")
+            raise SignatureError(f"{datatype} field {label} is {field_type(field)}, expected {expected}")
 
 
-# The fields the class-diagram hooks (context conditions, the mapping
-# compile) read of a class statement: its name, its supers (`("extends"
-# scl:IDENT)?` holds one name, not a list) and its stereotypes.
-CLASS_FIELDS: Signature = {
-    "Name": ("IDENT",),
-    "scl": ("IDENT list", "IDENT option", None),
-    "stereotypes": ("IDENT set", None),
+# Root datatype -> the fields its language's hooks (context conditions, the
+# mapping compile) read of a statement.  A class statement has its name,
+# its supers (`("extends" scl:IDENT)?` holds one name, not a list) and its
+# stereotypes; a subclass assertion its two sides.
+STATEMENT_FIELDS: dict[str, Signature] = {
+    "CDDefinition": {
+        "Name": ("IDENT",),
+        "scl": ("IDENT list", "IDENT option", None),
+        "stereotypes": ("IDENT set", None),
+    },
+    "AssertionDoc": {"left": ("IDENT",), "right": ("IDENT",)},
 }
 
 
-def check_statements(
-    schema: AstSchema, root: str, signature: Signature, error: type[Exception]
-) -> None:
-    """Refuse with `error` a `root` datatype of `schema` unless it has
-    exactly one list field, of a production (its statements) whose fields
-    match `signature` (`check_fields`)."""
+def check_statements(schema: AstSchema, root: str) -> None:
+    """Refuse a `root` datatype of `schema` unless it has exactly one list
+    field, of a production (its statements) whose fields match the root's
+    row of `STATEMENT_FIELDS` (`check_fields`)."""
     lists = [f for f in schema.datatype(root).fields if f.card == "list"]
     if len(lists) != 1:
-        raise error(f"{root} has {len(lists)} list fields, expected exactly one")
+        raise SignatureError(f"{root} has {len(lists)} list fields, expected exactly one")
     (statements,) = lists
     if statements.target == IDENT_TOKEN:
-        raise error(
+        raise SignatureError(
             f"{root} field {statements.label} is {field_type(statements)}, "
             "expected a production list"
         )
-    check_fields(schema, statements.target, signature, error)
+    check_fields(schema, statements.target, STATEMENT_FIELDS[root])
 
 
 def statement_nodes(root: AstNode) -> list[AstNode]:

@@ -16,12 +16,12 @@ mSuperClasses in `MAPPING_VARIANTS`; two are bundled:
                      further super S is reached through a delegation
                      attribute dlg_S of target S on the class.
 
-A language's compile is bound by the root datatype of its models, and
-reads the fields of their statements directly.  `check_semantics` checks a
-grammar's schema once per command for the fields the compile reads
-(`schema.CLASS_FIELDS`, `ASSERTION_FIELDS`); a model whose grammar has not
-passed it must not reach the mappings, `demands_of`, `query` or
-`compute_sem`.
+A language's compile is bound by its root datatype, the datatype of its
+models, and reads the fields of their statements directly.
+`check_semantics` checks a grammar's schema once per command for the
+fields the compile reads (its root's row of `schema.STATEMENT_FIELDS`); a
+model whose grammar has not passed it must not reach the mappings,
+`demands_of`, `query` or `compute_sem`.
 
 A model is compiled once per `query` into a `sysmodel.Demands` record: the
 classes that must exist, the `sub` pairs that must and must not be present,
@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .features import Configuration, FeatureDiagram
 from .lexer import RefusalError
-from .schema import CLASS_FIELDS, AstNode, Signature, check_statements, class_supers, statement_nodes
+from .schema import AstNode, check_statements, class_supers, statement_nodes
 from .sysmodel import Bounds, Demands, SystemModelLite, enumerate_systems, variants_valid
 
 if TYPE_CHECKING:
@@ -118,11 +118,6 @@ def super_mapping_for(config: Configuration) -> SuperMapping:
             + ", ".join(selected)
         )
     return functions[0]
-
-
-# The fields an assertion compile reads of a (possibly negated) subclass
-# statement; a class diagram's compile reads `schema.CLASS_FIELDS`.
-ASSERTION_FIELDS: Signature = {"left": ("IDENT",), "right": ("IDENT",)}
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +240,17 @@ def bound_domain_features(diagram: FeatureDiagram, config: Configuration) -> lis
     )
 
 
-# Root datatype -> the fields its statements must have, and the compile of
-# its language: (model, config) -> Demands.  Adding a language means adding
-# a row.
-_Language = tuple[Signature, Callable[[AstNode, SemanticsConfig], Demands]]
-_LANGUAGES: dict[str, _Language] = {
-    "CDDefinition": (
-        CLASS_FIELDS,
-        lambda model, config: map_diagram(model, super_mapping_for(config.mapping_config)),
-    ),
-    "AssertionDoc": (ASSERTION_FIELDS, lambda model, config: map_assertions(model)),
+# Root datatype -> the compile of its language: (model, config) -> Demands.
+# Adding a language means adding a row here and in `schema.STATEMENT_FIELDS`.
+_COMPILES: dict[str, Callable[[AstNode, SemanticsConfig], Demands]] = {
+    "CDDefinition": lambda model, config: map_diagram(model, super_mapping_for(config.mapping_config)),
+    "AssertionDoc": lambda model, config: map_assertions(model),
 }
 
 
-def _registered(root: str) -> _Language:
+def _compile(root: str) -> Callable[[AstNode, SemanticsConfig], Demands]:
     try:
-        return _LANGUAGES[root]
+        return _COMPILES[root]
     except KeyError:
         raise SemanticsError(f"no semantics registered for {root} models") from None
 
@@ -269,15 +259,15 @@ def check_semantics(grammar: GrammarDef) -> None:
     """Refuse a grammar whose models have no semantics, or whose statements
     lack a field of the type its compile reads (`check_statements`).  Each
     command checks a model's grammar once, before it compiles the model."""
-    root = grammar.start_production
-    check_statements(grammar.schema, root, _registered(root)[0], SemanticsError)
+    _compile(grammar.start_production)
+    check_statements(grammar.schema, grammar.start_production)
 
 
 def demands_of(model: AstNode, config: SemanticsConfig) -> Demands:
     """What the model demands of a system under the configured mapping,
     compiled once for the query.  The model's grammar must pass
     `check_semantics`."""
-    return _registered(model.datatype)[1](model, config)
+    return _compile(model.datatype)(model, config)
 
 
 def query(

@@ -17,12 +17,13 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # enumeration oracles in test_sysmodel.py and test_differential.py, the
 # full-scan and first-system comparisons in test_analysis.py, the validator
 # comparison in test_features.py, the diagram-mapping comparison in
-# test_semantics.py; the parser soups, the parser and reader comparisons
-# and the model-vocabulary comparison of test_parser_fuzz.py, the scanner
-# and position comparisons of test_lexer.py, the desugarer comparison of
-# test_desugar.py and the violation-position comparisons of
-# test_conditions.py draw five times as many, and so does the file-read
-# comparison of test_cli.py, a module CI runs at the default profile only).
+# test_semantics.py, the command-line soups of test_parser_fuzz.py; the
+# parser soups, the parser and reader comparisons and the model-vocabulary
+# comparison of test_parser_fuzz.py, the scanner and position comparisons
+# of test_lexer.py, the desugarer comparison of test_desugar.py and the
+# violation-position comparisons of test_conditions.py draw five times as
+# many, and so does the file-read comparison of test_cli.py, a module CI
+# runs at the default profile only).
 # Pick one with `pytest --hypothesis-profile=deep`.
 settings.register_profile("default", max_examples=60)
 settings.register_profile("deep", max_examples=600)

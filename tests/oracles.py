@@ -497,7 +497,7 @@ class Token(NamedTuple):
 
 def token_rows(tokens: Tokens) -> list[Token]:
     """The columns `vlang.lexer.scan` returns, one record per token."""
-    rows = zip(tokens.kinds, tokens.texts, map(tokens.where, tokens.starts))
+    rows = zip(tokens.kinds, tokens.texts, map(tokens.locate, range(len(tokens.kinds))))
     return [Token(kind, text, *where) for kind, text, where in rows]
 
 

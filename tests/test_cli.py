@@ -917,17 +917,19 @@ _SUP = (bundled.CDSIMP_GRAMMAR_TEXT.replace('scl:IDENT ("," scl:IDENT)*', "scl:S
 @pytest.mark.parametrize(
     "grammar, model, argv, message",
     [
-        (f"grammar CDSimp {{ {ITEMS} }}", "d X { item a; }", ["wf"],
+        (f"grammar Mine {{ {ITEMS.replace('D =', 'CDDefinition =')} }}", "d X { item a; }", ["wf"],
          "Item has no field Name"),
         (f"grammar Mine {{ {ITEMS.replace('D =', 'CDDefinition =')} }}", "d X { item a; }",
          ["sem"], "Item has no field Name"),
         (f"grammar Mine {{ {ITEMS.replace('D =', 'AssertionDoc =')} }}", "d X { item a; }",
          ["sem"], "Item has no field left"),
-        (f'grammar CD {{ {ITEMS} sugar CDCClasses for Item = "many" Label:IDENT ";"; }}',
+        (f'grammar Mine {{ {ITEMS.replace("D =", "CDDefinition =")} '
+         'sugar CDCClasses for Item = "many" Label:IDENT ";"; }',
          "d X { many a; }", ["parse", "--minimal"], "CDCClasses has no field names"),
         # The class-list expander builds CDCClass nodes with exactly these
         # fields, so it expands only a sugar for a CDCClass that has them.
-        (f'grammar CD {{ {ITEMS} sugar CDCClasses for Item = "many" names:IDENT ("," names:IDENT)* ";"; }}',
+        (f'grammar Mine {{ {ITEMS.replace("D =", "CDDefinition =")} '
+         'sugar CDCClasses for Item = "many" names:IDENT ("," names:IDENT)* ";"; }',
          "d X { item q; many a, b; }", ["parse", "--minimal"], _EXPANSION),
         (bundled.CD_GRAMMAR_TEXT.replace("<<?>> ", ""), "classdiagram D { classes a, b; }",
          ["parse", "--minimal"], _EXPANSION),
@@ -958,8 +960,8 @@ _SUP = (bundled.CDSIMP_GRAMMAR_TEXT.replace('scl:IDENT ("," scl:IDENT)*', "scl:S
          "classdiagram D { class A extends B; }", ["wf"],
          'CDCClass field scl is IDENT, expected "IDENT list" or "IDENT option"'),
         # Statements that are IDENTs, not nodes with fields.
-        (f"grammar CDSimp {{ {IDENTS} }}", "d X { a b }", ["wf"],
-         'D field x is "IDENT list", expected a production list'),
+        (f"grammar Mine {{ {IDENTS.replace('D =', 'CDDefinition =')} }}", "d X { a b }", ["wf"],
+         'CDDefinition field x is "IDENT list", expected a production list'),
         (f"grammar Mine {{ {IDENTS.replace('D =', 'CDDefinition =')} }}", "d X { a b }", ["sem"],
          'CDDefinition field x is "IDENT list", expected a production list'),
         (f"grammar Mine {{ {IDENTS.replace('D =', 'AssertionDoc =')} }}", "d X { a b }", ["sem"],
@@ -974,17 +976,34 @@ _SUP = (bundled.CDSIMP_GRAMMAR_TEXT.replace('scl:IDENT ("," scl:IDENT)*', "scl:S
 def test_hooks_bound_to_a_reused_name_refuse_a_missing_field(
     workspace, capsys, grammar, model, argv, message
 ):
-    # Hooks are bound by grammar or datatype name; a user grammar reusing the
-    # name with other fields, or with a field of another type than the hook
-    # reads, is refused once, against its schema, before the hook runs: not
-    # crashed on or misread (`classes AB;` as classes A and B, `is
-    # singleton` as the stereotypes s, i, n, ...).
+    # Hooks are bound by root datatype; a user grammar reusing the root with
+    # other fields, or with a field of another type than the hook reads, is
+    # refused once, against its schema, before the hook runs: not crashed on
+    # or misread (`classes AB;` as classes A and B, `is singleton` as the
+    # stereotypes s, i, n, ...).
     (workspace / "h.mclang").write_text(grammar)
     (workspace / "h.txt").write_text(model)
     args = [*argv, str(workspace / "h.mclang"), str(workspace / "h.txt")]
     if argv == ["sem"]:
         args += [str(workspace / n) for n in ("example.fd", "sm.conf", "cd.conf")]
     assert _run(capsys, *args) == (2, "", f"vlang: {message}\n")
+
+
+@pytest.mark.parametrize("grammar, model, argv, want", [
+    (bundled.CDSIMP_GRAMMAR_TEXT.replace("grammar CDSimp", "grammar Mine"),
+     "classdiagram X { class A; class A; }", ["wf"],
+     (1, "CC CC-unique-class-names 1:27 duplicate class name A\n", "")),
+    (bundled.CD_GRAMMAR_TEXT.replace("grammar CD", "grammar Mine"),
+     "classdiagram X { classes A, B; }", ["parse", "--minimal"],
+     (0, "(CDDefinition Name=X classes=[(CDCClass Name=A scl=[] stereotypes={}),"
+         "(CDCClass Name=B scl=[] stereotypes={})])\n", "")),
+    (bundled.CD_GRAMMAR_TEXT.replace("CDDefinition", "D"),
+     "classdiagram X { class A; class A; }", ["wf"], (0, "OK 0 conditions, no violations\n", "")),
+], ids=["conditions-by-root", "expander-by-root", "name-binds-nothing"])
+def test_hooks_follow_the_root_datatype_not_the_grammar_name(workspace, capsys, grammar, model, argv, want):
+    (workspace / "h.mclang").write_text(grammar)
+    (workspace / "h.txt").write_text(model)
+    assert _run(capsys, *argv, str(workspace / "h.mclang"), str(workspace / "h.txt")) == want
 
 
 def test_analyze_binds_a_grammars_expanders_once_at_its_first_model(workspace, capsys, monkeypatch):

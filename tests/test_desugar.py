@@ -8,6 +8,7 @@ from oracles import oracle_desugar
 from vlang import bundled
 from vlang.desugar import DesugarError, desugar_to_minimal
 from vlang.grammar import parse_grammar
+from vlang.lexer import RefusalError
 from vlang.modelparse import ModelParseError, TokenizeError, parse_model
 from vlang.schema import dump_ast
 
@@ -93,7 +94,7 @@ GRAMMARS = {
             '(classes:CDCClass)* "}"', '(classes:CDCClass)* ("main" main:CDCClass)? "}"'
         ),
         "sugar at the root": bundled.CD_GRAMMAR_TEXT.replace(_SUGAR, "").replace("{\n", "{\n" + _SUGAR, 1),
-        "no expander": bundled.CD_GRAMMAR_TEXT.replace("grammar CD", "grammar Other"),
+        "no expander": bundled.CD_GRAMMAR_TEXT.replace("CDDefinition", "Other"),
         "no names field": bundled.CD_GRAMMAR_TEXT.replace("names:", "ns:"),
     }.items()
 }
@@ -117,7 +118,7 @@ def _statements(draw):
 def _outcome(desugar, node, grammar):
     try:
         return dump_ast(desugar(node, grammar))
-    except DesugarError as exc:
+    except RefusalError as exc:
         return type(exc), str(exc)
 
 

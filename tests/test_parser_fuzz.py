@@ -20,9 +20,18 @@ walks gave (`oracles.oracle_parse_grammar`, ...): the same value, or the
 same error at the same line and column.  On the soups, and on random
 grammars, some with several planted defects, so that the first defect
 reported must be the same one.
+
+Every subcommand, run through `cli.main` on soups of the bundled texts and
+on a grammar and a model nested past the readers' limits, ends in exit 0, 1
+or 2, and a failing one's first line on stderr is a documented one.
 """
 
 from __future__ import annotations
+
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +47,7 @@ from oracles import (
     oracle_tokenize_model,
     token_rows,
 )
-from vlang import bundled
+from vlang import bundled, cli
 from vlang.features import (
     FeatureModelError,
     FeatureSyntaxError,
@@ -382,3 +391,121 @@ def test_soups_read_as_the_cursor_reads_them(name):
         _reads_as_the_cursor(name, text)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# Every subcommand through `cli.main`, on soups of the bundled texts
+# ---------------------------------------------------------------------------
+
+def _nested(groups: int) -> str:
+    return "grammar G { A = " + "( " * groups + '"a"' + " )" * groups + "; }"
+
+
+# Each language's grammar and a model of it, and grammars and a model nested
+# past the readers' limits.  Hypothesis runs a test with about 2,000 frames
+# of recursion to spare, twice the interpreter's default: there a grammar
+# nested 600 groups deep is read but too deep to compile for a model, one
+# nested 1,200 deep is too deep to read, and a model nested 1,000 levels deep
+# is too deep to parse.
+_LANGUAGES = [
+    (bundled.CDSIMP_GRAMMAR_TEXT, "classdiagram D { class A extends B; class B; }"),
+    (bundled.CD_GRAMMAR_TEXT, CASES["model"][2]),
+    (bundled.ASSERTION_GRAMMAR_TEXT, "assertions S { no sub A B; sub B A; }"),
+    (_nested(600), "a"),
+    (_nested(1200), "a"),
+    ('grammar N { A = "a" (A)?; }', " ".join(["a"] * 1000)),
+]
+_FIRST_LINES = ("vlang:", "usage:", "generation failed:")
+
+
+@st.composite
+def _spliced(draw, document: str, vocabulary: list[str]):
+    """`document` whole (half the time), or cut short or with up to two of
+    its words replaced, followed or replaced by up to four tokens of
+    `vocabulary`."""
+    how = draw(st.sampled_from(["whole", "whole", "cut", "splice"]))
+    if how == "whole":
+        return document
+    words = document.split()
+    i = draw(st.integers(0, len(words)))
+    j = len(words) if how == "cut" else draw(st.integers(i, min(i + 2, len(words))))
+    middle = draw(st.lists(st.sampled_from(vocabulary), max_size=4))
+    return " ".join(words[:i] + middle + words[j:]) + "\n"
+
+
+@st.composite
+def _languages(draw):
+    grammar, model = draw(st.sampled_from(_LANGUAGES))
+    models = [draw(_spliced(model, CASES["model"][3])) for _ in range(2)]
+    return draw(_spliced(grammar, CASES["grammar"][3])), models
+
+
+def _class_names(languages) -> int:
+    """An upper bound on the classes the models name: their IDENT tokens."""
+    names = set()
+    for grammar_text, models in languages:
+        try:
+            grammar = parse_grammar(grammar_text)
+            for text in models:
+                tokens = tokenize_model(grammar, text)
+                names.update(t for k, t in zip(tokens.kinds, tokens.texts) if k == "ident")
+        except SourceError:
+            pass
+    return len(names)
+
+
+@settings(deadline=None, derandomize=True)
+@given(
+    st.lists(_languages(), min_size=2, max_size=2),
+    _spliced(bundled.EXAMPLE_FD_TEXT, CASES["feature diagrams"][3]),
+    _spliced(bundled.DOMAIN_CONF_TEXT + bundled.MAPPING_CONF_TEXT, CASES["configurations"][3]),
+    st.fixed_dictionaries({
+        "--cc": st.sampled_from(["", "CC-supers-declared", "CC-single-inheritance-syntactic,CC-x"]),
+        "--max-objects": st.sampled_from(["0", "1", "2", "-1", "x"]),
+        "--extra-classes": st.lists(st.sampled_from(["X", "A", "Y", "x y"]), max_size=2).map(",".join),
+        "--witnesses": st.sampled_from(["0", "2", "-1"]),
+        "analyze": st.sampled_from(["refine", "equiv"]),
+    }),
+)
+def test_every_subcommand_ends_in_an_exit_code(languages, diagram, configurations, flags):
+    """Every command line ends in exit 0, 1 or 2 (argparse's included), and
+    a failing one that writes to stderr starts with a documented first line.
+    The semantic commands run only while the models name at most five
+    classes with the extra ones: the enumeration grows with every class
+    (ROADMAP item 3)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        files = {"d.fd": diagram, "c.conf": configurations}
+        for n, (grammar, models) in enumerate(languages):
+            files[f"g{n}.mclang"] = grammar
+            files.update((f"m{n}{i}.txt", text) for i, text in enumerate(models))
+        for name, text in files.items():
+            (work / name).write_text(text, encoding="utf-8")
+        path = {name: str(work / name) for name in files}
+        g, m, fd, conf = (path[name] for name in ("g0.mclang", "m00.txt", "d.fd", "c.conf"))
+        bounds = ["--max-objects", flags["--max-objects"], "--extra-classes", flags["--extra-classes"]]
+        commands = [
+            ["check-grammar", g],
+            ["parse", g, m],
+            ["parse", g, m, "--minimal"],
+            ["wf", g, m, "--cc", flags["--cc"]],
+            ["fm-check", fd, conf],
+            ["generate", fd, conf, "--out", str(work / "out")],
+        ]
+        extra = len({s for s in flags["--extra-classes"].split(",") if s})
+        if _class_names(languages) + extra <= 5:
+            commands += [
+                ["sem", g, m, fd, conf, *bounds, "--witnesses", flags["--witnesses"]],
+                ["analyze", flags["analyze"], g, m, path["m01.txt"], fd, conf, *bounds],
+                ["analyze", "consistent", g, m, path["g1.mclang"], path["m10.txt"], fd, conf, *bounds],
+            ]
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1, 2), (argv, code, err.getvalue())
+            if code and err.getvalue():
+                assert err.getvalue().startswith(_FIRST_LINES), (argv, err.getvalue())
