@@ -5,14 +5,16 @@
 Run it from the root of a vlang source tree.  It builds the workload's
 operations with `perfbench/workloads.py`, zeroes `vlang.sysmodel.COUNTS`,
 runs one pass of the operations through `vlang.cli.main` in this process,
-and prints the record as one JSON object: the preorders `_preorders` returns
-(`preorders`), the frames `enumerate_systems` offers its frame filter
-(`offered`), the frames the filter accepts (`accepted`), and the
-`first_system` calls that built no preorder list (`least`).  Since
-`first_system` asks `enumerate_systems` for its answer, which offers each
-universe's least frame before it builds preorders, the frames behind `least`
-count in `offered` and `accepted` too.  The counts depend only on the source
-tree, the workload and the seed, not on the machine.
+and prints the record as one JSON object: the preorders `_preorders` builds
+(`preorders`), the placements a domain variant's rule refused while they
+were built or while a universe's least frame was judged (`refused`), the
+frames the enumeration admitted (`accepted`: each frame `enumerate_systems`
+yields, and each preorder `sem` counts), and the `first_system` calls that
+built no preorder list (`least`).  Since `first_system` asks
+`enumerate_systems` for its answer, which judges and yields each universe's
+least frame before it builds preorders, the frames behind `least` count in
+`accepted` too.  The counts depend only on the source tree, the workload and
+the seed, not on the machine.
 """
 
 from __future__ import annotations

@@ -51,7 +51,6 @@ import functools
 import os
 import sys
 import warnings
-from itertools import islice
 
 from .lexer import RefusalError, SourceError
 
@@ -252,9 +251,7 @@ def _cmd_sem(args) -> int:
     config = make_semantics_config(diagrams, merged, _bounds(args))
     check_semantics(grammar)
     sem = _compiled(compute_sem, model, config)
-    members = iter(sem)
-    witnesses = list(islice(members, args.witnesses))
-    count = len(witnesses) + sum(1 for _ in members)
+    count, witnesses = sem.tally(args.witnesses)
     print(f"SEM count={count} bounds={sem.bounds.describe(sem.demands.attrs)}")
     for i, sm in enumerate(witnesses, start=1):
         print(f"WITNESS {i}")

@@ -28,8 +28,10 @@ classes that must exist, the `sub` pairs that must and must not be present,
 the attributes that must be present, and the classes with at most one
 object.  The record is the model's mapping predicate.  Its attributes are
 the only ones its systems carry, and the record bounds, filters and caps
-the enumeration, so a semantics set is one `enumerate_systems` call with the
-domain variants as its frame filter.
+the enumeration.  So a semantics set is one `enumerate_systems` call with
+the placement rules of the selected domain variants, which judge each
+relation while it is built, and its size is one `tally` call, which counts
+the members without walking them.
 
 The semantics set of a model is enumerable within bounds.
 """
@@ -44,7 +46,9 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 from .features import Configuration, FeatureDiagram
 from .lexer import RefusalError
 from .schema import AstNode, check_statements, class_supers, statement_nodes
-from .sysmodel import Bounds, Demands, SystemModelLite, enumerate_systems, variants_valid
+from .sysmodel import (
+    Bounds, Demands, PlacementRule, SystemModelLite, enumerate_systems, tally, variant_rules,
+)
 
 if TYPE_CHECKING:
     from .grammar import GrammarDef
@@ -272,11 +276,12 @@ def demands_of(model: AstNode, config: SemanticsConfig) -> Demands:
 
 def query(
     models: Sequence[AstNode], config: SemanticsConfig
-) -> tuple[list[Demands], Demands, Callable[[SystemModelLite], bool]]:
+) -> tuple[list[Demands], Demands, tuple[PlacementRule, ...]]:
     """A query over `models`: each model's demands, their conjunction and
-    the domain variants.  Each model's grammar must pass `check_semantics`."""
+    the placement rules of the domain variants.  Each model's grammar must
+    pass `check_semantics`."""
     demands = [demands_of(m, config) for m in models]
-    variants = variants_valid(bound_domain_features(config.domain_diagram, config.domain_config))
+    variants = variant_rules(bound_domain_features(config.domain_diagram, config.domain_config))
     return demands, reduce(or_, demands), variants
 
 
@@ -285,15 +290,18 @@ class SemanticsSet:
 
     __slots__ = ("bounds", "demands", "variants")
 
-    def __init__(
-        self, bounds: Bounds, demands: Demands, variants: Callable[[SystemModelLite], bool]
-    ):
+    def __init__(self, bounds: Bounds, demands: Demands, variants: tuple[PlacementRule, ...]):
         self.bounds = bounds
         self.demands = demands
         self.variants = variants
 
     def __iter__(self) -> Iterator[SystemModelLite]:
         return enumerate_systems(self.bounds, self.demands, self.variants)
+
+    def tally(self, k: int) -> tuple[int, list[SystemModelLite]]:
+        """The number of members and the first `k` of them, counted without
+        walking the members (`sysmodel.tally`)."""
+        return tally(self.bounds, self.demands, self.variants, k)
 
 
 def compute_sem(model: AstNode, config: SemanticsConfig) -> SemanticsSet:

@@ -12,43 +12,51 @@ reads only a frame's classes and subclassing, never its attributes or
 objects, and must survive restriction: restricting a frame it accepts to any
 subset of its classes, with the `sub` pairs among them, gives a frame it
 accepts.  Base validity and `SingleInheritance` do.  So a frame carries
-exactly the attributes its query demands: no other attribute set could
-change a variant's verdict.
+exactly the attributes its query demands, and a variant can judge a
+relation one class at a time, as the relation is built: its row of
+`DOMAIN_VARIANTS` is a placement rule, which admits placing a class iff the
+frame over the classes placed so far still meets the predicate.
 
-`enumerate_systems(bounds, demands, valid)` walks the systems within bounds
-that hold a query's `Demands`, in a canonical deterministic order:
-componentwise by cardinality, then lexicographically, over the encoding
-(classes, sub, attrs, objects, class assignment).  Smaller systems come
-first, which makes reported witnesses minimal.  A class universe's least
-frame is its classes, the closure of the demanded `sub` pairs with every
-reflexive pair, and the demanded attrs.  A universe whose least frame is not
-base-valid, within bounds and holding the demands has no such frame and is
-skipped; otherwise the least frame is offered first, the universe's other
-preorders (the only relations base validity admits, cut while they are built
-when they break a bounded pair) only when the caller asks for more, and its
-capped populations after its first accepted frame.  Every frame is thus
-base-valid and holds the demands, so `valid` need only carry the domain
-variants; it is checked once per frame.  The preorders are built as ints,
-pair (classes[i], classes[j]) of the sorted universe at bit n*n-1-(i*n+j), so
-that canonical order is ascending (bit count, -mask); each is decoded to its
-sorted pairs only when the walk reaches it.
+`enumerate_systems(bounds, demands, rules)` walks the systems within bounds
+that hold a query's `Demands` and whose every placement the rules admit, in
+a canonical deterministic order: componentwise by cardinality, then
+lexicographically, over the encoding (classes, sub, attrs, objects, class
+assignment).  Smaller systems come first, which makes reported witnesses
+minimal.  A class universe's least frame is its classes, the closure of the
+demanded `sub` pairs with every reflexive pair, and the demanded attrs.  A
+universe whose least frame is not base-valid, within bounds and holding the
+demands has no such frame and is skipped; otherwise the rules judge the
+least frame by replaying its placements, and it comes first if they admit
+it.  The universe's other preorders (the only relations base validity
+admits, cut while they are built at a placement that breaks a bounded pair
+or that a rule refuses) are built only when the caller asks for more, and
+each frame's capped populations follow it, formed as they are reached.  The
+preorders are built as ints, pair (classes[i], classes[j]) of the sorted
+universe at bit n*n-1-(i*n+j), so that canonical order is ascending (bit
+count, -mask); each is decoded to its sorted pairs only when the walk
+reaches it.
 
-`first_system(bounds, demands, valid)` is the first system of that order,
+`first_system(bounds, demands, rules)` is the first system of that order,
 asked of the demanded classes alone when the query names no other class.
-`COUNTS` adds up their work: preorders built, frames offered and accepted,
-and `first_system` calls that built none (`least`); readers zero it first.
+`tally(bounds, demands, rules, k)` is the number of systems and the first k,
+from one build of each universe's preorders: a universe adds (admitted
+preorders) x (1 + populations), and its populations are counted by formula.
+`COUNTS` adds up their work: preorders built, placements refused, frames
+admitted, and `first_system` calls that built none (`least`); readers zero
+it first.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, islice, product
+from math import comb, perm
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .lexer import IDENT, RefusalError
 
 Pair = tuple[str, str]
 Attr = tuple[str, str, str]  # (owner class, attribute name, target class)
-COUNTS = {"preorders": 0, "offered": 0, "accepted": 0, "least": 0}  # the work done
+COUNTS = {"preorders": 0, "refused": 0, "accepted": 0, "least": 0}  # the work done
 
 
 class NameConventionError(RefusalError):
@@ -84,40 +92,54 @@ def canonical_key(sm: SystemModelLite):
     )
 
 
-def _supers(sm: SystemModelLite) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {}
-    for a, b in sm.sub:
-        out.setdefault(a, set()).add(b)
-    return out
-
-
-def valid_single_inheritance(sm: SystemModelLite) -> bool:
-    """Any two superclasses of one class are themselves related."""
-    pairs = set(sm.sub)
-    for sups in _supers(sm).values():
-        for c2, c3 in combinations(sorted(sups), 2):
-            if (c2, c3) not in pairs and (c3, c2) not in pairs:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Domain variants
 # ---------------------------------------------------------------------------
 
-# Feature name F -> its predicate valid-F.  A domain variant reads a
-# system's classes and `sub` only, never its attrs or objects:
+# A placement rule judges one step of `_preorders`: placing the next class of
+# a sorted universe with up-set `up` and down-set `down`, bit sets over the
+# classes placed before it, where `ups[i]` and `downs[i]` are placed class
+# i's up- and down-set among them, itself included.  It admits the step iff
+# the frame over the classes placed so far, the new one included, meets the
+# variant, given that the frame before the step does.
+PlacementRule = Callable[[int, int, tuple[int, ...], tuple[int, ...]], bool]
+
+
+def single_inheritance(up: int, down: int, ups: tuple[int, ...], downs: tuple[int, ...]) -> bool:
+    """Any two superclasses of one class are themselves related: the new
+    class's supers `up` are pairwise related, and each class below it keeps
+    every super inside `up | down`, which are all related to the new class."""
+    rest = up
+    while rest:
+        j = (rest & -rest).bit_length() - 1
+        if up & ~(ups[j] | downs[j]):
+            return False
+        rest &= rest - 1
+    related = up | down
+    rest = down
+    while rest:
+        d = (rest & -rest).bit_length() - 1
+        if ups[d] & ~related:
+            return False
+        rest &= rest - 1
+    return True
+
+
+# Feature name F -> the placement rule of its predicate valid-F.  A domain
+# variant judges classes and `sub` only, never attrs or objects:
 # `enumerate_systems` builds one attr set per class universe (the demanded
-# attrs), evaluates validity once per frame and lets every object population
-# of an accepted frame through.  It must survive restriction to fewer
-# classes: `first_system` searches only the demanded ones.
-DOMAIN_VARIANTS: dict[str, Callable[[SystemModelLite], bool]] = {
-    "SingleInheritance": valid_single_inheritance,
+# attrs) and lets every object population of an admitted frame through.  Its
+# predicate must survive restriction to fewer classes, which makes judging
+# each placement exact and lets `first_system` search only the demanded
+# classes.
+DOMAIN_VARIANTS: dict[str, PlacementRule] = {
+    "SingleInheritance": single_inheritance,
 }
 
 
-def domain_variant(feature: str) -> Callable[[SystemModelLite], bool]:
-    """The predicate valid-F bound to domain feature F by name."""
+def domain_variant(feature: str) -> PlacementRule:
+    """The placement rule of the predicate valid-F bound to domain feature F
+    by name."""
     try:
         return DOMAIN_VARIANTS[feature]
     except KeyError:
@@ -126,12 +148,11 @@ def domain_variant(feature: str) -> Callable[[SystemModelLite], bool]:
         ) from None
 
 
-def variants_valid(selected: Iterable[str]) -> Callable[[SystemModelLite], bool]:
-    """Conjunction of the predicates of the selected domain features, in
-    sorted feature order: the validity a frame built by `enumerate_systems`
-    still needs."""
-    predicates = [domain_variant(f) for f in sorted(set(selected))]
-    return lambda sm: all(p(sm) for p in predicates)
+def variant_rules(selected: Iterable[str]) -> tuple[PlacementRule, ...]:
+    """The placement rules of the selected domain features, in sorted
+    feature order: the validity a frame built by `enumerate_systems` still
+    needs."""
+    return tuple(domain_variant(f) for f in sorted(set(selected)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +227,17 @@ class Bounds(_BoundsFields):
 
 
 def _preorders(
-    classes: tuple[str, ...], must: Iterable[Pair], must_not: Iterable[Pair]
+    classes: tuple[str, ...],
+    must: Iterable[Pair],
+    must_not: Iterable[Pair],
+    rules: tuple[PlacementRule, ...] = (),
 ) -> list[int]:
     """Every reflexive and transitive relation over the sorted `classes`
-    that holds each pair of `must` and none of `must_not`, each as an int
-    with pair (classes[i], classes[j]) at bit n*n-1-(i*n+j), in canonical
-    order: by size and then lexicographically over the sorted pairs, which
-    is ascending `(bit_count, -mask)`.
+    that holds each pair of `must` and none of `must_not` and whose every
+    placement `rules` admit, each as an int with pair (classes[i],
+    classes[j]) at bit n*n-1-(i*n+j), in canonical order: by size and then
+    lexicographically over the sorted pairs, which is ascending
+    `(bit_count, -mask)`.
 
     Classes are placed one at a time.  A preorder on the classes placed so
     far grows by a new class x with an up-closed set U above x and a
@@ -224,10 +249,11 @@ def _preorders(
     subsets of the placed classes tell which sets are up- and down-closed.
     The pairs among placed classes never change afterwards, so a bounded
     pair is decided when its later endpoint is placed, and U and D are drawn
-    only from the sets that decide it right.  The last step keeps the masks
-    alone.  The caller ensures that `must` names only classes of `classes`
-    and that its reflexive-transitive closure, listed first, holds no
-    `must_not` pair.
+    only from the sets that decide it right; each rule judges the placement
+    there too, and a refused one grows no further.  The last step keeps the
+    masks alone.  The caller ensures that `must` names only classes of
+    `classes` and that its reflexive-transitive closure holds no `must_not`
+    pair.  `COUNTS` gets the masks built and the placements refused.
     """
     n = len(classes)
     index = {c: i for i, c in enumerate(classes)}
@@ -247,6 +273,8 @@ def _preorders(
                     table[i][0] |= 1 << j
                 elif j > i:
                     table[j][1] |= 1 << i
+    admit = _conjunction(rules)
+    refused = 0
     relations: list = [(0, (), ())] if classes else [0]  # (mask, ups, downs)
     for k in range(n):
         size = top = 1 << k  # the subsets of the placed classes; class k's bit
@@ -276,6 +304,9 @@ def _preorders(
                         fits |= 1 << i
                 for down in closed_below:
                     if down & fits == down:
+                        if admit is not None and not admit(up, down, ups, downs):
+                            refused += 1
+                            continue
                         grown_mask = mask | row[up] | col[down]
                         if last:
                             grown.append(grown_mask)
@@ -287,72 +318,145 @@ def _preorders(
                             ))
         relations = grown
     relations.sort(key=lambda mask: (mask.bit_count(), -mask))
+    COUNTS["preorders"] += len(relations)
+    COUNTS["refused"] += refused
     return relations
 
 
-def enumerate_systems(
-    bounds: Bounds, demands: Demands, valid: Callable[[SystemModelLite], bool]
-) -> Iterator[SystemModelLite]:
-    """All systems within bounds that hold `demands` and whose frame
-    satisfies `valid`, in canonical order, without duplicates.
+def _conjunction(rules: tuple[PlacementRule, ...]) -> PlacementRule | None:
+    """One rule admitting what each of `rules` admits; None for no rule."""
+    if len(rules) < 2:
+        return next(iter(rules), None)
+    return lambda *placement: all(rule(*placement) for rule in rules)
 
-    The class universe ranges over the demanded classes plus any subset of
-    the extra names; `sub` over the reflexive and transitive relations on it
-    that hold every demanded pair and no forbidden one, the least of them
-    offered before the others are built; the attributes are exactly the
-    demanded attrs, so a universe lacking an attr's owner or target is
-    skipped, and a query with two demanded attrs of one name in one class
-    has no system; objects o1..oN for N up to the bound, with every total
-    class assignment that puts at most one object in each singleton class.
-    A frame is a system's classes, `sub` and attrs with no objects.  Every
-    frame is base-valid and holds the demands on classes, `sub` and attrs by
-    construction, so `valid` need only carry domain variants.  `valid` is
-    called once per frame, and every population of a frame it accepts is
-    yielded, the frame itself first.  So `valid` must read classes and `sub`
-    only: base validity judges each generated population as it judges its
-    frame, and no other attr set is offered.  The demands only drop systems
-    from the canonical sequence; they never reorder it.
-    """
-    attrs = tuple(sorted(demands.attrs))
-    if len({(o, n) for o, n, _ in attrs}) != len(attrs):
-        return  # two demanded attrs share a name in one class
+
+def _admitted(
+    classes: tuple[str, ...], relation: Iterable[Pair], rules: tuple[PlacementRule, ...]
+) -> bool:
+    """Do `rules` admit each placement of `relation`, a preorder over the
+    sorted `classes`, placing the classes in order as `_preorders` does?  A
+    refusal counts in `COUNTS`."""
+    admit = _conjunction(rules)
+    if admit is None:
+        return True
+    index = {c: i for i, c in enumerate(classes)}
+    up_rows, down_rows = [0] * len(classes), [0] * len(classes)
+    for a, b in relation:
+        up_rows[index[a]] |= 1 << index[b]
+        down_rows[index[b]] |= 1 << index[a]
+    for k in range(len(classes)):
+        placed = (1 << k) - 1
+        ups = tuple(row & placed for row in up_rows[:k])
+        downs = tuple(row & placed for row in down_rows[:k])
+        if not admit(up_rows[k] & placed, down_rows[k] & placed, ups, downs):
+            COUNTS["refused"] += 1
+            return False
+    return True
+
+
+def _universes(bounds: Bounds, demands: Demands) -> Iterator[tuple[tuple[str, ...], set[Pair]]]:
+    """The class universes of a query that have frames, in canonical order,
+    each with its least relation: the closure of the demanded `sub` pairs
+    with every reflexive pair.  A universe ranges over the demanded classes
+    plus any subset of the extra names; it is skipped when it lacks a class
+    a demanded pair or attr names or when its least relation holds a
+    forbidden pair, and a query with two demanded attrs of one name in one
+    class has none."""
+    if len({(o, n) for o, n, _ in demands.attrs}) != len(demands.attrs):
+        return
     extras = sorted(set(bounds.extra_class_names) - demands.classes)
     class_universes = sorted(
         {tuple(sorted(demands.classes.union(chosen)))
          for r in range(len(extras) + 1) for chosen in combinations(extras, r)},
         key=lambda t: (len(t), t),
     )
-    named = {c for o, _, t in attrs for c in (o, t)}.union(*demands.sub)
+    named = {c for o, _, t in demands.attrs for c in (o, t)}.union(*demands.sub)
     closure = set(demands.sub)
     for k in named:  # Warshall
         below, above = [a for a, b in closure if b == k], [d for c, d in closure if c == k]
         closure.update((a, d) for a in below for d in above)
-
     for classes in class_universes:
         least = closure | {(c, c) for c in classes}
-        if not named.issubset(classes) or not least.isdisjoint(demands.no_sub):
-            continue
-        populations = None  # formed after the universe's first accepted frame
-        for sub in _relations(classes, least, demands):
-            frame = SystemModelLite(classes, sub, attrs, (), ())
-            COUNTS["offered"] += 1
-            if valid(frame):
-                COUNTS["accepted"] += 1
-                yield frame
-                if populations is None:
-                    populations = _populations(classes, bounds.max_objects, demands)
-                for objects, class_of in populations:
-                    yield SystemModelLite(classes, sub, attrs, objects, class_of)
+        if named.issubset(classes) and least.isdisjoint(demands.no_sub):
+            yield classes, least
+
+
+def enumerate_systems(
+    bounds: Bounds, demands: Demands, rules: tuple[PlacementRule, ...]
+) -> Iterator[SystemModelLite]:
+    """All systems within bounds that hold `demands` and whose every
+    placement `rules` admit, in canonical order, without duplicates.
+
+    The class universes are `_universes`; `sub` ranges over the reflexive
+    and transitive relations on a universe that hold every demanded pair
+    and no forbidden one, the least of them offered before the others are
+    built; the attributes are exactly the demanded attrs; objects o1..oN
+    for N up to the bound, with every total class assignment that puts at
+    most one object in each singleton class.  A frame is a system's
+    classes, `sub` and attrs with no objects.  Every frame is base-valid,
+    holds the demands on classes, `sub` and attrs and meets the domain
+    variants by construction, and every population of a frame is yielded
+    right after it.  The demands and rules only drop systems from the
+    canonical sequence; they never reorder it.
+    """
+    attrs = tuple(sorted(demands.attrs))
+    for classes, least in _universes(bounds, demands):
+        for sub in _relations(classes, least, demands, rules):
+            COUNTS["accepted"] += 1
+            yield from _members(classes, sub, attrs, bounds.max_objects, demands)
+
+
+def tally(
+    bounds: Bounds, demands: Demands, rules: tuple[PlacementRule, ...], k: int
+) -> tuple[int, list[SystemModelLite]]:
+    """The number of systems `enumerate_systems` yields and the first `k` of
+    them, from one build of each universe's preorders.  A universe adds
+    (admitted masks) x (1 + populations), the populations counted by
+    `_population_count`; masks are decoded and populations formed only up
+    to the k-th system."""
+    attrs = tuple(sorted(demands.attrs))
+    count, first = 0, []
+    for classes, _ in _universes(bounds, demands):
+        masks = _preorders(classes, demands.sub, demands.no_sub, rules)
+        COUNTS["accepted"] += len(masks)
+        capped = len(demands.singletons.intersection(classes))
+        count += len(masks) * (1 + _population_count(len(classes), capped, bounds.max_objects))
+        if len(first) < k:
+            members = (system for sub in map(_decoder(classes), masks)
+                       for system in _members(classes, sub, attrs, bounds.max_objects, demands))
+            first += islice(members, k - len(first))
+    return count, first
+
+
+def _members(
+    classes: tuple[str, ...],
+    sub: tuple[Pair, ...],
+    attrs: tuple[Attr, ...],
+    max_objects: int,
+    demands: Demands,
+) -> Iterator[SystemModelLite]:
+    """A frame, then the systems of its populations."""
+    yield SystemModelLite(classes, sub, attrs, (), ())
+    for objects, class_of in _populations(classes, max_objects, demands):
+        yield SystemModelLite(classes, sub, attrs, objects, class_of)
 
 
 def _relations(
-    classes: tuple[str, ...], least: set[Pair], demands: Demands
+    classes: tuple[str, ...], least: set[Pair], demands: Demands, rules: tuple[PlacementRule, ...]
 ) -> Iterator[tuple[Pair, ...]]:
-    """The least relation, then the universe's other preorders, which are
-    built only when asked for and each decoded only when reached."""
-    yield tuple(sorted(least))
-    masks = _preorders(classes, demands.sub, demands.no_sub)
-    COUNTS["preorders"] += len(masks)
+    """The least relation if `rules` admit it, then the universe's other
+    admitted preorders, which are built only when asked for and each
+    decoded only when reached; an admitted least relation is the first
+    mask built."""
+    admitted = _admitted(classes, least, rules)
+    if admitted:
+        yield tuple(sorted(least))
+    masks = _preorders(classes, demands.sub, demands.no_sub, rules)
+    yield from map(_decoder(classes), islice(masks, admitted, None))
+
+
+def _decoder(classes: tuple[str, ...]) -> Callable[[int], tuple[Pair, ...]]:
+    """The sorted pairs of a `_preorders` mask over `classes`."""
     n = len(classes)
     # (shift, pairs) for row i: its bits sit `shift` up a mask, and pairs[r]
     # holds the pairs (classes[i], c) of row bits r in sorted order, so the
@@ -364,45 +468,58 @@ def _relations(
             pairs = [p for q in pairs for p in (q, (*q, (a, b)))]
         rows.append((n * (n - 1 - i), pairs))
     full = (1 << n) - 1
-    for mask in islice(masks, 1, None):
+
+    def decode(mask: int) -> tuple[Pair, ...]:
         sub: tuple[Pair, ...] = ()
         for shift, pairs in rows:
             sub += pairs[mask >> shift & full]
-        yield sub
+        return sub
+
+    return decode
 
 
 def _populations(
     classes: tuple[str, ...], max_objects: int, demands: Demands
-) -> list[tuple[tuple[str, ...], tuple[Pair, ...]]]:
+) -> Iterator[tuple[tuple[str, ...], tuple[Pair, ...]]]:
     """Every non-empty (objects, class assignment) over `classes` within the
-    object bound and the demanded caps, canonically.  An assignment lists
-    its objects by name (o1, o10, o2, ...), so over the sorted `classes` the
-    product's order is the sorted order of the assignments."""
-    populations = []
+    object bound and the demanded caps, canonically, each formed when
+    reached.  An assignment lists its objects by name (o1, o10, o2, ...), so
+    over the sorted `classes` the product's order is the sorted order of the
+    assignments."""
     for count in range(1, max_objects + 1):
         objects = tuple(f"o{i}" for i in range(1, count + 1))
         names = sorted(objects)
-        populations += [
-            (objects, class_of)
-            for class_of in (tuple(zip(names, chosen)) for chosen in product(classes, repeat=count))
-            if demands.caps_hold(class_of)
-        ]
-    return populations
+        for chosen in product(classes, repeat=count):
+            class_of = tuple(zip(names, chosen))
+            if demands.caps_hold(class_of):
+                yield objects, class_of
+
+
+def _population_count(n: int, capped: int, max_objects: int) -> int:
+    """The number of `_populations` over n classes, `capped` of them
+    singletons: an assignment of k objects puts j of them, one each, into
+    capped classes and the rest anywhere else."""
+    free = n - capped
+    return sum(
+        comb(k, j) * perm(capped, j) * free ** (k - j)
+        for k in range(1, max_objects + 1)
+        for j in range(min(k, capped) + 1)
+    )
 
 
 def first_system(
-    bounds: Bounds, demands: Demands, valid: Callable[[SystemModelLite], bool]
+    bounds: Bounds, demands: Demands, rules: tuple[PlacementRule, ...]
 ) -> SystemModelLite | None:
-    """`next(enumerate_systems(bounds, demands, valid), None)`.  When the
+    """`next(enumerate_systems(bounds, demands, rules), None)`.  When the
     required pairs and attrs name only demanded classes, only the demanded
     universe is asked: a frame of a larger universe restricts to a frame of
     it with the same attrs that still holds the demands and, as domain
-    variants must, `valid`."""
+    variants must, meets them."""
     named = demands.classes.union(*demands.sub, *((o, t) for o, _, t in demands.attrs))
     if named <= demands.classes:
         bounds = bounds._replace(extra_class_names=())
     built = COUNTS["preorders"]
-    first = next(enumerate_systems(bounds, demands, valid), None)
+    first = next(enumerate_systems(bounds, demands, rules), None)
     COUNTS["least"] += COUNTS["preorders"] == built
     return first
 

@@ -5,8 +5,9 @@ A domain configuration yields a theory that imports the base theory plus one
 feature, per selected feature that binds a predicate
 (`semantics.bound_domain_features`: every one but those declared with a kind
 other than semantic-domain) and defines the composed validity predicate as a
-conjunction, bound by name convention: such a feature F must have a
-predicate valid-F in `sysmodel.DOMAIN_VARIANTS` (`domain_variant` raises
+conjunction, bound by name convention: such a feature F must bind its
+predicate valid-F in `sysmodel.DOMAIN_VARIANTS`, whose row is the placement
+rule the enumeration judges valid-F by (`domain_variant` raises
 otherwise).  A mapping configuration yields a theory ``<Language>Sem``,
 named after the one ``...Sem`` theory the variation points of its diagram
 are attached to (`semantics.language_theory`), that merely combines the

@@ -1,6 +1,7 @@
 """Judges of arbitrary systems and ASTs, and the oracles the package is
-checked against: brute-force enumeration and refinement, `_preorders` as
-it was before relations were ints, the configuration validator as it was
+checked against: brute-force enumeration and refinement, the domain
+variants as predicates on whole frames, `_preorders` as it was before
+relations were ints, the configuration validator as it was
 first written, the model vocabulary as the model scanner
 derived it before grammars carried it, and the AST dump, scanner, model
 parser, desugarer, input reader, grammar, .fd and .conf readers and
@@ -11,8 +12,8 @@ element by element, a desugarer that copies every node, a read through
 pathlib's text mode, a cursor with a method call per token, and a grammar
 validated by walks of its own).
 
-The package builds only systems that are base-valid and hold a query's
-`Demands`, and its parser builds only conforming ASTs, so it needs none of
+The package builds only systems that are base-valid, hold a query's
+`Demands` and meet its domain variants, and its parser builds only conforming ASTs, so it needs none of
 these judges.  Tests use them to check what the package builds, and read a
 semantics set through `count` and `first`.
 """
@@ -66,14 +67,15 @@ from vlang.schema import (
 )
 from vlang.semantics import SemanticsConfig, SemanticsSet, bound_domain_features, query
 from vlang.sysmodel import (
+    DOMAIN_VARIANTS,
     Attr,
     Bounds,
     Demands,
     Pair,
+    PlacementRule,
     SystemModelLite,
-    _supers,
+    domain_variant,
     enumerate_systems,
-    variants_valid,
 )
 
 # ---------------------------------------------------------------------------
@@ -133,6 +135,47 @@ def eval_valid_base(sm: SystemModelLite) -> bool:
     return True
 
 
+def _supers(sm: SystemModelLite) -> dict[str, set[str]]:
+    out: dict[str, set[str]] = {}
+    for a, b in sm.sub:
+        out.setdefault(a, set()).add(b)
+    return out
+
+
+def valid_single_inheritance(sm: SystemModelLite) -> bool:
+    """Any two superclasses of one class are themselves related."""
+    pairs = set(sm.sub)
+    for sups in _supers(sm).values():
+        for c2, c3 in combinations(sorted(sups), 2):
+            if (c2, c3) not in pairs and (c3, c2) not in pairs:
+                return False
+    return True
+
+
+# Feature name F -> its predicate valid-F on a whole frame, which the
+# placement rule `sysmodel.DOMAIN_VARIANTS[F]` judges a placement at a time.
+FRAME_VARIANTS: dict[str, Callable[[SystemModelLite], bool]] = {
+    "SingleInheritance": valid_single_inheritance,
+}
+
+
+def variants_valid(selected: Iterable[str]) -> Callable[[SystemModelLite], bool]:
+    """Conjunction of the frame predicates of the selected domain features,
+    in sorted feature order; a feature without a placement rule raises as
+    `sysmodel.domain_variant` does."""
+    predicates = []
+    for f in sorted(set(selected)):
+        domain_variant(f)  # refuses a feature that binds no rule
+        predicates.append(FRAME_VARIANTS[f])
+    return lambda sm: all(p(sm) for p in predicates)
+
+
+def rules_valid(rules: Iterable[PlacementRule]) -> Callable[[SystemModelLite], bool]:
+    """Conjunction of the frame predicates of the features whose placement
+    rules are `rules`."""
+    return variants_valid(f for f, rule in DOMAIN_VARIANTS.items() if rule in set(rules))
+
+
 def composed_valid(selected: Iterable[str]) -> Callable[[SystemModelLite], bool]:
     """Conjunction of base validity and the predicates of the selected
     domain features, in sorted feature order: validity of any system."""
@@ -156,7 +199,7 @@ def valid_predicate(config: SemanticsConfig) -> Callable[[SystemModelLite], bool
 
 def contains(sem: SemanticsSet, sm: SystemModelLite) -> bool:
     """Membership by predicate, independent of enumeration."""
-    return eval_valid_base(sm) and sem.variants(sm) and holds(sem.demands, sm)
+    return eval_valid_base(sm) and rules_valid(sem.variants)(sm) and holds(sem.demands, sm)
 
 
 def full_scan_refinement(

@@ -7,15 +7,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import raw_semantics_config, zeroed_counts
-from oracles import composed_valid, first, full_scan_refinement, holds, make_system, oracle_enumerate
+from oracles import (
+    composed_valid, first, full_scan_refinement, holds, make_system, oracle_enumerate, valid_single_inheritance,
+)
 from vlang.analysis import AnalysisError, check_consistency, check_equivalence, check_refinement
 from vlang.desugar import desugar_to_minimal
 from vlang.modelparse import parse_model
 from vlang.semantics import compute_sem
 from vlang import sysmodel
 from vlang.sysmodel import (
-    Bounds, Demands, canonical_key, dump_system, enumerate_systems, first_system,
-    valid_single_inheritance, variants_valid,
+    Bounds, Demands, canonical_key, dump_system, enumerate_systems, first_system, variant_rules,
 )
 
 
@@ -334,8 +335,8 @@ def test_report_format_and_bounds_recording(cdsimp, example_diagrams):
 ])
 def test_an_empty_query_is_refused_without_enumerating(demands, bounds):
     counts = zeroed_counts()
-    assert first_system(bounds, demands, lambda sm: True) is None
-    assert counts == {"preorders": 0, "offered": 0, "accepted": 0, "least": 1}
+    assert first_system(bounds, demands, variant_rules({"SingleInheritance"})) is None
+    assert counts == {"preorders": 0, "refused": 0, "accepted": 0, "least": 1}
 
 
 def test_the_closure_of_the_required_pairs_is_the_first_system():
@@ -343,9 +344,9 @@ def test_the_closure_of_the_required_pairs_is_the_first_system():
                       frozenset({("A", "x", "C")}), frozenset("A"))
     bounds = Bounds(("D",), 2)
     counts = zeroed_counts()
-    first = first_system(bounds, demands, lambda sm: True)
-    assert counts == {"preorders": 0, "offered": 1, "accepted": 1, "least": 1}
-    assert first == next(enumerate_systems(bounds, demands, lambda sm: True)) == make_system(
+    first = first_system(bounds, demands, ())
+    assert counts == {"preorders": 0, "refused": 0, "accepted": 1, "least": 1}
+    assert first == next(enumerate_systems(bounds, demands, ())) == make_system(
         "ABC", {("A", "A"), ("A", "B"), ("A", "C"), ("B", "B"), ("B", "C"), ("C", "C")},
         {("A", "x", "C")})
 
@@ -354,7 +355,7 @@ def test_a_refused_closure_is_searched_in_the_demanded_universe_only(monkeypatch
     # SingleInheritance refuses the diamond's closure.  Restricting a system
     # to the demanded classes keeps it valid, so the extra class is not tried.
     demands = Demands(frozenset("ABC"), frozenset({("A", "B"), ("A", "C")}))
-    valid = variants_valid({"SingleInheritance"})
+    valid = variant_rules({"SingleInheritance"})
     universes = []
     enumerate_all = sysmodel.enumerate_systems
 
@@ -371,18 +372,17 @@ def test_a_refused_closure_is_searched_in_the_demanded_universe_only(monkeypatch
 
 
 def test_each_frame_is_offered_once():
-    # SingleInheritance refuses the diamond's closure; the search that
-    # follows goes on from the next relation instead of offering it again.
+    # SingleInheritance refuses the diamond's closure, judged once before
+    # any preorder is built; the search that follows builds only admitted
+    # preorders, which leave it out, and yields each of them once.
     demands = Demands(frozenset("ABC"), frozenset({("A", "B"), ("A", "C")}))
-    offered = []
-
-    def valid(frame):
-        offered.append(frame)
-        return valid_single_inheritance(frame)
-
-    assert first_system(Bounds(), demands, valid) is not None
-    assert len(offered) > 1
-    assert len(set(offered)) == len(offered)
+    closure = make_system("ABC", {("A", "A"), ("A", "B"), ("A", "C"), ("B", "B"), ("C", "C")})
+    counts = zeroed_counts()
+    frames = list(enumerate_systems(Bounds(), demands, variant_rules({"SingleInheritance"})))
+    assert counts["refused"] > 1 and counts["preorders"] == counts["accepted"] == len(frames) > 1
+    assert closure not in frames and not valid_single_inheritance(closure)
+    assert len(set(frames)) == len(frames) and all(map(valid_single_inheritance, frames))
+    assert first_system(Bounds(), demands, variant_rules({"SingleInheritance"})) == frames[0]
 
 
 @st.composite
@@ -416,7 +416,7 @@ def _first_system_cases(draw):
           ("SingleInheritance",), frozenset()))
 def test_first_system_equals_the_first_enumerated_and_the_oracle(case):
     bounds, demands, features, others = case
-    valid = variants_valid(features)
+    valid = variant_rules(features)
     first = first_system(bounds, demands, valid)
     assert first == next(enumerate_systems(bounds, demands, valid), None)
     judge = composed_valid(features)

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import golden, zeroed_counts
 from oracles import oracle_read
-from vlang import bundled, cli, desugar, features, semantics
+from vlang import bundled, cli, desugar, features, semantics, sysmodel
 from vlang.cli import build_parser, main
-from vlang.sysmodel import Demands
 
 
 @pytest.fixture()
@@ -573,15 +572,16 @@ def test_semantics_config_is_built_once(workspace, capsys, monkeypatch):
 
 
 def _unpruned(monkeypatch) -> None:
-    """Give `sem`'s enumerator only the demanded classes and caps; the frame
-    filter then checks the query's `sub` pairs and attrs on each frame."""
-    enumerate_systems = semantics.enumerate_systems
+    """Build every preorder of a universe, without the query's `sub` pairs
+    as bounds, and keep those that hold the pairs."""
+    preorders = sysmodel._preorders
 
-    def unpruned(bounds, demands, valid):
-        loose = Demands(demands.classes, singletons=demands.singletons)
-        return enumerate_systems(bounds, loose, lambda frame: valid(frame) and demands.frame_holds(frame))
+    def unpruned(classes, must, must_not, rules):
+        decode = sysmodel._decoder(classes)
+        return [mask for mask in preorders(classes, (), (), rules)
+                if set(must) <= set(decode(mask)) and set(must_not).isdisjoint(decode(mask))]
 
-    monkeypatch.setattr(semantics, "enumerate_systems", unpruned)
+    monkeypatch.setattr(sysmodel, "_preorders", unpruned)
 
 
 @pytest.mark.parametrize("model, count", [
@@ -590,13 +590,14 @@ def _unpruned(monkeypatch) -> None:
 ])
 def test_direct_mapping_offers_only_frames_it_accepts(workspace, capsys, model, count):
     # Direct mapping without a domain variant demands only classes and `sub`
-    # pairs, which bound the enumeration: no offered frame is rejected.
+    # pairs, which bound the enumeration: every preorder built is a member.
     (workspace / "m.cd").write_text(f"classdiagram D {{ {model} }}\n")
     files = ("cdsimp.mclang", "m.cd", "example.fd", "bad.conf")
     counts = zeroed_counts()
     code, out, _ = _run(capsys, "sem", *(str(workspace / n) for n in files), "--max-objects", "0")
     assert (code, out) == (0, f"SEM count={count} bounds=extra={{}};maxObjects=0;attrs={{}}\n")
-    assert counts["offered"] == counts["accepted"] == count
+    assert counts["preorders"] == counts["accepted"] == count
+    assert counts["refused"] == 0
 
 
 def test_pair_bounds_cut_the_four_class_chain_from_355_frames_to_8(workspace, capsys, monkeypatch):
@@ -613,9 +614,86 @@ def test_pair_bounds_cut_the_four_class_chain_from_355_frames_to_8(workspace, ca
             counts = zeroed_counts()
             code, out, _ = _run(capsys, *argv)
         assert (code, out.splitlines()[0]) == (0, "SEM count=8 bounds=extra={};maxObjects=0;attrs={}")
-        assert counts["offered"] == frames
+        assert counts["preorders"] == frames
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def test_sem_builds_each_universe_once_and_decodes_only_its_witnesses(workspace, capsys, monkeypatch):
+    # The count is (admitted preorders) x (1 + populations) per universe, so
+    # sem builds each universe's preorders once and decodes a mask only for
+    # a witness: a frame and its two one-object populations, then the next.
+    argv = _sem_args(workspace, str(workspace / "sm.conf"), str(workspace / "cd.conf"),
+                     "--extra-classes", "X,Y", "--witnesses", "4")
+    plain = _run(capsys, *argv)
+    built, decoded = [], []
+    preorders, decoder = sysmodel._preorders, sysmodel._decoder
+
+    def recorded(classes, *rest):
+        built.append(classes)
+        return preorders(classes, *rest)
+
+    def counted(classes):
+        decode = decoder(classes)
+        return lambda mask: decoded.append(mask) or decode(mask)
+
+    monkeypatch.setattr(sysmodel, "_preorders", recorded)
+    monkeypatch.setattr(sysmodel, "_decoder", counted)
+    assert _run(capsys, *argv) == plain
+    assert plain[1].splitlines()[0] == "SEM count=554 bounds=extra={X,Y};maxObjects=1;attrs={}"
+    assert sorted(built) == sorted(set(built)) == [("A", "B"), ("A", "B", "X"), ("A", "B", "X", "Y"), ("A", "B", "Y")]
+    assert len(decoded) == 2
+
+
+def _limited(code: str, megabytes: int) -> str:
+    """A script that caps its own address space, then runs `code`."""
+    return (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({megabytes} << 20, {megabytes} << 20))\n"
+        "from vlang.cli import main\n"
+        f"{code}\n"
+    )
+
+
+def test_sem_forms_only_the_populations_it_prints(workspace):
+    # Two classes and 18 objects give 2^19 - 2 populations of a frame, and
+    # the two preorders on {A, B} that hold (A, B) are the frames; listing
+    # the populations would take well over the cap.
+    argv = _sem_args(workspace, str(workspace / "sm.conf"), str(workspace / "cd.conf"),
+                     "--max-objects", "18", "--witnesses", "3")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    fresh = subprocess.run([sys.executable, "-c", _limited(f"sys.exit(main({argv!r}))", 256)],
+                           capture_output=True, text=True, env=env)
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    lines = fresh.stdout.splitlines()
+    assert lines[0] == f"SEM count={2 * (2 ** 19 - 1)} bounds=extra={{}};maxObjects=18;attrs={{}}"
+    assert [line for line in lines if line.startswith("WITNESS")] == ["WITNESS 1", "WITNESS 2", "WITNESS 3"]
+
+
+def test_an_eight_class_consistency_query_stays_small(workspace):
+    # SingleInheritance refuses the least frame, where D has the unrelated
+    # supers B and C; the first system adds (B, C).  The search builds only
+    # the preorders of the eight classes whose placements keep D's supers
+    # related.
+    (workspace / "m.cd").write_text(
+        "classdiagram M { class D extends B, C; class B extends A; class C extends A; class A; "
+        "class F0; class F1; class F2; class F3; }\n")
+    (workspace / "s.cda").write_text("assertions S { sub D C; }\n")
+    argv = ["analyze", "consistent", *(str(workspace / n) for n in (
+        "cdsimp.mclang", "m.cd", "cda.mclang", "s.cda", "example.fd", "sm.conf", "cd.conf"))]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    fresh = subprocess.run([sys.executable, "-c", _limited(f"sys.exit(main({argv!r}))", 512)],
+                           capture_output=True, text=True, env=env)
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert fresh.stdout == (
+        "RESULT holds=true kind=consistent bounds=extra={};maxObjects=1;attrs={(D,dlg_C,C)}\n"
+        "WITNESS\n"
+        "CLASSES A B C D F0 F1 F2 F3\n"
+        "SUB (A,A) (B,A) (B,B) (B,C) (C,A) (C,C) (D,A) (D,B) (D,C) (D,D) (F0,F0) (F1,F1) (F2,F2) (F3,F3)\n"
+        "ATTRS (D,dlg_C,C)\n"
+        "OBJECTS\n"
+        "CLASSOF\n"
+    )
 
 
 def test_semantics_config_errors(workspace, capsys):

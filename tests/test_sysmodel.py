@@ -13,14 +13,18 @@ from hypothesis import strategies as st
 
 from conftest import zeroed_counts
 from oracles import (
+    FRAME_VARIANTS,
     composed_valid,
     eval_valid_base,
+    holds,
     make_system,
     oracle_base_valid,
     oracle_enumerate,
     oracle_populations,
     oracle_preorders,
     structurally_valid,
+    valid_single_inheritance,
+    variants_valid,
 )
 from vlang import cli, sysmodel
 from vlang.sysmodel import (
@@ -33,8 +37,7 @@ from vlang.sysmodel import (
     domain_variant,
     dump_system,
     enumerate_systems,
-    valid_single_inheritance,
-    variants_valid,
+    variant_rules,
 )
 
 # ---------------------------------------------------------------------------
@@ -87,7 +90,7 @@ def test_two_unrelated_supers_violate_single_inheritance():
         _refl({"C1", "C2", "C3"}) | {("C1", "C2"), ("C1", "C3")},
     )
     assert not valid_single_inheritance(sm)
-    assert not domain_variant("SingleInheritance")(sm)
+    assert not sysmodel._admitted(sm.classes, sm.sub, (domain_variant("SingleInheritance"),))
 
 
 def test_reflexive_only_satisfies_single_inheritance():
@@ -141,10 +144,13 @@ def test_composed_rejects_unregistered_feature():
 
 
 def test_custom_registry(monkeypatch):
-    monkeypatch.setitem(DOMAIN_VARIANTS, "NoSubclassing", lambda sm: all(a == b for a, b in sm.sub))
+    monkeypatch.setitem(DOMAIN_VARIANTS, "NoSubclassing", lambda up, down, ups, downs: not up | down)
+    monkeypatch.setitem(FRAME_VARIANTS, "NoSubclassing", lambda sm: all(a == b for a, b in sm.sub))
     valid = composed_valid({"NoSubclassing"})
     assert valid(make_system({"A"}, {("A", "A")}))
     assert not valid(make_system({"A", "B"}, _refl({"A", "B"}) | {("A", "B")}))
+    rules = variant_rules({"NoSubclassing"})
+    assert list(enumerate_systems(Bounds(), Demands(frozenset("AB")), rules)) == [make_system("AB", _refl("AB"))]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +158,7 @@ def test_custom_registry(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_two_required_classes_give_four_base_systems():
-    systems = list(enumerate_systems(Bounds(), Demands(frozenset("AB")), eval_valid_base))
+    systems = list(enumerate_systems(Bounds(), Demands(frozenset("AB")), ()))
     assert len(systems) == 4
     subs = [set(sm.sub) for sm in systems]
     refl = _refl({"A", "B"})
@@ -163,20 +169,20 @@ def test_two_required_classes_give_four_base_systems():
 
 
 def test_no_required_classes_gives_exactly_the_empty_system():
-    systems = list(enumerate_systems(Bounds(), Demands(), eval_valid_base))
+    systems = list(enumerate_systems(Bounds(), Demands(), ()))
     assert systems == [make_system()]
 
 
 def test_single_inheritance_cannot_fail_with_two_classes():
-    valid = composed_valid({"SingleInheritance"})
-    systems = list(enumerate_systems(Bounds(), Demands(frozenset("AB")), valid))
+    rules = variant_rules({"SingleInheritance"})
+    systems = list(enumerate_systems(Bounds(), Demands(frozenset("AB")), rules))
     assert len(systems) == 4
 
 
 def test_enumeration_is_sorted_by_canonical_key_and_duplicate_free():
     bounds = Bounds(extra_class_names=("C",), max_objects=1)
     demands = Demands(frozenset("A"), attrs=frozenset({("A", "x", "A")}))
-    systems = list(enumerate_systems(bounds, demands, eval_valid_base))
+    systems = list(enumerate_systems(bounds, demands, ()))
     keys = [canonical_key(sm) for sm in systems]
     assert keys == sorted(keys)
     assert len(set(systems)) == len(systems)
@@ -184,8 +190,8 @@ def test_enumeration_is_sorted_by_canonical_key_and_duplicate_free():
 
 def test_enumeration_deterministic_across_runs():
     bounds = Bounds(extra_class_names=("B",), max_objects=1)
-    first = list(enumerate_systems(bounds, Demands(frozenset("A")), eval_valid_base))
-    second = list(enumerate_systems(bounds, Demands(frozenset("A")), eval_valid_base))
+    first = list(enumerate_systems(bounds, Demands(frozenset("A")), ()))
+    second = list(enumerate_systems(bounds, Demands(frozenset("A")), ()))
     assert first == second
 
 
@@ -194,7 +200,7 @@ def test_enumerated_systems_satisfy_invariants_and_predicate():
     bounds = Bounds(extra_class_names=("B",), max_objects=1)
     demands = Demands(frozenset("A"), attrs=frozenset({("A", "x", "B"), ("B", "y", "A")}))
     count = 0
-    for sm in enumerate_systems(bounds, demands, valid):
+    for sm in enumerate_systems(bounds, demands, variant_rules({"SingleInheritance"})):
         count += 1
         assert structurally_valid(sm)
         assert valid(sm)
@@ -216,7 +222,7 @@ def test_oracle_equivalence_small_bounds():
     ]
     for bounds, attrs in cases:
         demands = Demands(frozenset("AB"), attrs=attrs)
-        enumerated = list(enumerate_systems(bounds, demands, valid))
+        enumerated = list(enumerate_systems(bounds, demands, ()))
         expected = oracle_enumerate(
             bounds, demands.classes, lambda sm: valid(sm) and set(sm.attrs) == attrs, attrs | others)
         assert set(enumerated) == expected
@@ -224,7 +230,7 @@ def test_oracle_equivalence_small_bounds():
 
 
 def test_oracle_equivalence_three_classes():
-    enumerated = set(enumerate_systems(Bounds(), Demands(frozenset("ABC")), eval_valid_base))
+    enumerated = set(enumerate_systems(Bounds(), Demands(frozenset("ABC")), ()))
     expected = oracle_enumerate(Bounds(), {"A", "B", "C"}, lambda sm: oracle_base_valid(set(sm.classes), set(sm.sub)))
     assert enumerated == expected
 
@@ -232,10 +238,10 @@ def test_oracle_equivalence_three_classes():
 # A000798: labelled preorders on n elements.
 @pytest.mark.parametrize("n, count", [(0, 1), (1, 1), (2, 4), (3, 29), (4, 355), (5, 6942)])
 def test_object_free_base_valid_counts_are_labelled_preorders(n, count):
-    systems = list(enumerate_systems(Bounds(), Demands(frozenset("ABCDE"[:n])), eval_valid_base))
+    systems = list(enumerate_systems(Bounds(), Demands(frozenset("ABCDE"[:n])), ()))
     assert len(systems) == count
-    # Only preorders are generated, so accepting everything changes nothing.
-    assert list(enumerate_systems(Bounds(), Demands(frozenset("ABCDE"[:n])), lambda sm: True)) == systems
+    # Only preorders are generated, so every system is base-valid.
+    assert all(eval_valid_base(sm) for sm in systems)
 
 
 @st.composite
@@ -277,7 +283,7 @@ def test_enumeration_equals_sorted_oracle(case):
     expected = sorted(oracle_enumerate(
         bounds, demands.classes, lambda sm: valid(sm) and set(sm.attrs) == demands.attrs,
         demands.attrs | others), key=canonical_key)
-    assert list(enumerate_systems(bounds, demands, valid)) == expected
+    assert list(enumerate_systems(bounds, demands, variant_rules(features))) == expected
 
 
 def _decoded(classes: tuple[str, ...], mask: int) -> tuple:
@@ -328,7 +334,32 @@ def test_preorders_equal_the_oracle(case):
     expected = oracle_preorders(classes, must, must_not)
     assert [_decoded(classes, mask) for mask in sysmodel._preorders(classes, must, must_not)] == expected
     demands = Demands(frozenset(classes), frozenset(must), frozenset(must_not))
-    assert list(sysmodel._relations(classes, set(expected[0]), demands)) == expected
+    assert list(sysmodel._relations(classes, set(expected[0]), demands, ())) == expected
+
+
+@_ORACLE_SETTINGS
+@given(_preorder_bounds(), st.sampled_from(sorted(FRAME_VARIANTS)))
+@example((tuple("ABCDE"), set(), set()), "SingleInheritance")
+@example((tuple("ABCD"), {("D", "B"), ("D", "C")}, {("B", "C")}), "SingleInheritance")
+def test_placement_rules_build_the_oracle_preorders_their_predicate_keeps(case, feature):
+    classes, must, must_not = case
+    valid = FRAME_VARIANTS[feature]
+    expected = [sub for sub in oracle_preorders(classes, must, must_not) if valid(make_system(classes, sub))]
+    masks = sysmodel._preorders(classes, must, must_not, (DOMAIN_VARIANTS[feature],))
+    assert [_decoded(classes, mask) for mask in masks] == expected
+
+
+@_ORACLE_SETTINGS
+@given(_preorder_bounds(), st.sampled_from(sorted(FRAME_VARIANTS)))
+def test_the_least_frame_judgement_is_the_frame_predicate(case, feature):
+    # enumerate_systems judges a universe's least frame by replaying its
+    # placements; any preorder may be a least frame.
+    classes, must, must_not = case
+    valid, rules = FRAME_VARIANTS[feature], (DOMAIN_VARIANTS[feature],)
+    least = _closure(classes, must)
+    assert sysmodel._admitted(classes, least, rules) == valid(make_system(classes, least))
+    for sub in oracle_preorders(classes, must, must_not)[:100]:
+        assert sysmodel._admitted(classes, sub, rules) == valid(make_system(classes, sub))
 
 
 @st.composite
@@ -378,7 +409,34 @@ def test_pair_bounded_enumeration_equals_filtered_oracle(case):
 
     expected = sorted(oracle_enumerate(bounds, demands.classes, admitted, demands.attrs | others),
                       key=canonical_key)
-    assert list(enumerate_systems(bounds, demands, variants_valid(features))) == expected
+    assert list(enumerate_systems(bounds, demands, variant_rules(features))) == expected
+
+
+@_ORACLE_SETTINGS
+@given(_pair_bounded_cases(), st.integers(0, 3), st.integers(0, 8))
+@example((Bounds(("C",), 1), {"SingleInheritance"},
+          Demands(frozenset("AB"), frozenset({("A", "B")}), singletons=frozenset("BC")), frozenset()), 3, 8)
+@example((Bounds(("C",)), set(), Demands(frozenset("A"), attrs=frozenset({("A", "x", "A"), ("A", "x", "C")})),
+          frozenset()), 1, 2)
+@example((Bounds(), set(), Demands(frozenset("AB")), frozenset()), 0, 1)
+def test_a_tally_is_the_walked_count_and_its_first_systems(case, max_objects, k):
+    # sem's count and witnesses: the systems the oracle walks, counted, and
+    # the first k of them in canonical order, dumped byte for byte.  Three
+    # objects are drawn over at most two classes, which keeps the oracle's
+    # walk small.
+    bounds, features, demands, others = case
+    names = demands.classes | set(bounds.extra_class_names)
+    bounds = bounds._replace(max_objects=max_objects if len(names) < 3 else min(max_objects, 2))
+    valid = composed_valid(features)
+
+    def admitted(sm):
+        return valid(sm) and holds(demands, sm) and set(sm.attrs) == demands.attrs
+
+    walked = sorted(oracle_enumerate(bounds, demands.classes, admitted, demands.attrs | others),
+                    key=canonical_key)
+    count, first = sysmodel.tally(bounds, demands, variant_rules(features), k)
+    assert count == len(walked)
+    assert "".join(map(dump_system, first)) == "".join(map(dump_system, walked[:k]))
 
 
 @pytest.mark.parametrize("demands, bounds", [
@@ -392,46 +450,58 @@ def test_pair_bounded_enumeration_equals_filtered_oracle(case):
 ])
 def test_an_empty_query_builds_no_preorder_list(demands, bounds):
     counts = zeroed_counts()
-    assert list(enumerate_systems(bounds, demands, lambda sm: True)) == []
-    assert counts == {"preorders": 0, "offered": 0, "accepted": 0, "least": 0}
+    assert list(enumerate_systems(bounds, demands, variant_rules({"SingleInheritance"}))) == []
+    assert sysmodel.tally(bounds, demands, (), 1) == (0, [])
+    assert counts == {"preorders": 0, "refused": 0, "accepted": 0, "least": 0}
+
+
+def _refusals(classes, demands, valid) -> int:
+    """The placements `_preorders` refuses over `classes`: the preorders on
+    a prefix of them, within the demanded pairs, that break `valid` where
+    the same relation less the prefix's last class meets it."""
+    refused = 0
+    for k in range(1, len(classes) + 1):
+        for sub in oracle_preorders(classes[:k], demands.sub, demands.no_sub):
+            placed = [(a, b) for a, b in sub if classes[k - 1] not in (a, b)]
+            refused += valid(make_system(classes[:k - 1], placed)) and not valid(make_system(classes[:k], sub))
+    return refused
 
 
 @_ORACLE_SETTINGS
 @given(_pair_bounded_cases())
 def test_the_record_counts_what_the_oracles_see(case):
-    # A full walk builds the preorders of each universe that holds every
+    # A full walk judges the least frame of each universe that holds every
     # class the query names and whose least relation breaks no forbidden
-    # pair, offers each frame to the filter once and yields the frames it
-    # accepts, each before its populations.
+    # pair, then builds the universe's preorders whose every placement the
+    # domain variants admit, and yields each admitted frame before its
+    # populations.
     bounds, features, demands, _ = case
     valid = variants_valid(features)
-    seen = []
-
-    def counting(frame):
-        seen.append(frame)
-        return valid(frame)
-
     counts = zeroed_counts()
-    systems = list(enumerate_systems(bounds, demands, counting))
+    systems = list(enumerate_systems(bounds, demands, variant_rules(features)))
     named = demands.classes.union(*demands.sub, *((o, t) for o, _, t in demands.attrs))
     extras = sorted(set(bounds.extra_class_names) - demands.classes)
     universes = [tuple(sorted(demands.classes.union(chosen)))
                  for r in range(len(extras) + 1) for chosen in combinations(extras, r)]
     clash = len({(o, n) for o, n, _ in demands.attrs}) != len(demands.attrs)
-    built = [] if clash else [oracle_preorders(u, demands.sub, demands.no_sub) for u in universes
-                              if named <= set(u) and _closure(u, demands.sub).isdisjoint(demands.no_sub)]
-    assert counts == {"preorders": sum(map(len, built)), "offered": len(seen),
+    kept = [] if clash else [u for u in universes
+                             if named <= set(u) and _closure(u, demands.sub).isdisjoint(demands.no_sub)]
+    built = [sub for u in kept for sub in oracle_preorders(u, demands.sub, demands.no_sub)
+             if valid(make_system(u, sub))]
+    refused = sum(_refusals(u, demands, valid) + (not valid(make_system(u, _closure(u, demands.sub))))
+                  for u in kept)
+    assert counts == {"preorders": len(built), "refused": refused,
                       "accepted": sum(not sm.objects for sm in systems), "least": 0}
     before = dict(counts)
-    sysmodel.first_system(bounds, demands, valid)
+    sysmodel.first_system(bounds, demands, variant_rules(features))
     assert counts["least"] - before["least"] == (counts["preorders"] == before["preorders"])
 
 
 _ROOT = Path(__file__).resolve().parents[1]
 # The "Enumeration counts" pins of CI: a pass's counts, the change side of
 # the BENCH file that recorded them.
-_PINS = [("sem-enum", seed, "BENCH_pruning.json") for seed in range(71, 81)]
-_PINS.append(("analyze-mix", 71, "BENCH_onepath.json"))
+_PINS = [("sem-enum", seed, "BENCH_placements.json") for seed in range(71, 81)]
+_PINS.append(("analyze-mix", 71, "BENCH_placements.json"))
 
 
 @pytest.mark.parametrize("workload, seed, bench", _PINS)
@@ -458,7 +528,7 @@ def test_populations_are_formed_after_the_first_frame(monkeypatch):
         return product(*args, **kwargs)
 
     monkeypatch.setattr(sysmodel, "product", counted)
-    systems = enumerate_systems(Bounds(max_objects=3), Demands(frozenset("ABC")), lambda sm: True)
+    systems = enumerate_systems(Bounds(max_objects=3), Demands(frozenset("ABC")), ())
     assert next(systems) == make_system("ABC", {("A", "A"), ("B", "B"), ("C", "C")})
     assert not calls
     assert next(systems).objects == ("o1",)
@@ -471,7 +541,7 @@ def test_populations_are_formed_after_the_first_frame(monkeypatch):
 def test_populations_are_the_sorted_assignments(classes, max_objects, singletons):
     # From o10 on the objects' names no longer sort in numeric order.
     demands = Demands(frozenset(classes), singletons=frozenset(singletons))
-    got = sysmodel._populations(tuple(classes), max_objects, demands)
+    got = list(sysmodel._populations(tuple(classes), max_objects, demands))
     assert got == oracle_populations(tuple(classes), max_objects, demands)
 
 
@@ -488,8 +558,9 @@ def test_domain_variants_survive_restriction():
     # is refused, which is exact only if each variant accepts the
     # restriction of every frame it accepts.
     demands = Demands(frozenset("ABCD"), attrs=frozenset({("A", "x", "B"), ("D", "y", "C")}))
-    for feature, valid in DOMAIN_VARIANTS.items():
-        frames = list(enumerate_systems(Bounds(), demands, valid))
+    assert FRAME_VARIANTS.keys() == DOMAIN_VARIANTS.keys()
+    for feature, valid in FRAME_VARIANTS.items():
+        frames = [frame for frame in enumerate_systems(Bounds(), demands, ()) if valid(frame)]
         assert len(frames) > 4, feature
         for frame in frames:
             for size in range(len(frame.classes)):
@@ -500,9 +571,10 @@ def test_domain_variants_survive_restriction():
 def test_domain_variants_ignore_attrs():
     # enumerate_systems offers each relation with the demanded attrs alone,
     # which is exact only if no variant's verdict depends on the attrs.
-    frames = list(enumerate_systems(Bounds(), Demands(frozenset("ABCD")), lambda sm: True))
+    frames = list(enumerate_systems(Bounds(), Demands(frozenset("ABCD")), ()))
     attr_sets = [(), (("A", "x", "B"),), (("A", "x", "B"), ("D", "y", "C")), (("C", "z", "C"),)]
-    for feature, valid in DOMAIN_VARIANTS.items():
+    assert FRAME_VARIANTS.keys() == DOMAIN_VARIANTS.keys()
+    for feature, valid in FRAME_VARIANTS.items():
         for frame in frames:
             for attrs in attr_sets:
                 assert valid(frame) == valid(frame._replace(attrs=attrs)), (feature, frame, attrs)
