@@ -8,12 +8,12 @@ runs one pass of the operations through `vlang.cli.main` in this process,
 and prints the record as one JSON object: the preorders `_preorders` builds
 (`preorders`), the placements a domain variant's rule refused while they
 were built or while a universe's least frame was judged (`refused`), the
-frames the enumeration admitted (`accepted`: each frame `enumerate_systems`
-yields, and each preorder `sem` counts), and the `first_system` calls that
-built no preorder list (`least`).  Since `first_system` asks
-`enumerate_systems` for its answer, which judges and yields each universe's
-least frame before it builds preorders, the frames behind `least` count in
-`accepted` too.  The counts depend only on the source tree, the workload and
+frames the engine admitted (`accepted`: each preorder `sem` counts through
+`tally`, and each frame `first_system` answers with), and the
+`first_system` calls that built no preorder list (`least`).  Since
+`first_system` judges each universe's least frame before it builds
+preorders, and answers with it when it is admitted, the frames behind
+`least` count in `accepted` too.  The counts depend only on the source tree, the workload and
 the seed, not on the machine.
 """
 

@@ -28,9 +28,9 @@ classes that must exist, the `sub` pairs that must and must not be present,
 the attributes that must be present, and the classes with at most one
 object.  The record is the model's mapping predicate.  Its attributes are
 the only ones its systems carry, and the record bounds, filters and caps
-the enumeration.  So a semantics set is one `enumerate_systems` call with
-the placement rules of the selected domain variants, which judge each
-relation while it is built, and its size is one `tally` call, which counts
+the enumeration.  So a semantics set is the record and the placement rules
+of the selected domain variants, which judge each relation while it is
+built, and its size and first members are one `tally` call, which counts
 the members without walking them.
 
 The semantics set of a model is enumerable within bounds.
@@ -41,14 +41,12 @@ from __future__ import annotations
 import warnings
 from functools import reduce
 from operator import or_
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .features import Configuration, FeatureDiagram
 from .lexer import RefusalError
 from .schema import AstNode, check_statements, class_supers, statement_nodes
-from .sysmodel import (
-    Bounds, Demands, PlacementRule, SystemModelLite, enumerate_systems, tally, variant_rules,
-)
+from .sysmodel import Bounds, Demands, PlacementRule, SystemModelLite, tally, variant_rules
 
 if TYPE_CHECKING:
     from .grammar import GrammarDef
@@ -285,18 +283,12 @@ def query(
     return demands, reduce(or_, demands), variants
 
 
-class SemanticsSet:
-    """The enumerable, bound-relative semantics of one minimal model."""
+class SemanticsSet(NamedTuple):
+    """The bound-relative semantics of one minimal model."""
 
-    __slots__ = ("bounds", "demands", "variants")
-
-    def __init__(self, bounds: Bounds, demands: Demands, variants: tuple[PlacementRule, ...]):
-        self.bounds = bounds
-        self.demands = demands
-        self.variants = variants
-
-    def __iter__(self) -> Iterator[SystemModelLite]:
-        return enumerate_systems(self.bounds, self.demands, self.variants)
+    bounds: Bounds
+    demands: Demands
+    variants: tuple[PlacementRule, ...]
 
     def tally(self, k: int) -> tuple[int, list[SystemModelLite]]:
         """The number of members and the first `k` of them, counted without

@@ -17,30 +17,36 @@ relation one class at a time, as the relation is built: its row of
 `DOMAIN_VARIANTS` is a placement rule, which admits placing a class iff the
 frame over the classes placed so far still meets the predicate.
 
-`enumerate_systems(bounds, demands, rules)` walks the systems within bounds
-that hold a query's `Demands` and whose every placement the rules admit, in
-a canonical deterministic order: componentwise by cardinality, then
-lexicographically, over the encoding (classes, sub, attrs, objects, class
-assignment).  Smaller systems come first, which makes reported witnesses
-minimal.  A class universe's least frame is its classes, the closure of the
-demanded `sub` pairs with every reflexive pair, and the demanded attrs.  A
-universe whose least frame is not base-valid, within bounds and holding the
-demands has no such frame and is skipped; otherwise the rules judge the
-least frame by replaying its placements, and it comes first if they admit
-it.  The universe's other preorders (the only relations base validity
-admits, cut while they are built at a placement that breaks a bounded pair
-or that a rule refuses) are built only when the caller asks for more, and
-each frame's capped populations follow it, formed as they are reached.  The
-preorders are built as ints, pair (classes[i], classes[j]) of the sorted
-universe at bit n*n-1-(i*n+j), so that canonical order is ascending (bit
-count, -mask); each is decoded to its sorted pairs only when the walk
-reaches it.
+A query's systems are those within bounds that hold its `Demands` and whose
+every placement the rules admit, in a canonical deterministic order:
+componentwise by cardinality, then lexicographically, over the encoding
+(classes, sub, attrs, objects, class assignment).  Smaller systems come
+first, which makes reported witnesses minimal.  A class universe is the
+demanded classes plus a subset of the extra names; its `sub` ranges over the
+preorders (the only relations base validity admits) that hold every
+demanded pair and no forbidden one, cut while they are built at a placement
+that breaks a bounded pair or that a rule refuses; its attrs are exactly the
+demanded ones; and each frame (a system's classes, `sub` and attrs, with no
+objects) comes right before its populations: objects o1..oN for N up to the
+bound, with every total class assignment that puts at most one object in
+each singleton class.  The demands and rules only drop systems from the
+canonical sequence; they never reorder it.  The preorders are built as
+ints, pair (classes[i], classes[j]) of the sorted universe at bit
+n*n-1-(i*n+j), so that canonical order is ascending (bit count, -mask); a
+mask is decoded to its sorted pairs only when it is reached.
 
-`first_system(bounds, demands, rules)` is the first system of that order,
-asked of the demanded classes alone when the query names no other class.
-`tally(bounds, demands, rules, k)` is the number of systems and the first k,
-from one build of each universe's preorders: a universe adds (admitted
-preorders) x (1 + populations), and its populations are counted by formula.
+The engine has two entries.  `tally(bounds, demands, rules, k)` is the
+number of systems and the first k, from one build of each universe's
+preorders: a universe adds (admitted preorders) x (1 + populations), and
+its populations are counted by formula and formed only up to the k-th
+system.  `first_system(bounds, demands, rules)` is the first system of the
+order, asked of the demanded classes alone when the query names no other
+class.  A universe's least frame is its classes, the closure of the
+demanded `sub` pairs with every reflexive pair, and the demanded attrs; a
+universe whose least frame is not base-valid, within bounds and holding the
+demands has no frame and is skipped.  `first_system` judges the least frame
+of each universe by replaying its placements and answers with it if the
+rules admit it; only otherwise does it build the universe's preorders.
 `COUNTS` adds up their work: preorders built, placements refused, frames
 admitted, and `first_system` calls that built none (`least`); readers zero
 it first.
@@ -126,12 +132,11 @@ def single_inheritance(up: int, down: int, ups: tuple[int, ...], downs: tuple[in
 
 
 # Feature name F -> the placement rule of its predicate valid-F.  A domain
-# variant judges classes and `sub` only, never attrs or objects:
-# `enumerate_systems` builds one attr set per class universe (the demanded
-# attrs) and lets every object population of an admitted frame through.  Its
-# predicate must survive restriction to fewer classes, which makes judging
-# each placement exact and lets `first_system` search only the demanded
-# classes.
+# variant judges classes and `sub` only, never attrs or objects: the engine
+# builds one attr set per class universe (the demanded attrs) and lets every
+# object population of an admitted frame through.  Its predicate must
+# survive restriction to fewer classes, which makes judging each placement
+# exact and lets `first_system` search only the demanded classes.
 DOMAIN_VARIANTS: dict[str, PlacementRule] = {
     "SingleInheritance": single_inheritance,
 }
@@ -150,7 +155,7 @@ def domain_variant(feature: str) -> PlacementRule:
 
 def variant_rules(selected: Iterable[str]) -> tuple[PlacementRule, ...]:
     """The placement rules of the selected domain features, in sorted
-    feature order: the validity a frame built by `enumerate_systems` still
+    feature order: the validity a frame built from a query's demands still
     needs."""
     return tuple(domain_variant(f) for f in sorted(set(selected)))
 
@@ -355,8 +360,8 @@ def _admitted(
 
 
 def _universes(bounds: Bounds, demands: Demands) -> Iterator[tuple[tuple[str, ...], set[Pair]]]:
-    """The class universes of a query that have frames, in canonical order,
-    each with its least relation: the closure of the demanded `sub` pairs
+    """The class universes of a query that have frames, in canonical order
+    and formed one size at a time, each with its least relation: the closure of the demanded `sub` pairs
     with every reflexive pair.  A universe ranges over the demanded classes
     plus any subset of the extra names; it is skipped when it lacks a class
     a demanded pair or attr names or when its least relation holds a
@@ -365,55 +370,29 @@ def _universes(bounds: Bounds, demands: Demands) -> Iterator[tuple[tuple[str, ..
     if len({(o, n) for o, n, _ in demands.attrs}) != len(demands.attrs):
         return
     extras = sorted(set(bounds.extra_class_names) - demands.classes)
-    class_universes = sorted(
-        {tuple(sorted(demands.classes.union(chosen)))
-         for r in range(len(extras) + 1) for chosen in combinations(extras, r)},
-        key=lambda t: (len(t), t),
-    )
     named = {c for o, _, t in demands.attrs for c in (o, t)}.union(*demands.sub)
     closure = set(demands.sub)
     for k in named:  # Warshall
         below, above = [a for a, b in closure if b == k], [d for c, d in closure if c == k]
         closure.update((a, d) for a in below for d in above)
-    for classes in class_universes:
-        least = closure | {(c, c) for c in classes}
-        if named.issubset(classes) and least.isdisjoint(demands.no_sub):
-            yield classes, least
-
-
-def enumerate_systems(
-    bounds: Bounds, demands: Demands, rules: tuple[PlacementRule, ...]
-) -> Iterator[SystemModelLite]:
-    """All systems within bounds that hold `demands` and whose every
-    placement `rules` admit, in canonical order, without duplicates.
-
-    The class universes are `_universes`; `sub` ranges over the reflexive
-    and transitive relations on a universe that hold every demanded pair
-    and no forbidden one, the least of them offered before the others are
-    built; the attributes are exactly the demanded attrs; objects o1..oN
-    for N up to the bound, with every total class assignment that puts at
-    most one object in each singleton class.  A frame is a system's
-    classes, `sub` and attrs with no objects.  Every frame is base-valid,
-    holds the demands on classes, `sub` and attrs and meets the domain
-    variants by construction, and every population of a frame is yielded
-    right after it.  The demands and rules only drop systems from the
-    canonical sequence; they never reorder it.
-    """
-    attrs = tuple(sorted(demands.attrs))
-    for classes, least in _universes(bounds, demands):
-        for sub in _relations(classes, least, demands, rules):
-            COUNTS["accepted"] += 1
-            yield from _members(classes, sub, attrs, bounds.max_objects, demands)
+    # the extras miss the demanded classes, so the universes of one size are
+    # distinct and sort by their tuples alone
+    for size in range(len(extras) + 1):
+        for classes in sorted(tuple(sorted(demands.classes.union(chosen)))
+                              for chosen in combinations(extras, size)):
+            least = closure | {(c, c) for c in classes}
+            if named.issubset(classes) and least.isdisjoint(demands.no_sub):
+                yield classes, least
 
 
 def tally(
     bounds: Bounds, demands: Demands, rules: tuple[PlacementRule, ...], k: int
 ) -> tuple[int, list[SystemModelLite]]:
-    """The number of systems `enumerate_systems` yields and the first `k` of
-    them, from one build of each universe's preorders.  A universe adds
-    (admitted masks) x (1 + populations), the populations counted by
-    `_population_count`; masks are decoded and populations formed only up
-    to the k-th system."""
+    """The number of systems of a query and the first `k` of them, in
+    canonical order, from one build of each universe's preorders.  A
+    universe adds (admitted masks) x (1 + populations), the populations
+    counted by `_population_count`; masks are decoded and populations formed
+    only up to the k-th system."""
     attrs = tuple(sorted(demands.attrs))
     count, first = 0, []
     for classes, _ in _universes(bounds, demands):
@@ -439,20 +418,6 @@ def _members(
     yield SystemModelLite(classes, sub, attrs, (), ())
     for objects, class_of in _populations(classes, max_objects, demands):
         yield SystemModelLite(classes, sub, attrs, objects, class_of)
-
-
-def _relations(
-    classes: tuple[str, ...], least: set[Pair], demands: Demands, rules: tuple[PlacementRule, ...]
-) -> Iterator[tuple[Pair, ...]]:
-    """The least relation if `rules` admit it, then the universe's other
-    admitted preorders, which are built only when asked for and each
-    decoded only when reached; an admitted least relation is the first
-    mask built."""
-    admitted = _admitted(classes, least, rules)
-    if admitted:
-        yield tuple(sorted(least))
-    masks = _preorders(classes, demands.sub, demands.no_sub, rules)
-    yield from map(_decoder(classes), islice(masks, admitted, None))
 
 
 def _decoder(classes: tuple[str, ...]) -> Callable[[int], tuple[Pair, ...]]:
@@ -510,16 +475,29 @@ def _population_count(n: int, capped: int, max_objects: int) -> int:
 def first_system(
     bounds: Bounds, demands: Demands, rules: tuple[PlacementRule, ...]
 ) -> SystemModelLite | None:
-    """`next(enumerate_systems(bounds, demands, rules), None)`.  When the
-    required pairs and attrs name only demanded classes, only the demanded
-    universe is asked: a frame of a larger universe restricts to a frame of
-    it with the same attrs that still holds the demands and, as domain
-    variants must, meets them."""
+    """The first system of a query in canonical order, or None: a frame,
+    since each frame comes before its populations.  Each universe's least
+    frame is judged by replaying its placements, and its preorders are built
+    only if the rules refuse it.  When the required pairs and attrs name only
+    demanded classes, only the demanded universe is asked: a frame of a
+    larger universe restricts to a frame of it with the same attrs that
+    still holds the demands and, as domain variants must, meets them."""
     named = demands.classes.union(*demands.sub, *((o, t) for o, _, t in demands.attrs))
     if named <= demands.classes:
         bounds = bounds._replace(extra_class_names=())
     built = COUNTS["preorders"]
-    first = next(enumerate_systems(bounds, demands, rules), None)
+    first = None
+    for classes, least in _universes(bounds, demands):
+        if _admitted(classes, least, rules):
+            sub = tuple(sorted(least))
+        else:
+            masks = _preorders(classes, demands.sub, demands.no_sub, rules)
+            if not masks:
+                continue
+            sub = _decoder(classes)(masks[0])
+        COUNTS["accepted"] += 1
+        first = SystemModelLite(classes, sub, tuple(sorted(demands.attrs)), (), ())
+        break
     COUNTS["least"] += COUNTS["preorders"] == built
     return first
 

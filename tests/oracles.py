@@ -14,14 +14,16 @@ validated by walks of its own).
 
 The package builds only systems that are base-valid, hold a query's
 `Demands` and meet its domain variants, and its parser builds only conforming ASTs, so it needs none of
-these judges.  Tests use them to check what the package builds, and read a
-semantics set through `count` and `first`.
+these judges.  Tests use them to check what the package builds, read a
+query's systems through `walked`, and a semantics set through `members`,
+`count` and `first`.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import chain, combinations, islice, product, zip_longest
+import sys
+from itertools import chain, combinations, product, zip_longest
 from pathlib import Path
 from typing import Callable, Container, Iterable, NamedTuple
 
@@ -75,7 +77,7 @@ from vlang.sysmodel import (
     PlacementRule,
     SystemModelLite,
     domain_variant,
-    enumerate_systems,
+    tally,
 )
 
 # ---------------------------------------------------------------------------
@@ -208,18 +210,29 @@ def full_scan_refinement(
     """The first system of `refined` outside `abstract` over both models'
     classes, found by judging every system of `refined` in turn."""
     (r, a), joint, variants = query([refined, abstract], config)
-    systems = enumerate_systems(config.bounds, r | Demands(joint.classes), variants)
+    systems = walked(config.bounds, r | Demands(joint.classes), variants)
     return next((sm for sm in systems if not holds(a, sm)), None)
 
 
+def walked(bounds: Bounds, demands: Demands, rules: tuple[PlacementRule, ...]) -> list[SystemModelLite]:
+    """Every system of a query, in canonical order: the members
+    `sysmodel.tally` forms when asked for all of them."""
+    return tally(bounds, demands, rules, sys.maxsize)[1]
+
+
+def members(sem: SemanticsSet) -> list[SystemModelLite]:
+    """Every system of `sem`, in canonical order."""
+    return walked(sem.bounds, sem.demands, sem.variants)
+
+
 def count(sem: SemanticsSet) -> int:
-    """The number of systems in `sem`."""
-    return sum(1 for _ in sem)
+    """The number of systems in `sem`, walked."""
+    return len(members(sem))
 
 
 def first(sem: SemanticsSet, k: int) -> list[SystemModelLite]:
-    """The first `k` systems of `sem`, in enumeration order."""
-    return list(islice(sem, k))
+    """The first `k` systems of `sem`, in canonical order."""
+    return sem.tally(k)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import raw_semantics_config, zeroed_counts
 from oracles import (
     composed_valid, first, full_scan_refinement, holds, make_system, oracle_enumerate, valid_single_inheritance,
+    walked,
 )
 from vlang.analysis import AnalysisError, check_consistency, check_equivalence, check_refinement
 from vlang.desugar import desugar_to_minimal
@@ -16,7 +17,7 @@ from vlang.modelparse import parse_model
 from vlang.semantics import compute_sem
 from vlang import sysmodel
 from vlang.sysmodel import (
-    Bounds, Demands, canonical_key, dump_system, enumerate_systems, first_system, variant_rules,
+    Bounds, Demands, canonical_key, dump_system, first_system, tally, variant_rules,
 )
 
 
@@ -346,9 +347,9 @@ def test_the_closure_of_the_required_pairs_is_the_first_system():
     counts = zeroed_counts()
     first = first_system(bounds, demands, ())
     assert counts == {"preorders": 0, "refused": 0, "accepted": 1, "least": 1}
-    assert first == next(enumerate_systems(bounds, demands, ())) == make_system(
+    assert [first] == tally(bounds, demands, (), 1)[1] == [make_system(
         "ABC", {("A", "A"), ("A", "B"), ("A", "C"), ("B", "B"), ("B", "C"), ("C", "C")},
-        {("A", "x", "C")})
+        {("A", "x", "C")})]
 
 
 def test_a_refused_closure_is_searched_in_the_demanded_universe_only(monkeypatch):
@@ -356,33 +357,41 @@ def test_a_refused_closure_is_searched_in_the_demanded_universe_only(monkeypatch
     # to the demanded classes keeps it valid, so the extra class is not tried.
     demands = Demands(frozenset("ABC"), frozenset({("A", "B"), ("A", "C")}))
     valid = variant_rules({"SingleInheritance"})
-    universes = []
-    enumerate_all = sysmodel.enumerate_systems
+    extras, built = [], []
+    universes, preorders = sysmodel._universes, sysmodel._preorders
 
-    def recorded(bounds, *rest):
-        universes.append(bounds.extra_class_names)
-        return enumerate_all(bounds, *rest)
+    def recorded_universes(bounds, *rest):
+        extras.append(bounds.extra_class_names)
+        return universes(bounds, *rest)
 
-    monkeypatch.setattr(sysmodel, "enumerate_systems", recorded)
+    def recorded_preorders(classes, *rest):
+        built.append(classes)
+        return preorders(classes, *rest)
+
+    monkeypatch.setattr(sysmodel, "_universes", recorded_universes)
+    monkeypatch.setattr(sysmodel, "_preorders", recorded_preorders)
     bounds = Bounds(("D",), 1)
     first = first_system(bounds, demands, valid)
-    assert universes == [()]
-    assert first == next(enumerate_all(bounds, demands, valid)) == make_system(
-        "ABC", {("A", "A"), ("A", "B"), ("A", "C"), ("B", "B"), ("B", "C"), ("C", "C")})
+    assert (extras, built) == ([()], [tuple("ABC")])
+    assert [first] == tally(bounds, demands, valid, 1)[1] == [make_system(
+        "ABC", {("A", "A"), ("A", "B"), ("A", "C"), ("B", "B"), ("B", "C"), ("C", "C")})]
 
 
 def test_each_frame_is_offered_once():
-    # SingleInheritance refuses the diamond's closure, judged once before
-    # any preorder is built; the search that follows builds only admitted
-    # preorders, which leave it out, and yields each of them once.
+    # SingleInheritance refuses the diamond's closure.  The build keeps only
+    # admitted preorders, which leave it out, and offers each of them once;
+    # first_system judges the closure once before it builds them.
     demands = Demands(frozenset("ABC"), frozenset({("A", "B"), ("A", "C")}))
     closure = make_system("ABC", {("A", "A"), ("A", "B"), ("A", "C"), ("B", "B"), ("C", "C")})
+    rules = variant_rules({"SingleInheritance"})
     counts = zeroed_counts()
-    frames = list(enumerate_systems(Bounds(), demands, variant_rules({"SingleInheritance"})))
-    assert counts["refused"] > 1 and counts["preorders"] == counts["accepted"] == len(frames) > 1
+    frames = walked(Bounds(), demands, rules)
+    assert counts["refused"] > 0 and counts["preorders"] == counts["accepted"] == len(frames) > 1
     assert closure not in frames and not valid_single_inheritance(closure)
     assert len(set(frames)) == len(frames) and all(map(valid_single_inheritance, frames))
-    assert first_system(Bounds(), demands, variant_rules({"SingleInheritance"})) == frames[0]
+    refused = counts["refused"]
+    assert first_system(Bounds(), demands, rules) == frames[0]
+    assert counts["refused"] == 2 * refused + 1
 
 
 @st.composite
@@ -418,7 +427,7 @@ def test_first_system_equals_the_first_enumerated_and_the_oracle(case):
     bounds, demands, features, others = case
     valid = variant_rules(features)
     first = first_system(bounds, demands, valid)
-    assert first == next(enumerate_systems(bounds, demands, valid), None)
+    assert tally(bounds, demands, valid, 1)[1] == ([] if first is None else [first])
     judge = composed_valid(features)
     systems = oracle_enumerate(bounds, demands.classes, lambda sm: (
         judge(sm) and set(sm.attrs) == demands.attrs and holds(demands, sm)), demands.attrs | others)

@@ -670,20 +670,43 @@ def test_sem_forms_only_the_populations_it_prints(workspace):
     assert [line for line in lines if line.startswith("WITNESS")] == ["WITNESS 1", "WITNESS 2", "WITNESS 3"]
 
 
+def _diamond_consistency(workspace: Path, free: int, megabytes: int, timeout: float | None = None):
+    """`analyze consistent` of the bundled configurations on the diamond D
+    extends B, C over A with `free` unrelated classes F0, F1, ..., and the
+    assertion `sub D C`, run as a fresh process capped at `megabytes` of
+    address space."""
+    frees = " ".join(f"class F{i};" for i in range(free))
+    (workspace / "m.cd").write_text(
+        f"classdiagram M {{ class D extends B, C; class B extends A; class C extends A; class A; {frees} }}\n")
+    (workspace / "s.cda").write_text("assertions S { sub D C; }\n")
+    argv = ["analyze", "consistent", *(str(workspace / n) for n in (
+        "cdsimp.mclang", "m.cd", "cda.mclang", "s.cda", "example.fd", "sm.conf", "cd.conf"))]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", _limited(f"sys.exit(main({argv!r}))", megabytes)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def _diamond_witness(free: int) -> str:
+    """The report of `_diamond_consistency`: the least frame plus (B, C)."""
+    frees = [f"F{i}" for i in range(free)]
+    return (
+        "RESULT holds=true kind=consistent bounds=extra={};maxObjects=1;attrs={(D,dlg_C,C)}\n"
+        "WITNESS\n"
+        f"CLASSES {' '.join(['A', 'B', 'C', 'D', *frees])}\n"
+        "SUB (A,A) (B,A) (B,B) (B,C) (C,A) (C,C) (D,A) (D,B) (D,C) (D,D)"
+        f"{''.join(f' ({f},{f})' for f in frees)}\n"
+        "ATTRS (D,dlg_C,C)\n"
+        "OBJECTS\n"
+        "CLASSOF\n"
+    )
+
+
 def test_an_eight_class_consistency_query_stays_small(workspace):
     # SingleInheritance refuses the least frame, where D has the unrelated
     # supers B and C; the first system adds (B, C).  The search builds only
     # the preorders of the eight classes whose placements keep D's supers
     # related.
-    (workspace / "m.cd").write_text(
-        "classdiagram M { class D extends B, C; class B extends A; class C extends A; class A; "
-        "class F0; class F1; class F2; class F3; }\n")
-    (workspace / "s.cda").write_text("assertions S { sub D C; }\n")
-    argv = ["analyze", "consistent", *(str(workspace / n) for n in (
-        "cdsimp.mclang", "m.cd", "cda.mclang", "s.cda", "example.fd", "sm.conf", "cd.conf"))]
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    fresh = subprocess.run([sys.executable, "-c", _limited(f"sys.exit(main({argv!r}))", 512)],
-                           capture_output=True, text=True, env=env)
+    fresh = _diamond_consistency(workspace, 4, 512)
     assert (fresh.returncode, fresh.stderr) == (0, "")
     assert fresh.stdout == (
         "RESULT holds=true kind=consistent bounds=extra={};maxObjects=1;attrs={(D,dlg_C,C)}\n"
@@ -693,7 +716,19 @@ def test_an_eight_class_consistency_query_stays_small(workspace):
         "ATTRS (D,dlg_C,C)\n"
         "OBJECTS\n"
         "CLASSOF\n"
-    )
+    ) == _diamond_witness(4)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "first_system builds and sorts every admitted preorder of the nine classes "
+    "before it takes the first; the build runs out of memory under the cap"))
+def test_a_nine_class_consistency_query_stays_small(workspace):
+    # The eight-class query with one more free class.  Its answer is the
+    # second frame in canonical order, so finding it needs no more than a
+    # few preorders of the nine classes.
+    fresh = _diamond_consistency(workspace, 5, 128, timeout=60)
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert fresh.stdout == _diamond_witness(5)
 
 
 def test_semantics_config_errors(workspace, capsys):

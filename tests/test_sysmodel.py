@@ -25,6 +25,7 @@ from oracles import (
     structurally_valid,
     valid_single_inheritance,
     variants_valid,
+    walked,
 )
 from vlang import cli, sysmodel
 from vlang.sysmodel import (
@@ -36,7 +37,6 @@ from vlang.sysmodel import (
     canonical_key,
     domain_variant,
     dump_system,
-    enumerate_systems,
     variant_rules,
 )
 
@@ -150,7 +150,7 @@ def test_custom_registry(monkeypatch):
     assert valid(make_system({"A"}, {("A", "A")}))
     assert not valid(make_system({"A", "B"}, _refl({"A", "B"}) | {("A", "B")}))
     rules = variant_rules({"NoSubclassing"})
-    assert list(enumerate_systems(Bounds(), Demands(frozenset("AB")), rules)) == [make_system("AB", _refl("AB"))]
+    assert walked(Bounds(), Demands(frozenset("AB")), rules) == [make_system("AB", _refl("AB"))]
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_custom_registry(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_two_required_classes_give_four_base_systems():
-    systems = list(enumerate_systems(Bounds(), Demands(frozenset("AB")), ()))
+    systems = walked(Bounds(), Demands(frozenset("AB")), ())
     assert len(systems) == 4
     subs = [set(sm.sub) for sm in systems]
     refl = _refl({"A", "B"})
@@ -169,20 +169,20 @@ def test_two_required_classes_give_four_base_systems():
 
 
 def test_no_required_classes_gives_exactly_the_empty_system():
-    systems = list(enumerate_systems(Bounds(), Demands(), ()))
+    systems = walked(Bounds(), Demands(), ())
     assert systems == [make_system()]
 
 
 def test_single_inheritance_cannot_fail_with_two_classes():
     rules = variant_rules({"SingleInheritance"})
-    systems = list(enumerate_systems(Bounds(), Demands(frozenset("AB")), rules))
+    systems = walked(Bounds(), Demands(frozenset("AB")), rules)
     assert len(systems) == 4
 
 
 def test_enumeration_is_sorted_by_canonical_key_and_duplicate_free():
     bounds = Bounds(extra_class_names=("C",), max_objects=1)
     demands = Demands(frozenset("A"), attrs=frozenset({("A", "x", "A")}))
-    systems = list(enumerate_systems(bounds, demands, ()))
+    systems = walked(bounds, demands, ())
     keys = [canonical_key(sm) for sm in systems]
     assert keys == sorted(keys)
     assert len(set(systems)) == len(systems)
@@ -190,8 +190,8 @@ def test_enumeration_is_sorted_by_canonical_key_and_duplicate_free():
 
 def test_enumeration_deterministic_across_runs():
     bounds = Bounds(extra_class_names=("B",), max_objects=1)
-    first = list(enumerate_systems(bounds, Demands(frozenset("A")), ()))
-    second = list(enumerate_systems(bounds, Demands(frozenset("A")), ()))
+    first = walked(bounds, Demands(frozenset("A")), ())
+    second = walked(bounds, Demands(frozenset("A")), ())
     assert first == second
 
 
@@ -200,7 +200,7 @@ def test_enumerated_systems_satisfy_invariants_and_predicate():
     bounds = Bounds(extra_class_names=("B",), max_objects=1)
     demands = Demands(frozenset("A"), attrs=frozenset({("A", "x", "B"), ("B", "y", "A")}))
     count = 0
-    for sm in enumerate_systems(bounds, demands, variant_rules({"SingleInheritance"})):
+    for sm in walked(bounds, demands, variant_rules({"SingleInheritance"})):
         count += 1
         assert structurally_valid(sm)
         assert valid(sm)
@@ -222,7 +222,7 @@ def test_oracle_equivalence_small_bounds():
     ]
     for bounds, attrs in cases:
         demands = Demands(frozenset("AB"), attrs=attrs)
-        enumerated = list(enumerate_systems(bounds, demands, ()))
+        enumerated = walked(bounds, demands, ())
         expected = oracle_enumerate(
             bounds, demands.classes, lambda sm: valid(sm) and set(sm.attrs) == attrs, attrs | others)
         assert set(enumerated) == expected
@@ -230,7 +230,7 @@ def test_oracle_equivalence_small_bounds():
 
 
 def test_oracle_equivalence_three_classes():
-    enumerated = set(enumerate_systems(Bounds(), Demands(frozenset("ABC")), ()))
+    enumerated = set(walked(Bounds(), Demands(frozenset("ABC")), ()))
     expected = oracle_enumerate(Bounds(), {"A", "B", "C"}, lambda sm: oracle_base_valid(set(sm.classes), set(sm.sub)))
     assert enumerated == expected
 
@@ -238,7 +238,7 @@ def test_oracle_equivalence_three_classes():
 # A000798: labelled preorders on n elements.
 @pytest.mark.parametrize("n, count", [(0, 1), (1, 1), (2, 4), (3, 29), (4, 355), (5, 6942)])
 def test_object_free_base_valid_counts_are_labelled_preorders(n, count):
-    systems = list(enumerate_systems(Bounds(), Demands(frozenset("ABCDE"[:n])), ()))
+    systems = walked(Bounds(), Demands(frozenset("ABCDE"[:n])), ())
     assert len(systems) == count
     # Only preorders are generated, so every system is base-valid.
     assert all(eval_valid_base(sm) for sm in systems)
@@ -283,7 +283,7 @@ def test_enumeration_equals_sorted_oracle(case):
     expected = sorted(oracle_enumerate(
         bounds, demands.classes, lambda sm: valid(sm) and set(sm.attrs) == demands.attrs,
         demands.attrs | others), key=canonical_key)
-    assert list(enumerate_systems(bounds, demands, variant_rules(features))) == expected
+    assert walked(bounds, demands, variant_rules(features)) == expected
 
 
 def _decoded(classes: tuple[str, ...], mask: int) -> tuple:
@@ -332,9 +332,11 @@ def _closure(classes, pairs) -> set:
 def test_preorders_equal_the_oracle(case):
     classes, must, must_not = case
     expected = oracle_preorders(classes, must, must_not)
-    assert [_decoded(classes, mask) for mask in sysmodel._preorders(classes, must, must_not)] == expected
-    demands = Demands(frozenset(classes), frozenset(must), frozenset(must_not))
-    assert list(sysmodel._relations(classes, set(expected[0]), demands, ())) == expected
+    masks = sysmodel._preorders(classes, must, must_not)
+    assert [_decoded(classes, mask) for mask in masks] == expected
+    assert list(map(sysmodel._decoder(classes), masks)) == expected
+    # first_system answers with the least relation when it is admitted
+    assert expected[0] == tuple(sorted(_closure(classes, must)))
 
 
 @_ORACLE_SETTINGS
@@ -352,7 +354,7 @@ def test_placement_rules_build_the_oracle_preorders_their_predicate_keeps(case, 
 @_ORACLE_SETTINGS
 @given(_preorder_bounds(), st.sampled_from(sorted(FRAME_VARIANTS)))
 def test_the_least_frame_judgement_is_the_frame_predicate(case, feature):
-    # enumerate_systems judges a universe's least frame by replaying its
+    # first_system judges a universe's least frame by replaying its
     # placements; any preorder may be a least frame.
     classes, must, must_not = case
     valid, rules = FRAME_VARIANTS[feature], (DOMAIN_VARIANTS[feature],)
@@ -409,7 +411,7 @@ def test_pair_bounded_enumeration_equals_filtered_oracle(case):
 
     expected = sorted(oracle_enumerate(bounds, demands.classes, admitted, demands.attrs | others),
                       key=canonical_key)
-    assert list(enumerate_systems(bounds, demands, variant_rules(features))) == expected
+    assert walked(bounds, demands, variant_rules(features)) == expected
 
 
 @_ORACLE_SETTINGS
@@ -450,7 +452,7 @@ def test_a_tally_is_the_walked_count_and_its_first_systems(case, max_objects, k)
 ])
 def test_an_empty_query_builds_no_preorder_list(demands, bounds):
     counts = zeroed_counts()
-    assert list(enumerate_systems(bounds, demands, variant_rules({"SingleInheritance"}))) == []
+    assert walked(bounds, demands, variant_rules({"SingleInheritance"})) == []
     assert sysmodel.tally(bounds, demands, (), 1) == (0, [])
     assert counts == {"preorders": 0, "refused": 0, "accepted": 0, "least": 0}
 
@@ -470,15 +472,15 @@ def _refusals(classes, demands, valid) -> int:
 @_ORACLE_SETTINGS
 @given(_pair_bounded_cases())
 def test_the_record_counts_what_the_oracles_see(case):
-    # A full walk judges the least frame of each universe that holds every
-    # class the query names and whose least relation breaks no forbidden
-    # pair, then builds the universe's preorders whose every placement the
-    # domain variants admit, and yields each admitted frame before its
-    # populations.
+    # A full walk builds, in each universe that holds every class the query
+    # names and whose least relation breaks no forbidden pair, the
+    # preorders whose every placement the domain variants admit, and forms
+    # each admitted frame before its populations.  It judges no least frame
+    # on its own, so it counts only the placements the build refuses.
     bounds, features, demands, _ = case
     valid = variants_valid(features)
     counts = zeroed_counts()
-    systems = list(enumerate_systems(bounds, demands, variant_rules(features)))
+    systems = walked(bounds, demands, variant_rules(features))
     named = demands.classes.union(*demands.sub, *((o, t) for o, _, t in demands.attrs))
     extras = sorted(set(bounds.extra_class_names) - demands.classes)
     universes = [tuple(sorted(demands.classes.union(chosen)))
@@ -488,8 +490,7 @@ def test_the_record_counts_what_the_oracles_see(case):
                              if named <= set(u) and _closure(u, demands.sub).isdisjoint(demands.no_sub)]
     built = [sub for u in kept for sub in oracle_preorders(u, demands.sub, demands.no_sub)
              if valid(make_system(u, sub))]
-    refused = sum(_refusals(u, demands, valid) + (not valid(make_system(u, _closure(u, demands.sub))))
-                  for u in kept)
+    refused = sum(_refusals(u, demands, valid) for u in kept)
     assert counts == {"preorders": len(built), "refused": refused,
                       "accepted": sum(not sm.objects for sm in systems), "least": 0}
     before = dict(counts)
@@ -520,6 +521,22 @@ def test_a_benchmark_pass_counts_what_its_bench_file_pins(tmp_path, monkeypatch,
     assert {k: counts[k] for k in want} == want
 
 
+def test_universes_are_formed_one_size_at_a_time(monkeypatch):
+    # The first system of a query that names one extra class lies in a
+    # universe with one extra, so no larger subset of the extras is formed.
+    sizes = []
+
+    def recorded(extras, size):
+        sizes.append(size)
+        return combinations(extras, size)
+
+    monkeypatch.setattr(sysmodel, "combinations", recorded)
+    bounds = Bounds(tuple(f"X{i}" for i in range(12)))
+    first = sysmodel.first_system(bounds, Demands(frozenset("A"), frozenset({("A", "X3")})), ())
+    assert first == make_system(("A", "X3"), {("A", "A"), ("A", "X3"), ("X3", "X3")})
+    assert sizes == [0, 1]
+
+
 def test_populations_are_formed_after_the_first_frame(monkeypatch):
     calls = []
 
@@ -528,11 +545,13 @@ def test_populations_are_formed_after_the_first_frame(monkeypatch):
         return product(*args, **kwargs)
 
     monkeypatch.setattr(sysmodel, "product", counted)
-    systems = enumerate_systems(Bounds(max_objects=3), Demands(frozenset("ABC")), ())
-    assert next(systems) == make_system("ABC", {("A", "A"), ("B", "B"), ("C", "C")})
-    assert not calls
-    assert next(systems).objects == ("o1",)
-    assert calls
+    bounds, demands = Bounds(max_objects=3), Demands(frozenset("ABC"))
+    count, first = sysmodel.tally(bounds, demands, (), 1)
+    assert first == [make_system("ABC", {("A", "A"), ("B", "B"), ("C", "C")})]
+    assert count > 1 and not calls
+    _, first = sysmodel.tally(bounds, demands, (), 2)
+    assert first[1].objects == ("o1",)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("classes, max_objects, singletons", [
@@ -560,7 +579,7 @@ def test_domain_variants_survive_restriction():
     demands = Demands(frozenset("ABCD"), attrs=frozenset({("A", "x", "B"), ("D", "y", "C")}))
     assert FRAME_VARIANTS.keys() == DOMAIN_VARIANTS.keys()
     for feature, valid in FRAME_VARIANTS.items():
-        frames = [frame for frame in enumerate_systems(Bounds(), demands, ()) if valid(frame)]
+        frames = [frame for frame in walked(Bounds(), demands, ()) if valid(frame)]
         assert len(frames) > 4, feature
         for frame in frames:
             for size in range(len(frame.classes)):
@@ -569,15 +588,38 @@ def test_domain_variants_survive_restriction():
 
 
 def test_domain_variants_ignore_attrs():
-    # enumerate_systems offers each relation with the demanded attrs alone,
+    # The engine offers each relation with the demanded attrs alone,
     # which is exact only if no variant's verdict depends on the attrs.
-    frames = list(enumerate_systems(Bounds(), Demands(frozenset("ABCD")), ()))
+    frames = walked(Bounds(), Demands(frozenset("ABCD")), ())
     attr_sets = [(), (("A", "x", "B"),), (("A", "x", "B"), ("D", "y", "C")), (("C", "z", "C"),)]
     assert FRAME_VARIANTS.keys() == DOMAIN_VARIANTS.keys()
     for feature, valid in FRAME_VARIANTS.items():
         for frame in frames:
             for attrs in attr_sets:
                 assert valid(frame) == valid(frame._replace(attrs=attrs)), (feature, frame, attrs)
+
+
+@_ORACLE_SETTINGS
+@given(_preorder_bounds(), st.permutations("ABCDEFG"), st.sampled_from(sorted(DOMAIN_VARIANTS)))
+@example((tuple("ABCDE"), set(), set()), "EDCBAGF", "SingleInheritance")
+@example((tuple("ABCD"), {("D", "B"), ("D", "C")}, {("B", "C")}), "GFEDCBA", "SingleInheritance")
+def test_placement_rules_are_invariant_under_class_renaming(case, targets, feature):
+    # A universe's extras that no demand names are interchangeable only if
+    # each rule admits the same relations, up to the renaming, whatever
+    # order the renamed classes are placed in.
+    classes, must, must_not = case
+    mapping = {**dict(zip("ABCDEFG", targets)), "Z": "Z"}
+
+    def renamed(pairs):
+        return {(mapping[a], mapping[b]) for a, b in pairs}
+
+    rules = (DOMAIN_VARIANTS[feature],)
+    other = tuple(sorted(mapping[c] for c in classes))
+    kept = sysmodel._preorders(classes, must, must_not, rules)
+    renamed_kept = sysmodel._preorders(other, renamed(must), renamed(must_not), rules)
+    assert len(kept) == len(renamed_kept)
+    assert ({frozenset(renamed(sub)) for sub in map(sysmodel._decoder(classes), kept)}
+            == set(map(frozenset, map(sysmodel._decoder(other), renamed_kept))))
 
 
 # ---------------------------------------------------------------------------
